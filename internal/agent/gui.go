@@ -83,7 +83,7 @@ func (d *driver) guiEnsureCall() {
 	d.call(d.guiPrompt(), true)
 	d.gui.open = true
 	d.gui.visible = make(map[string]bool)
-	for _, e := range d.env.App.Desk.Snapshot() {
+	for _, e := range d.env.App.Desk.Snapshot(nil) {
 		if e.Parent() != nil {
 			d.gui.visible[e.ControlID()] = true
 		}
@@ -324,7 +324,7 @@ func corruptDigits(s string, pick func(int) int) string {
 // exact synthesized-id match across the desktop.
 func (d *driver) deepestVisibleLive(chain []*forest.Node) (int, *uia.Element) {
 	byID := make(map[string]*uia.Element)
-	for _, e := range d.env.App.Desk.Snapshot() {
+	for _, e := range d.env.App.Desk.Snapshot(nil) {
 		if e.Parent() == nil {
 			continue
 		}

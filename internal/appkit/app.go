@@ -52,6 +52,11 @@ type App struct {
 
 	commits     []commitHandler
 	onSoftReset []func(a *App)
+
+	// expandables lists every ExpandCollapse control, registered as
+	// Panel.ComboBox creates it, so SoftReset collapses them without
+	// walking the windows.
+	expandables []*uia.Element
 }
 
 type tab struct {
@@ -274,19 +279,11 @@ func (a *App) SoftReset() {
 // instance anywhere yields the same result for (context, path, control) —
 // and with it, distributed rip byte-identity and safe re-dispatch.
 func (a *App) collapseExpandables() {
-	collapse := func(root *uia.Element) {
-		root.Walk(func(e *uia.Element) bool {
-			if x, ok := e.Pattern(uia.ExpandCollapsePattern).(uia.ExpandCollapser); ok {
-				if x.ExpandState(e) == uia.Expanded {
-					_ = x.Collapse(e)
-				}
-			}
-			return true
-		})
-	}
-	collapse(a.Win)
-	for _, p := range a.popupTemplates {
-		collapse(p.Win)
+	for _, e := range a.expandables {
+		x := e.Pattern(uia.ExpandCollapsePattern).(uia.ExpandCollapser)
+		if x.ExpandState(e) == uia.Expanded {
+			_ = x.Collapse(e)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func (s *Session) CaptureLabels() *LabelMap {
 		byLabel: make(map[string]*uia.Element),
 		labels:  make(map[*uia.Element]string),
 	}
-	for _, e := range s.App.Desk.Snapshot() {
+	for _, e := range s.App.Desk.Snapshot(nil) {
 		if e.Parent() == nil {
 			continue // window roots are not controls
 		}

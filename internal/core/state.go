@@ -246,7 +246,7 @@ func (s *Session) PromptStats(truncAt int) (controls int, passive string) {
 	}
 	var b strings.Builder
 	empty := 0
-	for _, e := range s.App.Desk.Snapshot() {
+	for _, e := range s.App.Desk.Snapshot(nil) {
 		if e.Parent() == nil {
 			continue // window roots are not controls
 		}

@@ -497,14 +497,38 @@ func (s *Store) loadSnapshot(key string) (*ung.Graph, int64, bool) {
 	return nil, 0, false
 }
 
-func (s *Store) writeSnapshot(key string, data []byte) error {
+// writeSnapshot publishes a snapshot crash-safely: the payload goes to a
+// uniquely named temp file in the snapshot directory, which is synced,
+// closed and then renamed over the final name. Writers sharing a directory
+// (two daemons building the same app) never share a temp file, and a crash
+// mid-write leaves at worst a stray temp file, never a torn snapshot. The
+// temp file is removed on any error.
+func (s *Store) writeSnapshot(key string, data []byte) (err error) {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
 	path := s.snapshotPath(key, s.SnapshotFormat())
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(s.dir, filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }

@@ -230,6 +230,120 @@ func TestCorruptSnapshotRebuilds(t *testing.T) {
 	}
 }
 
+// TestTruncatedSnapshotRewritten: a snapshot torn mid-write (here,
+// truncated) is not trusted; the store re-rips and rewrites it in full, so
+// the next store over the directory reloads it with zero rip clicks.
+func TestTruncatedSnapshotRewritten(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := NewPersistent(dir).Build("StoreDemo", storeApp, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := os.ReadDir(dir)
+	if len(files) != 1 {
+		t.Fatalf("want one snapshot file, have %d", len(files))
+	}
+	path := filepath.Join(dir, files[0].Name())
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, int64(len(whole)/2)); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := NewPersistent(dir).Build("StoreDemo", storeApp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.FromSnapshot || b.RipStats.Clicks == 0 {
+		t.Fatal("truncated snapshot was trusted")
+	}
+	if b.SnapshotErr != nil {
+		t.Fatal(b.SnapshotErr)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rewritten) != string(whole) {
+		t.Fatalf("rewritten snapshot differs from the original (%d vs %d bytes)", len(rewritten), len(whole))
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("snapshot mode %v (%v), want 0644", fi.Mode().Perm(), err)
+	}
+	if b, err := NewPersistent(dir).Build("StoreDemo", storeApp, Options{}); err != nil || !b.FromSnapshot {
+		t.Fatalf("rewritten snapshot did not reload: %v", err)
+	}
+}
+
+// TestConcurrentStoresShareSnapshotDir: two stores (two daemons) building
+// the same app into one directory at once each publish through their own
+// temp file. Both builds save cleanly, no temp file is left behind, and the
+// surviving snapshot reloads.
+func TestConcurrentStoresShareSnapshotDir(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		dir := t.TempDir()
+		stores := [2]*Store{NewPersistent(dir), NewPersistent(dir)}
+		var builds [2]Build
+		var errs [2]error
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for i := range stores {
+			done.Add(1)
+			go func(i int) {
+				defer done.Done()
+				start.Wait()
+				builds[i], errs[i] = stores[i].Build("StoreDemo", storeApp, Options{})
+			}(i)
+		}
+		start.Done()
+		done.Wait()
+		for i := range builds {
+			if errs[i] != nil || builds[i].SnapshotErr != nil {
+				t.Fatalf("round %d store %d: %v / %v", round, i, errs[i], builds[i].SnapshotErr)
+			}
+		}
+		files, _ := os.ReadDir(dir)
+		if len(files) != 1 {
+			names := make([]string, len(files))
+			for i, f := range files {
+				names[i] = f.Name()
+			}
+			t.Fatalf("round %d: directory holds %v, want one snapshot", round, names)
+		}
+		b, err := NewPersistent(dir).Build("StoreDemo", storeApp, Options{})
+		if err != nil || !b.FromSnapshot {
+			t.Fatalf("round %d: shared snapshot did not reload: %v", round, err)
+		}
+		want := builds[0].Model.Serialize(describe.FullOptions())
+		if got := b.Model.Serialize(describe.FullOptions()); got != want {
+			t.Fatalf("round %d: reloaded model serializes differently", round)
+		}
+	}
+}
+
+// TestSnapshotWriteFailureLeavesNoTemp: when the rename cannot land (the
+// final name is a directory), the write fails and its temp file is removed.
+func TestSnapshotWriteFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	s := NewPersistent(dir)
+	key := RipFingerprint("StoreDemo", ung.Config{})
+	if err := os.MkdirAll(filepath.Join(s.snapshotPath(key, s.SnapshotFormat()), "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Build("StoreDemo", storeApp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.SnapshotErr == nil {
+		t.Fatal("rename over a directory reported no error")
+	}
+	files, _ := os.ReadDir(dir)
+	if len(files) != 1 || !files[0].IsDir() {
+		t.Fatalf("failed write left %d entries behind", len(files))
+	}
+}
+
 // TestSnapshotBinaryDefault pins the format switch's payoff: a persistent
 // store writes compact binary snapshots (.ungb) by default, and the build's
 // budget cost is the binary size — strictly smaller than the JSON form, so

@@ -144,26 +144,17 @@ func (d *Desktop) RegisterKey(combo string, fn func(*Desktop) error) {
 // Snapshot captures the accessibility tree of every visible window, in
 // stacking order, advancing lazy-loading counters: an element whose
 // visibility was deferred becomes visible only after enough snapshots have
-// observed its window. The returned slice contains every on-screen element.
-func (d *Desktop) Snapshot() []*Element {
+// observed its window. It appends every on-screen element to buf[:0] and
+// returns the result, so a caller that passes its previous result back in
+// reuses the storage; pass nil for a fresh slice.
+func (d *Desktop) Snapshot(buf []*Element) []*Element {
 	d.clock.Advance(CostSnapshot)
 	d.snapshots++
-	var out []*Element
+	out := buf[:0]
 	for _, w := range d.windows {
-		if !w.Visible() {
-			continue
+		if w.Visible() {
+			out = observe(w, out)
 		}
-		w.Walk(func(e *Element) bool {
-			if e.deferVisible > 0 {
-				e.deferVisible--
-				return false // hidden this round, children too
-			}
-			if !e.Visible() {
-				return false
-			}
-			out = append(out, e)
-			return true
-		})
 	}
 	return out
 }
@@ -172,21 +163,27 @@ func (d *Desktop) Snapshot() []*Element {
 func (d *Desktop) SnapshotWindow(w *Element) []*Element {
 	d.clock.Advance(CostSnapshot)
 	d.snapshots++
-	var out []*Element
 	if !w.Visible() || !d.IsOpen(w) {
+		return nil
+	}
+	return observe(w, nil)
+}
+
+// observe appends e and its on-screen descendants to out in depth-first
+// document order. An element still lazily loading is hidden, children too,
+// and the observation counts down its deferral.
+func observe(e *Element, out []*Element) []*Element {
+	if e.deferVisible > 0 {
+		e.deferVisible--
 		return out
 	}
-	w.Walk(func(e *Element) bool {
-		if e.deferVisible > 0 {
-			e.deferVisible--
-			return false
-		}
-		if !e.Visible() {
-			return false
-		}
-		out = append(out, e)
-		return true
-	})
+	if !e.visible {
+		return out
+	}
+	out = append(out, e)
+	for _, c := range e.children {
+		out = observe(c, out)
+	}
 	return out
 }
 

@@ -189,7 +189,7 @@ func TestClockAdvances(t *testing.T) {
 	w := NewElement("w", "Main", WindowControl)
 	d.OpenWindow(w)
 	before := d.Clock().Now()
-	d.Snapshot()
+	d.Snapshot(nil)
 	if d.Clock().Now() != before+CostSnapshot {
 		t.Error("snapshot did not advance clock")
 	}
@@ -213,12 +213,38 @@ func TestSnapshotOrderAndVisibility(t *testing.T) {
 	w.AddChild(hidden)
 	d.OpenWindow(w)
 
-	snap := d.Snapshot()
+	snap := d.Snapshot(nil)
 	if len(snap) != 3 { // w, a, b
 		t.Fatalf("snapshot = %d elements, want 3", len(snap))
 	}
 	if snap[0] != w || snap[1] != a || snap[2] != b {
 		t.Error("snapshot not in document order")
+	}
+}
+
+// TestSnapshotReusesBuffer: a snapshot into a previous result's storage
+// yields the same elements as a fresh one, without reallocating, and still
+// counts as a full observation (clock, count).
+func TestSnapshotReusesBuffer(t *testing.T) {
+	d := NewDesktop()
+	w := NewElement("w", "Main", WindowControl)
+	for _, id := range []string{"a", "b", "c"} {
+		w.AddChild(NewElement(id, id, ButtonControl))
+	}
+	d.OpenWindow(w)
+	fresh := d.Snapshot(nil)
+	buf := make([]*Element, 1, 8)
+	reused := d.Snapshot(buf)
+	if len(reused) != len(fresh) || &reused[0] != &buf[0] {
+		t.Fatalf("reused snapshot: %d elements, shares storage %v", len(reused), &reused[0] == &buf[0])
+	}
+	for i := range fresh {
+		if fresh[i] != reused[i] {
+			t.Fatalf("element %d differs", i)
+		}
+	}
+	if d.SnapshotCount() != 2 || d.Clock().Now() != 2*CostSnapshot {
+		t.Errorf("count %d, clock %v after two snapshots", d.SnapshotCount(), d.Clock().Now())
 	}
 }
 

@@ -41,7 +41,7 @@ type Element struct {
 	parent   *Element
 	children []*Element
 
-	patterns map[PatternID]any
+	patterns []patternEntry // nil until a pattern is set; at most a few entries
 	onClick  []func(e *Element)
 
 	// deferVisible implements lazy loading: while > 0, the element is
@@ -59,8 +59,15 @@ func NewElement(automationID, name string, t ControlType) *Element {
 		ctype:        t,
 		enabled:      true,
 		visible:      true,
-		patterns:     make(map[PatternID]any),
 	}
+}
+
+// patternEntry is one attached control-pattern provider. Elements carry at
+// most a handful of patterns, so a short scan beats a per-element map and
+// leaves pattern-free elements (most of a tree) allocation-free.
+type patternEntry struct {
+	id       PatternID
+	provider any
 }
 
 // AutomationID returns the (not necessarily unique) automation identifier.
@@ -196,24 +203,43 @@ func (e *Element) DeferVisibility(n int) { e.deferVisible = n }
 // the behaviour interface corresponding to the pattern (Toggler for
 // TogglePattern, Scroller for ScrollPattern, ...), but the framework stores
 // it untyped so applications can attach marker-only patterns too.
+// Setting a pattern again replaces its provider.
 func (e *Element) SetPattern(id PatternID, provider any) {
-	e.patterns[id] = provider
+	for i := range e.patterns {
+		if e.patterns[i].id == id {
+			e.patterns[i].provider = provider
+			return
+		}
+	}
+	e.patterns = append(e.patterns, patternEntry{id, provider})
 }
 
 // Pattern returns the provider attached for id, or nil.
-func (e *Element) Pattern(id PatternID) any { return e.patterns[id] }
+func (e *Element) Pattern(id PatternID) any {
+	for i := range e.patterns {
+		if e.patterns[i].id == id {
+			return e.patterns[i].provider
+		}
+	}
+	return nil
+}
 
 // HasPattern reports whether the pattern is supported.
 func (e *Element) HasPattern(id PatternID) bool {
-	_, ok := e.patterns[id]
-	return ok
+	for i := range e.patterns {
+		if e.patterns[i].id == id {
+			return true
+		}
+	}
+	return false
 }
 
-// PatternIDs returns the identifiers of all supported patterns, unordered.
+// PatternIDs returns the identifiers of all supported patterns, in the
+// order they were first set.
 func (e *Element) PatternIDs() []PatternID {
-	out := make([]PatternID, 0, len(e.patterns))
-	for id := range e.patterns {
-		out = append(out, id)
+	out := make([]PatternID, len(e.patterns))
+	for i, p := range e.patterns {
+		out[i] = p.id
 	}
 	return out
 }

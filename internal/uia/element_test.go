@@ -125,13 +125,13 @@ func TestDeferVisibility(t *testing.T) {
 	root, _, _, btn := newTree()
 	d.OpenWindow(root)
 	btn.DeferVisibility(2)
-	if contains(d.Snapshot(), btn) {
+	if contains(d.Snapshot(nil), btn) {
 		t.Fatal("deferred element visible in snapshot 1")
 	}
-	if contains(d.Snapshot(), btn) {
+	if contains(d.Snapshot(nil), btn) {
 		t.Fatal("deferred element visible in snapshot 2")
 	}
-	if !contains(d.Snapshot(), btn) {
+	if !contains(d.Snapshot(nil), btn) {
 		t.Fatal("deferred element still hidden in snapshot 3")
 	}
 }
@@ -202,4 +202,27 @@ func contains(list []*Element, e *Element) bool {
 		}
 	}
 	return false
+}
+
+func TestPatternSlots(t *testing.T) {
+	e := NewElement("x", "X", ButtonControl)
+	if e.HasPattern(InvokePattern) || e.Pattern(InvokePattern) != nil || len(e.PatternIDs()) != 0 {
+		t.Fatal("fresh element reports patterns")
+	}
+	e.SetPattern(ValuePattern, "first")
+	e.SetPattern(InvokePattern, nil) // marker-only pattern
+	e.SetPattern(ValuePattern, "second")
+	if got := e.Pattern(ValuePattern); got != "second" {
+		t.Errorf("re-set pattern = %v, want the replacement", got)
+	}
+	if !e.HasPattern(InvokePattern) || e.Pattern(InvokePattern) != nil {
+		t.Error("nil provider should be supported and nil")
+	}
+	if e.HasPattern(TogglePattern) {
+		t.Error("unset pattern reported")
+	}
+	ids := e.PatternIDs()
+	if len(ids) != 2 || ids[0] != ValuePattern || ids[1] != InvokePattern {
+		t.Errorf("PatternIDs = %v, want [Value Invoke]", ids)
+	}
 }

@@ -2,6 +2,7 @@ package ung
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/appkit"
@@ -118,47 +119,66 @@ func ExpandFrame(app *appkit.App, ctx string, f Frame) Expansion {
 }
 
 // expand is ExpandFrame's body, counting instance work into st.
+//
+// A depth-k frame costs one SoftReset, k+1 clicks and k+2 full snapshots:
+// one per replay step, one before and one after the activation. The
+// snapshot buffer, the id set and the fresh set come from a pool and are
+// reused across expansions; none of them escapes, because each reveal
+// copies the element fields it needs (DESIGN.md §3.1).
 func expand(app *appkit.App, ctx string, f Frame, st *Stats) Expansion {
+	s := scratchPool.Get().(*expandScratch)
+	defer s.release()
+
 	restore(app, ctx)
-	if !replay(app, f.Path, st) {
+	if !replay(app, f.Path, st, s) {
 		return Expansion{Outcome: ExpandSkipped}
 	}
-	before := capture(app, st)
-	el := before.byID[f.ID]
+	s.snap = capture(app, st, s.snap)
+	el := firstWithID(s.snap, f.ID)
 	if el == nil || !el.OnScreen() || !el.Enabled() {
 		return Expansion{Outcome: ExpandSkipped}
 	}
 	if app.Blocked(el) {
 		return Expansion{Outcome: ExpandBlocked}
 	}
+	// Index the before-snapshot's ids now: the click may rename or move
+	// controls, and a control whose id changes counts as revealed.
+	for _, e := range s.snap {
+		if e.Parent() != nil {
+			s.seen[e.ControlID()] = struct{}{}
+		}
+	}
 	if err := app.Desk.Click(el); err != nil {
 		return Expansion{Outcome: ExpandSkipped}
 	}
 	st.Clicks++
-	after := capture(app, st)
+	s.snap = capture(app, st, s.snap)
 
+	// A control is fresh when the before-snapshot lacked its id. Recording
+	// each fresh id in seen keeps only the first occurrence of a duplicate.
+	//
 	// Newly revealed controls attach beneath their nearest newly-revealed
 	// UI ancestor; top-level reveals attach to the clicked control. This
 	// preserves structure inside popups (a shared flyout stays one subtree)
-	// while edges still denote click-induced reachability.
-	fresh := make(map[*uia.Element]bool)
-	for _, e := range after.order {
+	// while edges still denote click-induced reachability. A snapshot lists
+	// ancestors before descendants, so e's fresh ancestors are marked by the
+	// time e is reached.
+	var reveals []Reveal
+	for _, e := range s.snap {
+		if e.Parent() == nil {
+			continue
+		}
 		id := e.ControlID()
 		if id == f.ID {
 			continue
 		}
-		if _, present := before.byID[id]; present {
+		if _, present := s.seen[id]; present {
 			continue
 		}
-		fresh[e] = true
-	}
-	var reveals []Reveal
-	for _, e := range after.order {
-		if !fresh[e] {
-			continue
-		}
+		s.seen[id] = struct{}{}
+		s.fresh[e] = true
 		parent := f.ID
-		if anc := nearestIn(e, fresh); anc != nil {
+		if anc := nearestIn(e, s.fresh); anc != nil {
 			parent = anc.ControlID()
 		}
 		reveals = append(reveals, captureReveal(e, parent))
@@ -221,13 +241,22 @@ func applyExpansion(g *Graph, cfg Config, ctx string, f Frame, exp Expansion, st
 // indexable beneath it.
 func seedContext(g *Graph, app *appkit.App, ctx string, st *Stats, push func(id string, path []string)) {
 	restore(app, ctx)
-	snap := capture(app, st)
+	snap := capture(app, st, nil)
 	tabItem, tabPanel := app.ActiveTabInfo()
-	inSnap := make(map[*uia.Element]bool, len(snap.order))
-	for _, e := range snap.order {
-		inSnap[e] = true
+	var order []*uia.Element
+	seen := make(map[string]bool)
+	inSnap := make(map[*uia.Element]bool)
+	for _, e := range snap {
+		if e.Parent() == nil {
+			continue // window roots are containers, not modeled controls
+		}
+		if id := e.ControlID(); !seen[id] { // first occurrence wins
+			seen[id] = true
+			inSnap[e] = true
+			order = append(order, e)
+		}
 	}
-	for _, e := range snap.order {
+	for _, e := range order {
 		id := e.ControlID()
 		_, existed := g.Nodes[id]
 		g.Ensure(id, e, ctx)
@@ -329,29 +358,51 @@ func nearestIn(e *uia.Element, set map[*uia.Element]bool) *uia.Element {
 	return nil
 }
 
-// snapshotIndex is one differential-capture frame.
-type snapshotIndex struct {
-	order []*uia.Element
-	byID  map[string]*uia.Element
+// capture takes one full desktop snapshot into buf's storage, counting it.
+// Every capture walks the whole desktop, even when the caller needs a
+// single control: the walk advances the simulated clock and the
+// lazy-loading counters, which the ripper's results depend on.
+func capture(app *appkit.App, st *Stats, buf []*uia.Element) []*uia.Element {
+	st.Snapshots++
+	return app.Desk.Snapshot(buf)
 }
 
-func capture(app *appkit.App, st *Stats) snapshotIndex {
-	st.Snapshots++
-	els := app.Desk.Snapshot()
-	idx := snapshotIndex{byID: make(map[string]*uia.Element, len(els))}
-	for _, e := range els {
-		// The desktop's window roots are containers, not controls to model.
-		if e.Parent() == nil {
-			continue
+// firstWithID returns the first control in snap with the given id, or nil.
+// The desktop's window roots are containers, not modeled controls, and
+// never match. On duplicate synthesized ids the first occurrence wins.
+func firstWithID(snap []*uia.Element, id string) *uia.Element {
+	for _, e := range snap {
+		if e.Parent() != nil && e.ControlID() == id {
+			return e
 		}
-		id := e.ControlID()
-		if _, dup := idx.byID[id]; dup {
-			continue // duplicate synthesized ID: first occurrence wins
-		}
-		idx.byID[id] = e
-		idx.order = append(idx.order, e)
 	}
-	return idx
+	return nil
+}
+
+// expandScratch is one expansion's working set. It is pooled so
+// consecutive expansions reuse the snapshot buffer and the sets' storage.
+type expandScratch struct {
+	snap  []*uia.Element
+	seen  map[string]struct{}   // ids observed so far in this expansion
+	fresh map[*uia.Element]bool // controls revealed by the activation
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &expandScratch{
+		seen:  make(map[string]struct{}),
+		fresh: make(map[*uia.Element]bool),
+	}
+}}
+
+// release empties the scratch, dropping its element references so a pooled
+// scratch never keeps an application instance alive, and returns it to the
+// pool.
+func (s *expandScratch) release() {
+	clear(s.snap[:cap(s.snap)])
+	s.snap = s.snap[:0]
+	clear(s.seen)
+	clear(s.fresh)
+	scratchPool.Put(s)
 }
 
 func restore(app *appkit.App, ctx string) {
@@ -363,10 +414,10 @@ func restore(app *appkit.App, ctx string) {
 
 // replay re-executes the click path; it reports false if any step's control
 // cannot be resolved in the current state.
-func replay(app *appkit.App, path []string, st *Stats) bool {
+func replay(app *appkit.App, path []string, st *Stats, s *expandScratch) bool {
 	for _, id := range path {
-		snap := capture(app, st)
-		el := snap.byID[id]
+		s.snap = capture(app, st, s.snap)
+		el := firstWithID(s.snap, id)
 		if el == nil || !el.OnScreen() || !el.Enabled() {
 			return false
 		}
