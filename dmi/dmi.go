@@ -185,7 +185,9 @@ var defaultStore = modelstore.New()
 // per-slide entries — so the key must cover everything the ripper could
 // ever reveal. Instances with equal keys rip into identical graphs and
 // share one cached model; a false split (equal graphs, different keys)
-// merely costs an extra build, never a wrong model.
+// merely costs an extra build, never a wrong model. Deferred gallery and
+// combo-box items are built first, so the key does not depend on which
+// lists the instance has opened.
 func structuralKey(app *App) string {
 	h := fnv.New64a()
 	hash := func(root *uia.Element) {
@@ -197,6 +199,7 @@ func structuralKey(app *App) string {
 			return true
 		})
 	}
+	app.MaterializeAll()
 	hash(app.Win)
 	for _, w := range app.AllPopupWindows() {
 		hash(w)

@@ -119,6 +119,38 @@ func TestModelKeyCoversHiddenStructure(t *testing.T) {
 	}
 }
 
+// TestModelKeyIgnoresOpenedLists: gallery items are built when the gallery
+// first opens, but the cache key covers the whole surface either way, so an
+// instance that has opened one still hits the model of one that has not.
+func TestModelKeyIgnoresOpenedLists(t *testing.T) {
+	if testing.Short() {
+		t.Skip("office-scale")
+	}
+	m1, err := dmi.Model(dmi.NewPowerPoint(6).App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := dmi.NewPowerPoint(6)
+	opened := false
+	for _, p := range app.PopupTemplates() {
+		if p.Win.AutomationID() == "galTransitions" {
+			p.Open(nil)
+			opened = true
+		}
+	}
+	if !opened {
+		t.Fatal("transitions gallery missing")
+	}
+	app.CloseAllPopups()
+	m2, err := dmi.Model(app.App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2 != m1 {
+		t.Fatal("opening a gallery changed the instance's cache key")
+	}
+}
+
 // TestModelParallelMatchesSequential: the public parallel entry point lands
 // in the same cache and yields the identical model.
 func TestModelParallelMatchesSequential(t *testing.T) {

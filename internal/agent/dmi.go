@@ -232,8 +232,10 @@ func (d *driver) renameLive(node *forest.Node) {
 }
 
 // findLive locates the live element whose synthesized id matches the node,
-// searching the main window and every popup template.
+// searching the main window and every popup template, opened or not, with
+// their deferred item lists built.
 func (d *driver) findLive(node *forest.Node) *uia.Element {
+	d.env.App.MaterializeAll()
 	match := func(root *uia.Element) *uia.Element {
 		return root.Find(func(e *uia.Element) bool { return e.ControlID() == node.GID })
 	}

@@ -57,6 +57,11 @@ type App struct {
 	// Panel.ComboBox creates it, so SoftReset collapses them without
 	// walking the windows.
 	expandables []*uia.Element
+
+	// deferred maps a gallery or combo-box list to its still unbuilt items;
+	// pending lists every deferred enumeration in creation order (lazy.go).
+	deferred map[*uia.Element]*lazyItems
+	pending  []*lazyItems
 }
 
 type tab struct {

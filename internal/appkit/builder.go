@@ -217,7 +217,9 @@ func (p Panel) CommitEdit(autoID, name, initial string, onCommit func(a *App, v 
 
 // ComboBox adds a combo box with a collapsed option list. Lists longer than
 // LargeEnumThreshold are flagged as large enumerations, which core-topology
-// extraction prunes (paper §3.3). onPick runs with the chosen option.
+// extraction prunes (paper §3.3). onPick runs with the chosen option. The
+// option items are built when the list first expands; options must not
+// change after the call.
 func (p Panel) ComboBox(autoID, name string, options []string, onPick func(a *App, v string)) *uia.Element {
 	cb := p.child(autoID, name, uia.ComboBoxControl)
 	listEl := uia.NewElement(autoID+"List", name+" Options", uia.ListControl)
@@ -236,18 +238,27 @@ func (p Panel) ComboBox(autoID, name string, options []string, onPick func(a *Ap
 			_ = x.Expand(e)
 		}
 	})
-	for _, opt := range options {
-		opt := opt
-		it := uia.NewElement("", opt, uia.ListItemControl)
-		listEl.AddChild(it)
-		it.OnClick(func(*uia.Element) {
-			v := cb.Pattern(uia.ValuePattern).(uia.Valuer)
-			_ = v.SetValue(cb, opt)
-			_ = x.Collapse(cb)
-			if onPick != nil {
-				onPick(p.App, opt)
-			}
-		})
+	// The option items are built on the first expansion, by click or through
+	// the pattern (lazy.go).
+	l := p.App.deferItems(listEl, len(options), func() {
+		for _, opt := range options {
+			opt := opt
+			it := uia.NewElement("", opt, uia.ListItemControl)
+			listEl.AddChild(it)
+			it.OnClick(func(*uia.Element) {
+				v := cb.Pattern(uia.ValuePattern).(uia.Valuer)
+				_ = v.SetValue(cb, opt)
+				_ = x.Collapse(cb)
+				if onPick != nil {
+					onPick(p.App, opt)
+				}
+			})
+		}
+	})
+	x.OnChange = func(_ *uia.Element, s uia.ExpandState) {
+		if s == uia.Expanded {
+			p.App.materialize(l)
+		}
 	}
 	return cb
 }

@@ -12,24 +12,27 @@ import (
 	"repro/internal/uia"
 )
 
+// catalogApps builds the five evaluated applications, in catalog order.
+var catalogApps = []struct {
+	name  string
+	build func() *appkit.App
+}{
+	{"Word", func() *appkit.App { return word.New().App }},
+	{"Excel", func() *appkit.App { return excel.New().App }},
+	{"PowerPoint", func() *appkit.App { return slides.New(12).App }},
+	{"Settings", func() *appkit.App { return settings.New().App }},
+	{"Files", func() *appkit.App { return filemgr.New().App }},
+}
+
 // TestExpandablesRegistered: SoftReset collapses only the registered
 // ExpandCollapse controls, so for every catalog app the registry must hold
 // exactly what a full walk of the main window and every popup template
 // finds carrying the pattern. An expandable built outside Panel.ComboBox
 // fails here instead of quietly staying expanded through SoftReset.
 func TestExpandablesRegistered(t *testing.T) {
-	apps := []struct {
-		name  string
-		build func() *appkit.App
-	}{
-		{"Word", func() *appkit.App { return word.New().App }},
-		{"Excel", func() *appkit.App { return excel.New().App }},
-		{"PowerPoint", func() *appkit.App { return slides.New(12).App }},
-		{"Settings", func() *appkit.App { return settings.New().App }},
-		{"Files", func() *appkit.App { return filemgr.New().App }},
-	}
-	for _, app := range apps {
+	for _, app := range catalogApps {
 		name, a := app.name, app.build()
+		a.MaterializeAll()
 		walked := make(map[*uia.Element]bool)
 		collect := func(root *uia.Element) {
 			root.Walk(func(e *uia.Element) bool {

@@ -10,10 +10,14 @@ import "repro/internal/uia"
 // The scheme is a simple recursive flow layout: containers receive their
 // parent's rectangle inset by a margin, and leaf controls flow left-to-right
 // in fixed-size cells, wrapping at the container edge.
+//
+// A list whose items are deferred (lazy.go) is laid out as the container its
+// built items will make it: it counts as that many leaves and receives its
+// band now, and its items get their cells when they are built.
 func (a *App) Layout() {
-	layoutTree(a.Win)
+	a.layoutTree(a.Win)
 	for _, p := range a.allPopups() {
-		layoutTree(p.Win)
+		a.layoutTree(p.Win)
 	}
 }
 
@@ -59,13 +63,13 @@ const (
 	minSide = 12
 )
 
-func layoutTree(root *uia.Element) {
+func (a *App) layoutTree(root *uia.Element) {
 	r := root.Rect()
 	if r.Empty() {
 		r = uia.Rect{X: 400, Y: 200, W: 480, H: 560}
 		root.SetRect(r)
 	}
-	layoutChildren(root, inner(r))
+	a.layoutChildren(root, inner(r))
 }
 
 func inner(r uia.Rect) uia.Rect {
@@ -75,7 +79,11 @@ func inner(r uia.Rect) uia.Rect {
 // layoutChildren flows children into region. Containers get a full-width
 // band whose height is proportional to their subtree size; leaves get fixed
 // cells.
-func layoutChildren(e *uia.Element, region uia.Rect) {
+func (a *App) layoutChildren(e *uia.Element, region uia.Rect) {
+	if l := a.deferred[e]; l != nil {
+		l.region = region
+		return
+	}
 	children := e.Children()
 	if len(children) == 0 {
 		return
@@ -83,18 +91,18 @@ func layoutChildren(e *uia.Element, region uia.Rect) {
 	x, y := region.X, region.Y
 	rowH := 0
 	for _, c := range children {
-		if len(c.Children()) > 0 {
+		if len(c.Children()) > 0 || a.deferred[c] != nil {
 			// Container: allocate a band and recurse.
 			if x > region.X { // start a fresh row
 				x = region.X
 				y += rowH + rowGap
 				rowH = 0
 			}
-			rows := (leafCount(c) + 7) / 8
+			rows := (a.leafCount(c) + 7) / 8
 			h := rows*(cellH+rowGap) + 2*inset
 			band := uia.Rect{X: region.X, Y: y, W: region.W, H: h}
 			c.SetRect(band)
-			layoutChildren(c, inner(band))
+			a.layoutChildren(c, inner(band))
 			y += h + rowGap
 			continue
 		}
@@ -111,10 +119,17 @@ func layoutChildren(e *uia.Element, region uia.Rect) {
 	}
 }
 
-func leafCount(e *uia.Element) int {
+// leafCount counts the leaves below e, each deferred list as the items it
+// will hold.
+func (a *App) leafCount(e *uia.Element) int {
 	n := 0
 	e.Walk(func(x *uia.Element) bool {
-		if len(x.Children()) == 0 {
+		if len(x.Children()) > 0 {
+			return true
+		}
+		if l := a.deferred[x]; l != nil {
+			n += l.n
+		} else {
 			n++
 		}
 		return true

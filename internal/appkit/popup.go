@@ -28,6 +28,8 @@ type Popup struct {
 	// OnClose runs when the popup is popped; accepted reports whether it
 	// was closed by an accepting control (OK) rather than dismissed.
 	OnClose func(a *App, accepted bool)
+
+	items *lazyItems // a gallery's deferred items, built on first Open
 }
 
 // NewMenu creates a reusable menu/flyout popup. Its body is a Menu control;
@@ -83,11 +85,13 @@ func (p *Popup) AddOKCancel(apply func(a *App)) (ok, cancel *uia.Element) {
 	return ok, cancel
 }
 
-// Open pushes the popup onto the desktop with the given semantic binding.
-// Opening a popup that is already open is a no-op (re-binding still occurs).
+// Open pushes the popup onto the desktop with the given semantic binding,
+// building a gallery's deferred items first. Opening a popup that is already
+// open is a no-op (re-binding still occurs).
 func (p *Popup) Open(binding any) {
 	a := p.App
 	a.binding = binding
+	a.materialize(p.items)
 	if !a.Desk.IsOpen(p.Win) {
 		a.Desk.OpenWindow(p.Win)
 		a.popups = append(a.popups, p)

@@ -93,7 +93,8 @@ func (a *App) ColorPicker(autoID, name string, onPick func(a *App, color string)
 // buttons scroll the viewport (a Scroll pattern on the item list) without
 // changing accessibility visibility. Galleries longer than
 // LargeEnumThreshold are marked as large enumerations for core-topology
-// pruning. onPick may be nil.
+// pruning. onPick may be nil. The item elements are built when the popup
+// first opens; items must not change after the call.
 func (a *App) Gallery(autoID, name string, items []string, perPage int, onPick func(a *App, item string)) *Popup {
 	p := a.NewMenu(autoID, name)
 	body := p.Panel()
@@ -102,14 +103,16 @@ func (a *App) Gallery(autoID, name string, items []string, perPage int, onPick f
 	if len(items) > LargeEnumThreshold {
 		list.El.MarkLargeEnum()
 	}
-	for _, item := range items {
-		it := item
-		list.MenuItem("", it, func(app *App) {
-			if onPick != nil {
-				onPick(app, it)
-			}
-		})
-	}
+	p.items = a.deferItems(list.El, len(items), func() {
+		for _, item := range items {
+			it := item
+			list.MenuItem("", it, func(app *App) {
+				if onPick != nil {
+					onPick(app, it)
+				}
+			})
+		}
+	})
 	if len(items) > perPage {
 		sc := uia.NewVScroll(nil)
 		list.El.SetPattern(uia.ScrollPattern, sc)

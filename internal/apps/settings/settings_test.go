@@ -67,6 +67,7 @@ func TestTimeZonePickGatedByAutomaticMode(t *testing.T) {
 	s.ActivateTabByName("Time & language")
 	cb := s.Win.FindByAutomationID("cbTimeZone")
 	list := cb.FindByAutomationID("cbTimeZoneList")
+	s.MaterializeAll() // the zone items are built on first expansion
 	var hawaii *uia.Element
 	for _, it := range list.Children() {
 		if it.Name() == "(UTC-10:00) Hawaii" {

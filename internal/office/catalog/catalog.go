@@ -4,11 +4,17 @@
 // enumerations that give the modeled applications their realistic scale
 // (each exposes >4K controls, paper §5.1) and that core-topology extraction
 // must prune (paper §3.3).
+//
+// Every list the package exports or returns is shared by all its users and
+// must not be modified: simulators build gallery and combo-box items from
+// these slices when the list is first opened, possibly long after
+// construction.
 package catalog
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // FontFamilies is the base list of font family names.
@@ -39,7 +45,12 @@ var FontFamilies = []string{
 var FontVariants = []string{"", " Light", " Semibold", " Condensed"}
 
 // Fonts returns the full font list (families × variants).
-func Fonts() []string {
+// The list is built once per process and shared by every caller, so it
+// is read-only: galleries and combo boxes keep it to build their items
+// when first opened.
+func Fonts() []string { return fonts() }
+
+var fonts = sync.OnceValue(func() []string {
 	out := make([]string, 0, len(FontFamilies)*len(FontVariants))
 	for _, f := range FontFamilies {
 		for _, v := range FontVariants {
@@ -47,7 +58,7 @@ func Fonts() []string {
 		}
 	}
 	return out
-}
+})
 
 // FontSizes is the standard font size dropdown.
 var FontSizes = []string{"8", "9", "10", "10.5", "11", "12", "14", "16", "18",
@@ -110,7 +121,12 @@ var ThemeNames = []string{
 }
 
 // ShapeNames returns the Insert → Shapes gallery.
-func ShapeNames() []string {
+// The list is built once per process and shared by every caller, so it
+// is read-only: galleries and combo boxes keep it to build their items
+// when first opened.
+func ShapeNames() []string { return shapeNames() }
+
+var shapeNames = sync.OnceValue(func() []string {
 	groups := map[string][]string{
 		"Line": {"Line", "Arrow", "Double Arrow", "Elbow Connector",
 			"Curved Connector", "Curve", "Freeform", "Scribble"},
@@ -165,7 +181,7 @@ func ShapeNames() []string {
 		}
 	}
 	return out
-}
+})
 
 // ExcelFunctions returns the Formulas-tab function library, grouped.
 func ExcelFunctions() map[string][]string {
@@ -280,7 +296,12 @@ var Transitions = []string{
 }
 
 // Animations is the PowerPoint animation gallery.
-func Animations() []string {
+// The list is built once per process and shared by every caller, so it
+// is read-only: galleries and combo boxes keep it to build their items
+// when first opened.
+func Animations() []string { return animations() }
+
+var animations = sync.OnceValue(func() []string {
 	entrance := []string{"Appear", "Fade", "Fly In", "Float In", "Split",
 		"Wipe", "Shape", "Wheel", "Random Bars", "Grow & Turn", "Zoom",
 		"Swivel", "Bounce"}
@@ -308,7 +329,7 @@ func Animations() []string {
 		out = append(out, s+" (Motion Path)")
 	}
 	return out
-}
+})
 
 // SlideLayouts is the New Slide layout gallery.
 var SlideLayouts = []string{
@@ -328,7 +349,12 @@ var BorderStyles = []string{
 }
 
 // PageNumberFormats is Word's Insert → Page Number gallery.
-func PageNumberFormats() []string {
+// The list is built once per process and shared by every caller, so it
+// is read-only: galleries and combo boxes keep it to build their items
+// when first opened.
+func PageNumberFormats() []string { return pageNumberFormats() }
+
+var pageNumberFormats = sync.OnceValue(func() []string {
 	positions := []string{"Top of Page", "Bottom of Page", "Page Margins",
 		"Current Position"}
 	styles := []string{"Plain Number 1", "Plain Number 2", "Plain Number 3",
@@ -342,10 +368,15 @@ func PageNumberFormats() []string {
 		}
 	}
 	return out
-}
+})
 
 // Languages is the proofing-language list.
-func Languages() []string {
+// The list is built once per process and shared by every caller, so it
+// is read-only: galleries and combo boxes keep it to build their items
+// when first opened.
+func Languages() []string { return languages() }
+
+var languages = sync.OnceValue(func() []string {
 	base := []string{"Afrikaans", "Albanian", "Arabic", "Armenian", "Basque",
 		"Belarusian", "Bengali", "Bosnian", "Bulgarian", "Catalan", "Chinese",
 		"Croatian", "Czech", "Danish", "Dutch", "English", "Estonian",
@@ -378,10 +409,15 @@ func Languages() []string {
 		out = append(out, l)
 	}
 	return out
-}
+})
 
 // WordArtStyles is the Insert → WordArt gallery.
-func WordArtStyles() []string {
+// The list is built once per process and shared by every caller, so it
+// is read-only: galleries and combo boxes keep it to build their items
+// when first opened.
+func WordArtStyles() []string { return wordArtStyles() }
+
+var wordArtStyles = sync.OnceValue(func() []string {
 	fills := []string{"Black", "Blue", "Orange", "Gray", "Gold", "Green",
 		"Purple", "Red"}
 	effects := []string{"Fill", "Outline", "Fill with Shadow",
@@ -393,4 +429,4 @@ func WordArtStyles() []string {
 		}
 	}
 	return out
-}
+})

@@ -61,3 +61,21 @@ func TestNoEmptyNames(t *testing.T) {
 		}
 	}
 }
+
+// TestGeneratedListsShared: the generated lists are built once per process;
+// every call returns the same read-only slice.
+func TestGeneratedListsShared(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		list func() []string
+	}{
+		{"Fonts", Fonts}, {"ShapeNames", ShapeNames}, {"Animations", Animations},
+		{"WordArtStyles", WordArtStyles}, {"PageNumberFormats", PageNumberFormats},
+		{"Languages", Languages},
+	} {
+		a, b := c.list(), c.list()
+		if len(a) == 0 || len(a) != len(b) || &a[0] != &b[0] {
+			t.Errorf("%s: repeated calls do not share one list", c.name)
+		}
+	}
+}

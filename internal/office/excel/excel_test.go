@@ -71,6 +71,7 @@ func TestParseRangeNormalizes(t *testing.T) {
 
 func TestScale(t *testing.T) {
 	x := New()
+	x.MaterializeAll() // count the gallery and combo items too
 	n := x.Win.Count()
 	for _, p := range x.AllPopupWindows() {
 		n += p.Count()

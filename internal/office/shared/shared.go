@@ -5,6 +5,8 @@
 package shared
 
 import (
+	"sync"
+
 	"repro/internal/appkit"
 	"repro/internal/office/catalog"
 	"repro/internal/uia"
@@ -14,6 +16,13 @@ import (
 const (
 	SymbolCount = 560
 	IconCount   = 900
+)
+
+// symbols and icons name the two galleries' items, generated once per
+// process; like every catalog list they are read-only.
+var (
+	symbols = sync.OnceValue(func() []string { return catalog.Symbols(SymbolCount) })
+	icons   = sync.OnceValue(func() []string { return catalog.Icons(IconCount) })
 )
 
 // AddIllustrations builds the Illustrations ribbon group: Pictures, the
@@ -28,7 +37,7 @@ func AddIllustrations(a *appkit.App, tab appkit.Panel, idPrefix string, onInsert
 	shapes.Body.MarkLargeEnum()
 	g.MenuButton(idPrefix+"Shapes", "Shapes", shapes, nil)
 
-	icons := a.Gallery(idPrefix+"IconsGal", "Icons", catalog.Icons(IconCount), 60,
+	icons := a.Gallery(idPrefix+"IconsGal", "Icons", icons(), 60,
 		func(app *appkit.App, s string) { onInsert(app, "icon:"+s) })
 	icons.Body.MarkLargeEnum()
 	g.MenuButton(idPrefix+"Icons", "Icons", icons, nil)
@@ -68,7 +77,7 @@ func AddSymbols(a *appkit.App, tab appkit.Panel, idPrefix string, onInsert func(
 			"Taylor Expansion", "Trig Identity 1", "Trig Identity 2"}, 9, nil)
 	g.MenuButton(idPrefix+"Equation", "Equation", eq, nil)
 
-	sym := a.Gallery(idPrefix+"SymbolGal", "Symbol", catalog.Symbols(SymbolCount), 64,
+	sym := a.Gallery(idPrefix+"SymbolGal", "Symbol", symbols(), 64,
 		func(app *appkit.App, s string) {
 			if onInsert != nil {
 				onInsert(app, s)

@@ -1,9 +1,11 @@
 package shared
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/appkit"
+	"repro/internal/office/catalog"
 )
 
 func host() (*appkit.App, appkit.Panel) {
@@ -110,5 +112,25 @@ func TestBordersMenuPicks(t *testing.T) {
 	}
 	if picked != "All Borders" {
 		t.Fatalf("picked = %q", picked)
+	}
+}
+
+// TestGalleryNamesShared: the Icons and Symbol names are generated once per
+// process and match the catalog's lists.
+func TestGalleryNamesShared(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		list, want func() []string
+	}{
+		{"icons", icons, func() []string { return catalog.Icons(IconCount) }},
+		{"symbols", symbols, func() []string { return catalog.Symbols(SymbolCount) }},
+	} {
+		a, b := c.list(), c.list()
+		if len(a) == 0 || &a[0] != &b[0] {
+			t.Errorf("%s: repeated calls do not share one list", c.name)
+		}
+		if !slices.Equal(a, c.want()) {
+			t.Errorf("%s: cached names differ from the catalog's", c.name)
+		}
 	}
 }

@@ -27,6 +27,7 @@ func findIn(t *testing.T, root *uia.Element, autoID string) *uia.Element {
 
 func TestScale(t *testing.T) {
 	p := New(12)
+	p.MaterializeAll() // count the gallery and combo items too
 	n := p.Win.Count()
 	for _, w := range p.AllPopupWindows() {
 		n += w.Count()

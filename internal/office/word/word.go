@@ -785,12 +785,11 @@ func wireComboToSelection(w *App, autoID string, apply func(p *Para, v string)) 
 	if list == nil {
 		return
 	}
-	for _, item := range list.Children() {
-		item := item
+	w.EachItem(list, func(item *uia.Element) {
 		item.OnClick(func(*uia.Element) {
 			w.Doc.ApplyToSelection(func(p *Para) { apply(p, item.Name()) })
 		})
-	}
+	})
 }
 
 func parseSize(v string, def float64) float64 {

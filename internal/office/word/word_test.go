@@ -43,6 +43,7 @@ func TestScale(t *testing.T) {
 }
 
 func countAllControls(w *App) int {
+	w.MaterializeAll() // count the gallery and combo items too
 	n := w.Win.Count()
 	seen := map[*uia.Element]bool{w.Win: true}
 	for _, p := range w.AllPopupWindows() {
