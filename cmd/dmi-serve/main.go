@@ -330,28 +330,19 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// [1, MaxBatchCells]): a flat per-session cap would reject a full batch
 	// of legitimate cells, an unconditional max-batch cap would let a
 	// single-cell client post 64× what it should. The declared count is a
-	// limit declaration, not trusted content — the decoded batch is
-	// re-checked against MaxBatchCells below.
+	// limit declaration, not trusted content — DecodeBatchRequest re-checks
+	// the decoded batch against MaxBatchCells.
 	declared, _ := strconv.Atoi(r.Header.Get(serveproto.BatchSizeHeader))
 	limit := serveproto.BatchRequestBytes(declared)
-	var req serveproto.BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+	req, err := serveproto.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("request body exceeds %d bytes (declare the batch size in %s)",
 				limit, serveproto.BatchSizeHeader), http.StatusRequestEntityTooLarge)
 			return
 		}
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(req.Cells) == 0 {
-		http.Error(w, "batch has no cells", http.StatusBadRequest)
-		return
-	}
-	if len(req.Cells) > serveproto.MaxBatchCells {
-		http.Error(w, fmt.Sprintf("batch of %d cells exceeds the %d cap", len(req.Cells), serveproto.MaxBatchCells),
-			http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if s.rejectPackMismatch(w, req.Pack, req.PackHash) {

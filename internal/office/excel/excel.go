@@ -26,17 +26,19 @@ type App struct {
 	*appkit.App
 	Sheet *Sheet
 
-	gridEl    *uia.Element
-	nameBox   *uia.Element
-	dataItems map[string]*uia.Element // ref → DataItem
-	viewTop   int                     // first visible data row (1-based)
-	sortDlg   *appkit.Popup
+	gridEl  *uia.Element
+	nameBox *uia.Element
+	// cells holds the DataItems by 1-based row and column; row 0 and
+	// column 0 stay nil.
+	cells   [GridRows + 1][GridCols + 1]*uia.Element
+	viewTop int // first visible data row (1-based)
+	sortDlg *appkit.Popup
 }
 
 // New assembles the Excel simulator. seed rows are written into the sheet
 // before the UI is built (row-major, starting at A1).
 func New(rows ...[]string) *App {
-	x := &App{App: appkit.New("Excel"), Sheet: NewSheet(), dataItems: make(map[string]*uia.Element), viewTop: 1}
+	x := &App{App: appkit.New("Excel"), Sheet: NewSheet(), viewTop: 1}
 	if len(rows) == 0 {
 		rows = [][]string{
 			{"Region", "Sales", "Cost"},
@@ -715,7 +717,7 @@ func (x *App) buildGrid() {
 			item.SetPattern(uia.SelectionItemPattern, sel.Item())
 			item.OnClick(func(*uia.Element) { x.Sheet.Select(ref, ref) })
 			grid.AddChild(item)
-			x.dataItems[ref] = item
+			x.cells[r][c] = item
 		}
 	}
 	x.applyViewport()
@@ -774,14 +776,14 @@ func (x *App) ScrollToRow(row int) {
 // ViewTop returns the first visible data row.
 func (x *App) ViewTop() int { return x.viewTop }
 
+// applyViewport shows the VisibleRows rows from viewTop, plus row 1 while
+// the top row is frozen, and hides every other row.
 func (x *App) applyViewport() {
-	for ref, item := range x.dataItems {
-		r, _, _ := ParseRef(ref)
-		visible := r >= x.viewTop && r < x.viewTop+VisibleRows
-		if x.Sheet.FrozenTopRow && r == 1 {
-			visible = true
+	for r := 1; r <= GridRows; r++ {
+		visible := r >= x.viewTop && r < x.viewTop+VisibleRows || x.Sheet.FrozenTopRow && r == 1
+		for _, item := range x.cells[r][1:] {
+			item.SetVisible(visible)
 		}
-		item.SetVisible(visible)
 	}
 }
 
@@ -793,8 +795,16 @@ func (x *App) GridElement() *uia.Element { return x.gridEl }
 // NameBox returns the Name Box edit control.
 func (x *App) NameBox() *uia.Element { return x.nameBox }
 
-// DataItem returns the DataItem element for a cell reference.
-func (x *App) DataItem(ref string) *uia.Element { return x.dataItems[strings.ToUpper(ref)] }
+// DataItem returns the DataItem element for a cell reference, or nil when
+// the reference is malformed or outside the grid. It accepts exactly the
+// references Sheet.Cell accepts.
+func (x *App) DataItem(ref string) *uia.Element {
+	r, c, ok := ParseRef(ref)
+	if !ok {
+		return nil
+	}
+	return x.cells[r][c]
+}
 
 func colOfSelection(s *Sheet) string {
 	_, c, ok := ParseRef(s.ActiveCell)

@@ -1,6 +1,7 @@
 package excel
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -332,5 +333,80 @@ func TestSortStableOnTies(t *testing.T) {
 	}
 	if x.Sheet.Value("B4") != "3" {
 		t.Errorf("sort wrong: %v", x.Sheet.Column("B"))
+	}
+}
+
+// TestViewportRows checks the viewport against the grid itself: after every
+// scroll, the on-screen DataItems are exactly the VisibleRows rows starting
+// at ViewTop, plus row 1 while the top row is frozen.
+func TestViewportRows(t *testing.T) {
+	check := func(t *testing.T, x *App, what string) {
+		t.Helper()
+		top := x.ViewTop()
+		if top < 1 || top+VisibleRows-1 > GridRows {
+			t.Fatalf("%s: ViewTop %d leaves the grid", what, top)
+		}
+		n := 0
+		for _, item := range x.GridElement().Children() {
+			if item.Type() != uia.DataItemControl {
+				continue
+			}
+			n++
+			r, _, ok := ParseRef(item.Name())
+			if !ok {
+				t.Fatalf("%s: DataItem named %q", what, item.Name())
+			}
+			want := r >= top && r < top+VisibleRows || x.Sheet.FrozenTopRow && r == 1
+			if item.OnScreen() != want {
+				t.Errorf("%s: %s on screen = %v, want %v (ViewTop %d, frozen %v)",
+					what, item.Name(), item.OnScreen(), want, top, x.Sheet.FrozenTopRow)
+			}
+		}
+		if n != GridRows*GridCols {
+			t.Fatalf("%s: grid has %d DataItems, want %d", what, n, GridRows*GridCols)
+		}
+	}
+	for _, frozen := range []bool{false, true} {
+		x := New()
+		x.Sheet.FrozenTopRow = frozen
+		for _, v := range []float64{0, 1, 33.3, 50, 99, 100} {
+			x.ScrollTo(v)
+			check(t, x, fmt.Sprintf("frozen=%v ScrollTo(%v)", frozen, v))
+		}
+		for row := 1; row <= GridRows; row++ {
+			x.ScrollToRow(row)
+			if top := x.ViewTop(); row < top || row >= top+VisibleRows {
+				t.Errorf("frozen=%v ScrollToRow(%d): row outside view [%d, %d)", frozen, row, top, top+VisibleRows)
+			}
+			check(t, x, fmt.Sprintf("frozen=%v ScrollToRow(%d)", frozen, row))
+		}
+	}
+}
+
+// TestDataItemAgreesWithCell checks that DataItem resolves a reference
+// exactly as Sheet.Cell does: the same refs are accepted (padded,
+// lower-case and zero-padded ones included), and an accepted ref names the
+// DataItem of the same cell.
+func TestDataItemAgreesWithCell(t *testing.T) {
+	x := New()
+	for _, ref := range []string{
+		"A1", "J30", "b3", " b3", "B3 ", "B03", "c007", "\tE15\n",
+		"K1", "A31", "A0", "B-1", "1A", "", "A", "AA1", "B3:C4",
+	} {
+		item, cell := x.DataItem(ref), x.Sheet.Cell(ref)
+		if (item != nil) != (cell != nil) {
+			t.Errorf("%q: DataItem found=%v, Sheet.Cell found=%v", ref, item != nil, cell != nil)
+			continue
+		}
+		if item == nil {
+			continue
+		}
+		r, c, _ := ParseRef(ref)
+		if item.Name() != Ref(r, c) {
+			t.Errorf("%q: DataItem is %q, want %q", ref, item.Name(), Ref(r, c))
+		}
+		if item != x.DataItem(Ref(r, c)) {
+			t.Errorf("%q: DataItem differs from DataItem(%q)", ref, Ref(r, c))
+		}
 	}
 }

@@ -19,6 +19,9 @@ package serveproto
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 
 	"repro/internal/agent"
 	"repro/internal/modelstore"
@@ -119,6 +122,25 @@ type BatchRequest struct {
 	Pack     string           `json:"pack,omitempty"`
 	PackHash string           `json:"pack_hash,omitempty"`
 	Cells    []SessionRequest `json:"cells"`
+}
+
+// DecodeBatchRequest reads a POST /v1/cells body — the first JSON value r
+// yields — and checks the envelope: 1..MaxBatchCells cells. The cells
+// themselves are not validated here; each is checked on its own when it
+// runs. An error reading r, such as the *http.MaxBytesError of a body over
+// its cap, stays reachable through errors.As.
+func DecodeBatchRequest(r io.Reader) (BatchRequest, error) {
+	var req BatchRequest
+	if err := json.NewDecoder(r).Decode(&req); err != nil {
+		return BatchRequest{}, fmt.Errorf("bad request body: %w", err)
+	}
+	if len(req.Cells) == 0 {
+		return BatchRequest{}, errors.New("batch has no cells")
+	}
+	if len(req.Cells) > MaxBatchCells {
+		return BatchRequest{}, fmt.Errorf("batch of %d cells exceeds the %d cap", len(req.Cells), MaxBatchCells)
+	}
+	return req, nil
 }
 
 // BatchCellResult is one cell's outcome within a batch response. Cells fail

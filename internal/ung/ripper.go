@@ -2,6 +2,7 @@ package ung
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,25 +110,39 @@ type Expansion struct {
 // re-dispatch after a replica dies mid-rip. Exported for the dmi-serve
 // daemon's POST /v1/rip executor.
 func ExpandFrame(app *appkit.App, ctx string, f Frame) Expansion {
+	s := scratchPool.Get().(*expandScratch)
+	defer scratchPool.Put(s)
+	return s.expandFrame(app, ctx, f)
+}
+
+// expandFrame is ExpandFrame on the given scratch.
+func (s *expandScratch) expandFrame(app *appkit.App, ctx string, f Frame) Expansion {
 	var st Stats
 	t0 := app.Desk.Clock().Now()
-	exp := expand(app, ctx, f, &st)
+	exp := s.expand(app, ctx, f, &st)
 	exp.Clicks = st.Clicks
 	exp.Snapshots = st.Snapshots
 	exp.Elapsed = app.Desk.Clock().Now() - t0
 	return exp
 }
 
-// expand is ExpandFrame's body, counting instance work into st.
+// expand is ExpandFrame's body on a pooled scratch, counting instance work
+// into st.
+func expand(app *appkit.App, ctx string, f Frame, st *Stats) Expansion {
+	s := scratchPool.Get().(*expandScratch)
+	defer scratchPool.Put(s)
+	return s.expand(app, ctx, f, st)
+}
+
+// expand runs one expansion on the scratch.
 //
 // A depth-k frame costs one SoftReset, k+1 clicks and k+2 full snapshots:
 // one per replay step, one before and one after the activation. The
-// snapshot buffer, the id set and the fresh set come from a pool and are
-// reused across expansions; none of them escapes, because each reveal
-// copies the element fields it needs (DESIGN.md §3.1).
-func expand(app *appkit.App, ctx string, f Frame, st *Stats) Expansion {
-	s := scratchPool.Get().(*expandScratch)
-	defer s.release()
+// snapshot buffer and the sets are reused across expansions; none of them
+// escapes, because each reveal copies the element fields it needs
+// (DESIGN.md §3.1).
+func (s *expandScratch) expand(app *appkit.App, ctx string, f Frame, st *Stats) Expansion {
+	defer s.reset()
 
 	restore(app, ctx)
 	if !replay(app, f.Path, st, s) {
@@ -143,19 +158,18 @@ func expand(app *appkit.App, ctx string, f Frame, st *Stats) Expansion {
 	}
 	// Index the before-snapshot's ids now: the click may rename or move
 	// controls, and a control whose id changes counts as revealed.
-	for _, e := range s.snap {
-		if e.Parent() != nil {
-			s.seen[e.ControlID()] = struct{}{}
-		}
-	}
+	s.index()
 	if err := app.Desk.Click(el); err != nil {
 		return Expansion{Outcome: ExpandSkipped}
 	}
 	st.Clicks++
 	s.snap = capture(app, st, s.snap)
 
-	// A control is fresh when the before-snapshot lacked its id. Recording
-	// each fresh id in seen keeps only the first occurrence of a duplicate.
+	// A control is fresh when the before-snapshot lacked its id; the clicked
+	// control never is. Recording each fresh id in added keeps only the
+	// first occurrence of a duplicate. Most of the after-snapshot repeats
+	// the before-snapshot in order, so each id is first compared with the
+	// next unmatched before id, and looked up in seen only when that fails.
 	//
 	// Newly revealed controls attach beneath their nearest newly-revealed
 	// UI ancestor; top-level reveals attach to the clicked control. This
@@ -164,18 +178,23 @@ func expand(app *appkit.App, ctx string, f Frame, st *Stats) Expansion {
 	// ancestors before descendants, so e's fresh ancestors are marked by the
 	// time e is reached.
 	var reveals []Reveal
+	matched := 0 // before ids matched in lockstep so far
 	for _, e := range s.snap {
 		if e.Parent() == nil {
 			continue
 		}
 		id := e.ControlID()
-		if id == f.ID {
+		if matched < len(s.ids) && id == s.ids[matched] {
+			matched++
 			continue
 		}
 		if _, present := s.seen[id]; present {
 			continue
 		}
-		s.seen[id] = struct{}{}
+		if _, dup := s.added[id]; dup {
+			continue
+		}
+		s.added[id] = struct{}{}
 		s.fresh[e] = true
 		parent := f.ID
 		if anc := nearestIn(e, s.fresh); anc != nil {
@@ -381,28 +400,61 @@ func firstWithID(snap []*uia.Element, id string) *uia.Element {
 
 // expandScratch is one expansion's working set. It is pooled so
 // consecutive expansions reuse the snapshot buffer and the sets' storage.
+//
+// seen is the set of the ids in ids, the before-snapshot id list it was
+// last built from. Both outlive an expansion: the next expansion whose
+// before-snapshot lists the same ids in the same order reuses the set as
+// is, and any other rebuilds it. Siblings
+// share a click path and depth-0 frames share the base screen, so most
+// expansions reuse it. The set is a function of the id list alone, compared
+// in full, so reuse never depends on which expansions ran before.
 type expandScratch struct {
 	snap  []*uia.Element
-	seen  map[string]struct{}   // ids observed so far in this expansion
+	ids   []string              // before-snapshot ids that seen indexes
+	next  []string              // this expansion's before-snapshot ids
+	seen  map[string]struct{}   // the ids in ids
+	added map[string]struct{}   // fresh ids recorded so far
 	fresh map[*uia.Element]bool // controls revealed by the activation
 }
 
-var scratchPool = sync.Pool{New: func() any {
+func newExpandScratch() *expandScratch {
 	return &expandScratch{
 		seen:  make(map[string]struct{}),
+		added: make(map[string]struct{}),
 		fresh: make(map[*uia.Element]bool),
 	}
-}}
+}
 
-// release empties the scratch, dropping its element references so a pooled
-// scratch never keeps an application instance alive, and returns it to the
-// pool.
-func (s *expandScratch) release() {
+var scratchPool = sync.Pool{New: func() any { return newExpandScratch() }}
+
+// index makes seen the id set of the before-snapshot in snap, window roots
+// excluded, rebuilding it only when the id list differs from the one it was
+// last built from.
+func (s *expandScratch) index() {
+	s.next = s.next[:0]
+	for _, e := range s.snap {
+		if e.Parent() != nil {
+			s.next = append(s.next, e.ControlID())
+		}
+	}
+	if slices.Equal(s.next, s.ids) {
+		return
+	}
+	s.ids, s.next = s.next, s.ids
+	clear(s.seen)
+	for _, id := range s.ids {
+		s.seen[id] = struct{}{}
+	}
+}
+
+// reset empties one expansion's state, dropping its element references so a
+// pooled scratch never keeps an application instance alive. The id index
+// holds strings only and is kept for reuse.
+func (s *expandScratch) reset() {
 	clear(s.snap[:cap(s.snap)])
 	s.snap = s.snap[:0]
-	clear(s.seen)
+	clear(s.added)
 	clear(s.fresh)
-	scratchPool.Put(s)
 }
 
 func restore(app *appkit.App, ctx string) {
