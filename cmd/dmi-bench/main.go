@@ -274,7 +274,7 @@ func loadRegistry(path string) (*taskpack.Registry, error) {
 func writeBaseline(path string, reg *taskpack.Registry, runs, parallel int, elapsed time.Duration) error {
 	settings, tasks := len(bench.Matrix()), reg.Len()
 	// Account one warm-model fetch per session start — exactly the store
-	// traffic the serving daemon generates per POST /session. The offline
+	// traffic the serving daemon generates per single-run cell. The offline
 	// builds are the only misses, so the warm-hit ratio measures the
 	// serving property itself (one modeling pass amortized over the whole
 	// grid) instead of sitting at a constant.

@@ -1,12 +1,12 @@
 // Command dmi-coord is the distributed-serving coordinator: it fans the
 // full evaluation grid (every Table 3 setting × every catalog task) out
-// across N dmi-serve replicas over the POST /session protocol and
-// aggregates the outcomes in grid order — so its report is byte-identical
+// across N dmi-serve replicas as POST /v1/cells envelopes and aggregates
+// the outcomes in grid order — so its report is byte-identical
 // to the in-process `dmi-bench` run, no matter which replica served which
 // cell or in what order they finished. Sessions are stateless, idempotent
 // functions of (model, task, setting, run), so a replica failure mid-run is
 // handled by re-dispatching the failed cell to a surviving replica — and a
-// replica that comes back is re-probed (half-open /healthz circuit) and
+// replica that comes back is re-probed (half-open /v1/healthz circuit) and
 // returned to rotation.
 //
 // Usage:
@@ -22,23 +22,22 @@
 // pass with a sustained open-loop load (cell arrivals on a fixed-rate
 // clock, latency percentiles and recovery counts in the -json baseline) —
 // the regression gate for the recovery path. -batch coalesces up to N cells
-// into one POST /v1/cells per request against replicas that speak the
-// versioned protocol; replicas that answer only the legacy routes draw a
-// deprecation note and keep taking one cell per request. -pprof serves
-// net/http/pprof profiles on a second listener for production profiling.
+// into one envelope; at the default -batch 1 every cell is its own
+// one-cell envelope on the same route. -pprof serves net/http/pprof
+// profiles on a second listener for production profiling.
 //
 // The evaluation report goes to stdout (same sections, same bytes as
 // `dmi-bench`); coordination telemetry — per-replica cell counts, retries,
 // recoveries, and the aggregate warm-hit ratio scraped from each replica's
-// GET /stats — goes to stderr.
+// GET /v1/stats — goes to stderr.
 //
 // The coordinator and every replica must serve the same task pack: cells are
 // resolved by task id on both sides, so mismatched packs would silently score
 // different task content. The coordinator checks each replica's advertised
 // pack identity during the health wait and refuses to dispatch against a
-// mismatched replica, naming the replica and both hashes; every session
-// request additionally carries the pack name and hash, which a mismatched
-// replica rejects with 409. A replica recovering from a down-mark is held
+// mismatched replica, naming the replica and both hashes; every envelope
+// additionally carries the pack name and hash, which a mismatched replica
+// rejects with 409. A replica recovering from a down-mark is held
 // out of rotation until its probed pack identity matches again.
 package main
 
@@ -97,7 +96,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	packFile := fs.String("taskpack", "", "task pack JSON to resolve cells from (default: the built-in osworld-w grid); every replica must serve the same pack")
 	runs := fs.Int("runs", 3, "seeded repetitions per task (paper: 3)")
 	inflight := fs.Int("inflight", 4, "max cells in flight per replica")
-	batch := fs.Int("batch", 1, "coalesce up to this many cells per POST /v1/cells against v1 replicas (1 = one cell per request)")
+	batch := fs.Int("batch", 1, "coalesce up to this many cells per POST /v1/cells envelope (1 = one cell per envelope)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	stream := fs.Bool("stream", false, "feed cells from a work queue as fleet capacity frees up, instead of a fixed pre-sharded fan-out")
 	// The default matches RemoteOptions' own: sized to outlast the slowest
@@ -105,7 +104,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	// dmi-serve's 10-minute write-timeout hang guard — a slow-but-healthy
 	// replica must not read as a failure.
 	timeout := fs.Duration("timeout", 5*time.Minute, "per-cell request timeout (a hung replica becomes a detected failure, not a stall)")
-	wait := fs.Duration("wait", 3*time.Minute, "how long to wait for every replica's /healthz (replicas prewarm the catalog at startup)")
+	wait := fs.Duration("wait", 3*time.Minute, "how long to wait for every replica's /v1/healthz (replicas prewarm the catalog at startup)")
 	probe := fs.Duration("probe", time.Second, "base interval between half-open recovery probes of a down-marked replica (negative disables recovery)")
 	soak := fs.Duration("soak", 0, "sustained-load soak for this duration instead of one grid pass (open-loop arrivals; see -rate)")
 	rate := fs.Float64("rate", 10, "target cell arrival rate per second during -soak")
@@ -232,7 +231,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	if err != nil {
 		var mismatch *bench.PackMismatchError
 		if errors.As(err, &mismatch) {
-			// A replica passed the health check but answered a session with
+			// A replica passed the health check but answered an envelope with
 			// 409 — its pack changed out from under the run (e.g. it was
 			// restarted with a different -taskpack). Name the replica and
 			// both identities so the operator knows exactly what to restart.
@@ -262,7 +261,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		}
 	}
 	if len(tokens) == 0 {
-		return errors.New("dmi-coord: no replica /stats reachable after the run; refusing to print a report with an empty token section")
+		return errors.New("dmi-coord: no replica /v1/stats reachable after the run; refusing to print a report with an empty token section")
 	}
 	warmHit := serveproto.HitRatio(agg)
 
@@ -397,13 +396,13 @@ func loadRegistry(path string) (*taskpack.Registry, error) {
 	return reg, nil
 }
 
-// waitHealthy polls every replica's /healthz until it answers ready or the
+// waitHealthy polls every replica's /v1/healthz until it answers ready or the
 // wait budget runs out, then checks the replica's advertised pack identity
 // against the run's registry — a healthy replica serving the wrong pack is a
 // configuration error worth failing on before any cell is dispatched, with
 // the replica and both hashes named. Replicas prewarm the whole catalog
-// before listening on /healthz, so this is where the coordinator absorbs
-// replica startup. The budget is shared across replicas and carried by a
+// before listening, so this is where the coordinator absorbs replica
+// startup. The budget is shared across replicas and carried by a
 // context deadline, so a parent cancellation (^C) is distinguishable from
 // the budget running out, and the ticker keeps probes on a fixed cadence
 // instead of drifting by probe latency the way sleep-after-probe loops do.
@@ -413,29 +412,24 @@ func waitHealthy(ctx context.Context, replicas []string, reg *taskpack.Registry,
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
 	for _, base := range replicas {
-		var hz serveproto.Health
-		for !probeHealthz(ctx, base, &hz) {
+		hz, err := bench.ProbeHealthz(ctx, probeClient, base)
+		for err != nil {
 			select {
 			case <-ctx.Done():
-				if err := context.Cause(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-					return err // parent canceled; not a health verdict
+				if cause := context.Cause(ctx); cause != nil && !errors.Is(cause, context.DeadlineExceeded) {
+					return cause // parent canceled; not a health verdict
 				}
-				return fmt.Errorf("replica %s not healthy after %s", base, wait)
+				return fmt.Errorf("replica %s not healthy after %s (last probe: %v)", base, wait, err)
 			case <-tick.C:
 			}
+			hz, err = bench.ProbeHealthz(ctx, probeClient, base)
 		}
-		// An empty advertised pack means a pre-pack replica; the per-session
+		// An empty advertised pack means a pre-pack replica; the envelope
 		// handshake is skipped for it too, so don't fail the wait.
 		if (hz.Pack != "" && hz.Pack != reg.Name()) ||
 			(hz.PackHash != "" && hz.PackHash != reg.Hash()) {
 			return fmt.Errorf("replica %s serves task pack %s (hash %.12s), this run needs %s (hash %.12s); restart it with the coordinator's -taskpack",
 				base, hz.Pack, hz.PackHash, reg.Name(), reg.Hash())
-		}
-		if hz.Proto < serveproto.ProtoV1 {
-			// Pre-versioning replica: it works for this run over the legacy
-			// aliases, but those are a one-release compatibility surface and
-			// -batch cannot reach it.
-			fmt.Fprintf(stderr, "dmi-coord: replica %s answers only deprecated legacy routes (no /v1 surface); upgrade it before the aliases are removed\n", base)
 		}
 		fmt.Fprintf(stderr, "dmi-coord: replica %s is ready\n", base)
 	}
@@ -447,28 +441,12 @@ func waitHealthy(ctx context.Context, replicas []string, reg *taskpack.Registry,
 // deadline between probes).
 var probeClient = &http.Client{Timeout: 5 * time.Second}
 
-// probeHealthz reports whether base answered /healthz ready, filling *hz
-// with the replica's advertised identity on success.
-func probeHealthz(ctx context.Context, base string, hz *serveproto.Health) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := probeClient.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	*hz = serveproto.Health{}
-	return resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(hz) == nil && hz.OK
-}
-
-// scrapeStats fetches GET /stats from each replica, skipping unreachable
-// ones with a note.
+// scrapeStats fetches GET /v1/stats from each replica, skipping
+// unreachable ones with a note.
 func scrapeStats(ctx context.Context, replicas []string, stderr io.Writer) []serveproto.StatsResponse {
 	var out []serveproto.StatsResponse
 	for _, base := range replicas {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/stats", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+serveproto.PathStats, nil)
 		if err != nil {
 			continue
 		}

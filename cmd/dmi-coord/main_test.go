@@ -18,6 +18,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/bench"
 	"repro/internal/serveproto"
+	"repro/internal/taskpack"
 )
 
 func TestBadFlagIsAnError(t *testing.T) {
@@ -93,18 +94,15 @@ type replica struct {
 	models *agent.Models
 	// failAfter starts answering 500 once this many cells were served
 	// (-1 = never) — the forced mid-run replica failure of the issue's
-	// acceptance criteria. Permanent: /healthz fails with it, so the
+	// acceptance criteria. Permanent: /v1/healthz fails with it, so the
 	// replica never recovers.
 	failAfter int64
-	// outage is a switchable outage — sessions and /healthz both 500 while
-	// set — so soak tests can take a replica down and bring it back.
-	outage atomic.Bool
-	// v1 makes the replica advertise serveproto.ProtoV1 and answer the
-	// versioned route set, including POST /v1/cells; left false it is a
-	// faithful pre-versioning replica (legacy routes only, no proto field).
-	v1         bool
-	served     atomic.Int64
-	batchCalls atomic.Int64 // POST /v1/cells envelopes received
+	// outage is a switchable outage — envelopes and /v1/healthz both 500
+	// while set — so soak tests can take a replica down and bring it back.
+	outage      atomic.Bool
+	served      atomic.Int64
+	batchCalls  atomic.Int64 // POST /v1/cells envelopes received
+	maxEnvelope atomic.Int64 // most cells seen in one envelope
 }
 
 // failing reports whether an injected failure mode is active.
@@ -114,79 +112,52 @@ func (rp *replica) failing() bool {
 
 func (rp *replica) handler() http.Handler {
 	mux := http.NewServeMux()
-	healthz := func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(serveproto.PathHealthz, func(w http.ResponseWriter, r *http.Request) {
 		if rp.failing() {
 			http.Error(w, "injected outage", http.StatusInternalServerError)
 			return
 		}
-		hz := serveproto.Health{OK: true, Apps: len(agent.AppNames())}
-		if rp.v1 {
-			hz.Proto = serveproto.ProtoV1
-		}
-		json.NewEncoder(w).Encode(hz)
-	}
-	stats := func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: len(agent.AppNames()), Proto: serveproto.ProtoV1})
+	})
+	mux.HandleFunc(serveproto.PathStats, func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(serveproto.StatsResponse{
 			Sessions:   rp.served.Load(),
 			Store:      agent.StoreStats(),
 			CoreTokens: rp.models.CoreTokens,
 		})
-	}
-	session := func(w http.ResponseWriter, r *http.Request) {
+	})
+	mux.HandleFunc(serveproto.PathCells, func(w http.ResponseWriter, r *http.Request) {
 		if rp.failing() {
 			http.Error(w, "injected replica failure", http.StatusInternalServerError)
 			return
 		}
-		var req serveproto.SessionRequest
+		var req serveproto.BatchRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		set, task, err := bench.ResolveCell(bench.Cell{App: req.App, Task: req.Task, Setting: req.Setting, Runs: req.Runs})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+		rp.batchCalls.Add(1)
+		for n := int64(len(req.Cells)); ; {
+			cur := rp.maxEnvelope.Load()
+			if n <= cur || rp.maxEnvelope.CompareAndSwap(cur, n) {
+				break
+			}
 		}
-		outcomes := bench.RunCell(rp.models, set, task, req.Runs, 1)
-		rp.served.Add(1)
-		json.NewEncoder(w).Encode(serveproto.SessionResponse{
-			App: task.App, Task: task.ID, Setting: set.Label, Runs: req.Runs, Outcomes: outcomes,
-		})
-	}
-	mux.HandleFunc("/healthz", healthz)
-	mux.HandleFunc("/stats", stats)
-	mux.HandleFunc("/session", session)
-	if rp.v1 {
-		mux.HandleFunc("/v1/healthz", healthz)
-		mux.HandleFunc("/v1/stats", stats)
-		mux.HandleFunc("/v1/session", session)
-		mux.HandleFunc("/v1/cells", func(w http.ResponseWriter, r *http.Request) {
-			if rp.failing() {
-				http.Error(w, "injected replica failure", http.StatusInternalServerError)
-				return
+		resp := serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, len(req.Cells))}
+		for i, cr := range req.Cells {
+			set, task, err := bench.ResolveCellIn(taskpack.Builtin(), bench.Cell{App: cr.App, Task: cr.Task, Setting: cr.Setting, Runs: cr.Runs})
+			if err != nil {
+				resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusBadRequest, Error: err.Error()}
+				continue
 			}
-			var req serveproto.BatchRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			rp.batchCalls.Add(1)
-			resp := serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, len(req.Cells))}
-			for i, cr := range req.Cells {
-				set, task, err := bench.ResolveCell(bench.Cell{App: cr.App, Task: cr.Task, Setting: cr.Setting, Runs: cr.Runs})
-				if err != nil {
-					resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusBadRequest, Error: err.Error()}
-					continue
-				}
-				outcomes := bench.RunCell(rp.models, set, task, cr.Runs, 1)
-				rp.served.Add(1)
-				resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusOK, Response: &serveproto.SessionResponse{
-					App: task.App, Task: task.ID, Setting: set.Label, Runs: cr.Runs, Outcomes: outcomes,
-				}}
-			}
-			json.NewEncoder(w).Encode(resp)
-		})
-	}
+			outcomes := bench.RunCell(rp.models, set, task, cr.Runs, 1)
+			rp.served.Add(1)
+			resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusOK, Response: &serveproto.SessionResponse{
+				App: task.App, Task: task.ID, Setting: set.Label, Runs: cr.Runs, Outcomes: outcomes,
+			}}
+		}
+		json.NewEncoder(w).Encode(resp)
+	})
 	return mux
 }
 
@@ -255,7 +226,7 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 	if a.served.Load() == 0 || b.served.Load() == 0 {
 		t.Errorf("cells were not sharded across both replicas: %d vs %d", a.served.Load(), b.served.Load())
 	}
-	cells := int64(len(bench.GridCells(1)))
+	cells := int64(len(bench.GridCellsIn(taskpack.Builtin(), 1)))
 	if total := a.served.Load() + b.served.Load(); total != cells {
 		t.Errorf("replicas served %d cells, want %d", total, cells)
 	}
@@ -264,10 +235,12 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 			t.Errorf("coordination telemetry missing %q:\n%s", fragment, errb.String())
 		}
 	}
-	// Both replicas are pre-versioning stand-ins, so startup must warn that
-	// they only answer the deprecated legacy routes.
-	if !strings.Contains(errb.String(), "deprecated legacy routes") {
-		t.Errorf("no deprecation note for legacy replicas:\n%s", errb.String())
+	// The default -batch 1 sends every cell as its own one-cell envelope.
+	if calls := a.batchCalls.Load() + b.batchCalls.Load(); calls != cells {
+		t.Errorf("%d cells travelled in %d envelopes, want one per cell", cells, calls)
+	}
+	if n := max(a.maxEnvelope.Load(), b.maxEnvelope.Load()); n != 1 {
+		t.Errorf("an envelope carried %d cells at -batch 1, want 1", n)
 	}
 
 	raw, err := os.ReadFile(jsonPath)
@@ -286,8 +259,8 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCoordinatorBatchedByteIdentical: -batch against a v1 fleet coalesces
-// cells into /v1/cells envelopes, records the batch factor in the baseline,
+// TestCoordinatorBatchedByteIdentical: -batch coalesces cells into
+// multi-cell /v1/cells envelopes, records the batch factor in the baseline,
 // and still emits the byte-identical report — batching is a transport
 // optimization, never a semantic change.
 func TestCoordinatorBatchedByteIdentical(t *testing.T) {
@@ -295,8 +268,8 @@ func TestCoordinatorBatchedByteIdentical(t *testing.T) {
 		t.Skip("full-catalog modeling plus full-grid fan-out")
 	}
 	models, want := groundTruth(t)
-	a := &replica{models: models, failAfter: -1, v1: true}
-	b := &replica{models: models, failAfter: -1, v1: true}
+	a := &replica{models: models, failAfter: -1}
+	b := &replica{models: models, failAfter: -1}
 	srvA, srvB := httptest.NewServer(a.handler()), httptest.NewServer(b.handler())
 	defer srvA.Close()
 	defer srvB.Close()
@@ -315,18 +288,15 @@ func TestCoordinatorBatchedByteIdentical(t *testing.T) {
 	if out.String() != want {
 		t.Error("batched coordinator report is not byte-identical to in-process bench.Run")
 	}
-	cells := int64(len(bench.GridCells(1)))
+	cells := int64(len(bench.GridCellsIn(taskpack.Builtin(), 1)))
 	if total := a.served.Load() + b.served.Load(); total != cells {
 		t.Errorf("replicas served %d cells, want %d", total, cells)
 	}
-	if a.batchCalls.Load()+b.batchCalls.Load() == 0 {
-		t.Error("no cell ever arrived through a /v1/cells envelope")
+	if max(a.maxEnvelope.Load(), b.maxEnvelope.Load()) < 2 {
+		t.Error("no envelope ever carried more than one cell")
 	}
 	if !strings.Contains(errb.String(), "batching") {
 		t.Errorf("telemetry should name the batching mode:\n%s", errb.String())
-	}
-	if strings.Contains(errb.String(), "deprecated") {
-		t.Errorf("v1 replicas drew a deprecation note:\n%s", errb.String())
 	}
 
 	raw, err := os.ReadFile(jsonPath)
@@ -373,7 +343,7 @@ func TestCoordinatorSurvivesReplicaFailure(t *testing.T) {
 	if !strings.Contains(errb.String(), "down") {
 		t.Errorf("telemetry should mark the failed replica down:\n%s", errb.String())
 	}
-	cells := int64(len(bench.GridCells(1)))
+	cells := int64(len(bench.GridCellsIn(taskpack.Builtin(), 1)))
 	if total := flaky.served.Load() + healthy.served.Load(); total != cells {
 		t.Errorf("replicas served %d cells, want %d", total, cells)
 	}

@@ -5,9 +5,8 @@
 //
 // Modeling goes through the model store: -workers distributes the rip over
 // a pool of throwaway instances (byte-identical result), and -snapshot
-// persists the ripped graphs so later runs rebuild the models with zero rip
-// clicks — compact binary by default, -snapshot-format json for the
-// greppable debug form (either format loads either way).
+// persists the ripped graphs (compact binary .ungb files) so later runs
+// rebuild the models with zero rip clicks.
 //
 // -replicas shards the rip across a fleet of dmi-serve replicas instead of
 // the in-process pool: each frame expansion ships over POST /v1/rip and the
@@ -24,11 +23,12 @@
 // Usage:
 //
 //	dmi-model [-app Word|Excel|PowerPoint|Settings|Files|all] [-threshold 64]
-//	          [-sweep] [-workers 4] [-snapshot DIR] [-snapshot-format binary|json]
+//	          [-sweep] [-workers 4] [-snapshot DIR]
 //	          [-replicas URL,URL,...] [-json FILE] [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -48,7 +48,6 @@ import (
 	"repro/internal/describe"
 	"repro/internal/forest"
 	"repro/internal/modelstore"
-	"repro/internal/serveproto"
 	"repro/internal/ung"
 )
 
@@ -57,7 +56,7 @@ import (
 // letting one envelope pin a replica for long.
 const ripBatch = 8
 
-// replicaWait bounds how long -replicas waits for every replica's /healthz
+// replicaWait bounds how long -replicas waits for every replica's /v1/healthz
 // to report ready before the run starts. A variable so tests can shorten
 // the not-ready path.
 var replicaWait = 60 * time.Second
@@ -87,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	sweep := fs.Bool("sweep", false, "sweep externalization thresholds (design-choice ablation)")
 	workers := fs.Int("workers", 4, "rip worker-pool size (1 = sequential)")
 	snapshot := fs.String("snapshot", "", "directory for graph snapshots (reused across runs)")
-	snapshotFormat := fs.String("snapshot-format", "binary", "snapshot encoding: binary (compact default) or json (debug)")
 	replicas := fs.String("replicas", "", "comma-separated dmi-serve base URLs to shard the rip across (empty = in-process pool)")
 	jsonOut := fs.String("json", "", "write a machine-readable modeling baseline (per-app rip wall-clock) to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile of the whole run to this file")
@@ -96,11 +94,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // -h: usage was printed, not an error
 		}
-		return errUsage
-	}
-	format, err := modelstore.ParseSnapshotFormat(*snapshotFormat)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
 		return errUsage
 	}
 	if *cpuprofile != "" {
@@ -125,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *snapshot != "" {
 		store = modelstore.NewPersistent(*snapshot)
 	}
-	store.SetSnapshotFormat(format)
 	opt := modelstore.Options{
 		Transform: forest.Options{CloneThreshold: *threshold},
 		Workers:   *workers,
@@ -263,19 +255,16 @@ type ripRecord struct {
 	Source      string  `json:"source"`
 }
 
-// waitReplicas polls every replica's /healthz until it reports ready and
-// speaking the /v1 protocol generation, so a rip never starts against a
-// fleet that is still prewarming (or one that would 404 every envelope).
+// waitReplicas polls every replica's /v1/healthz until it reports ready,
+// so a rip never starts against a fleet that is still prewarming (or one
+// without the /v1 surface, which fails the probe with 404).
 func waitReplicas(urls []string, stderr io.Writer) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	deadline := time.Now().Add(replicaWait)
 	for _, u := range urls {
 		for {
-			hz, err := probeReplica(client, u)
+			hz, err := bench.ProbeHealthz(context.Background(), client, u)
 			if err == nil {
-				if hz.Proto < serveproto.ProtoV1 {
-					return fmt.Errorf("replica %s speaks protocol %d; distributed rip needs the /v1 route set", u, hz.Proto)
-				}
 				fmt.Fprintf(stderr, "dmi-model: replica %s ready (%d apps)\n", u, hz.Apps)
 				break
 			}
@@ -286,26 +275,6 @@ func waitReplicas(urls []string, stderr io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// probeReplica runs one /healthz round trip.
-func probeReplica(client *http.Client, base string) (serveproto.Health, error) {
-	var hz serveproto.Health
-	resp, err := client.Get(base + "/healthz")
-	if err != nil {
-		return hz, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return hz, fmt.Errorf("healthz status %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		return hz, fmt.Errorf("healthz body: %w", err)
-	}
-	if !hz.OK {
-		return hz, errors.New("replica reports not ready")
-	}
-	return hz, nil
 }
 
 // writeHeapProfile snapshots retained memory after a final GC.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -78,42 +79,6 @@ func TestSnapshotReuseAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestSnapshotFormatJSONDebug(t *testing.T) {
-	if testing.Short() {
-		t.Skip("app-scale rip")
-	}
-	dir := t.TempDir()
-	var cold, warm, errb bytes.Buffer
-	if err := run([]string{"-app", "Files", "-snapshot", dir, "-snapshot-format", "json"}, &cold, &errb); err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no snapshot written to %s (%v)", dir, err)
-	}
-	if filepath.Ext(entries[0].Name()) != ".json" {
-		t.Errorf("snapshot %q is not JSON", entries[0].Name())
-	}
-	// A binary-default run must reuse the JSON snapshot: the loader falls
-	// back to the other format's file instead of re-ripping.
-	if err := run([]string{"-app", "Files", "-snapshot", dir}, &warm, &errb); err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if !strings.Contains(warm.String(), "snapshot") {
-		t.Fatalf("binary-default run should reuse the JSON snapshot:\n%s", warm.String())
-	}
-}
-
-func TestBadSnapshotFormatIsAnError(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run([]string{"-snapshot-format", "yaml"}, &out, &errb); err == nil {
-		t.Fatal("expected a snapshot-format error")
-	}
-	if !strings.Contains(errb.String(), "yaml") {
-		t.Errorf("error should name the bad format:\n%s", errb.String())
-	}
-}
-
 func TestHelpFlagIsNotAnError(t *testing.T) {
 	var out, errb bytes.Buffer
 	if err := run([]string{"-h"}, &out, &errb); err != nil {
@@ -124,8 +89,8 @@ func TestHelpFlagIsNotAnError(t *testing.T) {
 	}
 }
 
-// ripServer is a minimal rip replica for the -replicas tests: /healthz
-// reports ready on the v1 protocol and /v1/rip expands frames on real app
+// ripServer is a minimal rip replica for the -replicas tests: /v1/healthz
+// reports ready and /v1/rip expands frames on real app
 // instances — the same ung.ExpandFrame path the dmi-serve daemon runs.
 type ripServer struct {
 	mu    sync.Mutex
@@ -133,12 +98,12 @@ type ripServer struct {
 }
 
 func (rs *ripServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/healthz" {
+	if r.URL.Path == serveproto.PathHealthz {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: len(agent.AppNames()), Proto: serveproto.ProtoV1})
 		return
 	}
-	if r.URL.Path != "/v1/rip" || r.Method != http.MethodPost {
+	if r.URL.Path != serveproto.PathRip || r.Method != http.MethodPost {
 		http.NotFound(w, r)
 		return
 	}
@@ -221,20 +186,23 @@ func TestReplicasShardedSnapshotMatchesSequential(t *testing.T) {
 }
 
 // TestReplicasNotReadyIsAnError pins the fleet wait: a replica that never
-// reports healthy fails the run with an error naming it, instead of ripping
-// against a dead fleet.
+// reports healthy — still prewarming, or without the /v1 surface at all —
+// fails the run with an error naming it, instead of ripping against a dead
+// fleet.
 func TestReplicasNotReadyIsAnError(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "prewarming", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
 	old := replicaWait
 	replicaWait = 300 * time.Millisecond
 	defer func() { replicaWait = old }()
-	var out, errb bytes.Buffer
-	err := run([]string{"-app", "Settings", "-replicas", srv.URL}, &out, &errb)
-	if err == nil || !strings.Contains(err.Error(), "not ready") {
-		t.Fatalf("expected a not-ready error, got %v", err)
+	for _, status := range []int{http.StatusInternalServerError, http.StatusNotFound} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "not serving", status)
+		}))
+		var out, errb bytes.Buffer
+		err := run([]string{"-app", "Settings", "-replicas", srv.URL}, &out, &errb)
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "not ready") || !strings.Contains(err.Error(), fmt.Sprint(status)) {
+			t.Fatalf("status %d: expected a not-ready error naming it, got %v", status, err)
+		}
 	}
 }
 

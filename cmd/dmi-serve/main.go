@@ -10,30 +10,29 @@
 //
 // Usage:
 //
-//	dmi-serve [-addr host:port] [-budget BYTES] [-snapshot DIR] [-snapshot-format binary|json]
+//	dmi-serve [-addr host:port] [-budget BYTES] [-snapshot DIR]
 //	          [-workers N] [-parallel N] [-taskpack FILE] [-pprof host:port]
 //
 // -taskpack serves a task-pack file (see internal/taskpack) instead of the
 // compiled-in grid. Requests that name a different pack are answered 409.
 // -pprof serves net/http/pprof profiles on a second listener (never on the
-// serving address). -snapshot-format selects the snapshot encoding the
-// store writes (compact binary by default; json is the debug form).
+// serving address). -snapshot persists the compact binary graph snapshots
+// (.ungb) evicted models reload from.
 //
-// Endpoints (wire types in internal/serveproto, protocol v1):
+// Endpoints (wire types and paths in internal/serveproto, protocol v1):
 //
-//	POST /v1/session  {"app","task","setting","runs"[,"pack","pack_hash"]} → the cell's outcomes
-//	POST /v1/cells    {"cells":[...]} → per-cell results, one HTTP call for a whole batch
+//	POST /v1/cells    {["pack","pack_hash",]"cells":[{"app","task","setting","runs"},...]}
+//	                  → per-cell results; one cell or a whole batch per call
 //	POST /v1/rip      {"app","context","frames":[...]} → per-frame differential captures,
 //	                  the worker half of a distributed rip (coordinator: dmi-model -replicas)
 //	GET  /v1/stats    store counters (hits, misses, snapshot loads, evictions,
 //	                  resident bytes) plus serving totals and warm-hit ratio
 //	GET  /v1/healthz  readiness (the catalog prewarm completed) + served pack identity
 //
-// The pre-v1 unversioned routes (/session, /stats, /healthz) remain as
-// aliases for one release; /v1/cells is v1-only.
+// Any other path is a 404.
 //
 // On SIGINT or SIGTERM the daemon stops accepting connections, drains
-// in-flight sessions, and exits 0 — the clean-stop contract the
+// in-flight cells, and exits 0 — the clean-stop contract the
 // coordinator's failure handling is tested against.
 package main
 
@@ -113,7 +112,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	// multiplies that, so it is opt-in for large multi-run requests.
 	parallel := fs.Int("parallel", 1, "per-request session worker-pool size for multi-run cells (1 = sequential, 0 = GOMAXPROCS)")
 	packFile := fs.String("taskpack", "", "task-pack file to serve instead of the compiled-in grid")
-	snapshotFormat := fs.String("snapshot-format", "binary", "snapshot encoding: binary (compact default) or json (debug)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -123,11 +121,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "dmi-serve: unexpected argument %q\n", fs.Arg(0))
-		return errUsage
-	}
-	format, err := modelstore.ParseSnapshotFormat(*snapshotFormat)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
 		return errUsage
 	}
 	reg, err := loadRegistry(*packFile)
@@ -147,7 +140,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		fmt.Fprintf(stderr, "dmi-serve: pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 
-	srv, err := newServer(reg, *budget, *snapshot, format, *workers, *parallel, stderr)
+	srv, err := newServer(reg, *budget, *snapshot, *workers, *parallel, stderr)
 	if err != nil {
 		return err
 	}
@@ -174,7 +167,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		return fmt.Errorf("dmi-serve: %w", err)
 	case <-ctx.Done():
 	}
-	fmt.Fprintln(stderr, "dmi-serve: shutting down — draining in-flight sessions")
+	fmt.Fprintln(stderr, "dmi-serve: shutting down — draining in-flight cells")
 	// Sessions are bounded (serveproto.MaxRuns), but WriteTimeout bounds
 	// only the connection's write deadline, not handler execution — so the
 	// drain needs its own deadline, sized just over the slowest legitimate
@@ -222,14 +215,14 @@ type server struct {
 	mux        *http.ServeMux
 	ripWorkers int
 	parallel   int
-	instance   string         // random per-process id, reported on /healthz
-	coreTokens map[string]int // catalog token accounting, for /stats
+	instance   string         // random per-process id, reported on /v1/healthz
+	coreTokens map[string]int // catalog token accounting, for /v1/stats
 	rip        *ripPool       // warm instances for POST /v1/rip
 
 	mu         sync.Mutex
-	sessions   int64 // POST /session requests served
-	runs       int64 // outcomes returned across those requests
-	inFlight   int64 // POST /session requests currently executing
+	sessions   int64 // cells served
+	runs       int64 // outcomes returned across those cells
+	inFlight   int64 // cells currently executing
 	expansions int64 // frames expanded for POST /v1/rip
 }
 
@@ -238,10 +231,8 @@ type server struct {
 // itself evicts (AppNames order, LRU), which is intended: it populates the
 // snapshot directory so later reloads are rip-free, and it leaves the most
 // recently warmed models resident.
-func newServer(reg *taskpack.Registry, budget int64, snapshotDir string, format modelstore.SnapshotFormat, ripWorkers, parallel int, progress io.Writer) (*server, error) {
-	store := modelstore.NewBudgeted(snapshotDir, budget)
-	store.SetSnapshotFormat(format)
-	s := newBareServer(store, reg, ripWorkers, parallel)
+func newServer(reg *taskpack.Registry, budget int64, snapshotDir string, ripWorkers, parallel int, progress io.Writer) (*server, error) {
+	s := newBareServer(modelstore.NewBudgeted(snapshotDir, budget), reg, ripWorkers, parallel)
 	for _, app := range agent.AppNames() {
 		m, err := agent.ModelsFor(s.store, app, ripWorkers)
 		if err != nil {
@@ -270,65 +261,28 @@ func newBareServer(store *modelstore.Store, reg *taskpack.Registry, ripWorkers, 
 		rip:        newRipPool(),
 	}
 	mux := http.NewServeMux()
-	// Protocol v1 routes plus the pre-v1 unversioned aliases (kept for one
-	// release so mixed fleets upgrade replica-by-replica). /v1/cells and
-	// /v1/rip are v1-only — they never existed unversioned.
-	mux.HandleFunc("/v1/session", s.handleSession)
-	mux.HandleFunc("/v1/cells", s.handleBatch)
-	mux.HandleFunc("/v1/rip", s.handleRip)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	mux.HandleFunc("/session", s.handleSession)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
+	mux.HandleFunc(serveproto.PathCells, s.handleBatch)
+	mux.HandleFunc(serveproto.PathRip, s.handleRip)
+	mux.HandleFunc(serveproto.PathStats, s.handleStats)
+	mux.HandleFunc(serveproto.PathHealthz, s.handleHealthz)
 	s.mux = mux
 	return s
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-func (s *server) handleSession(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req serveproto.SessionRequest
-	// A session request is a few short strings; refuse to buffer more. An
-	// oversize body is the client's protocol violation, reported as 413.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serveproto.MaxRequestBytes)).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", serveproto.MaxRequestBytes),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if s.rejectPackMismatch(w, req.Pack, req.PackHash) {
-		return
-	}
-	resp, status, msg := s.runCellRequest(req)
-	if resp == nil {
-		http.Error(w, msg, status)
-		return
-	}
-	writeJSON(w, *resp)
-}
-
-// handleBatch is POST /v1/cells: up to MaxBatchCells session requests in
-// one HTTP call. The pack handshake is request-level (409 rejects the whole
-// batch, same as a single session); everything past it is per-cell — each
-// cell carries the status it would have gotten as its own POST /session, so
-// one bad cell never poisons its batch-mates.
+// handleBatch is POST /v1/cells, the one cell route: 1..MaxBatchCells cells
+// in one HTTP call. The pack handshake is request-level (409 rejects the
+// whole envelope); everything past it is per-cell — each cell carries its
+// own status, so one bad cell never poisons its batch-mates.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	// The body cap scales with the declared batch size (clamped to
-	// [1, MaxBatchCells]): a flat per-session cap would reject a full batch
-	// of legitimate cells, an unconditional max-batch cap would let a
+	// [1, MaxBatchCells]): a flat per-cell cap would reject a full batch of
+	// legitimate cells, an unconditional max-batch cap would let a
 	// single-cell client post 64× what it should. The declared count is a
 	// limit declaration, not trusted content — DecodeBatchRequest re-checks
 	// the decoded batch against MaxBatchCells.
@@ -352,7 +306,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, cell := range req.Cells {
 		// Cell-level pack fields must agree with the batch-level handshake
 		// already validated; a cell naming a different pack is its own
-		// mismatch, not the batch's.
+		// mismatch, not the batch's. In-repo clients never set them, but the
+		// envelope is outside input.
 		if (cell.Pack != "" && cell.Pack != s.reg.Name()) ||
 			(cell.PackHash != "" && cell.PackHash != s.reg.Hash()) {
 			results[i] = serveproto.BatchCellResult{Status: http.StatusConflict, Error: "pack mismatch"}
@@ -390,8 +345,8 @@ func (s *server) rejectPackMismatch(w http.ResponseWriter, pack, packHash string
 	return true
 }
 
-// runCellRequest validates and executes one session request — the shared
-// core of POST /session and each cell of POST /v1/cells. On success the
+// runCellRequest validates and executes one cell of POST /v1/cells. On
+// success the
 // response is non-nil; otherwise status and msg carry the HTTP rejection.
 // The pack handshake is the caller's, not runCellRequest's.
 func (s *server) runCellRequest(req serveproto.SessionRequest) (*serveproto.SessionResponse, int, string) {
@@ -483,7 +438,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// newInstanceID draws a random per-process identity for /healthz, so a
+// newInstanceID draws a random per-process identity for /v1/healthz, so a
 // coordinator's health prober can tell a replica that blipped from one that
 // was killed and restarted on the same address — the id changes on restart.
 func newInstanceID() string {

@@ -59,10 +59,44 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
+// postCells posts one POST /v1/cells envelope, declaring its cell count
+// the way the dispatcher does, and returns the status and raw body.
+func postCells(base string, cells ...serveproto.SessionRequest) (int, []byte, error) {
+	body, err := json.Marshal(serveproto.BatchRequest{Cells: cells})
+	if err != nil {
+		return 0, nil, err
+	}
+	req, err := http.NewRequest(http.MethodPost, base+serveproto.PathCells, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(serveproto.BatchSizeHeader, fmt.Sprint(len(cells)))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, raw, err
+}
+
+// rawResults splits a POST /v1/cells answer into its per-cell results,
+// keeping each cell's response as raw bytes for byte-level comparisons.
+func rawResults(raw []byte) ([]serveproto.RawBatchCellResult, error) {
+	var br serveproto.RawBatchResponse
+	if err := json.Unmarshal(raw, &br); err != nil {
+		return nil, err
+	}
+	var results []serveproto.RawBatchCellResult
+	err := json.Unmarshal(br.Results, &results)
+	return results, err
+}
+
 // TestServeDaemon is the serving-tier acceptance test, driven through run()
 // at the binary boundary: a budget that cannot hold the whole catalog,
-// concurrent POST /session traffic over all five apps, responses
-// byte-identical to the in-process evaluation, and /stats showing ≥1
+// concurrent one-cell POST /v1/cells traffic over all five apps, responses
+// byte-identical to the in-process evaluation, and /v1/stats showing ≥1
 // eviction and ≥1 snapshot reload. CI runs it under -race.
 func TestServeDaemon(t *testing.T) {
 	if testing.Short() {
@@ -119,7 +153,7 @@ func TestServeDaemon(t *testing.T) {
 	}
 
 	t.Run("healthz", func(t *testing.T) {
-		resp, err := http.Get(base + "/healthz")
+		resp, err := http.Get(base + serveproto.PathHealthz)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +162,7 @@ func TestServeDaemon(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK || !hz.OK || hz.Apps != len(agent.AppNames()) {
+		if resp.StatusCode != http.StatusOK || !hz.OK || hz.Apps != len(agent.AppNames()) || hz.Proto != serveproto.ProtoV1 {
 			t.Fatalf("healthz: status %d, body %+v", resp.StatusCode, hz)
 		}
 		if hz.Instance == "" {
@@ -159,22 +193,20 @@ func TestServeDaemon(t *testing.T) {
 					posted++
 					go func(app string, ti int, label string) {
 						defer wg.Done()
-						body, _ := json.Marshal(serveproto.SessionRequest{
+						status, raw, err := postCells(base, serveproto.SessionRequest{
 							App: app, Task: tasks[ti].ID, Setting: label, Runs: runs,
 						})
-						resp, err := http.Post(base+"/session", "application/json", bytes.NewReader(body))
-						if err != nil {
-							t.Errorf("%s/%s: %v", app, label, err)
+						if err != nil || status != http.StatusOK {
+							t.Errorf("%s/%s: status %d (%v): %s", app, label, status, err, raw)
 							return
 						}
-						defer resp.Body.Close()
-						raw, err := io.ReadAll(resp.Body)
-						if err != nil || resp.StatusCode != http.StatusOK {
-							t.Errorf("%s/%s: status %d (%v): %s", app, label, resp.StatusCode, err, raw)
+						results, err := rawResults(raw)
+						if err != nil || len(results) != 1 || results[0].Status != http.StatusOK {
+							t.Errorf("%s/%s: one-cell envelope answered %s (%v)", app, label, raw, err)
 							return
 						}
 						var got serveproto.RawSessionResponse
-						if err := json.Unmarshal(raw, &got); err != nil {
+						if err := json.Unmarshal(results[0].Response, &got); err != nil {
 							t.Errorf("%s/%s: %v", app, label, err)
 							return
 						}
@@ -206,7 +238,7 @@ func TestServeDaemon(t *testing.T) {
 	})
 
 	t.Run("stats", func(t *testing.T) {
-		resp, err := http.Get(base + "/stats")
+		resp, err := http.Get(base + serveproto.PathStats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,52 +273,55 @@ func TestServeDaemon(t *testing.T) {
 	})
 
 	t.Run("validation", func(t *testing.T) {
-		post := func(body string) *http.Response {
-			t.Helper()
-			resp, err := http.Post(base+"/session", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
+		if resp, err := http.Post(base+serveproto.PathCells, "application/json", strings.NewReader(`{not json`)); err != nil {
+			t.Fatal(err)
+		} else {
 			resp.Body.Close()
-			return resp
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST {not json: status %d, want 400", resp.StatusCode)
+			}
 		}
 		task := tasks[taskIdx["Word"]].ID
 		cases := []struct {
-			body string
+			cell serveproto.SessionRequest
 			want int
 		}{
-			{`{not json`, http.StatusBadRequest},
-			{`{"task":"no-such-task","setting":"GUI+DMI / GPT-5 / Medium"}`, http.StatusNotFound},
-			{fmt.Sprintf(`{"task":%q,"setting":"no-such-setting"}`, task), http.StatusNotFound},
-			{fmt.Sprintf(`{"app":"Excel","task":%q,"setting":"GUI+DMI / GPT-5 / Medium"}`, task), http.StatusBadRequest},
-			{fmt.Sprintf(`{"task":%q,"setting":"GUI+DMI / GPT-5 / Medium","runs":%d}`, task, serveproto.MaxRuns+1), http.StatusBadRequest},
+			{serveproto.SessionRequest{Task: "no-such-task", Setting: "GUI+DMI / GPT-5 / Medium"}, http.StatusNotFound},
+			{serveproto.SessionRequest{Task: task, Setting: "no-such-setting"}, http.StatusNotFound},
+			{serveproto.SessionRequest{App: "Excel", Task: task, Setting: "GUI+DMI / GPT-5 / Medium"}, http.StatusBadRequest},
+			{serveproto.SessionRequest{Task: task, Setting: "GUI+DMI / GPT-5 / Medium", Runs: serveproto.MaxRuns + 1}, http.StatusBadRequest},
 		}
 		for _, c := range cases {
-			if resp := post(c.body); resp.StatusCode != c.want {
-				t.Errorf("POST %s: status %d, want %d", c.body, resp.StatusCode, c.want)
+			status, raw, err := postCells(base, c.cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := rawResults(raw)
+			if status != http.StatusOK || err != nil || len(results) != 1 || results[0].Status != c.want {
+				t.Errorf("cell %+v: envelope status %d, body %s — want 200 with cell status %d", c.cell, status, raw, c.want)
 			}
 		}
-		if resp, err := http.Get(base + "/session"); err != nil {
+		if resp, err := http.Get(base + serveproto.PathCells); err != nil {
 			t.Fatal(err)
 		} else {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusMethodNotAllowed {
-				t.Errorf("GET /session: status %d, want 405", resp.StatusCode)
+				t.Errorf("GET %s: status %d, want 405", serveproto.PathCells, resp.StatusCode)
 			}
 		}
-		if resp, err := http.Post(base+"/stats", "application/json", nil); err != nil {
+		if resp, err := http.Post(base+serveproto.PathStats, "application/json", nil); err != nil {
 			t.Fatal(err)
 		} else {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusMethodNotAllowed {
-				t.Errorf("POST /stats: status %d, want 405", resp.StatusCode)
+				t.Errorf("POST %s: status %d, want 405", serveproto.PathStats, resp.StatusCode)
 			}
 		}
 	})
 
-	// The batch endpoint must be transport-only: a POST /v1/cells carrying
-	// one cell per app yields, cell for cell, the same outcome bytes as the
-	// single-session endpoint and the in-process run.
+	// Batching must be transport-only: a POST /v1/cells carrying one cell
+	// per app yields, cell for cell, the same outcome bytes as one-cell
+	// envelopes and the in-process run.
 	t.Run("v1-batch-byte-identical", func(t *testing.T) {
 		apps := make([]string, 0, len(taskIdx))
 		for _, task := range tasks {
@@ -307,25 +342,12 @@ func TestServeDaemon(t *testing.T) {
 				App: app, Task: tasks[taskIdx[app]].ID, Setting: labels[0], Runs: runs,
 			})
 		}
-		body, _ := json.Marshal(serveproto.BatchRequest{Cells: cells})
-		req, _ := http.NewRequest(http.MethodPost, base+"/v1/cells", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(serveproto.BatchSizeHeader, fmt.Sprint(len(cells)))
-		resp, err := http.DefaultClient.Do(req)
+		status, raw, err := postCells(base, cells...)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("batch: status %d (%v): %s", status, err, raw)
+		}
+		results, err := rawResults(raw)
 		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch: status %d (%v): %s", resp.StatusCode, err, raw)
-		}
-		var br serveproto.RawBatchResponse
-		if err := json.Unmarshal(raw, &br); err != nil {
-			t.Fatal(err)
-		}
-		var results []serveproto.RawBatchCellResult
-		if err := json.Unmarshal(br.Results, &results); err != nil {
 			t.Fatal(err)
 		}
 		if len(results) != len(cells) {
@@ -359,7 +381,7 @@ func TestServeDaemon(t *testing.T) {
 		}
 	})
 
-	// Graceful shutdown: cancel runCtx while a session is verifiably in
+	// Graceful shutdown: cancel runCtx while a cell is verifiably in
 	// flight; the daemon must drain it (the POST completes with 200) and
 	// then return nil — the clean-stop contract the coordinator's failure
 	// handling relies on.
@@ -372,23 +394,24 @@ func TestServeDaemon(t *testing.T) {
 		}
 		resc := make(chan result, 1)
 		go func() {
-			body, _ := json.Marshal(serveproto.SessionRequest{
+			status, raw, err := postCells(base, serveproto.SessionRequest{
 				Task: task, Setting: "GUI+DMI / GPT-5 / Medium", Runs: serveproto.MaxRuns,
 			})
-			resp, err := http.Post(base+"/session", "application/json", bytes.NewReader(body))
 			if err != nil {
 				resc <- result{err: err}
 				return
 			}
-			defer resp.Body.Close()
-			var sr serveproto.SessionResponse
-			derr := json.NewDecoder(resp.Body).Decode(&sr)
-			resc <- result{status: resp.StatusCode, got: len(sr.Outcomes), err: derr}
+			var br serveproto.BatchResponse
+			if err := json.Unmarshal(raw, &br); err != nil || len(br.Results) != 1 || br.Results[0].Response == nil {
+				resc <- result{status: status, err: fmt.Errorf("envelope answered %s (%v)", raw, err)}
+				return
+			}
+			resc <- result{status: br.Results[0].Status, got: len(br.Results[0].Response.Outcomes)}
 		}()
-		// Wait until /stats reports the session in flight, so the cancel
+		// Wait until /v1/stats reports the cell in flight, so the cancel
 		// below races nothing.
 		for deadline := time.Now().Add(time.Minute); ; {
-			resp, err := http.Get(base + "/stats")
+			resp, err := http.Get(base + serveproto.PathStats)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -401,7 +424,7 @@ func TestServeDaemon(t *testing.T) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatal("session never showed up in flight")
+				t.Fatal("cell never showed up in flight")
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -416,7 +439,7 @@ func TestServeDaemon(t *testing.T) {
 		}
 		res := <-resc
 		if res.err != nil || res.status != http.StatusOK || res.got != serveproto.MaxRuns {
-			t.Fatalf("in-flight session was not drained: status %d, %d outcomes, err %v",
+			t.Fatalf("in-flight cell was not drained: status %d, %d outcomes, err %v",
 				res.status, res.got, res.err)
 		}
 		if out := stderr.String(); !strings.Contains(out, "draining") || !strings.Contains(out, "drained, exiting") {
@@ -425,35 +448,36 @@ func TestServeDaemon(t *testing.T) {
 	})
 }
 
-// TestOversizeBodyIs413 pins the request-body cap: a payload over
-// serveproto.MaxRequestBytes is refused with 413, while an ordinary
-// malformed body stays a 400. Driven against a bare (unprewarmed) server —
-// both paths reject before any model is touched.
+// TestOversizeBodyIs413 pins the request-body cap of a one-cell envelope:
+// a payload over serveproto.MaxRequestBytes declared as one cell is refused
+// with 413, while an ordinary malformed body stays a 400. Driven against a
+// bare (unprewarmed) server — both paths reject before any model is
+// touched.
 func TestOversizeBodyIs413(t *testing.T) {
 	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, serveproto.PathCells, strings.NewReader(body))
+		req.Header.Set(serveproto.BatchSizeHeader, "1")
+		s.ServeHTTP(rec, req)
+		return rec.Code
+	}
 
 	// A syntactically valid prefix, so the decoder keeps reading until the
 	// byte cap trips rather than bailing on the first malformed character.
-	big := `{"app":"` + strings.Repeat("x", serveproto.MaxRequestBytes) + `"}`
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/session", strings.NewReader(big)))
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversize body: status %d, want 413; body: %s", rec.Code, rec.Body.String())
+	big := `{"cells":[{"app":"` + strings.Repeat("x", serveproto.MaxRequestBytes) + `"}]}`
+	if code := post(big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body: status %d, want 413", code)
 	}
-
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/session", strings.NewReader("{not json")))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d, want 400", rec.Code)
+	if code := post("{not json"); code != http.StatusBadRequest {
+		t.Errorf("malformed body: status %d, want 400", code)
 	}
 }
 
-// TestRouteSets pins both route generations: every endpoint answers under
-// /v1/ and (except the v1-only batch route) under its pre-v1 unversioned
-// alias, with both sets backed by the same handlers — probed with
-// wrong-method requests, which prove the route is wired without paying for
-// a session. Dropping an alias before its deprecation release, or wiring an
-// alias to a different handler, fails here.
+// TestRouteSets pins the route set: every v1 endpoint is wired (probed
+// with wrong-method requests, which prove the route exists without paying
+// for a session), and the retired single-cell route and unversioned
+// aliases are gone — a 404, like any unknown path.
 func TestRouteSets(t *testing.T) {
 	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
 	probe := func(method, path string) int {
@@ -463,33 +487,40 @@ func TestRouteSets(t *testing.T) {
 	}
 
 	// Wrong method on a wired route is 405; an unwired route is 404.
-	for _, path := range []string{"/v1/session", "/session", "/v1/cells"} {
+	for _, path := range []string{serveproto.PathCells, serveproto.PathRip} {
 		if code := probe(http.MethodGet, path); code != http.StatusMethodNotAllowed {
 			t.Errorf("GET %s: status %d, want 405", path, code)
 		}
 	}
-	for _, path := range []string{"/v1/stats", "/stats", "/v1/healthz", "/healthz"} {
+	for _, path := range []string{serveproto.PathStats, serveproto.PathHealthz} {
 		if code := probe(http.MethodPost, path); code != http.StatusMethodNotAllowed {
 			t.Errorf("POST %s: status %d, want 405", path, code)
 		}
 	}
-	// The batch endpoint never existed unversioned — no alias to keep.
-	if code := probe(http.MethodPost, "/cells"); code != http.StatusNotFound {
-		t.Errorf("POST /cells: status %d, want 404 (batch is v1-only)", code)
+	// No route has an unversioned alias, and the retired single-cell
+	// route answers under neither name.
+	retired := []string{"/v1/session"}
+	for _, path := range []string{serveproto.PathCells, serveproto.PathRip, serveproto.PathStats, serveproto.PathHealthz, retired[0]} {
+		retired = append(retired, strings.TrimPrefix(path, "/v1"))
+	}
+	for _, path := range retired {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			if code := probe(method, path); code != http.StatusNotFound {
+				t.Errorf("%s %s: status %d, want 404", method, path, code)
+			}
+		}
 	}
 
-	// Both healthz routes serve the same readiness body, now carrying the
-	// protocol generation.
-	for _, path := range []string{"/v1/healthz", "/healthz"} {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		var hz serveproto.Health
-		if err := json.Unmarshal(rec.Body.Bytes(), &hz); err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		if rec.Code != http.StatusOK || !hz.OK || hz.Proto != serveproto.ProtoV1 {
-			t.Errorf("GET %s: status %d, body %+v — want 200 with proto %d", path, rec.Code, hz, serveproto.ProtoV1)
-		}
+	// The health route serves the readiness body with the protocol
+	// generation.
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, serveproto.PathHealthz, nil))
+	var hz serveproto.Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &hz); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || !hz.OK || hz.Proto != serveproto.ProtoV1 {
+		t.Errorf("GET %s: status %d, body %+v — want 200 with proto %d", serveproto.PathHealthz, rec.Code, hz, serveproto.ProtoV1)
 	}
 }
 
@@ -519,7 +550,7 @@ func TestBatchBodyCapScalesWithDeclaredSize(t *testing.T) {
 	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
 	post := func(body []byte, declare string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/v1/cells", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, serveproto.PathCells, bytes.NewReader(body))
 		if declare != "" {
 			req.Header.Set(serveproto.BatchSizeHeader, declare)
 		}
@@ -566,7 +597,7 @@ func TestBatchValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
-		hr := httptest.NewRequest(http.MethodPost, "/v1/cells", bytes.NewReader(body))
+		hr := httptest.NewRequest(http.MethodPost, serveproto.PathCells, bytes.NewReader(body))
 		hr.Header.Set(serveproto.BatchSizeHeader, fmt.Sprint(len(req.Cells)))
 		s.ServeHTTP(rec, hr)
 		return rec
@@ -580,8 +611,8 @@ func TestBatchValidation(t *testing.T) {
 		t.Errorf("batch over the %d-cell cap: status %d, want 400", serveproto.MaxBatchCells, rec.Code)
 	}
 
-	// A batch-level pack mismatch rejects the whole call with the same 409
-	// body as a single session.
+	// A batch-level pack mismatch rejects the whole call with a 409
+	// PackMismatch body (TestPackMismatchIs409 pins its fields).
 	rec := post(serveproto.BatchRequest{Pack: "custom", Cells: []serveproto.SessionRequest{{Task: "word-replace", Setting: "D-M"}}})
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("batch pack mismatch: status %d, want 409", rec.Code)
@@ -623,37 +654,41 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestPackMismatchIs409 pins the pack handshake: a session request naming a
-// different pack (or the right pack at a different hash) is refused with 409
-// and a PackMismatch body carrying both identities, before any model work.
-// Requests that skip the handshake (empty pack fields) are unaffected.
+// TestPackMismatchIs409 pins the pack handshake: an envelope naming a
+// different pack (or the right pack at a different hash) is refused with
+// 409 and a PackMismatch body carrying both identities, before any model
+// work. Envelopes that skip the handshake (empty pack fields) are
+// unaffected.
 func TestPackMismatchIs409(t *testing.T) {
 	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
 
-	post := func(req serveproto.SessionRequest) *httptest.ResponseRecorder {
-		body, err := json.Marshal(req)
+	post := func(pack, hash string) *httptest.ResponseRecorder {
+		body, err := json.Marshal(serveproto.BatchRequest{
+			Pack: pack, PackHash: hash,
+			Cells: []serveproto.SessionRequest{{Task: "word-replace", Setting: "D-M", Runs: 1}},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/session", bytes.NewReader(body)))
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, serveproto.PathCells, bytes.NewReader(body)))
 		return rec
 	}
 
-	for _, req := range []serveproto.SessionRequest{
-		{Task: "word-replace", Setting: "D-M", Runs: 1, Pack: "custom", PackHash: taskpack.Builtin().Hash()},
-		{Task: "word-replace", Setting: "D-M", Runs: 1, Pack: taskpack.BuiltinName, PackHash: "deadbeef"},
+	for _, id := range [][2]string{
+		{"custom", taskpack.Builtin().Hash()},
+		{taskpack.BuiltinName, "deadbeef"},
 	} {
-		rec := post(req)
+		rec := post(id[0], id[1])
 		if rec.Code != http.StatusConflict {
 			t.Fatalf("pack %q hash %q: status %d, want 409; body: %s",
-				req.Pack, req.PackHash, rec.Code, rec.Body.String())
+				id[0], id[1], rec.Code, rec.Body.String())
 		}
 		var mm serveproto.PackMismatch
 		if err := json.Unmarshal(rec.Body.Bytes(), &mm); err != nil {
 			t.Fatalf("409 body is not a PackMismatch: %v\n%s", err, rec.Body.String())
 		}
-		if mm.WantPack != req.Pack || mm.WantHash != req.PackHash {
+		if mm.WantPack != id[0] || mm.WantHash != id[1] {
 			t.Errorf("want side not echoed: %+v", mm)
 		}
 		if mm.HavePack != taskpack.BuiltinName || mm.HaveHash != taskpack.Builtin().Hash() {
@@ -661,14 +696,10 @@ func TestPackMismatchIs409(t *testing.T) {
 		}
 	}
 
-	// A matching handshake must pass the gate (and then fail later on the
-	// bare server's empty model store — anything but 409 proves the gate
-	// let it through).
-	rec := post(serveproto.SessionRequest{
-		Task: "word-replace", Setting: "D-M", Runs: 1,
-		Pack: taskpack.BuiltinName, PackHash: taskpack.Builtin().Hash(),
-	})
-	if rec.Code == http.StatusConflict {
+	// A matching handshake must pass the gate (the unknown setting then
+	// fails the cell inside a 200 envelope — anything but 409 proves the
+	// gate let it through).
+	if rec := post(taskpack.BuiltinName, taskpack.Builtin().Hash()); rec.Code == http.StatusConflict {
 		t.Errorf("matching pack handshake was refused: %s", rec.Body.String())
 	}
 }

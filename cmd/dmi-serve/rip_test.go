@@ -28,7 +28,7 @@ func postRip(t *testing.T, s *server, req serveproto.RipRequest) *httptest.Respo
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	hr := httptest.NewRequest(http.MethodPost, "/v1/rip", bytes.NewReader(body))
+	hr := httptest.NewRequest(http.MethodPost, serveproto.PathRip, bytes.NewReader(body))
 	hr.Header.Set(serveproto.RipBatchHeader, fmt.Sprint(len(req.Frames)))
 	s.ServeHTTP(rec, hr)
 	return rec
@@ -41,7 +41,7 @@ func TestRipValidation(t *testing.T) {
 	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
 
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/rip", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, serveproto.PathRip, nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/rip: status %d, want 405", rec.Code)
 	}
@@ -57,12 +57,12 @@ func TestRipValidation(t *testing.T) {
 	pad := strings.Repeat("x", serveproto.MaxRequestBytes)
 	big := []byte(`{"app":"Word","frames":[{"id":"` + pad + `"}]}`)
 	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/rip", bytes.NewReader(big)))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, serveproto.PathRip, bytes.NewReader(big)))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("undeclared oversize rip body: status %d, want 413", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	hr := httptest.NewRequest(http.MethodPost, "/v1/rip", bytes.NewReader(big))
+	hr := httptest.NewRequest(http.MethodPost, serveproto.PathRip, bytes.NewReader(big))
 	hr.Header.Set(serveproto.RipBatchHeader, "2")
 	s.ServeHTTP(rec, hr)
 	if rec.Code == http.StatusRequestEntityTooLarge {
@@ -70,7 +70,7 @@ func TestRipValidation(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/rip", strings.NewReader("{not json")))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, serveproto.PathRip, strings.NewReader("{not json")))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("malformed rip body: status %d, want 400", rec.Code)
 	}
@@ -180,7 +180,7 @@ func TestRipMatchesLocalExpand(t *testing.T) {
 
 	// The replica counted its expansion ledger.
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, serveproto.PathStats, nil))
 	var st serveproto.StatsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func (p *failingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "killed", http.StatusInternalServerError)
 		return
 	}
-	if r.URL.Path == "/v1/rip" && r.Method == http.MethodPost {
+	if r.URL.Path == serveproto.PathRip && r.Method == http.MethodPost {
 		p.envelopes.Add(1)
 	}
 	p.inner.ServeHTTP(w, r)

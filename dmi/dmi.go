@@ -38,6 +38,7 @@ import (
 	"repro/internal/office/excel"
 	"repro/internal/office/slides"
 	"repro/internal/office/word"
+	"repro/internal/taskpack"
 	"repro/internal/uia"
 	"repro/internal/ung"
 )
@@ -266,7 +267,7 @@ func NewSession(app *App, model *TopologyModel, opt ExecOptions) *Session {
 type Dispatcher = bench.Dispatcher
 
 // GridCell is one serializable (setting, task, runs) job unit of the
-// evaluation grid — the body of a dmi-serve POST /session.
+// evaluation grid — one entry of a dmi-serve POST /v1/cells envelope.
 type GridCell = bench.Cell
 
 // AgentOutcome is the result of one task run — what a Dispatcher returns
@@ -280,7 +281,7 @@ type BenchReport = bench.Report
 // RemoteDispatcher shards cells across dmi-serve replicas with per-replica
 // in-flight caps, failure detection, re-dispatch of failed cells,
 // half-open recovery probing (a down-marked replica returns to rotation
-// once its /healthz answers ready again), and elastic membership
+// once its /v1/healthz answers ready again), and elastic membership
 // (AddReplica/RemoveReplica adjust the fleet mid-run). Call Close when
 // retiring a dispatcher to stop its background probers.
 type RemoteDispatcher = bench.RemoteDispatcher
@@ -297,7 +298,7 @@ func NewRemoteDispatcher(replicas []string, opt RemoteOptions) (*RemoteDispatche
 
 // EvalGridCells enumerates the full evaluation grid in the canonical grid
 // order every dispatcher-backed run aggregates in.
-func EvalGridCells(runs int) []GridCell { return bench.GridCells(runs) }
+func EvalGridCells(runs int) []GridCell { return bench.GridCellsIn(taskpack.Builtin(), runs) }
 
 // RunDistributed executes the full evaluation grid through a dispatcher
 // with up to `concurrency` cells in flight, aggregating outcomes in grid
@@ -305,7 +306,7 @@ func EvalGridCells(runs int) []GridCell { return bench.GridCells(runs) }
 // whenever the dispatcher honors the cell contract. This is the
 // programmatic form of the dmi-coord CLI.
 func RunDistributed(ctx context.Context, d Dispatcher, runs, concurrency int) (*BenchReport, error) {
-	return bench.RunDispatched(ctx, d, runs, concurrency)
+	return bench.RunDispatchedIn(ctx, taskpack.Builtin(), d, runs, concurrency)
 }
 
 // RunDistributedStreaming executes the full evaluation grid as a work
@@ -315,7 +316,7 @@ func RunDistributed(ctx context.Context, d Dispatcher, runs, concurrency int) (*
 // recoveries, joins, and leaves. The report stays byte-identical to
 // RunDistributed and the in-process evaluation.
 func RunDistributedStreaming(ctx context.Context, d Dispatcher, runs int) (*BenchReport, error) {
-	return bench.RunStreamed(ctx, d, runs)
+	return bench.RunStreamedIn(ctx, taskpack.Builtin(), d, runs)
 }
 
 // Access builds a control-access command.

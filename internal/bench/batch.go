@@ -1,29 +1,15 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/agent"
 	"repro/internal/serveproto"
-)
-
-// Wire protocol generations a replica can speak, cached per replica after
-// one /healthz detection (Health.Proto). protoUnknown means no detection has
-// run yet; protoLegacy is a pre-versioning replica that answers only the
-// unversioned routes and therefore cannot take batched dispatches.
-const (
-	protoUnknown = 0
-	protoV1      = serveproto.ProtoV1
-	protoLegacy  = -1
 )
 
 // batchLinger is how long the collector holds an underfull batch open for
@@ -63,8 +49,8 @@ func (d *RemoteDispatcher) collect() {
 		select {
 		case <-d.done:
 			// Close raced an enqueue: give stragglers a grace window, then
-			// stop. Anything drained here re-dispatches through the
-			// single-session path, so no caller is left waiting.
+			// stop. Anything drained here re-dispatches as one-cell
+			// envelopes, so no caller is left waiting.
 			for {
 				select {
 				case it := <-d.batchQ:
@@ -93,11 +79,11 @@ func (d *RemoteDispatcher) collect() {
 	}
 }
 
-// runBatch makes exactly one batched attempt — one POST /v1/cells against
-// one picked replica, holding one of its in-flight slots — and falls back to
-// the single-session path for anything the attempt cannot settle: no live
-// replica, a legacy replica, a failed envelope, or individual cells the
-// replica answered 5xx. The fallback is what keeps batching a pure transport
+// runBatch makes exactly one batched attempt — one multi-cell envelope
+// against one acquired replica, holding one of its in-flight slots — and
+// falls back to one-cell envelopes for anything the attempt cannot settle:
+// no live replica, a failed envelope, or individual cells the replica
+// failed. The fallback is what keeps batching a pure transport
 // optimization: every failure mode degrades to the exact retry/failover
 // semantics dispatchSingle already has, so a batched run can never lose a
 // cell a sequential run would have completed.
@@ -107,29 +93,18 @@ func (d *RemoteDispatcher) collect() {
 // dispatchSingle — so Retries() still equals the sum of per-replica Failures
 // at quiescence, batched or not.
 func (d *RemoteDispatcher) runBatch(items []*batchItem) {
-	rep := d.pick(nil)
-	if rep == nil || d.protoFor(rep) != protoV1 {
+	rep, _ := d.acquire(items[0].ctx, nil)
+	if rep == nil {
+		// No live replica, or the first caller gave up waiting for a slot:
+		// dispatchSingle settles each item (cancelled callers instantly).
 		d.fallback(items)
 		return
 	}
-	select {
-	case rep.slot <- struct{}{}:
-	case <-items[0].ctx.Done():
-		d.fallback(items) // cancelled callers resolve instantly in dispatchSingle
-		return
+	cells := make([]Cell, len(items))
+	for i, it := range items {
+		cells[i] = it.cell
 	}
-	rep.mu.Lock()
-	skip := rep.down || rep.removed
-	if skip {
-		rep.skips++
-	}
-	rep.mu.Unlock()
-	if skip {
-		<-rep.slot
-		d.fallback(items)
-		return
-	}
-	results, err := d.postBatch(items[0].ctx, rep, items)
+	results, err := d.postBatch(items[0].ctx, rep, cells)
 	<-rep.slot
 	if err != nil {
 		d.settleBatchError(rep, items, err)
@@ -137,88 +112,83 @@ func (d *RemoteDispatcher) runBatch(items []*batchItem) {
 	}
 	var redo []*batchItem
 	for i, it := range items {
-		res := results[i]
-		switch {
-		case res.Status == http.StatusOK:
-			sr := res.Response
-			if sr == nil || sr.Task != it.cell.Task || sr.Setting != it.cell.Setting || len(sr.Outcomes) != it.cell.Runs {
-				// A malformed per-cell answer is the replica's fault, exactly
-				// like a malformed single-session response.
-				d.markDown(rep, batchCellEchoError(it.cell, sr))
-				d.countRetries(1)
-				redo = append(redo, it)
-				continue
-			}
-			rep.mu.Lock()
-			rep.cells++
-			rep.mu.Unlock()
-			it.deliver(sr.Outcomes, nil)
-		case res.Status == http.StatusConflict:
-			// A per-cell 409 cannot happen from this client (the pack
-			// handshake is request-level and rejects the whole envelope), so
-			// if one arrives the replica is making a judgment this client
-			// never asked for — surface it as the cell's final error.
-			it.deliver(nil, fmt.Errorf("replica %s rejected batch cell: status 409: %s", rep.base, res.Error))
-		case res.Status >= 400 && res.Status < 500:
-			// The cell's own fault; every replica would reject it identically.
-			it.deliver(nil, &requestError{msg: fmt.Sprintf("status %d: %s", res.Status, strings.TrimSpace(res.Error))})
-		default:
-			// 5xx (or a nonsensical status): this cell failed on this
-			// replica; its batch-mates are unaffected.
-			d.markDown(rep, fmt.Errorf("batch cell status %d: %s", res.Status, res.Error))
+		outcomes, err := settleCell(rep, it.cell, results[i])
+		if err != nil && !isFinal(err) {
+			// This cell failed on this replica; its batch-mates are
+			// unaffected.
+			d.markDown(rep, err)
 			d.countRetries(1)
 			redo = append(redo, it)
+			continue
 		}
+		it.deliver(outcomes, err)
 	}
 	d.fallback(redo)
 }
 
-func batchCellEchoError(cell Cell, sr *serveproto.SessionResponse) error {
-	if sr == nil {
-		return errors.New("batch cell answered 200 with no response body")
+// settleCell turns one cell's result from a /v1/cells envelope into the
+// dispatch verdict — the per-cell triage the one-cell path and multi-cell
+// batches share. A 200 whose response echoes the cell is a success, counted
+// on the replica. Any 4xx, 409 included, is the cell's own fault and comes
+// back as a final *requestError: every replica would answer it the same way
+// (the pack handshake is envelope-level, so a per-cell 409 is a judgment
+// this client never asked for). Anything else — a 5xx, a nonsensical
+// status, a 200 that does not echo the cell — is the replica's fault, a
+// plain error the caller answers with a down-mark and a re-dispatch.
+func settleCell(rep *replica, cell Cell, res serveproto.BatchCellResult) ([]agent.Outcome, error) {
+	switch {
+	case res.Status == http.StatusOK:
+		sr := res.Response
+		if sr == nil {
+			return nil, errors.New("cell answered 200 with no response body")
+		}
+		if sr.Task != cell.Task || sr.Setting != cell.Setting || len(sr.Outcomes) != cell.Runs {
+			return nil, fmt.Errorf("response echoes (%q,%q,%d outcomes), want (%q,%q,%d)",
+				sr.Task, sr.Setting, len(sr.Outcomes), cell.Task, cell.Setting, cell.Runs)
+		}
+		rep.mu.Lock()
+		rep.cells++
+		rep.mu.Unlock()
+		return sr.Outcomes, nil
+	case res.Status >= 400 && res.Status < 500:
+		return nil, &requestError{msg: fmt.Sprintf("status %d: %s", res.Status, strings.TrimSpace(res.Error))}
+	default:
+		return nil, fmt.Errorf("cell status %d: %s", res.Status, res.Error)
 	}
-	return fmt.Errorf("batch cell echoes (%q,%q,%d outcomes), want (%q,%q,%d)",
-		sr.Task, sr.Setting, len(sr.Outcomes), cell.Task, cell.Setting, cell.Runs)
 }
 
-// settleBatchError triages a failed batch envelope the way Dispatch triages
-// a failed single post: cancellation and pack mismatch are not the replica's
-// fault; a request-level 4xx means the batch surface itself misbehaved (a
-// replica swapped to a pre-batch binary between detection and post), so the
-// cached proto is dropped for re-detection; everything else is one failed
-// attempt on the replica.
+// settleBatchError triages a failed multi-cell envelope the way
+// dispatchSingle triages a failed one-cell one, with one difference: a
+// request-level 4xx is not final for the cells. The replica refused the
+// envelope as a whole, so each cell retries as its own one-cell envelope,
+// where a 4xx is final. Cancellation is not the replica's fault and a pack
+// mismatch is fatal for every cell; anything else is one failed attempt on
+// the replica.
 func (d *RemoteDispatcher) settleBatchError(rep *replica, items []*batchItem, err error) {
-	if items[0].ctx.Err() != nil {
-		d.fallback(items)
-		return
-	}
 	var mismatch *PackMismatchError
-	if errors.As(err, &mismatch) {
-		// Fatal for every cell, exactly like the single path: the operator
-		// must restart one side, re-dispatching cannot help.
+	var bad *requestError
+	switch {
+	case items[0].ctx.Err() != nil:
+	case errors.As(err, &mismatch):
+		// The operator must restart one side; re-dispatching cannot help.
 		for _, it := range items {
 			it.deliver(nil, err)
 		}
 		return
+	case errors.As(err, &bad):
+		d.logf("replica %s rejected a %d-cell envelope (%v); re-sending its cells one per envelope",
+			rep.base, len(items), err)
+	default:
+		d.markDown(rep, err)
+		d.countRetries(1)
 	}
-	var bad *requestError
-	if errors.As(err, &bad) {
-		rep.mu.Lock()
-		rep.proto = protoUnknown
-		rep.mu.Unlock()
-		d.logf("replica %s rejected a batch envelope (%v); re-detecting its protocol", rep.base, err)
-		d.fallback(items)
-		return
-	}
-	d.markDown(rep, err)
-	d.countRetries(1)
 	d.fallback(items)
 }
 
-// fallback re-dispatches items one cell at a time through the single-session
-// path, each on its own goroutine so one slow cell does not serialize its
-// former batch-mates. dispatchSingle carries its own retry/failover loop and
-// its own accounting, so a fallen-back cell is indistinguishable from one
+// fallback re-dispatches items as one-cell envelopes, each on its own
+// goroutine so one slow cell does not serialize its former batch-mates.
+// dispatchSingle carries its own retry/failover loop and its own
+// accounting, so a fallen-back cell is indistinguishable from one
 // dispatched without batching.
 func (d *RemoteDispatcher) fallback(items []*batchItem) {
 	for _, it := range items {
@@ -228,96 +198,22 @@ func (d *RemoteDispatcher) fallback(items []*batchItem) {
 	}
 }
 
-// protoFor returns the wire generation a replica speaks, detecting it with
-// one /healthz round trip on first use and caching the verdict. Detection
-// failures are not cached (a blip must not pin a v1 replica on the slow
-// path for the dispatcher's lifetime) and read as legacy for the attempt in
-// hand. A legacy verdict logs a deprecation note once — the unversioned
-// routes are a one-release compatibility alias.
-func (d *RemoteDispatcher) protoFor(rep *replica) int {
-	rep.mu.Lock()
-	p := rep.proto
-	rep.mu.Unlock()
-	if p != protoUnknown {
-		return p
-	}
-	hz, err := d.probeHealthz(rep.base)
-	if err != nil {
-		return protoLegacy
-	}
-	p = protoLegacy
-	if hz.Proto >= serveproto.ProtoV1 {
-		p = protoV1
-	}
-	rep.mu.Lock()
-	rep.proto = p
-	rep.mu.Unlock()
-	if p == protoLegacy {
-		d.logf("replica %s answers only the deprecated legacy routes (no proto in /healthz); "+
-			"its cells will not batch — upgrade it to the /v1 surface", rep.base)
-	}
-	return p
-}
-
-func (d *RemoteDispatcher) countRetries(n int) {
-	d.mu.Lock()
-	d.retries += n
-	d.mu.Unlock()
-}
-
-// postBatch runs one POST /v1/cells round trip: the items' cells in request
-// order under the run's request-level pack handshake, the declared cell
-// count in the size header so the replica can bound its body reader before
-// reading a byte. The envelope-level 409 triage mirrors post()'s — only a
-// well-formed PackMismatch is the replica's considered verdict.
-func (d *RemoteDispatcher) postBatch(ctx context.Context, rep *replica, items []*batchItem) ([]serveproto.BatchCellResult, error) {
-	cells := make([]serveproto.SessionRequest, len(items))
-	for i, it := range items {
-		cells[i] = serveproto.SessionRequest{
-			App: it.cell.App, Task: it.cell.Task, Setting: it.cell.Setting, Runs: it.cell.Runs,
-		}
-	}
-	body, err := json.Marshal(serveproto.BatchRequest{Pack: d.pack, PackHash: d.packHash, Cells: cells})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+"/v1/cells", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(serveproto.BatchSizeHeader, strconv.Itoa(len(cells)))
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		var pm serveproto.PackMismatch
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1024)).Decode(&pm); err == nil &&
-			(pm.HavePack != "" || pm.HaveHash != "") {
-			return nil, &PackMismatchError{
-				Replica:  rep.base,
-				WantPack: pm.WantPack, WantHash: pm.WantHash,
-				HavePack: pm.HavePack, HaveHash: pm.HaveHash,
-			}
-		}
-		return nil, errors.New("status 409 with malformed pack-mismatch body")
-	}
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		msg := fmt.Sprintf("batch status %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return nil, &requestError{msg: msg}
-		}
-		return nil, errors.New(msg)
+// postBatch runs one POST /v1/cells round trip: the cells in request order
+// under the run's request-level pack handshake, the cell count declared in
+// the size header (a one-cell envelope therefore gets the single-cell body
+// cap, BatchRequestBytes(1) == MaxRequestBytes). The envelope is answered
+// with exactly one result per cell or it is the replica's failure.
+func (d *RemoteDispatcher) postBatch(ctx context.Context, rep *replica, cells []Cell) ([]serveproto.BatchCellResult, error) {
+	req := serveproto.BatchRequest{Pack: d.pack, PackHash: d.packHash, Cells: make([]serveproto.SessionRequest, len(cells))}
+	for i, c := range cells {
+		req.Cells[i] = serveproto.SessionRequest{App: c.App, Task: c.Task, Setting: c.Setting, Runs: c.Runs}
 	}
 	var br serveproto.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return nil, fmt.Errorf("malformed batch response: %w", err)
+	if err := d.postEnvelope(ctx, rep, serveproto.PathCells, serveproto.BatchSizeHeader, len(cells), req, &br); err != nil {
+		return nil, err
 	}
 	if len(br.Results) != len(cells) {
-		return nil, fmt.Errorf("batch answered %d results for %d cells", len(br.Results), len(cells))
+		return nil, fmt.Errorf("envelope answered %d results for %d cells", len(br.Results), len(cells))
 	}
 	return br.Results, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/osworld"
+	"repro/internal/taskpack"
 )
 
 // batchedDispatcher builds a RemoteDispatcher with coalescing enabled and a
@@ -37,22 +37,22 @@ func TestRemoteDispatcherBatchEquivalence(t *testing.T) {
 		t.Skip("full-matrix evaluation over HTTP")
 	}
 	models, rep := sharedReport(t)
-	a := &testReplica{models: models, failAfter: -1, v1: true}
-	b := &testReplica{models: models, failAfter: -1, v1: true}
+	a := &testReplica{models: models, failAfter: -1}
+	b := &testReplica{models: models, failAfter: -1}
 	rd := batchedDispatcher(t, startReplicas(t, a, b), RemoteOptions{InFlight: 4, Batch: 8}, batchLinger)
-	got, err := RunDispatched(context.Background(), rd, 3, 8)
+	got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if renderAll(models, got) != renderAll(models, rep) {
 		t.Fatal("batched remote report differs from sequential in-process run")
 	}
-	cells := int64(len(GridCells(3)))
+	cells := int64(len(GridCellsIn(taskpack.Builtin(), 3)))
 	if served := a.served.Load() + b.served.Load(); served != cells {
 		t.Errorf("replicas served %d cells, want %d", served, cells)
 	}
 	if viaBatch := a.batchCells.Load() + b.batchCells.Load(); viaBatch != cells {
-		t.Errorf("%d of %d cells travelled the batch surface; the rest leaked to /session", viaBatch, cells)
+		t.Errorf("%d of %d cells were delivered, want all", viaBatch, cells)
 	}
 	if a.batchCalls.Load() == 0 || b.batchCalls.Load() == 0 {
 		t.Errorf("batch sharding is lopsided: %d vs %d envelopes", a.batchCalls.Load(), b.batchCalls.Load())
@@ -60,6 +60,7 @@ func TestRemoteDispatcherBatchEquivalence(t *testing.T) {
 	if rd.Retries() != 0 {
 		t.Errorf("healthy batched replicas produced %d retries", rd.Retries())
 	}
+	checkRetryLedger(t, rd)
 }
 
 // TestRemoteDispatcherBatchCoalesces pins the transport amortization itself:
@@ -70,7 +71,7 @@ func TestRemoteDispatcherBatchCoalesces(t *testing.T) {
 		t.Skip("starts HTTP servers")
 	}
 	models, _ := sharedReport(t)
-	tr := &testReplica{models: models, failAfter: -1, v1: true}
+	tr := &testReplica{models: models, failAfter: -1}
 	rd := batchedDispatcher(t, startReplicas(t, tr), RemoteOptions{Batch: 4}, 2*time.Second)
 	settings, tasks := Matrix(), osworld.All()
 	cells := []Cell{
@@ -116,10 +117,10 @@ func TestRemoteDispatcherBatchFailover(t *testing.T) {
 		t.Skip("full-matrix evaluation over HTTP")
 	}
 	models, rep := sharedReport(t)
-	flaky := &testReplica{models: models, failAfter: 10, v1: true}
-	healthy := &testReplica{models: models, failAfter: -1, v1: true}
+	flaky := &testReplica{models: models, failAfter: 10}
+	healthy := &testReplica{models: models, failAfter: -1}
 	rd := batchedDispatcher(t, startReplicas(t, flaky, healthy), RemoteOptions{InFlight: 4, Batch: 4}, batchLinger)
-	got, err := RunDispatched(context.Background(), rd, 3, 8)
+	got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
 	if err != nil {
 		t.Fatalf("batched failover should absorb the replica failure: %v", err)
 	}
@@ -129,18 +130,12 @@ func TestRemoteDispatcherBatchFailover(t *testing.T) {
 	if rd.Retries() < 1 {
 		t.Error("the failed batch was never counted as a re-dispatch")
 	}
-	sum := 0
-	for _, st := range rd.Stats() {
-		sum += st.Failures
-	}
-	if rd.Retries() != sum {
-		t.Errorf("Retries() = %d, but per-replica failures sum to %d", rd.Retries(), sum)
-	}
+	checkRetryLedger(t, rd)
 	if stats := rd.Stats(); !stats[0].Down || stats[1].Down {
 		t.Errorf("down-marks landed on the wrong replica: %+v", stats)
 	}
-	if total := flaky.served.Load() + healthy.served.Load(); total != int64(len(GridCells(3))) {
-		t.Errorf("replicas served %d cells, want %d", total, len(GridCells(3)))
+	if total := flaky.served.Load() + healthy.served.Load(); total != int64(len(GridCellsIn(taskpack.Builtin(), 3))) {
+		t.Errorf("replicas served %d cells, want %d", total, len(GridCellsIn(taskpack.Builtin(), 3)))
 	}
 }
 
@@ -154,7 +149,7 @@ func TestRemoteDispatcherBatchBadCellIsFinal(t *testing.T) {
 		t.Skip("starts HTTP servers")
 	}
 	models, _ := sharedReport(t)
-	tr := &testReplica{models: models, failAfter: -1, v1: true}
+	tr := &testReplica{models: models, failAfter: -1}
 	rd := batchedDispatcher(t, startReplicas(t, tr), RemoteOptions{Batch: 4}, 2*time.Second)
 	settings, tasks := Matrix(), osworld.All()
 	cells := []Cell{
@@ -187,33 +182,24 @@ func TestRemoteDispatcherBatchBadCellIsFinal(t *testing.T) {
 	if rd.Retries() != 0 {
 		t.Errorf("a bad cell must not retry, got %d retries", rd.Retries())
 	}
+	checkRetryLedger(t, rd)
 }
 
-// TestRemoteDispatcherBatchLegacyFallback: a replica that predates the /v1
-// surface takes batched dispatches through the single-session fallback —
-// the run succeeds, no envelope ever reaches the replica, and the
-// deprecation note names it exactly once.
-func TestRemoteDispatcherBatchLegacyFallback(t *testing.T) {
+// TestRemoteDispatcherBatchEnvelopeRefusedFallsBack: a replica that
+// refuses a multi-cell envelope as a whole (a request-level 4xx) is not
+// judging the cells, so each one is re-sent as its own one-cell envelope —
+// the run succeeds, the replica stays up, and nothing counts as a retry.
+func TestRemoteDispatcherBatchEnvelopeRefusedFallsBack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts HTTP servers")
 	}
 	models, _ := sharedReport(t)
-	tr := &testReplica{models: models, failAfter: -1} // legacy: no v1
-	urls := startReplicas(t, tr)
-	var mu sync.Mutex
-	var logs []string
-	rd := batchedDispatcher(t, urls, RemoteOptions{
-		Batch: 4,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
-	}, 2*time.Second)
+	tr := &testReplica{models: models, failAfter: -1, maxCells: 1}
+	rd := batchedDispatcher(t, startReplicas(t, tr), RemoteOptions{Batch: 4}, 2*time.Second)
 	settings, tasks := Matrix(), osworld.All()
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
-	for i := 0; i < 3; i++ {
+	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -224,24 +210,20 @@ func TestRemoteDispatcherBatchLegacyFallback(t *testing.T) {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("cell %d through the legacy fallback: %v", i, err)
+			t.Fatalf("cell %d after the refused envelope: %v", i, err)
 		}
 	}
-	if tr.batchCalls.Load() != 0 {
-		t.Errorf("a legacy replica received %d batch envelopes", tr.batchCalls.Load())
+	if tr.served.Load() != 3 || tr.batchCalls.Load() != 3 {
+		t.Errorf("replica served %d cells in %d envelopes, want 3 one-cell envelopes",
+			tr.served.Load(), tr.batchCalls.Load())
 	}
-	if tr.served.Load() != 3 {
-		t.Errorf("legacy replica served %d cells, want 3", tr.served.Load())
+	if stats := rd.Stats(); stats[0].Down {
+		t.Error("a refused envelope must not down the replica")
 	}
-	mu.Lock()
-	joined := strings.Join(logs, "\n")
-	mu.Unlock()
-	if !strings.Contains(joined, "deprecated") || !strings.Contains(joined, urls[0]) {
-		t.Errorf("legacy replica never drew a deprecation note naming it; logs:\n%s", joined)
+	if rd.Retries() != 0 {
+		t.Errorf("a refused envelope must not count as a retry, got %d", rd.Retries())
 	}
-	if n := strings.Count(joined, "deprecated"); n != 1 {
-		t.Errorf("deprecation note logged %d times, want once (the verdict is cached)", n)
-	}
+	checkRetryLedger(t, rd)
 }
 
 // TestRunStreamedBatchedEquivalence: the capacity-paced streaming runner and
@@ -252,17 +234,17 @@ func TestRunStreamedBatchedEquivalence(t *testing.T) {
 		t.Skip("full-matrix evaluation over HTTP")
 	}
 	models, rep := sharedReport(t)
-	a := &testReplica{models: models, failAfter: -1, v1: true}
-	b := &testReplica{models: models, failAfter: -1, v1: true}
+	a := &testReplica{models: models, failAfter: -1}
+	b := &testReplica{models: models, failAfter: -1}
 	rd := batchedDispatcher(t, startReplicas(t, a, b), RemoteOptions{InFlight: 4, Batch: 8}, batchLinger)
-	got, err := RunStreamed(context.Background(), rd, 3)
+	got, err := RunStreamedIn(context.Background(), taskpack.Builtin(), rd, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if renderAll(models, got) != renderAll(models, rep) {
 		t.Fatal("streamed batched report differs from sequential in-process run")
 	}
-	if a.batchCalls.Load()+b.batchCalls.Load() == 0 {
-		t.Error("no cell ever travelled the batch surface under streaming")
+	if max(a.maxEnvelope.Load(), b.maxEnvelope.Load()) < 2 {
+		t.Error("no envelope ever carried more than one cell under streaming")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/llm"
 	"repro/internal/osworld"
+	"repro/internal/taskpack"
 )
 
 // Setting is one evaluated cell of the matrix.
@@ -73,7 +74,7 @@ func Run(models *agent.Models, runs int) *Report {
 // RunParallel is Run served from a worker pool: the evaluation grid fans
 // out over `workers` concurrently dispatched cells that all share the warm
 // describe.Models — the "computer as server" posture where many concurrent
-// sessions multiplex one offline model. It is RunDispatched over a
+// sessions multiplex one offline model. It is RunDispatchedIn over a
 // LocalDispatcher: the same seam that ships cells to remote replicas, bound
 // to this process's goroutine pool. Every run owns its RNG stream and its
 // own application instance, so runs are independent; outcomes are collected
@@ -81,7 +82,8 @@ func Run(models *agent.Models, runs int) *Report {
 // Report byte-identical to the sequential one. workers <= 1 runs in-line;
 // workers <= 0 uses GOMAXPROCS.
 func RunParallel(models *agent.Models, runs, workers int) *Report {
-	rep, err := RunDispatched(context.Background(), NewLocalDispatcher(models, 1), runs, workers)
+	reg := taskpack.Builtin()
+	rep, err := RunDispatchedIn(context.Background(), reg, NewLocalDispatcherIn(reg, models, 1), runs, workers)
 	if err != nil {
 		// The grid is enumerated from the matrix and the catalog themselves
 		// and local dispatch has no transport, so an error here is a

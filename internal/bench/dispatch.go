@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -22,11 +23,11 @@ import (
 
 // Cell is one serializable job unit of the evaluation grid: a (setting,
 // task) pair with its repetition count. Everything in it is a string or an
-// int, so a cell crosses process boundaries as-is — it is the body of the
-// daemon's POST /session. A cell's outcomes are a pure function of the cell
-// (the RNG streams derive from setting, task, and run index alone, and the
-// offline models are read-only), which makes dispatching idempotent:
-// re-running a cell anywhere produces the same bytes.
+// int, so a cell crosses process boundaries as-is — it is one entry of the
+// daemon's POST /v1/cells envelope. A cell's outcomes are a pure function
+// of the cell (the RNG streams derive from setting, task, and run index
+// alone, and the offline models are read-only), which makes dispatching
+// idempotent: re-running a cell anywhere produces the same bytes.
 type Cell struct {
 	App     string `json:"app"`
 	Task    string `json:"task"`
@@ -38,15 +39,9 @@ type Cell struct {
 // on this process's warm models; RemoteDispatcher ships it to a dmi-serve
 // replica. Dispatch must return exactly cell.Runs outcomes in run order —
 // the same slice bench.Run produces for the cell — or an error; it must be
-// safe for concurrent use, because RunDispatched fans cells out over a pool.
+// safe for concurrent use, because RunDispatchedIn fans cells out over a pool.
 type Dispatcher interface {
 	Dispatch(ctx context.Context, cell Cell) ([]agent.Outcome, error)
-}
-
-// GridCells enumerates the full evaluation grid over the compiled-in task
-// pack. See GridCellsIn.
-func GridCells(runs int) []Cell {
-	return GridCellsIn(taskpack.Builtin(), runs)
 }
 
 // GridCellsIn enumerates the full evaluation grid over a task registry in
@@ -69,12 +64,6 @@ func GridCellsIn(reg *taskpack.Registry, runs int) []Cell {
 // catalog/matrix — a lookup miss, as opposed to a malformed cell. The
 // serving daemon maps it to 404 versus 400.
 var ErrUnknownCell = errors.New("unknown")
-
-// ResolveCell validates a cell against the compiled-in pack and the matrix.
-// See ResolveCellIn.
-func ResolveCell(cell Cell) (Setting, osworld.Task, error) {
-	return ResolveCellIn(taskpack.Builtin(), cell)
-}
 
 // ResolveCellIn validates a cell against a task registry and the matrix. It
 // is the shared gate: the local dispatcher uses it before executing, and the
@@ -100,21 +89,16 @@ func ResolveCellIn(reg *taskpack.Registry, cell Cell) (Setting, osworld.Task, er
 // LocalDispatcher executes cells in-process over the shared warm models —
 // the same executeGrid worker pool RunParallel always used, now behind the
 // seam. workers sizes the per-cell session pool (1 = each cell's runs are
-// sequential; cross-cell concurrency comes from RunDispatched).
+// sequential; cross-cell concurrency comes from RunDispatchedIn).
 type LocalDispatcher struct {
 	reg     *taskpack.Registry
 	models  *agent.Models
 	workers int
 }
 
-// NewLocalDispatcher wraps warm models as a dispatcher over the compiled-in
-// pack. workers <= 1 runs a cell's repetitions sequentially.
-func NewLocalDispatcher(models *agent.Models, workers int) *LocalDispatcher {
-	return NewLocalDispatcherIn(taskpack.Builtin(), models, workers)
-}
-
 // NewLocalDispatcherIn wraps warm models as a dispatcher resolving cells
-// against a task registry.
+// against a task registry. workers <= 1 runs a cell's repetitions
+// sequentially.
 func NewLocalDispatcherIn(reg *taskpack.Registry, models *agent.Models, workers int) *LocalDispatcher {
 	return &LocalDispatcher{reg: reg, models: models, workers: workers}
 }
@@ -209,12 +193,6 @@ func aggregateGrid(reg *taskpack.Registry, out [][]agent.Outcome, runs int) *Rep
 	return rep
 }
 
-// RunDispatched executes the full evaluation grid over the compiled-in task
-// pack. See RunDispatchedIn.
-func RunDispatched(ctx context.Context, d Dispatcher, runs, concurrency int) (*Report, error) {
-	return RunDispatchedIn(ctx, taskpack.Builtin(), d, runs, concurrency)
-}
-
 // RunDispatchedIn executes a task registry's full evaluation grid through a
 // dispatcher with up to `concurrency` cells in flight (<= 0 uses
 // GOMAXPROCS), collects the outcomes in grid order, and aggregates them
@@ -283,7 +261,7 @@ func RunDispatchedIn(ctx context.Context, reg *taskpack.Registry, d Dispatcher, 
 // ReplicaStats is one replica's share of a dispatched run. The counters are
 // defined so they stay mutually consistent across failover and recovery:
 //
-//   - Cells: session requests this replica answered successfully.
+//   - Cells: cells this replica answered successfully.
 //   - Failures: dispatch attempts that reached this replica and failed
 //     (transport error, 5xx, malformed response, malformed 409 body). Each
 //     one sends its cell back through replica selection, so at quiescence
@@ -320,25 +298,26 @@ type RemoteOptions struct {
 	// stall — sized to outlast the slowest legitimate cell (a max-runs
 	// request against a cold model). Supply your own client to tighten it.
 	Client *http.Client
-	// Pack and PackHash stamp every session request with the task pack this
-	// run resolves cells against. A replica serving a different pack rejects
-	// the request with 409 instead of silently answering from different task
+	// Pack and PackHash stamp every envelope with the task pack this run
+	// resolves cells against. A replica serving a different pack rejects the
+	// envelope with 409 instead of silently answering from different task
 	// content — outcomes are pure functions of (pack, setting, task, run), so
 	// a pack mismatch would corrupt the whole report, not just one cell.
-	// Empty values skip the handshake (legacy behavior).
+	// Empty values skip the handshake.
 	Pack     string
 	PackHash string
 	// Batch, when > 1, coalesces up to that many concurrent dispatches into
-	// one POST /v1/cells per call (clamped to serveproto.MaxBatchCells),
-	// amortizing per-HTTP overhead at high cell rates. Batching is a pure
-	// transport optimization: replicas that predate the /v1 surface, failed
-	// batch envelopes, and individually failed cells all fall back to the
-	// single-session path with its full retry/failover semantics, so reports
-	// stay byte-identical to an unbatched run. A batch occupies one of its
+	// one POST /v1/cells envelope (clamped to serveproto.MaxBatchCells);
+	// otherwise every cell is its own one-cell envelope. It stays an option
+	// rather than always-on because coalescing trades a linger delay
+	// (batchLinger) for fewer round trips, which only pays at high cell
+	// rates. Either way the wire path is the same, and a failed envelope or
+	// cell falls back to one-cell envelopes with the full retry/failover
+	// semantics, so reports stay byte-identical. A batch occupies one of its
 	// replica's in-flight slots, so a coordinator sizing concurrency should
 	// multiply by the batch factor.
 	Batch int
-	// ProbeInterval is the base delay between half-open /healthz probes of
+	// ProbeInterval is the base delay between half-open /v1/healthz probes of
 	// a down-marked replica (default 1s; negative disables probing, which
 	// freezes the pre-recovery behavior of a down-mark lasting the whole
 	// run). Failed probes back off exponentially — ×2 per failure, capped
@@ -361,13 +340,12 @@ type RemoteOptions struct {
 // request's fault, not the replica's: it is returned immediately without
 // marking anything down, since every replica would reject it identically.
 //
-// With RemoteOptions.Batch > 1 concurrent dispatches coalesce into
-// POST /v1/cells batches (see batch.go); otherwise each cell is its own
-// POST /session (or /v1/session once a replica's protocol generation is
-// known — both route sets answer identically for one release).
+// Every cell travels in a POST /v1/cells envelope: one cell per envelope by
+// default, or up to RemoteOptions.Batch concurrent dispatches coalesced into
+// one (see batch.go).
 //
 // A down-mark is detection, not a death sentence: a half-open prober polls
-// the replica's /healthz on a jittered backoff and returns it to rotation
+// the replica's /v1/healthz on a jittered backoff and returns it to rotation
 // once it answers ready with a matching pack identity (see probe.go). The
 // membership is elastic — AddReplica and RemoveReplica adjust the fleet
 // mid-run (see membership.go). Close stops the background probers; a
@@ -402,7 +380,6 @@ type replica struct {
 	slot chan struct{} // in-flight cap
 
 	mu         sync.Mutex
-	proto      int // protoUnknown until detected from /healthz (see protoFor)
 	down       bool
 	removed    bool
 	probing    bool // a half-open prober is watching this replica
@@ -412,7 +389,7 @@ type replica struct {
 	recoveries int
 	downSince  time.Time     // start of the current down stretch (zero if up)
 	downTotal  time.Duration // completed down stretches
-	instance   string        // last /healthz instance id a probe saw
+	instance   string        // last /v1/healthz instance id a probe saw
 }
 
 // NormalizeReplicaURL canonicalizes a replica base URL the way the
@@ -504,8 +481,8 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 
 // Close stops the dispatcher's background probers and, when batching, its
 // coalescing collector. In-flight Dispatch calls are unaffected (they carry
-// their own contexts; a dispatch racing Close falls back to the
-// single-session path); after Close a down-marked replica stays down. Safe
+// their own contexts; a dispatch racing Close falls back to one-cell
+// envelopes); after Close a down-marked replica stays down. Safe
 // to call more than once.
 func (d *RemoteDispatcher) Close() {
 	d.closeOnce.Do(func() { close(d.done) })
@@ -514,9 +491,9 @@ func (d *RemoteDispatcher) Close() {
 // Dispatch ships the cell to a live replica, re-dispatching on replica
 // failure until a replica answers or none are left. When batching is
 // enabled the cell first parks in the coalescing queue so concurrent
-// dispatches share a POST /v1/cells; every batch failure mode falls back to
-// the single-session path below, so the caller-visible contract is
-// identical either way.
+// dispatches share an envelope; every batch failure mode falls back to the
+// one-cell path below, so the caller-visible contract is identical either
+// way.
 func (d *RemoteDispatcher) Dispatch(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
 	if cell.Runs <= 0 {
 		// The daemon would coerce runs<=0 to 1 and the response would then
@@ -547,77 +524,36 @@ func (d *RemoteDispatcher) Dispatch(ctx context.Context, cell Cell) ([]agent.Out
 	}
 }
 
-// dispatchSingle is the one-cell-per-request dispatch loop: pick, post,
-// and on replica failure re-dispatch until a replica answers or none are
-// left. It is both the unbatched path and the fallback every batch failure
-// mode degrades to.
+// dispatchSingle is the one-cell dispatch loop: acquire a replica, post the
+// cell as a one-cell envelope, and on replica failure re-dispatch until a
+// replica answers or none are left. It is both the unbatched path and the
+// fallback every batch failure mode degrades to.
 func (d *RemoteDispatcher) dispatchSingle(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
-	if cell.Runs <= 0 {
-		return nil, fmt.Errorf("runs %d must be positive", cell.Runs)
-	}
 	tried := make(map[*replica]bool)
 	var failures []error
 	for {
-		rep := d.pick(tried)
+		rep, err := d.acquire(ctx, tried)
+		if err != nil {
+			return nil, err
+		}
 		if rep == nil {
-			// Count the failed attempts even though the cell is lost, so
-			// Retries() agrees with the per-replica Failures counters
-			// whether or not a survivor eventually answered.
-			if n := len(failures); n > 0 {
-				d.mu.Lock()
-				d.retries += n
-				d.mu.Unlock()
-				return nil, fmt.Errorf("all replicas failed: %w", errors.Join(failures...))
-			}
-			return nil, errors.New("no live replicas")
+			return nil, d.exhausted(failures)
 		}
-		select {
-		case rep.slot <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		// Another dispatch may have down-marked (or a reload removed) this
-		// replica while we waited for a slot; posting anyway would burn a
-		// full client timeout against a known-dead backend while live
-		// replicas idle. The skip is accounted (ReplicaStats.Skips) — no
-		// request was made, so it is neither a cell nor a failure.
-		rep.mu.Lock()
-		skip := rep.down || rep.removed
-		if skip {
-			rep.skips++
-		}
-		rep.mu.Unlock()
-		if skip {
-			<-rep.slot
-			continue // pick() skips down/removed replicas
-		}
-		outcomes, err := d.post(ctx, rep, cell)
+		results, err := d.postBatch(ctx, rep, []Cell{cell})
 		<-rep.slot
+		var outcomes []agent.Outcome
 		if err == nil {
-			rep.mu.Lock()
-			rep.cells++
-			rep.mu.Unlock()
-			if len(failures) > 0 {
-				d.mu.Lock()
-				d.retries += len(failures)
-				d.mu.Unlock()
-			}
+			outcomes, err = settleCell(rep, cell, results[0])
+		}
+		if err == nil {
+			d.countRetries(len(failures))
 			return outcomes, nil
 		}
 		if ctx.Err() != nil {
 			// The run was cancelled; the replica is not to blame.
 			return nil, ctx.Err()
 		}
-		var mismatch *PackMismatchError
-		if errors.As(err, &mismatch) {
-			// The replica is healthy but serving different task content; the
-			// operator must restart one side with a matching pack, so keep
-			// the replica up and surface the named error immediately.
-			return nil, err
-		}
-		var bad *requestError
-		if errors.As(err, &bad) {
-			// The cell itself is invalid; every replica would agree.
+		if isFinal(err) {
 			return nil, err
 		}
 		// Failure detection: stop picking this replica, hand it to the
@@ -628,8 +564,61 @@ func (d *RemoteDispatcher) dispatchSingle(ctx context.Context, cell Cell) ([]age
 	}
 }
 
+// acquire picks a live, untried replica and takes one of its in-flight
+// slots; the caller posts and then releases the slot. Another dispatch may
+// have down-marked (or a reload removed) the replica while this one waited
+// for the slot; posting anyway would burn a full client timeout against a
+// known-dead backend while live replicas idle, so such a replica is skipped
+// and the pick repeats. The skip is accounted (ReplicaStats.Skips) — no
+// request was made, so it is neither a cell nor a failure. acquire returns
+// nil when no candidate remains, and ctx's error if ctx ends while waiting.
+func (d *RemoteDispatcher) acquire(ctx context.Context, tried map[*replica]bool) (*replica, error) {
+	for {
+		rep := d.pick(tried)
+		if rep == nil {
+			return nil, nil
+		}
+		select {
+		case rep.slot <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		rep.mu.Lock()
+		skip := rep.down || rep.removed
+		if skip {
+			rep.skips++
+		}
+		rep.mu.Unlock()
+		if !skip {
+			return rep, nil
+		}
+		<-rep.slot
+	}
+}
+
+// exhausted is the verdict of a retry loop that ran out of replicas. The
+// failed attempts are counted even though the work is lost, so Retries()
+// agrees with the per-replica Failures counters whether or not a survivor
+// eventually answered.
+func (d *RemoteDispatcher) exhausted(failures []error) error {
+	if len(failures) == 0 {
+		return errors.New("no live replicas")
+	}
+	d.countRetries(len(failures))
+	return fmt.Errorf("all replicas failed: %w", errors.Join(failures...))
+}
+
+func (d *RemoteDispatcher) countRetries(n int) {
+	if n == 0 {
+		return
+	}
+	d.mu.Lock()
+	d.retries += n
+	d.mu.Unlock()
+}
+
 // markDown trips the failure detector: the replica leaves rotation and, if
-// probing is enabled, a half-open prober starts watching its /healthz for
+// probing is enabled, a half-open prober starts watching its /v1/healthz for
 // recovery (at most one prober per replica). Each call also counts one
 // failed dispatch attempt on the replica.
 func (d *RemoteDispatcher) markDown(rep *replica, cause error) {
@@ -691,11 +680,21 @@ func (d *RemoteDispatcher) pick(tried map[*replica]bool) *replica {
 	return best
 }
 
-// requestError marks a 4xx: the request is at fault, so re-dispatching the
-// cell to another replica cannot help.
+// requestError marks a 4xx: the request is at fault, so re-dispatching it
+// to another replica cannot help.
 type requestError struct{ msg string }
 
 func (e *requestError) Error() string { return e.msg }
+
+// isFinal reports whether a failed attempt is the caller's problem rather
+// than the replica's: a pack mismatch (the operator must restart one side)
+// or a request error (every replica would reject it identically). Neither
+// down-marks the replica or re-dispatches.
+func isFinal(err error) bool {
+	var mismatch *PackMismatchError
+	var bad *requestError
+	return errors.As(err, &mismatch) || errors.As(err, &bad)
+}
 
 // PackMismatchError reports a replica that is alive and well but serving a
 // different task pack than the run dispatches against. It names both sides
@@ -711,71 +710,59 @@ func (e *PackMismatchError) Error() string {
 		e.Replica, e.HavePack, e.HaveHash, e.WantPack, e.WantHash)
 }
 
-// post runs one single-session round trip and validates the response
-// against the cell contract. The request goes to /v1/session once the
-// replica's protocol generation is known to be v1, and to the legacy
-// /session otherwise — a replica whose generation was never detected (the
-// common unbatched case) keeps the legacy route, which every generation
-// answers.
-func (d *RemoteDispatcher) post(ctx context.Context, rep *replica, cell Cell) ([]agent.Outcome, error) {
-	body, err := json.Marshal(serveproto.SessionRequest{
-		App: cell.App, Task: cell.Task, Setting: cell.Setting, Runs: cell.Runs,
-		Pack: d.pack, PackHash: d.packHash,
-	})
+// postEnvelope runs one envelope round trip — a POST /v1/cells or a
+// POST /v1/rip: the JSON body goes to path with the item count declared in
+// sizeHeader, so the replica can bound its body reader before reading a
+// byte, and a 200 answer is decoded into out. The non-200 triage is shared
+// by every envelope. Only a well-formed PackMismatch with its replica-side
+// fields filled in is the replica's considered 409 verdict; anything else
+// arriving as a 409 — a proxy error page, a truncated body, a zero-valued
+// JSON object — reads as a replica failure (down-mark + re-dispatch), never
+// as a pack mismatch or a final request error, since both of those abort
+// the whole run on what is really one broken backend. Any other 4xx is the
+// request's fault (*requestError); transport errors, 5xx and undecodable
+// bodies are the replica's.
+func (d *RemoteDispatcher) postEnvelope(ctx context.Context, rep *replica, path, sizeHeader string, n int, body, out any) error {
+	data, err := json.Marshal(body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	path := "/session"
-	rep.mu.Lock()
-	if rep.proto == protoV1 {
-		path = "/v1/session"
-	}
-	rep.mu.Unlock()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+path, bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(sizeHeader, strconv.Itoa(n))
 	resp, err := d.client.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		// Only a well-formed PackMismatch with its pack fields filled in is
-		// the replica's considered verdict. Anything else arriving as a 409
-		// — a proxy error page, a truncated body, a zero-valued JSON object
-		// — must read as a replica failure (down-mark + re-dispatch), never
-		// as a pack mismatch or a final request error: both of those abort
-		// the whole run on what is really one broken backend.
+	switch {
+	case resp.StatusCode == http.StatusOK:
+	case resp.StatusCode == http.StatusConflict:
 		var pm serveproto.PackMismatch
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1024)).Decode(&pm); err == nil &&
 			(pm.HavePack != "" || pm.HaveHash != "") {
-			return nil, &PackMismatchError{
+			return &PackMismatchError{
 				Replica:  rep.base,
 				WantPack: pm.WantPack, WantHash: pm.WantHash,
 				HavePack: pm.HavePack, HaveHash: pm.HaveHash,
 			}
 		}
-		return nil, errors.New("status 409 with malformed pack-mismatch body")
-	}
-	if resp.StatusCode != http.StatusOK {
+		return errors.New("status 409 with malformed pack-mismatch body")
+	default:
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		msg := fmt.Sprintf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
 		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return nil, &requestError{msg: msg}
+			return &requestError{msg: msg}
 		}
-		return nil, errors.New(msg)
+		return errors.New(msg)
 	}
-	var sr serveproto.SessionResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("malformed response: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("malformed response: %w", err)
 	}
-	if sr.Task != cell.Task || sr.Setting != cell.Setting || len(sr.Outcomes) != cell.Runs {
-		return nil, fmt.Errorf("response echoes (%q,%q,%d outcomes), want (%q,%q,%d)",
-			sr.Task, sr.Setting, len(sr.Outcomes), cell.Task, cell.Setting, cell.Runs)
-	}
-	return sr.Outcomes, nil
+	return nil
 }
 
 // Retries reports how many dispatch attempts failed at a replica and sent

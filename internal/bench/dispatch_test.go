@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/osworld"
 	"repro/internal/serveproto"
+	"repro/internal/taskpack"
 )
 
 // TestGridCells pins the canonical cell enumeration every dispatcher-backed
@@ -22,7 +25,7 @@ import (
 // tasks in catalog order.
 func TestGridCells(t *testing.T) {
 	runs := 3
-	cells := GridCells(runs)
+	cells := GridCellsIn(taskpack.Builtin(), runs)
 	settings, tasks := Matrix(), osworld.All()
 	if len(cells) != len(settings)*len(tasks) {
 		t.Fatalf("%d cells, want %d", len(cells), len(settings)*len(tasks))
@@ -40,7 +43,7 @@ func TestGridCells(t *testing.T) {
 func TestResolveCell(t *testing.T) {
 	task := osworld.All()[0]
 	label := Matrix()[0].Label
-	if _, _, err := ResolveCell(Cell{Task: task.ID, Setting: label, Runs: 1}); err != nil {
+	if _, _, err := ResolveCellIn(taskpack.Builtin(), Cell{Task: task.ID, Setting: label, Runs: 1}); err != nil {
 		t.Fatalf("valid cell rejected: %v", err)
 	}
 	cases := []struct {
@@ -53,13 +56,13 @@ func TestResolveCell(t *testing.T) {
 		{Cell{Task: task.ID, Setting: label, Runs: 0}, false},
 	}
 	for _, c := range cases {
-		_, _, err := ResolveCell(c.cell)
+		_, _, err := ResolveCellIn(taskpack.Builtin(), c.cell)
 		if err == nil {
-			t.Errorf("ResolveCell(%+v) accepted an invalid cell", c.cell)
+			t.Errorf("ResolveCellIn(taskpack.Builtin(), %+v) accepted an invalid cell", c.cell)
 			continue
 		}
 		if got := errors.Is(err, ErrUnknownCell); got != c.unknown {
-			t.Errorf("ResolveCell(%+v): ErrUnknownCell = %v, want %v (err %v)", c.cell, got, c.unknown, err)
+			t.Errorf("ResolveCellIn(taskpack.Builtin(), %+v): ErrUnknownCell = %v, want %v (err %v)", c.cell, got, c.unknown, err)
 		}
 	}
 }
@@ -80,7 +83,7 @@ func TestRunDispatchedPlumbing(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		called := false
-		_, err := RunDispatched(ctx, fakeDispatcher(func(context.Context, Cell) ([]agent.Outcome, error) {
+		_, err := RunDispatchedIn(ctx, taskpack.Builtin(), fakeDispatcher(func(context.Context, Cell) ([]agent.Outcome, error) {
 			called = true
 			return nil, nil
 		}), 1, 1)
@@ -94,14 +97,14 @@ func TestRunDispatchedPlumbing(t *testing.T) {
 	t.Run("first error cancels the rest", func(t *testing.T) {
 		var dispatched atomic.Int64
 		boom := errors.New("boom")
-		_, err := RunDispatched(context.Background(), fakeDispatcher(func(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
+		_, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), fakeDispatcher(func(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
 			dispatched.Add(1)
 			return nil, boom
 		}), 1, 4)
 		if !errors.Is(err, boom) {
 			t.Fatalf("error not propagated: %v", err)
 		}
-		if n, total := dispatched.Load(), int64(len(GridCells(1))); n >= total {
+		if n, total := dispatched.Load(), int64(len(GridCellsIn(taskpack.Builtin(), 1))); n >= total {
 			t.Errorf("cancellation never stopped the fan-out: %d of %d cells dispatched", n, total)
 		}
 	})
@@ -111,7 +114,7 @@ func TestRunDispatchedPlumbing(t *testing.T) {
 		// erroring or panicking.
 		for _, runs := range []int{0, -3} {
 			called := false
-			rep, err := RunDispatched(context.Background(), fakeDispatcher(func(context.Context, Cell) ([]agent.Outcome, error) {
+			rep, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), fakeDispatcher(func(context.Context, Cell) ([]agent.Outcome, error) {
 				called = true
 				return nil, errors.New("no cell should dispatch")
 			}), runs, 4)
@@ -128,7 +131,7 @@ func TestRunDispatchedPlumbing(t *testing.T) {
 		}
 	})
 	t.Run("wrong outcome count is an error", func(t *testing.T) {
-		_, err := RunDispatched(context.Background(), fakeDispatcher(func(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
+		_, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), fakeDispatcher(func(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
 			return make([]agent.Outcome, cell.Runs+1), nil
 		}), 2, 1)
 		if err == nil || !strings.Contains(err.Error(), "outcomes for") {
@@ -138,17 +141,20 @@ func TestRunDispatchedPlumbing(t *testing.T) {
 }
 
 // testReplica is an httptest-backed dmi-serve stand-in: it answers
-// POST /session from the shared in-process models through the same
-// ResolveCell + RunCell path the daemon uses, with injectable failure
-// modes. Its /healthz mirrors the daemon's: 500 while the failure
+// POST /v1/cells from the shared in-process models through the same
+// ResolveCellIn + RunCell path the daemon uses, with injectable failure
+// modes. Its /v1/healthz mirrors the daemon's: 500 while the failure
 // injection is active (a down replica's health endpoint is down too, so
-// legacy down-stays-down tests hold), ready otherwise — and optionally
-// recovering after a set number of probes, for the half-open circuit tests.
+// down-stays-down tests hold), ready otherwise — and optionally recovering
+// after a set number of probes, for the half-open circuit tests. Any other
+// route is a 404, as on the daemon.
 type testReplica struct {
 	models *agent.Models
-	// failAfter starts answering 500 once this many cells have been
-	// served (-1 = never fail).
-	failAfter int64
+	// failAfter starts failing once this many cells have been served
+	// (-1 = never fail): the whole envelope answers 500, or, with
+	// cellFailures, each cell does inside a 200 envelope.
+	failAfter    int64
+	cellFailures bool
 	// hang blocks every request until release is closed instead of
 	// answering — the wedged-replica case the client timeout must catch.
 	// (The request context is not reliable here: with an unread body the
@@ -156,27 +162,27 @@ type testReplica struct {
 	// would wait on the wedged handlers forever.)
 	hang    bool
 	release chan struct{}
-	// conflictBody, when set, answers every /session with 409 and this raw
+	// conflictBody, when set, answers every envelope with 409 and this raw
 	// body — the misclassification cases (proxy page, zero-valued JSON).
 	conflictBody string
-	// probesToRecover lifts the failAfter injection once this many /healthz
-	// probes have arrived (0 = the outage is permanent).
+	// maxCells, when > 0, answers 400 to envelopes carrying more cells —
+	// a replica refusing the envelope as a whole.
+	maxCells int
+	// probesToRecover lifts the failAfter injection once this many
+	// /v1/healthz probes have arrived (0 = the outage is permanent).
 	probesToRecover int64
-	// instance is echoed on /healthz, mimicking the daemon's per-process id.
+	// instance is echoed on /v1/healthz, mimicking the daemon's per-process id.
 	instance string
-	// v1 makes the replica speak the versioned protocol generation: its
-	// /healthz advertises serveproto.ProtoV1 and it answers POST /v1/cells.
-	// Left false, the replica is a faithful legacy stand-in — no proto in
-	// its health body and a 404 on the batch route.
-	v1 bool
 
 	served           atomic.Int64 // successful cells
 	failed           atomic.Int64 // injected failures
-	probes           atomic.Int64 // /healthz requests received
+	probes           atomic.Int64 // /v1/healthz requests received
 	recovered        atomic.Bool  // failure injection lifted by a probe
 	servedAtRecovery atomic.Int64 // cells served when recovery happened
 	batchCalls       atomic.Int64 // POST /v1/cells envelopes received
 	batchCells       atomic.Int64 // cells delivered inside those envelopes
+	maxEnvelope      atomic.Int64 // most cells seen in one envelope
+	badHeaders       atomic.Int64 // envelopes whose size header disagreed with their cell count
 }
 
 // failing reports whether the injected outage is active.
@@ -192,79 +198,43 @@ func (tr *testReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if r.URL.Path == "/healthz" {
-		n := tr.probes.Add(1)
-		if tr.failing() {
-			if tr.probesToRecover > 0 && n >= tr.probesToRecover {
-				tr.servedAtRecovery.Store(tr.served.Load())
-				tr.recovered.Store(true)
-			} else {
-				http.Error(w, "injected outage", http.StatusInternalServerError)
-				return
-			}
-		}
-		hz := serveproto.Health{OK: true, Apps: 1, Instance: tr.instance}
-		if tr.v1 {
-			hz.Proto = serveproto.ProtoV1
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(hz)
-		return
+	switch r.URL.Path {
+	case serveproto.PathHealthz:
+		tr.serveHealthz(w)
+	case serveproto.PathCells:
+		tr.serveCells(w, r)
+	default:
+		http.NotFound(w, r)
 	}
-	if r.URL.Path == "/v1/cells" {
-		tr.serveBatch(w, r)
-		return
-	}
-	if tr.conflictBody != "" {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusConflict)
-		io.WriteString(w, tr.conflictBody)
-		return
-	}
-	if tr.failing() {
-		tr.failed.Add(1)
-		http.Error(w, "injected replica failure", http.StatusInternalServerError)
-		return
-	}
-	var req serveproto.SessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	cell := Cell{App: req.App, Task: req.Task, Setting: req.Setting, Runs: req.Runs}
-	set, task, err := ResolveCell(cell)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrUnknownCell) {
-			status = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	outcomes := RunCell(tr.models, set, task, cell.Runs, 1)
-	tr.served.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(serveproto.SessionResponse{
-		App: task.App, Task: task.ID, Setting: set.Label, Runs: cell.Runs, Outcomes: outcomes,
-	})
 }
 
-// serveBatch answers POST /v1/cells with the daemon's per-cell semantics:
-// the envelope-level failure injections apply as they do to a single
-// session, and each cell carries its own would-be HTTP status so one bad
-// cell cannot poison its batch-mates.
-func (tr *testReplica) serveBatch(w http.ResponseWriter, r *http.Request) {
-	if !tr.v1 {
-		http.NotFound(w, r)
-		return
+func (tr *testReplica) serveHealthz(w http.ResponseWriter) {
+	n := tr.probes.Add(1)
+	if tr.failing() {
+		if tr.probesToRecover > 0 && n >= tr.probesToRecover {
+			tr.servedAtRecovery.Store(tr.served.Load())
+			tr.recovered.Store(true)
+		} else {
+			http.Error(w, "injected outage", http.StatusInternalServerError)
+			return
+		}
 	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: 1, Proto: serveproto.ProtoV1, Instance: tr.instance})
+}
+
+// serveCells answers POST /v1/cells with the daemon's per-cell semantics:
+// the envelope-level failure injections apply to the whole call, and each
+// cell carries its own status so one bad cell cannot poison its
+// batch-mates.
+func (tr *testReplica) serveCells(w http.ResponseWriter, r *http.Request) {
 	if tr.conflictBody != "" {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusConflict)
 		io.WriteString(w, tr.conflictBody)
 		return
 	}
-	if tr.failing() {
+	if tr.failing() && !tr.cellFailures {
 		tr.failed.Add(1)
 		http.Error(w, "injected replica failure", http.StatusInternalServerError)
 		return
@@ -274,12 +244,30 @@ func (tr *testReplica) serveBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if tr.maxCells > 0 && len(req.Cells) > tr.maxCells {
+		http.Error(w, "envelope too large", http.StatusBadRequest)
+		return
+	}
 	tr.batchCalls.Add(1)
 	tr.batchCells.Add(int64(len(req.Cells)))
+	for n := int64(len(req.Cells)); ; {
+		cur := tr.maxEnvelope.Load()
+		if n <= cur || tr.maxEnvelope.CompareAndSwap(cur, n) {
+			break
+		}
+	}
+	if r.Header.Get(serveproto.BatchSizeHeader) != strconv.Itoa(len(req.Cells)) {
+		tr.badHeaders.Add(1)
+	}
 	resp := serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, len(req.Cells))}
 	for i, cr := range req.Cells {
+		if tr.failing() {
+			tr.failed.Add(1)
+			resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusInternalServerError, Error: "injected cell failure"}
+			continue
+		}
 		cell := Cell{App: cr.App, Task: cr.Task, Setting: cr.Setting, Runs: cr.Runs}
-		set, task, err := ResolveCell(cell)
+		set, task, err := ResolveCellIn(taskpack.Builtin(), cell)
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, ErrUnknownCell) {
@@ -296,6 +284,19 @@ func (tr *testReplica) serveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
+}
+
+// checkRetryLedger asserts the accounting rule every dispatch test holds:
+// at quiescence Retries() equals the sum of per-replica Failures.
+func checkRetryLedger(t *testing.T, rd *RemoteDispatcher) {
+	t.Helper()
+	sum := 0
+	for _, st := range rd.Stats() {
+		sum += st.Failures
+	}
+	if rd.Retries() != sum {
+		t.Errorf("Retries() = %d, but per-replica failures sum to %d", rd.Retries(), sum)
+	}
 }
 
 // startReplicas spins n healthy test replicas plus any custom ones and
@@ -321,7 +322,7 @@ func TestRunDispatchedLocalEquivalence(t *testing.T) {
 	models, rep := sharedReport(t)
 	seq := renderAll(models, rep)
 	for _, concurrency := range []int{1, 8} {
-		got, err := RunDispatched(context.Background(), NewLocalDispatcher(models, 1), 3, concurrency)
+		got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), NewLocalDispatcherIn(taskpack.Builtin(), models, 1), 3, concurrency)
 		if err != nil {
 			t.Fatalf("concurrency=%d: %v", concurrency, err)
 		}
@@ -354,8 +355,8 @@ func TestDispatchIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewLocalDispatcher(models, 1)
-	replica := NewLocalDispatcher(rebuilt, 1)
+	d := NewLocalDispatcherIn(taskpack.Builtin(), models, 1)
+	replica := NewLocalDispatcherIn(taskpack.Builtin(), rebuilt, 1)
 	settings := Matrix()
 	cells := []Cell{
 		{Task: osworld.All()[0].ID, Setting: settings[0].Label, Runs: 3},
@@ -411,14 +412,14 @@ func TestRemoteDispatcherEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	got, err := RunDispatched(context.Background(), rd, 3, 8)
+	got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if renderAll(models, got) != renderAll(models, rep) {
 		t.Fatal("remote report differs from sequential in-process run")
 	}
-	cells := int64(len(GridCells(3)))
+	cells := int64(len(GridCellsIn(taskpack.Builtin(), 3)))
 	if a.served.Load()+b.served.Load() != cells {
 		t.Errorf("replicas served %d+%d cells, want %d total", a.served.Load(), b.served.Load(), cells)
 	}
@@ -428,94 +429,160 @@ func TestRemoteDispatcherEquivalence(t *testing.T) {
 	if rd.Retries() != 0 {
 		t.Errorf("healthy replicas produced %d retries", rd.Retries())
 	}
+	checkRetryLedger(t, rd)
 	if live := rd.Live(); len(live) != 2 {
 		t.Errorf("both replicas should stay live, got %v", live)
 	}
 }
 
+// TestRemoteDispatcherOneCellEnvelopes pins the single wire path: an
+// unbatched dispatcher sends every cell as exactly one POST /v1/cells
+// carrying that one cell and declaring it in the size header — through a
+// mid-grid replica failure too — and the retry ledger balances.
+func TestRemoteDispatcherOneCellEnvelopes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-matrix evaluation over HTTP")
+	}
+	models, rep := sharedReport(t)
+	flaky := &testReplica{models: models, failAfter: 10}
+	healthy := &testReplica{models: models, failAfter: -1}
+	rd, err := NewRemoteDispatcher(startReplicas(t, flaky, healthy), RemoteOptions{InFlight: 4, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderAll(models, got) != renderAll(models, rep) {
+		t.Fatal("one-cell envelope report differs from sequential in-process run")
+	}
+	cells := int64(len(GridCellsIn(taskpack.Builtin(), 3)))
+	envelopes := flaky.batchCalls.Load() + healthy.batchCalls.Load()
+	if envelopes != cells {
+		t.Errorf("%d cells travelled in %d envelopes, want one envelope per cell", cells, envelopes)
+	}
+	for i, tr := range []*testReplica{flaky, healthy} {
+		if n := tr.maxEnvelope.Load(); n != 1 {
+			t.Errorf("replica %d received an envelope of %d cells, want 1", i, n)
+		}
+		if n := tr.badHeaders.Load(); n != 0 {
+			t.Errorf("replica %d received %d envelopes without %s: 1", i, n, serveproto.BatchSizeHeader)
+		}
+	}
+	if rd.Retries() < 1 {
+		t.Error("the flaky replica's failure was never counted as a re-dispatch")
+	}
+	checkRetryLedger(t, rd)
+}
+
 // TestRemoteDispatcherFailover is the remote failure path of the issue: a
 // replica that errors mid-grid is detected, its cells are re-dispatched to
 // the surviving replica, and the final report still matches the sequential
-// one byte-for-byte (CI runs this under -race).
+// one byte-for-byte (CI runs this under -race). The replica fails either
+// whole envelopes with a 5xx or each cell with a 5xx inside a 200
+// envelope, under one-cell and multi-cell envelopes alike.
 func TestRemoteDispatcherFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation over HTTP")
 	}
 	models, rep := sharedReport(t)
-	flaky := &testReplica{models: models, failAfter: 10} // dies after 10 cells
-	healthy := &testReplica{models: models, failAfter: -1}
-	rd, err := NewRemoteDispatcher(startReplicas(t, flaky, healthy), RemoteOptions{InFlight: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	got, err := RunDispatched(context.Background(), rd, 3, 8)
-	if err != nil {
-		t.Fatalf("failover should absorb the replica failure: %v", err)
-	}
-	if renderAll(models, got) != renderAll(models, rep) {
-		t.Fatal("report after mid-grid failover differs from sequential in-process run")
-	}
-	for i := range rep.Rows {
-		for j, o := range rep.Rows[i].Outcomes {
-			if got.Rows[i].Outcomes[j] != o {
-				t.Fatalf("row %d outcome %d diverged after failover: %+v != %+v",
-					i, j, got.Rows[i].Outcomes[j], o)
+	for _, tc := range []struct {
+		name         string
+		cellFailures bool
+		batch        int
+	}{
+		{"envelope 5xx", false, 0},
+		{"cell 5xx", true, 0},
+		{"cell 5xx batched", true, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			flaky := &testReplica{models: models, failAfter: 10, cellFailures: tc.cellFailures} // dies after 10 cells
+			healthy := &testReplica{models: models, failAfter: -1}
+			rd, err := NewRemoteDispatcher(startReplicas(t, flaky, healthy), RemoteOptions{InFlight: 4, Batch: tc.batch})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if rd.Retries() < 1 {
-		t.Error("the failed cell was never counted as a re-dispatch")
-	}
-	cells := int64(len(GridCells(3)))
-	if total := flaky.served.Load() + healthy.served.Load(); total != cells {
-		t.Errorf("replicas served %d cells, want %d", total, cells)
-	}
-	stats := rd.Stats()
-	if !stats[0].Down || stats[0].Failures < 1 {
-		t.Errorf("flaky replica not detected as down: %+v", stats[0])
-	}
-	if stats[1].Down {
-		t.Errorf("healthy replica wrongly marked down: %+v", stats[1])
-	}
-	if live := rd.Live(); len(live) != 1 {
-		t.Errorf("exactly one replica should survive, got %v", live)
+			defer rd.Close()
+			got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
+			if err != nil {
+				t.Fatalf("failover should absorb the replica failure: %v", err)
+			}
+			if renderAll(models, got) != renderAll(models, rep) {
+				t.Fatal("report after mid-grid failover differs from sequential in-process run")
+			}
+			for i := range rep.Rows {
+				for j, o := range rep.Rows[i].Outcomes {
+					if got.Rows[i].Outcomes[j] != o {
+						t.Fatalf("row %d outcome %d diverged after failover: %+v != %+v",
+							i, j, got.Rows[i].Outcomes[j], o)
+					}
+				}
+			}
+			if rd.Retries() < 1 {
+				t.Error("the failed cell was never counted as a re-dispatch")
+			}
+			checkRetryLedger(t, rd)
+			cells := int64(len(GridCellsIn(taskpack.Builtin(), 3)))
+			if total := flaky.served.Load() + healthy.served.Load(); total != cells {
+				t.Errorf("replicas served %d cells, want %d", total, cells)
+			}
+			stats := rd.Stats()
+			if !stats[0].Down || stats[0].Failures < 1 {
+				t.Errorf("flaky replica not detected as down: %+v", stats[0])
+			}
+			if stats[1].Down {
+				t.Errorf("healthy replica wrongly marked down: %+v", stats[1])
+			}
+			if live := rd.Live(); len(live) != 1 {
+				t.Errorf("exactly one replica should survive, got %v", live)
+			}
+		})
 	}
 }
 
 // TestRemoteDispatcherHangingReplica: a wedged replica (accepts, never
 // answers) must be timed out by the client, marked down, and its cells
-// re-dispatched — the report still matches.
+// re-dispatched — the report still matches, under one-cell and multi-cell
+// envelopes alike.
 func TestRemoteDispatcherHangingReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation over HTTP")
 	}
 	models, rep := sharedReport(t)
-	hung := &testReplica{models: models, hang: true, release: make(chan struct{})}
-	// Unblock the wedged handlers before the t.Cleanup server shutdowns
-	// run (defers fire first), so Close doesn't wait on them.
-	defer close(hung.release)
-	healthy := &testReplica{models: models, failAfter: -1}
-	rd, err := NewRemoteDispatcher(startReplicas(t, hung, healthy), RemoteOptions{
-		InFlight: 4,
-		Client:   &http.Client{Timeout: 2 * time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	got, err := RunDispatched(context.Background(), rd, 3, 8)
-	if err != nil {
-		t.Fatalf("hang detection should absorb the wedged replica: %v", err)
-	}
-	if renderAll(models, got) != renderAll(models, rep) {
-		t.Fatal("report after hang failover differs from sequential in-process run")
-	}
-	if rd.Retries() < 1 {
-		t.Error("timed-out cells were never re-dispatched")
-	}
-	if stats := rd.Stats(); !stats[0].Down {
-		t.Errorf("hung replica not marked down: %+v", stats[0])
+	for _, batch := range []int{0, 4} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			hung := &testReplica{models: models, hang: true, release: make(chan struct{})}
+			// Unblock the wedged handlers before the t.Cleanup server
+			// shutdowns run (defers fire first), so Close doesn't wait on
+			// them.
+			defer close(hung.release)
+			healthy := &testReplica{models: models, failAfter: -1}
+			rd, err := NewRemoteDispatcher(startReplicas(t, hung, healthy), RemoteOptions{
+				InFlight: 4,
+				Batch:    batch,
+				Client:   &http.Client{Timeout: 2 * time.Second},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rd.Close()
+			got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
+			if err != nil {
+				t.Fatalf("hang detection should absorb the wedged replica: %v", err)
+			}
+			if renderAll(models, got) != renderAll(models, rep) {
+				t.Fatal("report after hang failover differs from sequential in-process run")
+			}
+			if rd.Retries() < 1 {
+				t.Error("timed-out cells were never re-dispatched")
+			}
+			checkRetryLedger(t, rd)
+			if stats := rd.Stats(); !stats[0].Down {
+				t.Errorf("hung replica not marked down: %+v", stats[0])
+			}
+		})
 	}
 }
 
@@ -532,31 +599,57 @@ func TestRemoteDispatcherAllDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	if _, err := RunDispatched(context.Background(), rd, 1, 2); err == nil ||
+	if _, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 1, 2); err == nil ||
 		!strings.Contains(err.Error(), "all replicas failed") {
 		t.Fatalf("run over dead replicas must fail, got %v", err)
 	}
+	checkRetryLedger(t, rd)
 }
 
-// TestRemoteDispatcherBadRequestIsFinal: a 4xx is the cell's fault; it must
-// surface immediately without downing the replica.
+// TestRemoteDispatcherBadRequestIsFinal: a 4xx is the request's fault; it
+// must surface immediately without downing the replica — whether the cell
+// itself is rejected inside a 200 envelope or the replica refuses every
+// envelope (one without the /v1 surface answers 404), and whether the cell
+// travels alone or coalesced.
 func TestRemoteDispatcherBadRequestIsFinal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts HTTP servers")
 	}
 	models, _ := sharedReport(t)
-	a := &testReplica{models: models, failAfter: -1}
-	rd, err := NewRemoteDispatcher(startReplicas(t, a), RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
+	valid := Cell{Task: osworld.All()[0].ID, Setting: Matrix()[0].Label, Runs: 1}
+	cases := []struct {
+		name    string
+		replica http.Handler
+		cell    Cell
+		want    string
+	}{
+		{"cell 404", &testReplica{models: models, failAfter: -1},
+			Cell{Task: "no-such-task", Setting: Matrix()[0].Label, Runs: 1}, "unknown task"},
+		{"envelope 404", http.NotFoundHandler(), valid, "status 404"},
 	}
-	defer rd.Close()
-	_, err = rd.Dispatch(context.Background(), Cell{Task: "no-such-task", Setting: Matrix()[0].Label, Runs: 1})
-	if err == nil || !strings.Contains(err.Error(), "unknown task") {
-		t.Fatalf("404 must surface as the cell's error, got %v", err)
-	}
-	if stats := rd.Stats(); stats[0].Down {
-		t.Error("a bad request must not down the replica")
+	for _, tc := range cases {
+		for _, batch := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/batch=%d", tc.name, batch), func(t *testing.T) {
+				srv := httptest.NewServer(tc.replica)
+				t.Cleanup(srv.Close)
+				rd, err := NewRemoteDispatcher([]string{srv.URL}, RemoteOptions{Batch: batch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rd.Close()
+				_, err = rd.Dispatch(context.Background(), tc.cell)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("the 4xx must surface as the cell's error (%q), got %v", tc.want, err)
+				}
+				if stats := rd.Stats(); stats[0].Down {
+					t.Error("a bad request must not down the replica")
+				}
+				if rd.Retries() != 0 {
+					t.Errorf("a bad request must not retry, got %d retries", rd.Retries())
+				}
+				checkRetryLedger(t, rd)
+			})
+		}
 	}
 }
 

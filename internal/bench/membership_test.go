@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/serveproto"
 )
 
 // TestAddRemoveReplica covers the elastic-membership surface: validation,
@@ -82,7 +84,7 @@ func TestMembershipChurnRace(t *testing.T) {
 	// every dispatch that reaches it down-marks it and the prober promptly
 	// recovers it, exercising both transitions continuously.
 	flap := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" {
+		if r.URL.Path == serveproto.PathHealthz {
 			w.Write([]byte(`{"ok":true,"apps":1}`))
 			return
 		}

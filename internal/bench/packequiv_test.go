@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/agent"
 	"repro/internal/osworld"
 	"repro/internal/serveproto"
 	"repro/internal/taskpack"
@@ -59,19 +58,16 @@ func TestPackLoadedGridEquivalence(t *testing.T) {
 }
 
 // TestRemoteDispatcherSendsPackIdentity pins the handshake fields on the
-// wire: a dispatcher built with pack options stamps every session request
-// with them.
+// wire: a dispatcher built with pack options stamps every envelope with
+// them.
 func TestRemoteDispatcherSendsPackIdentity(t *testing.T) {
-	var got serveproto.SessionRequest
+	var got serveproto.BatchRequest
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		json.NewEncoder(w).Encode(serveproto.SessionResponse{
-			App: got.App, Task: got.Task, Setting: got.Setting, Runs: got.Runs,
-			Outcomes: []agent.Outcome{},
-		})
+		json.NewEncoder(w).Encode(serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, len(got.Cells))})
 	}))
 	t.Cleanup(srv.Close)
 
@@ -81,12 +77,13 @@ func TestRemoteDispatcherSendsPackIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rd.Close()
 	task := osworld.All()[0]
-	// The empty outcome slice fails the runs-count check downstream; the
+	// The zero-valued cell results fail the cell contract downstream; the
 	// wire fields are what this test is about.
 	rd.Dispatch(context.Background(), Cell{App: task.App, Task: task.ID, Setting: Matrix()[0].Label, Runs: 1})
 	if got.Pack != "custom" || got.PackHash != "abc123" {
-		t.Errorf("session request carried pack=%q hash=%q, want custom/abc123", got.Pack, got.PackHash)
+		t.Errorf("envelope carried pack=%q hash=%q, want custom/abc123", got.Pack, got.PackHash)
 	}
 }
 

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -9,13 +11,13 @@ import (
 	"repro/internal/serveproto"
 )
 
-// probeTimeout bounds one half-open /healthz round trip. Probes run against
+// probeTimeout bounds one half-open /v1/healthz round trip. Probes run against
 // replicas already suspected dead, so they must fail fast: a hung replica
 // costs one prober goroutine 5 seconds, not the 5-minute session timeout.
 const probeTimeout = 5 * time.Second
 
 // probe is the half-open side of the circuit breaker: one goroutine per
-// down-marked replica, polling its /healthz on a jittered exponential
+// down-marked replica, polling its /v1/healthz on a jittered exponential
 // backoff until the replica answers ready again (then it rejoins rotation)
 // or the dispatcher is closed. "Half-open" because recovery is judged on
 // the cheap health endpoint, not by risking a real cell: no session
@@ -24,7 +26,7 @@ const probeTimeout = 5 * time.Second
 // Recovery re-checks pack identity — a replica that restarted with a
 // different task pack is alive but must not rejoin this run's rotation
 // (its outcomes would come from different task content), so the prober
-// keeps backing off until the packs agree. The /healthz instance id
+// keeps backing off until the packs agree. The health instance id
 // distinguishes a replica that blipped from one that was killed and
 // restarted; both recover, but the log says which happened.
 func (d *RemoteDispatcher) probe(rep *replica) {
@@ -46,7 +48,7 @@ func (d *RemoteDispatcher) probe(rep *replica) {
 		if stop {
 			return
 		}
-		hz, err := d.probeHealthz(rep.base)
+		hz, err := ProbeHealthz(context.Background(), d.probeClient, rep.base)
 		if err == nil && d.pack != "" && hz.Pack != "" && hz.Pack != d.pack {
 			err = fmt.Errorf("pack %q, want %q", hz.Pack, d.pack)
 		}
@@ -76,14 +78,6 @@ func (d *RemoteDispatcher) probe(rep *replica) {
 		}
 		restarted := hz.Instance != "" && rep.instance != "" && hz.Instance != rep.instance
 		rep.instance = hz.Instance
-		// The probe already paid for a health round trip that carries the
-		// protocol generation — refresh the cache, since a replica killed
-		// and restarted may have come back as a different binary.
-		if hz.Proto >= serveproto.ProtoV1 {
-			rep.proto = protoV1
-		} else {
-			rep.proto = protoLegacy
-		}
 		rep.mu.Unlock()
 		if restarted {
 			d.logf("replica %s recovered after %s (new instance %s); back in rotation",
@@ -96,24 +90,33 @@ func (d *RemoteDispatcher) probe(rep *replica) {
 	}
 }
 
-// probeHealthz asks a replica whether it is ready to serve.
-func (d *RemoteDispatcher) probeHealthz(base string) (*serveproto.Health, error) {
-	resp, err := d.probeClient.Get(base + "/healthz")
+// ProbeHealthz asks a replica whether it is ready to serve: one GET of
+// serveproto.PathHealthz that must answer 200 with a Health body reporting
+// OK, which it returns. It is the one health check every in-repo client
+// runs — the dispatcher's half-open prober, dmi-coord's startup wait and
+// dmi-model's replica wait. A replica without the /v1 surface fails it
+// with 404.
+func ProbeHealthz(ctx context.Context, client *http.Client, base string) (serveproto.Health, error) {
+	var hz serveproto.Health
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+serveproto.PathHealthz, nil)
 	if err != nil {
-		return nil, err
+		return hz, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return hz, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
+		return hz, fmt.Errorf("healthz status %d", resp.StatusCode)
 	}
-	var hz serveproto.Health
 	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		return nil, fmt.Errorf("malformed health body: %w", err)
+		return hz, fmt.Errorf("malformed health body: %w", err)
 	}
 	if !hz.OK {
-		return nil, fmt.Errorf("not ready")
+		return hz, errors.New("not ready")
 	}
-	return &hz, nil
+	return hz, nil
 }
 
 // jitter spreads a backoff delay uniformly over [base/2, 3·base/2) so

@@ -13,6 +13,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/osworld"
 	"repro/internal/serveproto"
+	"repro/internal/taskpack"
 )
 
 // waitForRecovery polls until the replica at stats index i reports at least
@@ -32,7 +33,7 @@ func waitForRecovery(t *testing.T, rd *RemoteDispatcher, i int, within time.Dura
 // TestRemoteDispatcherRecovery is the half-open circuit acceptance test
 // (run under -race in CI): a replica that fails mid-grid is down-marked,
 // the run completes byte-identical on the survivor, the prober brings the
-// failed replica back once its /healthz answers ready, and the recovered
+// failed replica back once its /v1/healthz answers ready, and the recovered
 // replica serves further cells.
 func TestRemoteDispatcherRecovery(t *testing.T) {
 	if testing.Short() {
@@ -49,7 +50,7 @@ func TestRemoteDispatcherRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	got, err := RunDispatched(context.Background(), rd, 3, 8)
+	got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
 	if err != nil {
 		t.Fatalf("recovery run failed: %v", err)
 	}
@@ -67,6 +68,7 @@ func TestRemoteDispatcherRecovery(t *testing.T) {
 	if live := rd.Live(); len(live) != 2 {
 		t.Errorf("both replicas should be in rotation after recovery, got %v", live)
 	}
+	checkRetryLedger(t, rd)
 	// The recovered replica must actually serve again: with two live
 	// replicas and round-robin tie-breaking, four sequential cells cannot
 	// all land on the survivor.
@@ -86,7 +88,8 @@ func TestRemoteDispatcherRecovery(t *testing.T) {
 // well-formed PackMismatch body with its replica-side fields filled in is a
 // pack verdict. A proxy error page or a zero-valued JSON object arriving as
 // 409 is a broken backend — down-mark it and re-dispatch the cell, instead
-// of aborting the run with a bogus mismatch or a final request error.
+// of aborting the run with a bogus mismatch or a final request error. Each
+// case runs against one-cell and multi-cell envelopes alike.
 func TestRemoteDispatcher409Misclassification(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts HTTP servers")
@@ -101,79 +104,89 @@ func TestRemoteDispatcher409Misclassification(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := &testReplica{models: models, failAfter: -1, conflictBody: tc.body}
-			good := &testReplica{models: models, failAfter: -1}
-			rd, err := NewRemoteDispatcher(startReplicas(t, bad, good), RemoteOptions{ProbeInterval: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rd.Close()
-			outcomes, err := rd.Dispatch(context.Background(), cell)
-			if err != nil {
-				t.Fatalf("malformed 409 must fail over, not abort: %v", err)
-			}
-			if len(outcomes) != 1 {
-				t.Fatalf("%d outcomes from the failover, want 1", len(outcomes))
-			}
-			stats := rd.Stats()
-			if !stats[0].Down {
-				t.Errorf("replica answering malformed 409s not marked down: %+v", stats[0])
-			}
-			if stats[1].Down {
-				t.Errorf("healthy failover replica wrongly down: %+v", stats[1])
-			}
-			if rd.Retries() != 1 {
-				t.Errorf("Retries() = %d, want 1", rd.Retries())
+			for _, batch := range []int{0, 4} {
+				bad := &testReplica{models: models, failAfter: -1, conflictBody: tc.body}
+				good := &testReplica{models: models, failAfter: -1}
+				rd, err := NewRemoteDispatcher(startReplicas(t, bad, good), RemoteOptions{ProbeInterval: -1, Batch: batch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rd.Close()
+				outcomes, err := rd.Dispatch(context.Background(), cell)
+				if err != nil {
+					t.Fatalf("batch=%d: malformed 409 must fail over, not abort: %v", batch, err)
+				}
+				if len(outcomes) != 1 {
+					t.Fatalf("batch=%d: %d outcomes from the failover, want 1", batch, len(outcomes))
+				}
+				stats := rd.Stats()
+				if !stats[0].Down {
+					t.Errorf("batch=%d: replica answering malformed 409s not marked down: %+v", batch, stats[0])
+				}
+				if stats[1].Down {
+					t.Errorf("batch=%d: healthy failover replica wrongly down: %+v", batch, stats[1])
+				}
+				if rd.Retries() != 1 {
+					t.Errorf("batch=%d: Retries() = %d, want 1", batch, rd.Retries())
+				}
+				checkRetryLedger(t, rd)
 			}
 		})
 	}
 	t.Run("well-formed mismatch is still final", func(t *testing.T) {
-		bad := &testReplica{models: models, failAfter: -1,
-			conflictBody: `{"want_pack":"osworld-w","want_hash":"abc","have_pack":"other-pack","have_hash":"deadbeef"}`}
-		good := &testReplica{models: models, failAfter: -1}
-		rd, err := NewRemoteDispatcher(startReplicas(t, bad, good), RemoteOptions{ProbeInterval: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rd.Close()
-		_, err = rd.Dispatch(context.Background(), cell)
-		var mismatch *PackMismatchError
-		if !errors.As(err, &mismatch) {
-			t.Fatalf("well-formed 409 must surface as PackMismatchError, got %v", err)
-		}
-		if mismatch.HavePack != "other-pack" {
-			t.Errorf("mismatch names pack %q, want %q", mismatch.HavePack, "other-pack")
-		}
-		if rd.Stats()[0].Down {
-			t.Error("a pack mismatch is a configuration error, not a replica failure — no down-mark")
+		for _, batch := range []int{0, 4} {
+			bad := &testReplica{models: models, failAfter: -1,
+				conflictBody: `{"want_pack":"osworld-w","want_hash":"abc","have_pack":"other-pack","have_hash":"deadbeef"}`}
+			good := &testReplica{models: models, failAfter: -1}
+			rd, err := NewRemoteDispatcher(startReplicas(t, bad, good), RemoteOptions{ProbeInterval: -1, Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rd.Close()
+			_, err = rd.Dispatch(context.Background(), cell)
+			var mismatch *PackMismatchError
+			if !errors.As(err, &mismatch) {
+				t.Fatalf("batch=%d: well-formed 409 must surface as PackMismatchError, got %v", batch, err)
+			}
+			if mismatch.HavePack != "other-pack" {
+				t.Errorf("batch=%d: mismatch names pack %q, want %q", batch, mismatch.HavePack, "other-pack")
+			}
+			if rd.Stats()[0].Down {
+				t.Errorf("batch=%d: a pack mismatch is a configuration error, not a replica failure — no down-mark", batch)
+			}
+			checkRetryLedger(t, rd)
 		}
 	})
 }
 
-// echoReplica is a minimal protocol stub: it answers any /session with the
-// requested number of zero outcomes and /healthz with ready. No models, so
-// tie-break and membership tests stay cheap.
+// echoReplica is a minimal protocol stub: it answers every cell of a
+// /v1/cells envelope with the requested number of zero outcomes and
+// /v1/healthz with ready. No models, so tie-break and membership tests stay
+// cheap.
 type echoReplica struct {
 	served atomic.Int64
 }
 
 func (er *echoReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/healthz" {
-		w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/json")
+	if r.URL.Path == serveproto.PathHealthz {
 		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: 1})
 		return
 	}
-	var req serveproto.SessionRequest
+	var req serveproto.BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	er.served.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(serveproto.SessionResponse{
-		App: req.App, Task: req.Task, Setting: req.Setting, Runs: req.Runs,
-		Outcomes: make([]agent.Outcome, req.Runs),
-	})
+	resp := serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, len(req.Cells))}
+	for i, c := range req.Cells {
+		er.served.Add(1)
+		resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusOK, Response: &serveproto.SessionResponse{
+			App: c.App, Task: c.Task, Setting: c.Setting, Runs: c.Runs,
+			Outcomes: make([]agent.Outcome, c.Runs),
+		}}
+	}
+	json.NewEncoder(w).Encode(resp)
 }
 
 // TestPickTieBreakRoundRobin pins the tie-break fix: sequential dispatches

@@ -1,14 +1,10 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -27,7 +23,7 @@ const maxRipSenders = 32
 // dispatcher's fleet machinery. Each envelope picks the least-loaded live
 // replica (equal-load ties rotate round-robin), bounded by the per-replica
 // in-flight cap. A transport error, a 5xx, or a malformed response marks
-// the replica down — handing it to the same half-open /healthz prober the
+// the replica down — handing it to the same half-open /v1/healthz prober the
 // cell dispatcher uses — and the envelope's frames are re-dispatched to
 // another replica. Re-dispatch is safe because an expansion is idempotent
 // by construction: it is a function of (app, context, click path) on a
@@ -172,33 +168,13 @@ func (re *RemoteExpander) deliver(items []*ripItem) {
 	tried := make(map[*replica]bool)
 	var failures []error
 	for {
-		rep := re.d.pick(tried)
+		rep, _ := re.d.acquire(context.Background(), tried) // no deadline: the only outcome is a replica or none
 		if rep == nil {
-			err := errors.New("no live replicas")
-			if n := len(failures); n > 0 {
-				re.d.mu.Lock()
-				re.d.retries += n
-				re.d.mu.Unlock()
-				err = fmt.Errorf("all replicas failed: %w", errors.Join(failures...))
-			}
+			err := re.d.exhausted(failures)
 			for _, it := range items {
 				it.done <- ung.ExpandResult{Err: err}
 			}
 			return
-		}
-		rep.slot <- struct{}{}
-		// Another dispatch may have down-marked (or a reload removed) this
-		// replica while we waited for a slot; skip it without a request,
-		// accounted like the cell path's slot-wait skips.
-		rep.mu.Lock()
-		skip := rep.down || rep.removed
-		if skip {
-			rep.skips++
-		}
-		rep.mu.Unlock()
-		if skip {
-			<-rep.slot
-			continue
 		}
 		results, err := re.postRip(rep, items)
 		<-rep.slot
@@ -206,11 +182,7 @@ func (re *RemoteExpander) deliver(items []*ripItem) {
 			rep.mu.Lock()
 			rep.cells += len(items)
 			rep.mu.Unlock()
-			if len(failures) > 0 {
-				re.d.mu.Lock()
-				re.d.retries += len(failures)
-				re.d.mu.Unlock()
-			}
+			re.d.countRetries(len(failures))
 			var clicks, snapshots int
 			var sim time.Duration
 			for i, it := range items {
@@ -228,9 +200,7 @@ func (re *RemoteExpander) deliver(items []*ripItem) {
 			re.mu.Unlock()
 			return
 		}
-		var mismatch *PackMismatchError
-		var bad *requestError
-		if errors.As(err, &mismatch) || errors.As(err, &bad) {
+		if isFinal(err) {
 			// The envelope (or the run's pack handshake) is at fault; every
 			// replica would reject it identically. Final, no down-mark.
 			for _, it := range items {
@@ -256,50 +226,13 @@ func (re *RemoteExpander) postRip(rep *replica, items []*ripItem) ([]ung.ExpandR
 	for i, it := range items {
 		frames[i] = serveproto.RipFrame{ID: it.f.ID, Path: it.f.Path}
 	}
-	body, err := json.Marshal(serveproto.RipRequest{
+	body := serveproto.RipRequest{
 		Pack: re.d.pack, PackHash: re.d.packHash,
 		App: re.app, Context: items[0].ctx, Frames: frames,
-	})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(context.Background(), http.MethodPost, rep.base+"/v1/rip", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(serveproto.RipBatchHeader, fmt.Sprint(len(frames)))
-	resp, err := re.d.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		// Same verdict rule as the cell path: only a well-formed PackMismatch
-		// is the replica's considered answer; anything else reads as a
-		// replica failure.
-		var pm serveproto.PackMismatch
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1024)).Decode(&pm); err == nil &&
-			(pm.HavePack != "" || pm.HaveHash != "") {
-			return nil, &PackMismatchError{
-				Replica:  rep.base,
-				WantPack: pm.WantPack, WantHash: pm.WantHash,
-				HavePack: pm.HavePack, HaveHash: pm.HaveHash,
-			}
-		}
-		return nil, errors.New("status 409 with malformed pack-mismatch body")
-	}
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		msg := fmt.Sprintf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return nil, &requestError{msg: msg}
-		}
-		return nil, errors.New(msg)
 	}
 	var rr serveproto.RipResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return nil, fmt.Errorf("malformed response: %w", err)
+	if err := re.d.postEnvelope(context.Background(), rep, serveproto.PathRip, serveproto.RipBatchHeader, len(frames), body, &rr); err != nil {
+		return nil, err
 	}
 	if len(rr.Results) != len(frames) {
 		return nil, fmt.Errorf("response carries %d results for %d frames", len(rr.Results), len(frames))

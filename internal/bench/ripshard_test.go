@@ -45,7 +45,7 @@ type ripReplica struct {
 	envelopes atomic.Int64 // envelopes served
 	frames    atomic.Int64 // frames expanded inside them
 	failed    atomic.Int64 // injected envelope failures
-	probes    atomic.Int64 // /healthz requests received
+	probes    atomic.Int64 // /v1/healthz requests received
 }
 
 func newRipReplica(app string) *ripReplica {
@@ -58,7 +58,7 @@ func (rr *ripReplica) failing() bool {
 }
 
 func (rr *ripReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/healthz" {
+	if r.URL.Path == serveproto.PathHealthz {
 		rr.probes.Add(1)
 		if rr.failing() {
 			http.Error(w, "injected outage", http.StatusInternalServerError)
@@ -68,7 +68,7 @@ func (rr *ripReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: 1, Proto: serveproto.ProtoV1})
 		return
 	}
-	if r.URL.Path != "/v1/rip" || r.Method != http.MethodPost {
+	if r.URL.Path != serveproto.PathRip || r.Method != http.MethodPost {
 		http.NotFound(w, r)
 		return
 	}

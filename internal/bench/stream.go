@@ -22,12 +22,6 @@ type CapacityReporter interface {
 // recovers or joins; polling bounds how long that new headroom sits idle.
 const streamPoll = 100 * time.Millisecond
 
-// RunStreamed executes the full evaluation grid over the compiled-in task
-// pack in streaming mode. See RunStreamedIn.
-func RunStreamed(ctx context.Context, d Dispatcher, runs int) (*Report, error) {
-	return RunStreamedIn(ctx, taskpack.Builtin(), d, runs)
-}
-
 // RunStreamedIn executes a task registry's full evaluation grid as a work
 // queue: instead of pre-sharding the grid over a fixed worker pool, the
 // feeder dispatches the next cell whenever the fleet has capacity for it,

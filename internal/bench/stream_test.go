@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/taskpack"
 )
 
 // TestRunStreamedLocalEquivalence: the streaming work queue must render the
@@ -19,7 +20,7 @@ func TestRunStreamedLocalEquivalence(t *testing.T) {
 		t.Skip("full-matrix evaluation")
 	}
 	models, rep := sharedReport(t)
-	got, err := RunStreamed(context.Background(), NewLocalDispatcher(models, 1), 3)
+	got, err := RunStreamedIn(context.Background(), taskpack.Builtin(), NewLocalDispatcherIn(taskpack.Builtin(), models, 1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestRunStreamedElasticMembership(t *testing.T) {
 		}
 		joined <- rd.AddReplica(urls[1])
 	}()
-	got, err := RunStreamed(context.Background(), rd, 3)
+	got, err := RunStreamedIn(context.Background(), taskpack.Builtin(), rd, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +68,8 @@ func TestRunStreamedElasticMembership(t *testing.T) {
 	if b.served.Load() == 0 {
 		t.Error("the replica added mid-stream never served a cell")
 	}
-	if a.served.Load()+b.served.Load() != int64(len(GridCells(3))) {
-		t.Errorf("replicas served %d+%d cells, want %d", a.served.Load(), b.served.Load(), len(GridCells(3)))
+	if a.served.Load()+b.served.Load() != int64(len(GridCellsIn(taskpack.Builtin(), 3))) {
+		t.Errorf("replicas served %d+%d cells, want %d", a.served.Load(), b.served.Load(), len(GridCellsIn(taskpack.Builtin(), 3)))
 	}
 }
 
@@ -86,18 +87,18 @@ func TestRunStreamedAllDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	if _, err := RunStreamed(context.Background(), rd, 1); err == nil ||
+	if _, err := RunStreamedIn(context.Background(), taskpack.Builtin(), rd, 1); err == nil ||
 		!strings.Contains(err.Error(), "all replicas failed") {
 		t.Fatalf("stream over dead replicas must fail, got %v", err)
 	}
 }
 
-// TestRunStreamedPlumbing mirrors the RunDispatched plumbing contract for
+// TestRunStreamedPlumbing mirrors the RunDispatchedIn plumbing contract for
 // the streaming mode: runs<=0 aggregates the zeroed report without a
 // single dispatch.
 func TestRunStreamedPlumbing(t *testing.T) {
 	called := false
-	repo, err := RunStreamed(context.Background(), fakeDispatcher(func(context.Context, Cell) ([]agent.Outcome, error) {
+	repo, err := RunStreamedIn(context.Background(), taskpack.Builtin(), fakeDispatcher(func(context.Context, Cell) ([]agent.Outcome, error) {
 		called = true
 		return nil, errors.New("no cell should dispatch")
 	}), 0)
@@ -168,7 +169,9 @@ func TestRunDispatchedCancellationOrdering(t *testing.T) {
 		})
 	}
 	run("dispatched", func(ctx context.Context, d Dispatcher, runs int) (*Report, error) {
-		return RunDispatched(ctx, d, runs, 2)
+		return RunDispatchedIn(ctx, taskpack.Builtin(), d, runs, 2)
 	})
-	run("streamed", RunStreamed)
+	run("streamed", func(ctx context.Context, d Dispatcher, runs int) (*Report, error) {
+		return RunStreamedIn(ctx, taskpack.Builtin(), d, runs)
+	})
 }

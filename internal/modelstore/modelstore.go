@@ -10,11 +10,10 @@
 //     key trigger exactly one offline build; the rest block and share it.
 //   - Versioned snapshots: a persistent store writes the ripped graph to
 //     disk and later runs rebuild the model from the snapshot with zero
-//     rip clicks (transform + identify are cheap; ripping is not). The
-//     default encoding is the compact binary codec (ung.EncodeBinary);
-//     FormatJSON keeps the greppable JSON form as a debug option. Loading
-//     sniffs the format, so a directory of older JSON snapshots keeps
-//     working after the default switched.
+//     rip clicks (transform + identify are cheap; ripping is not). Snapshots
+//     use the compact binary codec (ung.EncodeBinary, .ungb files); any
+//     other file in the directory is ignored, so a stray one is a cache
+//     miss that gets rebuilt.
 //   - Deterministic results: the build uses the parallel ripper, which is
 //     byte-identical to the sequential one, so cached, snapshotted, and
 //     fresh builds all yield the same identifier assignment.
@@ -41,56 +40,6 @@ import (
 // SnapshotVersion is bumped whenever the snapshot encoding or the pipeline
 // semantics change; stale snapshots are ignored and rebuilt.
 const SnapshotVersion = 1
-
-// SnapshotFormat selects the on-disk snapshot encoding. The zero value is
-// the compact binary codec — per-model budget cost is the encoded size, so
-// the smaller codec multiplies the effective warm-cache budget. FormatJSON
-// keeps the greppable form for debugging. The format governs what a store
-// *writes* and what it accounts as cost; loading always sniffs, so either
-// store reads either format's files.
-type SnapshotFormat int
-
-const (
-	// FormatBinary writes ung.EncodeBinary snapshots (.ungb).
-	FormatBinary SnapshotFormat = iota
-	// FormatJSON writes ung.Encode snapshots (.json), the debug format.
-	FormatJSON
-)
-
-// ParseSnapshotFormat maps the -snapshot-format flag values to a format.
-func ParseSnapshotFormat(s string) (SnapshotFormat, error) {
-	switch s {
-	case "binary":
-		return FormatBinary, nil
-	case "json":
-		return FormatJSON, nil
-	}
-	return 0, fmt.Errorf("modelstore: unknown snapshot format %q (want binary or json)", s)
-}
-
-// String returns the flag spelling of the format.
-func (f SnapshotFormat) String() string {
-	if f == FormatJSON {
-		return "json"
-	}
-	return "binary"
-}
-
-// ext is the snapshot file extension for the format.
-func (f SnapshotFormat) ext() string {
-	if f == FormatJSON {
-		return ".json"
-	}
-	return ".ungb"
-}
-
-// encode serializes a graph in the format.
-func (f SnapshotFormat) encode(g *ung.Graph) ([]byte, error) {
-	if f == FormatJSON {
-		return ung.Encode(g)
-	}
-	return ung.EncodeBinary(g)
-}
 
 // Options configures one offline build. Workers selects the rip worker pool
 // size and never affects the result, so it is excluded from the fingerprint.
@@ -182,8 +131,7 @@ type Stats struct {
 // Store memoizes offline builds. The zero value is not usable; construct
 // with New, NewPersistent, or NewBudgeted.
 type Store struct {
-	dir    string         // "" = in-memory only
-	format SnapshotFormat // encoding for writes and cost accounting
+	dir string // "" = in-memory only
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -210,29 +158,12 @@ type entry struct {
 // New creates an in-memory store.
 func New() *Store { return &Store{entries: make(map[string]*entry)} }
 
-// NewPersistent creates a store that additionally saves and reuses graph
-// snapshots under dir (created on first save), written in the store's
-// snapshot format (binary unless SetSnapshotFormat says otherwise).
+// NewPersistent creates a store that additionally saves and reuses binary
+// graph snapshots under dir (created on first save).
 func NewPersistent(dir string) *Store {
 	s := New()
 	s.dir = dir
 	return s
-}
-
-// SetSnapshotFormat selects the encoding for snapshot writes and budget
-// cost accounting. Call before the first Build; existing files in the other
-// format still load (the loader sniffs), they are just no longer written.
-func (s *Store) SetSnapshotFormat(f SnapshotFormat) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.format = f
-}
-
-// SnapshotFormat reports the store's write/accounting format.
-func (s *Store) SnapshotFormat() SnapshotFormat {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.format
 }
 
 // NewBudgeted creates a store whose warm entries hold at most budget bytes
@@ -431,10 +362,10 @@ func (s *Store) build(app string, factory func() *appkit.App, opt Options) (Buil
 	b.FullTokens = describe.Tokens(b.Model.Full())
 
 	if !b.FromSnapshot {
-		// Encode once in the active format: the encoding is the entry's
-		// budget cost, the resident-bytes accounting, and, for persistent
-		// stores, the snapshot payload.
-		data, err := s.SnapshotFormat().encode(b.Graph)
+		// Encode once: the encoding is the entry's budget cost, the
+		// resident-bytes accounting, and, for persistent stores, the
+		// snapshot payload.
+		data, err := ung.EncodeBinary(b.Graph)
 		switch {
 		case err != nil:
 			b.SnapshotBytes = -1 // cost unknown; a budget refuses to cache this
@@ -453,10 +384,9 @@ func (s *Store) build(app string, factory func() *appkit.App, opt Options) (Buil
 	return b, nil
 }
 
-// snapshotPath keeps one file per fingerprint and format; the fingerprint's
-// separators are flattened into a safe file name and the extension is the
-// format's (.ungb or .json).
-func (s *Store) snapshotPath(key string, f SnapshotFormat) string {
+// snapshotPath keeps one .ungb file per fingerprint; the fingerprint's
+// separators are flattened into a safe file name.
+func (s *Store) snapshotPath(key string) string {
 	safe := make([]rune, 0, len(key))
 	for _, r := range key {
 		switch r {
@@ -466,35 +396,24 @@ func (s *Store) snapshotPath(key string, f SnapshotFormat) string {
 			safe = append(safe, r)
 		}
 	}
-	return filepath.Join(s.dir, string(safe)+f.ext())
+	return filepath.Join(s.dir, string(safe)+".ungb")
 }
 
-// loadSnapshot reads the snapshot for key, preferring the active format's
-// file but falling back to the other format's — a directory written before
-// the binary default switched keeps its zero-rip-click reloads. Decoding
-// sniffs the payload (ung.DecodeAny), so even a misnamed file loads. The
-// reported size is the loaded payload's, whichever format it was in.
+// loadSnapshot reads and decodes the snapshot for key. A missing, corrupt
+// or stale file is a miss: the caller rebuilds and rewrites it.
 func (s *Store) loadSnapshot(key string) (*ung.Graph, int64, bool) {
 	if s.dir == "" {
 		return nil, 0, false
 	}
-	active := s.SnapshotFormat()
-	other := FormatJSON
-	if active == FormatJSON {
-		other = FormatBinary
+	data, err := os.ReadFile(s.snapshotPath(key))
+	if err != nil {
+		return nil, 0, false
 	}
-	for _, f := range [2]SnapshotFormat{active, other} {
-		data, err := os.ReadFile(s.snapshotPath(key, f))
-		if err != nil {
-			continue
-		}
-		g, err := ung.DecodeAny(data)
-		if err != nil {
-			continue // corrupt or stale snapshot: try the other, else rebuild
-		}
-		return g, int64(len(data)), true
+	g, err := ung.DecodeBinary(data)
+	if err != nil {
+		return nil, 0, false
 	}
-	return nil, 0, false
+	return g, int64(len(data)), true
 }
 
 // writeSnapshot publishes a snapshot crash-safely: the payload goes to a
@@ -507,7 +426,7 @@ func (s *Store) writeSnapshot(key string, data []byte) (err error) {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
-	path := s.snapshotPath(key, s.SnapshotFormat())
+	path := s.snapshotPath(key)
 	f, err := os.CreateTemp(s.dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err

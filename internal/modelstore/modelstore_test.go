@@ -3,6 +3,7 @@ package modelstore
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -328,7 +329,7 @@ func TestSnapshotWriteFailureLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	s := NewPersistent(dir)
 	key := RipFingerprint("StoreDemo", ung.Config{})
-	if err := os.MkdirAll(filepath.Join(s.snapshotPath(key, s.SnapshotFormat()), "occupied"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(s.snapshotPath(key), "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	b, err := s.Build("StoreDemo", storeApp, Options{})
@@ -344,8 +345,8 @@ func TestSnapshotWriteFailureLeavesNoTemp(t *testing.T) {
 	}
 }
 
-// TestSnapshotBinaryDefault pins the format switch's payoff: a persistent
-// store writes compact binary snapshots (.ungb) by default, and the build's
+// TestSnapshotBinaryDefault pins the snapshot encoding's payoff: a
+// persistent store writes compact binary snapshots (.ungb), and the build's
 // budget cost is the binary size — strictly smaller than the JSON form, so
 // the same byte budget holds more warm models.
 func TestSnapshotBinaryDefault(t *testing.T) {
@@ -378,44 +379,25 @@ func TestSnapshotBinaryDefault(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatJSON: the debug format writes greppable .json files and
-// accounts cost at the JSON size.
-func TestSnapshotFormatJSON(t *testing.T) {
+// TestStrayJSONSnapshotIsAMiss: the store reads only its own .ungb files,
+// so a JSON snapshot left in the directory by an older build is ignored —
+// a cache miss that rips and writes the binary snapshot beside it.
+func TestStrayJSONSnapshotIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := NewPersistent(dir)
-	s.SetSnapshotFormat(FormatJSON)
-	b, err := s.Build("StoreDemo", storeApp, Options{})
+	key := RipFingerprint("StoreDemo", ung.Config{})
+	ref, err := New().Build("StoreDemo", storeApp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := os.ReadDir(dir)
-	if err != nil || len(files) != 1 {
-		t.Fatalf("snapshot not written: %v %d", err, len(files))
-	}
-	if filepath.Ext(files[0].Name()) != ".json" {
-		t.Errorf("JSON-format snapshot %q is not .json", files[0].Name())
-	}
-	jsonData, err := ung.Encode(b.Graph)
+	data, err := ung.Encode(ref.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.SnapshotBytes != int64(len(jsonData)) {
-		t.Errorf("JSON-format cost %d, want the JSON size %d", b.SnapshotBytes, len(jsonData))
-	}
-}
-
-// TestLegacyJSONSnapshotLoads: a directory written before the binary default
-// switched (JSON files only) still gives zero-rip-click reloads — the loader
-// falls back to the other format's file and sniffs the payload.
-func TestLegacyJSONSnapshotLoads(t *testing.T) {
-	dir := t.TempDir()
-	legacy := NewPersistent(dir)
-	legacy.SetSnapshotFormat(FormatJSON)
-	if _, err := legacy.Build("StoreDemo", storeApp, Options{}); err != nil {
+	stray := strings.TrimSuffix(s.snapshotPath(key), ".ungb") + ".json"
+	if err := os.WriteFile(stray, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	s := NewPersistent(dir) // binary default
 	var calls atomic.Int32
 	b, err := s.Build("StoreDemo", func() *appkit.App {
 		calls.Add(1)
@@ -424,23 +406,11 @@ func TestLegacyJSONSnapshotLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.FromSnapshot || b.RipStats.Clicks != 0 || calls.Load() != 0 {
-		t.Fatalf("legacy JSON snapshot not reused: %+v (%d factory calls)", b, calls.Load())
+	if b.FromSnapshot || calls.Load() == 0 {
+		t.Fatalf("stray JSON snapshot was loaded: %+v (%d factory calls)", b, calls.Load())
 	}
-}
-
-func TestParseSnapshotFormat(t *testing.T) {
-	for in, want := range map[string]SnapshotFormat{"binary": FormatBinary, "json": FormatJSON} {
-		got, err := ParseSnapshotFormat(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSnapshotFormat(%q) = %v, %v", in, got, err)
-		}
-		if got.String() != in {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), in)
-		}
-	}
-	if _, err := ParseSnapshotFormat("yaml"); err == nil {
-		t.Error("unknown format accepted")
+	if _, err := os.Stat(s.snapshotPath(key)); err != nil {
+		t.Errorf("the rebuild wrote no binary snapshot: %v", err)
 	}
 }
 

@@ -26,7 +26,7 @@ const MaxRipPath = 64
 const RipBatchHeader = "Dmi-Rip-Frames"
 
 // RipRequestBytes is the body cap for a POST /v1/rip declaring n frames:
-// the single-session cap scaled by the declared frame count, clamped to
+// the per-cell cap scaled by the declared frame count, clamped to
 // [1, MaxRipFrames]. A frame is an id plus a click path of ids — far below
 // the per-frame allowance — so a legitimate full envelope always fits.
 func RipRequestBytes(n int) int64 {

@@ -1,15 +1,17 @@
 // Package serveproto is the wire protocol of the distributed serving tier:
-// the request/response types the dmi-serve daemon answers on POST /session
-// and GET /stats, shared with the bench.RemoteDispatcher that shards grid
-// cells across replicas and with the dmi-coord coordinator that scrapes
-// replica stats. Promoting the types out of cmd/dmi-serve is what keeps the
-// daemon and its clients from drifting: both sides compile against the same
-// structs, so a field rename is a build break, not a silent protocol skew.
+// the route paths and the request/response types the dmi-serve daemon
+// answers, shared with the bench.RemoteDispatcher that shards grid cells
+// across replicas and with the dmi-coord coordinator that scrapes replica
+// stats. Promoting the types out of cmd/dmi-serve is what keeps the daemon
+// and its clients from drifting: both sides compile against the same
+// structs and path constants, so a rename is a build break, not a silent
+// protocol skew.
 //
-// The protocol is deliberately tiny. A session request names one evaluation
-// grid cell — the task (which implies the app), the matrix setting by its
-// Table 3 label, and the repetition count — and the response carries the
-// cell's outcomes. Sessions are stateless, pure functions of
+// The protocol is deliberately tiny. Cells travel in one envelope, POST
+// /v1/cells, whether a client sends one or many: a single cell is a batch
+// of one. Each cell names one evaluation grid cell — the task (which
+// implies the app), the matrix setting by its Table 3 label, and the
+// repetition count — and its result carries the cell's outcomes. Sessions are stateless, pure functions of
 // (model, task, setting, run): the RNG stream is derived from those
 // coordinates alone, so replaying a request on any replica yields the same
 // bytes. That idempotency is the entire failure-handling story — a
@@ -27,18 +29,25 @@ import (
 	"repro/internal/modelstore"
 )
 
+// Route paths of the v1 surface, the only one the daemon serves.
+const (
+	PathCells   = "/v1/cells"   // POST: BatchRequest → BatchResponse
+	PathRip     = "/v1/rip"     // POST: RipRequest → RipResponse
+	PathStats   = "/v1/stats"   // GET: StatsResponse
+	PathHealthz = "/v1/healthz" // GET: Health
+)
+
 // MaxRuns bounds one request's repetitions so a typo cannot park a worker
 // pool on a single cell indefinitely.
 const MaxRuns = 100
 
-// MaxRequestBytes caps a POST /session body. A session request is a few
-// short strings; daemons refuse to buffer more and answer 413.
+// MaxRequestBytes is the body cap of one cell's worth of request: a cell is
+// a few short strings, so daemons refuse to buffer more per declared cell
+// and answer 413 (see BatchRequestBytes).
 const MaxRequestBytes = 1 << 16
 
 // ProtoV1 is the current wire protocol generation, reported in
-// Health.Proto. Generation 1 is the versioned /v1/* route set with the
-// batch endpoint; a replica that omits the field (zero) speaks only the
-// legacy unversioned routes.
+// Health.Proto: the /v1/* route set above.
 const ProtoV1 = 1
 
 // MaxBatchCells bounds one POST /v1/cells request. A batch is a transport
@@ -48,7 +57,7 @@ const ProtoV1 = 1
 const MaxBatchCells = 64
 
 // BatchRequestBytes is the body cap for a POST /v1/cells declaring n cells:
-// the per-session cap scaled by the declared batch size (clamped to
+// the per-cell cap scaled by the declared batch size (clamped to
 // [1, MaxBatchCells]). Scaling by the declared size instead of capping flat
 // is what lets a full batch of maximum-size cell requests through while
 // still bounding what a replica will buffer. Clients declare n in the
@@ -68,13 +77,14 @@ func BatchRequestBytes(n int) int64 {
 // so the daemon can size its MaxBytesReader before reading a byte.
 const BatchSizeHeader = "Dmi-Batch-Cells"
 
-// SessionRequest selects one grid cell. App is optional; when set it must
-// match the task's application (a cheap cross-check that the caller and the
-// replica agree on the catalog). Pack and PackHash optionally name the task
-// pack the caller resolves cells against (see internal/taskpack); a replica
-// serving a different pack answers 409 with a PackMismatch body instead of
-// running the cell against different task content. Empty values skip the
-// handshake.
+// SessionRequest selects one grid cell inside a BatchRequest. App is
+// optional; when set it must match the task's application (a cheap
+// cross-check that the caller and the replica agree on the catalog). The
+// pack handshake is the envelope's (BatchRequest.Pack/PackHash), and the
+// in-repo dispatcher leaves the per-cell Pack and PackHash empty; they stay
+// because the envelope is outside input, and a hand-written cell naming a
+// different pack must get its own 409 rather than run against different
+// task content.
 type SessionRequest struct {
 	App      string `json:"app"`
 	Task     string `json:"task"`
@@ -113,11 +123,13 @@ type RawSessionResponse struct {
 	Outcomes json.RawMessage `json:"outcomes"`
 }
 
-// BatchRequest is POST /v1/cells: up to MaxBatchCells session requests in
-// one HTTP call, amortizing per-call overhead at high cell rates. The pack
-// handshake stays request-level (one Pack/PackHash pair for the whole
-// batch) because a coordinator never mixes packs within a run; a mismatch
-// rejects the batch with 409 exactly like a single session.
+// BatchRequest is POST /v1/cells: 1..MaxBatchCells cells in one HTTP call
+// (an unbatched client sends exactly one). Pack and PackHash optionally name
+// the task pack the caller resolves cells against (see internal/taskpack);
+// a replica serving a different pack rejects the whole envelope with 409
+// and a PackMismatch body instead of running cells against different task
+// content. The handshake is request-level because a coordinator never
+// mixes packs within a run; empty values skip it.
 type BatchRequest struct {
 	Pack     string           `json:"pack,omitempty"`
 	PackHash string           `json:"pack_hash,omitempty"`
@@ -144,9 +156,9 @@ func DecodeBatchRequest(r io.Reader) (BatchRequest, error) {
 }
 
 // BatchCellResult is one cell's outcome within a batch response. Cells fail
-// independently: Status carries the HTTP status the cell would have gotten
-// as a single POST /session (200, 400, 404, ...), with Error naming the
-// rejection, so one bad cell does not poison its batch-mates.
+// independently: Status carries the cell's own HTTP-style verdict (200,
+// 400, 404, 409, 500, ...), with Error naming the rejection, so one bad
+// cell does not poison its batch-mates.
 type BatchCellResult struct {
 	Status   int              `json:"status"`
 	Error    string           `json:"error,omitempty"`
@@ -182,7 +194,7 @@ type RawBatchCellResult struct {
 	Response json.RawMessage `json:"response,omitempty"`
 }
 
-// PackMismatch is the body of a 409 session rejection: the replica is
+// PackMismatch is the body of a 409 envelope rejection: the replica is
 // healthy but serves a different task pack than the request names. Want is
 // the requester's pack, Have is the replica's.
 type PackMismatch struct {
@@ -192,8 +204,9 @@ type PackMismatch struct {
 	HaveHash string `json:"have_hash"`
 }
 
-// StatsResponse is GET /stats: serving totals plus the model store's
-// warm-serving counters.
+// StatsResponse is GET /v1/stats: serving totals plus the model store's
+// warm-serving counters. Sessions counts cells served, Runs the outcomes
+// returned across them, InFlight the cells executing now.
 type StatsResponse struct {
 	Sessions int64 `json:"sessions"`
 	Runs     int64 `json:"runs"`
@@ -208,16 +221,17 @@ type StatsResponse struct {
 	CoreTokens   map[string]int   `json:"core_tokens"`
 }
 
-// Health is GET /healthz: readiness, the catalog size the replica
+// Health is GET /v1/healthz: readiness, the catalog size the replica
 // prewarmed, and the identity of the task pack it serves — so a coordinator
 // can refuse to start a run against mismatched replicas before dispatching
 // anything.
 type Health struct {
 	OK   bool `json:"ok"`
 	Apps int  `json:"apps"`
-	// Proto is the wire protocol generation (ProtoV1 for the /v1 route
-	// set). Zero means a pre-versioning replica that answers only the
-	// legacy unversioned routes.
+	// Proto is the wire protocol generation (ProtoV1). No in-repo client
+	// branches on it — a replica without the /v1 surface fails the health
+	// probe with 404 — but it stays on the wire so operators and external
+	// tools can tell generations apart when a v2 surface arrives.
 	Proto    int    `json:"proto,omitempty"`
 	Pack     string `json:"pack,omitempty"`
 	PackHash string `json:"pack_hash,omitempty"`

@@ -33,8 +33,8 @@ import (
 // distinct errors, and the decoded graph passes the same structural
 // validation as the JSON path.
 
-// binaryMagic distinguishes a binary snapshot from a JSON one (which always
-// starts with '{'); DecodeAny sniffs it.
+// binaryMagic opens every binary snapshot (a JSON one always starts with
+// '{'), so a payload in the wrong encoding fails fast.
 const binaryMagic = "UNGB"
 
 // BinaryVersion is the binary layout version. Bumped on any layout change;
@@ -219,17 +219,6 @@ func resolveEdges(idxs []uint64, order []string) []string {
 		edges[i] = order[idx]
 	}
 	return edges
-}
-
-// DecodeAny decodes either snapshot encoding, sniffing the binary magic —
-// the loader path for snapshot directories that may hold files written by
-// either format (older JSON snapshots keep working after the default
-// switched to binary).
-func DecodeAny(data []byte) (*Graph, error) {
-	if len(data) >= len(binaryMagic) && string(data[:len(binaryMagic)]) == binaryMagic {
-		return DecodeBinary(data)
-	}
-	return Decode(data)
 }
 
 // binReader walks the binary layout with bounds checking; every read

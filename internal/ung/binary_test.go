@@ -155,27 +155,6 @@ func TestBinaryDecodeFailureModes(t *testing.T) {
 	})
 }
 
-func TestDecodeAnySniffsBothFormats(t *testing.T) {
-	g, _ := ripDemo(t)
-	jsonData, err := Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binData, err := EncodeBinary(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := DecodeAny(jsonData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := DecodeAny(binData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsIdentical(t, fromJSON, fromBin)
-}
-
 // FuzzSnapshotBinaryDecode hardens the binary codec the same way FuzzDecode
 // hardens the JSON one: DecodeBinary must never panic on corrupt input, and
 // anything it accepts must be structurally valid and survive a binary round
