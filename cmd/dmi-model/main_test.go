@@ -52,6 +52,25 @@ func TestModelSingleAppTable(t *testing.T) {
 	}
 }
 
+// TestDefaultReportStable: the default report (all apps, a 4-worker pool) is
+// a function of the apps alone. Its model-time column is the virtual
+// schedule's makespan, so two runs on fresh stores print the same bytes.
+func TestDefaultReportStable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("catalog-scale rip")
+	}
+	var first, second, errb bytes.Buffer
+	if err := run(nil, &first, &errb); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	if err := run(nil, &second, &errb); err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if first.String() != second.String() {
+		t.Fatalf("default report differs between runs:\n%s\nvs\n%s", first.String(), second.String())
+	}
+}
+
 func TestSnapshotReuseAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("app-scale rip")

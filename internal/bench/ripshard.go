@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/serveproto"
 	"repro/internal/ung"
@@ -41,17 +40,9 @@ type RemoteExpander struct {
 	app   string
 	batch int
 
-	stack *ripStack
-	wg    sync.WaitGroup
-
-	mu        sync.Mutex
-	clicks    int
-	snapshots int
-	//dmi:orderinvariant per-replica totals; Close takes an order-free max
-	sim map[string]time.Duration
-
-	closeOnce sync.Once
-	stats     ung.ExpanderStats
+	stack   *ung.FrameStack
+	wg      sync.WaitGroup
+	senders int
 }
 
 // NewRemoteExpander validates the replica list and builds an expander for
@@ -79,56 +70,32 @@ func NewRemoteExpander(baseURLs []string, app string, opt RemoteOptions) (*Remot
 		d:     d,
 		app:   app,
 		batch: batch,
-		stack: newRipStack(),
-		sim:   make(map[string]time.Duration),
+		stack: ung.NewFrameStack(),
 	}
-	senders := len(baseURLs) * d.inflight
-	if senders > maxRipSenders {
-		senders = maxRipSenders
-	}
-	re.wg.Add(senders)
-	for i := 0; i < senders; i++ {
+	re.senders = min(len(baseURLs)*d.inflight, maxRipSenders)
+	re.wg.Add(re.senders)
+	for i := 0; i < re.senders; i++ {
 		go re.sender()
 	}
-	re.stats.Workers = senders
 	return re, nil
 }
 
-// Expand queues the frame for the fleet and returns its result channel.
+// Expand stacks the frame for the fleet and returns its result channel.
 // After Close the result is an immediate error (the coordinator only does
 // this on an abort path it is already failing out of).
 func (re *RemoteExpander) Expand(ctx string, f ung.Frame) <-chan ung.ExpandResult {
-	it := &ripItem{ctx: ctx, f: f, done: make(chan ung.ExpandResult, 1)}
-	if !re.stack.push(it) {
-		it.done <- ung.ExpandResult{Err: errors.New("bench: remote expander closed")}
-	}
-	return it.done
+	return re.stack.Push(ctx, f)
 }
 
 // Close drains the expander: undispatched frames are dropped (their
 // buffered result channels are garbage collected — no goroutine or channel
-// leaks on an aborted rip), in-flight envelopes run to completion and their
-// clicks are counted, the fleet's probers stop, and the lifetime stats are
-// totaled. Idempotent.
+// leaks on an aborted rip), in-flight envelopes run to completion, and the
+// fleet's probers stop. It reports the sender pool's width. Idempotent.
 func (re *RemoteExpander) Close() ung.ExpanderStats {
-	re.closeOnce.Do(func() {
-		re.stack.close()
-		re.wg.Wait()
-		re.d.Close()
-		re.mu.Lock()
-		re.stats.Clicks = re.clicks
-		re.stats.Snapshots = re.snapshots
-		// The wall-clock analog of a sharded rip is the busiest single
-		// replica's accumulated simulated time.
-		//dmi:orderinvariant max over per-replica totals is order-free
-		for _, total := range re.sim {
-			if total > re.stats.Longest {
-				re.stats.Longest = total
-			}
-		}
-		re.mu.Unlock()
-	})
-	return re.stats
+	re.stack.Close()
+	re.wg.Wait()
+	re.d.Close()
+	return ung.ExpanderStats{Workers: re.senders}
 }
 
 // Stats snapshots every replica's share of the sharded rip (the Cells
@@ -151,7 +118,7 @@ func (re *RemoteExpander) RemoveReplica(baseURL string) error { return re.d.Remo
 func (re *RemoteExpander) sender() {
 	defer re.wg.Done()
 	for {
-		items := re.stack.popBatch(re.batch)
+		items := re.stack.PopBatch(re.batch)
 		if items == nil {
 			return
 		}
@@ -164,7 +131,7 @@ func (re *RemoteExpander) sender() {
 // none are left. Mirrors dispatchSingle's loop with the envelope as the
 // retry unit — every frame in it is idempotent, so re-sending frames whose
 // first attempt may or may not have executed is safe.
-func (re *RemoteExpander) deliver(items []*ripItem) {
+func (re *RemoteExpander) deliver(items []*ung.StackedFrame) {
 	tried := make(map[*replica]bool)
 	var failures []error
 	for {
@@ -172,7 +139,7 @@ func (re *RemoteExpander) deliver(items []*ripItem) {
 		if rep == nil {
 			err := re.d.exhausted(failures)
 			for _, it := range items {
-				it.done <- ung.ExpandResult{Err: err}
+				it.Deliver(ung.ExpandResult{Err: err})
 			}
 			return
 		}
@@ -183,28 +150,16 @@ func (re *RemoteExpander) deliver(items []*ripItem) {
 			rep.cells += len(items)
 			rep.mu.Unlock()
 			re.d.countRetries(len(failures))
-			var clicks, snapshots int
-			var sim time.Duration
 			for i, it := range items {
-				if results[i].Err == nil {
-					clicks += results[i].Expansion.Clicks
-					snapshots += results[i].Expansion.Snapshots
-					sim += results[i].Expansion.Elapsed
-				}
-				it.done <- results[i]
+				it.Deliver(results[i])
 			}
-			re.mu.Lock()
-			re.clicks += clicks
-			re.snapshots += snapshots
-			re.sim[rep.base] += sim
-			re.mu.Unlock()
 			return
 		}
 		if isFinal(err) {
 			// The envelope (or the run's pack handshake) is at fault; every
 			// replica would reject it identically. Final, no down-mark.
 			for _, it := range items {
-				it.done <- ung.ExpandResult{Err: err}
+				it.Deliver(ung.ExpandResult{Err: err})
 			}
 			return
 		}
@@ -221,14 +176,14 @@ func (re *RemoteExpander) deliver(items []*ripItem) {
 // either a decodable expansion or a final per-frame rejection. An error
 // return means the replica failed the envelope (transport, 5xx, malformed
 // body, per-frame 5xx) and the whole envelope should be re-dispatched.
-func (re *RemoteExpander) postRip(rep *replica, items []*ripItem) ([]ung.ExpandResult, error) {
+func (re *RemoteExpander) postRip(rep *replica, items []*ung.StackedFrame) ([]ung.ExpandResult, error) {
 	frames := make([]serveproto.RipFrame, len(items))
 	for i, it := range items {
-		frames[i] = serveproto.RipFrame{ID: it.f.ID, Path: it.f.Path}
+		frames[i] = serveproto.RipFrame{ID: it.Frame.ID, Path: it.Frame.Path}
 	}
 	body := serveproto.RipRequest{
 		Pack: re.d.pack, PackHash: re.d.packHash,
-		App: re.app, Context: items[0].ctx, Frames: frames,
+		App: re.app, Context: items[0].Ctx, Frames: frames,
 	}
 	var rr serveproto.RipResponse
 	if err := re.d.postEnvelope(context.Background(), rep, serveproto.PathRip, serveproto.RipBatchHeader, len(frames), body, &rr); err != nil {
@@ -258,76 +213,4 @@ func (re *RemoteExpander) postRip(rep *replica, items []*ripItem) ([]ung.ExpandR
 		}
 	}
 	return out, nil
-}
-
-// ripItem is one frame expansion parked on the expander's stack.
-type ripItem struct {
-	ctx  string
-	f    ung.Frame
-	done chan ung.ExpandResult // buffered: senders never block on the coordinator
-}
-
-// ripStack is the expander's LIFO work queue — the same discipline as the
-// in-process pool's jobQueue: the coordinator consumes results in stack
-// order, so the most recently pushed frames are the ones it will wait on
-// soonest, and those are what senders should ship first.
-type ripStack struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []*ripItem
-	closed bool
-}
-
-func newRipStack() *ripStack {
-	s := &ripStack{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// push parks an item; it reports false (and parks nothing) on a closed
-// stack.
-func (s *ripStack) push(it *ripItem) bool {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
-	s.items = append(s.items, it)
-	s.mu.Unlock()
-	s.cond.Signal()
-	return true
-}
-
-// popBatch blocks until work is available, then returns up to max items
-// from the top of the stack that share one context (an envelope addresses
-// exactly one app context). Returns nil when the stack is closed and
-// drained.
-func (s *ripStack) popBatch(max int) []*ripItem {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.items) == 0 && !s.closed {
-		s.cond.Wait()
-	}
-	if len(s.items) == 0 {
-		return nil
-	}
-	top := s.items[len(s.items)-1]
-	batch := []*ripItem{top}
-	s.items = s.items[:len(s.items)-1]
-	for len(batch) < max && len(s.items) > 0 && s.items[len(s.items)-1].ctx == top.ctx {
-		batch = append(batch, s.items[len(s.items)-1])
-		s.items = s.items[:len(s.items)-1]
-	}
-	return batch
-}
-
-// close wakes every sender and drops undispatched items (relevant when the
-// coordinator aborts on the node limit — the dropped items' buffered result
-// channels are simply garbage collected).
-func (s *ripStack) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.items = nil
-	s.mu.Unlock()
-	s.cond.Broadcast()
 }

@@ -266,18 +266,14 @@ func TestRipShardedAllDown(t *testing.T) {
 	// and prober goroutines must be gone (idle keep-alive conns aside).
 	tr.CloseIdleConnections()
 	waitForGoroutines(t, before)
-
-	// Expand after Close answers an immediate error on the buffered channel.
-	res := <-re.Expand("", ung.Frame{ID: "x"})
-	if res.Err == nil || !strings.Contains(res.Err.Error(), "closed") {
-		t.Errorf("Expand after Close: %+v", res)
-	}
 }
 
 // TestRipShardedNodeLimit aborts a distributed rip on the node-limit safety
-// valve: in-flight remote expansions run to completion and their clicks are
-// counted in the error-path stats, undispatched frames are dropped, and no
-// goroutine or channel leaks survive the abort.
+// valve: in-flight remote expansions run to completion but are not counted —
+// the error-path stats describe the graph returned, whose applied
+// expansions' clicks land there because the abort comes after some were
+// applied — undispatched frames are dropped, and no goroutine or channel
+// leaks survive the abort.
 func TestRipShardedNodeLimit(t *testing.T) {
 	const app = "Settings"
 	factory := agent.Factories()[app]
@@ -308,7 +304,7 @@ func TestRipShardedNodeLimit(t *testing.T) {
 		t.Fatalf("abort fired at %d nodes, below the %d limit", g.NodeCount(), limit)
 	}
 	if st.Clicks == 0 {
-		t.Error("error-path stats lost the in-flight expansions' clicks")
+		t.Error("error-path stats lost the applied expansions' clicks")
 	}
 	tr.CloseIdleConnections()
 	waitForGoroutines(t, before)
@@ -409,7 +405,7 @@ func TestRemoteExpanderFrameRejectionFinal(t *testing.T) {
 // TestRemoteExpanderCloseDropsUndispatched closes an expander with frames
 // still parked on its stack: Close returns without delivering them (their
 // buffered channels are garbage collected), is idempotent, and reports the
-// lifetime stats both times.
+// sender pool's width both times.
 func TestRemoteExpanderCloseDropsUndispatched(t *testing.T) {
 	const app = "Settings"
 	rep := newRipReplica(app)
@@ -433,7 +429,7 @@ func TestRemoteExpanderCloseDropsUndispatched(t *testing.T) {
 		t.Errorf("Close is not idempotent: %+v vs %+v", st1, st2)
 	}
 	if st1.Workers == 0 {
-		t.Errorf("lifetime stats lost the sender count: %+v", st1)
+		t.Errorf("Close lost the sender count: %+v", st1)
 	}
 }
 

@@ -1,8 +1,8 @@
 package ung
 
 import (
+	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/appkit"
 )
@@ -15,19 +15,14 @@ type ExpandResult struct {
 	Err       error
 }
 
-// ExpanderStats is the instance-side work an expander performed over its
-// lifetime, folded into the coordinator's Stats after Close.
+// ExpanderStats describes an expander's shape for the coordinator's
+// accounting. The work itself is counted by the coordinator from the
+// expansions it applies, never by the expander.
 type ExpanderStats struct {
-	// Clicks and Snapshots total the instance work across all expansions,
-	// including restores and click-path replays.
-	Clicks    int
-	Snapshots int
 	// Workers is the pool width (goroutines for a local pool, total remote
-	// in-flight capacity for a sharded one).
+	// in-flight capacity for a sharded one): the number of virtual workers
+	// the coordinator schedules applied expansions onto.
 	Workers int
-	// Longest is the busiest single worker's simulated clock — the
-	// wall-clock analog when each worker drives its own machine.
-	Longest time.Duration
 }
 
 // Expander runs frame expansions on behalf of a rip coordinator. Expand is
@@ -37,135 +32,138 @@ type ExpanderStats struct {
 // must never block the sender on the coordinator (the channel is buffered by
 // the implementation) and must tolerate results that are never read.
 //
-// Close stops the expander and reports its lifetime stats. In-flight
-// expansions run to completion before Close returns (their work is counted);
-// undispatched ones are dropped — their buffered result channels are simply
-// garbage collected, so an aborted rip leaks neither goroutines nor
-// channels. Close is idempotent.
+// Close stops the expander and reports its shape. In-flight expansions run
+// to completion before Close returns; undispatched ones are dropped — their
+// buffered result channels are simply garbage collected, so an aborted rip
+// leaks neither goroutines nor channels. Expand after Close answers an
+// immediate error. Close is idempotent.
 type Expander interface {
 	Expand(ctx string, f Frame) <-chan ExpandResult
 	Close() ExpanderStats
 }
 
-// LocalExpander is the in-process expander: a pool of worker goroutines,
-// each driving its own throwaway application instance built by factory.
-// This is the PR-1 rip pool behind the Expander seam.
-type LocalExpander struct {
-	q        *jobQueue
-	wg       sync.WaitGroup
-	wstats   []Stats
-	welapsed []time.Duration
-
-	closeOnce sync.Once
-	stats     ExpanderStats
+// localExpander is the in-process expander behind RipParallel: a pool of
+// worker goroutines, each driving its own throwaway application instance
+// built by factory.
+type localExpander struct {
+	stack   *FrameStack
+	wg      sync.WaitGroup
+	workers int
 }
 
-// NewLocalExpander starts workers goroutines, each on a fresh instance.
-func NewLocalExpander(factory func() *appkit.App, workers int) *LocalExpander {
+// newLocalExpander starts workers goroutines, each on a fresh instance.
+func newLocalExpander(factory func() *appkit.App, workers int) *localExpander {
 	if workers < 1 {
 		workers = 1
 	}
-	le := &LocalExpander{
-		q:        newJobQueue(),
-		wstats:   make([]Stats, workers),
-		welapsed: make([]time.Duration, workers),
-	}
+	le := &localExpander{stack: NewFrameStack(), workers: workers}
+	le.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		le.wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer le.wg.Done()
 			app := factory()
-			t0 := app.Desk.Clock().Now()
 			for {
-				j, ok := le.q.pop()
-				if !ok {
-					break
+				batch := le.stack.PopBatch(1)
+				if batch == nil {
+					return
 				}
-				j.done <- ExpandResult{Expansion: expand(app, j.ctx, j.f, &le.wstats[i])}
+				j := batch[0]
+				j.Deliver(ExpandResult{Expansion: ExpandFrame(app, j.Ctx, j.Frame)})
 			}
-			le.welapsed[i] = app.Desk.Clock().Now() - t0
-		}(i)
+		}()
 	}
 	return le
 }
 
-// Expand queues the frame for the pool and returns its result channel.
-func (le *LocalExpander) Expand(ctx string, f Frame) <-chan ExpandResult {
-	j := &ripJob{ctx: ctx, f: f, done: make(chan ExpandResult, 1)}
-	le.q.push(j)
-	return j.done
+// Expand stacks the frame for the pool and returns its result channel.
+func (le *localExpander) Expand(ctx string, f Frame) <-chan ExpandResult {
+	return le.stack.Push(ctx, f)
 }
 
-// Close drains the pool: undispatched jobs are dropped, in-flight ones run
-// to completion, and the workers' accumulated instance work is totaled.
-func (le *LocalExpander) Close() ExpanderStats {
-	le.closeOnce.Do(func() {
-		le.q.close()
-		le.wg.Wait()
-		es := ExpanderStats{Workers: len(le.wstats)}
-		for i := range le.wstats {
-			es.Clicks += le.wstats[i].Clicks
-			es.Snapshots += le.wstats[i].Snapshots
-			if le.welapsed[i] > es.Longest {
-				es.Longest = le.welapsed[i]
-			}
-		}
-		le.stats = es
-	})
-	return le.stats
+// Close drains the pool: undispatched frames are dropped and in-flight ones
+// run to completion.
+func (le *localExpander) Close() ExpanderStats {
+	le.stack.Close()
+	le.wg.Wait()
+	return ExpanderStats{Workers: le.workers}
 }
 
-// ripJob is one frame expansion dispatched to the worker pool.
-type ripJob struct {
-	ctx  string
-	f    Frame
-	done chan ExpandResult // buffered: workers never block on the coordinator
+// StackedFrame is one frame expansion parked on a FrameStack.
+type StackedFrame struct {
+	Ctx   string
+	Frame Frame
+	done  chan ExpandResult // buffered: workers never block on the coordinator
 }
 
-// jobQueue is a LIFO work queue. LIFO matters: the coordinator consumes
-// results in stack order, so the most recently pushed job is the one it will
-// wait on soonest.
-type jobQueue struct {
+// Deliver answers the Expand call that stacked the frame. Call it exactly
+// once per popped frame.
+func (s *StackedFrame) Deliver(r ExpandResult) { s.done <- r }
+
+// FrameStack is the LIFO work queue every expander's workers pop from. LIFO
+// matters: the coordinator consumes results in stack order, so the most
+// recently pushed frames are the ones it will wait on soonest, and those are
+// what workers should expand first.
+type FrameStack struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	jobs   []*ripJob
+	frames []*StackedFrame
 	closed bool
 }
 
-func newJobQueue() *jobQueue {
-	q := &jobQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+// NewFrameStack returns an empty, open stack.
+func NewFrameStack() *FrameStack {
+	s := &FrameStack{}
+	s.cond = sync.NewCond(&s.mu)
+	return s
 }
 
-func (q *jobQueue) push(j *ripJob) {
-	q.mu.Lock()
-	q.jobs = append(q.jobs, j)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// pop blocks until a job is available or the queue is closed.
-func (q *jobQueue) pop() (*ripJob, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.jobs) == 0 && !q.closed {
-		q.cond.Wait()
+// Push parks the frame and returns the channel its result will arrive on.
+// On a closed stack nothing is parked and the channel already holds a
+// "closed" error.
+func (s *FrameStack) Push(ctx string, f Frame) <-chan ExpandResult {
+	sf := &StackedFrame{Ctx: ctx, Frame: f, done: make(chan ExpandResult, 1)}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		sf.Deliver(ExpandResult{Err: errors.New("ung: expander closed")})
+		return sf.done
 	}
-	if len(q.jobs) == 0 {
-		return nil, false
-	}
-	j := q.jobs[len(q.jobs)-1]
-	q.jobs = q.jobs[:len(q.jobs)-1]
-	return j, true
+	s.frames = append(s.frames, sf)
+	s.mu.Unlock()
+	s.cond.Signal()
+	return sf.done
 }
 
-// close wakes every worker and drops undispatched jobs (relevant only when
-// the coordinator aborts on the node limit).
-func (q *jobQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.jobs = nil
-	q.mu.Unlock()
-	q.cond.Broadcast()
+// PopBatch blocks until work is available, then returns up to max frames
+// from the top of the stack that share one context (a remote envelope
+// addresses exactly one app context). It returns nil once the stack is
+// closed.
+func (s *FrameStack) PopBatch(max int) []*StackedFrame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.frames) == 0 && !s.closed {
+		s.cond.Wait()
+	}
+	if len(s.frames) == 0 {
+		return nil
+	}
+	top := s.frames[len(s.frames)-1]
+	batch := []*StackedFrame{top}
+	s.frames = s.frames[:len(s.frames)-1]
+	for len(batch) < max && len(s.frames) > 0 && s.frames[len(s.frames)-1].Ctx == top.Ctx {
+		batch = append(batch, s.frames[len(s.frames)-1])
+		s.frames = s.frames[:len(s.frames)-1]
+	}
+	return batch
+}
+
+// Close wakes every worker and drops undispatched frames (relevant only when
+// the coordinator aborts); their buffered result channels are garbage
+// collected. Idempotent.
+func (s *FrameStack) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.frames = nil
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }

@@ -2,18 +2,22 @@ package ung
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"repro/internal/appkit"
 )
 
-// RipDispatched builds the UNG with expansions delegated to an Expander —
-// an in-process pool (LocalExpander), a fleet of serving replicas
-// (bench.RemoteExpander), or anything else satisfying the seam. It produces
-// a graph byte-identical to Rip(probe, cfg) — same nodes, same discovery
-// order, same edge insertion order — regardless of where or in what order
+// RipDispatched builds the UNG by DFS differential capture (paper §4.1),
+// with expansions delegated to an Expander — an in-process pool
+// (RipParallel), a fleet of serving replicas (bench.RemoteExpander), or
+// anything else satisfying the seam. A nil expander expands each frame on
+// the probe itself when the frame is popped: that is the sequential Rip.
+// Every expander yields the same graph — same nodes, same discovery order,
+// same edge insertion order — regardless of where or in what order
 // expansions actually execute.
 //
-// The design separates the two halves of the sequential algorithm:
+// The design separates the two halves of the DFS:
 //
 //   - Expansion (restore, replay the click path, click, differential
 //     capture) touches only an application instance. It is a deterministic
@@ -22,43 +26,46 @@ import (
 //     retry, which is what makes remote re-dispatch safe.
 //   - Application (ensure nodes, add edges, push newly discovered frames)
 //     touches the shared graph. The coordinator performs it alone, popping
-//     frames in exactly the sequential DFS order, so the merged graph is
-//     deterministic regardless of expansion timing.
+//     frames in exactly the DFS order, so the merged graph is deterministic
+//     regardless of expansion timing.
 //
-// Every frame pushed on the coordinator's stack is dispatched to the
-// expander immediately; the coordinator consumes results in LIFO stack
+// With an expander, every clickable frame pushed on the coordinator's stack
+// is dispatched immediately; the coordinator consumes results in LIFO stack
 // order. All speculative work is useful work — each stacked frame is
-// consumed exactly once — so on success the total click count matches the
-// sequential rip. On the node-limit abort path, expansions already in
-// flight run to completion and their clicks are still counted: error-path
-// Stats report the work actually performed, which can exceed a sequential
-// abort's.
+// consumed exactly once.
 //
-// The probe instance serves the coordinator alone: application metadata and
-// the per-context initial-screen captures. The expander never touches it.
-// RipDispatched always closes the expander before returning.
+// The coordinator alone accounts for the work, from the expansions it
+// applies: Clicks and Snapshots are the probe's seeding work plus every
+// applied expansion's, and SimulatedTime is the probe's seeding time plus
+// the makespan of the applied expansions' Elapsed list-scheduled onto
+// ExpanderStats.Workers virtual workers (one for a nil expander). So the
+// figures are a function of the graph alone, whatever the scheduling. On an
+// error path the Stats describe the graph returned: in-flight expansions
+// still run to completion, but they are not counted.
+//
+// The probe instance serves the coordinator: application metadata, the
+// per-context initial-screen captures and, with a nil expander, every
+// expansion. RipDispatched always closes the expander before returning.
 func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, error) {
 	cfg.fill()
 	g := NewGraph(probe.Name)
-	var st Stats
-	start := probe.Desk.Clock().Now()
+	st := Stats{Workers: 1}
+	clock := probe.Desk.Clock()
+	var seedTime time.Duration
+	var costs []time.Duration // applied expansions' Elapsed, in application order
 
-	fold := func() {
-		es := ex.Close()
-		st.Clicks += es.Clicks
-		st.Snapshots += es.Snapshots
-		st.Workers = es.Workers
-		longest := probe.Desk.Clock().Now() - start
-		if es.Longest > longest {
-			longest = es.Longest
+	finish := func(err error) (*Graph, Stats, error) {
+		if ex != nil {
+			st.Workers = ex.Close().Workers
 		}
-		st.SimulatedTime = longest
+		st.SimulatedTime = seedTime + makespan(costs, st.Workers)
 		st.Nodes = g.NodeCount()
 		st.Edges = g.EdgeCount()
+		return g, st, err
 	}
 
-	// pending mirrors the sequential DFS stack. Clickable frames carry the
-	// expander's result channel; the rest resolve on the coordinator.
+	// pending mirrors the DFS stack. With an expander, clickable frames
+	// carry its result channel; the rest resolve on the coordinator.
 	type pending struct {
 		f   Frame
 		res <-chan ExpandResult
@@ -76,7 +83,7 @@ func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, e
 		p := pending{f: Frame{ID: id, Path: path}}
 		// Non-clickable frames need no instance work; dispatching them
 		// would only burn expander capacity on a guaranteed skip.
-		if n := g.Nodes[id]; n != nil && clickable(n.Type) {
+		if n := g.Nodes[id]; ex != nil && n != nil && clickable(n.Type) {
 			p.res = ex.Expand(ctx, p.f)
 		}
 		stack = append(stack, p)
@@ -87,12 +94,13 @@ func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, e
 
 	for _, c := range contexts {
 		ctx = c
+		t0 := clock.Now()
 		seedContext(g, probe, ctx, &st, push)
+		seedTime += clock.Now() - t0
 
 		for len(stack) > 0 {
 			if g.NodeCount() > cfg.MaxNodes {
-				fold()
-				return g, st, fmt.Errorf("ung: node limit %d exceeded", cfg.MaxNodes)
+				return finish(fmt.Errorf("ung: node limit %d exceeded", cfg.MaxNodes))
 			}
 			p := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -105,29 +113,50 @@ func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, e
 				st.Skipped++
 				continue
 			}
-			r := <-p.res
-			if r.Err != nil {
-				fold()
-				return g, st, fmt.Errorf("ung: expand %q: %w", p.f.ID, r.Err)
+			var exp Expansion
+			if ex == nil {
+				exp = ExpandFrame(probe, ctx, p.f)
+			} else if r := <-p.res; r.Err != nil {
+				return finish(fmt.Errorf("ung: expand %q: %w", p.f.ID, r.Err))
+			} else {
+				exp = r.Expansion
 			}
-			applyExpansion(g, cfg, ctx, p.f, r.Expansion, &st, push)
+			costs = append(costs, exp.Elapsed)
+			applyExpansion(g, cfg, ctx, p.f, exp, &st, push)
 		}
 	}
 
 	restore(probe, "")
-	fold()
-	return g, st, nil
+	return finish(nil)
+}
+
+// makespan list-schedules the costs, in order, onto k virtual workers — each
+// to the least-loaded worker, the lowest index on ties — and returns the
+// busiest worker's load: the wall-clock analog of k machines expanding the
+// frames in the order the coordinator applied them.
+func makespan(costs []time.Duration, k int) time.Duration {
+	load := make([]time.Duration, max(k, 1))
+	for _, c := range costs {
+		least := 0
+		for i := range load {
+			if load[i] < load[least] {
+				least = i
+			}
+		}
+		load[least] += c
+	}
+	return slices.Max(load)
 }
 
 // RipParallel builds the UNG with a pool of worker goroutines, each driving
 // its own throwaway application instance built by factory. It produces a
 // graph byte-identical to Rip(factory(), cfg) at a fraction of the
-// wall-clock cost; see RipDispatched for the coordinator/worker contract.
+// simulated cost; see RipDispatched for the coordinator/worker contract.
 //
 // workers <= 1 degrades to the sequential Rip on a single fresh instance.
 func RipParallel(factory func() *appkit.App, cfg Config, workers int) (*Graph, Stats, error) {
 	if workers <= 1 {
 		return Rip(factory(), cfg)
 	}
-	return RipDispatched(factory(), cfg, NewLocalExpander(factory, workers))
+	return RipDispatched(factory(), cfg, newLocalExpander(factory, workers))
 }

@@ -3,6 +3,7 @@ package ung
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/appkit"
 	"repro/internal/office/word"
@@ -56,9 +57,11 @@ func TestRipParallelMatchesSequential(t *testing.T) {
 		// Every dispatched frame is consumed exactly once, so the parallel
 		// rip performs the same exploration — not just reaches the same
 		// result by different work.
-		if parStats.Explored != seqStats.Explored || parStats.Clicks != seqStats.Clicks {
-			t.Errorf("workers=%d: explored/clicks %d/%d, want %d/%d",
-				workers, parStats.Explored, parStats.Clicks, seqStats.Explored, seqStats.Clicks)
+		if parStats.Explored != seqStats.Explored || parStats.Clicks != seqStats.Clicks ||
+			parStats.Snapshots != seqStats.Snapshots {
+			t.Errorf("workers=%d: explored/clicks/snapshots %d/%d/%d, want %d/%d/%d",
+				workers, parStats.Explored, parStats.Clicks, parStats.Snapshots,
+				seqStats.Explored, seqStats.Clicks, seqStats.Snapshots)
 		}
 		if parStats.Workers != workers {
 			t.Errorf("workers stat = %d, want %d", parStats.Workers, workers)
@@ -95,6 +98,44 @@ func TestRipParallelSingleWorkerDegradesToSequential(t *testing.T) {
 	}
 }
 
+// TestRipDispatchedOneWorkerIsRip: a 1-worker pool schedules every applied
+// expansion onto one virtual worker, so its Stats — simulated clock and
+// snapshots included — are the sequential rip's, though the expansions ran
+// on another instance.
+func TestRipDispatchedOneWorkerIsRip(t *testing.T) {
+	seq, seqStats, err := Rip(demoApp(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, parStats, err := RipDispatched(demoApp(), Config{}, newLocalExpander(demoApp, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGraphsIdentical(t, seq, par)
+	if parStats != seqStats {
+		t.Errorf("1-worker stats differ from sequential:\n  %+v\nvs\n  %+v", parStats, seqStats)
+	}
+}
+
+// TestMakespan pins the virtual schedule: each cost goes to the
+// least-loaded worker, the lowest index on ties.
+func TestMakespan(t *testing.T) {
+	costs := []time.Duration{5, 3, 4, 1, 1, 2}
+	for _, tc := range []struct {
+		k    int
+		want time.Duration
+	}{
+		{0, 16}, {1, 16}, {2, 9}, {3, 6}, {8, 5},
+	} {
+		if got := makespan(costs, tc.k); got != tc.want {
+			t.Errorf("makespan(k=%d) = %d, want %d", tc.k, got, tc.want)
+		}
+	}
+	if got := makespan(nil, 4); got != 0 {
+		t.Errorf("makespan of nothing = %d", got)
+	}
+}
+
 func TestRipParallelNodeLimit(t *testing.T) {
 	_, _, err := RipParallel(demoApp, Config{MaxNodes: 10}, 4)
 	if err == nil {
@@ -117,6 +158,6 @@ func TestRipParallelWord(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGraphsIdentical(t, seq, par)
-	t.Logf("word parallel rip: %d nodes, %d clicks, %d workers, longest worker %s",
+	t.Logf("word parallel rip: %d nodes, %d clicks, %d workers, makespan %s",
 		st.Nodes, st.Clicks, st.Workers, st.SimulatedTime)
 }

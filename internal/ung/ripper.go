@@ -1,7 +1,6 @@
 package ung
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -46,12 +45,16 @@ type Stats struct {
 	Clicks    int
 	Snapshots int
 	Contexts  int
-	// Workers is the size of the worker pool (1 for the sequential ripper).
+	// Workers is the expander's width (1 for the sequential ripper): the
+	// number of virtual workers SimulatedTime schedules expansions onto.
 	Workers int
 	// SimulatedTime is the wall-clock cost on the simulated desktop; the
-	// paper reports < 3 hours of automated modeling per application. For a
-	// parallel rip this is the longest single worker's clock — the
-	// wall-clock analog when each worker drives its own machine.
+	// paper reports < 3 hours of automated modeling per application. It is
+	// the probe's seeding time plus the makespan of the applied expansions'
+	// simulated costs, list-scheduled in application order onto Workers
+	// virtual workers — the wall-clock analog when each worker drives its
+	// own machine. For one worker that is the sequential clock; for any
+	// width it depends only on the graph, never on real scheduling.
 	SimulatedTime time.Duration
 }
 
@@ -124,14 +127,6 @@ func (s *expandScratch) expandFrame(app *appkit.App, ctx string, f Frame) Expans
 	exp.Snapshots = st.Snapshots
 	exp.Elapsed = app.Desk.Clock().Now() - t0
 	return exp
-}
-
-// expand is ExpandFrame's body on a pooled scratch, counting instance work
-// into st.
-func expand(app *appkit.App, ctx string, f Frame, st *Stats) Expansion {
-	s := scratchPool.Get().(*expandScratch)
-	defer scratchPool.Put(s)
-	return s.expand(app, ctx, f, st)
 }
 
 // expand runs one expansion on the scratch.
@@ -226,11 +221,13 @@ func captureReveal(e *uia.Element, parent string) Reveal {
 	return r
 }
 
-// applyExpansion folds one expansion into the shared graph, pushing frames
-// for controls seen for the first time. Every ripper — sequential, pooled,
-// distributed — applies expansions in exactly the same order, which is what
-// keeps all of them byte-identical.
+// applyExpansion folds one expansion into the shared graph and its instance
+// work into st, pushing frames for controls seen for the first time. Every
+// expander — none, pooled, distributed — has its expansions applied in
+// exactly the same order, which is what keeps all of them byte-identical.
 func applyExpansion(g *Graph, cfg Config, ctx string, f Frame, exp Expansion, st *Stats, push func(id string, path []string)) {
+	st.Clicks += exp.Clicks
+	st.Snapshots += exp.Snapshots
 	switch exp.Outcome {
 	case ExpandSkipped:
 		st.Skipped++
@@ -309,58 +306,11 @@ func ripContexts(app *appkit.App) []string {
 // honored, and every registered application context is explored and merged
 // into one topology.
 //
-// Rip is single-threaded on one instance; RipParallel distributes the same
-// exploration over a pool of worker instances and produces a byte-identical
-// graph.
+// Rip is RipDispatched with every expansion run on app itself; RipParallel
+// distributes the same exploration over a pool of worker instances and
+// produces a byte-identical graph.
 func Rip(app *appkit.App, cfg Config) (*Graph, Stats, error) {
-	cfg.fill()
-	g := NewGraph(app.Name)
-	var st Stats
-	st.Workers = 1
-	start := app.Desk.Clock().Now()
-
-	queued := make(map[string]bool)
-	var stack []Frame
-
-	push := func(id string, path []string) {
-		if queued[id] {
-			return
-		}
-		queued[id] = true
-		stack = append(stack, Frame{ID: id, Path: path})
-	}
-
-	contexts := ripContexts(app)
-	st.Contexts = len(contexts)
-
-	for _, ctx := range contexts {
-		seedContext(g, app, ctx, &st, push)
-
-		for len(stack) > 0 {
-			if g.NodeCount() > cfg.MaxNodes {
-				return g, st, fmt.Errorf("ung: node limit %d exceeded", cfg.MaxNodes)
-			}
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-
-			node := g.Nodes[f.ID]
-			if node == nil {
-				continue
-			}
-			if !clickable(node.Type) {
-				st.Skipped++
-				continue
-			}
-			exp := expand(app, ctx, f, &st)
-			applyExpansion(g, cfg, ctx, f, exp, &st, push)
-		}
-	}
-
-	restore(app, "")
-	st.Nodes = g.NodeCount()
-	st.Edges = g.EdgeCount()
-	st.SimulatedTime = app.Desk.Clock().Now() - start
-	return g, st, nil
+	return RipDispatched(app, cfg, nil)
 }
 
 // nearestIn walks up e's UI ancestors and returns the first one present in
