@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/agent"
 	"repro/internal/bench"
 	"repro/internal/osworld"
 )
@@ -107,100 +105,6 @@ func TestHelpFlagIsNotAnError(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "Usage") {
 		t.Errorf("usage text missing from stderr:\n%s", errb.String())
-	}
-}
-
-// TestJSONBaseline: -json writes the machine-readable perf record CI
-// uploads (BENCH_serve.json) — session counts from the grid shape, positive
-// throughput, and store counters with a sane warm-hit ratio.
-func TestJSONBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-matrix evaluation")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	var out, errb bytes.Buffer
-	if err := run([]string{"-runs", "1", "-parallel", "4", "-table3", "-json", path}, &out, &errb); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b struct {
-		Settings          int     `json:"settings"`
-		Tasks             int     `json:"tasks"`
-		Sessions          int     `json:"sessions"`
-		SessionsPerSecond float64 `json:"sessions_per_second"`
-		WarmHitRatio      float64 `json:"warm_hit_ratio"`
-		Store             struct {
-			Misses         int64 `json:"misses"`
-			ResidentBytes  int64 `json:"resident_bytes"`
-			ResidentModels int   `json:"resident_models"`
-		} `json:"store"`
-	}
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatalf("baseline is not valid JSON: %v\n%s", err, data)
-	}
-	wantSessions := len(bench.Matrix()) * len(osworld.All())
-	if b.Sessions != wantSessions || b.Settings != len(bench.Matrix()) || b.Tasks != len(osworld.All()) {
-		t.Errorf("grid shape wrong: %+v (want %d sessions)", b, wantSessions)
-	}
-	if b.SessionsPerSecond <= 0 {
-		t.Errorf("throughput %v not positive", b.SessionsPerSecond)
-	}
-	// The baseline accounts one store fetch per session start over 312
-	// sessions against at most a handful of offline-build misses, so the
-	// ratio must reflect warm serving, not sit at a degenerate 0.
-	if b.WarmHitRatio < 0.9 || b.WarmHitRatio > 1 {
-		t.Errorf("warm-hit ratio %v outside [0.9,1]", b.WarmHitRatio)
-	}
-	// The offline phase ran through the shared store: the whole catalog
-	// must be resident and at least one build must have been a miss.
-	if b.Store.Misses < 1 || b.Store.ResidentModels < 1 || b.Store.ResidentBytes <= 0 {
-		t.Errorf("store counters implausible: %+v", b.Store)
-	}
-}
-
-// TestHotpathRecord: -hotpath writes the snapshot-codec size record CI's
-// bench-delta gate consumes — one entry per catalog app, both codecs
-// measured, and the binary total well under the JSON total (the ≤0.7× gate
-// in ci.yml, asserted here at the source).
-func TestHotpathRecord(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-matrix evaluation")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_hotpath.json")
-	var out, errb bytes.Buffer
-	if err := run([]string{"-runs", "1", "-table3", "-hotpath", path}, &out, &errb); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(errb.String(), "hot-path size record written") {
-		t.Errorf("stderr never confirmed the hotpath record:\n%s", errb.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec hotpathRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("hotpath record is not valid JSON: %v\n%s", err, data)
-	}
-	if len(rec.Apps) != len(agent.Factories()) {
-		t.Errorf("record covers %d apps, want the full %d-app catalog", len(rec.Apps), len(agent.Factories()))
-	}
-	for _, app := range rec.Apps {
-		if app.Nodes <= 0 || app.BinaryBytes <= 0 || app.JSONBytes <= 0 {
-			t.Errorf("degenerate per-app entry: %+v", app)
-		}
-		if app.BinaryBytes >= app.JSONBytes {
-			t.Errorf("%s: binary (%d B) not smaller than JSON (%d B)", app.App, app.BinaryBytes, app.JSONBytes)
-		}
-	}
-	if rec.BinaryBytes <= 0 || rec.JSONBytes <= 0 {
-		t.Fatalf("degenerate totals: %+v", rec)
-	}
-	if rec.BinaryRatio > 0.7 {
-		t.Errorf("binary/JSON ratio %.3f exceeds the 0.7 CI gate", rec.BinaryRatio)
 	}
 }
 

@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	dmi-coord -replicas http://a:8480,http://b:8480 [-taskpack FILE] [-runs 3] [-inflight 4] [-batch 16] [-wait 3m] [-json FILE]
+//	dmi-coord -replicas http://a:8480,http://b:8480 [-taskpack FILE] [-runs 3] [-inflight 4] [-batch 16] [-wait 3m]
 //	dmi-coord -membership FILE [-stream] [-soak 10m -rate 20] ...
 //
 // Exactly one of -replicas (fixed fleet) or -membership (elastic fleet: one
@@ -20,11 +20,12 @@
 // that feeds cells as fleet capacity frees up — concurrency follows
 // failures, recoveries, joins, and leaves. -soak replaces the single grid
 // pass with a sustained open-loop load (cell arrivals on a fixed-rate
-// clock, latency percentiles and recovery counts in the -json baseline) —
-// the regression gate for the recovery path. -batch coalesces up to N cells
-// into one envelope; at the default -batch 1 every cell is its own
-// one-cell envelope on the same route. -pprof serves net/http/pprof
-// profiles on a second listener for production profiling.
+// clock) and ends with a one-line `soak done` summary on stderr — latency
+// percentiles, failures and recovery counts — the line CI's recovery gate
+// greps. -batch coalesces up to N cells into one envelope; at the default
+// -batch 1 every cell is its own one-cell envelope on the same route.
+// -pprof serves net/http/pprof profiles on a second listener for
+// production profiling.
 //
 // The evaluation report goes to stdout (same sections, same bytes as
 // `dmi-bench`); coordination telemetry — per-replica cell counts, retries,
@@ -108,7 +109,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	probe := fs.Duration("probe", time.Second, "base interval between half-open recovery probes of a down-marked replica (negative disables recovery)")
 	soak := fs.Duration("soak", 0, "sustained-load soak for this duration instead of one grid pass (open-loop arrivals; see -rate)")
 	rate := fs.Float64("rate", 10, "target cell arrival rate per second during -soak")
-	jsonOut := fs.String("json", "", "write a machine-readable baseline (cells/sec, per-replica shares, soak percentiles) to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // -h: usage was printed, not an error
@@ -131,6 +131,16 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 	if *soak > 0 && *rate <= 0 {
 		fmt.Fprintf(stderr, "dmi-coord: -rate %g must be positive with -soak\n", *rate)
+		return errUsage
+	}
+	if *inflight < 1 {
+		fmt.Fprintf(stderr, "dmi-coord: -inflight %d must be at least 1\n", *inflight)
+		return errUsage
+	}
+	if *timeout <= 0 {
+		// A zero http.Client timeout means none at all: a hung replica
+		// would stall the run instead of reading as a failure.
+		fmt.Fprintf(stderr, "dmi-coord: -timeout %s must be positive\n", *timeout)
 		return errUsage
 	}
 	if *batch < 1 || *batch > serveproto.MaxBatchCells {
@@ -204,7 +214,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 
 	if *soak > 0 {
-		return runSoakMode(ctx, rd, reg, *soak, *rate, *runs, *inflight, *batch, *jsonOut, stderr)
+		return runSoakMode(ctx, rd, reg, *soak, *rate, *runs, stderr)
 	}
 
 	cells := bench.GridCellsIn(reg, *runs)
@@ -285,13 +295,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		fmt.Fprintf(stderr, "dmi-coord: replicas additionally expanded %d rip frames\n", expansions)
 	}
 	writeReplicaLines(stderr, rd)
-
-	if *jsonOut != "" {
-		if err := writeBaseline(*jsonOut, rd, *runs, *inflight, *batch, len(cells), elapsed, warmHit, nil); err != nil {
-			return fmt.Errorf("dmi-coord: baseline: %w", err)
-		}
-		fmt.Fprintf(stderr, "dmi-coord: baseline written to %s\n", *jsonOut)
-	}
 	return nil
 }
 
@@ -469,46 +472,4 @@ func scrapeStats(ctx context.Context, replicas []string, stderr io.Writer) []ser
 		out = append(out, st)
 	}
 	return out
-}
-
-// coordBaseline is the machine-readable perf record CI uploads per run
-// (BENCH_coord.json): grid fan-out throughput at a given replica count,
-// plus — for soak runs — the open-loop latency/recovery record.
-// Wall-clock fields vary per host; the structure is what downstream trend
-// tooling keys on.
-type coordBaseline struct {
-	Replicas       int                  `json:"replicas"`
-	InFlight       int                  `json:"inflight"`
-	Batch          int                  `json:"batch"`
-	Runs           int                  `json:"runs"`
-	Cells          int                  `json:"cells"`
-	ElapsedSeconds float64              `json:"elapsed_seconds"`
-	CellsPerSecond float64              `json:"cells_per_second"`
-	Retries        int                  `json:"retries"`
-	WarmHitRatio   float64              `json:"warm_hit_ratio"`
-	PerReplica     []bench.ReplicaStats `json:"per_replica"`
-	Soak           *soakStats           `json:"soak,omitempty"`
-}
-
-func writeBaseline(path string, rd *bench.RemoteDispatcher, runs, inflight, batch, cells int, elapsed time.Duration, warmHit float64, soak *soakStats) error {
-	b := coordBaseline{
-		Replicas:       len(rd.Stats()),
-		InFlight:       inflight,
-		Batch:          batch,
-		Runs:           runs,
-		Cells:          cells,
-		ElapsedSeconds: elapsed.Seconds(),
-		Retries:        rd.Retries(),
-		WarmHitRatio:   warmHit,
-		PerReplica:     rd.Stats(),
-		Soak:           soak,
-	}
-	if b.ElapsedSeconds > 0 {
-		b.CellsPerSecond = float64(b.Cells) / b.ElapsedSeconds
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

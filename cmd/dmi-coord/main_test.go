@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,6 +62,19 @@ func TestBadFlagIsAnError(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "-batch") {
 		t.Errorf("bad-batch message absent from stderr:\n%s", errb.String())
+	}
+	// -inflight 0 would size the fan-out to zero and -timeout 0 would leave
+	// the client without a timeout; both fail at flag parse.
+	for _, bad := range [][]string{
+		{"-inflight", "0"}, {"-inflight", "-3"},
+		{"-timeout", "0"}, {"-timeout", "-1s"},
+	} {
+		if err := run(append([]string{"-replicas", "http://a:1"}, bad...), &out, &errb); !errors.Is(err, errUsage) {
+			t.Fatalf("%s %s should be a usage error, got %v", bad[0], bad[1], err)
+		}
+		if !strings.Contains(errb.String(), bad[0]+" "+bad[1]) {
+			t.Errorf("%s %s message absent from stderr:\n%s", bad[0], bad[1], errb.String())
+		}
 	}
 	if err := run([]string{"-membership", filepath.Join(t.TempDir(), "absent.txt")}, &out, &errb); err == nil || errors.Is(err, errUsage) {
 		t.Fatalf("unreadable membership file should be a hard error, got %v", err)
@@ -196,7 +211,7 @@ func groundTruth(t *testing.T) (*agent.Models, string) {
 
 // TestCoordinatorByteIdentical is the acceptance criterion at the binary
 // boundary: dmi-coord against two replicas emits a report byte-identical to
-// the in-process bench.Run, and the baseline JSON records the fan-out.
+// the in-process bench.Run, and the stderr telemetry records the fan-out.
 func TestCoordinatorByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-catalog modeling plus full-grid fan-out")
@@ -208,13 +223,11 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 	defer srvA.Close()
 	defer srvB.Close()
 
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_coord.json")
 	var out, errb bytes.Buffer
 	err := run([]string{
 		"-replicas", srvA.URL + "," + srvB.URL,
 		"-runs", "1",
 		"-inflight", "3",
-		"-json", jsonPath,
 	}, &out, &errb)
 	if err != nil {
 		t.Fatalf("coordinator failed: %v\nstderr:\n%s", err, errb.String())
@@ -230,7 +243,7 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 	if total := a.served.Load() + b.served.Load(); total != cells {
 		t.Errorf("replicas served %d cells, want %d", total, cells)
 	}
-	for _, fragment := range []string{"cells/s", "warm-hit ratio", srvA.URL, srvB.URL, "baseline written"} {
+	for _, fragment := range []string{"cells/s), 0 re-dispatches", "warm-hit ratio", srvA.URL, srvB.URL} {
 		if !strings.Contains(errb.String(), fragment) {
 			t.Errorf("coordination telemetry missing %q:\n%s", fragment, errb.String())
 		}
@@ -242,25 +255,10 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 	if n := max(a.maxEnvelope.Load(), b.maxEnvelope.Load()); n != 1 {
 		t.Errorf("an envelope carried %d cells at -batch 1, want 1", n)
 	}
-
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base coordBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
-	}
-	if base.Replicas != 2 || base.Cells != int(cells) || base.CellsPerSecond <= 0 || base.Retries != 0 {
-		t.Errorf("baseline out of shape: %+v", base)
-	}
-	if len(base.PerReplica) != 2 || base.PerReplica[0].Cells+base.PerReplica[1].Cells != int(cells) {
-		t.Errorf("per-replica shares out of shape: %+v", base.PerReplica)
-	}
 }
 
 // TestCoordinatorBatchedByteIdentical: -batch coalesces cells into
-// multi-cell /v1/cells envelopes, records the batch factor in the baseline,
+// multi-cell /v1/cells envelopes, names the batch factor in the telemetry,
 // and still emits the byte-identical report — batching is a transport
 // optimization, never a semantic change.
 func TestCoordinatorBatchedByteIdentical(t *testing.T) {
@@ -274,13 +272,11 @@ func TestCoordinatorBatchedByteIdentical(t *testing.T) {
 	defer srvA.Close()
 	defer srvB.Close()
 
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_coord.json")
 	var out, errb bytes.Buffer
 	err := run([]string{
 		"-replicas", srvA.URL + "," + srvB.URL,
 		"-runs", "1",
 		"-batch", "8",
-		"-json", jsonPath,
 	}, &out, &errb)
 	if err != nil {
 		t.Fatalf("batched coordinator failed: %v\nstderr:\n%s", err, errb.String())
@@ -295,23 +291,10 @@ func TestCoordinatorBatchedByteIdentical(t *testing.T) {
 	if max(a.maxEnvelope.Load(), b.maxEnvelope.Load()) < 2 {
 		t.Error("no envelope ever carried more than one cell")
 	}
-	if !strings.Contains(errb.String(), "batching") {
-		t.Errorf("telemetry should name the batching mode:\n%s", errb.String())
-	}
-
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base coordBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
-	}
-	if base.Batch != 8 {
-		t.Errorf("baseline batch = %d, want 8", base.Batch)
-	}
-	if base.Cells != int(cells) || base.Retries != 0 {
-		t.Errorf("baseline out of shape: %+v", base)
+	for _, fragment := range []string{"batching ≤8 cells/request", "cells/s), 0 re-dispatches"} {
+		if !strings.Contains(errb.String(), fragment) {
+			t.Errorf("telemetry missing %q:\n%s", fragment, errb.String())
+		}
 	}
 }
 
@@ -446,11 +429,16 @@ func TestCoordinatorStreamMembership(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSoakRecovery is the acceptance scenario at the binary
-// boundary: during a -soak run one replica goes down mid-soak and comes
-// back; the half-open prober must return it to rotation (Recoveries ≥ 1 in
-// the baseline) and it must serve further cells, while the open-loop
-// arrival process rides through the outage.
+// soakDoneGate is the pattern CI's soak round greps the coordinator's log
+// for (ci.yml, coord-integration): a summary line with at least one
+// recovery.
+var soakDoneGate = regexp.MustCompile(`soak done .*; [1-9][0-9]* recoveries,`)
+
+// TestCoordinatorSoakRecovery is the acceptance scenario for -soak: one
+// replica goes down mid-soak and comes back; the half-open prober must
+// return it to rotation (Recoveries ≥ 1) and it must serve further cells,
+// while the open-loop arrival process rides through the outage. The
+// summary line the soak prints must pass CI's recovery grep.
 func TestCoordinatorSoakRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-catalog modeling plus a multi-second soak")
@@ -461,6 +449,11 @@ func TestCoordinatorSoakRecovery(t *testing.T) {
 	srvA, srvB := httptest.NewServer(steady.handler()), httptest.NewServer(flappy.handler())
 	defer srvA.Close()
 	defer srvB.Close()
+	rd, err := bench.NewRemoteDispatcher([]string{srvA.URL, srvB.URL}, bench.RemoteOptions{ProbeInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
 
 	// Outage window: down early in the soak, back with plenty of soak left
 	// for the 20ms-base prober to recover it and route cells to it again.
@@ -471,52 +464,50 @@ func TestCoordinatorSoakRecovery(t *testing.T) {
 		flappy.outage.Store(false)
 	}()
 
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_coord.json")
-	var out, errb bytes.Buffer
-	err := run([]string{
-		"-replicas", srvA.URL + "," + srvB.URL,
-		"-runs", "1",
-		"-soak", "2500ms",
-		"-rate", "40",
-		"-probe", "20ms",
-		"-json", jsonPath,
-	}, &out, &errb)
+	ss, err := runSoak(context.Background(), rd, taskpack.Builtin(), 2500*time.Millisecond, 40, 1)
 	if err != nil {
-		t.Fatalf("soak failed: %v\nstderr:\n%s", err, errb.String())
+		t.Fatalf("soak failed: %v", err)
 	}
-	if !strings.Contains(errb.String(), "soak done") {
-		t.Errorf("soak summary missing from telemetry:\n%s", errb.String())
+	if ss.Arrivals == 0 || ss.Completed == 0 {
+		t.Errorf("soak saw no traffic: %+v", ss)
 	}
-
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
+	if ss.Recoveries < 1 {
+		t.Errorf("the flapped replica never recovered: %+v", ss)
 	}
-	var base coordBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
+	if ss.DownSeconds <= 0 {
+		t.Errorf("down time not recorded: %+v", ss)
 	}
-	if base.Soak == nil {
-		t.Fatal("baseline has no soak record")
-	}
-	if base.Soak.Arrivals == 0 || base.Soak.Completed == 0 {
-		t.Errorf("soak saw no traffic: %+v", base.Soak)
-	}
-	if base.Soak.Recoveries < 1 {
-		t.Errorf("the flapped replica never recovered: %+v\nstderr:\n%s", base.Soak, errb.String())
-	}
-	if base.Soak.DownSeconds <= 0 {
-		t.Errorf("down time not recorded: %+v", base.Soak)
-	}
-	if base.Soak.LatencyP50Ms <= 0 || base.Soak.LatencyP99Ms < base.Soak.LatencyP50Ms {
-		t.Errorf("latency percentiles out of shape: %+v", base.Soak)
+	if ss.LatencyP50Ms <= 0 || ss.LatencyP99Ms < ss.LatencyP50Ms {
+		t.Errorf("latency percentiles out of shape: %+v", ss)
 	}
 	if flappy.served.Load() == 0 {
 		t.Error("the flapped replica never served a cell")
 	}
 	// The open loop must ride through the outage: the survivor absorbs
 	// re-dispatched cells, so arrivals overwhelmingly complete.
-	if base.Soak.Failed > base.Soak.Arrivals/2 {
-		t.Errorf("too many failed arrivals for a one-replica outage: %+v", base.Soak)
+	if ss.Failed > ss.Arrivals/2 {
+		t.Errorf("too many failed arrivals for a one-replica outage: %+v", ss)
+	}
+
+	var summary bytes.Buffer
+	ss.writeSummary(&summary)
+	if !soakDoneGate.MatchString(summary.String()) {
+		t.Errorf("soak summary fails CI's recovery grep %q:\n%s", soakDoneGate, summary.String())
+	}
+	// The grep must also reject a soak without recoveries.
+	ss.Recoveries = 0
+	summary.Reset()
+	ss.writeSummary(&summary)
+	if soakDoneGate.MatchString(summary.String()) {
+		t.Errorf("CI's recovery grep accepts a soak with no recoveries:\n%s", summary.String())
+	}
+
+	// The -soak flag drives the same harness and prints the same summary.
+	var out, errb bytes.Buffer
+	if err := run([]string{"-replicas", srvA.URL, "-runs", "1", "-soak", "300ms", "-rate", "20"}, &out, &errb); err != nil {
+		t.Fatalf("-soak run failed: %v\nstderr:\n%s", err, errb.String())
+	}
+	if !strings.Contains(errb.String(), "soak done") || !strings.Contains(errb.String(), srvA.URL) {
+		t.Errorf("soak summary or replica line missing from telemetry:\n%s", errb.String())
 	}
 }

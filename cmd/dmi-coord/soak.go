@@ -6,7 +6,7 @@
 // dispatches the next grid cell in rotation, and individual failures are
 // data points rather than aborts. The output is the recovery path's
 // regression record: latency percentiles, failure counts, and the fleet's
-// recovery/down totals, written into the -json baseline.
+// recovery/down totals, printed as one `soak done` line on stderr.
 package main
 
 import (
@@ -22,43 +22,40 @@ import (
 	"repro/internal/taskpack"
 )
 
-// soakStats is the machine-readable record of one soak run, embedded in
-// coordBaseline (BENCH_coord.json) so CI can gate on recoveries and track
-// latency percentiles per commit.
+// soakStats is the record of one soak run, printed by writeSummary.
 type soakStats struct {
-	DurationSeconds  float64 `json:"duration_seconds"`
-	TargetRate       float64 `json:"target_rate"`
-	Arrivals         int     `json:"arrivals"`
-	Completed        int     `json:"completed"`
-	Failed           int     `json:"failed"`
-	ThroughputPerSec float64 `json:"throughput_per_sec"`
-	LatencyP50Ms     float64 `json:"latency_p50_ms"`
-	LatencyP90Ms     float64 `json:"latency_p90_ms"`
-	LatencyP99Ms     float64 `json:"latency_p99_ms"`
-	LatencyMaxMs     float64 `json:"latency_max_ms"`
-	Recoveries       int     `json:"recoveries"`
-	DownSeconds      float64 `json:"down_seconds"`
+	DurationSeconds  float64
+	Arrivals         int
+	Completed        int
+	Failed           int
+	ThroughputPerSec float64
+	LatencyP50Ms     float64
+	LatencyP90Ms     float64
+	LatencyP99Ms     float64
+	LatencyMaxMs     float64
+	Recoveries       int
+	DownSeconds      float64
 }
 
-// runSoakMode is the -soak top half: drive the load, print the telemetry,
-// write the baseline.
-func runSoakMode(ctx context.Context, rd *bench.RemoteDispatcher, reg *taskpack.Registry, duration time.Duration, rate float64, runs, inflight, batch int, jsonOut string, stderr io.Writer) error {
+// writeSummary prints the one-line `soak done` summary. CI's soak round
+// greps its "; N recoveries," field, so its shape is a contract
+// (TestCoordinatorSoakRecovery holds it to that grep).
+func (ss *soakStats) writeSummary(w io.Writer) {
+	fmt.Fprintf(w, "dmi-coord: soak done — %d arrivals, %d completed, %d failed in %.1fs (%.1f cells/s); latency p50 %.1fms p90 %.1fms p99 %.1fms max %.1fms; %d recoveries, %.1fs down\n",
+		ss.Arrivals, ss.Completed, ss.Failed, ss.DurationSeconds, ss.ThroughputPerSec,
+		ss.LatencyP50Ms, ss.LatencyP90Ms, ss.LatencyP99Ms, ss.LatencyMaxMs, ss.Recoveries, ss.DownSeconds)
+}
+
+// runSoakMode is the -soak top half: drive the load, print the telemetry.
+func runSoakMode(ctx context.Context, rd *bench.RemoteDispatcher, reg *taskpack.Registry, duration time.Duration, rate float64, runs int, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "dmi-coord: soaking for %s at %.1f cells/s (open loop, %d runs per cell) across %d replicas…\n",
 		duration, rate, runs, len(rd.Live()))
 	ss, err := runSoak(ctx, rd, reg, duration, rate, runs)
 	if err != nil {
 		return fmt.Errorf("dmi-coord: %w", err)
 	}
-	fmt.Fprintf(stderr, "dmi-coord: soak done — %d arrivals, %d completed, %d failed in %.1fs (%.1f cells/s); latency p50 %.1fms p90 %.1fms p99 %.1fms max %.1fms; %d recoveries, %.1fs down\n",
-		ss.Arrivals, ss.Completed, ss.Failed, ss.DurationSeconds, ss.ThroughputPerSec,
-		ss.LatencyP50Ms, ss.LatencyP90Ms, ss.LatencyP99Ms, ss.LatencyMaxMs, ss.Recoveries, ss.DownSeconds)
+	ss.writeSummary(stderr)
 	writeReplicaLines(stderr, rd)
-	if jsonOut != "" {
-		if err := writeBaseline(jsonOut, rd, runs, inflight, batch, ss.Completed, duration, 0, ss); err != nil {
-			return fmt.Errorf("dmi-coord: baseline: %w", err)
-		}
-		fmt.Fprintf(stderr, "dmi-coord: baseline written to %s\n", jsonOut)
-	}
 	return nil
 }
 
@@ -124,7 +121,6 @@ loop:
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	ss := &soakStats{
 		DurationSeconds: elapsed.Seconds(),
-		TargetRate:      rate,
 		Arrivals:        arrivals,
 		Completed:       completed,
 		Failed:          failed,

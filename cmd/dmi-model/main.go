@@ -15,21 +15,19 @@
 // is down-marked and its frames re-dispatched, so the run survives failures
 // without changing a byte of the output.
 //
-// -json writes a machine-readable modeling baseline (per-app rip wall-clock
-// and click counts) for CI perf tracking; -cpuprofile/-memprofile write
-// runtime/pprof profiles of the whole run (the heap profile is taken after
-// a final GC, so it shows retained memory, not transient garbage).
+// -cpuprofile/-memprofile write runtime/pprof profiles of the whole run
+// (the heap profile is taken after a final GC, so it shows retained memory,
+// not transient garbage).
 //
 // Usage:
 //
 //	dmi-model [-app Word|Excel|PowerPoint|Settings|Files|all] [-threshold 64]
 //	          [-sweep] [-workers 4] [-snapshot DIR]
-//	          [-replicas URL,URL,...] [-json FILE] [-cpuprofile FILE] [-memprofile FILE]
+//	          [-replicas URL,URL,...] [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -87,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 4, "rip worker-pool size (1 = sequential)")
 	snapshot := fs.String("snapshot", "", "directory for graph snapshots (reused across runs)")
 	replicas := fs.String("replicas", "", "comma-separated dmi-serve base URLs to shard the rip across (empty = in-process pool)")
-	jsonOut := fs.String("json", "", "write a machine-readable modeling baseline (per-app rip wall-clock) to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile of the whole run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after a final GC) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -146,7 +143,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	var records []ripRecord
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "app\tnodes\tedges\tdepth\tmerges\tback-edges\tnaive-tree\tforest\tshared\tcore-controls\tcore-tokens\tmodel-time\tblocklist\tsource")
 	for _, name := range names {
@@ -154,12 +150,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown app %q", name)
 		}
-		wallStart := time.Now()
 		b, err := store.Build(name, build, opt)
 		if err != nil {
 			return fmt.Errorf("modeling failed: %w", err)
 		}
-		wall := time.Since(wallStart)
 		if b.SnapshotErr != nil {
 			fmt.Fprintln(stderr, "warning: model built but not persisted:", b.SnapshotErr)
 		}
@@ -178,17 +172,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			modelTime = "0s"
 			source = "snapshot"
 		}
-		records = append(records, ripRecord{
-			App:         name,
-			Replicas:    len(fleet),
-			Workers:     b.RipStats.Workers,
-			Nodes:       g.NodeCount(),
-			Edges:       g.EdgeCount(),
-			Clicks:      b.RipStats.Clicks,
-			SimSeconds:  b.RipStats.SimulatedTime.Seconds(),
-			WallSeconds: wall.Seconds(),
-			Source:      source,
-		})
 		// The blocklist is app metadata, not part of the graph, so it is
 		// read off a fresh instance (construction only, never ripped).
 		blocklist := build().BlocklistSize()
@@ -221,38 +204,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintln(stdout, "the forest stays linear; see the naive-tree vs forest columns above and the")
 	fmt.Fprintln(stdout, "synthetic diamond-chain benchmark (BenchmarkFig4_TopologyTransform).")
 
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(struct {
-			Records []ripRecord `json:"records"`
-		}{records}, "", "  ")
-		if err != nil {
-			return fmt.Errorf("dmi-model: json: %w", err)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("dmi-model: json: %w", err)
-		}
-	}
 	if *memprofile != "" {
 		if err := writeHeapProfile(*memprofile); err != nil {
 			return fmt.Errorf("dmi-model: memprofile: %w", err)
 		}
 	}
 	return nil
-}
-
-// ripRecord is one application's share of the -json modeling baseline: the
-// rip's size, click cost, simulated time, and real wall-clock — what CI
-// composes into BENCH_rip.json to compare 1-replica vs N-replica runs.
-type ripRecord struct {
-	App         string  `json:"app"`
-	Replicas    int     `json:"replicas"`
-	Workers     int     `json:"workers"`
-	Nodes       int     `json:"nodes"`
-	Edges       int     `json:"edges"`
-	Clicks      int     `json:"clicks"`
-	SimSeconds  float64 `json:"sim_seconds"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Source      string  `json:"source"`
 }
 
 // waitReplicas polls every replica's /v1/healthz until it reports ready,

@@ -225,18 +225,17 @@ func TestReplicasNotReadyIsAnError(t *testing.T) {
 	}
 }
 
-// TestModelProfileAndJSONFlags: -cpuprofile/-memprofile produce non-empty
-// pprof files and -json writes the modeling baseline record.
-func TestModelProfileAndJSONFlags(t *testing.T) {
+// TestModelProfileFlags: -cpuprofile/-memprofile produce non-empty pprof
+// files without disturbing the report.
+func TestModelProfileFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("app-scale rip")
 	}
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	baseline := filepath.Join(dir, "rip.json")
 	var out, errb bytes.Buffer
-	if err := run([]string{"-app", "Settings", "-cpuprofile", cpu, "-memprofile", mem, "-json", baseline}, &out, &errb); err != nil {
+	if err := run([]string{"-app", "Settings", "-cpuprofile", cpu, "-memprofile", mem}, &out, &errb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	for _, p := range []string{cpu, mem} {
@@ -244,21 +243,7 @@ func TestModelProfileAndJSONFlags(t *testing.T) {
 			t.Errorf("profile %s missing or empty (%v)", p, err)
 		}
 	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Records []ripRecord `json:"records"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("baseline does not parse: %v\n%s", err, data)
-	}
-	if len(doc.Records) != 1 || doc.Records[0].App != "Settings" {
-		t.Fatalf("unexpected baseline records: %+v", doc.Records)
-	}
-	rec := doc.Records[0]
-	if rec.Nodes == 0 || rec.Clicks == 0 || rec.WallSeconds <= 0 {
-		t.Errorf("baseline record looks empty: %+v", rec)
+	if !strings.Contains(out.String(), "Settings") {
+		t.Errorf("profiled run lost its report:\n%s", out.String())
 	}
 }

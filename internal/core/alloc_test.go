@@ -153,20 +153,59 @@ func TestVisitAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestPromptCostingAllocs gates the audit: each half of the audited
+// per-call costing path must allocate less than the pre-audit half it
+// replaced. The screen half is the one-pass PromptStats against a label
+// capture plus its passive payload (measured 20 vs 64 objects per call);
+// the topology half is the memoized CoreTopology against a live Serialize
+// (0 vs 357). Per-half bounds imply the whole-call one (20 vs 421), and
+// unlike it they catch a screen half that falls back to the label capture,
+// which the topology half's margin would otherwise hide.
+func TestPromptCostingAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	s, m := benchSession(t)
+	halves := []struct {
+		name           string
+		audited, naive func()
+	}{
+		{"screen", func() { auditedScreen(t, s) }, func() { naiveScreen(t, s) }},
+		{"topology", func() { _ = s.CoreTopology() }, func() { _ = m.Serialize(describe.CoreOptions()) }},
+	}
+	for _, h := range halves {
+		audited, naive := testing.AllocsPerRun(50, h.audited), testing.AllocsPerRun(50, h.naive)
+		if audited >= naive {
+			t.Errorf("%s: audited prompt costing allocates %.0f objects/op, naive %.0f — the audit no longer pays", h.name, audited, naive)
+		}
+	}
+}
+
+// auditedScreen is the audited screen half: the one-pass PromptStats.
+func auditedScreen(tb testing.TB, s *Session) {
+	if n, _ := s.PromptStats(24); n == 0 {
+		tb.Fatal("empty screen")
+	}
+}
+
+// naiveScreen is its pre-audit equivalent: a full label capture and the
+// passive payload off it.
+func naiveScreen(tb testing.TB, s *Session) {
+	lm := s.CaptureLabels()
+	if lm.Len() == 0 {
+		tb.Fatal("empty screen")
+	}
+	_ = s.PassiveTexts(lm, 24)
+}
+
 // BenchmarkSession_PromptCosting measures the audited per-call costing path
-// (one-pass PromptStats + memoized core topology). Its pre-audit
-// counterpart below uses the general-purpose APIs the fast path bypasses;
-// CI's bench-delta job runs both and reports the allocation ratio.
+// (one-pass PromptStats + memoized core topology).
 func BenchmarkSession_PromptCosting(b *testing.B) {
 	s, _ := benchSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, passive := s.PromptStats(24)
-		if n == 0 {
-			b.Fatal("empty screen")
-		}
-		_ = passive
+		auditedScreen(b, s)
 		_ = s.CoreTopology()
 	}
 }
@@ -179,33 +218,28 @@ func BenchmarkSession_PromptCostingNaive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lm := s.CaptureLabels()
-		if lm.Len() == 0 {
-			b.Fatal("empty screen")
-		}
-		_ = s.PassiveTexts(lm, 24)
+		naiveScreen(b, s)
 		_ = m.Serialize(describe.CoreOptions())
 	}
 }
 
-func benchSession(b *testing.B) (*Session, *describe.Model) {
-	b.Helper()
+func benchSession(tb testing.TB) (*Session, *describe.Model) {
+	tb.Helper()
 	g, _, err := ung.Rip(buildTestApp(), ung.Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	f, _, err := forest.Transform(g, forest.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m := describe.NewModel(f)
 	return NewSession(newTestApp().App, m, Options{}), m
 }
 
-// BenchmarkSession_AllocsPerOp is the CI-tracked figure (BENCH_delta.json):
-// one declarative access command executed end to end — path resolution,
-// navigation, the deepest-visible match — plus the prompt costing that
-// precedes every LLM call.
+// BenchmarkSession_AllocsPerOp measures one declarative access command
+// executed end to end — path resolution, navigation, the deepest-visible
+// match — plus the prompt costing that precedes every LLM call.
 func BenchmarkSession_AllocsPerOp(b *testing.B) {
 	s, m := benchSession(b)
 	node := m.FindLeafByName("Bold")

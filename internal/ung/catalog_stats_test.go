@@ -73,6 +73,16 @@ func TestCatalogRipStatsGolden(t *testing.T) {
 			if sum := sha256.Sum256(bin); hex.EncodeToString(sum[:]) != want.sha256 {
 				t.Errorf("graph digest = %x, want %s", sum, want.sha256)
 			}
+			// The binary codec must stay at most 0.7× the JSON reference
+			// codec's size (measured ~0.37 on every catalog app); a per-app
+			// bound implies the catalog-wide one.
+			js, err := Encode(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ratio := float64(len(bin)) / float64(len(js)); ratio > 0.7 {
+				t.Errorf("binary snapshot is %d B, %.3f× the JSON encoding's %d B; want ≤ 0.7×", len(bin), ratio, len(js))
+			}
 
 			_, pst, err := RipParallel(app.new, Config{}, 4)
 			if err != nil {
