@@ -1,6 +1,6 @@
-// Command dmi-coord is the distributed-serving coordinator: it fans the
-// full evaluation grid (every Table 3 setting × every catalog task) out
-// across N dmi-serve replicas as POST /v1/cells envelopes and aggregates
+// Command dmi-coord is the distributed-serving coordinator: it feeds the
+// full evaluation grid (every Table 3 setting × every catalog task) to
+// N dmi-serve replicas as POST /v1/cells envelopes and aggregates
 // the outcomes in grid order — so its report is byte-identical
 // to the in-process `dmi-bench` run, no matter which replica served which
 // cell or in what order they finished. Sessions are stateless, idempotent
@@ -12,13 +12,13 @@
 // Usage:
 //
 //	dmi-coord -replicas http://a:8480,http://b:8480 [-taskpack FILE] [-runs 3] [-inflight 4] [-batch 16] [-wait 3m]
-//	dmi-coord -membership FILE [-stream] [-soak 10m -rate 20] ...
+//	dmi-coord -membership FILE [-soak 10m -rate 20] ...
 //
 // Exactly one of -replicas (fixed fleet) or -membership (elastic fleet: one
 // base URL per line, re-read on SIGHUP so replicas join and leave mid-run)
-// selects the fleet. -stream replaces the fixed fan-out with a work queue
-// that feeds cells as fleet capacity frees up — concurrency follows
-// failures, recoveries, joins, and leaves. -soak replaces the single grid
+// selects the fleet. Cells are fed as fleet capacity frees up (live
+// replicas × -inflight × -batch), so concurrency follows failures,
+// recoveries, joins, and leaves. -soak replaces the single grid
 // pass with a sustained open-loop load (cell arrivals on a fixed-rate
 // clock) and ends with a one-line `soak done` summary on stderr — latency
 // percentiles, failures and recovery counts — the line CI's recovery gate
@@ -99,7 +99,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	inflight := fs.Int("inflight", 4, "max cells in flight per replica")
 	batch := fs.Int("batch", 1, "coalesce up to this many cells per POST /v1/cells envelope (1 = one cell per envelope)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
-	stream := fs.Bool("stream", false, "feed cells from a work queue as fleet capacity frees up, instead of a fixed pre-sharded fan-out")
 	// The default matches RemoteOptions' own: sized to outlast the slowest
 	// legitimate cell (max runs on a cold model), comfortably inside
 	// dmi-serve's 10-minute write-timeout hang guard — a slow-but-healthy
@@ -218,26 +217,14 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 
 	cells := bench.GridCellsIn(reg, *runs)
-	mode := "fixed fan-out"
-	if *stream {
-		mode = "streaming work queue"
-	}
+	mode := "paced by fleet capacity"
 	if *batch > 1 {
 		mode += fmt.Sprintf(", batching ≤%d cells/request", *batch)
 	}
 	fmt.Fprintf(stderr, "dmi-coord: dispatching %d cells (%d settings × %d tasks, %d runs each) from pack %s across %d replicas (%s), ≤%d in flight each…\n",
 		len(cells), len(bench.Matrix()), len(cells)/len(bench.Matrix()), *runs, reg.Name(), len(rd.Live()), mode, *inflight)
 	start := time.Now()
-	var rep *bench.Report
-	if *stream {
-		rep, err = bench.RunStreamedIn(ctx, reg, rd, *runs)
-	} else {
-		// A batch occupies one in-flight slot but carries up to -batch
-		// cells, so the fan-out must be scaled by the batch factor to keep
-		// every replica's slots saturated with full batches.
-		concurrency := *inflight * len(rd.Live()) * *batch
-		rep, err = bench.RunDispatchedIn(ctx, reg, rd, *runs, concurrency)
-	}
+	rep, err := bench.RunStreamedIn(ctx, reg, rd, *runs)
 	if err != nil {
 		var mismatch *bench.PackMismatchError
 		if errors.As(err, &mismatch) {

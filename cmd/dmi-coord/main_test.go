@@ -395,8 +395,8 @@ func TestMembershipReload(t *testing.T) {
 	}
 }
 
-// TestCoordinatorStreamMembership: the -membership + -stream path at the
-// binary boundary — the work-queue mode over a file-selected fleet still
+// TestCoordinatorStreamMembership: the -membership path at the binary
+// boundary — the capacity-paced feeder over a file-selected fleet still
 // emits the byte-identical report.
 func TestCoordinatorStreamMembership(t *testing.T) {
 	if testing.Short() {
@@ -414,7 +414,7 @@ func TestCoordinatorStreamMembership(t *testing.T) {
 	}
 
 	var out, errb bytes.Buffer
-	err := run([]string{"-membership", path, "-stream", "-runs", "1"}, &out, &errb)
+	err := run([]string{"-membership", path, "-runs", "1"}, &out, &errb)
 	if err != nil {
 		t.Fatalf("streaming coordinator failed: %v\nstderr:\n%s", err, errb.String())
 	}
@@ -424,8 +424,8 @@ func TestCoordinatorStreamMembership(t *testing.T) {
 	if a.served.Load() == 0 || b.served.Load() == 0 {
 		t.Errorf("stream did not shard across the fleet: %d vs %d", a.served.Load(), b.served.Load())
 	}
-	if !strings.Contains(errb.String(), "streaming work queue") {
-		t.Errorf("telemetry should name the streaming mode:\n%s", errb.String())
+	if !strings.Contains(errb.String(), "paced by fleet capacity") {
+		t.Errorf("telemetry should name the capacity-paced mode:\n%s", errb.String())
 	}
 }
 

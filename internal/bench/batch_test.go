@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -108,8 +109,8 @@ func TestRemoteDispatcherBatchCoalesces(t *testing.T) {
 }
 
 // TestRemoteDispatcherBatchFailover: a v1 replica that dies mid-grid fails
-// its batch envelopes; the cells must fall back through the single-session
-// retry loop to the survivor, the report must still match the sequential
+// its batch envelopes; the envelopes must fail over to the survivor, the
+// report must still match the sequential
 // run byte-for-byte, and the retry ledger must stay consistent with the
 // per-replica failure counters.
 func TestRemoteDispatcherBatchFailover(t *testing.T) {
@@ -246,5 +247,60 @@ func TestRunStreamedBatchedEquivalence(t *testing.T) {
 	}
 	if max(a.maxEnvelope.Load(), b.maxEnvelope.Load()) < 2 {
 		t.Error("no envelope ever carried more than one cell under streaming")
+	}
+}
+
+// TestRunStreamedShipsFullBatches: Capacity counts the batch factor, so a
+// streamed run at one in-flight envelope per replica keeps a full batch of
+// cells in flight and every envelope but the grid's last ships full. A
+// capacity of one cell per slot would ship one-cell envelopes, each held
+// open for the whole linger.
+func TestRunStreamedShipsFullBatches(t *testing.T) {
+	a := &verdictStub{}
+	urls := startRipReplicas(t, a)
+	rd := batchedDispatcher(t, urls, RemoteOptions{InFlight: 1, Batch: 4}, time.Second)
+	if got := rd.Capacity(); got != 4 {
+		t.Errorf("Capacity() = %d, want 1 replica × 1 in flight × batch 4", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := RunStreamedIn(ctx, taskpack.Builtin(), rd, 1); err != nil {
+		t.Fatalf("streamed run: %v (%d envelopes shipped)", err, a.envelopes.Load())
+	}
+	cells := int64(len(GridCellsIn(taskpack.Builtin(), 1)))
+	if got, want := a.envelopes.Load(), (cells+3)/4; got != want {
+		t.Errorf("%d cells shipped in %d envelopes, want %d full ones", cells, got, want)
+	}
+}
+
+// TestDispatchRacingCloseReturns: Dispatch calls racing Close must all
+// return — none may hand its cell to a collector that has stopped reading.
+func TestDispatchRacingCloseReturns(t *testing.T) {
+	urls := startRipReplicas(t, &verdictStub{})
+	for round := 0; round < 20; round++ {
+		rd := batchedDispatcher(t, urls, RemoteOptions{Batch: 4}, batchLinger)
+		var wg sync.WaitGroup
+		for i := 0; i < 32; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := rd.Dispatch(context.Background(), Cell{Task: fmt.Sprintf("task-%d", i), Setting: "s", Runs: 1}); err != nil {
+					t.Errorf("dispatch racing Close: %v", err)
+				}
+			}()
+			if i == round {
+				rd.Close()
+			}
+		}
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Dispatch calls racing Close never returned", round)
+		}
 	}
 }

@@ -71,16 +71,16 @@ func Run(models *agent.Models, runs int) *Report {
 	return RunParallel(models, runs, 1)
 }
 
-// RunParallel is Run served from a worker pool: the evaluation grid fans
-// out over `workers` concurrently dispatched cells that all share the warm
+// RunParallel is Run served concurrently: the evaluation grid is fed
+// `workers` cells at a time, all sharing the warm
 // describe.Models — the "computer as server" posture where many concurrent
 // sessions multiplex one offline model. It is RunDispatchedIn over a
 // LocalDispatcher: the same seam that ships cells to remote replicas, bound
-// to this process's goroutine pool. Every run owns its RNG stream and its
+// to this process's goroutines. Every run owns its RNG stream and its
 // own application instance, so runs are independent; outcomes are collected
 // in grid order and aggregated sequentially, which makes the parallel
-// Report byte-identical to the sequential one. workers <= 1 runs in-line;
-// workers <= 0 uses GOMAXPROCS.
+// Report byte-identical to the sequential one. workers == 1 runs one cell
+// at a time; workers <= 0 uses GOMAXPROCS.
 func RunParallel(models *agent.Models, runs, workers int) *Report {
 	reg := taskpack.Builtin()
 	rep, err := RunDispatchedIn(context.Background(), reg, NewLocalDispatcherIn(reg, models, 1), runs, workers)

@@ -116,61 +116,6 @@ func (d *LocalDispatcher) Dispatch(ctx context.Context, cell Cell) ([]agent.Outc
 	return RunCell(d.models, set, task, cell.Runs, d.workers), nil
 }
 
-// gridRun is the shared state of one dispatcher-backed grid execution: the
-// canonical cell sequence, the grid-order result slots, and first-error-wins
-// failure collection. Both fan-out strategies — RunDispatchedIn's fixed
-// worker pool and RunStreamedIn's capacity-driven work queue — execute
-// through it and aggregate through aggregateGrid, which is what keeps their
-// reports byte-identical to each other and to the sequential Run.
-type gridRun struct {
-	d      Dispatcher
-	cells  []Cell
-	out    [][]agent.Outcome
-	cancel context.CancelFunc
-
-	mu       sync.Mutex
-	firstErr error
-}
-
-func newGridRun(d Dispatcher, cells []Cell, cancel context.CancelFunc) *gridRun {
-	return &gridRun{d: d, cells: cells, out: make([][]agent.Outcome, len(cells)), cancel: cancel}
-}
-
-// fail records the first error and cancels the remaining cells. A dispatch
-// error therefore always wins over the cancellation it triggers: callers
-// check firstErr before ctx.Err(), so the run's error names the cell that
-// failed, not the collateral context.Canceled the other workers saw.
-func (g *gridRun) fail(err error) {
-	g.mu.Lock()
-	if g.firstErr == nil {
-		g.firstErr = err
-		g.cancel()
-	}
-	g.mu.Unlock()
-}
-
-func (g *gridRun) err() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.firstErr
-}
-
-// dispatch executes cell i and stores its outcomes in the grid-order slot,
-// enforcing the exactly-Runs-outcomes contract.
-func (g *gridRun) dispatch(ctx context.Context, i int) {
-	cell := g.cells[i]
-	outcomes, err := g.d.Dispatch(ctx, cell)
-	if err != nil {
-		g.fail(fmt.Errorf("dispatch %s/%s: %w", cell.Setting, cell.Task, err))
-		return
-	}
-	if len(outcomes) != cell.Runs {
-		g.fail(fmt.Errorf("dispatch %s/%s: %d outcomes for %d runs", cell.Setting, cell.Task, len(outcomes), cell.Runs))
-		return
-	}
-	g.out[i] = outcomes
-}
-
 // aggregateGrid flattens grid-order outcome slots and aggregates them
 // sequentially into the Report — the exact code path the in-process Run
 // feeds, so a dispatcher-backed report is byte-identical to it regardless
@@ -193,19 +138,21 @@ func aggregateGrid(reg *taskpack.Registry, out [][]agent.Outcome, runs int) *Rep
 	return rep
 }
 
-// RunDispatchedIn executes a task registry's full evaluation grid through a
-// dispatcher with up to `concurrency` cells in flight (<= 0 uses
-// GOMAXPROCS), collects the outcomes in grid order, and aggregates them
-// sequentially — so the Report is byte-identical to the in-process Run
-// whenever the dispatcher honors the cell contract. The first dispatch
-// error cancels the remaining cells and is returned; a pure external
-// cancellation (no dispatch error recorded) returns ctx.Err(). For a run
-// whose concurrency should follow the fleet as replicas fail, recover,
-// join, and leave, see RunStreamedIn.
-func RunDispatchedIn(ctx context.Context, reg *taskpack.Registry, d Dispatcher, runs, concurrency int) (*Report, error) {
-	if concurrency <= 0 {
-		concurrency = runtime.GOMAXPROCS(0)
-	}
+// capacityPoll is how often the feeder re-reads capacity while saturated.
+// Capacity grows without a completion event when a replica recovers or
+// joins; polling bounds how long that new headroom sits idle.
+const capacityPoll = 100 * time.Millisecond
+
+// runGrid is the one grid feeder behind RunDispatchedIn and RunStreamedIn:
+// it dispatches the next cell of a task registry's grid whenever fewer than
+// capacity() cells are in flight, re-reading capacity as it goes. Outcomes
+// land in grid-order slots and are folded sequentially (aggregateGrid), so
+// the report is byte-identical to the in-process Run however the cells were
+// scheduled. The first dispatch error cancels the remaining cells and is
+// returned — it always wins over the cancellation it triggers, so the error
+// names the cell that failed, not the collateral context.Canceled the other
+// cells saw; a pure external cancellation returns ctx.Err().
+func runGrid(ctx context.Context, reg *taskpack.Registry, d Dispatcher, runs int, capacity func() int) (*Report, error) {
 	var cells []Cell
 	if runs > 0 {
 		// runs <= 0 dispatches nothing and aggregates an empty report —
@@ -214,46 +161,80 @@ func RunDispatchedIn(ctx context.Context, reg *taskpack.Registry, d Dispatcher, 
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	g := newGridRun(d, cells, cancel)
+	out := make([][]agent.Outcome, len(cells))
+	var mu sync.Mutex
+	var firstErr error
+	dispatch := func(i int) {
+		cell := cells[i]
+		outcomes, err := d.Dispatch(ctx, cell)
+		if err == nil && len(outcomes) != cell.Runs {
+			err = fmt.Errorf("%d outcomes for %d runs", len(outcomes), cell.Runs)
+		}
+		if err == nil {
+			out[i] = outcomes
+			return
+		}
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = fmt.Errorf("dispatch %s/%s: %w", cell.Setting, cell.Task, err)
+			cancel()
+		}
+		mu.Unlock()
+	}
 
-	if concurrency == 1 || len(cells) <= 1 {
-		for i := range cells {
-			if ctx.Err() != nil {
-				break
-			}
-			g.dispatch(ctx, i)
+	completed := make(chan struct{}, len(cells))
+	poll := time.NewTicker(capacityPoll)
+	defer poll.Stop()
+	var wg sync.WaitGroup
+	inFlight := 0
+feed:
+	for i := 0; i < len(cells); {
+		if ctx.Err() != nil {
+			break feed
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < concurrency; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					g.dispatch(ctx, i)
-				}
-			}()
-		}
-	feed:
-		for i := range cells {
+		if inFlight >= capacity() {
 			select {
-			case idx <- i:
+			case <-completed:
+				inFlight--
+			case <-poll.C:
+				// Re-read capacity: a recovered or newly added replica may
+				// have opened headroom with no completion to signal it.
 			case <-ctx.Done():
 				break feed
 			}
+			continue
 		}
-		close(idx)
-		wg.Wait()
+		idx := i
+		i++
+		inFlight++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dispatch(idx)
+			completed <- struct{}{}
+		}()
 	}
+	wg.Wait()
 
-	if err := g.err(); err != nil {
-		return nil, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return aggregateGrid(reg, g.out, runs), nil
+	return aggregateGrid(reg, out, runs), nil
+}
+
+// RunDispatchedIn executes a task registry's full evaluation grid through a
+// dispatcher with up to `concurrency` cells in flight (<= 0 uses
+// GOMAXPROCS) — runGrid at a fixed capacity. For a run whose concurrency
+// should follow the fleet as replicas fail, recover, join, and leave, see
+// RunStreamedIn.
+func RunDispatchedIn(ctx context.Context, reg *taskpack.Registry, d Dispatcher, runs, concurrency int) (*Report, error) {
+	if concurrency <= 0 {
+		concurrency = runtime.GOMAXPROCS(0)
+	}
+	return runGrid(ctx, reg, d, runs, func() int { return concurrency })
 }
 
 // Remote dispatch --------------------------------------------------------------
@@ -262,10 +243,11 @@ func RunDispatchedIn(ctx context.Context, reg *taskpack.Registry, d Dispatcher, 
 // defined so they stay mutually consistent across failover and recovery:
 //
 //   - Cells: cells this replica answered successfully.
-//   - Failures: dispatch attempts that reached this replica and failed
-//     (transport error, 5xx, malformed response, malformed 409 body). Each
-//     one sends its cell back through replica selection, so at quiescence
-//     the dispatcher's Retries() equals the sum of Failures over replicas.
+//   - Failures: attempts that reached this replica and failed — a whole
+//     envelope (transport error, 5xx, malformed response, malformed 409
+//     body) or one item within it (a per-item 5xx). Each one sends its
+//     items back through replica selection, so at quiescence the
+//     dispatcher's Retries() equals the sum of Failures over replicas.
 //   - Skips: dispatches that queued on this replica's in-flight slot but
 //     found it down-marked by the time the slot freed. No request was made,
 //     so a skip is neither a Cell nor a Failure — it only explains where a
@@ -311,11 +293,10 @@ type RemoteOptions struct {
 	// otherwise every cell is its own one-cell envelope. It stays an option
 	// rather than always-on because coalescing trades a linger delay
 	// (batchLinger) for fewer round trips, which only pays at high cell
-	// rates. Either way the wire path is the same, and a failed envelope or
-	// cell falls back to one-cell envelopes with the full retry/failover
-	// semantics, so reports stay byte-identical. A batch occupies one of its
-	// replica's in-flight slots, so a coordinator sizing concurrency should
-	// multiply by the batch factor.
+	// rates. Either way the wire path and the retry/failover loop
+	// (failover) are the same, so reports stay byte-identical. A batch
+	// occupies one of its replica's in-flight slots, so Capacity counts the
+	// batch factor.
 	Batch int
 	// ProbeInterval is the base delay between half-open /v1/healthz probes of
 	// a down-marked replica (default 1s; negative disables probing, which
@@ -339,6 +320,7 @@ type RemoteOptions struct {
 // replica — safe because cells are idempotent (see Cell). A 4xx is the
 // request's fault, not the replica's: it is returned immediately without
 // marking anything down, since every replica would reject it identically.
+// failover holds the whole verdict table.
 //
 // Every cell travels in a POST /v1/cells envelope: one cell per envelope by
 // default, or up to RemoteOptions.Batch concurrent dispatches coalesced into
@@ -360,9 +342,9 @@ type RemoteDispatcher struct {
 	probeMax    time.Duration
 	logf        func(string, ...any)
 
-	batch  int             // max cells per /v1/cells call; <= 1 disables batching
-	linger time.Duration   // how long the collector holds an underfull batch open
-	batchQ chan *batchItem // dispatches parked for coalescing (nil when not batching)
+	batch  int            // max cells per /v1/cells call; <= 1 disables batching
+	linger time.Duration  // how long the collector holds an underfull batch open
+	batchQ chan *cellItem // unbuffered hand-off to the collector (nil when not batching)
 
 	done      chan struct{} // closed by Close; stops probers and the batch collector
 	closeOnce sync.Once
@@ -370,7 +352,7 @@ type RemoteDispatcher struct {
 	mu       sync.Mutex
 	replicas []*replica // elastic membership list
 	rr       int        // rotating scan offset for pick's tie-break
-	retries  int        // failed attempts that sent a cell back through pick
+	retries  int        // failed attempts that sent an item back through pick
 	rng      *rand.Rand // jitter source for probe backoff
 }
 
@@ -459,7 +441,10 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if batch > 1 {
-		d.batchQ = make(chan *batchItem, batch)
+		// Unbuffered: a cell is handed over only while the collector is
+		// receiving, so none can park in a buffer the collector has
+		// stopped draining (see Dispatch).
+		d.batchQ = make(chan *cellItem)
 	}
 	seen := make(map[string]bool)
 	for _, raw := range baseURLs {
@@ -481,19 +466,19 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 
 // Close stops the dispatcher's background probers and, when batching, its
 // coalescing collector. In-flight Dispatch calls are unaffected (they carry
-// their own contexts; a dispatch racing Close falls back to one-cell
-// envelopes); after Close a down-marked replica stays down. Safe
-// to call more than once.
+// their own contexts; a dispatch racing Close sends its cell as a one-cell
+// envelope); after Close a down-marked replica stays down. Safe to call
+// more than once.
 func (d *RemoteDispatcher) Close() {
 	d.closeOnce.Do(func() { close(d.done) })
 }
 
 // Dispatch ships the cell to a live replica, re-dispatching on replica
 // failure until a replica answers or none are left. When batching is
-// enabled the cell first parks in the coalescing queue so concurrent
-// dispatches share an envelope; every batch failure mode falls back to the
-// one-cell path below, so the caller-visible contract is identical either
-// way.
+// enabled the cell is first handed to the coalescing collector so
+// concurrent dispatches share an envelope; otherwise — or once the
+// dispatcher is closed — it travels as a one-cell envelope through the
+// same failover loop on the caller's goroutine.
 func (d *RemoteDispatcher) Dispatch(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
 	if cell.Runs <= 0 {
 		// The daemon would coerce runs<=0 to 1 and the response would then
@@ -501,66 +486,133 @@ func (d *RemoteDispatcher) Dispatch(ctx context.Context, cell Cell) ([]agent.Out
 		// cell before it can down-mark healthy replicas.
 		return nil, fmt.Errorf("runs %d must be positive", cell.Runs)
 	}
-	if d.batchQ == nil {
-		return d.dispatchSingle(ctx, cell)
-	}
-	select {
-	case <-d.done:
-		// Closed dispatcher: the collector is gone, don't park the cell.
-		return d.dispatchSingle(ctx, cell)
-	default:
-	}
-	it := &batchItem{ctx: ctx, cell: cell, res: make(chan batchResult, 1)}
-	select {
-	case d.batchQ <- it:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	select {
-	case r := <-it.res:
-		return r.outcomes, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// dispatchSingle is the one-cell dispatch loop: acquire a replica, post the
-// cell as a one-cell envelope, and on replica failure re-dispatch until a
-// replica answers or none are left. It is both the unbatched path and the
-// fallback every batch failure mode degrades to.
-func (d *RemoteDispatcher) dispatchSingle(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
-	tried := make(map[*replica]bool)
-	var failures []error
-	for {
-		rep, err := d.acquire(ctx, tried)
-		if err != nil {
-			return nil, err
-		}
-		if rep == nil {
-			return nil, d.exhausted(failures)
-		}
-		results, err := d.postBatch(ctx, rep, []Cell{cell})
-		<-rep.slot
-		var outcomes []agent.Outcome
-		if err == nil {
-			outcomes, err = settleCell(rep, cell, results[0])
-		}
-		if err == nil {
-			d.countRetries(len(failures))
-			return outcomes, nil
-		}
-		if ctx.Err() != nil {
-			// The run was cancelled; the replica is not to blame.
+	it := &cellItem{ctx: ctx, cell: cell, res: make(chan cellResult, 1)}
+	if d.batchQ != nil {
+		select {
+		case d.batchQ <- it:
+			select {
+			case r := <-it.res:
+				return r.outcomes, r.err
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		case <-d.done:
+			// Closed: the collector is gone (or going), so the cell
+			// travels alone.
+		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if isFinal(err) {
-			return nil, err
+	}
+	failover(ctx, d, []*cellItem{it}, d.postBatch, (*cellItem).deliver)
+	r := <-it.res
+	return r.outcomes, r.err
+}
+
+// answer is one item's share of an envelope's response: its result, or the
+// error that kept it from one.
+type answer[R any] struct {
+	res R
+	err error
+}
+
+// failover is the one retry loop behind every remote envelope — a lone
+// cell, a coalesced cell batch, a batch of rip frames. It acquires a live
+// replica, has post send the items to it as one envelope, and applies one
+// verdict table to the answer:
+//
+//   - An item answered without error is counted on the replica and
+//     delivered; an item answered with a *requestError (its own 4xx) is
+//     delivered that error as final; any other item error is the replica's
+//     fault: the replica is down-marked and only the faulted items are
+//     re-sent elsewhere.
+//   - An envelope-level error is final for every item when ctx is done (a
+//     cancelled caller is never the replica's fault) or when it is a pack
+//     mismatch (the operator must restart one side). A *requestError is
+//     final for a one-item envelope; a larger envelope the replica refused
+//     as a whole is split into one-item envelopes, sent concurrently.
+//     Neither down-marks anything nor counts a retry. Any other error
+//     down-marks the replica and re-sends the whole envelope elsewhere.
+//
+// Every down-mark counts one retry, so Retries() equals the sum of the
+// replicas' Failures at quiescence. Items are idempotent, so re-sending one
+// whose first attempt may have executed is safe. deliver is called exactly
+// once per item; failover returns when every item has been delivered.
+func failover[T, R any](ctx context.Context, d *RemoteDispatcher, items []T,
+	post func(context.Context, *replica, []T) ([]answer[R], error), deliver func(T, R, error)) {
+	var zero R
+	failAll := func(err error) {
+		for _, it := range items {
+			deliver(it, zero, err)
 		}
-		// Failure detection: stop picking this replica, hand it to the
-		// half-open prober, and try another.
+	}
+	tried := make(map[*replica]bool)
+	var failures []error
+	fault := func(rep *replica, err error) {
 		d.markDown(rep, err)
 		tried[rep] = true
 		failures = append(failures, fmt.Errorf("%s: %w", rep.base, err))
+	}
+	for len(items) > 0 {
+		rep, err := d.acquire(ctx, tried)
+		if err != nil {
+			failAll(err)
+			return
+		}
+		if rep == nil {
+			if len(failures) == 0 {
+				failAll(errors.New("no live replicas"))
+			} else {
+				failAll(fmt.Errorf("all replicas failed: %w", errors.Join(failures...)))
+			}
+			return
+		}
+		answers, err := post(ctx, rep, items)
+		<-rep.slot
+		var mismatch *PackMismatchError
+		var bad *requestError
+		switch {
+		case err == nil:
+		case ctx.Err() != nil:
+			failAll(ctx.Err())
+			return
+		case errors.As(err, &mismatch), errors.As(err, &bad) && len(items) == 1:
+			failAll(err)
+			return
+		case errors.As(err, &bad):
+			d.logf("replica %s rejected a %d-item envelope (%v); re-sending its items one per envelope",
+				rep.base, len(items), err)
+			// Concurrently, so one slow item does not serialize its former
+			// envelope-mates.
+			var wg sync.WaitGroup
+			for _, it := range items {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					failover(ctx, d, []T{it}, post, deliver)
+				}()
+			}
+			wg.Wait()
+			return
+		default:
+			fault(rep, err)
+			continue
+		}
+		var redo []T
+		for i, a := range answers {
+			switch {
+			case a.err == nil:
+				rep.mu.Lock()
+				rep.cells++
+				rep.mu.Unlock()
+				deliver(items[i], a.res, nil)
+			case errors.As(a.err, &bad):
+				deliver(items[i], zero, a.err)
+			default:
+				fault(rep, a.err)
+				redo = append(redo, items[i])
+			}
+		}
+		items = redo
 	}
 }
 
@@ -596,32 +648,16 @@ func (d *RemoteDispatcher) acquire(ctx context.Context, tried map[*replica]bool)
 	}
 }
 
-// exhausted is the verdict of a retry loop that ran out of replicas. The
-// failed attempts are counted even though the work is lost, so Retries()
-// agrees with the per-replica Failures counters whether or not a survivor
-// eventually answered.
-func (d *RemoteDispatcher) exhausted(failures []error) error {
-	if len(failures) == 0 {
-		return errors.New("no live replicas")
-	}
-	d.countRetries(len(failures))
-	return fmt.Errorf("all replicas failed: %w", errors.Join(failures...))
-}
-
-func (d *RemoteDispatcher) countRetries(n int) {
-	if n == 0 {
-		return
-	}
-	d.mu.Lock()
-	d.retries += n
-	d.mu.Unlock()
-}
-
 // markDown trips the failure detector: the replica leaves rotation and, if
 // probing is enabled, a half-open prober starts watching its /v1/healthz for
-// recovery (at most one prober per replica). Each call also counts one
-// failed dispatch attempt on the replica.
+// recovery (at most one prober per replica). Each call counts one failed
+// attempt on the replica and one retry on the dispatcher — the failed item
+// goes back through replica selection — which is what keeps Retries() equal
+// to the sum of the replicas' Failures.
 func (d *RemoteDispatcher) markDown(rep *replica, cause error) {
+	d.mu.Lock()
+	d.retries++
+	d.mu.Unlock()
 	rep.mu.Lock()
 	rep.failures++
 	wasDown := rep.down
@@ -685,16 +721,6 @@ func (d *RemoteDispatcher) pick(tried map[*replica]bool) *replica {
 type requestError struct{ msg string }
 
 func (e *requestError) Error() string { return e.msg }
-
-// isFinal reports whether a failed attempt is the caller's problem rather
-// than the replica's: a pack mismatch (the operator must restart one side)
-// or a request error (every replica would reject it identically). Neither
-// down-marks the replica or re-dispatches.
-func isFinal(err error) bool {
-	var mismatch *PackMismatchError
-	var bad *requestError
-	return errors.As(err, &mismatch) || errors.As(err, &bad)
-}
 
 // PackMismatchError reports a replica that is alive and well but serving a
 // different task pack than the run dispatches against. It names both sides
@@ -765,8 +791,8 @@ func (d *RemoteDispatcher) postEnvelope(ctx context.Context, rep *replica, path,
 	return nil
 }
 
-// Retries reports how many dispatch attempts failed at a replica and sent
-// their cell back through replica selection. Attempts on a cell that
+// Retries reports how many attempts failed at a replica and sent their
+// items back through replica selection. Attempts on an item that
 // ultimately failed everywhere count too, so at quiescence Retries equals
 // the sum of ReplicaStats.Failures across the fleet; slot-wait skips are
 // counted separately (ReplicaStats.Skips) because no request was made.

@@ -1,0 +1,303 @@
+package bench
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/agent"
+	"repro/internal/serveproto"
+	"repro/internal/ung"
+)
+
+// verdictStub answers POST /v1/cells and POST /v1/rip envelopes by one row
+// of failover's verdict table, without models: a 200 item echoes its cell
+// with zeroed outcomes, or carries a skipped expansion for a frame.
+type verdictStub struct {
+	envStatus  int         // answer every envelope with this status and envBody (0 = answer per item)
+	envBody    string      //
+	maxItems   int         // answer 400 to envelopes carrying more items (0 = no limit)
+	itemStatus map[int]int // per-item status by position in the envelope (default 200)
+	hangUp     bool        // drop the connection without answering: a transport error
+	hold       chan struct{}
+	entered    chan int // receives each envelope's item count once it is read
+
+	envelopes atomic.Int64
+	aborted   atomic.Int64 // envelopes whose client gave up while held
+}
+
+func (s *verdictStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	var cells serveproto.BatchRequest
+	var rip serveproto.RipRequest
+	var err error
+	switch r.URL.Path {
+	case serveproto.PathCells:
+		err = json.NewDecoder(r.Body).Decode(&cells)
+	case serveproto.PathRip:
+		err = json.NewDecoder(r.Body).Decode(&rip)
+	default:
+		http.NotFound(w, r)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	n := len(cells.Cells) + len(rip.Frames)
+	s.envelopes.Add(1)
+	if s.entered != nil {
+		s.entered <- n
+	}
+	if s.hold != nil {
+		select {
+		case <-s.hold:
+		case <-r.Context().Done():
+			s.aborted.Add(1)
+			return
+		}
+	}
+	switch {
+	case s.hangUp:
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err == nil {
+			conn.Close()
+		}
+		return
+	case s.envStatus != 0:
+		w.WriteHeader(s.envStatus)
+		io.WriteString(w, s.envBody)
+		return
+	case s.maxItems > 0 && n > s.maxItems:
+		http.Error(w, "envelope too large", http.StatusBadRequest)
+		return
+	}
+	status := func(i int) int {
+		if st, ok := s.itemStatus[i]; ok {
+			return st
+		}
+		return http.StatusOK
+	}
+	var resp any
+	if r.URL.Path == serveproto.PathCells {
+		br := serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, n)}
+		for i, c := range cells.Cells {
+			br.Results[i] = serveproto.BatchCellResult{Status: status(i), Error: "injected"}
+			if br.Results[i].Status == http.StatusOK {
+				br.Results[i] = serveproto.BatchCellResult{Status: http.StatusOK, Response: &serveproto.SessionResponse{
+					Task: c.Task, Setting: c.Setting, Runs: c.Runs, Outcomes: make([]agent.Outcome, c.Runs)}}
+			}
+		}
+		resp = br
+	} else {
+		rr := serveproto.RipResponse{Results: make([]serveproto.RipResult, n)}
+		for i := range rip.Frames {
+			rr.Results[i] = serveproto.RipResult{Status: status(i), Error: "injected"}
+			if rr.Results[i].Status == http.StatusOK {
+				we := serveproto.FromExpansion(ung.Expansion{Outcome: ung.ExpandSkipped})
+				rr.Results[i] = serveproto.RipResult{Status: http.StatusOK, Expansion: &we}
+			}
+		}
+		resp = rr
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(resp)
+}
+
+// envelopeKind runs n items of one envelope kind through failover against a
+// dispatcher and returns each item's delivered error (nil = delivered a
+// well-formed result).
+type envelopeKind func(ctx context.Context, d *RemoteDispatcher, n int) []error
+
+var envelopeKinds = map[string]envelopeKind{
+	"cells": func(ctx context.Context, d *RemoteDispatcher, n int) []error {
+		items := make([]*cellItem, n)
+		for i := range items {
+			items[i] = &cellItem{cell: Cell{Task: fmt.Sprintf("task-%d", i), Setting: "s", Runs: 2}, res: make(chan cellResult, 1)}
+		}
+		failover(ctx, d, items, d.postBatch, (*cellItem).deliver)
+		errs := make([]error, n)
+		for i, it := range items {
+			r := <-it.res
+			if errs[i] = r.err; r.err == nil && len(r.outcomes) != 2 {
+				errs[i] = fmt.Errorf("%d outcomes delivered, want 2", len(r.outcomes))
+			}
+		}
+		return errs
+	},
+	"rip frames": func(ctx context.Context, d *RemoteDispatcher, n int) []error {
+		re := &RemoteExpander{d: d, app: "Demo"}
+		stack := ung.NewFrameStack()
+		results := make([]<-chan ung.ExpandResult, n)
+		for i := n - 1; i >= 0; i-- { // LIFO: frame-0 pops first, so envelope order is index order
+			results[i] = stack.Push("", ung.Frame{ID: fmt.Sprintf("frame-%d", i)})
+		}
+		failover(ctx, d, stack.PopBatch(n), re.postRip, deliverFrame)
+		errs := make([]error, n)
+		for i, ch := range results {
+			r := <-ch
+			if errs[i] = r.Err; r.Err == nil && r.Expansion.Outcome != ung.ExpandSkipped {
+				errs[i] = fmt.Errorf("expansion outcome %v delivered, want a skip", r.Expansion.Outcome)
+			}
+		}
+		return errs
+	},
+}
+
+// TestFailoverVerdictTable drives every row of failover's verdict table
+// through both envelope kinds. Replica A answers by the row; replica B is
+// healthy, and A is always picked first (an idle fleet's first pick is the
+// first replica). Each row pins what every item was delivered, which
+// replicas ended down, and the retry ledger.
+func TestFailoverVerdictTable(t *testing.T) {
+	mismatch, _ := json.Marshal(serveproto.PackMismatch{WantPack: "p", WantHash: "aa", HavePack: "other", HaveHash: "bb"})
+	rows := []struct {
+		name    string
+		a       *verdictStub
+		items   int
+		cancel  bool           // cancel the caller once A has the envelope
+		final   map[int]string // items that must fail, and a fragment of their error
+		aDown   bool
+		retries int
+	}{
+		{name: "item ok", a: &verdictStub{}, items: 2},
+		{name: "item 4xx", a: &verdictStub{itemStatus: map[int]int{1: http.StatusNotFound}}, items: 2,
+			final: map[int]string{1: "status 404"}},
+		{name: "item 5xx", a: &verdictStub{itemStatus: map[int]int{1: http.StatusInternalServerError}}, items: 2,
+			aDown: true, retries: 1},
+		{name: "envelope 4xx, one item", a: &verdictStub{envStatus: http.StatusBadRequest, envBody: "refused"}, items: 1,
+			final: map[int]string{0: "status 400"}},
+		{name: "envelope 4xx, several items", a: &verdictStub{maxItems: 1}, items: 3},
+		{name: "well-formed 409", a: &verdictStub{envStatus: http.StatusConflict, envBody: string(mismatch)}, items: 2,
+			final: map[int]string{0: "serves task pack other", 1: "serves task pack other"}},
+		{name: "malformed 409", a: &verdictStub{envStatus: http.StatusConflict, envBody: "<html>502</html>"}, items: 2,
+			aDown: true, retries: 1},
+		{name: "transport error", a: &verdictStub{hangUp: true}, items: 2, aDown: true, retries: 1},
+		{name: "cancelled caller", a: &verdictStub{hold: make(chan struct{})}, items: 2, cancel: true,
+			final: map[int]string{0: "context canceled", 1: "context canceled"}},
+	}
+	for kind, run := range envelopeKinds {
+		for _, row := range rows {
+			t.Run(kind+"/"+row.name, func(t *testing.T) {
+				a := &verdictStub{envStatus: row.a.envStatus, envBody: row.a.envBody, maxItems: row.a.maxItems,
+					itemStatus: row.a.itemStatus, hangUp: row.a.hangUp, entered: make(chan int, 16)}
+				if row.a.hold != nil {
+					a.hold = make(chan struct{})
+					defer close(a.hold) // before the servers' Cleanup closes
+				}
+				b := &verdictStub{}
+				d, err := NewRemoteDispatcher(startRipReplicas(t, a, b), RemoteOptions{ProbeInterval: -1, Pack: "p", PackHash: "aa"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if row.cancel {
+					go func() {
+						<-a.entered
+						cancel()
+					}()
+				}
+				errs := run(ctx, d, row.items)
+				for i, err := range errs {
+					want, fails := row.final[i]
+					switch {
+					case fails && (err == nil || !strings.Contains(err.Error(), want)):
+						t.Errorf("item %d: got %v, want a final error containing %q", i, err, want)
+					case !fails && err != nil:
+						t.Errorf("item %d: not delivered: %v", i, err)
+					}
+				}
+				stats := d.Stats()
+				if stats[0].Down != row.aDown || stats[1].Down {
+					t.Errorf("down marks: A %v, B %v; want A %v, B false", stats[0].Down, stats[1].Down, row.aDown)
+				}
+				if d.Retries() != row.retries {
+					t.Errorf("Retries() = %d, want %d", d.Retries(), row.retries)
+				}
+				checkRetryLedger(t, d)
+			})
+		}
+	}
+}
+
+// TestBatchMateOfCancelledCallerAnswered: two callers share one envelope
+// and give up while it is in flight. A caller that gives up gets its ctx
+// error at once. While one caller still waits, the envelope is neither
+// aborted nor re-sent, and the batch-mate gets its answer from it; once both
+// have given up, the envelope is aborted. Neither case counts against the
+// replica.
+func TestBatchMateOfCancelledCallerAnswered(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		cancel  []bool // which callers give up
+		aborted int64
+	}{
+		{name: "one caller gives up", cancel: []bool{true, false}},
+		{name: "both callers give up", cancel: []bool{true, true}, aborted: 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			a := &verdictStub{hold: make(chan struct{}), entered: make(chan int, 4)}
+			rd := batchedDispatcher(t, startRipReplicas(t, a), RemoteOptions{Batch: 2, ProbeInterval: -1}, 2*time.Second)
+			errs := make([]error, 2)
+			done := make([]chan struct{}, 2)
+			cancels := make([]context.CancelFunc, 2)
+			for i := range cancels {
+				var ctx context.Context
+				ctx, cancels[i] = context.WithCancel(context.Background())
+				defer cancels[i]()
+				done[i] = make(chan struct{})
+				go func() {
+					defer close(done[i])
+					_, errs[i] = rd.Dispatch(ctx, Cell{Task: fmt.Sprintf("task-%d", i), Setting: "s", Runs: 1})
+				}()
+			}
+			if n := <-a.entered; n != 2 {
+				close(a.hold)
+				t.Fatalf("the envelope carried %d cells, want 2", n)
+			}
+			for i, c := range row.cancel {
+				if c {
+					cancels[i]()
+					<-done[i]
+				}
+			}
+			if row.aborted > 0 {
+				// Nobody waits for the envelope any more: it must end without
+				// the replica ever answering it.
+				deadline := time.Now().Add(5 * time.Second)
+				for a.aborted.Load() < row.aborted && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			close(a.hold)
+			for i := range done {
+				<-done[i]
+			}
+			for i, c := range row.cancel {
+				switch {
+				case c && !errors.Is(errs[i], context.Canceled):
+					t.Errorf("caller %d gave up and got %v, want context.Canceled", i, errs[i])
+				case !c && errs[i] != nil:
+					t.Errorf("caller %d, the batch-mate of a caller that gave up, was not answered: %v", i, errs[i])
+				}
+			}
+			if n := a.aborted.Load(); n != row.aborted {
+				t.Errorf("%d envelopes aborted, want %d", n, row.aborted)
+			}
+			if n := a.envelopes.Load(); n != 1 {
+				t.Errorf("replica saw %d envelopes, want the one shared envelope", n)
+			}
+			if rd.Stats()[0].Down || rd.Retries() != 0 {
+				t.Errorf("a caller giving up must not count against the replica: %+v, %d retries", rd.Stats()[0], rd.Retries())
+			}
+		})
+	}
+}

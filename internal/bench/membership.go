@@ -108,9 +108,11 @@ func (d *RemoteDispatcher) Members() []string {
 }
 
 // Capacity reports how many cells the fleet can hold in flight right now:
-// the per-replica cap times the number of replicas in rotation. Streaming
-// dispatch (RunStreamedIn) polls it to pace its work queue, so capacity
-// tracks the fleet through failures, recoveries, joins, and leaves.
+// the replicas in rotation times the per-replica in-flight cap times the
+// batch factor — an envelope of up to Batch cells occupies one slot, so
+// fewer cells in flight would ship underfull envelopes and leave replicas
+// idle. RunStreamedIn polls it to pace the grid, so capacity tracks the
+// fleet through failures, recoveries, joins, and leaves.
 func (d *RemoteDispatcher) Capacity() int {
 	n := 0
 	for _, rep := range d.snapshot() {
@@ -121,5 +123,5 @@ func (d *RemoteDispatcher) Capacity() int {
 			n++
 		}
 	}
-	return n * d.inflight
+	return n * d.inflight * max(d.batch, 1)
 }

@@ -23,13 +23,16 @@ const maxRipSenders = 32
 // replica (equal-load ties rotate round-robin), bounded by the per-replica
 // in-flight cap. A transport error, a 5xx, or a malformed response marks
 // the replica down — handing it to the same half-open /v1/healthz prober the
-// cell dispatcher uses — and the envelope's frames are re-dispatched to
-// another replica. Re-dispatch is safe because an expansion is idempotent
-// by construction: it is a function of (app, context, click path) on a
-// soft-reset instance, so a frame that died with its replica mid-expansion
-// produces the same differential capture anywhere else. A 4xx or a pack
-// mismatch is the request's fault, not the replica's: it is delivered as a
-// final per-frame error without marking anything down.
+// cell dispatcher uses — and the frames it failed are re-dispatched to
+// another replica: the whole envelope when the envelope failed, only the
+// faulted frames when the replica failed individual frames (failover holds
+// the verdict table cells and frames share). Re-dispatch is safe because
+// an expansion is idempotent by construction: it is a function of (app,
+// context, click path) on a soft-reset instance, so a frame that died with
+// its replica mid-expansion produces the same differential capture
+// anywhere else. A 4xx or a pack mismatch is the request's fault, not the
+// replica's: it is delivered as a final per-frame error without marking
+// anything down.
 //
 // The expander pops stacked frames most-recent-first and coalesces up to
 // the configured batch of same-context frames per envelope — the LIFO
@@ -102,8 +105,8 @@ func (re *RemoteExpander) Close() ung.ExpanderStats {
 // counter counts expanded frames here).
 func (re *RemoteExpander) Stats() []ReplicaStats { return re.d.Stats() }
 
-// Retries reports how many envelope attempts failed at a replica and sent
-// their frames back through replica selection.
+// Retries reports how many attempts failed at a replica and sent their
+// frames back through replica selection.
 func (re *RemoteExpander) Retries() int { return re.d.Retries() }
 
 // AddReplica joins a replica to the fleet mid-rip; see membership.go.
@@ -112,8 +115,8 @@ func (re *RemoteExpander) AddReplica(baseURL string) error { return re.d.AddRepl
 // RemoveReplica retires a replica mid-rip; see membership.go.
 func (re *RemoteExpander) RemoveReplica(baseURL string) error { return re.d.RemoveReplica(baseURL) }
 
-// sender is one dispatch worker: pop the most recent same-context frames,
-// ship them as one envelope, deliver the results. Exits when the stack is
+// sender is one dispatch worker: pop the most recent same-context frames
+// and ship them as one envelope through failover. Exits when the stack is
 // closed and drained.
 func (re *RemoteExpander) sender() {
 	defer re.wg.Done()
@@ -122,61 +125,23 @@ func (re *RemoteExpander) sender() {
 		if items == nil {
 			return
 		}
-		re.deliver(items)
+		// No deadline: a rip has no caller to give up, and the client
+		// timeout bounds every attempt.
+		failover(context.Background(), re.d, items, re.postRip, deliverFrame)
 	}
 }
 
-// deliver runs one envelope's retry loop: pick a live replica, post, and on
-// replica failure re-dispatch the whole envelope until a replica answers or
-// none are left. Mirrors dispatchSingle's loop with the envelope as the
-// retry unit — every frame in it is idempotent, so re-sending frames whose
-// first attempt may or may not have executed is safe.
-func (re *RemoteExpander) deliver(items []*ung.StackedFrame) {
-	tried := make(map[*replica]bool)
-	var failures []error
-	for {
-		rep, _ := re.d.acquire(context.Background(), tried) // no deadline: the only outcome is a replica or none
-		if rep == nil {
-			err := re.d.exhausted(failures)
-			for _, it := range items {
-				it.Deliver(ung.ExpandResult{Err: err})
-			}
-			return
-		}
-		results, err := re.postRip(rep, items)
-		<-rep.slot
-		if err == nil {
-			rep.mu.Lock()
-			rep.cells += len(items)
-			rep.mu.Unlock()
-			re.d.countRetries(len(failures))
-			for i, it := range items {
-				it.Deliver(results[i])
-			}
-			return
-		}
-		if isFinal(err) {
-			// The envelope (or the run's pack handshake) is at fault; every
-			// replica would reject it identically. Final, no down-mark.
-			for _, it := range items {
-				it.Deliver(ung.ExpandResult{Err: err})
-			}
-			return
-		}
-		// Failure detection: stop picking this replica, hand it to the
-		// half-open prober, and re-dispatch the envelope elsewhere.
-		re.d.markDown(rep, err)
-		tried[rep] = true
-		failures = append(failures, fmt.Errorf("%s: %w", rep.base, err))
-	}
+func deliverFrame(it *ung.StackedFrame, exp ung.Expansion, err error) {
+	it.Deliver(ung.ExpandResult{Expansion: exp, Err: err})
 }
 
-// postRip runs one POST /v1/rip round trip and validates the response
-// against the envelope contract: one result per frame, in order, each
-// either a decodable expansion or a final per-frame rejection. An error
-// return means the replica failed the envelope (transport, 5xx, malformed
-// body, per-frame 5xx) and the whole envelope should be re-dispatched.
-func (re *RemoteExpander) postRip(rep *replica, items []*ung.StackedFrame) ([]ung.ExpandResult, error) {
+// postRip is the rip envelope for failover: one POST /v1/rip round trip
+// whose response must carry one result per frame, in order. A frame
+// answered 200 with a decodable expansion succeeds; a per-frame 4xx is the
+// frame's own final rejection (*requestError); anything else — a per-frame
+// 5xx, or an expansion this client cannot decode (protocol skew) — is the
+// replica's fault for that frame alone.
+func (re *RemoteExpander) postRip(ctx context.Context, rep *replica, items []*ung.StackedFrame) ([]answer[ung.Expansion], error) {
 	frames := make([]serveproto.RipFrame, len(items))
 	for i, it := range items {
 		frames[i] = serveproto.RipFrame{ID: it.Frame.ID, Path: it.Frame.Path}
@@ -186,30 +151,21 @@ func (re *RemoteExpander) postRip(rep *replica, items []*ung.StackedFrame) ([]un
 		App: re.app, Context: items[0].Ctx, Frames: frames,
 	}
 	var rr serveproto.RipResponse
-	if err := re.d.postEnvelope(context.Background(), rep, serveproto.PathRip, serveproto.RipBatchHeader, len(frames), body, &rr); err != nil {
+	if err := re.d.postEnvelope(ctx, rep, serveproto.PathRip, serveproto.RipBatchHeader, len(frames), body, &rr); err != nil {
 		return nil, err
 	}
 	if len(rr.Results) != len(frames) {
 		return nil, fmt.Errorf("response carries %d results for %d frames", len(rr.Results), len(frames))
 	}
-	out := make([]ung.ExpandResult, len(frames))
+	out := make([]answer[ung.Expansion], len(frames))
 	for i, res := range rr.Results {
 		switch {
 		case res.Status == http.StatusOK && res.Expansion != nil:
-			exp, err := res.Expansion.Expansion()
-			if err != nil {
-				// Protocol skew inside an otherwise well-formed response:
-				// treat the envelope as a replica failure, like any other
-				// malformed body.
-				return nil, err
-			}
-			out[i] = ung.ExpandResult{Expansion: exp}
+			out[i].res, out[i].err = res.Expansion.Expansion()
 		case res.Status >= 400 && res.Status < 500:
-			// The frame itself was rejected; every replica would agree.
-			out[i] = ung.ExpandResult{Err: &requestError{msg: fmt.Sprintf("frame %q: status %d: %s",
-				frames[i].ID, res.Status, res.Error)}}
+			out[i].err = &requestError{msg: fmt.Sprintf("frame %q: status %d: %s", frames[i].ID, res.Status, res.Error)}
 		default:
-			return nil, fmt.Errorf("frame %q: status %d: %s", frames[i].ID, res.Status, res.Error)
+			out[i].err = fmt.Errorf("frame %q: status %d: %s", frames[i].ID, res.Status, res.Error)
 		}
 	}
 	return out, nil
