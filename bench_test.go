@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/office/excel"
 	"repro/internal/office/slides"
 	"repro/internal/office/word"
+	"repro/internal/taskpack"
 	"repro/internal/uia"
 	"repro/internal/ung"
 )
@@ -36,7 +38,7 @@ var (
 func sharedModels(b *testing.B) *agent.Models {
 	b.Helper()
 	modelsOnce.Do(func() {
-		m, err := agent.BuildModels()
+		m, err := agent.BuildModelsIn(modelstore.New(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,12 +269,12 @@ func BenchmarkOffline_RipPowerPointParallel4(b *testing.B) {
 func BenchmarkOffline_ModelStoreWarm(b *testing.B) {
 	store := modelstore.New()
 	factory := func() *appkit.App { return word.New().App }
-	if _, err := store.Model("Word", factory, modelstore.Options{Workers: 4}); err != nil {
+	if _, err := store.Build("Word", factory, modelstore.Options{Workers: 4}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.Model("Word", factory, modelstore.Options{Workers: 4}); err != nil {
+		if _, err := store.Build("Word", factory, modelstore.Options{Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -426,22 +428,27 @@ func BenchmarkAblation_Robustness(b *testing.B) {
 }
 
 // BenchmarkOnline_ParallelSessions measures the concurrent serving layer:
-// one matrix cell (39 tasks × 3 runs = 117 sessions) served from a worker
-// pool over the shared warm model, at increasing worker counts. sessions/sec
-// is wall-clock throughput; the report stays byte-identical to the
-// sequential run (asserted separately under -race), so the only thing the
-// pool changes is how fast the grid drains.
+// the whole evaluation grid (8 settings × 39 tasks × 1 run = 312 sessions)
+// served by RunDispatchedIn over a LocalDispatcher on the shared warm
+// models, at increasing cell concurrency. sessions/sec is wall-clock
+// throughput; the report stays byte-identical to the sequential run
+// (asserted separately under -race), so the only thing concurrency changes
+// is how fast the grid drains.
 func BenchmarkOnline_ParallelSessions(b *testing.B) {
 	m := sharedModels(b)
-	set := bench.Setting{Label: "GUI+DMI / GPT-5 / Medium",
-		Interface: agent.GUIDMI, Profile: llm.GPT5Medium}
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	reg := taskpack.Builtin()
+	d := bench.NewLocalDispatcherIn(reg, m, 1)
+	for _, concurrency := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("concurrency=%d", concurrency), func(b *testing.B) {
 			sessions := 0
 			for i := 0; i < b.N; i++ {
-				row := bench.RunSettingParallel(m, set, 3, workers)
-				sessions += row.Total
+				rep, err := bench.RunDispatchedIn(context.Background(), reg, d, 1, concurrency)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, row := range rep.Rows {
+					sessions += row.Total
+				}
 			}
 			b.ReportMetric(float64(sessions)/b.Elapsed().Seconds(), "sessions/sec")
 		})

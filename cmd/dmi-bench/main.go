@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/bench"
+	"repro/internal/modelstore"
 	"repro/internal/taskpack"
 )
 
@@ -94,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintf(stderr, "offline phase: modeling the %d-app catalog…\n", len(agent.Factories()))
-	models, err := agent.BuildModelsParallel(*workers)
+	models, err := agent.BuildModelsIn(modelstore.New(), *workers)
 	if err != nil {
 		return fmt.Errorf("modeling failed: %w", err)
 	}

@@ -74,7 +74,7 @@ func TestReportGolden(t *testing.T) {
 }
 
 // TestParallelFlagMatchesSequential drives the CLI end to end at two pool
-// sizes: the rendered report must be byte-identical (the RunParallel
+// sizes: the rendered report must be byte-identical (the RunDispatchedIn
 // contract surfaced at the binary's boundary).
 func TestParallelFlagMatchesSequential(t *testing.T) {
 	if testing.Short() {

@@ -224,7 +224,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	fmt.Fprintf(stderr, "dmi-coord: dispatching %d cells (%d settings × %d tasks, %d runs each) from pack %s across %d replicas (%s), ≤%d in flight each…\n",
 		len(cells), len(bench.Matrix()), len(cells)/len(bench.Matrix()), *runs, reg.Name(), len(rd.Live()), mode, *inflight)
 	start := time.Now()
-	rep, err := bench.RunStreamedIn(ctx, reg, rd, *runs)
+	rep, err := bench.RunDispatchedIn(ctx, reg, rd, *runs, 0)
 	if err != nil {
 		var mismatch *bench.PackMismatchError
 		if errors.As(err, &mismatch) {

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/bench"
+	"repro/internal/modelstore"
 	"repro/internal/serveproto"
 	"repro/internal/taskpack"
 )
@@ -137,7 +138,6 @@ func (rp *replica) handler() http.Handler {
 	mux.HandleFunc(serveproto.PathStats, func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(serveproto.StatsResponse{
 			Sessions:   rp.served.Load(),
-			Store:      agent.StoreStats(),
 			CoreTokens: rp.models.CoreTokens,
 		})
 	})
@@ -187,7 +187,7 @@ var (
 func groundTruth(t *testing.T) (*agent.Models, string) {
 	t.Helper()
 	groundOnce.Do(func() {
-		models, err := agent.BuildModels()
+		models, err := agent.BuildModelsIn(modelstore.New(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,15 +104,16 @@ func TestServeDaemon(t *testing.T) {
 	}
 	const runs = 2
 
-	// In-process ground truth: the full matrix through the shared store.
-	models, err := agent.BuildModels()
+	// In-process ground truth: the full matrix through its own store.
+	store := modelstore.New()
+	models, err := agent.BuildModelsIn(store, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := bench.Run(models, runs)
-	total := agent.StoreStats().ResidentBytes
+	total := store.Stats().ResidentBytes
 	if total <= 0 {
-		t.Fatalf("shared store reports no resident bytes: %+v", agent.StoreStats())
+		t.Fatalf("store reports no resident bytes: %+v", store.Stats())
 	}
 
 	// One byte short of the catalog: every model fits alone, the five

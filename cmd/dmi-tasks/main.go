@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/llm"
+	"repro/internal/modelstore"
 	"repro/internal/osworld"
 	"repro/internal/taskpack"
 )
@@ -100,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg := agent.Config{Interface: interfaceOf(*iface), Profile: profileOf(*model)}
 
 	fmt.Fprintln(stderr, "modeling applications…")
-	models, err := agent.BuildModels()
+	models, err := agent.ModelsFor(modelstore.New(), task.App, 0)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/llm"
+	"repro/internal/modelstore"
 	"repro/internal/osworld"
 	"repro/internal/taskpack"
 )
@@ -209,7 +210,7 @@ func TestRunTaskVerbose(t *testing.T) {
 	// same seeds.
 	task, _ := osworld.ByID("files-delete")
 	cfg := agent.Config{Interface: agent.GUIDMI, Profile: llm.GPT5Medium}
-	models, err := agent.BuildModels()
+	models, err := agent.ModelsFor(modelstore.New(), task.App, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

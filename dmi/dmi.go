@@ -144,7 +144,7 @@ func NewModel(f *Forest) *TopologyModel { return describe.NewModel(f) }
 
 // ModelStore is the concurrency-safe cache of offline builds: it memoizes
 // the rip→transform→identify pipeline with singleflight semantics and, when
-// persistent, JSON graph snapshots reused across runs.
+// persistent, binary graph snapshots (.ungb files) reused across runs.
 type ModelStore = modelstore.Store
 
 // ModelOptions configures one offline build in a store.
@@ -161,8 +161,8 @@ type ModelStoreStats = modelstore.Stats
 // NewModelStore creates an in-memory model store.
 func NewModelStore() *ModelStore { return modelstore.New() }
 
-// NewPersistentModelStore creates a model store that saves and reuses JSON
-// graph snapshots under dir.
+// NewPersistentModelStore creates a model store that saves and reuses binary
+// graph snapshots (.ungb files) under dir.
 func NewPersistentModelStore(dir string) *ModelStore { return modelstore.NewPersistent(dir) }
 
 // NewBudgetedModelStore creates a serving-grade model store that holds at
@@ -215,7 +215,8 @@ func structuralKey(app *App) string {
 // structurally identical application return the cached model without
 // touching the instance at all.
 func Model(app *App) (*TopologyModel, error) {
-	return defaultStore.Model(structuralKey(app), func() *appkit.App { return app }, modelstore.Options{})
+	b, err := defaultStore.Build(structuralKey(app), func() *appkit.App { return app }, modelstore.Options{})
+	return b.Model, err
 }
 
 // ModelParallel is Model with the offline build distributed over a pool of
@@ -224,7 +225,8 @@ func Model(app *App) (*TopologyModel, error) {
 // process-wide cache.
 func ModelParallel(factory func() *App, workers int) (*TopologyModel, error) {
 	probe := factory()
-	return defaultStore.Model(structuralKey(probe), factory, modelstore.Options{Workers: workers})
+	b, err := defaultStore.Build(structuralKey(probe), factory, modelstore.Options{Workers: workers})
+	return b.Model, err
 }
 
 // EstimateTokens estimates the LLM token cost of a serialized topology.
@@ -300,23 +302,16 @@ func NewRemoteDispatcher(replicas []string, opt RemoteOptions) (*RemoteDispatche
 // order every dispatcher-backed run aggregates in.
 func EvalGridCells(runs int) []GridCell { return bench.GridCellsIn(taskpack.Builtin(), runs) }
 
-// RunDistributed executes the full evaluation grid through a dispatcher
-// with up to `concurrency` cells in flight, aggregating outcomes in grid
-// order — the report is byte-identical to the in-process evaluation
-// whenever the dispatcher honors the cell contract. This is the
-// programmatic form of the dmi-coord CLI.
+// RunDistributed executes the full evaluation grid through a dispatcher,
+// aggregating outcomes in grid order — the report is byte-identical to the
+// in-process evaluation whenever the dispatcher honors the cell contract.
+// concurrency > 0 caps the cells in flight. concurrency <= 0 dispatches as
+// many as the dispatcher can hold: a RemoteDispatcher is paced by its live
+// fleet capacity, so concurrency follows replica failures, recoveries,
+// joins, and leaves; any other dispatcher gets GOMAXPROCS. This is the
+// programmatic form of the dmi-coord CLI, which passes 0.
 func RunDistributed(ctx context.Context, d Dispatcher, runs, concurrency int) (*BenchReport, error) {
 	return bench.RunDispatchedIn(ctx, taskpack.Builtin(), d, runs, concurrency)
-}
-
-// RunDistributedStreaming executes the full evaluation grid as a work
-// queue: cells are dispatched as fleet capacity frees up (dispatchers
-// implementing bench.CapacityReporter, like RemoteDispatcher, are paced by
-// their live capacity), so concurrency follows replica failures,
-// recoveries, joins, and leaves. The report stays byte-identical to
-// RunDistributed and the in-process evaluation.
-func RunDistributedStreaming(ctx context.Context, d Dispatcher, runs int) (*BenchReport, error) {
-	return bench.RunStreamedIn(ctx, taskpack.Builtin(), d, runs)
 }
 
 // Access builds a control-access command.

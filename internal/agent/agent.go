@@ -92,23 +92,19 @@ type Outcome struct {
 
 // Models carries the offline artifacts shared by every run: one modeled
 // forest per application (built from throwaway instances, as the paper's
-// offline phase) plus their serialized token costs.
+// offline phase) plus their core serialization's token cost.
 //
-// Models is read-only after BuildModels returns. This is the contract the
-// concurrent online-serving layer (bench.RunParallel) relies on: any number
-// of sessions may plan over the same warm describe.Model simultaneously, so
-// neither the maps nor the models they hold may be mutated. describe.Model
-// exposes no mutating methods after construction, and the bench equivalence
-// test exercises concurrent runs under the race detector.
+// Models is read-only once BuildModelsIn or ModelsFor returns. This is the
+// contract the concurrent online-serving layer (bench.RunDispatchedIn,
+// dmi-serve) relies on: any number of sessions may plan over the same warm
+// describe.Model simultaneously, so neither the maps nor the models they
+// hold may be mutated. describe.Model exposes no mutating methods after
+// construction, and the bench equivalence test exercises concurrent runs
+// under the race detector.
 type Models struct {
 	ByApp      map[string]*describe.Model
 	CoreTokens map[string]int
-	FullTokens map[string]int
 }
-
-// sharedStore caches the offline builds process-wide: repeated BuildModels
-// calls (every benchmark, every matrix cell) reuse one build per app.
-var sharedStore = modelstore.New()
 
 // Factories returns the throwaway-instance builders for the evaluated
 // application catalog: the paper's three Office case studies plus the
@@ -133,28 +129,18 @@ func AppNames() []string {
 	return []string{"Word", "Excel", "PowerPoint", "Settings", "Files"}
 }
 
-// BuildModels runs the offline phase for the application catalog through
-// the shared model store, ripping each app with a worker pool.
-func BuildModels() (*Models, error) {
-	return BuildModelsParallel(0)
-}
-
-// BuildModelsParallel is BuildModels with an explicit rip worker-pool size
-// per application (0 = min(4, GOMAXPROCS)). The parallel rip is
-// byte-identical to the sequential one, so the evaluation is unaffected.
-func BuildModelsParallel(workers int) (*Models, error) {
-	return BuildModelsIn(sharedStore, workers)
-}
-
-// BuildModelsIn is BuildModelsParallel through an explicit store — the seam
-// the warm-model serving tier uses, so a budgeted store's eviction policy
-// governs which catalog models stay resident. Apps are built in AppNames
-// order, which makes prewarm eviction order deterministic.
+// BuildModelsIn runs the offline phase for the application catalog through
+// store, ripping each app with a worker pool of `workers` goroutines
+// (0 = min(4, GOMAXPROCS)); the parallel rip is byte-identical to the
+// sequential one, so the evaluation is unaffected. The caller's store
+// decides what is reused: a budgeted store's eviction policy governs which
+// catalog models stay resident, a persistent one restarts from snapshots.
+// Apps are built in AppNames order, which makes prewarm eviction order
+// deterministic.
 func BuildModelsIn(store *modelstore.Store, workers int) (*Models, error) {
 	m := &Models{
 		ByApp:      make(map[string]*describe.Model),
 		CoreTokens: make(map[string]int),
-		FullTokens: make(map[string]int),
 	}
 	for _, app := range AppNames() {
 		one, err := ModelsFor(store, app, workers)
@@ -163,13 +149,12 @@ func BuildModelsIn(store *modelstore.Store, workers int) (*Models, error) {
 		}
 		m.ByApp[app] = one.ByApp[app]
 		m.CoreTokens[app] = one.CoreTokens[app]
-		m.FullTokens[app] = one.FullTokens[app]
 	}
 	return m, nil
 }
 
 // ModelsFor returns a single-application Models view fetched through store:
-// the app's model plus the token accounting BuildModels would compute for
+// the app's model plus the token accounting BuildModelsIn would compute for
 // it, so a Run over this view is byte-identical to one over the full
 // catalog view. The serving daemon calls this per session, which is what
 // lets the store's budget and LRU state decide whether the session start is
@@ -188,18 +173,8 @@ func ModelsFor(store *modelstore.Store, app string, workers int) (*Models, error
 	return &Models{
 		ByApp:      map[string]*describe.Model{app: b.Model},
 		CoreTokens: map[string]int{app: b.CoreTokens},
-		FullTokens: map[string]int{app: b.FullTokens},
 	}, nil
 }
-
-// SharedStore returns the process-wide store behind BuildModels, so
-// serving-shaped callers (the benchmark baseline) can route per-session
-// model fetches through it and have them show up in StoreStats.
-func SharedStore() *modelstore.Store { return sharedStore }
-
-// StoreStats reports the shared process-wide store's traffic counters
-// (warm-hit ratio, snapshot loads, resident bytes).
-func StoreStats() modelstore.Stats { return sharedStore.Stats() }
 
 // normalizeWorkers applies the default rip pool size: min(4, GOMAXPROCS).
 func normalizeWorkers(workers int) int {

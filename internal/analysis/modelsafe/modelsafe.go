@@ -4,7 +4,7 @@
 // Models are read-only. A describe.Model — and the forest.Forest,
 // forest.Node, ung.Graph, and ung.Node values it is built from — is frozen
 // once construction returns. Any number of concurrent sessions plan over
-// the same warm model simultaneously (bench.RunParallel, the dmi-serve
+// the same warm model simultaneously (bench.RunDispatchedIn, the dmi-serve
 // daemon), so a write to any reachable field or map of a model outside its
 // defining package is a data race against every other session, whether or
 // not -race happens to catch it on a given run. The analyzer flags

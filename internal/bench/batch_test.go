@@ -227,9 +227,9 @@ func TestRemoteDispatcherBatchEnvelopeRefusedFallsBack(t *testing.T) {
 	checkRetryLedger(t, rd)
 }
 
-// TestRunStreamedBatchedEquivalence: the capacity-paced streaming runner and
-// batching compose — cells coalesce transparently under RunStreamed and the
-// report still renders byte-identically to the sequential run.
+// TestRunStreamedBatchedEquivalence: capacity pacing (concurrency 0) and
+// batching compose — cells coalesce transparently and the report still
+// renders byte-identically to the sequential run.
 func TestRunStreamedBatchedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation over HTTP")
@@ -238,7 +238,7 @@ func TestRunStreamedBatchedEquivalence(t *testing.T) {
 	a := &testReplica{models: models, failAfter: -1}
 	b := &testReplica{models: models, failAfter: -1}
 	rd := batchedDispatcher(t, startReplicas(t, a, b), RemoteOptions{InFlight: 4, Batch: 8}, batchLinger)
-	got, err := RunStreamedIn(context.Background(), taskpack.Builtin(), rd, 3)
+	got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +251,10 @@ func TestRunStreamedBatchedEquivalence(t *testing.T) {
 }
 
 // TestRunStreamedShipsFullBatches: Capacity counts the batch factor, so a
-// streamed run at one in-flight envelope per replica keeps a full batch of
-// cells in flight and every envelope but the grid's last ships full. A
-// capacity of one cell per slot would ship one-cell envelopes, each held
-// open for the whole linger.
+// capacity-paced run at one in-flight envelope per replica keeps a full
+// batch of cells in flight and every envelope but the grid's last ships
+// full. A capacity of one cell per slot would ship one-cell envelopes, each
+// held open for the whole linger.
 func TestRunStreamedShipsFullBatches(t *testing.T) {
 	a := &verdictStub{}
 	urls := startRipReplicas(t, a)
@@ -264,7 +264,7 @@ func TestRunStreamedShipsFullBatches(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if _, err := RunStreamedIn(ctx, taskpack.Builtin(), rd, 1); err != nil {
+	if _, err := RunDispatchedIn(ctx, taskpack.Builtin(), rd, 1, 0); err != nil {
 		t.Fatalf("streamed run: %v (%d envelopes shipped)", err, a.envelopes.Load())
 	}
 	cells := int64(len(GridCellsIn(taskpack.Builtin(), 1)))

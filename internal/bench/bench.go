@@ -66,24 +66,13 @@ type Report struct {
 }
 
 // Run executes the full matrix: every task, `runs` seeded repetitions per
-// setting (the paper runs each task three times and averages).
+// setting (the paper runs each task three times and averages). It is the
+// sequential in-process reference every other way of serving the grid is
+// held byte-identical to: RunDispatchedIn over a LocalDispatcher, one cell
+// at a time.
 func Run(models *agent.Models, runs int) *Report {
-	return RunParallel(models, runs, 1)
-}
-
-// RunParallel is Run served concurrently: the evaluation grid is fed
-// `workers` cells at a time, all sharing the warm
-// describe.Models — the "computer as server" posture where many concurrent
-// sessions multiplex one offline model. It is RunDispatchedIn over a
-// LocalDispatcher: the same seam that ships cells to remote replicas, bound
-// to this process's goroutines. Every run owns its RNG stream and its
-// own application instance, so runs are independent; outcomes are collected
-// in grid order and aggregated sequentially, which makes the parallel
-// Report byte-identical to the sequential one. workers == 1 runs one cell
-// at a time; workers <= 0 uses GOMAXPROCS.
-func RunParallel(models *agent.Models, runs, workers int) *Report {
 	reg := taskpack.Builtin()
-	rep, err := RunDispatchedIn(context.Background(), reg, NewLocalDispatcherIn(reg, models, 1), runs, workers)
+	rep, err := RunDispatchedIn(context.Background(), reg, NewLocalDispatcherIn(reg, models, 1), runs, 1)
 	if err != nil {
 		// The grid is enumerated from the matrix and the catalog themselves
 		// and local dispatch has no transport, so an error here is a
@@ -104,33 +93,26 @@ func SettingByLabel(label string) (Setting, bool) {
 }
 
 // RunCell evaluates one (setting, task) grid cell: `runs` seeded
-// repetitions served from a pool of `workers` goroutines (semantics as in
-// RunParallel). The returned outcomes are exactly the slice Run produces
+// repetitions served from a pool of `workers` goroutines (<= 0 uses
+// GOMAXPROCS). The returned outcomes are exactly the slice Run produces
 // for the same cell — same RNG streams, same run order — which is the
 // contract that lets a serving daemon answer per-cell requests
 // byte-identically to the in-process evaluation (asserted by
 // TestRunCellMatchesRun and the dmi-serve integration test).
 func RunCell(models *agent.Models, set Setting, task osworld.Task, runs, workers int) []agent.Outcome {
-	return executeGrid(models, []Setting{set}, []osworld.Task{task}, runs, workers)
+	return executeGrid(models, set, []osworld.Task{task}, runs, workers)
 }
 
 // RunSetting evaluates a single matrix cell (exported for focused benches).
 func RunSetting(models *agent.Models, set Setting, runs int) Row {
-	return RunSettingParallel(models, set, runs, 1)
-}
-
-// RunSettingParallel evaluates a single matrix cell over a worker pool.
-func RunSettingParallel(models *agent.Models, set Setting, runs, workers int) Row {
 	tasks := osworld.All()
-	outcomes := executeGrid(models, []Setting{set}, tasks, runs, workers)
-	return aggregate(set, tasks, runs, outcomes)
+	return aggregate(set, tasks, runs, executeGrid(models, set, tasks, runs, 1))
 }
 
-// gridJob is one (setting, task, run) cell of the evaluation grid.
+// gridJob is one (task, run) cell of a setting's grid.
 type gridJob struct {
-	setting Setting
-	task    osworld.Task
-	run     int
+	task osworld.Task
+	run  int
 }
 
 // seedLabel derives the RNG experiment label. Common random numbers:
@@ -141,28 +123,25 @@ func seedLabel(set Setting) string {
 	return set.Profile.Name + "/" + set.Profile.Reasoning
 }
 
-// executeGrid runs every grid cell and returns the outcomes in grid order
-// (settings-major, then tasks, then runs) regardless of worker count. Each
-// worker writes only its own slice elements, so collection needs no locks
-// and preserves the deterministic order the aggregation depends on.
-func executeGrid(models *agent.Models, settings []Setting, tasks []osworld.Task, runs, workers int) []agent.Outcome {
+// executeGrid runs one setting over tasks and returns the outcomes in grid
+// order (tasks, then runs) regardless of worker count. Each worker writes
+// only its own slice elements, so collection needs no locks and preserves
+// the deterministic order the aggregation depends on.
+func executeGrid(models *agent.Models, set Setting, tasks []osworld.Task, runs, workers int) []agent.Outcome {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	jobs := make([]gridJob, 0, len(settings)*len(tasks)*runs)
-	for _, set := range settings {
-		for _, task := range tasks {
-			for r := 0; r < runs; r++ {
-				jobs = append(jobs, gridJob{setting: set, task: task, run: r})
-			}
+	jobs := make([]gridJob, 0, len(tasks)*runs)
+	for _, task := range tasks {
+		for r := 0; r < runs; r++ {
+			jobs = append(jobs, gridJob{task: task, run: r})
 		}
 	}
+	cfg := agent.Config{Interface: set.Interface, Profile: set.Profile}
 	out := make([]agent.Outcome, len(jobs))
 	runJob := func(i int) {
 		j := jobs[i]
-		cfg := agent.Config{Interface: j.setting.Interface, Profile: j.setting.Profile}
-		rng := llm.Rand(seedLabel(j.setting), j.task.ID, j.run)
-		out[i] = agent.Run(models, j.task, cfg, rng)
+		out[i] = agent.Run(models, j.task, cfg, llm.Rand(seedLabel(set), j.task.ID, j.run))
 	}
 	if workers <= 1 || len(jobs) <= 1 {
 		for i := range jobs {

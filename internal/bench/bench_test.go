@@ -2,37 +2,45 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/agent"
 	"repro/internal/llm"
+	"repro/internal/modelstore"
 	"repro/internal/osworld"
+	"repro/internal/taskpack"
 )
 
 var (
+	catalogOnce sync.Once
+	catalog     *agent.Models
+	catalogErr  error
+
 	repOnce   sync.Once
-	repModels *agent.Models
 	repReport *Report
 )
+
+// sharedModels builds the catalog once, in the package's own store, and
+// shares it across the tests.
+func sharedModels(t *testing.T) *agent.Models {
+	t.Helper()
+	catalogOnce.Do(func() { catalog, catalogErr = agent.BuildModelsIn(modelstore.New(), 0) })
+	if catalogErr != nil {
+		t.Fatal(catalogErr)
+	}
+	return catalog
+}
 
 // sharedReport runs the full matrix once (≈ seconds) and shares it across
 // the shape tests.
 func sharedReport(t *testing.T) (*agent.Models, *Report) {
 	t.Helper()
-	repOnce.Do(func() {
-		m, err := agent.BuildModels()
-		if err != nil {
-			t.Fatal(err)
-		}
-		repModels = m
-		repReport = Run(m, 3)
-	})
-	if repReport == nil {
-		t.Fatal("report unavailable")
-	}
-	return repModels, repReport
+	m := sharedModels(t)
+	repOnce.Do(func() { repReport = Run(m, 3) })
+	return m, repReport
 }
 
 // TestTable3Shape asserts the paper's qualitative results (§5.3): DMI beats
@@ -328,52 +336,57 @@ func renderAll(models *agent.Models, rep *Report) string {
 }
 
 // TestParallelReportEquivalence: the concurrent serving layer must be an
-// implementation detail — RunParallel with a worker pool produces a Report
-// whose every rendered byte matches the sequential run. Run under -race,
-// this also proves the warm models are shared between concurrent sessions
-// without unsynchronized mutation.
+// implementation detail — RunDispatchedIn over a LocalDispatcher at a wide
+// concurrency produces a Report whose every rendered byte matches the
+// sequential run. Run under -race, this also proves the warm models are
+// shared between concurrent sessions without unsynchronized mutation.
 func TestParallelReportEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation")
 	}
 	models, rep := sharedReport(t)
 	seq := renderAll(models, rep)
-	for _, workers := range []int{4, 16} {
-		par := RunParallel(models, 3, workers)
+	for _, concurrency := range []int{4, 16} {
+		par, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), NewLocalDispatcherIn(taskpack.Builtin(), models, 1), 3, concurrency)
+		if err != nil {
+			t.Fatalf("concurrency=%d: %v", concurrency, err)
+		}
 		if got := renderAll(models, par); got != seq {
-			t.Fatalf("workers=%d: parallel report differs from sequential:\n--- parallel ---\n%s\n--- sequential ---\n%s",
-				workers, got, seq)
+			t.Fatalf("concurrency=%d: parallel report differs from sequential:\n--- parallel ---\n%s\n--- sequential ---\n%s",
+				concurrency, got, seq)
 		}
 		// The structured outcomes must match cell-for-cell too, not just
 		// the rendered aggregates.
 		for i := range rep.Rows {
 			if len(par.Rows[i].Outcomes) != len(rep.Rows[i].Outcomes) {
-				t.Fatalf("workers=%d row %d: outcome count %d != %d",
-					workers, i, len(par.Rows[i].Outcomes), len(rep.Rows[i].Outcomes))
+				t.Fatalf("concurrency=%d row %d: outcome count %d != %d",
+					concurrency, i, len(par.Rows[i].Outcomes), len(rep.Rows[i].Outcomes))
 			}
 			for j, o := range rep.Rows[i].Outcomes {
 				if par.Rows[i].Outcomes[j] != o {
-					t.Fatalf("workers=%d row %d outcome %d: %+v != %+v",
-						workers, i, j, par.Rows[i].Outcomes[j], o)
+					t.Fatalf("concurrency=%d row %d outcome %d: %+v != %+v",
+						concurrency, i, j, par.Rows[i].Outcomes[j], o)
 				}
 			}
 		}
 	}
 }
 
-// TestRunSettingParallelEquivalence covers the single-cell entry point the
-// focused benchmarks use.
+// TestRunSettingParallelEquivalence covers the single-setting entry point
+// the focused benchmarks use: RunSetting's row equals the same setting's
+// grid served from a pool of eight workers.
 func TestRunSettingParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("single-cell evaluation")
 	}
 	models, _ := sharedReport(t)
 	set := Setting{Label: "GUI+DMI / GPT-5 / Medium", Interface: agent.GUIDMI, Profile: llm.GPT5Medium}
+	tasks := osworld.All()
 	seq := RunSetting(models, set, 3)
-	par := RunSettingParallel(models, set, 3, 8)
+	par := aggregate(set, tasks, 3, executeGrid(models, set, tasks, 3, 8))
 	if seq.SR != par.SR || seq.Steps != par.Steps || seq.Tokens != par.Tokens ||
 		seq.TimeS != par.TimeS || seq.OneShot != par.OneShot {
-		t.Fatalf("parallel single-cell row differs: %+v != %+v", par, seq)
+		t.Fatalf("parallel single-setting row differs: %+v != %+v", par, seq)
 	}
 	for j := range seq.Outcomes {
 		if seq.Outcomes[j] != par.Outcomes[j] {

@@ -39,7 +39,8 @@ type Cell struct {
 // on this process's warm models; RemoteDispatcher ships it to a dmi-serve
 // replica. Dispatch must return exactly cell.Runs outcomes in run order —
 // the same slice bench.Run produces for the cell — or an error; it must be
-// safe for concurrent use, because RunDispatchedIn fans cells out over a pool.
+// safe for concurrent use, because RunDispatchedIn runs each cell on its
+// own goroutine, as many at once as its capacity allows.
 type Dispatcher interface {
 	Dispatch(ctx context.Context, cell Cell) ([]agent.Outcome, error)
 }
@@ -86,10 +87,9 @@ func ResolveCellIn(reg *taskpack.Registry, cell Cell) (Setting, osworld.Task, er
 	return set, task, nil
 }
 
-// LocalDispatcher executes cells in-process over the shared warm models —
-// the same executeGrid worker pool RunParallel always used, now behind the
-// seam. workers sizes the per-cell session pool (1 = each cell's runs are
-// sequential; cross-cell concurrency comes from RunDispatchedIn).
+// LocalDispatcher executes cells in-process over the shared warm models
+// through RunCell. workers sizes the per-cell session pool (1 = each cell's
+// runs are sequential; cross-cell concurrency comes from RunDispatchedIn).
 type LocalDispatcher struct {
 	reg     *taskpack.Registry
 	models  *agent.Models
@@ -143,15 +143,45 @@ func aggregateGrid(reg *taskpack.Registry, out [][]agent.Outcome, runs int) *Rep
 // joins; polling bounds how long that new headroom sits idle.
 const capacityPoll = 100 * time.Millisecond
 
-// runGrid is the one grid feeder behind RunDispatchedIn and RunStreamedIn:
-// it dispatches the next cell of a task registry's grid whenever fewer than
-// capacity() cells are in flight, re-reading capacity as it goes. Outcomes
-// land in grid-order slots and are folded sequentially (aggregateGrid), so
-// the report is byte-identical to the in-process Run however the cells were
-// scheduled. The first dispatch error cancels the remaining cells and is
-// returned — it always wins over the cancellation it triggers, so the error
-// names the cell that failed, not the collateral context.Canceled the other
-// cells saw; a pure external cancellation returns ctx.Err().
+// CapacityReporter is implemented by dispatchers whose capacity changes at
+// runtime — RemoteDispatcher's is the cells its replicas in rotation can
+// hold in flight. RunDispatchedIn at concurrency <= 0 paces the grid
+// against it.
+type CapacityReporter interface {
+	Capacity() int
+}
+
+// RunDispatchedIn executes a task registry's full evaluation grid through a
+// dispatcher. concurrency > 0 caps the cells in flight. concurrency <= 0
+// means as many as the dispatcher can hold: a CapacityReporter's live
+// Capacity(), re-read as the fleet shrinks when replicas fail and grows when
+// they recover or join mid-run, and GOMAXPROCS for any other dispatcher.
+//
+// A reported capacity of zero (every replica down) is floored at 1: the run
+// keeps one dispatch in flight so it surfaces the terminal "all replicas
+// failed" error — or rides a recovery — instead of parking forever on a
+// poll loop.
+func RunDispatchedIn(ctx context.Context, reg *taskpack.Registry, d Dispatcher, runs, concurrency int) (*Report, error) {
+	capacity := func() int { return concurrency }
+	if concurrency <= 0 {
+		if cr, ok := d.(CapacityReporter); ok {
+			capacity = func() int { return max(cr.Capacity(), 1) }
+		} else {
+			concurrency = runtime.GOMAXPROCS(0)
+		}
+	}
+	return runGrid(ctx, reg, d, runs, capacity)
+}
+
+// runGrid is the grid feeder behind RunDispatchedIn: it dispatches the next
+// cell of a task registry's grid whenever fewer than capacity() cells are in
+// flight, re-reading capacity as it goes. Outcomes land in grid-order slots
+// and are folded sequentially (aggregateGrid), so the report is
+// byte-identical to the in-process Run however the cells were scheduled. The
+// first dispatch error cancels the remaining cells and is returned — it
+// always wins over the cancellation it triggers, so the error names the cell
+// that failed, not the collateral context.Canceled the other cells saw; a
+// pure external cancellation returns ctx.Err().
 func runGrid(ctx context.Context, reg *taskpack.Registry, d Dispatcher, runs int, capacity func() int) (*Report, error) {
 	var cells []Cell
 	if runs > 0 {
@@ -223,18 +253,6 @@ feed:
 		return nil, err
 	}
 	return aggregateGrid(reg, out, runs), nil
-}
-
-// RunDispatchedIn executes a task registry's full evaluation grid through a
-// dispatcher with up to `concurrency` cells in flight (<= 0 uses
-// GOMAXPROCS) — runGrid at a fixed capacity. For a run whose concurrency
-// should follow the fleet as replicas fail, recover, join, and leave, see
-// RunStreamedIn.
-func RunDispatchedIn(ctx context.Context, reg *taskpack.Registry, d Dispatcher, runs, concurrency int) (*Report, error) {
-	if concurrency <= 0 {
-		concurrency = runtime.GOMAXPROCS(0)
-	}
-	return runGrid(ctx, reg, d, runs, func() int { return concurrency })
 }
 
 // Remote dispatch --------------------------------------------------------------
@@ -378,9 +396,7 @@ type replica struct {
 // dispatcher stores it (trimmed, no trailing slash) and validates that it
 // is an http(s) URL — the form Members() returns and membership diffing
 // compares against.
-func NormalizeReplicaURL(raw string) (string, error) { return normalizeBase(raw) }
-
-func normalizeBase(raw string) (string, error) {
+func NormalizeReplicaURL(raw string) (string, error) {
 	base := strings.TrimRight(strings.TrimSpace(raw), "/")
 	if base == "" {
 		return "", errors.New("bench: empty replica URL")
@@ -448,7 +464,7 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 	}
 	seen := make(map[string]bool)
 	for _, raw := range baseURLs {
-		base, err := normalizeBase(raw)
+		base, err := NormalizeReplicaURL(raw)
 		if err != nil {
 			return nil, err
 		}

@@ -8,13 +8,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/modelstore"
 	"repro/internal/osworld"
 	"repro/internal/serveproto"
 	"repro/internal/taskpack"
@@ -138,6 +141,86 @@ func TestRunDispatchedPlumbing(t *testing.T) {
 			t.Fatalf("short/long outcome slices must fail the run, got %v", err)
 		}
 	})
+}
+
+// holdingDispatcher parks every cell until the gate opens — once want cells
+// are in flight at the same time, or the test gives up waiting — and records
+// the peak number of cells in flight.
+type holdingDispatcher struct {
+	want     int64
+	gate     chan struct{}
+	open     sync.Once
+	inFlight atomic.Int64
+	peak     atomic.Int64
+}
+
+func (h *holdingDispatcher) Dispatch(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
+	n := h.inFlight.Add(1)
+	defer h.inFlight.Add(-1)
+	for {
+		cur := h.peak.Load()
+		if n <= cur || h.peak.CompareAndSwap(cur, n) {
+			break
+		}
+	}
+	if n >= h.want {
+		h.open.Do(func() { close(h.gate) })
+	}
+	select {
+	case <-h.gate:
+		return make([]agent.Outcome, cell.Runs), nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// reportingDispatcher is a holdingDispatcher that reports a fixed capacity.
+type reportingDispatcher struct {
+	*holdingDispatcher
+	capacity int
+}
+
+func (r reportingDispatcher) Capacity() int { return r.capacity }
+
+// TestRunDispatchedCapacity pins RunDispatchedIn's concurrency rule: a
+// positive concurrency is a fixed cap whatever the dispatcher reports;
+// concurrency 0 follows a CapacityReporter's Capacity() (floored at one
+// cell) and falls back to GOMAXPROCS for any other dispatcher.
+func TestRunDispatchedCapacity(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		concurrency int
+		capacity    int // < 0: the dispatcher is not a CapacityReporter
+		want        int
+	}{
+		{"fixed cap beats capacity", 3, 7, 3},
+		{"zero follows capacity", 0, 5, 5},
+		{"zero without reporter", 0, -1, runtime.GOMAXPROCS(0)},
+		{"zero capacity floors at one", 0, 0, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := &holdingDispatcher{want: int64(c.want), gate: make(chan struct{})}
+			var d Dispatcher = h
+			if c.capacity >= 0 {
+				d = reportingDispatcher{h, c.capacity}
+			}
+			go func() {
+				// A run that never reaches want cells in flight would park
+				// forever; open the gate so it finishes and reports its peak.
+				select {
+				case <-h.gate:
+				case <-time.After(5 * time.Second):
+					h.open.Do(func() { close(h.gate) })
+				}
+			}()
+			if _, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), d, 1, c.concurrency); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.peak.Load(); got != int64(c.want) {
+				t.Errorf("peak %d cells in flight, want %d", got, c.want)
+			}
+		})
+	}
 }
 
 // testReplica is an httptest-backed dmi-serve stand-in: it answers
@@ -312,9 +395,10 @@ func startReplicas(t *testing.T, replicas ...*testReplica) []string {
 	return urls
 }
 
-// TestRunDispatchedLocalEquivalence is the behavior-preservation proof for
-// the tentpole refactor: the dispatcher-routed run renders byte-identically
-// to the sequential Run and matches it outcome-for-outcome.
+// TestRunDispatchedLocalEquivalence: the dispatcher-routed run renders
+// byte-identically to the sequential Run and matches it outcome-for-outcome.
+// TestParallelReportEquivalence and TestRunStreamedLocalEquivalence cover
+// the wider pools and concurrency 0.
 func TestRunDispatchedLocalEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation")
@@ -347,13 +431,15 @@ func TestRunDispatchedLocalEquivalence(t *testing.T) {
 // models, as a failover re-dispatch would — must yield byte-identical
 // outcome slices.
 func TestDispatchIdempotent(t *testing.T) {
-	models, err := agent.BuildModels()
+	models := sharedModels(t)
+	rebuilt, err := agent.BuildModelsIn(modelstore.New(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := agent.BuildModels()
-	if err != nil {
-		t.Fatal(err)
+	for _, app := range agent.AppNames() {
+		if models.ByApp[app] == rebuilt.ByApp[app] {
+			t.Fatalf("%s: the rebuilt models share the first build's model; nothing was rebuilt", app)
+		}
 	}
 	d := NewLocalDispatcherIn(taskpack.Builtin(), models, 1)
 	replica := NewLocalDispatcherIn(taskpack.Builtin(), rebuilt, 1)

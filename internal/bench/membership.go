@@ -23,7 +23,7 @@ import (
 // up, and its next failure re-arms the prober as usual. Adding a URL
 // already present (and not removed) is an error.
 func (d *RemoteDispatcher) AddReplica(raw string) error {
-	base, err := normalizeBase(raw)
+	base, err := NormalizeReplicaURL(raw)
 	if err != nil {
 		return err
 	}
@@ -60,7 +60,7 @@ func (d *RemoteDispatcher) AddReplica(raw string) error {
 // Stats() flagged Removed. Removing an unknown or already-removed replica
 // is an error.
 func (d *RemoteDispatcher) RemoveReplica(raw string) error {
-	base, err := normalizeBase(raw)
+	base, err := NormalizeReplicaURL(raw)
 	if err != nil {
 		return err
 	}
@@ -111,8 +111,8 @@ func (d *RemoteDispatcher) Members() []string {
 // the replicas in rotation times the per-replica in-flight cap times the
 // batch factor — an envelope of up to Batch cells occupies one slot, so
 // fewer cells in flight would ship underfull envelopes and leave replicas
-// idle. RunStreamedIn polls it to pace the grid, so capacity tracks the
-// fleet through failures, recoveries, joins, and leaves.
+// idle. RunDispatchedIn at concurrency <= 0 polls it to pace the grid, so
+// capacity tracks the fleet through failures, recoveries, joins, and leaves.
 func (d *RemoteDispatcher) Capacity() int {
 	n := 0
 	for _, rep := range d.snapshot() {

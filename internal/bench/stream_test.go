@@ -13,14 +13,15 @@ import (
 	"repro/internal/taskpack"
 )
 
-// TestRunStreamedLocalEquivalence: the streaming work queue must render the
-// same bytes as the sequential Run and the fixed fan-out.
+// TestRunStreamedLocalEquivalence: a capacity-paced run (concurrency 0,
+// GOMAXPROCS for a LocalDispatcher) renders the same bytes as the
+// sequential Run.
 func TestRunStreamedLocalEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation")
 	}
 	models, rep := sharedReport(t)
-	got, err := RunStreamedIn(context.Background(), taskpack.Builtin(), NewLocalDispatcherIn(taskpack.Builtin(), models, 1), 3)
+	got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), NewLocalDispatcherIn(taskpack.Builtin(), models, 1), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +30,9 @@ func TestRunStreamedLocalEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunStreamedElasticMembership: a replica added mid-stream picks up
-// load — the capacity poll sees the fleet grow — and the report is still
-// byte-identical.
+// TestRunStreamedElasticMembership: in a capacity-paced run (concurrency 0),
+// a replica added mid-stream picks up load — the capacity poll sees the
+// fleet grow — and the report is still byte-identical.
 func TestRunStreamedElasticMembership(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation over HTTP")
@@ -55,7 +56,7 @@ func TestRunStreamedElasticMembership(t *testing.T) {
 		}
 		joined <- rd.AddReplica(urls[1])
 	}()
-	got, err := RunStreamedIn(context.Background(), taskpack.Builtin(), rd, 3)
+	got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +75,8 @@ func TestRunStreamedElasticMembership(t *testing.T) {
 }
 
 // TestRunStreamedAllDown: with every replica failing and probing disabled,
-// the stream must surface the terminal error instead of parking on the
-// capacity poll.
+// a capacity-paced run must surface the terminal error instead of parking
+// on the capacity poll (the zero capacity is floored at one cell).
 func TestRunStreamedAllDown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid fan-out over HTTP")
@@ -87,21 +88,20 @@ func TestRunStreamedAllDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	if _, err := RunStreamedIn(context.Background(), taskpack.Builtin(), rd, 1); err == nil ||
+	if _, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 1, 0); err == nil ||
 		!strings.Contains(err.Error(), "all replicas failed") {
 		t.Fatalf("stream over dead replicas must fail, got %v", err)
 	}
 }
 
-// TestRunStreamedPlumbing mirrors the RunDispatchedIn plumbing contract for
-// the streaming mode: runs<=0 aggregates the zeroed report without a
-// single dispatch.
+// TestRunStreamedPlumbing: at concurrency 0, runs<=0 aggregates the zeroed
+// report without a single dispatch.
 func TestRunStreamedPlumbing(t *testing.T) {
 	called := false
-	repo, err := RunStreamedIn(context.Background(), taskpack.Builtin(), fakeDispatcher(func(context.Context, Cell) ([]agent.Outcome, error) {
+	repo, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), fakeDispatcher(func(context.Context, Cell) ([]agent.Outcome, error) {
 		called = true
 		return nil, errors.New("no cell should dispatch")
-	}), 0)
+	}), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,8 @@ func TestRunStreamedPlumbing(t *testing.T) {
 }
 
 // TestRunDispatchedCancellationOrdering pins the error-precedence contract
-// shared by both fan-out modes: a dispatch error always beats the
+// at a fixed cap ("dispatched", concurrency 2) and at the dispatcher's own
+// capacity ("streamed", concurrency 0): a dispatch error always beats the
 // cancellation it triggers, and a pure external cancellation surfaces as
 // ctx.Err().
 func TestRunDispatchedCancellationOrdering(t *testing.T) {
@@ -172,6 +173,6 @@ func TestRunDispatchedCancellationOrdering(t *testing.T) {
 		return RunDispatchedIn(ctx, taskpack.Builtin(), d, runs, 2)
 	})
 	run("streamed", func(ctx context.Context, d Dispatcher, runs int) (*Report, error) {
-		return RunStreamedIn(ctx, taskpack.Builtin(), d, runs)
+		return RunDispatchedIn(ctx, taskpack.Builtin(), d, runs, 0)
 	})
 }

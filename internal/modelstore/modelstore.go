@@ -6,7 +6,7 @@
 // pipeline behind a key of application name + build-configuration
 // fingerprint, with four properties:
 //
-//   - Concurrency-safe singleflight: N concurrent Model calls for the same
+//   - Concurrency-safe singleflight: N concurrent Build calls for the same
 //     key trigger exactly one offline build; the rest block and share it.
 //   - Versioned snapshots: a persistent store writes the ripped graph to
 //     disk and later runs rebuild the model from the snapshot with zero
@@ -100,12 +100,11 @@ type Build struct {
 	// means the encoding failed and the cost is unknown; a budgeted store
 	// serves such a build without caching it.
 	SnapshotBytes int64
-	// CoreTokens and FullTokens are the LLM token costs of the model's
-	// core and full serializations — offline artifacts like the model
-	// itself, computed once per build and cached with the entry so warm
-	// session starts never re-serialize the topology.
+	// CoreTokens is the LLM token cost of the model's core serialization —
+	// an offline artifact like the model itself, computed once per build
+	// and cached with the entry so warm session starts never re-serialize
+	// the topology.
 	CoreTokens int
-	FullTokens int
 }
 
 // Stats counts store traffic and the warm working set. All counters are
@@ -177,15 +176,6 @@ func NewBudgeted(dir string, budget int64) *Store {
 	return s
 }
 
-// SetBudget re-caps the resident bytes (0 = unlimited) and evicts
-// immediately if the working set no longer fits.
-func (s *Store) SetBudget(budget int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.budget = budget
-	s.evictLocked()
-}
-
 // Budget reports the configured resident-byte cap (0 = unlimited).
 func (s *Store) Budget() int64 {
 	s.mu.Lock()
@@ -206,18 +196,10 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Model returns the memoized topology model for the application, building it
-// on first use. The factory must return a fresh throwaway instance per call;
-// it is invoked only on a cache miss (and once per rip worker).
-func (s *Store) Model(app string, factory func() *appkit.App, opt Options) (*describe.Model, error) {
-	b, err := s.Build(app, factory, opt)
-	if err != nil {
-		return nil, err
-	}
-	return b.Model, nil
-}
-
-// Build is Model with full build provenance.
+// Build returns the memoized build of the application — its topology model
+// with full build provenance — running the offline pipeline on first use.
+// The factory must return a fresh throwaway instance per call; it is
+// invoked only on a cache miss (and once per rip worker).
 func (s *Store) Build(app string, factory func() *appkit.App, opt Options) (Build, error) {
 	key := Fingerprint(app, opt)
 
@@ -244,29 +226,25 @@ func (s *Store) Build(app string, factory func() *appkit.App, opt Options) (Buil
 	e.build, e.err = s.build(app, factory, opt)
 
 	s.mu.Lock()
-	// The slot may have been Invalidated (and possibly replaced) while the
-	// build ran; only account for it if it is still ours.
-	if s.entries[key] == e {
-		e.building = false
-		e.cost = e.build.SnapshotBytes
-		switch {
-		case e.err != nil:
-			// Failed builds are not cached: drop the slot so a later
-			// call can retry.
-			delete(s.entries, key)
-		case s.budget > 0 && (e.cost < 0 || e.cost > s.budget):
-			// The model alone exceeds the budget — or its cost is
-			// unknown because the encoding failed, which must not
-			// become an invisible resident: serve it to this call and
-			// its waiters, but keep nothing resident.
-			delete(s.entries, key)
-		default:
-			if e.cost < 0 {
-				e.cost = 0 // unknown cost in an unbudgeted store
-			}
-			s.stats.ResidentBytes += e.cost
-			s.evictLocked()
+	e.building = false
+	e.cost = e.build.SnapshotBytes
+	switch {
+	case e.err != nil:
+		// Failed builds are not cached: drop the slot so a later call can
+		// retry.
+		delete(s.entries, key)
+	case s.budget > 0 && (e.cost < 0 || e.cost > s.budget):
+		// The model alone exceeds the budget — or its cost is unknown
+		// because the encoding failed, which must not become an invisible
+		// resident: serve it to this call and its waiters, but keep
+		// nothing resident.
+		delete(s.entries, key)
+	default:
+		if e.cost < 0 {
+			e.cost = 0 // unknown cost in an unbudgeted store
 		}
+		s.stats.ResidentBytes += e.cost
+		s.evictLocked()
 	}
 	s.mu.Unlock()
 	close(e.ready)
@@ -297,27 +275,6 @@ func (s *Store) evictLocked() {
 		delete(s.entries, victimKey)
 		s.stats.ResidentBytes -= victim.cost
 		s.stats.Evictions++
-	}
-}
-
-// Len reports the number of completed or in-flight cached builds.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Invalidate drops the cached build for one configuration (snapshots on
-// disk are left alone; delete the file to force a full re-rip).
-func (s *Store) Invalidate(app string, opt Options) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := Fingerprint(app, opt)
-	if e, ok := s.entries[key]; ok {
-		if !e.building {
-			s.stats.ResidentBytes -= e.cost
-		}
-		delete(s.entries, key)
 	}
 }
 
@@ -359,7 +316,6 @@ func (s *Store) build(app string, factory func() *appkit.App, opt Options) (Buil
 	b.TransformStats = ts
 	b.Model = describe.NewModel(f)
 	b.CoreTokens = describe.Tokens(b.Model.Core())
-	b.FullTokens = describe.Tokens(b.Model.Full())
 
 	if !b.FromSnapshot {
 		// Encode once: the encoding is the entry's budget cost, the
