@@ -1,0 +1,101 @@
+package agent
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/forest"
+	"repro/internal/modelstore"
+)
+
+// catalogModelGolden pins what the offline pipeline makes of each catalog
+// app's graph: the forest transform's Stats, the core topology's token cost,
+// and sha256 digests of the core and full renderings. Rewrites of the
+// transform, describe or the snapshot codec must leave every figure
+// unchanged.
+var catalogModelGolden = map[string]struct {
+	stats      forest.Stats
+	coreTokens int
+	core, full string
+}{
+	"Word": {forest.Stats{GraphNodes: 3798, GraphEdges: 3808, BackEdgesRemoved: 1, MergeNodes: 4, Externalized: 2, Cloned: 2, ForestNodes: 3867, SharedSubtrees: 2, MainTreeNodes: 3348, NaiveTreeNodes: 5054}, 14481,
+		"10031387539548070cff86a3a6c8db084cbfb2373be9120031d6d682911cb759", "af6aa9fb600396d93290aeaa66d71cb6896911e14dd979ea152cf3d4cc6a93ba"},
+	"Excel": {forest.Stats{GraphNodes: 3681, GraphEdges: 3698, BackEdgesRemoved: 1, MergeNodes: 4, Externalized: 2, Cloned: 2, ForestNodes: 3726, SharedSubtrees: 2, MainTreeNodes: 3603, NaiveTreeNodes: 4420}, 14777,
+		"e06e6bf8a4165ae3413c0a36edcf52bdee6a51696dd5f397f78335fedd19ffec", "6a4a60562f9840b7cda351b9b8e10571b0ae4f5ec8501cf3ca941427f03cc1b9"},
+	"PowerPoint": {forest.Stats{GraphNodes: 3475, GraphEdges: 3482, BackEdgesRemoved: 1, MergeNodes: 3, Externalized: 1, Cloned: 2, ForestNodes: 3523, SharedSubtrees: 1, MainTreeNodes: 3438, NaiveTreeNodes: 3942}, 11231,
+		"e289fdb567a8ddc0e0b68e662207e05d0646e62aa76586fcc9e213df52a9e405", "ce220400ebb274951b5c11772c644aa047d4e65bb5eedf1a83474ce517212fe1"},
+	"Settings": {forest.Stats{GraphNodes: 558, GraphEdges: 558, BackEdgesRemoved: 0, MergeNodes: 1, Externalized: 1, Cloned: 0, ForestNodes: 560, SharedSubtrees: 1, MainTreeNodes: 475, NaiveTreeNodes: 643}, 5813,
+		"7f0afa684ee54ba0af95d23dd53bb2d0b8e7808eb1b1c606964136b2e0dc9dfe", "d5b4351816057cb56ddd7e0bf3964b1b5d7ec2123f78ee6b7c243f0b7f3adc83"},
+	"Files": {forest.Stats{GraphNodes: 297, GraphEdges: 348, BackEdgesRemoved: 0, MergeNodes: 7, Externalized: 1, Cloned: 6, ForestNodes: 378, SharedSubtrees: 1, MainTreeNodes: 337, NaiveTreeNodes: 2217}, 5069,
+		"fb5dfb0624cc7898b1c73e68200c05df79afc3f147d8dbbde9f2e227f1093697", "739ad5c4363325b12c12ba8da18bda0005b6b5b00768e2fc06c79b0349ae8dc1"},
+}
+
+// TestCatalogModelGolden checks the golden figures on a cold build and on a
+// restart from the cold build's snapshots, so the snapshot decoder is held
+// to them too.
+func TestCatalogModelGolden(t *testing.T) {
+	dir := t.TempDir()
+	for _, restart := range []bool{false, true} {
+		store := modelstore.NewPersistent(dir)
+		for _, app := range AppNames() {
+			b, err := store.Build(app, Factories()[app], modelstore.Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.FromSnapshot != restart {
+				t.Fatalf("%s: FromSnapshot = %v, want %v", app, b.FromSnapshot, restart)
+			}
+			want := catalogModelGolden[app]
+			if b.TransformStats != want.stats {
+				t.Errorf("%s (restart %v): forest stats = %#v, want %#v", app, restart, b.TransformStats, want.stats)
+			}
+			if b.CoreTokens != want.coreTokens {
+				t.Errorf("%s (restart %v): core tokens = %d, want %d", app, restart, b.CoreTokens, want.coreTokens)
+			}
+			if got := digest(b.Model.Core()); got != want.core {
+				t.Errorf("%s (restart %v): Core() digest = %s, want %s", app, restart, got, want.core)
+			}
+			if got := digest(b.Model.Full()); got != want.full {
+				t.Errorf("%s (restart %v): Full() digest = %s, want %s", app, restart, got, want.full)
+			}
+		}
+	}
+}
+
+func digest(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+// snapshotRestartAllocBudget bounds the allocations of one catalog restart
+// from snapshots: read, decode, transform, describe and token count for all
+// five apps. Allocation counts are deterministic, so this gates the restart
+// path's footprint where wall-clock cannot. A restart makes about 1.3k
+// (go1.24). Tighten the budget when the path gets leaner; never loosen it.
+const snapshotRestartAllocBudget = 1_600
+
+// raceEnabled is set in race builds (race_test.go), where the budget is not
+// checked.
+var raceEnabled bool
+
+func TestSnapshotRestartAllocs(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := BuildModelsIn(modelstore.NewPersistent(dir), 2); err != nil {
+		t.Fatal(err)
+	}
+	restart := func() {
+		store := modelstore.NewPersistent(dir)
+		if _, err := BuildModelsIn(store, 2); err != nil {
+			t.Fatal(err)
+		}
+		if st := store.Stats(); st.SnapshotLoads != int64(len(AppNames())) {
+			t.Fatalf("restart loaded %d snapshots, want %d", st.SnapshotLoads, len(AppNames()))
+		}
+	}
+	allocs := testing.AllocsPerRun(3, restart)
+	t.Logf("catalog restart from snapshots: %.0f allocs", allocs)
+	if allocs > snapshotRestartAllocBudget && !raceEnabled {
+		t.Errorf("catalog restart allocates %.0f, budget %d", allocs, snapshotRestartAllocBudget)
+	}
+}

@@ -14,6 +14,7 @@ package describe
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/forest"
@@ -24,11 +25,9 @@ import (
 type Model struct {
 	Forest *forest.Forest
 
-	byID map[int]*forest.Node
-	ids  map[*forest.Node]int
-	// treeOf maps every node to the id of the tree containing it: "" for
-	// the main tree, otherwise the shared-subtree root's UNG id.
-	treeOf map[*forest.Node]string
+	// byID lists the nodes by integer id: ids are consecutive from 0.
+	byID  []*forest.Node
+	nodes map[*forest.Node]nodeInfo
 	// refsTo lists reference nodes pointing at each shared subtree.
 	refsTo map[string][]*forest.Node
 
@@ -41,26 +40,31 @@ type Model struct {
 	fullText string
 }
 
+// nodeInfo is what the model knows about one forest node.
+type nodeInfo struct {
+	id int
+	// tree is the id of the tree containing the node: "" for the main
+	// tree, otherwise the shared-subtree root's UNG id.
+	tree string
+}
+
 // NewModel assigns consecutive integer ids across the main tree (first) and
 // every shared subtree (in externalization order).
 func NewModel(f *forest.Forest) *Model {
+	count := f.NodeCount()
 	m := &Model{
 		Forest: f,
-		byID:   make(map[int]*forest.Node),
-		ids:    make(map[*forest.Node]int),
-		treeOf: make(map[*forest.Node]string),
-		refsTo: make(map[string][]*forest.Node),
+		byID:   make([]*forest.Node, 0, count),
+		nodes:  make(map[*forest.Node]nodeInfo, count),
+		refsTo: make(map[string][]*forest.Node, len(f.Shared)),
 	}
-	next := 0
 	assign := func(tree *forest.Node, treeID string) {
 		tree.Walk(func(n *forest.Node) bool {
-			m.byID[next] = n
-			m.ids[n] = next
-			m.treeOf[n] = treeID
+			m.nodes[n] = nodeInfo{id: len(m.byID), tree: treeID}
+			m.byID = append(m.byID, n)
 			if n.IsRef() {
 				m.refsTo[n.RefTarget] = append(m.refsTo[n.RefTarget], n)
 			}
-			next++
 			return true
 		})
 	}
@@ -82,12 +86,17 @@ func (m *Model) Core() string { return m.coreText }
 func (m *Model) Full() string { return m.fullText }
 
 // Node returns the forest node for an integer id, or nil.
-func (m *Model) Node(id int) *forest.Node { return m.byID[id] }
+func (m *Model) Node(id int) *forest.Node {
+	if id < 0 || id >= len(m.byID) {
+		return nil
+	}
+	return m.byID[id]
+}
 
 // ID returns the integer id of a node (-1 if unknown).
 func (m *Model) ID(n *forest.Node) int {
-	if id, ok := m.ids[n]; ok {
-		return id
+	if info, ok := m.nodes[n]; ok {
+		return info.id
 	}
 	return -1
 }
@@ -96,7 +105,7 @@ func (m *Model) ID(n *forest.Node) int {
 func (m *Model) NodeCount() int { return len(m.byID) }
 
 // TreeOf returns the id of the tree containing n ("" = main tree).
-func (m *Model) TreeOf(n *forest.Node) string { return m.treeOf[n] }
+func (m *Model) TreeOf(n *forest.Node) string { return m.nodes[n].tree }
 
 // RefsTo returns the reference nodes pointing at a shared subtree root.
 func (m *Model) RefsTo(subtree string) []*forest.Node { return m.refsTo[subtree] }
@@ -179,7 +188,9 @@ func (m *Model) Serialize(opt Options) string {
 		if !opt.IncludeLargeEnums && root.LargeEnum {
 			continue
 		}
-		fmt.Fprintf(&b, "shared-subtree-%d:\n", m.ids[root])
+		b.WriteString("shared-subtree-")
+		writeInt(&b, m.nodes[root].id)
+		b.WriteString(":\n")
 		m.writeNode(&b, root, 0, opt)
 		b.WriteByte('\n')
 	}
@@ -190,7 +201,7 @@ func (m *Model) Serialize(opt Options) string {
 // the targeted branch mode of further_query. Large enumerations are
 // included: if the caller asks for the branch, it wants the contents.
 func (m *Model) SerializeSubtree(id int) (string, error) {
-	n := m.byID[id]
+	n := m.Node(id)
 	if n == nil {
 		return "", fmt.Errorf("describe: unknown node id %d", id)
 	}
@@ -209,54 +220,60 @@ func (m *Model) writeNode(b *strings.Builder, n *forest.Node, depth int, opt Opt
 	if name == "" {
 		name = "[Unnamed]"
 	}
-	b.WriteString(escape(name))
-	fmt.Fprintf(b, "(%s)", n.Type)
+	writeEscaped(b, name)
+	b.WriteByte('(')
+	b.WriteString(n.Type.String())
+	b.WriteByte(')')
 	if d := m.descFor(n, opt); d != "" {
-		fmt.Fprintf(b, "(%s)", escape(d))
+		b.WriteByte('(')
+		writeEscaped(b, d)
+		b.WriteByte(')')
 	}
 	if n.IsRef() {
-		target := m.Forest.Shared[n.RefTarget]
-		fmt.Fprintf(b, "(ref=%d)", m.ids[target])
+		b.WriteString("(ref=")
+		writeInt(b, m.nodes[m.Forest.Shared[n.RefTarget]].id)
+		b.WriteByte(')')
 	}
-	fmt.Fprintf(b, "_%d", m.ids[n])
+	b.WriteByte('_')
+	writeInt(b, m.nodes[n].id)
 
 	if len(n.Children) == 0 {
 		return
 	}
-	visible, elided := m.partitionChildren(n, depth, opt)
-	if len(visible) == 0 && elided == 0 {
-		return
-	}
 	b.WriteByte('[')
-	for i, c := range visible {
-		if i > 0 {
+	visible, elided := 0, 0
+	for _, c := range n.Children {
+		if hidden(c, depth, opt) {
+			elided++
+			continue
+		}
+		if visible > 0 {
 			b.WriteByte(',')
 		}
+		visible++
 		m.writeNode(b, c, depth+1, opt)
 	}
 	if elided > 0 {
-		if len(visible) > 0 {
+		if visible > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(b, "+%d", elided) // elision marker: further_query expands
+		b.WriteByte('+') // elision marker: further_query expands
+		writeInt(b, elided)
 	}
 	b.WriteByte(']')
 }
 
-func (m *Model) partitionChildren(n *forest.Node, depth int, opt Options) (visible []*forest.Node, elided int) {
-	for _, c := range n.Children {
-		switch {
-		case opt.Exclude != nil && opt.Exclude[c.GID]:
-			elided++
-		case !opt.IncludeLargeEnums && c.LargeEnum:
-			elided++
-		case opt.MaxDepth > 0 && depth+1 >= opt.MaxDepth:
-			elided++
-		default:
-			visible = append(visible, c)
-		}
-	}
-	return visible, elided
+// hidden reports whether child c of a node at depth is elided rather than
+// rendered.
+func hidden(c *forest.Node, depth int, opt Options) bool {
+	return opt.Exclude != nil && opt.Exclude[c.GID] ||
+		!opt.IncludeLargeEnums && c.LargeEnum ||
+		opt.MaxDepth > 0 && depth+1 >= opt.MaxDepth
+}
+
+func writeInt(b *strings.Builder, v int) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], int64(v), 10))
 }
 
 // descFor selects and truncates the description (paper §4.2): key-type
@@ -282,11 +299,19 @@ func (m *Model) descFor(n *forest.Node, opt Options) string {
 	return strutil.TruncateChars(n.Desc, opt.DescLimit)
 }
 
-// escape keeps the structural characters unambiguous inside names and
+// escaper keeps the structural characters unambiguous inside names and
 // descriptions.
 var escaper = strings.NewReplacer("(", "⟨", ")", "⟩", "[", "⟦", "]", "⟧", ",", ";", "_", "-")
 
-func escape(s string) string { return escaper.Replace(s) }
+// writeEscaped writes s escaped; most names carry no structural character,
+// so they skip the replacer.
+func writeEscaped(b *strings.Builder, s string) {
+	if strings.ContainsAny(s, "()[],_") {
+		escaper.WriteString(b, s)
+		return
+	}
+	b.WriteString(s)
+}
 
 // Tokens estimates the LLM token cost of a serialized topology (§5.4
 // measures ≈15 tokens per control under o200k_base).

@@ -150,40 +150,49 @@ type Stats struct {
 }
 
 // Transform converts a UNG into a path-unambiguous forest.
+//
+// The passes below work on dense node indexes in discovery order (g.Order)
+// rather than on UNG ids: a synthesized id spells out its whole ancestor
+// path, so each id is hashed once, by index, and never again.
 func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 	opt = opt.Normalized()
 	var st Stats
 	st.GraphNodes = g.NodeCount()
 	st.GraphEdges = g.EdgeCount()
 
-	dag, removed := decycle(g)
-	st.BackEdgesRemoved = removed
-
-	order, err := topoOrder(g, dag)
+	nodes, out, root, err := index(g)
 	if err != nil {
 		return nil, st, err
 	}
+	dag, reached, removed := decycle(out, root)
+	st.BackEdgesRemoved = removed
 
-	indeg := make(map[string]int, len(dag))
+	indeg := make([]int32, len(dag))
 	for _, outs := range dag {
 		for _, to := range outs {
 			indeg[to]++
 		}
 	}
-	for _, id := range g.Order {
-		if len(dag[id]) >= 0 && indeg[id] > 1 {
+	for _, d := range indeg {
+		if d > 1 {
 			st.MergeNodes++
 		}
 	}
 
-	st.NaiveTreeNodes = naiveSize(dag, order)
+	order, err := topoOrder(dag, indeg, root, reached)
+	if err != nil {
+		return nil, st, err
+	}
+
+	st.NaiveTreeNodes = naiveSize(dag, order, root)
 
 	// Cost-based selective externalization, bottom-up in reverse
 	// topological order (paper §3.2): T(v) is the materialized subtree
 	// size given prior decisions; externalizing replaces every occurrence
 	// with a 1-node reference.
-	size := make(map[string]int64, len(dag))
-	external := make(map[string]bool)
+	size := make([]int64, len(dag))
+	external := make([]bool, len(dag))
+	var sharedNodes int64
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		var t int64 = 1
@@ -195,7 +204,7 @@ func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 			}
 		}
 		size[v] = t
-		if v == ung.RootID {
+		if v == root {
 			continue
 		}
 		if d := indeg[v]; d > 1 {
@@ -203,102 +212,150 @@ func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 			if cost > int64(opt.CloneThreshold) {
 				external[v] = true
 				st.Externalized++
+				sharedNodes += t
 			} else {
 				st.Cloned++
 			}
 		}
 	}
 
-	f := &Forest{App: g.App, Shared: make(map[string]*Node)}
-	f.Main = materialize(g, dag, ung.RootID, external, nil)
-	for _, id := range order {
-		if external[id] {
-			f.Shared[id] = materialize(g, dag, id, external, nil)
+	// size[v] is exactly the node count materialize(v) produces, so the
+	// forest's nodes, and the child lists of all but the tree roots, come
+	// from two buffers of known size.
+	st.MainTreeNodes = int(size[root])
+	st.ForestNodes = st.MainTreeNodes + int(sharedNodes)
+	b := builder{
+		ids: g.Order, nodes: nodes, dag: dag, external: external,
+		slab: make([]Node, st.ForestNodes),
+		kids: make([]*Node, st.ForestNodes-1-st.Externalized),
+	}
+	f := &Forest{App: g.App, Shared: make(map[string]*Node, st.Externalized)}
+	f.Main = b.materialize(root, nil)
+	for _, v := range order {
+		if external[v] {
+			id := g.Order[v]
+			f.Shared[id] = b.materialize(v, nil)
 			f.SharedOrder = append(f.SharedOrder, id)
 		}
 	}
 
-	st.ForestNodes = f.NodeCount()
-	st.MainTreeNodes = f.Main.Count()
 	st.SharedSubtrees = len(f.Shared)
 	return f, st, nil
 }
 
-// decycle removes back edges found by iterative DFS from the root, returning
-// the remaining adjacency and the number of edges removed (paper §3.2,
-// "decycle the graph to a DAG").
-func decycle(g *ung.Graph) (map[string][]string, int) {
-	adj := make(map[string][]string, len(g.Nodes))
-	onStack := make(map[string]bool)
-	visited := make(map[string]bool)
-	removed := 0
+// index numbers the graph's nodes in discovery order and translates every
+// Out list into those numbers; it also returns the root's number. An edge
+// to a node outside the discovery order, or a graph without its root, is
+// an error: the passes below would otherwise read a wrong node.
+func index(g *ung.Graph) (nodes []*ung.Node, out [][]int32, root int32, err error) {
+	pos := make(map[string]int32, len(g.Order))
+	nodes = make([]*ung.Node, len(g.Order))
+	edges := 0
+	for i, id := range g.Order {
+		n := g.Nodes[id]
+		if n == nil {
+			return nil, nil, 0, fmt.Errorf("forest: order references missing node %q", id)
+		}
+		pos[id] = int32(i)
+		nodes[i] = n
+		edges += len(n.Out)
+	}
+	root, ok := pos[ung.RootID]
+	if !ok {
+		return nil, nil, 0, fmt.Errorf("forest: graph has no virtual root %q", ung.RootID)
+	}
+	// All Out lists share one backing array.
+	flat := make([]int32, 0, edges)
+	out = make([][]int32, len(nodes))
+	for i, n := range nodes {
+		start := len(flat)
+		for _, to := range n.Out {
+			j, ok := pos[to]
+			if !ok {
+				return nil, nil, 0, fmt.Errorf("forest: edge %q → missing node %q", g.Order[i], to)
+			}
+			flat = append(flat, j)
+		}
+		out[i] = flat[start:len(flat):len(flat)]
+	}
+	return nodes, out, root, nil
+}
+
+// decycle removes back edges found by iterative DFS from root, returning
+// the remaining adjacency, the number of nodes the DFS reached, and the
+// number of edges removed (paper §3.2, "decycle the graph to a DAG"). Nodes
+// the DFS never reaches keep no adjacency and no incoming edges.
+func decycle(out [][]int32, root int32) (adj [][]int32, reached, removed int) {
+	const (
+		unseen = iota
+		onStack
+		done
+	)
+	state := make([]uint8, len(out))
+	adj = make([][]int32, len(out))
+	total := 0
+	for _, o := range out {
+		total += len(o)
+	}
+	// A node keeps a subsequence of its Out list, so every adjacency fits
+	// in a slice of one shared buffer capped at its Out length.
+	buf := make([]int32, total)
 
 	type frame struct {
-		id string
-		i  int
+		v int32
+		i int
 	}
 	var stack []frame
-	push := func(id string) {
-		stack = append(stack, frame{id: id})
-		onStack[id] = true
-		visited[id] = true
-		adj[id] = nil
+	push := func(v int32) {
+		stack = append(stack, frame{v: v})
+		state[v] = onStack
+		k := len(out[v])
+		adj[v], buf = buf[:0:k], buf[k:]
+		reached++
 	}
-	push(ung.RootID)
+	push(root)
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
-		node := g.Nodes[top.id]
-		if top.i >= len(node.Out) {
-			onStack[top.id] = false
+		if top.i >= len(out[top.v]) {
+			state[top.v] = done
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		next := node.Out[top.i]
+		next := out[top.v][top.i]
 		top.i++
-		if onStack[next] {
+		if state[next] == onStack {
 			removed++ // back edge: drop it
 			continue
 		}
-		adj[top.id] = append(adj[top.id], next)
-		if !visited[next] {
+		adj[top.v] = append(adj[top.v], next)
+		if state[next] == unseen {
 			push(next)
 		}
 	}
-	return adj, removed
+	return adj, reached, removed
 }
 
-// topoOrder returns a topological order of the DAG (root first).
-func topoOrder(g *ung.Graph, dag map[string][]string) ([]string, error) {
-	indeg := make(map[string]int, len(dag))
-	for id := range dag {
-		indeg[id] += 0
-	}
-	for _, outs := range dag {
-		for _, to := range outs {
-			indeg[to]++
-		}
-	}
-	var queue []string
-	for _, id := range g.Order { // deterministic: discovery order
-		if _, ok := dag[id]; ok && indeg[id] == 0 {
-			queue = append(queue, id)
-		}
-	}
-	var order []string
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		order = append(order, cur)
-		for _, to := range dag[cur] {
-			indeg[to]--
-			if indeg[to] == 0 {
-				queue = append(queue, to)
+// topoOrder returns a topological order of the DAG's reached nodes, root
+// first. Kahn's algorithm from the root alone: every other reached node has
+// an incoming DAG edge, and every edge into the root is a back edge. Ties
+// break in adjacency order, so the order is deterministic. indeg is the
+// DAG's in-degree per node; it is not modified.
+func topoOrder(dag [][]int32, indeg []int32, root int32, reached int) ([]int32, error) {
+	left := make([]int32, len(indeg))
+	copy(left, indeg)
+	order := make([]int32, 1, reached)
+	order[0] = root
+	for head := 0; head < len(order); head++ {
+		for _, to := range dag[order[head]] {
+			left[to]--
+			if left[to] == 0 {
+				order = append(order, to)
 			}
 		}
 	}
-	if len(order) != len(dag) {
+	if len(order) != reached {
 		return nil, fmt.Errorf("forest: decycled graph still has a cycle (%d of %d ordered)",
-			len(order), len(dag))
+			len(order), reached)
 	}
 	return order, nil
 }
@@ -306,8 +363,8 @@ func topoOrder(g *ung.Graph, dag map[string][]string) ([]string, error) {
 // naiveSize computes the node count of the fully-cloned tree: every merge
 // node duplicated along each incoming edge (the Figure 4 blow-up). The
 // value is computed bottom-up and saturates at MaxInt64.
-func naiveSize(dag map[string][]string, order []string) int64 {
-	size := make(map[string]int64, len(dag))
+func naiveSize(dag [][]int32, order []int32, root int32) int64 {
+	size := make([]int64, len(dag))
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		var t int64 = 1
@@ -316,7 +373,7 @@ func naiveSize(dag map[string][]string, order []string) int64 {
 		}
 		size[v] = t
 	}
-	return size[ung.RootID]
+	return size[root]
 }
 
 func satAdd(a, b int64) int64 {
@@ -326,13 +383,45 @@ func satAdd(a, b int64) int64 {
 	return a + b
 }
 
-// materialize builds the tree rooted at id, cloning non-externalized merge
+// builder materializes trees from the indexed DAG, taking nodes from slab
+// and child lists from kids.
+type builder struct {
+	ids      []string // UNG id per index: g.Order
+	nodes    []*ung.Node
+	dag      [][]int32
+	external []bool
+	slab     []Node
+	kids     []*Node
+}
+
+// materialize builds the tree rooted at v, cloning non-externalized merge
 // nodes per incoming edge and inserting reference nodes for externalized
 // ones. Nested references (a shared subtree referencing another) arise
 // naturally.
-func materialize(g *ung.Graph, dag map[string][]string, id string, external map[string]bool, parent *Node) *Node {
-	gn := g.Nodes[id]
-	n := &Node{
+func (b *builder) materialize(v int32, parent *Node) *Node {
+	n := b.newNode(v, parent)
+	k := len(b.dag[v])
+	if k == 0 {
+		return n // a leaf keeps nil Children
+	}
+	n.Children, b.kids = b.kids[:k:k], b.kids[k:]
+	for i, c := range b.dag[v] {
+		if b.external[c] {
+			ref := b.newNode(c, n)
+			ref.RefTarget = b.ids[c]
+			n.Children[i] = ref
+			continue
+		}
+		n.Children[i] = b.materialize(c, n)
+	}
+	return n
+}
+
+func (b *builder) newNode(v int32, parent *Node) *Node {
+	gn := b.nodes[v]
+	n := &b.slab[0]
+	b.slab = b.slab[1:]
+	*n = Node{
 		GID:       gn.ID,
 		Name:      gn.Name,
 		Type:      gn.Type,
@@ -340,24 +429,6 @@ func materialize(g *ung.Graph, dag map[string][]string, id string, external map[
 		LargeEnum: gn.LargeEnum,
 		Context:   gn.Context,
 		Parent:    parent,
-	}
-	for _, c := range dag[id] {
-		if external[c] {
-			cn := g.Nodes[c]
-			ref := &Node{
-				GID:       cn.ID,
-				Name:      cn.Name,
-				Type:      cn.Type,
-				Desc:      cn.Desc,
-				LargeEnum: cn.LargeEnum,
-				Context:   cn.Context,
-				RefTarget: c,
-				Parent:    n,
-			}
-			n.Children = append(n.Children, ref)
-			continue
-		}
-		n.Children = append(n.Children, materialize(g, dag, c, external, n))
 	}
 	return n
 }

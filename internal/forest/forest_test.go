@@ -263,6 +263,27 @@ func TestNestedReferences(t *testing.T) {
 	}
 }
 
+// TestTransformRejectsDanglingEdge: an Out id with no node behind it, or a
+// graph without its virtual root, is an error, not a panic and not a read of
+// some other node.
+func TestTransformRejectsDanglingEdge(t *testing.T) {
+	dangling := buildGraph(t, map[string][]string{ung.RootID: {"a"}, "a": {"b"}})
+	dangling.Nodes["a"].Out = append(dangling.Nodes["a"].Out, "ghost")
+
+	rootless := buildGraph(t, map[string][]string{ung.RootID: {"a"}})
+	delete(rootless.Nodes, ung.RootID)
+
+	unlisted := buildGraph(t, map[string][]string{ung.RootID: {"a"}})
+	unlisted.Order = unlisted.Order[1:]
+	delete(unlisted.Nodes, ung.RootID)
+
+	for name, g := range map[string]*ung.Graph{"dangling out edge": dangling, "root missing from nodes": rootless, "no root at all": unlisted} {
+		if f, _, err := Transform(g, Options{}); err == nil {
+			t.Errorf("%s: Transform returned a forest of %d nodes, want an error", name, f.NodeCount())
+		}
+	}
+}
+
 // Path-unambiguity: in every tree of the forest, each node instance has
 // exactly one path from its tree root.
 func TestPathUnambiguityProperty(t *testing.T) {

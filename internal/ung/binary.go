@@ -44,6 +44,11 @@ const BinaryVersion = 1
 // largeEnumFlag is bit 0 of the per-node flags byte.
 const largeEnumFlag = 0x01
 
+// minNodeBytes is the smallest encoded node: one byte each for the id,
+// name, desc and context lengths, the type, the flags, and the two edge
+// counts.
+const minNodeBytes = 8
+
 // EncodeBinary serializes the graph to the compact binary snapshot form.
 // Like Encode, nodes are written in discovery order.
 func EncodeBinary(g *Graph) ([]byte, error) {
@@ -115,8 +120,12 @@ func appendEdges(buf []byte, edges []string, index map[string]uint64) ([]byte, e
 // distinct and strict: wrong magic, version skew, truncation, non-zero
 // unknown flags, and trailing garbage each fail with a named error rather
 // than a best-effort graph.
+//
+// The payload is copied into one string up front and every decoded string
+// is a substring of it, so a decode costs one copy rather than four per
+// node, and the graph never aliases data.
 func DecodeBinary(data []byte) (*Graph, error) {
-	r := binReader{data: data}
+	r := newBinReader(data)
 	if len(data) < len(binaryMagic) || string(data[:len(binaryMagic)]) != binaryMagic {
 		return nil, fmt.Errorf("ung: decode binary: missing %q magic", binaryMagic)
 	}
@@ -136,18 +145,22 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every node carries at least a handful of bytes; a count claiming more
-	// nodes than remaining bytes is corruption, refused before allocation.
-	if count > uint64(len(data)-r.off) {
+	// Every node carries at least minNodeBytes; a count claiming more nodes
+	// than the remaining bytes can hold is corruption, refused before the
+	// per-node arrays are allocated.
+	if count > uint64(len(data)-r.off)/minNodeBytes {
 		return nil, fmt.Errorf("ung: decode binary: node count %d exceeds payload", count)
 	}
-	g := &Graph{App: app, Nodes: make(map[string]*Node, count)}
+	g := &Graph{App: app, Nodes: make(map[string]*Node, count), Order: make([]string, 0, count)}
+	nodes := make([]Node, count)
 	// Edge indexes may point forward to nodes not yet read, so they are
-	// collected raw and resolved to ids after the node array is complete.
-	outIdx := make([][]uint64, count)
-	inIdx := make([][]uint64, count)
-	for i := uint64(0); i < count; i++ {
-		n := &Node{}
+	// collected raw, all in one buffer, and resolved to ids after the node
+	// array is complete. ends[2i] and ends[2i+1] are where node i's out
+	// and in indexes end.
+	var idxs []int
+	ends := make([]int, 2*count)
+	for i := range nodes {
+		n := &nodes[i]
 		if n.ID, err = r.str("node id"); err != nil {
 			return nil, err
 		}
@@ -176,12 +189,14 @@ func DecodeBinary(data []byte) (*Graph, error) {
 		if n.Context, err = r.str("node context"); err != nil {
 			return nil, err
 		}
-		if outIdx[i], err = r.edgeIndexes("out edges", count); err != nil {
+		if idxs, err = r.edgeIndexes(idxs, "out edges", count); err != nil {
 			return nil, err
 		}
-		if inIdx[i], err = r.edgeIndexes("in edges", count); err != nil {
+		ends[2*i] = len(idxs)
+		if idxs, err = r.edgeIndexes(idxs, "in edges", count); err != nil {
 			return nil, err
 		}
+		ends[2*i+1] = len(idxs)
 		if i == 0 && n.ID != RootID {
 			return nil, fmt.Errorf("ung: decode binary: snapshot does not start at the virtual root")
 		}
@@ -197,10 +212,17 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	if r.off != len(data) {
 		return nil, fmt.Errorf("ung: decode binary: %d trailing bytes after the last node", len(data)-r.off)
 	}
-	for i, id := range g.Order {
-		n := g.Nodes[id]
-		n.Out = resolveEdges(outIdx[i], g.Order)
-		n.In = resolveEdges(inIdx[i], g.Order)
+	// Every edge list is a capped window of one id buffer; empty lists stay
+	// nil, the canonical form.
+	ids := make([]string, len(idxs))
+	for k, idx := range idxs {
+		ids[k] = g.Order[idx]
+	}
+	start := 0
+	for i := range nodes {
+		nodes[i].Out = edgeWindow(ids, start, ends[2*i])
+		nodes[i].In = edgeWindow(ids, ends[2*i], ends[2*i+1])
+		start = ends[2*i+1]
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("ung: decode binary: %w", err)
@@ -208,25 +230,27 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	return g, nil
 }
 
-// resolveEdges maps edge indexes back to node ids; indexes were already
-// bounds-checked against the node count at read time.
-func resolveEdges(idxs []uint64, order []string) []string {
-	if len(idxs) == 0 {
-		return nil // empty edge lists stay nil, the canonical form
+// edgeWindow returns ids[from:to] with its capacity capped, or nil when
+// empty.
+func edgeWindow(ids []string, from, to int) []string {
+	if from == to {
+		return nil
 	}
-	edges := make([]string, len(idxs))
-	for i, idx := range idxs {
-		edges[i] = order[idx]
-	}
-	return edges
+	return ids[from:to:to]
 }
 
 // binReader walks the binary layout with bounds checking; every read
 // failure names the field that was being read when the payload ran out.
+// s holds the same bytes as data, copied once, and every string the reader
+// returns is a substring of it.
 type binReader struct {
 	data []byte
+	s    string
 	off  int
 }
+
+// newBinReader is the one way to build a binReader: it makes the one copy.
+func newBinReader(data []byte) binReader { return binReader{data: data, s: string(data)} }
 
 func (r *binReader) uvarint(field string) (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.off:])
@@ -254,23 +278,20 @@ func (r *binReader) str(field string) (string, error) {
 	if n > uint64(len(r.data)-r.off) {
 		return "", fmt.Errorf("ung: decode binary: truncated %s", field)
 	}
-	s := string(r.data[r.off : r.off+int(n)])
+	s := r.s[r.off : r.off+int(n)]
 	r.off += int(n)
 	return s, nil
 }
 
-func (r *binReader) edgeIndexes(field string, nodeCount uint64) ([]uint64, error) {
+// edgeIndexes reads one edge list and appends its indexes to idxs.
+func (r *binReader) edgeIndexes(idxs []int, field string, nodeCount uint64) ([]int, error) {
 	n, err := r.uvarint(field)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
 	if n > uint64(len(r.data)-r.off) {
 		return nil, fmt.Errorf("ung: decode binary: truncated %s", field)
 	}
-	idxs := make([]uint64, 0, n)
 	for i := uint64(0); i < n; i++ {
 		idx, err := r.uvarint(field)
 		if err != nil {
@@ -279,7 +300,7 @@ func (r *binReader) edgeIndexes(field string, nodeCount uint64) ([]uint64, error
 		if idx >= nodeCount {
 			return nil, fmt.Errorf("ung: decode binary: %s index %d out of range (%d nodes)", field, idx, nodeCount)
 		}
-		idxs = append(idxs, idx)
+		idxs = append(idxs, int(idx))
 	}
 	return idxs, nil
 }

@@ -82,6 +82,32 @@ func TestBinarySmallerThanJSON(t *testing.T) {
 	}
 }
 
+// TestDecodeBinaryOwnsItsStrings: decoded strings share one copy of the
+// payload, never the caller's buffer, so overwriting the input after a
+// decode leaves the graph intact.
+func TestDecodeBinaryOwnsItsStrings(t *testing.T) {
+	g, _ := ripDemo(t)
+	want, err := EncodeBinary(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte{}, want...)
+	back, err := DecodeBinary(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 'X'
+	}
+	again, err := EncodeBinary(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Error("overwriting the input buffer changed the decoded graph")
+	}
+}
+
 func TestBinaryDecodeFailureModes(t *testing.T) {
 	g, _ := ripDemo(t)
 	valid, err := EncodeBinary(g)
@@ -129,7 +155,8 @@ func TestBinaryDecodeFailureModes(t *testing.T) {
 		// Flip an unknown flag bit in the root node's flags byte. The root
 		// is the first node: magic, version, app, count, id, name, type,
 		// desc, then flags.
-		r := binReader{data: valid, off: len(binaryMagic)}
+		r := newBinReader(valid)
+		r.off = len(binaryMagic)
 		for _, field := range []string{"version", "app", "count", "id", "name", "type", "desc"} {
 			switch field {
 			case "app", "id", "name", "desc":

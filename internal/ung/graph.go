@@ -176,7 +176,8 @@ func (g *Graph) MaxDepth() int {
 
 // Reachable returns the set of node IDs reachable from the root.
 func (g *Graph) Reachable() map[string]bool {
-	seen := map[string]bool{RootID: true}
+	seen := make(map[string]bool, len(g.Nodes))
+	seen[RootID] = true
 	stack := []string{RootID}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
