@@ -34,7 +34,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/bench"
 	"repro/internal/modelstore"
-	"repro/internal/taskpack"
 )
 
 // errUsage marks a flag-parse failure the FlagSet has already reported to
@@ -89,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	all := !*table3 && !*fig5a && !*fig5b && !*fig6 && !*oneshot && !*tokens
 
-	reg, err := loadRegistry(*packFile)
+	reg, err := bench.LoadRegistry(*packFile)
 	if err != nil {
 		return fmt.Errorf("dmi-bench: %w", err)
 	}
@@ -149,23 +148,4 @@ func writeHeapProfile(path string) error {
 	defer f.Close()
 	runtime.GC()
 	return pprof.WriteHeapProfile(f)
-}
-
-// loadRegistry resolves the -taskpack flag to a task registry: the built-in
-// grid when the flag is empty, otherwise a validated pack loaded from the
-// file. Reading the file here keeps internal/taskpack pure ([]byte in, never
-// the filesystem).
-func loadRegistry(path string) (*taskpack.Registry, error) {
-	if path == "" {
-		return taskpack.Builtin(), nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := taskpack.Load(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return reg, nil
 }

@@ -157,7 +157,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		replicas = strings.Split(*replicasFlag, ",")
 	}
 
-	reg, err := loadRegistry(*packFile)
+	reg, err := bench.LoadRegistry(*packFile)
 	if err != nil {
 		return fmt.Errorf("dmi-coord: %w", err)
 	}
@@ -365,25 +365,6 @@ func reloadMembership(rd *bench.RemoteDispatcher, path string, stderr io.Writer)
 		}
 	}
 	return nil
-}
-
-// loadRegistry resolves the -taskpack flag to a task registry: the built-in
-// grid when the flag is empty, otherwise a validated pack loaded from the
-// file. Reading the file here keeps internal/taskpack pure ([]byte in, never
-// the filesystem).
-func loadRegistry(path string) (*taskpack.Registry, error) {
-	if path == "" {
-		return taskpack.Builtin(), nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := taskpack.Load(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return reg, nil
 }
 
 // waitHealthy polls every replica's /v1/healthz until it answers ready or the

@@ -123,7 +123,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		fmt.Fprintf(stderr, "dmi-serve: unexpected argument %q\n", fs.Arg(0))
 		return errUsage
 	}
-	reg, err := loadRegistry(*packFile)
+	reg, err := bench.LoadRegistry(*packFile)
 	if err != nil {
 		return fmt.Errorf("dmi-serve: %w", err)
 	}
@@ -187,23 +187,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 	fmt.Fprintln(stderr, "dmi-serve: drained, exiting")
 	return nil
-}
-
-// loadRegistry resolves the -taskpack flag: the compiled-in grid when empty,
-// a strictly decoded and validated pack file otherwise.
-func loadRegistry(path string) (*taskpack.Registry, error) {
-	if path == "" {
-		return taskpack.Builtin(), nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := taskpack.Load(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return reg, nil
 }
 
 // server is the daemon state: the budgeted store every session start goes

@@ -222,7 +222,7 @@ func TestRipShardedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ung.Encode(seq)
+	want, err := ung.EncodeBinary(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestRipShardedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ung.Encode(g)
+	got, err := ung.EncodeBinary(g)
 	if err != nil {
 		t.Fatal(err)
 	}

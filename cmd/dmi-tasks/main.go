@@ -26,6 +26,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/agent"
+	"repro/internal/bench"
 	"repro/internal/llm"
 	"repro/internal/modelstore"
 	"repro/internal/osworld"
@@ -74,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return validatePack(*validate, stdout)
 	}
 
-	reg, err := loadRegistry(*packFile)
+	reg, err := bench.LoadRegistry(*packFile)
 	if err != nil {
 		return fmt.Errorf("dmi-tasks: %w", err)
 	}
@@ -177,25 +178,6 @@ func validatePack(path string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("dmi-tasks: %s failed validation with %d issues", path, len(issues))
 	}
-}
-
-// loadRegistry resolves the -taskpack flag to a task registry: the built-in
-// grid when the flag is empty, otherwise a validated pack loaded from the
-// file. Reading the file here keeps internal/taskpack pure ([]byte in, never
-// the filesystem).
-func loadRegistry(path string) (*taskpack.Registry, error) {
-	if path == "" {
-		return taskpack.Builtin(), nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := taskpack.Load(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return reg, nil
 }
 
 // trapCount is the number of plan steps carrying a modeled misinterpretation

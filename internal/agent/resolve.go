@@ -7,6 +7,7 @@ import (
 	"repro/internal/describe"
 	"repro/internal/forest"
 	"repro/internal/osworld"
+	"repro/internal/uia"
 )
 
 // resolved is a Target bound to the offline model: the forest node plus the
@@ -31,7 +32,7 @@ func resolveTarget(m *describe.Model, t osworld.Target) (resolved, error) {
 	var nonLeaf []*forest.Node
 	collect := func(tree *forest.Node) {
 		tree.Walk(func(n *forest.Node) bool {
-			if gidPrimary(n.GID) != t.Primary && n.Name != t.Primary {
+			if p, _, _ := uia.SplitControlID(n.GID); p != t.Primary && n.Name != t.Primary {
 				return true
 			}
 			if t.GIDContains != "" && !strings.Contains(n.GID, t.GIDContains) {
@@ -126,16 +127,9 @@ func refChain(m *describe.Model, tree string, via string) ([]int, bool) {
 	return fallback, fallback != nil
 }
 
-func gidPrimary(gid string) string {
-	if i := strings.IndexByte(gid, '|'); i >= 0 {
-		return gid[:i]
-	}
-	return gid
-}
-
 func pathContainsPrimary(path []*forest.Node, primary string) bool {
 	for _, n := range path {
-		if gidPrimary(n.GID) == primary {
+		if p, _, _ := uia.SplitControlID(n.GID); p == primary {
 			return true
 		}
 	}

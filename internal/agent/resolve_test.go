@@ -8,6 +8,7 @@ import (
 	"repro/internal/describe"
 	"repro/internal/forest"
 	"repro/internal/osworld"
+	"repro/internal/uia"
 )
 
 func wordModel(t *testing.T) *describe.Model {
@@ -145,6 +146,8 @@ func TestInCoreTopology(t *testing.T) {
 	}
 }
 
+// TestGidPrimary: the resolver matches targets on the primary part of a
+// control id, which it takes from uia.SplitControlID.
 func TestGidPrimary(t *testing.T) {
 	cases := map[string]string{
 		"btnBold|Button|a/b": "btnBold",
@@ -152,8 +155,8 @@ func TestGidPrimary(t *testing.T) {
 		"|Button|x":          "",
 	}
 	for in, want := range cases {
-		if got := gidPrimary(in); got != want {
-			t.Errorf("gidPrimary(%q) = %q, want %q", in, got, want)
+		if got, _, _ := uia.SplitControlID(in); got != want {
+			t.Errorf("SplitControlID(%q) primary = %q, want %q", in, got, want)
 		}
 	}
 }

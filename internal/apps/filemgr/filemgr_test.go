@@ -238,7 +238,7 @@ func TestRipParallelByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqBytes, err := ung.Encode(seq)
+	seqBytes, err := ung.EncodeBinary(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestRipParallelByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		parBytes, err := ung.Encode(par)
+		parBytes, err := ung.EncodeBinary(par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,8 +275,8 @@ func TestModelstoreSnapshotRoundTrip(t *testing.T) {
 	if !b2.FromSnapshot || b2.RipStats.Clicks != 0 {
 		t.Fatalf("warm build: fromSnapshot=%v clicks=%d", b2.FromSnapshot, b2.RipStats.Clicks)
 	}
-	g1, _ := ung.Encode(b1.Graph)
-	g2, _ := ung.Encode(b2.Graph)
+	g1, _ := ung.EncodeBinary(b1.Graph)
+	g2, _ := ung.EncodeBinary(b2.Graph)
 	if !bytes.Equal(g1, g2) {
 		t.Fatal("snapshot-restored graph differs from the ripped one")
 	}

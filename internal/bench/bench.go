@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -80,6 +81,25 @@ func Run(models *agent.Models, runs int) *Report {
 		panic(fmt.Sprintf("bench: local dispatch failed: %v", err))
 	}
 	return rep
+}
+
+// LoadRegistry resolves a -taskpack flag to a task registry: the built-in
+// grid when path is empty, otherwise a validated pack loaded from the file.
+// Reading the file here keeps internal/taskpack pure ([]byte in, never the
+// filesystem).
+func LoadRegistry(path string) (*taskpack.Registry, error) {
+	if path == "" {
+		return taskpack.Builtin(), nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	reg, err := taskpack.Load(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return reg, nil
 }
 
 // SettingByLabel resolves a Table 3 row label to its matrix cell.

@@ -320,10 +320,10 @@ type RemoteOptions struct {
 	// a down-marked replica (default 1s; negative disables probing, which
 	// freezes the pre-recovery behavior of a down-mark lasting the whole
 	// run). Failed probes back off exponentially — ×2 per failure, capped
-	// at ProbeMax (default 30s) — and every delay carries ±50% jitter so
-	// probers for replicas downed together don't synchronize.
+	// at 30s or ProbeInterval, whichever is longer — and every delay
+	// carries ±50% jitter so probers for replicas downed together don't
+	// synchronize.
 	ProbeInterval time.Duration
-	ProbeMax      time.Duration
 	// Logf, when set, receives membership and recovery events (replica
 	// down-marked, recovered, added, removed). The coordinator points it at
 	// stderr; nil discards them.
@@ -427,13 +427,6 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 	case probeBase == 0:
 		probeBase = time.Second
 	}
-	probeMax := opt.ProbeMax
-	if probeMax <= 0 {
-		probeMax = 30 * time.Second
-	}
-	if probeMax < probeBase {
-		probeMax = probeBase
-	}
 	logf := opt.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -449,7 +442,7 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 		packHash:    opt.PackHash,
 		inflight:    inflight,
 		probeBase:   probeBase,
-		probeMax:    probeMax,
+		probeMax:    max(probeBackoffCap, probeBase),
 		logf:        logf,
 		batch:       batch,
 		linger:      batchLinger,

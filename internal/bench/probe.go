@@ -16,6 +16,10 @@ import (
 // costs one prober goroutine 5 seconds, not the 5-minute session timeout.
 const probeTimeout = 5 * time.Second
 
+// probeBackoffCap caps the exponential backoff between failed probes of one
+// replica (raised to the probe interval when that is longer).
+const probeBackoffCap = 30 * time.Second
+
 // probe is the half-open side of the circuit breaker: one goroutine per
 // down-marked replica, polling its /v1/healthz on a jittered exponential
 // backoff until the replica answers ready again (then it rejoins rotation)

@@ -112,7 +112,7 @@ func (rr *ripReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ripGraphBytes snapshots a graph for byte comparison.
 func ripGraphBytes(t *testing.T, g *ung.Graph) []byte {
 	t.Helper()
-	data, err := ung.Encode(g)
+	data, err := ung.EncodeBinary(g)
 	if err != nil {
 		t.Fatal(err)
 	}

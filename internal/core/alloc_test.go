@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/appkit"
@@ -94,8 +95,9 @@ func TestAncestorOverlapPath(t *testing.T) {
 	}
 }
 
-// TestGIDCutMatchesSplit: gidCut must agree with the SplitN/Split parsing
-// gidParts wraps around it.
+// TestGIDCutMatchesSplit: the allocation-free uia.SplitControlID the session
+// uses to read step ids must agree with the straightforward SplitN/Split
+// parsing of the "primary|type|anc/anc" grammar.
 func TestGIDCutMatchesSplit(t *testing.T) {
 	for _, gid := range []string{
 		"btnSave|Button|Home/Font",
@@ -105,20 +107,21 @@ func TestGIDCutMatchesSplit(t *testing.T) {
 		"",
 		"a|b|c|d", // extra separators stay in the ancestor path
 	} {
-		primary, ctype, ancestors := gidParts(gid)
-		p2, c2, path := gidCut(gid)
+		parts := strings.SplitN(gid, "|", 3)
+		for len(parts) < 3 {
+			parts = append(parts, "")
+		}
+		primary, ctype := parts[0], parts[1]
+		var ancestors []string
+		if parts[2] != "" {
+			ancestors = strings.Split(parts[2], "/")
+		}
+		p2, c2, path := uia.SplitControlID(gid)
 		if p2 != primary || c2 != ctype {
-			t.Errorf("gidCut(%q) = (%q, %q), gidParts says (%q, %q)", gid, p2, c2, primary, ctype)
+			t.Errorf("SplitControlID(%q) = (%q, %q), SplitN says (%q, %q)", gid, p2, c2, primary, ctype)
 		}
-		joined := ""
-		for i, a := range ancestors {
-			if i > 0 {
-				joined += "/"
-			}
-			joined += a
-		}
-		if path != joined {
-			t.Errorf("gidCut(%q) ancestor path %q, gidParts components join to %q", gid, path, joined)
+		if joined := strings.Join(ancestors, "/"); path != joined {
+			t.Errorf("SplitControlID(%q) ancestor path %q, Split components join to %q", gid, path, joined)
 		}
 	}
 }

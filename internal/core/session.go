@@ -83,39 +83,11 @@ func (s *Session) FullTopology() string {
 	return s.Model.Full()
 }
 
-// gidCut splits a synthesized control identifier into its primary id,
-// control type name, and the raw "a/b/c" ancestor path. Unlike a
-// strings.Split it allocates nothing — it runs once per candidate element
-// inside the fuzzy matcher's scoring loop.
-func gidCut(gid string) (primary, ctype, ancPath string) {
-	i := strings.IndexByte(gid, '|')
-	if i < 0 {
-		return gid, "", ""
-	}
-	primary, gid = gid[:i], gid[i+1:]
-	j := strings.IndexByte(gid, '|')
-	if j < 0 {
-		return primary, gid, ""
-	}
-	return primary, gid[:j], gid[j+1:]
-}
-
-// gidParts splits a synthesized control identifier into its primary id,
-// control type name, and ancestor path components.
-func gidParts(gid string) (primary, ctype string, ancestors []string) {
-	var ancPath string
-	primary, ctype, ancPath = gidCut(gid)
-	if ancPath != "" {
-		ancestors = strings.Split(ancPath, "/")
-	}
-	return
-}
-
 // matchScore rates how well a live element matches a topology step,
 // combining control type, name similarity, and ancestor overlap — the fuzzy
 // matcher of §3.4.
 func matchScore(step *forest.Node, elPrimary, elName string, elAncestors []string) float64 {
-	primary, _, ancPath := gidCut(step.GID)
+	primary, _, ancPath := uia.SplitControlID(step.GID)
 	nameSim := strutil.Similarity(primary, elPrimary)
 	// The name channel only speaks when both sides have a name: two
 	// unnamed controls are not thereby similar, and letting

@@ -354,9 +354,9 @@ func (s *Session) fuzzyFind(step *forest.Node, snap []*uia.Element) *uia.Element
 		}
 		anc = anc[:0] // per-element scratch: matchScore only reads it
 		for cur := e.Parent(); cur != nil && cur.Parent() != nil; cur = cur.Parent() {
-			anc = append(anc, primaryOf(cur))
+			anc = append(anc, cur.PrimaryID())
 		}
-		score := matchScore(step, primaryOf(e), e.Name(), anc)
+		score := matchScore(step, e.PrimaryID(), e.Name(), anc)
 		if score > bestScore {
 			bestScore = score
 			best = e
@@ -378,16 +378,6 @@ func fuzzyEligible(t uia.ControlType) bool {
 		return false
 	}
 	return true
-}
-
-func primaryOf(e *uia.Element) string {
-	if e.AutomationID() != "" {
-		return e.AutomationID()
-	}
-	if e.Name() != "" {
-		return e.Name()
-	}
-	return "[Unnamed]"
 }
 
 func (s *Session) isMainWindow(win *uia.Element) bool {

@@ -1,6 +1,7 @@
 package modelstore
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -345,10 +346,9 @@ func TestSnapshotWriteFailureLeavesNoTemp(t *testing.T) {
 	}
 }
 
-// TestSnapshotBinaryDefault pins the snapshot encoding's payoff: a
-// persistent store writes compact binary snapshots (.ungb), and the build's
-// budget cost is the binary size — strictly smaller than the JSON form, so
-// the same byte budget holds more warm models.
+// TestSnapshotBinaryDefault: a persistent store writes binary snapshots
+// (.ungb) holding exactly the graph's EncodeBinary bytes, and the build's
+// budget cost is that payload's size.
 func TestSnapshotBinaryDefault(t *testing.T) {
 	dir := t.TempDir()
 	s := NewPersistent(dir)
@@ -363,16 +363,16 @@ func TestSnapshotBinaryDefault(t *testing.T) {
 	if filepath.Ext(files[0].Name()) != ".ungb" {
 		t.Errorf("default snapshot %q is not binary", files[0].Name())
 	}
-	jsonData, err := ung.Encode(b.Graph)
+	want, err := ung.EncodeBinary(b.Graph)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if b.SnapshotBytes >= int64(len(jsonData)) {
-		t.Errorf("binary cost %d not smaller than JSON %d", b.SnapshotBytes, len(jsonData))
 	}
 	data, err := os.ReadFile(filepath.Join(dir, files[0].Name()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Errorf("snapshot file (%d B) is not the graph's EncodeBinary bytes (%d B)", len(data), len(want))
 	}
 	if int64(len(data)) != b.SnapshotBytes {
 		t.Errorf("budget cost %d does not match the snapshot payload %d", b.SnapshotBytes, len(data))
@@ -386,14 +386,7 @@ func TestStrayJSONSnapshotIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := NewPersistent(dir)
 	key := RipFingerprint("StoreDemo", ung.Config{})
-	ref, err := New().Build("StoreDemo", storeApp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := ung.Encode(ref.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := []byte(`{"app":"StoreDemo","nodes":[{"id":"[ROOT]","type":32}]}`)
 	stray := strings.TrimSuffix(s.snapshotPath(key), ".ungb") + ".json"
 	if err := os.WriteFile(stray, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -312,10 +312,10 @@ func (e *Element) Depth() int {
 	return max + 1
 }
 
-// primaryID returns the leading component of the synthesized control ID:
+// PrimaryID returns the leading component of the synthesized control ID:
 // the automation id when present, otherwise the name, otherwise "[Unnamed]"
 // (paper §4.1).
-func (e *Element) primaryID() string {
+func (e *Element) PrimaryID() string {
 	switch {
 	case e.automationID != "":
 		return e.automationID
@@ -340,18 +340,32 @@ func (e *Element) ControlID() string {
 	}
 	anc := e.Ancestors()
 	var b strings.Builder
-	b.WriteString(e.primaryID())
+	b.WriteString(e.PrimaryID())
 	b.WriteByte('|')
 	b.WriteString(e.ctype.String())
 	b.WriteByte('|')
 	for i := len(anc) - 1; i >= 0; i-- {
-		b.WriteString(anc[i].primaryID())
+		b.WriteString(anc[i].PrimaryID())
 		if i > 0 {
 			b.WriteByte('/')
 		}
 	}
 	e.idCache = b.String()
 	return e.idCache
+}
+
+// SplitControlID splits an identifier written by ControlID into its primary
+// id, control type name, and raw "a/b/c" ancestor path. It allocates
+// nothing, so matchers may call it once per candidate element. Separators
+// past the second stay in the ancestor path; missing ones leave the
+// trailing parts empty.
+func SplitControlID(id string) (primary, ctype, ancPath string) {
+	primary, rest, ok := strings.Cut(id, "|")
+	if !ok {
+		return primary, "", ""
+	}
+	ctype, ancPath, _ = strings.Cut(rest, "|")
+	return primary, ctype, ancPath
 }
 
 func (e *Element) invalidateIDs() {

@@ -7,14 +7,13 @@ import (
 	"repro/internal/uia"
 )
 
-// Binary snapshot codec. The JSON codec in snapshot.go is self-describing
-// and greppable, but a graph snapshot is also the modelstore's unit of
-// budget accounting (per-model cost = encoded bytes), so codec bloat
-// directly shrinks the effective warm-cache budget. The binary form cuts
-// the field-name and quoting overhead: a length-prefixed, versioned layout
-// that preserves exactly what the JSON form preserves — node metadata,
-// discovery order, and the insertion order of both edge lists — so the two
-// encodings decode to identical graphs.
+// Graph snapshot codec. A snapshot lets the offline artifact be persisted
+// and reloaded without re-ripping the application (internal/modelstore
+// builds on it), and its size is the modelstore's unit of budget accounting
+// (per-model cost = encoded bytes). The encoding preserves everything
+// downstream consumers depend on — node metadata, discovery order, and the
+// insertion order of both edge lists — so a decoded graph transforms into
+// the identical forest and identifier assignment.
 //
 // Layout (all integers are unsigned varints, strings are varint-length-
 // prefixed UTF-8):
@@ -25,20 +24,19 @@ import (
 //
 // Edges are varint indexes into the node array (discovery order), not
 // repeated id strings — synthesized control ids embed whole ancestor paths,
-// so spelling each edge out again is most of the JSON form's weight. flags
+// so spelling each edge out again would dominate the payload. flags
 // is a single byte; bit 0 is LargeEnum, the remaining bits must be zero (a
 // decoder from the future rejecting unknown flags beats one silently
-// dropping them). Decode is strict: a short buffer, a version skew, an
+// dropping them). DecodeBinary is strict: a short buffer, a version skew, an
 // out-of-range edge index, or trailing bytes after the last node are all
-// distinct errors, and the decoded graph passes the same structural
-// validation as the JSON path.
+// distinct errors, and the decoded graph must pass Graph.Validate.
 
-// binaryMagic opens every binary snapshot (a JSON one always starts with
-// '{'), so a payload in the wrong encoding fails fast.
+// binaryMagic opens every snapshot, so a payload in another encoding fails
+// fast.
 const binaryMagic = "UNGB"
 
 // BinaryVersion is the binary layout version. Bumped on any layout change;
-// Decode rejects other versions as skew instead of misparsing them.
+// DecodeBinary rejects other versions as skew instead of misparsing them.
 const BinaryVersion = 1
 
 // largeEnumFlag is bit 0 of the per-node flags byte.
@@ -49,8 +47,8 @@ const largeEnumFlag = 0x01
 // counts.
 const minNodeBytes = 8
 
-// EncodeBinary serializes the graph to the compact binary snapshot form.
-// Like Encode, nodes are written in discovery order.
+// EncodeBinary serializes the graph to the snapshot form, nodes in
+// discovery order.
 func EncodeBinary(g *Graph) ([]byte, error) {
 	// Pre-size: magic+version+count headers plus per-node strings; the
 	// estimate only has to be in the right ballpark to avoid regrowth.
@@ -115,8 +113,8 @@ func appendEdges(buf []byte, edges []string, index map[string]uint64) ([]byte, e
 	return buf, nil
 }
 
-// DecodeBinary reconstructs a graph from its EncodeBinary form, enforcing
-// the same structural invariants as the JSON Decode. Failure modes are
+// DecodeBinary reconstructs a graph from its EncodeBinary form and
+// validates its structural invariants before returning it. Failure modes are
 // distinct and strict: wrong magic, version skew, truncation, non-zero
 // unknown flags, and trailing garbage each fail with a named error rather
 // than a best-effort graph.

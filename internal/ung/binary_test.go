@@ -3,6 +3,8 @@ package ung
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"os"
 	"testing"
 )
 
@@ -19,56 +21,59 @@ func TestBinaryRoundTrip(t *testing.T) {
 	assertGraphsIdentical(t, g, back)
 }
 
-// TestBinaryJSONEquivalence proves binary⇄JSON⇄graph identity: the two
-// codecs decode to identical graphs, and converting either way reproduces
-// the other encoding byte for byte. This is the contract that lets the
-// modelstore switch its default format while older JSON snapshots keep
-// loading.
-func TestBinaryJSONEquivalence(t *testing.T) {
-	g, _ := ripDemo(t)
-	jsonData, err := Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binData, err := EncodeBinary(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := Decode(jsonData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := DecodeBinary(binData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsIdentical(t, fromJSON, fromBin)
+// goldenPath holds the checked-in EncodeBinary output of the demo
+// application's graph. It pins the on-disk format: an unintentional
+// encoding change breaks every snapshot already on disk (modelstore would
+// silently re-rip), so a deliberate format change must bump BinaryVersion
+// or modelstore.SnapshotVersion and regenerate this file
+// (UPDATE_GOLDEN=1 go test ./internal/ung -run TestSnapshotGolden).
+const goldenPath = "testdata/demo_snapshot.golden.ungb"
 
-	// JSON → graph → binary reproduces the binary bytes, and vice versa.
-	binAgain, err := EncodeBinary(fromJSON)
+var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
+
+// TestSnapshotGolden pins the binary snapshot both ways: encoding the ripped
+// demo graph reproduces the committed bytes (and so their size, the
+// modelstore's budget cost), and decoding the committed bytes yields a graph
+// identical to the ripped one.
+func TestSnapshotGolden(t *testing.T) {
+	g, _ := ripDemo(t)
+	data, err := EncodeBinary(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(binAgain, binData) {
-		t.Error("JSON→graph→binary did not reproduce the binary encoding")
+	if updateGolden {
+		if err := os.WriteFile(goldenPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	jsonAgain, err := Encode(fromBin)
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("golden file missing (set UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Errorf("snapshot encoding (%d B) drifted from the %d-byte golden file; if intentional, "+
+			"bump the snapshot version and regenerate with UPDATE_GOLDEN=1", len(data), len(want))
+	}
+	back, err := DecodeBinary(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(jsonAgain, jsonData) {
-		t.Error("binary→graph→JSON did not reproduce the JSON encoding")
-	}
+	assertGraphsIdentical(t, g, back)
 }
 
-// TestBinarySmallerThanJSON pins the codec's reason to exist: the binary
-// snapshot must be at least 30% smaller than the JSON one (the modelstore
-// budget multiplier the switch buys). The demo graph is representative —
-// short ids, sparse descriptions — so if this ratio regresses, real
-// catalogs regress too.
+// TestBinarySmallerThanJSON: the binary snapshot stays well under a plain
+// JSON rendering of the same graph (every node, in discovery order, with
+// its edge lists), the compactness the modelstore's byte budget relies on.
 func TestBinarySmallerThanJSON(t *testing.T) {
 	g, _ := ripDemo(t)
-	jsonData, err := Encode(g)
+	nodes := make([]*Node, 0, len(g.Order))
+	for _, id := range g.Order {
+		nodes = append(nodes, g.Nodes[id])
+	}
+	jsonData, err := json.Marshal(struct {
+		App   string
+		Nodes []*Node
+	}{g.App, nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +187,12 @@ func TestBinaryDecodeFailureModes(t *testing.T) {
 	})
 }
 
-// FuzzSnapshotBinaryDecode hardens the binary codec the same way FuzzDecode
-// hardens the JSON one: DecodeBinary must never panic on corrupt input, and
-// anything it accepts must be structurally valid and survive a binary round
-// trip unchanged. The committed corpus under
-// testdata/fuzz/FuzzSnapshotBinaryDecode is replayed by plain `go test`.
+// FuzzSnapshotBinaryDecode hardens the snapshot codec against corrupt
+// on-disk snapshots (the modelstore path that falls back to a fresh rip):
+// DecodeBinary must never panic on corrupt input, and anything it accepts
+// must be structurally valid and survive a round trip unchanged. The
+// committed corpus under testdata/fuzz/FuzzSnapshotBinaryDecode is replayed
+// by plain `go test`.
 func FuzzSnapshotBinaryDecode(f *testing.F) {
 	app := demoApp()
 	g, _, err := Rip(app, Config{})

@@ -30,24 +30,25 @@ var catalogFactories = []struct {
 }
 
 // catalogGolden pins the simulated cost of ripping each catalog app: the
-// sequential rip's Stats (simulated clock included) and its graph's
-// EncodeBinary digest, plus the 4-worker rip's click and snapshot totals
-// and its simulated clock (seeding plus the 4-worker makespan, a function
-// of the graph alone). Capture-path optimisations must leave every figure
-// unchanged.
+// sequential rip's Stats (simulated clock included), its graph's
+// EncodeBinary digest and size in bytes (the modelstore's budget cost),
+// plus the 4-worker rip's click and snapshot totals and its simulated clock
+// (seeding plus the 4-worker makespan, a function of the graph alone).
+// Capture-path optimisations must leave every figure unchanged.
 var catalogGolden = map[string]struct {
 	nodes, edges, explored, skipped, blocked int
 	clicks, snapshots                        int
 	simulated                                time.Duration
 	sha256                                   string
+	bytes                                    int
 	par4Clicks, par4Snapshots                int
 	par4Simulated                            time.Duration
 }{
-	"Word":       {3798, 3808, 3609, 186, 2, 11810, 15423, 3258250 * time.Millisecond, "343c3eff955bc4663ce86d3373348ff55e989b8779756d9f79a43a1b5361990e", 11810, 15423, 815020 * time.Millisecond},
-	"Excel":      {3681, 3698, 3497, 181, 2, 9440, 12941, 2696350 * time.Millisecond, "18341748bea5812ae929a8ec04b3b9bad0cd8d266bda56045c15732ad491072a", 9440, 12941, 674500 * time.Millisecond},
-	"PowerPoint": {3475, 3482, 3306, 164, 4, 9261, 12573, 2626830 * time.Millisecond, "407d5e22fe2845945443c3c1314550092185c1d7bd67924bf072736c90d0aece", 9261, 12573, 657110 * time.Millisecond},
-	"Settings":   {558, 558, 429, 126, 2, 1162, 1594, 332060 * time.Millisecond, "fbb56af8b78bce8dbe397d007aa8a9ba5d8c3908962d3391b3e7828721516b42", 1162, 1594, 83360 * time.Millisecond},
-	"Files":      {297, 348, 201, 93, 2, 410, 614, 124900 * time.Millisecond, "fb313ee2b706bafae0b5a8ac05f120c998dabcd540305c1822fa374fed8bcbc2", 410, 614, 31570 * time.Millisecond},
+	"Word":       {3798, 3808, 3609, 186, 2, 11810, 15423, 3258250 * time.Millisecond, "343c3eff955bc4663ce86d3373348ff55e989b8779756d9f79a43a1b5361990e", 365838, 11810, 15423, 815020 * time.Millisecond},
+	"Excel":      {3681, 3698, 3497, 181, 2, 9440, 12941, 2696350 * time.Millisecond, "18341748bea5812ae929a8ec04b3b9bad0cd8d266bda56045c15732ad491072a", 344655, 9440, 12941, 674500 * time.Millisecond},
+	"PowerPoint": {3475, 3482, 3306, 164, 4, 9261, 12573, 2626830 * time.Millisecond, "407d5e22fe2845945443c3c1314550092185c1d7bd67924bf072736c90d0aece", 350505, 9261, 12573, 657110 * time.Millisecond},
+	"Settings":   {558, 558, 429, 126, 2, 1162, 1594, 332060 * time.Millisecond, "fbb56af8b78bce8dbe397d007aa8a9ba5d8c3908962d3391b3e7828721516b42", 61996, 1162, 1594, 83360 * time.Millisecond},
+	"Files":      {297, 348, 201, 93, 2, 410, 614, 124900 * time.Millisecond, "fb313ee2b706bafae0b5a8ac05f120c998dabcd540305c1822fa374fed8bcbc2", 25601, 410, 614, 31570 * time.Millisecond},
 }
 
 func TestCatalogRipStatsGolden(t *testing.T) {
@@ -73,15 +74,8 @@ func TestCatalogRipStatsGolden(t *testing.T) {
 			if sum := sha256.Sum256(bin); hex.EncodeToString(sum[:]) != want.sha256 {
 				t.Errorf("graph digest = %x, want %s", sum, want.sha256)
 			}
-			// The binary codec must stay at most 0.7× the JSON reference
-			// codec's size (measured ~0.37 on every catalog app); a per-app
-			// bound implies the catalog-wide one.
-			js, err := Encode(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ratio := float64(len(bin)) / float64(len(js)); ratio > 0.7 {
-				t.Errorf("binary snapshot is %d B, %.3f× the JSON encoding's %d B; want ≤ 0.7×", len(bin), ratio, len(js))
+			if len(bin) != want.bytes {
+				t.Errorf("snapshot is %d B, want %d B", len(bin), want.bytes)
 			}
 
 			_, pst, err := RipParallel(app.new, Config{}, 4)
