@@ -11,20 +11,18 @@
 //
 // Usage:
 //
-//	dmi-coord -replicas http://a:8480,http://b:8480 [-taskpack FILE] [-runs 3] [-inflight 4] [-batch 16] [-wait 3m]
+//	dmi-coord -replicas http://a:8480,http://b:8480 [-taskpack FILE] [-runs 3] [-inflight 4] [-wait 3m]
 //	dmi-coord -membership FILE [-soak 10m -rate 20] ...
 //
 // Exactly one of -replicas (fixed fleet) or -membership (elastic fleet: one
 // base URL per line, re-read on SIGHUP so replicas join and leave mid-run)
-// selects the fleet. Cells are fed as fleet capacity frees up (live
-// replicas × -inflight × -batch), so concurrency follows failures,
-// recoveries, joins, and leaves. -soak replaces the single grid
-// pass with a sustained open-loop load (cell arrivals on a fixed-rate
-// clock) and ends with a one-line `soak done` summary on stderr — latency
-// percentiles, failures and recovery counts — the line CI's recovery gate
-// greps. -batch coalesces up to N cells into one envelope; at the default
-// -batch 1 every cell is its own one-cell envelope on the same route.
-// -pprof serves net/http/pprof profiles on a second listener for
+// selects the fleet. Every cell travels as its own one-cell envelope. Cells
+// are fed as fleet capacity frees up (live replicas × -inflight), so
+// concurrency follows failures, recoveries, joins, and leaves. -soak
+// replaces the single grid pass with a sustained open-loop load (cell
+// arrivals on a fixed-rate clock) and ends with a one-line `soak done`
+// summary on stderr — latency percentiles, failures and recovery counts —
+// the line CI's recovery gate greps. -pprof serves net/http/pprof profiles on a second listener for
 // production profiling.
 //
 // The evaluation report goes to stdout (same sections, same bytes as
@@ -97,7 +95,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	packFile := fs.String("taskpack", "", "task pack JSON to resolve cells from (default: the built-in osworld-w grid); every replica must serve the same pack")
 	runs := fs.Int("runs", 3, "seeded repetitions per task (paper: 3)")
 	inflight := fs.Int("inflight", 4, "max cells in flight per replica")
-	batch := fs.Int("batch", 1, "coalesce up to this many cells per POST /v1/cells envelope (1 = one cell per envelope)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	// The default matches RemoteOptions' own: sized to outlast the slowest
 	// legitimate cell (max runs on a cold model), comfortably inside
@@ -142,10 +139,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		fmt.Fprintf(stderr, "dmi-coord: -timeout %s must be positive\n", *timeout)
 		return errUsage
 	}
-	if *batch < 1 || *batch > serveproto.MaxBatchCells {
-		fmt.Fprintf(stderr, "dmi-coord: -batch %d must be in [1, %d]\n", *batch, serveproto.MaxBatchCells)
-		return errUsage
-	}
 	var replicas []string
 	if *membershipFile != "" {
 		var err error
@@ -174,7 +167,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 	rd, err := bench.NewRemoteDispatcher(replicas, bench.RemoteOptions{
 		InFlight:      *inflight,
-		Batch:         *batch,
 		Client:        &http.Client{Timeout: *timeout},
 		Pack:          reg.Name(),
 		PackHash:      reg.Hash(),
@@ -217,12 +209,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 
 	cells := bench.GridCellsIn(reg, *runs)
-	mode := "paced by fleet capacity"
-	if *batch > 1 {
-		mode += fmt.Sprintf(", batching ≤%d cells/request", *batch)
-	}
-	fmt.Fprintf(stderr, "dmi-coord: dispatching %d cells (%d settings × %d tasks, %d runs each) from pack %s across %d replicas (%s), ≤%d in flight each…\n",
-		len(cells), len(bench.Matrix()), len(cells)/len(bench.Matrix()), *runs, reg.Name(), len(rd.Live()), mode, *inflight)
+	fmt.Fprintf(stderr, "dmi-coord: dispatching %d cells (%d settings × %d tasks, %d runs each) from pack %s across %d replicas (paced by fleet capacity), ≤%d in flight each…\n",
+		len(cells), len(bench.Matrix()), len(cells)/len(bench.Matrix()), *runs, reg.Name(), len(rd.Live()), *inflight)
 	start := time.Now()
 	rep, err := bench.RunDispatchedIn(ctx, reg, rd, *runs, 0)
 	if err != nil {

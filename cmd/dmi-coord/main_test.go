@@ -56,13 +56,12 @@ func TestBadFlagIsAnError(t *testing.T) {
 	if !strings.Contains(errb.String(), "must be positive with -soak") {
 		t.Errorf("bad-rate message absent from stderr:\n%s", errb.String())
 	}
-	for _, batch := range []string{"0", "-2", fmt.Sprint(serveproto.MaxBatchCells + 1)} {
-		if err := run([]string{"-replicas", "http://a:1", "-batch", batch}, &out, &errb); !errors.Is(err, errUsage) {
-			t.Fatalf("-batch %s should be a usage error, got %v", batch, err)
-		}
+	// Every cell travels as its own one-cell envelope; there is no -batch.
+	if err := run([]string{"-replicas", "http://a:1", "-batch", "8"}, &out, &errb); !errors.Is(err, errUsage) {
+		t.Fatalf("-batch 8 should be a usage error, got %v", err)
 	}
-	if !strings.Contains(errb.String(), "-batch") {
-		t.Errorf("bad-batch message absent from stderr:\n%s", errb.String())
+	if !strings.Contains(errb.String(), "flag provided but not defined: -batch") {
+		t.Errorf("unknown-flag message for -batch absent from stderr:\n%s", errb.String())
 	}
 	// -inflight 0 would size the fan-out to zero and -timeout 0 would leave
 	// the client without a timeout; both fail at flag parse.
@@ -133,7 +132,7 @@ func (rp *replica) handler() http.Handler {
 			http.Error(w, "injected outage", http.StatusInternalServerError)
 			return
 		}
-		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: len(agent.AppNames()), Proto: serveproto.ProtoV1})
+		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: len(agent.AppNames())})
 	})
 	mux.HandleFunc(serveproto.PathStats, func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(serveproto.StatsResponse{
@@ -248,53 +247,12 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 			t.Errorf("coordination telemetry missing %q:\n%s", fragment, errb.String())
 		}
 	}
-	// The default -batch 1 sends every cell as its own one-cell envelope.
+	// Every cell travels as its own one-cell envelope.
 	if calls := a.batchCalls.Load() + b.batchCalls.Load(); calls != cells {
 		t.Errorf("%d cells travelled in %d envelopes, want one per cell", cells, calls)
 	}
 	if n := max(a.maxEnvelope.Load(), b.maxEnvelope.Load()); n != 1 {
-		t.Errorf("an envelope carried %d cells at -batch 1, want 1", n)
-	}
-}
-
-// TestCoordinatorBatchedByteIdentical: -batch coalesces cells into
-// multi-cell /v1/cells envelopes, names the batch factor in the telemetry,
-// and still emits the byte-identical report — batching is a transport
-// optimization, never a semantic change.
-func TestCoordinatorBatchedByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-catalog modeling plus full-grid fan-out")
-	}
-	models, want := groundTruth(t)
-	a := &replica{models: models, failAfter: -1}
-	b := &replica{models: models, failAfter: -1}
-	srvA, srvB := httptest.NewServer(a.handler()), httptest.NewServer(b.handler())
-	defer srvA.Close()
-	defer srvB.Close()
-
-	var out, errb bytes.Buffer
-	err := run([]string{
-		"-replicas", srvA.URL + "," + srvB.URL,
-		"-runs", "1",
-		"-batch", "8",
-	}, &out, &errb)
-	if err != nil {
-		t.Fatalf("batched coordinator failed: %v\nstderr:\n%s", err, errb.String())
-	}
-	if out.String() != want {
-		t.Error("batched coordinator report is not byte-identical to in-process bench.Run")
-	}
-	cells := int64(len(bench.GridCellsIn(taskpack.Builtin(), 1)))
-	if total := a.served.Load() + b.served.Load(); total != cells {
-		t.Errorf("replicas served %d cells, want %d", total, cells)
-	}
-	if max(a.maxEnvelope.Load(), b.maxEnvelope.Load()) < 2 {
-		t.Error("no envelope ever carried more than one cell")
-	}
-	for _, fragment := range []string{"batching ≤8 cells/request", "cells/s), 0 re-dispatches"} {
-		if !strings.Contains(errb.String(), fragment) {
-			t.Errorf("telemetry missing %q:\n%s", fragment, errb.String())
-		}
+		t.Errorf("an envelope carried %d cells, want 1", n)
 	}
 }
 

@@ -119,7 +119,7 @@ type ripServer struct {
 func (rs *ripServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == serveproto.PathHealthz {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: len(agent.AppNames()), Proto: serveproto.ProtoV1})
+		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: len(agent.AppNames())})
 		return
 	}
 	if r.URL.Path != serveproto.PathRip || r.Method != http.MethodPost {

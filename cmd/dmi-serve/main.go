@@ -334,9 +334,6 @@ func (s *server) rejectPackMismatch(w http.ResponseWriter, pack, packHash string
 // The pack handshake is the caller's, not runCellRequest's.
 func (s *server) runCellRequest(req serveproto.SessionRequest) (*serveproto.SessionResponse, int, string) {
 	runs := req.Runs
-	if runs <= 0 {
-		runs = 1
-	}
 	if runs > serveproto.MaxRuns {
 		return nil, http.StatusBadRequest, fmt.Sprintf("runs %d exceeds the %d cap", runs, serveproto.MaxRuns)
 	}
@@ -415,8 +412,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// means ready.
 	writeJSON(w, serveproto.Health{
 		OK: true, Apps: len(agent.AppNames()),
-		Proto: serveproto.ProtoV1,
-		Pack:  s.reg.Name(), PackHash: s.reg.Hash(),
+		Pack: s.reg.Name(), PackHash: s.reg.Hash(),
 		Instance: s.instance,
 	})
 }

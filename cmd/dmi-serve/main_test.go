@@ -163,7 +163,7 @@ func TestServeDaemon(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK || !hz.OK || hz.Apps != len(agent.AppNames()) || hz.Proto != serveproto.ProtoV1 {
+		if resp.StatusCode != http.StatusOK || !hz.OK || hz.Apps != len(agent.AppNames()) {
 			t.Fatalf("healthz: status %d, body %+v", resp.StatusCode, hz)
 		}
 		if hz.Instance == "" {
@@ -512,16 +512,15 @@ func TestRouteSets(t *testing.T) {
 		}
 	}
 
-	// The health route serves the readiness body with the protocol
-	// generation.
+	// The health route serves the readiness body with the pack identity.
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, serveproto.PathHealthz, nil))
 	var hz serveproto.Health
 	if err := json.Unmarshal(rec.Body.Bytes(), &hz); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Code != http.StatusOK || !hz.OK || hz.Proto != serveproto.ProtoV1 {
-		t.Errorf("GET %s: status %d, body %+v — want 200 with proto %d", serveproto.PathHealthz, rec.Code, hz, serveproto.ProtoV1)
+	if reg := taskpack.Builtin(); rec.Code != http.StatusOK || !hz.OK || hz.Pack != reg.Name() || hz.PackHash != reg.Hash() {
+		t.Errorf("GET %s: status %d, body %+v — want 200, ready, serving pack %s", serveproto.PathHealthz, rec.Code, hz, reg.Name())
 	}
 }
 
@@ -623,13 +622,14 @@ func TestBatchValidation(t *testing.T) {
 		t.Errorf("409 body is not a PackMismatch: %v %s", err, rec.Body.String())
 	}
 
-	// Per-cell independence: an unknown task, an over-cap runs count, and a
-	// cell-level pack mismatch ride one batch and each get their own status
-	// — the batch itself is 200.
+	// Per-cell independence: an unknown task, an over-cap runs count, a
+	// cell-level pack mismatch and a zero runs count ride one batch and each
+	// get their own status — the batch itself is 200.
 	rec = post(serveproto.BatchRequest{Cells: []serveproto.SessionRequest{
 		{Task: "no-such-task", Setting: "GUI+DMI / GPT-5 / Medium", Runs: 1},
 		{Task: "word-replace", Setting: "D-M", Runs: serveproto.MaxRuns + 1},
 		{Task: "word-replace", Setting: "D-M", Runs: 1, Pack: "custom"},
+		{Task: "word-replace", Setting: "GUI+DMI / GPT-5 / Medium", Runs: 0},
 	}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mixed batch: status %d, want 200; %s", rec.Code, rec.Body.String())
@@ -638,7 +638,7 @@ func TestBatchValidation(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{http.StatusNotFound, http.StatusBadRequest, http.StatusConflict}
+	want := []int{http.StatusNotFound, http.StatusBadRequest, http.StatusConflict, http.StatusBadRequest}
 	if len(br.Results) != len(want) {
 		t.Fatalf("%d results for %d cells", len(br.Results), len(want))
 	}

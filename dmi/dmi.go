@@ -289,7 +289,9 @@ type BenchReport = bench.Report
 type RemoteDispatcher = bench.RemoteDispatcher
 
 // RemoteOptions tunes a RemoteDispatcher (per-replica in-flight cap, HTTP
-// client, recovery-probe cadence, event logging).
+// client, pack handshake, recovery-probe cadence, event logging). Every
+// cell travels as its own one-cell envelope; Batch coalesces rip frames
+// for the distributed rip only, and NewRemoteDispatcher rejects Batch > 1.
 type RemoteOptions = bench.RemoteOptions
 
 // NewRemoteDispatcher validates the replica base URLs and builds a

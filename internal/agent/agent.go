@@ -62,7 +62,8 @@ type Config struct {
 	// CoreOpt configures the DMI executor (robustness ablations).
 	CoreOpt core.Options
 	// TopologyMissRate injects offline-model staleness (paper §6,
-	// (In)accurate navigation topology). Default 0.02.
+	// (In)accurate navigation topology). Zero means the default, 0.06; a
+	// negative rate disables injection.
 	TopologyMissRate float64
 }
 

@@ -306,15 +306,10 @@ type RemoteOptions struct {
 	// Empty values skip the handshake.
 	Pack     string
 	PackHash string
-	// Batch, when > 1, coalesces up to that many concurrent dispatches into
-	// one POST /v1/cells envelope (clamped to serveproto.MaxBatchCells);
-	// otherwise every cell is its own one-cell envelope. It stays an option
-	// rather than always-on because coalescing trades a linger delay
-	// (batchLinger) for fewer round trips, which only pays at high cell
-	// rates. Either way the wire path and the retry/failover loop
-	// (failover) are the same, so reports stay byte-identical. A batch
-	// occupies one of its replica's in-flight slots, so Capacity counts the
-	// batch factor.
+	// Batch is read by NewRemoteExpander only: it coalesces up to that many
+	// rip frames per POST /v1/rip envelope (see ripshard.go). A
+	// RemoteDispatcher sends every cell as its own one-cell envelope and
+	// NewRemoteDispatcher rejects Batch > 1.
 	Batch int
 	// ProbeInterval is the base delay between half-open /v1/healthz probes of
 	// a down-marked replica (default 1s; negative disables probing, which
@@ -340,9 +335,7 @@ type RemoteOptions struct {
 // marking anything down, since every replica would reject it identically.
 // failover holds the whole verdict table.
 //
-// Every cell travels in a POST /v1/cells envelope: one cell per envelope by
-// default, or up to RemoteOptions.Batch concurrent dispatches coalesced into
-// one (see batch.go).
+// Every cell travels as a one-cell POST /v1/cells envelope (see batch.go).
 //
 // A down-mark is detection, not a death sentence: a half-open prober polls
 // the replica's /v1/healthz on a jittered backoff and returns it to rotation
@@ -360,11 +353,7 @@ type RemoteDispatcher struct {
 	probeMax    time.Duration
 	logf        func(string, ...any)
 
-	batch  int            // max cells per /v1/cells call; <= 1 disables batching
-	linger time.Duration  // how long the collector holds an underfull batch open
-	batchQ chan *cellItem // unbuffered hand-off to the collector (nil when not batching)
-
-	done      chan struct{} // closed by Close; stops probers and the batch collector
+	done      chan struct{} // closed by Close; stops the probers
 	closeOnce sync.Once
 
 	mu       sync.Mutex
@@ -412,6 +401,9 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 	if len(baseURLs) == 0 {
 		return nil, errors.New("bench: remote dispatcher needs at least one replica")
 	}
+	if opt.Batch > 1 {
+		return nil, fmt.Errorf("bench: RemoteOptions.Batch %d: a remote dispatcher sends one cell per envelope (Batch coalesces rip frames only)", opt.Batch)
+	}
 	inflight := opt.InFlight
 	if inflight <= 0 {
 		inflight = 4
@@ -431,10 +423,6 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	batch := opt.Batch
-	if batch > serveproto.MaxBatchCells {
-		batch = serveproto.MaxBatchCells
-	}
 	d := &RemoteDispatcher{
 		client:      client,
 		probeClient: &http.Client{Timeout: probeTimeout},
@@ -444,16 +432,8 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 		probeBase:   probeBase,
 		probeMax:    max(probeBackoffCap, probeBase),
 		logf:        logf,
-		batch:       batch,
-		linger:      batchLinger,
 		done:        make(chan struct{}),
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
-	if batch > 1 {
-		// Unbuffered: a cell is handed over only while the collector is
-		// receiving, so none can park in a buffer the collector has
-		// stopped draining (see Dispatch).
-		d.batchQ = make(chan *cellItem)
 	}
 	seen := make(map[string]bool)
 	for _, raw := range baseURLs {
@@ -467,54 +447,31 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 		seen[base] = true
 		d.replicas = append(d.replicas, &replica{base: base, slot: make(chan struct{}, inflight)})
 	}
-	if d.batchQ != nil {
-		go d.collect()
-	}
 	return d, nil
 }
 
-// Close stops the dispatcher's background probers and, when batching, its
-// coalescing collector. In-flight Dispatch calls are unaffected (they carry
-// their own contexts; a dispatch racing Close sends its cell as a one-cell
-// envelope); after Close a down-marked replica stays down. Safe to call
-// more than once.
+// Close stops the dispatcher's background probers. In-flight and later
+// Dispatch calls are unaffected (they carry their own contexts); after Close
+// a down-marked replica stays down. Safe to call more than once.
 func (d *RemoteDispatcher) Close() {
 	d.closeOnce.Do(func() { close(d.done) })
 }
 
-// Dispatch ships the cell to a live replica, re-dispatching on replica
-// failure until a replica answers or none are left. When batching is
-// enabled the cell is first handed to the coalescing collector so
-// concurrent dispatches share an envelope; otherwise — or once the
-// dispatcher is closed — it travels as a one-cell envelope through the
-// same failover loop on the caller's goroutine.
+// Dispatch ships the cell as a one-cell envelope to a live replica through
+// failover on the caller's goroutine, re-dispatching on replica failure
+// until a replica answers or none are left.
 func (d *RemoteDispatcher) Dispatch(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
 	if cell.Runs <= 0 {
-		// The daemon would coerce runs<=0 to 1 and the response would then
-		// fail the cell contract, reading as a replica failure — reject the
-		// cell before it can down-mark healthy replicas.
+		// Every replica rejects such a cell with ResolveCellIn's 400; fail
+		// it here without the round trip.
 		return nil, fmt.Errorf("runs %d must be positive", cell.Runs)
 	}
-	it := &cellItem{ctx: ctx, cell: cell, res: make(chan cellResult, 1)}
-	if d.batchQ != nil {
-		select {
-		case d.batchQ <- it:
-			select {
-			case r := <-it.res:
-				return r.outcomes, r.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		case <-d.done:
-			// Closed: the collector is gone (or going), so the cell
-			// travels alone.
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	failover(ctx, d, []*cellItem{it}, d.postBatch, (*cellItem).deliver)
-	r := <-it.res
-	return r.outcomes, r.err
+	var outcomes []agent.Outcome
+	var err error
+	failover(ctx, d, []Cell{cell}, d.postBatch, func(_ Cell, o []agent.Outcome, e error) {
+		outcomes, err = o, e
+	})
+	return outcomes, err
 }
 
 // answer is one item's share of an envelope's response: its result, or the
@@ -525,9 +482,8 @@ type answer[R any] struct {
 }
 
 // failover is the one retry loop behind every remote envelope — a lone
-// cell, a coalesced cell batch, a batch of rip frames. It acquires a live
-// replica, has post send the items to it as one envelope, and applies one
-// verdict table to the answer:
+// cell, a batch of rip frames. It acquires a live replica, has post send the
+// items to it as one envelope, and applies one verdict table to the answer:
 //
 //   - An item answered without error is counted on the replica and
 //     delivered; an item answered with a *requestError (its own 4xx) is

@@ -248,9 +248,6 @@ type testReplica struct {
 	// conflictBody, when set, answers every envelope with 409 and this raw
 	// body — the misclassification cases (proxy page, zero-valued JSON).
 	conflictBody string
-	// maxCells, when > 0, answers 400 to envelopes carrying more cells —
-	// a replica refusing the envelope as a whole.
-	maxCells int
 	// probesToRecover lifts the failAfter injection once this many
 	// /v1/healthz probes have arrived (0 = the outage is permanent).
 	probesToRecover int64
@@ -263,7 +260,6 @@ type testReplica struct {
 	recovered        atomic.Bool  // failure injection lifted by a probe
 	servedAtRecovery atomic.Int64 // cells served when recovery happened
 	batchCalls       atomic.Int64 // POST /v1/cells envelopes received
-	batchCells       atomic.Int64 // cells delivered inside those envelopes
 	maxEnvelope      atomic.Int64 // most cells seen in one envelope
 	badHeaders       atomic.Int64 // envelopes whose size header disagreed with their cell count
 }
@@ -303,7 +299,7 @@ func (tr *testReplica) serveHealthz(w http.ResponseWriter) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: 1, Proto: serveproto.ProtoV1, Instance: tr.instance})
+	json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: 1, Instance: tr.instance})
 }
 
 // serveCells answers POST /v1/cells with the daemon's per-cell semantics:
@@ -327,12 +323,7 @@ func (tr *testReplica) serveCells(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if tr.maxCells > 0 && len(req.Cells) > tr.maxCells {
-		http.Error(w, "envelope too large", http.StatusBadRequest)
-		return
-	}
 	tr.batchCalls.Add(1)
-	tr.batchCells.Add(int64(len(req.Cells)))
 	for n := int64(len(req.Cells)); ; {
 		cur := tr.maxEnvelope.Load()
 		if n <= cur || tr.maxEnvelope.CompareAndSwap(cur, n) {
@@ -521,8 +512,8 @@ func TestRemoteDispatcherEquivalence(t *testing.T) {
 	}
 }
 
-// TestRemoteDispatcherOneCellEnvelopes pins the single wire path: an
-// unbatched dispatcher sends every cell as exactly one POST /v1/cells
+// TestRemoteDispatcherOneCellEnvelopes pins the single wire path: the
+// dispatcher sends every cell as exactly one POST /v1/cells
 // carrying that one cell and declaring it in the size header — through a
 // mid-grid replica failure too — and the retry ledger balances.
 func TestRemoteDispatcherOneCellEnvelopes(t *testing.T) {
@@ -568,7 +559,7 @@ func TestRemoteDispatcherOneCellEnvelopes(t *testing.T) {
 // the surviving replica, and the final report still matches the sequential
 // one byte-for-byte (CI runs this under -race). The replica fails either
 // whole envelopes with a 5xx or each cell with a 5xx inside a 200
-// envelope, under one-cell and multi-cell envelopes alike.
+// envelope.
 func TestRemoteDispatcherFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation over HTTP")
@@ -577,16 +568,14 @@ func TestRemoteDispatcherFailover(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		cellFailures bool
-		batch        int
 	}{
-		{"envelope 5xx", false, 0},
-		{"cell 5xx", true, 0},
-		{"cell 5xx batched", true, 4},
+		{"envelope 5xx", false},
+		{"cell 5xx", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			flaky := &testReplica{models: models, failAfter: 10, cellFailures: tc.cellFailures} // dies after 10 cells
 			healthy := &testReplica{models: models, failAfter: -1}
-			rd, err := NewRemoteDispatcher(startReplicas(t, flaky, healthy), RemoteOptions{InFlight: 4, Batch: tc.batch})
+			rd, err := NewRemoteDispatcher(startReplicas(t, flaky, healthy), RemoteOptions{InFlight: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -630,45 +619,38 @@ func TestRemoteDispatcherFailover(t *testing.T) {
 
 // TestRemoteDispatcherHangingReplica: a wedged replica (accepts, never
 // answers) must be timed out by the client, marked down, and its cells
-// re-dispatched — the report still matches, under one-cell and multi-cell
-// envelopes alike.
+// re-dispatched — the report still matches.
 func TestRemoteDispatcherHangingReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation over HTTP")
 	}
 	models, rep := sharedReport(t)
-	for _, batch := range []int{0, 4} {
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			hung := &testReplica{models: models, hang: true, release: make(chan struct{})}
-			// Unblock the wedged handlers before the t.Cleanup server
-			// shutdowns run (defers fire first), so Close doesn't wait on
-			// them.
-			defer close(hung.release)
-			healthy := &testReplica{models: models, failAfter: -1}
-			rd, err := NewRemoteDispatcher(startReplicas(t, hung, healthy), RemoteOptions{
-				InFlight: 4,
-				Batch:    batch,
-				Client:   &http.Client{Timeout: 2 * time.Second},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rd.Close()
-			got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
-			if err != nil {
-				t.Fatalf("hang detection should absorb the wedged replica: %v", err)
-			}
-			if renderAll(models, got) != renderAll(models, rep) {
-				t.Fatal("report after hang failover differs from sequential in-process run")
-			}
-			if rd.Retries() < 1 {
-				t.Error("timed-out cells were never re-dispatched")
-			}
-			checkRetryLedger(t, rd)
-			if stats := rd.Stats(); !stats[0].Down {
-				t.Errorf("hung replica not marked down: %+v", stats[0])
-			}
-		})
+	hung := &testReplica{models: models, hang: true, release: make(chan struct{})}
+	// Unblock the wedged handlers before the t.Cleanup server shutdowns run
+	// (defers fire first), so Close doesn't wait on them.
+	defer close(hung.release)
+	healthy := &testReplica{models: models, failAfter: -1}
+	rd, err := NewRemoteDispatcher(startReplicas(t, hung, healthy), RemoteOptions{
+		InFlight: 4,
+		Client:   &http.Client{Timeout: 2 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
+	if err != nil {
+		t.Fatalf("hang detection should absorb the wedged replica: %v", err)
+	}
+	if renderAll(models, got) != renderAll(models, rep) {
+		t.Fatal("report after hang failover differs from sequential in-process run")
+	}
+	if rd.Retries() < 1 {
+		t.Error("timed-out cells were never re-dispatched")
+	}
+	checkRetryLedger(t, rd)
+	if stats := rd.Stats(); !stats[0].Down {
+		t.Errorf("hung replica not marked down: %+v", stats[0])
 	}
 }
 
@@ -695,8 +677,7 @@ func TestRemoteDispatcherAllDown(t *testing.T) {
 // TestRemoteDispatcherBadRequestIsFinal: a 4xx is the request's fault; it
 // must surface immediately without downing the replica — whether the cell
 // itself is rejected inside a 200 envelope or the replica refuses every
-// envelope (one without the /v1 surface answers 404), and whether the cell
-// travels alone or coalesced.
+// envelope (one without the /v1 surface answers 404).
 func TestRemoteDispatcherBadRequestIsFinal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts HTTP servers")
@@ -714,34 +695,32 @@ func TestRemoteDispatcherBadRequestIsFinal(t *testing.T) {
 		{"envelope 404", http.NotFoundHandler(), valid, "status 404"},
 	}
 	for _, tc := range cases {
-		for _, batch := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%s/batch=%d", tc.name, batch), func(t *testing.T) {
-				srv := httptest.NewServer(tc.replica)
-				t.Cleanup(srv.Close)
-				rd, err := NewRemoteDispatcher([]string{srv.URL}, RemoteOptions{Batch: batch})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rd.Close()
-				_, err = rd.Dispatch(context.Background(), tc.cell)
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("the 4xx must surface as the cell's error (%q), got %v", tc.want, err)
-				}
-				if stats := rd.Stats(); stats[0].Down {
-					t.Error("a bad request must not down the replica")
-				}
-				if rd.Retries() != 0 {
-					t.Errorf("a bad request must not retry, got %d retries", rd.Retries())
-				}
-				checkRetryLedger(t, rd)
-			})
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(tc.replica)
+			t.Cleanup(srv.Close)
+			rd, err := NewRemoteDispatcher([]string{srv.URL}, RemoteOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rd.Close()
+			_, err = rd.Dispatch(context.Background(), tc.cell)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("the 4xx must surface as the cell's error (%q), got %v", tc.want, err)
+			}
+			if stats := rd.Stats(); stats[0].Down {
+				t.Error("a bad request must not down the replica")
+			}
+			if rd.Retries() != 0 {
+				t.Errorf("a bad request must not retry, got %d retries", rd.Retries())
+			}
+			checkRetryLedger(t, rd)
+		})
 	}
 }
 
 // TestRemoteDispatcherRejectsNonPositiveRuns: a runs<=0 cell must fail
-// before any replica contact — the daemon would coerce it to 1 and the
-// contract mismatch would read as a fleet-wide failure.
+// before any replica contact — every replica would answer it with the same
+// 400.
 func TestRemoteDispatcherRejectsNonPositiveRuns(t *testing.T) {
 	rd, err := NewRemoteDispatcher([]string{"http://127.0.0.1:1"}, RemoteOptions{})
 	if err != nil {
@@ -772,11 +751,75 @@ func TestNewRemoteDispatcherValidation(t *testing.T) {
 			t.Errorf("NewRemoteDispatcher(%q) accepted a bad replica list", urls)
 		}
 	}
-	rd, err := NewRemoteDispatcher([]string{"http://a:1/", "https://b:2"}, RemoteOptions{})
+	// Batch coalesces rip frames only; a dispatcher sends one cell per
+	// envelope and refuses the option rather than ignoring it.
+	if _, err := NewRemoteDispatcher([]string{"http://a:1"}, RemoteOptions{Batch: 2}); err == nil {
+		t.Error("NewRemoteDispatcher accepted RemoteOptions.Batch 2")
+	}
+	rd, err := NewRemoteDispatcher([]string{"http://a:1/", "https://b:2"}, RemoteOptions{Batch: 1})
 	if err != nil {
 		t.Errorf("valid replica list rejected: %v", err)
 	} else {
 		rd.Close()
 		rd.Close() // Close is idempotent
+	}
+}
+
+// TestRemoteDispatcherCapacity pins Capacity to the replicas in rotation
+// times the per-replica in-flight cap: a down-mark and a removal each take
+// one replica's share away.
+func TestRemoteDispatcherCapacity(t *testing.T) {
+	rd, err := NewRemoteDispatcher([]string{"http://a:1", "http://b:2", "http://c:3"}, RemoteOptions{InFlight: 3, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if got := rd.Capacity(); got != 9 {
+		t.Errorf("Capacity() = %d, want 3 replicas × 3 in flight", got)
+	}
+	rd.markDown(rd.snapshot()[0], errors.New("injected"))
+	if got := rd.Capacity(); got != 6 {
+		t.Errorf("Capacity() after a down-mark = %d, want 2 live replicas × 3 in flight", got)
+	}
+	if err := rd.RemoveReplica("http://b:2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := rd.Capacity(); got != 3 {
+		t.Errorf("Capacity() after a removal = %d, want 1 live replica × 3 in flight", got)
+	}
+}
+
+// TestDispatchRacingCloseReturns: Close only stops the probers, so Dispatch
+// calls racing it — before, during and after — must all return answered.
+func TestDispatchRacingCloseReturns(t *testing.T) {
+	urls := startRipReplicas(t, &verdictStub{})
+	for round := 0; round < 20; round++ {
+		rd, err := NewRemoteDispatcher(urls, RemoteOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 32; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := rd.Dispatch(context.Background(), Cell{Task: fmt.Sprintf("task-%d", i), Setting: "s", Runs: 1}); err != nil {
+					t.Errorf("dispatch racing Close: %v", err)
+				}
+			}()
+			if i == round {
+				rd.Close()
+			}
+		}
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Dispatch calls racing Close never returned", round)
+		}
 	}
 }

@@ -3,14 +3,12 @@ package bench
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/agent"
 	"repro/internal/serveproto"
@@ -117,18 +115,21 @@ type envelopeKind func(ctx context.Context, d *RemoteDispatcher, n int) []error
 
 var envelopeKinds = map[string]envelopeKind{
 	"cells": func(ctx context.Context, d *RemoteDispatcher, n int) []error {
-		items := make([]*cellItem, n)
-		for i := range items {
-			items[i] = &cellItem{cell: Cell{Task: fmt.Sprintf("task-%d", i), Setting: "s", Runs: 2}, res: make(chan cellResult, 1)}
+		cells := make([]Cell, n)
+		index := make(map[string]int, n)
+		for i := range cells {
+			cells[i] = Cell{Task: fmt.Sprintf("task-%d", i), Setting: "s", Runs: 2}
+			index[cells[i].Task] = i
 		}
-		failover(ctx, d, items, d.postBatch, (*cellItem).deliver)
 		errs := make([]error, n)
-		for i, it := range items {
-			r := <-it.res
-			if errs[i] = r.err; r.err == nil && len(r.outcomes) != 2 {
-				errs[i] = fmt.Errorf("%d outcomes delivered, want 2", len(r.outcomes))
+		// A refused multi-cell envelope is split and its cells delivered
+		// from concurrent goroutines, each to its own slot.
+		failover(ctx, d, cells, d.postBatch, func(c Cell, outcomes []agent.Outcome, err error) {
+			i := index[c.Task]
+			if errs[i] = err; err == nil && len(outcomes) != 2 {
+				errs[i] = fmt.Errorf("%d outcomes delivered, want 2", len(outcomes))
 			}
-		}
+		})
 		return errs
 	},
 	"rip frames": func(ctx context.Context, d *RemoteDispatcher, n int) []error {
@@ -225,79 +226,5 @@ func TestFailoverVerdictTable(t *testing.T) {
 				checkRetryLedger(t, d)
 			})
 		}
-	}
-}
-
-// TestBatchMateOfCancelledCallerAnswered: two callers share one envelope
-// and give up while it is in flight. A caller that gives up gets its ctx
-// error at once. While one caller still waits, the envelope is neither
-// aborted nor re-sent, and the batch-mate gets its answer from it; once both
-// have given up, the envelope is aborted. Neither case counts against the
-// replica.
-func TestBatchMateOfCancelledCallerAnswered(t *testing.T) {
-	for _, row := range []struct {
-		name    string
-		cancel  []bool // which callers give up
-		aborted int64
-	}{
-		{name: "one caller gives up", cancel: []bool{true, false}},
-		{name: "both callers give up", cancel: []bool{true, true}, aborted: 1},
-	} {
-		t.Run(row.name, func(t *testing.T) {
-			a := &verdictStub{hold: make(chan struct{}), entered: make(chan int, 4)}
-			rd := batchedDispatcher(t, startRipReplicas(t, a), RemoteOptions{Batch: 2, ProbeInterval: -1}, 2*time.Second)
-			errs := make([]error, 2)
-			done := make([]chan struct{}, 2)
-			cancels := make([]context.CancelFunc, 2)
-			for i := range cancels {
-				var ctx context.Context
-				ctx, cancels[i] = context.WithCancel(context.Background())
-				defer cancels[i]()
-				done[i] = make(chan struct{})
-				go func() {
-					defer close(done[i])
-					_, errs[i] = rd.Dispatch(ctx, Cell{Task: fmt.Sprintf("task-%d", i), Setting: "s", Runs: 1})
-				}()
-			}
-			if n := <-a.entered; n != 2 {
-				close(a.hold)
-				t.Fatalf("the envelope carried %d cells, want 2", n)
-			}
-			for i, c := range row.cancel {
-				if c {
-					cancels[i]()
-					<-done[i]
-				}
-			}
-			if row.aborted > 0 {
-				// Nobody waits for the envelope any more: it must end without
-				// the replica ever answering it.
-				deadline := time.Now().Add(5 * time.Second)
-				for a.aborted.Load() < row.aborted && time.Now().Before(deadline) {
-					time.Sleep(5 * time.Millisecond)
-				}
-			}
-			close(a.hold)
-			for i := range done {
-				<-done[i]
-			}
-			for i, c := range row.cancel {
-				switch {
-				case c && !errors.Is(errs[i], context.Canceled):
-					t.Errorf("caller %d gave up and got %v, want context.Canceled", i, errs[i])
-				case !c && errs[i] != nil:
-					t.Errorf("caller %d, the batch-mate of a caller that gave up, was not answered: %v", i, errs[i])
-				}
-			}
-			if n := a.aborted.Load(); n != row.aborted {
-				t.Errorf("%d envelopes aborted, want %d", n, row.aborted)
-			}
-			if n := a.envelopes.Load(); n != 1 {
-				t.Errorf("replica saw %d envelopes, want the one shared envelope", n)
-			}
-			if rd.Stats()[0].Down || rd.Retries() != 0 {
-				t.Errorf("a caller giving up must not count against the replica: %+v, %d retries", rd.Stats()[0], rd.Retries())
-			}
-		})
 	}
 }

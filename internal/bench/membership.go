@@ -108,10 +108,8 @@ func (d *RemoteDispatcher) Members() []string {
 }
 
 // Capacity reports how many cells the fleet can hold in flight right now:
-// the replicas in rotation times the per-replica in-flight cap times the
-// batch factor — an envelope of up to Batch cells occupies one slot, so
-// fewer cells in flight would ship underfull envelopes and leave replicas
-// idle. RunDispatchedIn at concurrency <= 0 polls it to pace the grid, so
+// the replicas in rotation times the per-replica in-flight cap.
+// RunDispatchedIn at concurrency <= 0 polls it to pace the grid, so
 // capacity tracks the fleet through failures, recoveries, joins, and leaves.
 func (d *RemoteDispatcher) Capacity() int {
 	n := 0
@@ -123,5 +121,5 @@ func (d *RemoteDispatcher) Capacity() int {
 			n++
 		}
 	}
-	return n * d.inflight * max(d.batch, 1)
+	return n * d.inflight
 }

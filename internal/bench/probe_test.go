@@ -88,8 +88,7 @@ func TestRemoteDispatcherRecovery(t *testing.T) {
 // well-formed PackMismatch body with its replica-side fields filled in is a
 // pack verdict. A proxy error page or a zero-valued JSON object arriving as
 // 409 is a broken backend — down-mark it and re-dispatch the cell, instead
-// of aborting the run with a bogus mismatch or a final request error. Each
-// case runs against one-cell and multi-cell envelopes alike.
+// of aborting the run with a bogus mismatch or a final request error.
 func TestRemoteDispatcher409Misclassification(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts HTTP servers")
@@ -104,58 +103,54 @@ func TestRemoteDispatcher409Misclassification(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, batch := range []int{0, 4} {
-				bad := &testReplica{models: models, failAfter: -1, conflictBody: tc.body}
-				good := &testReplica{models: models, failAfter: -1}
-				rd, err := NewRemoteDispatcher(startReplicas(t, bad, good), RemoteOptions{ProbeInterval: -1, Batch: batch})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rd.Close()
-				outcomes, err := rd.Dispatch(context.Background(), cell)
-				if err != nil {
-					t.Fatalf("batch=%d: malformed 409 must fail over, not abort: %v", batch, err)
-				}
-				if len(outcomes) != 1 {
-					t.Fatalf("batch=%d: %d outcomes from the failover, want 1", batch, len(outcomes))
-				}
-				stats := rd.Stats()
-				if !stats[0].Down {
-					t.Errorf("batch=%d: replica answering malformed 409s not marked down: %+v", batch, stats[0])
-				}
-				if stats[1].Down {
-					t.Errorf("batch=%d: healthy failover replica wrongly down: %+v", batch, stats[1])
-				}
-				if rd.Retries() != 1 {
-					t.Errorf("batch=%d: Retries() = %d, want 1", batch, rd.Retries())
-				}
-				checkRetryLedger(t, rd)
-			}
-		})
-	}
-	t.Run("well-formed mismatch is still final", func(t *testing.T) {
-		for _, batch := range []int{0, 4} {
-			bad := &testReplica{models: models, failAfter: -1,
-				conflictBody: `{"want_pack":"osworld-w","want_hash":"abc","have_pack":"other-pack","have_hash":"deadbeef"}`}
+			bad := &testReplica{models: models, failAfter: -1, conflictBody: tc.body}
 			good := &testReplica{models: models, failAfter: -1}
-			rd, err := NewRemoteDispatcher(startReplicas(t, bad, good), RemoteOptions{ProbeInterval: -1, Batch: batch})
+			rd, err := NewRemoteDispatcher(startReplicas(t, bad, good), RemoteOptions{ProbeInterval: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer rd.Close()
-			_, err = rd.Dispatch(context.Background(), cell)
-			var mismatch *PackMismatchError
-			if !errors.As(err, &mismatch) {
-				t.Fatalf("batch=%d: well-formed 409 must surface as PackMismatchError, got %v", batch, err)
+			outcomes, err := rd.Dispatch(context.Background(), cell)
+			if err != nil {
+				t.Fatalf("malformed 409 must fail over, not abort: %v", err)
 			}
-			if mismatch.HavePack != "other-pack" {
-				t.Errorf("batch=%d: mismatch names pack %q, want %q", batch, mismatch.HavePack, "other-pack")
+			if len(outcomes) != 1 {
+				t.Fatalf("%d outcomes from the failover, want 1", len(outcomes))
 			}
-			if rd.Stats()[0].Down {
-				t.Errorf("batch=%d: a pack mismatch is a configuration error, not a replica failure — no down-mark", batch)
+			stats := rd.Stats()
+			if !stats[0].Down {
+				t.Errorf("replica answering malformed 409s not marked down: %+v", stats[0])
+			}
+			if stats[1].Down {
+				t.Errorf("healthy failover replica wrongly down: %+v", stats[1])
+			}
+			if rd.Retries() != 1 {
+				t.Errorf("Retries() = %d, want 1", rd.Retries())
 			}
 			checkRetryLedger(t, rd)
+		})
+	}
+	t.Run("well-formed mismatch is still final", func(t *testing.T) {
+		bad := &testReplica{models: models, failAfter: -1,
+			conflictBody: `{"want_pack":"osworld-w","want_hash":"abc","have_pack":"other-pack","have_hash":"deadbeef"}`}
+		good := &testReplica{models: models, failAfter: -1}
+		rd, err := NewRemoteDispatcher(startReplicas(t, bad, good), RemoteOptions{ProbeInterval: -1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer rd.Close()
+		_, err = rd.Dispatch(context.Background(), cell)
+		var mismatch *PackMismatchError
+		if !errors.As(err, &mismatch) {
+			t.Fatalf("well-formed 409 must surface as PackMismatchError, got %v", err)
+		}
+		if mismatch.HavePack != "other-pack" {
+			t.Errorf("mismatch names pack %q, want %q", mismatch.HavePack, "other-pack")
+		}
+		if rd.Stats()[0].Down {
+			t.Error("a pack mismatch is a configuration error, not a replica failure — no down-mark")
+		}
+		checkRetryLedger(t, rd)
 	})
 }
 

@@ -51,8 +51,7 @@ type RemoteExpander struct {
 // NewRemoteExpander validates the replica list and builds an expander for
 // one application's rip. opt is interpreted exactly as for
 // NewRemoteDispatcher, except that Batch coalesces rip frames per envelope
-// (clamped to serveproto.MaxRipFrames, default 1) and the cell-batch
-// collector is never started — rip envelopes have their own coalescing.
+// (clamped to serveproto.MaxRipFrames, default 1).
 func NewRemoteExpander(baseURLs []string, app string, opt RemoteOptions) (*RemoteExpander, error) {
 	if app == "" {
 		return nil, errors.New("bench: remote expander needs an app name")
@@ -64,7 +63,7 @@ func NewRemoteExpander(baseURLs []string, app string, opt RemoteOptions) (*Remot
 	if batch > serveproto.MaxRipFrames {
 		batch = serveproto.MaxRipFrames
 	}
-	opt.Batch = 0 // rip coalescing replaces the cell collector
+	opt.Batch = 0 // the fleet's dispatcher takes no Batch; frames batch here
 	d, err := NewRemoteDispatcher(baseURLs, opt)
 	if err != nil {
 		return nil, err

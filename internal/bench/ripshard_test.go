@@ -65,7 +65,7 @@ func (rr *ripReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: 1, Proto: serveproto.ProtoV1})
+		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: 1})
 		return
 	}
 	if r.URL.Path != serveproto.PathRip || r.Method != http.MethodPost {

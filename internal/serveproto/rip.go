@@ -175,25 +175,6 @@ type RipResponse struct {
 	Results []RipResult `json:"results"`
 }
 
-// RawRipResponse is RipResponse with the results left as raw bytes, for
-// byte-equivalence tests over the rip surface. It must mirror RipResponse
-// field for field (asserted by TestRawRipResponseMirror and the wiredrift
-// analyzer's raw-mirror check).
-type RawRipResponse struct {
-	App     string          `json:"app"`
-	Context string          `json:"context,omitempty"`
-	Results json.RawMessage `json:"results"`
-}
-
-// RawRipResult is RipResult with the expansion left as raw bytes, the
-// second hop of a rip byte-equivalence decode. Mirror-pinned to RipResult
-// like the other raw views.
-type RawRipResult struct {
-	Status    int             `json:"status"`
-	Error     string          `json:"error,omitempty"`
-	Expansion json.RawMessage `json:"expansion,omitempty"`
-}
-
 // ParseRipRequest decodes and validates a POST /v1/rip envelope. Envelope
 // errors (unparseable body, missing app, no frames, too many frames) reject
 // the whole request; per-frame defects are the handler's business via

@@ -180,47 +180,3 @@ func TestRipRequestBytes(t *testing.T) {
 		}
 	}
 }
-
-// TestRawRipResponseMirror pins RawRipResponse to RipResponse the way every
-// raw view is pinned: same fields, same order, same json tags, with only
-// the Results payload type differing.
-func TestRawRipResponseMirror(t *testing.T) {
-	full := reflect.TypeOf(RipResponse{})
-	raw := reflect.TypeOf(RawRipResponse{})
-	if full.NumField() != raw.NumField() {
-		t.Fatalf("RipResponse has %d fields, RawRipResponse %d", full.NumField(), raw.NumField())
-	}
-	for i := 0; i < full.NumField(); i++ {
-		f, r := full.Field(i), raw.Field(i)
-		if f.Name != r.Name || f.Tag.Get("json") != r.Tag.Get("json") {
-			t.Errorf("field %d diverges: %s `%s` vs %s `%s`", i, f.Name, f.Tag, r.Name, r.Tag)
-		}
-		if f.Name != "Results" && f.Type != r.Type {
-			t.Errorf("field %s type diverges: %s vs %s", f.Name, f.Type, r.Type)
-		}
-	}
-	if raw.Field(raw.NumField()-1).Type != reflect.TypeOf(json.RawMessage{}) {
-		t.Errorf("RawRipResponse.Results must be json.RawMessage")
-	}
-}
-
-// TestRawRipResultMirror pins the per-frame raw view the same way.
-func TestRawRipResultMirror(t *testing.T) {
-	full := reflect.TypeOf(RipResult{})
-	raw := reflect.TypeOf(RawRipResult{})
-	if full.NumField() != raw.NumField() {
-		t.Fatalf("RipResult has %d fields, RawRipResult %d", full.NumField(), raw.NumField())
-	}
-	for i := 0; i < full.NumField(); i++ {
-		f, r := full.Field(i), raw.Field(i)
-		if f.Name != r.Name || f.Tag.Get("json") != r.Tag.Get("json") {
-			t.Errorf("field %d diverges: %s `%s` vs %s `%s`", i, f.Name, f.Tag, r.Name, r.Tag)
-		}
-		if f.Name != "Expansion" && f.Type != r.Type {
-			t.Errorf("field %s type diverges: %s vs %s", f.Name, f.Type, r.Type)
-		}
-	}
-	if raw.Field(raw.NumField()-1).Type != reflect.TypeOf(json.RawMessage{}) {
-		t.Errorf("RawRipResult.Expansion must be json.RawMessage")
-	}
-}

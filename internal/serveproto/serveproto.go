@@ -46,14 +46,10 @@ const MaxRuns = 100
 // and answer 413 (see BatchRequestBytes).
 const MaxRequestBytes = 1 << 16
 
-// ProtoV1 is the current wire protocol generation, reported in
-// Health.Proto: the /v1/* route set above.
-const ProtoV1 = 1
-
-// MaxBatchCells bounds one POST /v1/cells request. A batch is a transport
-// optimization, not a work queue: a coordinator coalesces at most a few
-// dozen cells per call, and the cap keeps a single request from pinning a
-// replica's worker pool for an unbounded stretch.
+// MaxBatchCells bounds one POST /v1/cells request. The in-repo coordinator
+// sends one cell per envelope; the cap keeps a multi-cell request from any
+// other client from pinning a replica's worker pool for an unbounded
+// stretch.
 const MaxBatchCells = 64
 
 // BatchRequestBytes is the body cap for a POST /v1/cells declaring n cells:
@@ -124,7 +120,7 @@ type RawSessionResponse struct {
 }
 
 // BatchRequest is POST /v1/cells: 1..MaxBatchCells cells in one HTTP call
-// (an unbatched client sends exactly one). Pack and PackHash optionally name
+// (the in-repo coordinator sends exactly one). Pack and PackHash optionally name
 // the task pack the caller resolves cells against (see internal/taskpack);
 // a replica serving a different pack rejects the whole envelope with 409
 // and a PackMismatch body instead of running cells against different task
@@ -226,13 +222,8 @@ type StatsResponse struct {
 // can refuse to start a run against mismatched replicas before dispatching
 // anything.
 type Health struct {
-	OK   bool `json:"ok"`
-	Apps int  `json:"apps"`
-	// Proto is the wire protocol generation (ProtoV1). No in-repo client
-	// branches on it — a replica without the /v1 surface fails the health
-	// probe with 404 — but it stays on the wire so operators and external
-	// tools can tell generations apart when a v2 surface arrives.
-	Proto    int    `json:"proto,omitempty"`
+	OK       bool   `json:"ok"`
+	Apps     int    `json:"apps"`
 	Pack     string `json:"pack,omitempty"`
 	PackHash string `json:"pack_hash,omitempty"`
 	// Instance identifies this daemon process (a random id drawn at
