@@ -624,34 +624,37 @@ func TestRemoteDispatcherHangingReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation over HTTP")
 	}
-	models, rep := sharedReport(t)
-	hung := &testReplica{models: models, hang: true, release: make(chan struct{})}
-	// Unblock the wedged handlers before the t.Cleanup server shutdowns run
-	// (defers fire first), so Close doesn't wait on them.
-	defer close(hung.release)
-	healthy := &testReplica{models: models, failAfter: -1}
-	rd, err := NewRemoteDispatcher(startReplicas(t, hung, healthy), RemoteOptions{
-		InFlight: 4,
-		Client:   &http.Client{Timeout: 2 * time.Second},
+	// One cell per envelope, the dispatcher's only mode.
+	t.Run("one_cell", func(t *testing.T) {
+		models, rep := sharedReport(t)
+		hung := &testReplica{models: models, hang: true, release: make(chan struct{})}
+		// Unblock the wedged handlers before the t.Cleanup server shutdowns run
+		// (defers fire first), so Close doesn't wait on them.
+		defer close(hung.release)
+		healthy := &testReplica{models: models, failAfter: -1}
+		rd, err := NewRemoteDispatcher(startReplicas(t, hung, healthy), RemoteOptions{
+			InFlight: 4,
+			Client:   &http.Client{Timeout: 2 * time.Second},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
+		if err != nil {
+			t.Fatalf("hang detection should absorb the wedged replica: %v", err)
+		}
+		if renderAll(models, got) != renderAll(models, rep) {
+			t.Fatal("report after hang failover differs from sequential in-process run")
+		}
+		if rd.Retries() < 1 {
+			t.Error("timed-out cells were never re-dispatched")
+		}
+		checkRetryLedger(t, rd)
+		if stats := rd.Stats(); !stats[0].Down {
+			t.Errorf("hung replica not marked down: %+v", stats[0])
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	got, err := RunDispatchedIn(context.Background(), taskpack.Builtin(), rd, 3, 8)
-	if err != nil {
-		t.Fatalf("hang detection should absorb the wedged replica: %v", err)
-	}
-	if renderAll(models, got) != renderAll(models, rep) {
-		t.Fatal("report after hang failover differs from sequential in-process run")
-	}
-	if rd.Retries() < 1 {
-		t.Error("timed-out cells were never re-dispatched")
-	}
-	checkRetryLedger(t, rd)
-	if stats := rd.Stats(); !stats[0].Down {
-		t.Errorf("hung replica not marked down: %+v", stats[0])
-	}
 }
 
 // TestRemoteDispatcherAllDown: when every replica fails the run errors out
