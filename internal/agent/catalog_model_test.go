@@ -3,6 +3,7 @@ package agent
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"repro/internal/forest"
@@ -68,15 +69,23 @@ func digest(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// snapshotRestartAllocBudget bounds the allocations of one catalog restart
-// from snapshots: read, decode, transform, describe and token count for all
-// five apps. Allocation counts are deterministic, so this gates the restart
-// path's footprint where wall-clock cannot. A restart makes about 1.3k
-// (go1.24). Tighten the budget when the path gets leaner; never loosen it.
-const snapshotRestartAllocBudget = 1_600
+// snapshotRestartAllocBudget and snapshotRestartByteBudget bound one
+// catalog restart from snapshots: read, decode, transform, describe and
+// token count for all five apps. Both figures are deterministic up to a
+// few allocations, so they gate the restart path's footprint where
+// wall-clock cannot. A restart makes about 505 allocations of 10.2 MB in
+// total (go1.24); before the decoder checked the graph on its own edge
+// indexes, describe rendered into one presized buffer and model ids came
+// from forest positions instead of a pointer-keyed map, it made 1.3k
+// allocations of 13.6 MB. Tighten the budgets when the path gets leaner;
+// never loosen them.
+const (
+	snapshotRestartAllocBudget = 630
+	snapshotRestartByteBudget  = 11_500_000
+)
 
-// raceEnabled is set in race builds (race_test.go), where the budget is not
-// checked.
+// raceEnabled is set in race builds (race_test.go), where the budgets are
+// not checked.
 var raceEnabled bool
 
 func TestSnapshotRestartAllocs(t *testing.T) {
@@ -94,8 +103,22 @@ func TestSnapshotRestartAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(3, restart)
-	t.Logf("catalog restart from snapshots: %.0f allocs", allocs)
-	if allocs > snapshotRestartAllocBudget && !raceEnabled {
-		t.Errorf("catalog restart allocates %.0f, budget %d", allocs, snapshotRestartAllocBudget)
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		restart()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("catalog restart from snapshots: %.0f allocs, %d bytes", allocs, bytes)
+	if raceEnabled {
+		return
+	}
+	if allocs > snapshotRestartAllocBudget {
+		t.Errorf("catalog restart allocates %.0f times, budget %d", allocs, snapshotRestartAllocBudget)
+	}
+	if bytes > snapshotRestartByteBudget {
+		t.Errorf("catalog restart allocates %d bytes, budget %d", bytes, snapshotRestartByteBudget)
 	}
 }

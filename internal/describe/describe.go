@@ -14,6 +14,7 @@ package describe
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -25,9 +26,12 @@ import (
 type Model struct {
 	Forest *forest.Forest
 
-	// byID lists the nodes by integer id: ids are consecutive from 0.
-	byID  []*forest.Node
-	nodes map[*forest.Node]nodeInfo
+	// byID lists the nodes by integer id: ids are consecutive from 0, in
+	// forest order, so a node's id is its forest position (Node.Pos).
+	byID []*forest.Node
+	// treeStart holds the id of each shared subtree's root, in SharedOrder:
+	// the ids of shared subtree k run from treeStart[k] up to the next one.
+	treeStart []int
 	// refsTo lists reference nodes pointing at each shared subtree.
 	refsTo map[string][]*forest.Node
 
@@ -40,40 +44,34 @@ type Model struct {
 	fullText string
 }
 
-// nodeInfo is what the model knows about one forest node.
-type nodeInfo struct {
-	id int
-	// tree is the id of the tree containing the node: "" for the main
-	// tree, otherwise the shared-subtree root's UNG id.
-	tree string
-}
-
 // NewModel assigns consecutive integer ids across the main tree (first) and
-// every shared subtree (in externalization order).
+// every shared subtree (in externalization order): the forest's own order,
+// so the id of a node is its forest position. A transformed forest already
+// carries its positions; a hand-built one gets them from its first model
+// (Forest.Number), so build that before sharing the forest across
+// goroutines.
 func NewModel(f *forest.Forest) *Model {
-	count := f.NodeCount()
 	m := &Model{
-		Forest: f,
-		byID:   make([]*forest.Node, 0, count),
-		nodes:  make(map[*forest.Node]nodeInfo, count),
-		refsTo: make(map[string][]*forest.Node, len(f.Shared)),
+		Forest:    f,
+		byID:      f.Number(),
+		treeStart: make([]int, len(f.SharedOrder)),
+		refsTo:    make(map[string][]*forest.Node, len(f.Shared)),
 	}
-	assign := func(tree *forest.Node, treeID string) {
-		tree.Walk(func(n *forest.Node) bool {
-			m.nodes[n] = nodeInfo{id: len(m.byID), tree: treeID}
-			m.byID = append(m.byID, n)
-			if n.IsRef() {
-				m.refsTo[n.RefTarget] = append(m.refsTo[n.RefTarget], n)
-			}
-			return true
-		})
+	for k, id := range f.SharedOrder {
+		m.treeStart[k] = f.Shared[id].Pos()
 	}
-	assign(f.Main, "")
-	for _, id := range f.SharedOrder {
-		assign(f.Shared[id], id)
+	for _, n := range m.byID {
+		if n.IsRef() {
+			m.refsTo[n.RefTarget] = append(m.refsTo[n.RefTarget], n)
+		}
 	}
-	m.coreText = m.Serialize(CoreOptions())
-	m.fullText = m.Serialize(FullOptions())
+	// Both renderings share one scratch buffer and keep exact-size copies.
+	// The full rendering runs 32–37 bytes a node on the catalog apps, so
+	// with this capacity the buffer seldom grows.
+	buf := m.appendForest(make([]byte, 0, 40*len(m.byID)), CoreOptions())
+	m.coreText = string(buf)
+	buf = m.appendForest(buf[:0], FullOptions())
+	m.fullText = string(buf)
 	return m
 }
 
@@ -95,8 +93,11 @@ func (m *Model) Node(id int) *forest.Node {
 
 // ID returns the integer id of a node (-1 if unknown).
 func (m *Model) ID(n *forest.Node) int {
-	if info, ok := m.nodes[n]; ok {
-		return info.id
+	if n == nil {
+		return -1
+	}
+	if p := n.Pos(); p < len(m.byID) && m.byID[p] == n {
+		return p
 	}
 	return -1
 }
@@ -105,7 +106,14 @@ func (m *Model) ID(n *forest.Node) int {
 func (m *Model) NodeCount() int { return len(m.byID) }
 
 // TreeOf returns the id of the tree containing n ("" = main tree).
-func (m *Model) TreeOf(n *forest.Node) string { return m.nodes[n].tree }
+func (m *Model) TreeOf(n *forest.Node) string {
+	// k counts the shared subtrees whose ids start at or before n's.
+	k, _ := slices.BinarySearch(m.treeStart, m.ID(n)+1)
+	if k == 0 {
+		return ""
+	}
+	return m.Forest.SharedOrder[k-1]
+}
 
 // RefsTo returns the reference nodes pointing at a shared subtree root.
 func (m *Model) RefsTo(subtree string) []*forest.Node { return m.refsTo[subtree] }
@@ -177,24 +185,26 @@ func (o *Options) fill() {
 // Serialize renders the forest: the main tree, then each shared subtree
 // introduced by a "shared_subtree" header that doubles as the entry map
 // (reference nodes carry ref=<id> markers pointing at subtree roots).
-func (m *Model) Serialize(opt Options) string {
+func (m *Model) Serialize(opt Options) string { return string(m.appendForest(nil, opt)) }
+
+// appendForest appends the Serialize rendering to b.
+func (m *Model) appendForest(b []byte, opt Options) []byte {
 	opt.fill()
-	var b strings.Builder
-	b.WriteString("main-tree:\n")
-	m.writeNode(&b, m.Forest.Main, 0, opt)
-	b.WriteByte('\n')
+	b = append(b, "main-tree:\n"...)
+	b = m.appendNode(b, m.Forest.Main, 0, opt)
+	b = append(b, '\n')
 	for _, id := range m.Forest.SharedOrder {
 		root := m.Forest.Shared[id]
 		if !opt.IncludeLargeEnums && root.LargeEnum {
 			continue
 		}
-		b.WriteString("shared-subtree-")
-		writeInt(&b, m.nodes[root].id)
-		b.WriteString(":\n")
-		m.writeNode(&b, root, 0, opt)
-		b.WriteByte('\n')
+		b = append(b, "shared-subtree-"...)
+		b = strconv.AppendInt(b, int64(m.ID(root)), 10)
+		b = append(b, ":\n"...)
+		b = m.appendNode(b, root, 0, opt)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return b
 }
 
 // SerializeSubtree renders one node's full substructure (no depth limit) —
@@ -205,42 +215,40 @@ func (m *Model) SerializeSubtree(id int) (string, error) {
 	if n == nil {
 		return "", fmt.Errorf("describe: unknown node id %d", id)
 	}
-	var b strings.Builder
 	opt := FullOptions()
 	opt.fill()
-	m.writeNode(&b, n, 0, opt)
-	return b.String(), nil
+	return string(m.appendNode(nil, n, 0, opt)), nil
 }
 
-// writeNode renders n in the compact format. depth counts levels below the
+// appendNode renders n in the compact format. depth counts levels below the
 // tree root; children beyond MaxDepth, large enumerations, and excluded
 // nodes are replaced by a single elision marker "+".
-func (m *Model) writeNode(b *strings.Builder, n *forest.Node, depth int, opt Options) {
+func (m *Model) appendNode(b []byte, n *forest.Node, depth int, opt Options) []byte {
 	name := n.Name
 	if name == "" {
 		name = "[Unnamed]"
 	}
-	writeEscaped(b, name)
-	b.WriteByte('(')
-	b.WriteString(n.Type.String())
-	b.WriteByte(')')
+	b = appendEscaped(b, name)
+	b = append(b, '(')
+	b = append(b, n.Type.String()...)
+	b = append(b, ')')
 	if d := m.descFor(n, opt); d != "" {
-		b.WriteByte('(')
-		writeEscaped(b, d)
-		b.WriteByte(')')
+		b = append(b, '(')
+		b = appendEscaped(b, d)
+		b = append(b, ')')
 	}
 	if n.IsRef() {
-		b.WriteString("(ref=")
-		writeInt(b, m.nodes[m.Forest.Shared[n.RefTarget]].id)
-		b.WriteByte(')')
+		b = append(b, "(ref="...)
+		b = strconv.AppendInt(b, int64(m.ID(m.Forest.Shared[n.RefTarget])), 10)
+		b = append(b, ')')
 	}
-	b.WriteByte('_')
-	writeInt(b, m.nodes[n].id)
+	b = append(b, '_')
+	b = strconv.AppendInt(b, int64(m.ID(n)), 10)
 
 	if len(n.Children) == 0 {
-		return
+		return b
 	}
-	b.WriteByte('[')
+	b = append(b, '[')
 	visible, elided := 0, 0
 	for _, c := range n.Children {
 		if hidden(c, depth, opt) {
@@ -248,19 +256,19 @@ func (m *Model) writeNode(b *strings.Builder, n *forest.Node, depth int, opt Opt
 			continue
 		}
 		if visible > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
 		visible++
-		m.writeNode(b, c, depth+1, opt)
+		b = m.appendNode(b, c, depth+1, opt)
 	}
 	if elided > 0 {
 		if visible > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteByte('+') // elision marker: further_query expands
-		writeInt(b, elided)
+		b = append(b, '+') // elision marker: further_query expands
+		b = strconv.AppendInt(b, int64(elided), 10)
 	}
-	b.WriteByte(']')
+	return append(b, ']')
 }
 
 // hidden reports whether child c of a node at depth is elided rather than
@@ -269,11 +277,6 @@ func hidden(c *forest.Node, depth int, opt Options) bool {
 	return opt.Exclude != nil && opt.Exclude[c.GID] ||
 		!opt.IncludeLargeEnums && c.LargeEnum ||
 		opt.MaxDepth > 0 && depth+1 >= opt.MaxDepth
-}
-
-func writeInt(b *strings.Builder, v int) {
-	var buf [20]byte
-	b.Write(strconv.AppendInt(buf[:0], int64(v), 10))
 }
 
 // descFor selects and truncates the description (paper §4.2): key-type
@@ -299,18 +302,23 @@ func (m *Model) descFor(n *forest.Node, opt Options) string {
 	return strutil.TruncateChars(n.Desc, opt.DescLimit)
 }
 
-// escaper keeps the structural characters unambiguous inside names and
-// descriptions.
-var escaper = strings.NewReplacer("(", "⟨", ")", "⟩", "[", "⟦", "]", "⟧", ",", ";", "_", "-")
+// structural lists the characters of the compact format; escapes maps each
+// to the stand-in that keeps it unambiguous inside names and descriptions.
+const structural = "()[],_"
 
-// writeEscaped writes s escaped; most names carry no structural character,
-// so they skip the replacer.
-func writeEscaped(b *strings.Builder, s string) {
-	if strings.ContainsAny(s, "()[],_") {
-		escaper.WriteString(b, s)
-		return
+var escapes = [...]string{'(': "⟨", ')': "⟩", '[': "⟦", ']': "⟧", ',': ";", '_': "-"}
+
+// appendEscaped appends s with every structural character replaced.
+func appendEscaped(b []byte, s string) []byte {
+	for {
+		i := strings.IndexAny(s, structural)
+		if i < 0 {
+			return append(b, s...)
+		}
+		b = append(b, s[:i]...)
+		b = append(b, escapes[s[i]]...)
+		s = s[i+1:]
 	}
-	b.WriteString(s)
 }
 
 // Tokens estimates the LLM token cost of a serialized topology (§5.4

@@ -200,6 +200,9 @@ func TestEscapeStructuralCharacters(t *testing.T) {
 	if strings.Contains(out, "(Dark)") || strings.Contains(out, "[beta]") || strings.Contains(out, "v_2") {
 		t.Errorf("structural characters leaked: %s", out)
 	}
+	if want := "Ion ⟨Dark⟩; v-2 ⟦beta⟧(Button)_1"; !strings.Contains(out, want) {
+		t.Errorf("escaped name: want %q in %s", want, out)
+	}
 	// The only underscores left are id markers: ControlsIn counts nodes.
 	if got := ControlsIn(out); got != 2 {
 		t.Errorf("ControlsIn = %d, want 2", got)
@@ -231,5 +234,44 @@ func TestFindLeafByName(t *testing.T) {
 	// Leaves only: Font (group with children) must not match.
 	if m.FindLeafByName("Font") != nil {
 		t.Error("non-leaf matched")
+	}
+}
+
+// TestIDsFollowForestOrder: ids are positions in forest order (main tree
+// preorder, then shared subtrees in SharedOrder), TreeOf names the tree
+// each id falls in, and a node of any other forest, numbered or not, has no
+// id and lies in no tree.
+func TestIDsFollowForestOrder(t *testing.T) {
+	f := fixtureForest()
+	m := NewModel(f)
+	next := 0
+	for _, tree := range []struct {
+		root *forest.Node
+		id   string
+	}{{f.Main, ""}, {f.Shared["picker"], "picker"}} {
+		tree.root.Walk(func(n *forest.Node) bool {
+			if got := m.ID(n); got != next {
+				t.Errorf("%q: id %d, want %d", n.Name, got, next)
+			}
+			if got := m.TreeOf(n); got != tree.id {
+				t.Errorf("%q: TreeOf %q, want %q", n.Name, got, tree.id)
+			}
+			next++
+			return true
+		})
+	}
+
+	other := fixtureForest()
+	NewModel(other)
+	foreign := []*forest.Node{nil, {Name: "never numbered"}}
+	other.Main.Walk(func(n *forest.Node) bool { foreign = append(foreign, n); return true })
+	foreign = append(foreign, other.Shared["picker"], other.Shared["picker"].Children[1])
+	for _, n := range foreign {
+		if got := m.ID(n); got != -1 {
+			t.Errorf("foreign node %v: id %d, want -1", n, got)
+		}
+		if got := m.TreeOf(n); got != "" {
+			t.Errorf("foreign node %v: TreeOf %q, want \"\"", n, got)
+		}
 	}
 }

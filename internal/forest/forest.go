@@ -27,13 +27,20 @@ type Node struct {
 	Desc string
 
 	LargeEnum bool
-	Context   string
+	// pos is the node's position in forest order (Forest.Number).
+	pos     int32
+	Context string
 
 	RefTarget string // UNG id of the shared subtree this reference points to
 
 	Parent   *Node
 	Children []*Node
 }
+
+// Pos returns the node's position in its forest's order, as last recorded
+// by Transform or Forest.Number; 0 for a node never numbered. A caller
+// holding the numbered nodes checks that the position leads back to n.
+func (n *Node) Pos() int { return int(n.pos) }
 
 // IsRef reports whether the node is a reference into a shared subtree.
 func (n *Node) IsRef() bool { return n.RefTarget != "" }
@@ -104,6 +111,28 @@ func (f *Forest) Tree(id string) *Node {
 		return f.Main
 	}
 	return f.Shared[id]
+}
+
+// Number returns the forest's nodes in forest order — the main tree in
+// preorder, then each shared subtree in SharedOrder — and records each
+// node's position in that order, which Pos reports. Transform builds its
+// nodes in this order and records their positions as it goes, so Number
+// only reads a transformed forest; a hand-built one gets its positions on
+// the first call.
+func (f *Forest) Number() []*Node {
+	nodes := make([]*Node, 0, f.NodeCount())
+	number := func(n *Node) bool {
+		if p := int32(len(nodes)); n.pos != p {
+			n.pos = p
+		}
+		nodes = append(nodes, n)
+		return true
+	}
+	f.Main.Walk(number)
+	for _, id := range f.SharedOrder {
+		f.Shared[id].Walk(number)
+	}
+	return nodes
 }
 
 // NodeCount returns the total node count across the main tree and all
@@ -221,7 +250,9 @@ func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 
 	// size[v] is exactly the node count materialize(v) produces, so the
 	// forest's nodes, and the child lists of all but the tree roots, come
-	// from two buffers of known size.
+	// from two buffers of known size. The slab fills in forest order (main
+	// tree preorder, then the shared subtrees in SharedOrder), so a node's
+	// slab index is its position (Pos).
 	st.MainTreeNodes = int(size[root])
 	st.ForestNodes = st.MainTreeNodes + int(sharedNodes)
 	b := builder{
@@ -384,7 +415,7 @@ func satAdd(a, b int64) int64 {
 }
 
 // builder materializes trees from the indexed DAG, taking nodes from slab
-// and child lists from kids.
+// and child lists from kids; next is the position of the next node built.
 type builder struct {
 	ids      []string // UNG id per index: g.Order
 	nodes    []*ung.Node
@@ -392,6 +423,7 @@ type builder struct {
 	external []bool
 	slab     []Node
 	kids     []*Node
+	next     int32
 }
 
 // materialize builds the tree rooted at v, cloning non-externalized merge
@@ -427,8 +459,10 @@ func (b *builder) newNode(v int32, parent *Node) *Node {
 		Type:      gn.Type,
 		Desc:      gn.Desc,
 		LargeEnum: gn.LargeEnum,
+		pos:       b.next,
 		Context:   gn.Context,
 		Parent:    parent,
 	}
+	b.next++
 	return n
 }

@@ -339,7 +339,10 @@ func TestCoverageProperty(t *testing.T) {
 				return true
 			})
 		}
-		for id := range g.Reachable() {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err) // so every node is reachable
+		}
+		for _, id := range g.Order {
 			if !present[id] {
 				t.Fatalf("trial %d: node %q missing from forest", trial, id)
 			}
@@ -441,4 +444,53 @@ func sharedTrees(f *Forest) []*Node {
 
 func fmtNode(prefix string, i int) string {
 	return prefix + string(rune('A'+i/26)) + string(rune('a'+i%26))
+}
+
+// TestTransformRecordsForestOrder: Transform numbers its nodes as it builds
+// them, main tree in preorder then the shared subtrees in SharedOrder, so
+// Number finds every position already in place; a hand-built forest gets
+// the same numbering from Number.
+func TestTransformRecordsForestOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := randomGraph(rng, 60, 120)
+	f, st, err := Transform(g, Options{CloneThreshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Externalized == 0 {
+		t.Fatal("fixture has no shared subtree")
+	}
+	var walked []*Node
+	collect := func(n *Node) bool { walked = append(walked, n); return true }
+	for _, tree := range append([]*Node{f.Main}, sharedTrees(f)...) {
+		tree.Walk(collect)
+	}
+	for i, n := range walked {
+		if n.Pos() != i {
+			t.Fatalf("node %d of forest order (%q) has position %d after Transform", i, n.GID, n.Pos())
+		}
+	}
+	numbered := f.Number()
+	if len(numbered) != len(walked) {
+		t.Fatalf("Number returned %d nodes, forest order has %d", len(numbered), len(walked))
+	}
+	for i, n := range numbered {
+		if n != walked[i] || n.Pos() != i {
+			t.Fatalf("Number diverges from forest order at %d", i)
+		}
+	}
+
+	root := &Node{GID: ung.RootID}
+	a := &Node{GID: "a", Parent: root}
+	ref := &Node{GID: "s", RefTarget: "s", Parent: root}
+	root.Children = []*Node{a, ref}
+	s := &Node{GID: "s"}
+	b := &Node{GID: "b", Parent: s}
+	s.Children = []*Node{b}
+	hand := &Forest{Main: root, Shared: map[string]*Node{"s": s}, SharedOrder: []string{"s"}}
+	for i, n := range hand.Number() {
+		if want := []*Node{root, a, ref, s, b}[i]; n != want || n.Pos() != i {
+			t.Errorf("hand-built forest: position %d holds %q (Pos %d), want %q", i, n.GID, n.Pos(), want.GID)
+		}
+	}
 }

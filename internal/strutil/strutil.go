@@ -129,41 +129,69 @@ func Normalize(s string) string {
 // TruncateChars shortens s to at most n runes, appending "…" when truncated.
 // n <= 1 returns "…" for non-empty overlong input.
 func TruncateChars(s string, n int) string {
-	r := []rune(s)
-	if len(r) <= n {
+	if len(s) <= n || utf8.RuneCountInString(s) <= n {
 		return s
 	}
 	if n <= 1 {
 		return "…"
 	}
-	return string(r[:n-1]) + "…"
+	return string([]rune(s)[:n-1]) + "…"
 }
 
 // EstimateTokens estimates the LLM token count of s. It approximates a BPE
 // tokenizer (the paper measures with o200k_base): whitespace-separated words
 // contribute ceil(len/4) tokens with a minimum of one, and punctuation and
-// structural characters contribute one token each.
+// structural characters contribute one token each. Letters and digits are
+// word characters. ASCII bytes are classified by table; other runes by the
+// unicode package.
 func EstimateTokens(s string) int {
 	tokens := 0
 	wordLen := 0
-	flush := func() {
-		if wordLen == 0 {
-			return
+	for i := 0; i < len(s); {
+		var class byte
+		if c := s[i]; c < utf8.RuneSelf {
+			class = asciiClass[c]
+			i++
+		} else {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			class = runeClass(r)
+			i += size
+		}
+		if class == wordRune {
+			wordLen++
+			continue
 		}
 		tokens += (wordLen + 3) / 4
 		wordLen = 0
-	}
-	for _, r := range s {
-		switch {
-		case unicode.IsSpace(r):
-			flush()
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			wordLen++
-		default:
-			flush()
+		if class == punctRune {
 			tokens++
 		}
 	}
-	flush()
-	return tokens
+	return tokens + (wordLen+3)/4
 }
+
+// Rune classes of EstimateTokens.
+const (
+	spaceRune = iota
+	wordRune
+	punctRune
+)
+
+func runeClass(r rune) byte {
+	switch {
+	case unicode.IsSpace(r):
+		return spaceRune
+	case unicode.IsLetter(r) || unicode.IsDigit(r):
+		return wordRune
+	default:
+		return punctRune
+	}
+}
+
+// asciiClass is runeClass for every rune below utf8.RuneSelf.
+var asciiClass = func() (t [utf8.RuneSelf]byte) {
+	for c := range t {
+		t[c] = runeClass(rune(c))
+	}
+	return t
+}()

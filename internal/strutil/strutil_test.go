@@ -3,6 +3,7 @@ package strutil
 import (
 	"testing"
 	"testing/quick"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -164,6 +165,89 @@ func TestEstimateTokensMonotoneUnderConcat(t *testing.T) {
 			EstimateTokens(a+" "+b) >= EstimateTokens(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// estimateTokensUnicode is EstimateTokens before its ASCII table: every rune
+// classified by the unicode package. It is the reference the table-driven
+// function must match.
+func estimateTokensUnicode(s string) int {
+	tokens := 0
+	wordLen := 0
+	flush := func() {
+		if wordLen == 0 {
+			return
+		}
+		tokens += (wordLen + 3) / 4
+		wordLen = 0
+	}
+	for _, r := range s {
+		switch {
+		case unicode.IsSpace(r):
+			flush()
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			wordLen++
+		default:
+			flush()
+			tokens++
+		}
+	}
+	flush()
+	return tokens
+}
+
+func TestEstimateTokensMatchesUnicodeReference(t *testing.T) {
+	var inputs []string
+	for c := 0; c < utf8.RuneSelf; c++ {
+		r := string(rune(c))
+		inputs = append(inputs, r, "word"+r+"word", r+r+"abcde"+r)
+	}
+	for _, r := range []string{
+		"\u0085", "\u00a0", "\u2028", "\u2003", "\u3000", // non-ASCII spaces
+		"⟨", "⟩", "⟦", "⟧", "…", "–", // non-ASCII punctuation
+		"é", "ñ", "Ü", "ß", "名", // non-ASCII letters
+		"٣", "१", "０", // non-ASCII digits
+		"\xff", "\xc3", "\xe2\x9f", // invalid UTF-8
+	} {
+		inputs = append(inputs, r, "word"+r+"word", "ab"+r+r+"cd ef", r+"(x)_1")
+	}
+	inputs = append(inputs,
+		"Fönt Cölor(SplitButton)(Höme ⟨ribbon⟩ tab)_12[Blue(MenuItem)_13,+4]",
+		"Zeile ١٢٣ naïve café\u0085end")
+	for _, s := range inputs {
+		if got, want := EstimateTokens(s), estimateTokensUnicode(s); got != want {
+			t.Errorf("EstimateTokens(%q) = %d, unicode reference %d", s, got, want)
+		}
+	}
+	same := func(s string) bool { return EstimateTokens(s) == estimateTokensUnicode(s) }
+	if err := quick.Check(same, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTruncateCharsMatchesRuneSlice: the early return for strings that fit
+// changes nothing, invalid UTF-8 included.
+func TestTruncateCharsMatchesRuneSlice(t *testing.T) {
+	ref := func(s string, n int) string {
+		r := []rune(s)
+		if len(r) <= n {
+			return s
+		}
+		if n <= 1 {
+			return "…"
+		}
+		return string(r[:n-1]) + "…"
+	}
+	for _, s := range []string{"", "a", "héllo wörld", "名前名前", "\xff\xfe", "ab\xc3", "⟨x⟩ y"} {
+		for n := -1; n <= 12; n++ {
+			if got, want := TruncateChars(s, n), ref(s, n); got != want {
+				t.Errorf("TruncateChars(%q, %d) = %q, want %q", s, n, got, want)
+			}
+		}
+	}
+	same := func(s string, n uint8) bool { return TruncateChars(s, int(n%16)) == ref(s, int(n%16)) }
+	if err := quick.Check(same, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -3,6 +3,7 @@ package ung
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/uia"
 )
@@ -29,7 +30,7 @@ import (
 // decoder from the future rejecting unknown flags beats one silently
 // dropping them). DecodeBinary is strict: a short buffer, a version skew, an
 // out-of-range edge index, or trailing bytes after the last node are all
-// distinct errors, and the decoded graph must pass Graph.Validate.
+// distinct errors, and the decoded graph must pass Graph.Validate's checks.
 
 // binaryMagic opens every snapshot, so a payload in another encoding fails
 // fast.
@@ -145,18 +146,18 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	}
 	// Every node carries at least minNodeBytes; a count claiming more nodes
 	// than the remaining bytes can hold is corruption, refused before the
-	// per-node arrays are allocated.
-	if count > uint64(len(data)-r.off)/minNodeBytes {
+	// per-node arrays are allocated. Node indexes are int32s, which no
+	// payload short of 16 GiB can overflow.
+	if count > uint64(len(data)-r.off)/minNodeBytes || count > math.MaxInt32 {
 		return nil, fmt.Errorf("ung: decode binary: node count %d exceeds payload", count)
 	}
 	g := &Graph{App: app, Nodes: make(map[string]*Node, count), Order: make([]string, 0, count)}
 	nodes := make([]Node, count)
 	// Edge indexes may point forward to nodes not yet read, so they are
-	// collected raw, all in one buffer, and resolved to ids after the node
-	// array is complete. ends[2i] and ends[2i+1] are where node i's out
-	// and in indexes end.
-	var idxs []int
-	ends := make([]int, 2*count)
+	// collected raw, all in one buffer, checked in that dense form, and
+	// resolved to ids last. Every node but the root has an in edge, and
+	// every edge is listed twice (out and in), so 2*count is the floor.
+	adj := adjacency{edges: make([]int32, 0, 2*count), ends: make([]int, 2*count)}
 	for i := range nodes {
 		n := &nodes[i]
 		if n.ID, err = r.str("node id"); err != nil {
@@ -187,14 +188,14 @@ func DecodeBinary(data []byte) (*Graph, error) {
 		if n.Context, err = r.str("node context"); err != nil {
 			return nil, err
 		}
-		if idxs, err = r.edgeIndexes(idxs, "out edges", count); err != nil {
+		if adj.edges, err = r.edgeIndexes(adj.edges, "out edges", count); err != nil {
 			return nil, err
 		}
-		ends[2*i] = len(idxs)
-		if idxs, err = r.edgeIndexes(idxs, "in edges", count); err != nil {
+		adj.ends[2*i] = len(adj.edges)
+		if adj.edges, err = r.edgeIndexes(adj.edges, "in edges", count); err != nil {
 			return nil, err
 		}
-		ends[2*i+1] = len(idxs)
+		adj.ends[2*i+1] = len(adj.edges)
 		if i == 0 && n.ID != RootID {
 			return nil, fmt.Errorf("ung: decode binary: snapshot does not start at the virtual root")
 		}
@@ -210,20 +211,22 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	if r.off != len(data) {
 		return nil, fmt.Errorf("ung: decode binary: %d trailing bytes after the last node", len(data)-r.off)
 	}
+	// The remaining Graph.Validate checks (reverse entries, reachability);
+	// the ones that need the node map hold by construction here.
+	if err := adj.check(g.Order, 0); err != nil {
+		return nil, fmt.Errorf("ung: decode binary: %w", err)
+	}
 	// Every edge list is a capped window of one id buffer; empty lists stay
 	// nil, the canonical form.
-	ids := make([]string, len(idxs))
-	for k, idx := range idxs {
+	ids := make([]string, len(adj.edges))
+	for k, idx := range adj.edges {
 		ids[k] = g.Order[idx]
 	}
 	start := 0
 	for i := range nodes {
-		nodes[i].Out = edgeWindow(ids, start, ends[2*i])
-		nodes[i].In = edgeWindow(ids, ends[2*i], ends[2*i+1])
-		start = ends[2*i+1]
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("ung: decode binary: %w", err)
+		nodes[i].Out = edgeWindow(ids, start, adj.ends[2*i])
+		nodes[i].In = edgeWindow(ids, adj.ends[2*i], adj.ends[2*i+1])
+		start = adj.ends[2*i+1]
 	}
 	return g, nil
 }
@@ -282,7 +285,7 @@ func (r *binReader) str(field string) (string, error) {
 }
 
 // edgeIndexes reads one edge list and appends its indexes to idxs.
-func (r *binReader) edgeIndexes(idxs []int, field string, nodeCount uint64) ([]int, error) {
+func (r *binReader) edgeIndexes(idxs []int32, field string, nodeCount uint64) ([]int32, error) {
 	n, err := r.uvarint(field)
 	if err != nil {
 		return nil, err
@@ -298,7 +301,7 @@ func (r *binReader) edgeIndexes(idxs []int, field string, nodeCount uint64) ([]i
 		if idx >= nodeCount {
 			return nil, fmt.Errorf("ung: decode binary: %s index %d out of range (%d nodes)", field, idx, nodeCount)
 		}
-		idxs = append(idxs, int(idx))
+		idxs = append(idxs, int32(idx))
 	}
 	return idxs, nil
 }

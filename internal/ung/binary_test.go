@@ -5,7 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/uia"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -229,4 +235,81 @@ func FuzzSnapshotBinaryDecode(f *testing.F) {
 		}
 		assertGraphsIdentical(t, decoded, back)
 	})
+}
+
+// brokenGraphs returns hand-built graphs that break each check DecodeBinary
+// runs on its edge indexes rather than through Graph.Validate: a missing
+// reverse entry, unreachable nodes (one of them on a cycle), and both at
+// once. EncodeBinary does not validate, so each encodes to a snapshot that
+// is well formed byte for byte and wrong as a graph. Each is committed,
+// encoded, as a FuzzSnapshotBinaryDecode seed under the same name.
+func brokenGraphs() []struct {
+	name string
+	g    *Graph
+} {
+	build := func(edges ...[2]string) *Graph {
+		g := NewGraph("Broken")
+		for _, e := range edges {
+			for _, id := range e {
+				if _, ok := g.Nodes[id]; !ok {
+					g.Nodes[id] = &Node{ID: id, Name: id, Type: uia.ButtonControl}
+					g.Order = append(g.Order, id)
+				}
+			}
+			g.AddEdge(e[0], e[1])
+		}
+		return g
+	}
+	dropIn := func(g *Graph, to, from string) {
+		n := g.Nodes[to]
+		n.In = slices.DeleteFunc(n.In, func(id string) bool { return id == from })
+	}
+	missingReverse := build([2]string{RootID, "a"}, [2]string{"a", "b"}, [2]string{RootID, "c"}, [2]string{"a", "c"})
+	dropIn(missingReverse, "c", "a")
+	unreachable := build([2]string{RootID, "a"}, [2]string{"d", "e"}, [2]string{"e", "d"}, [2]string{"f", "a"})
+	both := build([2]string{RootID, "a"}, [2]string{"a", "b"}, [2]string{"d", "b"})
+	dropIn(both, "b", "a")
+	return []struct {
+		name string
+		g    *Graph
+	}{
+		{"seed_missing_reverse", missingReverse},
+		{"seed_unreachable", unreachable},
+		{"seed_missing_reverse_and_unreachable", both},
+	}
+}
+
+// TestDecodeChecksMatchValidate: DecodeBinary runs Graph.Validate's checks
+// on its own edge indexes, so a snapshot of a broken graph must fail with
+// exactly the error Validate gives that graph, and the committed seeds must
+// be those snapshots.
+func TestDecodeChecksMatchValidate(t *testing.T) {
+	for _, c := range brokenGraphs() {
+		t.Run(c.name, func(t *testing.T) {
+			verr := c.g.Validate()
+			if verr == nil {
+				t.Fatal("Validate accepted a broken graph")
+			}
+			data, err := EncodeBinary(c.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, derr := DecodeBinary(data)
+			if want := "ung: decode binary: " + verr.Error(); derr == nil || derr.Error() != want {
+				t.Errorf("DecodeBinary error %v, want %q", derr, want)
+			}
+			seed, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzSnapshotBinaryDecode", c.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit, ok := strings.CutPrefix(string(seed), "go test fuzz v1\n[]byte(")
+			lit, ok2 := strings.CutSuffix(lit, ")\n")
+			if !ok || !ok2 {
+				t.Fatalf("seed file is not one []byte value: %q", seed)
+			}
+			if s, err := strconv.Unquote(lit); err != nil || s != string(data) {
+				t.Errorf("committed seed does not hold this graph's snapshot (unquote err %v)", err)
+			}
+		})
+	}
 }

@@ -7,6 +7,7 @@ package ung
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/uia"
@@ -174,34 +175,18 @@ func (g *Graph) MaxDepth() int {
 	return max
 }
 
-// Reachable returns the set of node IDs reachable from the root.
-func (g *Graph) Reachable() map[string]bool {
-	seen := make(map[string]bool, len(g.Nodes))
-	seen[RootID] = true
-	stack := []string{RootID}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, next := range g.Nodes[cur].Out {
-			if !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
-	return seen
-}
-
 // Validate checks structural invariants: edge endpoints exist, In/Out are
-// consistent, and every node is reachable from the root. It walks nodes in
-// discovery order, so the same broken graph always yields the same error —
-// ranging over the Nodes map here made the reported violation a function of
-// map iteration order (caught by the maporder analyzer).
+// consistent, and every node is reachable from the root. The checks that
+// need the node map run first (Order and the map agree, every edge names a
+// node); the rest run on the graph's edges as dense indexes (check), the
+// same form DecodeBinary reads a snapshot into. Both walk nodes in
+// discovery order, so the same broken graph always yields the same error.
 func (g *Graph) Validate() error {
 	if len(g.Order) != len(g.Nodes) {
 		return fmt.Errorf("ung: %d nodes in discovery order, %d in the node map", len(g.Order), len(g.Nodes))
 	}
-	for _, id := range g.Order {
+	pos := make(map[string]int32, len(g.Order))
+	for i, id := range g.Order {
 		n, ok := g.Nodes[id]
 		if !ok {
 			return fmt.Errorf("ung: order references missing node %q", id)
@@ -209,30 +194,87 @@ func (g *Graph) Validate() error {
 		if n.ID != id {
 			return fmt.Errorf("ung: node key %q != node id %q", id, n.ID)
 		}
+		pos[id] = int32(i)
+	}
+	// An id listed twice leaves a node of the map out of the order.
+	if len(pos) != len(g.Nodes) {
+		return fmt.Errorf("ung: %d nodes in discovery order, %d in the node map", len(pos), len(g.Nodes))
+	}
+	a := adjacency{ends: make([]int, 2*len(g.Order))}
+	for i, id := range g.Order {
+		n := g.Nodes[id]
 		for _, o := range n.Out {
-			t, ok := g.Nodes[o]
+			t, ok := pos[o]
 			if !ok {
 				return fmt.Errorf("ung: edge %q → missing node %q", id, o)
 			}
-			found := false
-			for _, in := range t.In {
-				if in == id {
-					found = true
-					break
-				}
+			a.edges = append(a.edges, t)
+		}
+		a.ends[2*i] = len(a.edges)
+		for _, from := range n.In {
+			t, ok := pos[from]
+			if !ok {
+				t = -1 // names no node, so it is no edge's reverse entry
 			}
-			if !found {
-				return fmt.Errorf("ung: edge %q → %q missing reverse entry", id, o)
+			a.edges = append(a.edges, t)
+		}
+		a.ends[2*i+1] = len(a.edges)
+	}
+	root, ok := pos[RootID]
+	if !ok {
+		root = -1
+	}
+	return a.check(g.Order, int(root))
+}
+
+// adjacency holds a graph's edge lists as indexes into its discovery order,
+// all in one buffer: node i's out edges are edges[ends[2i-1]:ends[2i]]
+// (from 0 for node 0) and its in edges edges[ends[2i]:ends[2i+1]].
+type adjacency struct {
+	edges []int32
+	ends  []int
+}
+
+func (a adjacency) out(i int) []int32 {
+	start := 0
+	if i > 0 {
+		start = a.ends[2*i-1]
+	}
+	return a.edges[start:a.ends[2*i]]
+}
+
+func (a adjacency) in(i int32) []int32 { return a.edges[a.ends[2*i]:a.ends[2*i+1]] }
+
+// check runs the structural checks on the dense form, nodes in discovery
+// order: every out edge has its reverse entry, and every node is reachable
+// from root (-1 when the graph has none). ids[i] names node i in errors.
+func (a adjacency) check(ids []string, root int) error {
+	for i, id := range ids {
+		for _, t := range a.out(i) {
+			if !slices.Contains(a.in(t), int32(i)) {
+				return fmt.Errorf("ung: edge %q → %q missing reverse entry", id, ids[t])
 			}
 		}
 	}
-	reach := g.Reachable()
-	if len(reach) != len(g.Nodes) {
+	seen := make([]bool, len(ids))
+	queue := make([]int32, 0, len(ids))
+	if root >= 0 {
+		seen[root] = true
+		queue = append(queue, int32(root))
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, t := range a.out(int(queue[head])) {
+			if !seen[t] {
+				seen[t] = true
+				queue = append(queue, t)
+			}
+		}
+	}
+	if len(queue) != len(ids) {
 		var missing []string
-		//dmi:orderinvariant collected ids are sorted before use
-		for id := range g.Nodes {
-			if !reach[id] {
-				missing = append(missing, id)
+		for i, ok := range seen {
+			if !ok {
+				missing = append(missing, ids[i])
 			}
 		}
 		sort.Strings(missing)
