@@ -1,6 +1,6 @@
 // Command dmi-coord is the distributed-serving coordinator: it feeds the
 // full evaluation grid (every Table 3 setting × every catalog task) to
-// N dmi-serve replicas as POST /v1/cells envelopes and aggregates
+// N dmi-serve replicas, one POST /v1/cells per cell, and aggregates
 // the outcomes in grid order — so its report is byte-identical
 // to the in-process `dmi-bench` run, no matter which replica served which
 // cell or in what order they finished. Sessions are stateless, idempotent
@@ -16,7 +16,7 @@
 //
 // Exactly one of -replicas (fixed fleet) or -membership (elastic fleet: one
 // base URL per line, re-read on SIGHUP so replicas join and leave mid-run)
-// selects the fleet. Every cell travels as its own one-cell envelope. Cells
+// selects the fleet. Every cell travels as its own request. Cells
 // are fed as fleet capacity frees up (live replicas × -inflight), so
 // concurrency follows failures, recoveries, joins, and leaves. -soak
 // replaces the single grid pass with a sustained open-loop load (cell
@@ -34,9 +34,9 @@
 // resolved by task id on both sides, so mismatched packs would silently score
 // different task content. The coordinator checks each replica's advertised
 // pack identity during the health wait and refuses to dispatch against a
-// mismatched replica, naming the replica and both hashes; every envelope
-// additionally carries the pack name and hash, which a mismatched replica
-// rejects with 409. A replica recovering from a down-mark is held
+// mismatched replica, naming the replica and both hashes; every cell
+// request additionally carries the pack name and hash, which a mismatched
+// replica rejects with 409. A replica recovering from a down-mark is held
 // out of rotation until its probed pack identity matches again.
 package main
 
@@ -119,9 +119,14 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		fmt.Fprintln(stderr, "dmi-coord: exactly one of -replicas or -membership is required")
 		return errUsage
 	}
+	// Fail -runs at flag parse, not after minutes of replica prewarm: every
+	// replica would reject the first cell with the same 400, and a soak would
+	// report every arrival as failed.
+	if *runs < 1 {
+		fmt.Fprintf(stderr, "dmi-coord: -runs %d must be at least 1\n", *runs)
+		return errUsage
+	}
 	if *runs > serveproto.MaxRuns {
-		// Fail at flag parse, not after minutes of replica prewarm — every
-		// replica would reject the first cell with the same 400.
 		fmt.Fprintf(stderr, "dmi-coord: -runs %d exceeds the per-cell cap of %d\n", *runs, serveproto.MaxRuns)
 		return errUsage
 	}
@@ -216,7 +221,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	if err != nil {
 		var mismatch *bench.PackMismatchError
 		if errors.As(err, &mismatch) {
-			// A replica passed the health check but answered an envelope with
+			// A replica passed the health check but answered a cell with
 			// 409 — its pack changed out from under the run (e.g. it was
 			// restarted with a different -taskpack). Name the replica and
 			// both identities so the operator knows exactly what to restart.
@@ -357,14 +362,15 @@ func reloadMembership(rd *bench.RemoteDispatcher, path string, stderr io.Writer)
 
 // waitHealthy polls every replica's /v1/healthz until it answers ready or the
 // wait budget runs out, then checks the replica's advertised pack identity
-// against the run's registry — a healthy replica serving the wrong pack is a
-// configuration error worth failing on before any cell is dispatched, with
-// the replica and both hashes named. Replicas prewarm the whole catalog
-// before listening, so this is where the coordinator absorbs replica
-// startup. The budget is shared across replicas and carried by a
-// context deadline, so a parent cancellation (^C) is distinguishable from
-// the budget running out, and the ticker keeps probes on a fixed cadence
-// instead of drifting by probe latency the way sleep-after-probe loops do.
+// against the run's registry — a healthy replica that does not advertise
+// exactly the run's pack is a configuration error worth failing on before
+// any cell is dispatched, with the replica and both hashes named. Replicas
+// prewarm the whole catalog before listening, so this is where the
+// coordinator absorbs replica startup. The budget is shared across replicas
+// and carried by a context deadline, so a parent cancellation (^C) is
+// distinguishable from the budget running out, and the ticker keeps probes
+// on a fixed cadence instead of drifting by probe latency the way
+// sleep-after-probe loops do.
 func waitHealthy(ctx context.Context, replicas []string, reg *taskpack.Registry, wait time.Duration, stderr io.Writer) error {
 	ctx, cancel := context.WithTimeout(ctx, wait)
 	defer cancel()
@@ -383,10 +389,7 @@ func waitHealthy(ctx context.Context, replicas []string, reg *taskpack.Registry,
 			}
 			hz, err = bench.ProbeHealthz(ctx, probeClient, base)
 		}
-		// An empty advertised pack means a pre-pack replica; the envelope
-		// handshake is skipped for it too, so don't fail the wait.
-		if (hz.Pack != "" && hz.Pack != reg.Name()) ||
-			(hz.PackHash != "" && hz.PackHash != reg.Hash()) {
+		if hz.Pack != reg.Name() || hz.PackHash != reg.Hash() {
 			return fmt.Errorf("replica %s serves task pack %s (hash %.12s), this run needs %s (hash %.12s); restart it with the coordinator's -taskpack",
 				base, hz.Pack, hz.PackHash, reg.Name(), reg.Hash())
 		}

@@ -63,9 +63,12 @@ func TestBadFlagIsAnError(t *testing.T) {
 	if !strings.Contains(errb.String(), "flag provided but not defined: -batch") {
 		t.Errorf("unknown-flag message for -batch absent from stderr:\n%s", errb.String())
 	}
-	// -inflight 0 would size the fan-out to zero and -timeout 0 would leave
-	// the client without a timeout; both fail at flag parse.
+	// -runs 0 would dispatch cells every replica rejects (a soak would
+	// report every arrival failed); it fails at flag parse like -inflight 0
+	// and -timeout 0, which would size the fan-out to zero and leave the
+	// client without a timeout.
 	for _, bad := range [][]string{
+		{"-runs", "0"}, {"-runs", "-1"},
 		{"-inflight", "0"}, {"-inflight", "-3"},
 		{"-timeout", "0"}, {"-timeout", "-1s"},
 	} {
@@ -88,6 +91,31 @@ func TestHelpFlagIsNotAnError(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "Usage") {
 		t.Errorf("usage text missing from stderr:\n%s", errb.String())
+	}
+}
+
+// TestReplicaWithoutPackFailsWait pins the startup pack check: a replica
+// that answers ready but does not advertise exactly the run's pack fails
+// the health wait, naming the replica, before any cell is dispatched.
+func TestReplicaWithoutPackFailsWait(t *testing.T) {
+	reg := taskpack.Builtin()
+	for _, hz := range []serveproto.Health{
+		{OK: true, Apps: 5},
+		{OK: true, Apps: 5, Pack: reg.Name()},
+		{OK: true, Apps: 5, Pack: "other", PackHash: reg.Hash()},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != serveproto.PathHealthz {
+				t.Errorf("%s reached before the health wait passed", r.URL.Path)
+			}
+			json.NewEncoder(w).Encode(hz)
+		}))
+		var out, errb bytes.Buffer
+		err := run([]string{"-replicas", srv.URL, "-wait", "5s"}, &out, &errb)
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "serves task pack") || !strings.Contains(err.Error(), srv.URL) {
+			t.Errorf("health %+v: got %v, want a pack error naming %s", hz, err, srv.URL)
+		}
 	}
 }
 
@@ -114,10 +142,9 @@ type replica struct {
 	failAfter int64
 	// outage is a switchable outage — envelopes and /v1/healthz both 500
 	// while set — so soak tests can take a replica down and bring it back.
-	outage      atomic.Bool
-	served      atomic.Int64
-	batchCalls  atomic.Int64 // POST /v1/cells envelopes received
-	maxEnvelope atomic.Int64 // most cells seen in one envelope
+	outage    atomic.Bool
+	served    atomic.Int64
+	cellCalls atomic.Int64 // POST /v1/cells requests received
 }
 
 // failing reports whether an injected failure mode is active.
@@ -132,7 +159,8 @@ func (rp *replica) handler() http.Handler {
 			http.Error(w, "injected outage", http.StatusInternalServerError)
 			return
 		}
-		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: len(agent.AppNames())})
+		reg := taskpack.Builtin()
+		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: len(agent.AppNames()), Pack: reg.Name(), PackHash: reg.Hash()})
 	})
 	mux.HandleFunc(serveproto.PathStats, func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(serveproto.StatsResponse{
@@ -145,32 +173,22 @@ func (rp *replica) handler() http.Handler {
 			http.Error(w, "injected replica failure", http.StatusInternalServerError)
 			return
 		}
-		var req serveproto.BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		cr, err := serveproto.DecodeSessionRequest(r.Body)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		rp.batchCalls.Add(1)
-		for n := int64(len(req.Cells)); ; {
-			cur := rp.maxEnvelope.Load()
-			if n <= cur || rp.maxEnvelope.CompareAndSwap(cur, n) {
-				break
-			}
+		rp.cellCalls.Add(1)
+		set, task, err := bench.ResolveCellIn(taskpack.Builtin(), bench.Cell{App: cr.App, Task: cr.Task, Setting: cr.Setting, Runs: cr.Runs})
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		resp := serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, len(req.Cells))}
-		for i, cr := range req.Cells {
-			set, task, err := bench.ResolveCellIn(taskpack.Builtin(), bench.Cell{App: cr.App, Task: cr.Task, Setting: cr.Setting, Runs: cr.Runs})
-			if err != nil {
-				resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusBadRequest, Error: err.Error()}
-				continue
-			}
-			outcomes := bench.RunCell(rp.models, set, task, cr.Runs, 1)
-			rp.served.Add(1)
-			resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusOK, Response: &serveproto.SessionResponse{
-				App: task.App, Task: task.ID, Setting: set.Label, Runs: cr.Runs, Outcomes: outcomes,
-			}}
-		}
-		json.NewEncoder(w).Encode(resp)
+		outcomes := bench.RunCell(rp.models, set, task, cr.Runs, 1)
+		rp.served.Add(1)
+		json.NewEncoder(w).Encode(serveproto.SessionResponse{
+			App: task.App, Task: task.ID, Setting: set.Label, Runs: cr.Runs, Outcomes: outcomes,
+		})
 	})
 	return mux
 }
@@ -247,12 +265,9 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 			t.Errorf("coordination telemetry missing %q:\n%s", fragment, errb.String())
 		}
 	}
-	// Every cell travels as its own one-cell envelope.
-	if calls := a.batchCalls.Load() + b.batchCalls.Load(); calls != cells {
-		t.Errorf("%d cells travelled in %d envelopes, want one per cell", cells, calls)
-	}
-	if n := max(a.maxEnvelope.Load(), b.maxEnvelope.Load()); n != 1 {
-		t.Errorf("an envelope carried %d cells, want 1", n)
+	// Every cell travels as its own request.
+	if calls := a.cellCalls.Load() + b.cellCalls.Load(); calls != cells {
+		t.Errorf("%d cells travelled in %d requests, want one per cell", cells, calls)
 	}
 }
 

@@ -21,8 +21,8 @@
 //
 // Endpoints (wire types and paths in internal/serveproto, protocol v1):
 //
-//	POST /v1/cells    {["pack","pack_hash",]"cells":[{"app","task","setting","runs"},...]}
-//	                  → per-cell results; one cell or a whole batch per call
+//	POST /v1/cells    {"app","task","setting","runs"[,"pack","pack_hash"]}
+//	                  → the cell's outcomes; one cell per call, failures as HTTP statuses
 //	POST /v1/rip      {"app","context","frames":[...]} → per-frame differential captures,
 //	                  the worker half of a distributed rip (coordinator: dmi-model -replicas)
 //	GET  /v1/stats    store counters (hits, misses, snapshot loads, evictions,
@@ -50,7 +50,6 @@ import (
 	_ "net/http/pprof" // -pprof: registers /debug/pprof on the default mux
 	"os"
 	"os/signal"
-	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -244,7 +243,7 @@ func newBareServer(store *modelstore.Store, reg *taskpack.Registry, ripWorkers, 
 		rip:        newRipPool(),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc(serveproto.PathCells, s.handleBatch)
+	mux.HandleFunc(serveproto.PathCells, s.handleCell)
 	mux.HandleFunc(serveproto.PathRip, s.handleRip)
 	mux.HandleFunc(serveproto.PathStats, s.handleStats)
 	mux.HandleFunc(serveproto.PathHealthz, s.handleHealthz)
@@ -254,29 +253,20 @@ func newBareServer(store *modelstore.Store, reg *taskpack.Registry, ripWorkers, 
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// handleBatch is POST /v1/cells, the one cell route: 1..MaxBatchCells cells
-// in one HTTP call. The pack handshake is request-level (409 rejects the
-// whole envelope); everything past it is per-cell — each cell carries its
-// own status, so one bad cell never poisons its batch-mates.
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+// handleCell is POST /v1/cells, the one cell route: one SessionRequest in,
+// one SessionResponse out. Every rejection is the HTTP status itself — 400,
+// 404, 413, a 409 pack mismatch, or a 500 model failure.
+func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	// The body cap scales with the declared batch size (clamped to
-	// [1, MaxBatchCells]): a flat per-cell cap would reject a full batch of
-	// legitimate cells, an unconditional max-batch cap would let a
-	// single-cell client post 64× what it should. The declared count is a
-	// limit declaration, not trusted content — DecodeBatchRequest re-checks
-	// the decoded batch against MaxBatchCells.
-	declared, _ := strconv.Atoi(r.Header.Get(serveproto.BatchSizeHeader))
-	limit := serveproto.BatchRequestBytes(declared)
-	req, err := serveproto.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, limit))
+	req, err := serveproto.DecodeSessionRequest(http.MaxBytesReader(w, r.Body, serveproto.MaxRequestBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes (declare the batch size in %s)",
-				limit, serveproto.BatchSizeHeader), http.StatusRequestEntityTooLarge)
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", serveproto.MaxRequestBytes),
+				http.StatusRequestEntityTooLarge)
 			return
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -285,29 +275,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.rejectPackMismatch(w, req.Pack, req.PackHash) {
 		return
 	}
-	results := make([]serveproto.BatchCellResult, len(req.Cells))
-	for i, cell := range req.Cells {
-		// Cell-level pack fields must agree with the batch-level handshake
-		// already validated; a cell naming a different pack is its own
-		// mismatch, not the batch's. In-repo clients never set them, but the
-		// envelope is outside input.
-		if (cell.Pack != "" && cell.Pack != s.reg.Name()) ||
-			(cell.PackHash != "" && cell.PackHash != s.reg.Hash()) {
-			results[i] = serveproto.BatchCellResult{Status: http.StatusConflict, Error: "pack mismatch"}
-			continue
-		}
-		resp, status, msg := s.runCellRequest(cell)
-		if resp == nil {
-			results[i] = serveproto.BatchCellResult{Status: status, Error: msg}
-			continue
-		}
-		results[i] = serveproto.BatchCellResult{Status: http.StatusOK, Response: resp}
+	resp, status, msg := s.runCellRequest(req)
+	if resp == nil {
+		http.Error(w, msg, status)
+		return
 	}
-	writeJSON(w, serveproto.BatchResponse{
-		Pack:     s.reg.Name(),
-		PackHash: s.reg.Hash(),
-		Results:  results,
-	})
+	writeJSON(w, resp)
 }
 
 // rejectPackMismatch runs the pack handshake: a request naming a different
@@ -328,10 +301,9 @@ func (s *server) rejectPackMismatch(w http.ResponseWriter, pack, packHash string
 	return true
 }
 
-// runCellRequest validates and executes one cell of POST /v1/cells. On
-// success the
-// response is non-nil; otherwise status and msg carry the HTTP rejection.
-// The pack handshake is the caller's, not runCellRequest's.
+// runCellRequest validates and executes the cell of a POST /v1/cells. On
+// success the response is non-nil; otherwise status and msg carry the HTTP
+// rejection. The pack handshake is the caller's, not runCellRequest's.
 func (s *server) runCellRequest(req serveproto.SessionRequest) (*serveproto.SessionResponse, int, string) {
 	runs := req.Runs
 	if runs > serveproto.MaxRuns {

@@ -59,20 +59,14 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// postCells posts one POST /v1/cells envelope, declaring its cell count
-// the way the dispatcher does, and returns the status and raw body.
-func postCells(base string, cells ...serveproto.SessionRequest) (int, []byte, error) {
-	body, err := json.Marshal(serveproto.BatchRequest{Cells: cells})
+// postCell posts one cell to POST /v1/cells and returns the status and raw
+// body.
+func postCell(base string, cell serveproto.SessionRequest) (int, []byte, error) {
+	body, err := json.Marshal(cell)
 	if err != nil {
 		return 0, nil, err
 	}
-	req, err := http.NewRequest(http.MethodPost, base+serveproto.PathCells, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(serveproto.BatchSizeHeader, fmt.Sprint(len(cells)))
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post(base+serveproto.PathCells, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -81,21 +75,9 @@ func postCells(base string, cells ...serveproto.SessionRequest) (int, []byte, er
 	return resp.StatusCode, raw, err
 }
 
-// rawResults splits a POST /v1/cells answer into its per-cell results,
-// keeping each cell's response as raw bytes for byte-level comparisons.
-func rawResults(raw []byte) ([]serveproto.RawBatchCellResult, error) {
-	var br serveproto.RawBatchResponse
-	if err := json.Unmarshal(raw, &br); err != nil {
-		return nil, err
-	}
-	var results []serveproto.RawBatchCellResult
-	err := json.Unmarshal(br.Results, &results)
-	return results, err
-}
-
 // TestServeDaemon is the serving-tier acceptance test, driven through run()
 // at the binary boundary: a budget that cannot hold the whole catalog,
-// concurrent one-cell POST /v1/cells traffic over all five apps, responses
+// concurrent POST /v1/cells traffic over all five apps, responses
 // byte-identical to the in-process evaluation, and /v1/stats showing ≥1
 // eviction and ≥1 snapshot reload. CI runs it under -race.
 func TestServeDaemon(t *testing.T) {
@@ -194,20 +176,15 @@ func TestServeDaemon(t *testing.T) {
 					posted++
 					go func(app string, ti int, label string) {
 						defer wg.Done()
-						status, raw, err := postCells(base, serveproto.SessionRequest{
+						status, raw, err := postCell(base, serveproto.SessionRequest{
 							App: app, Task: tasks[ti].ID, Setting: label, Runs: runs,
 						})
 						if err != nil || status != http.StatusOK {
 							t.Errorf("%s/%s: status %d (%v): %s", app, label, status, err, raw)
 							return
 						}
-						results, err := rawResults(raw)
-						if err != nil || len(results) != 1 || results[0].Status != http.StatusOK {
-							t.Errorf("%s/%s: one-cell envelope answered %s (%v)", app, label, raw, err)
-							return
-						}
 						var got serveproto.RawSessionResponse
-						if err := json.Unmarshal(results[0].Response, &got); err != nil {
+						if err := json.Unmarshal(raw, &got); err != nil {
 							t.Errorf("%s/%s: %v", app, label, err)
 							return
 						}
@@ -293,13 +270,12 @@ func TestServeDaemon(t *testing.T) {
 			{serveproto.SessionRequest{Task: task, Setting: "GUI+DMI / GPT-5 / Medium", Runs: serveproto.MaxRuns + 1}, http.StatusBadRequest},
 		}
 		for _, c := range cases {
-			status, raw, err := postCells(base, c.cell)
+			status, raw, err := postCell(base, c.cell)
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := rawResults(raw)
-			if status != http.StatusOK || err != nil || len(results) != 1 || results[0].Status != c.want {
-				t.Errorf("cell %+v: envelope status %d, body %s — want 200 with cell status %d", c.cell, status, raw, c.want)
+			if status != c.want {
+				t.Errorf("cell %+v: status %d, body %s — want %d", c.cell, status, raw, c.want)
 			}
 		}
 		if resp, err := http.Get(base + serveproto.PathCells); err != nil {
@@ -320,68 +296,6 @@ func TestServeDaemon(t *testing.T) {
 		}
 	})
 
-	// Batching must be transport-only: a POST /v1/cells carrying one cell
-	// per app yields, cell for cell, the same outcome bytes as one-cell
-	// envelopes and the in-process run.
-	t.Run("v1-batch-byte-identical", func(t *testing.T) {
-		apps := make([]string, 0, len(taskIdx))
-		for _, task := range tasks {
-			found := false
-			for _, a := range apps {
-				if a == task.App {
-					found = true
-					break
-				}
-			}
-			if !found {
-				apps = append(apps, task.App)
-			}
-		}
-		cells := make([]serveproto.SessionRequest, 0, len(apps))
-		for _, app := range apps {
-			cells = append(cells, serveproto.SessionRequest{
-				App: app, Task: tasks[taskIdx[app]].ID, Setting: labels[0], Runs: runs,
-			})
-		}
-		status, raw, err := postCells(base, cells...)
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("batch: status %d (%v): %s", status, err, raw)
-		}
-		results, err := rawResults(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != len(cells) {
-			t.Fatalf("batch of %d cells answered %d results", len(cells), len(results))
-		}
-		var row bench.Row
-		for _, r := range rep.Rows {
-			if r.Setting.Label == labels[0] {
-				row = r
-			}
-		}
-		for i, res := range results {
-			if res.Status != http.StatusOK {
-				t.Errorf("cell %d: status %d (%s)", i, res.Status, res.Error)
-				continue
-			}
-			var sr serveproto.RawSessionResponse
-			if err := json.Unmarshal(res.Response, &sr); err != nil {
-				t.Errorf("cell %d: %v", i, err)
-				continue
-			}
-			ti := taskIdx[apps[i]]
-			want, err := json.Marshal(row.Outcomes[ti*runs : (ti+1)*runs])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sr.Outcomes, want) {
-				t.Errorf("cell %d (%s): batched outcomes diverge from in-process bench.Run\n got: %s\nwant: %s",
-					i, apps[i], sr.Outcomes, want)
-			}
-		}
-	})
-
 	// Graceful shutdown: cancel runCtx while a cell is verifiably in
 	// flight; the daemon must drain it (the POST completes with 200) and
 	// then return nil — the clean-stop contract the coordinator's failure
@@ -395,19 +309,19 @@ func TestServeDaemon(t *testing.T) {
 		}
 		resc := make(chan result, 1)
 		go func() {
-			status, raw, err := postCells(base, serveproto.SessionRequest{
+			status, raw, err := postCell(base, serveproto.SessionRequest{
 				Task: task, Setting: "GUI+DMI / GPT-5 / Medium", Runs: serveproto.MaxRuns,
 			})
 			if err != nil {
 				resc <- result{err: err}
 				return
 			}
-			var br serveproto.BatchResponse
-			if err := json.Unmarshal(raw, &br); err != nil || len(br.Results) != 1 || br.Results[0].Response == nil {
-				resc <- result{status: status, err: fmt.Errorf("envelope answered %s (%v)", raw, err)}
+			var sr serveproto.SessionResponse
+			if err := json.Unmarshal(raw, &sr); err != nil {
+				resc <- result{status: status, err: fmt.Errorf("answered %s (%v)", raw, err)}
 				return
 			}
-			resc <- result{status: br.Results[0].Status, got: len(br.Results[0].Response.Outcomes)}
+			resc <- result{status: status, got: len(sr.Outcomes)}
 		}()
 		// Wait until /v1/stats reports the cell in flight, so the cancel
 		// below races nothing.
@@ -449,25 +363,35 @@ func TestServeDaemon(t *testing.T) {
 	})
 }
 
-// TestOversizeBodyIs413 pins the request-body cap of a one-cell envelope:
-// a payload over serveproto.MaxRequestBytes declared as one cell is refused
-// with 413, while an ordinary malformed body stays a 400. Driven against a
-// bare (unprewarmed) server — both paths reject before any model is
-// touched.
+// cellBodyOfSize builds a syntactically valid cell body padded to exactly
+// size bytes (the padding lives inside the task string, so the decoder must
+// read through it and the byte cap is exercised mid-value).
+func cellBodyOfSize(t *testing.T, size int) string {
+	t.Helper()
+	skeleton := `{"task":"","setting":"s","runs":1}`
+	if size <= len(skeleton) {
+		t.Fatalf("size %d smaller than the %d-byte skeleton", size, len(skeleton))
+	}
+	return `{"task":"` + strings.Repeat("x", size-len(skeleton)) + `","setting":"s","runs":1}`
+}
+
+// TestOversizeBodyIs413 pins the request-body cap of POST /v1/cells: a body
+// of exactly serveproto.MaxRequestBytes gets past it (the unknown task is
+// then a 404), one byte more is refused with 413, and an ordinary malformed
+// body stays a 400. Driven against a bare (unprewarmed) server — every path
+// rejects before any model is touched.
 func TestOversizeBodyIs413(t *testing.T) {
 	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
 	post := func(body string) int {
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, serveproto.PathCells, strings.NewReader(body))
-		req.Header.Set(serveproto.BatchSizeHeader, "1")
-		s.ServeHTTP(rec, req)
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, serveproto.PathCells, strings.NewReader(body)))
 		return rec.Code
 	}
 
-	// A syntactically valid prefix, so the decoder keeps reading until the
-	// byte cap trips rather than bailing on the first malformed character.
-	big := `{"cells":[{"app":"` + strings.Repeat("x", serveproto.MaxRequestBytes) + `"}]}`
-	if code := post(big); code != http.StatusRequestEntityTooLarge {
+	if code := post(cellBodyOfSize(t, serveproto.MaxRequestBytes)); code != http.StatusNotFound {
+		t.Errorf("body at the %d-byte cap: status %d, want 404", serveproto.MaxRequestBytes, code)
+	}
+	if code := post(cellBodyOfSize(t, serveproto.MaxRequestBytes+1)); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversize body: status %d, want 413", code)
 	}
 	if code := post("{not json"); code != http.StatusBadRequest {
@@ -524,149 +448,66 @@ func TestRouteSets(t *testing.T) {
 	}
 }
 
-// batchBodyOfSize builds a syntactically valid one-cell batch body padded
-// to exactly size bytes (the padding lives inside the task string, so the
-// decoder must read through it and the byte cap is exercised mid-value).
-func batchBodyOfSize(t *testing.T, size int) []byte {
-	t.Helper()
-	skeleton := `{"cells":[{"task":"","setting":"s","runs":1}]}`
-	if size <= len(skeleton) {
-		t.Fatalf("size %d smaller than the %d-byte skeleton", size, len(skeleton))
-	}
-	body := `{"cells":[{"task":"` + strings.Repeat("x", size-len(skeleton)) + `","setting":"s","runs":1}]}`
-	if len(body) != size {
-		t.Fatalf("built %d bytes, want %d", len(body), size)
-	}
-	return []byte(body)
-}
-
-// TestBatchBodyCapScalesWithDeclaredSize is the 413 regression test at the
-// boundary: POST /v1/cells sizes its MaxBytesReader from the declared batch
-// size (Dmi-Batch-Cells) instead of the flat per-session cap, so a full
-// batch of maximum-size cells fits — while an undeclared or under-declared
-// batch still trips the single-cell cap, and an absurd declaration clamps
-// at MaxBatchCells.
-func TestBatchBodyCapScalesWithDeclaredSize(t *testing.T) {
+// TestCellValidation pins the failures of POST /v1/cells, each the HTTP
+// status itself, on a bare server (every probe rejects before model work):
+// the retired multi-cell envelope and any other unknown field are a 400
+// naming the field, a pack mismatch is a 409 PackMismatch body, an unknown
+// task a 404, and a runs count outside [1, MaxRuns] a 400.
+func TestCellValidation(t *testing.T) {
 	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
-	post := func(body []byte, declare string) *httptest.ResponseRecorder {
+	post := func(body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, serveproto.PathCells, bytes.NewReader(body))
-		if declare != "" {
-			req.Header.Set(serveproto.BatchSizeHeader, declare)
-		}
-		s.ServeHTTP(rec, req)
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, serveproto.PathCells, strings.NewReader(body)))
 		return rec
 	}
 
-	// Exactly at the single-cell cap: accepted without any declaration (the
-	// unknown task is a per-cell 404 inside a 200 batch — past the cap).
-	rec := post(batchBodyOfSize(t, serveproto.MaxRequestBytes), "")
-	if rec.Code != http.StatusOK {
-		t.Errorf("body at the %d-byte cap: status %d, want 200; %s",
-			serveproto.MaxRequestBytes, rec.Code, rec.Body.String())
-	}
-
-	// One byte over: the flat cap must trip without a declaration and must
-	// NOT trip when the client declares a 2-cell batch.
-	over := batchBodyOfSize(t, serveproto.MaxRequestBytes+1)
-	if rec := post(over, ""); rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("undeclared over-cap body: status %d, want 413", rec.Code)
-	}
-	if rec := post(over, "1"); rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("declared-1 over-cap body: status %d, want 413", rec.Code)
-	}
-	if rec := post(over, "2"); rec.Code != http.StatusOK {
-		t.Errorf("declared-2 over-cap body: status %d, want 200; %s", rec.Code, rec.Body.String())
-	}
-
-	// The declaration scales the cap but never past MaxBatchCells: a body
-	// over the full-batch limit is refused no matter what the client claims.
-	tooBig := batchBodyOfSize(t, int(serveproto.BatchRequestBytes(serveproto.MaxBatchCells))+1)
-	if rec := post(tooBig, fmt.Sprint(1<<30)); rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("body over the clamped max-batch cap: status %d, want 413", rec.Code)
-	}
-}
-
-// TestBatchValidation pins the batch envelope checks and per-cell status
-// independence on a bare server (every probe rejects before model work).
-func TestBatchValidation(t *testing.T) {
-	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
-	post := func(req serveproto.BatchRequest) *httptest.ResponseRecorder {
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct{ body, field string }{
+		{`{"cells":[{"task":"word-replace","setting":"GUI+DMI / GPT-5 / Medium","runs":1}]}`, `"cells"`},
+		{`{"task":"word-replace","setting":"GUI+DMI / GPT-5 / Medium","run":1}`, `"run"`},
+	} {
+		rec := post(c.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.field) {
+			t.Errorf("%s: status %d, body %q — want 400 naming %s", c.body, rec.Code, rec.Body.String(), c.field)
 		}
-		rec := httptest.NewRecorder()
-		hr := httptest.NewRequest(http.MethodPost, serveproto.PathCells, bytes.NewReader(body))
-		hr.Header.Set(serveproto.BatchSizeHeader, fmt.Sprint(len(req.Cells)))
-		s.ServeHTTP(rec, hr)
-		return rec
 	}
 
-	if rec := post(serveproto.BatchRequest{}); rec.Code != http.StatusBadRequest {
-		t.Errorf("empty batch: status %d, want 400", rec.Code)
-	}
-	overfull := serveproto.BatchRequest{Cells: make([]serveproto.SessionRequest, serveproto.MaxBatchCells+1)}
-	if rec := post(overfull); rec.Code != http.StatusBadRequest {
-		t.Errorf("batch over the %d-cell cap: status %d, want 400", serveproto.MaxBatchCells, rec.Code)
-	}
-
-	// A batch-level pack mismatch rejects the whole call with a 409
-	// PackMismatch body (TestPackMismatchIs409 pins its fields).
-	rec := post(serveproto.BatchRequest{Pack: "custom", Cells: []serveproto.SessionRequest{{Task: "word-replace", Setting: "D-M"}}})
+	rec := post(`{"task":"word-replace","setting":"D-M","pack":"custom"}`)
 	if rec.Code != http.StatusConflict {
-		t.Fatalf("batch pack mismatch: status %d, want 409", rec.Code)
+		t.Fatalf("pack mismatch: status %d, want 409", rec.Code)
 	}
 	var mm serveproto.PackMismatch
 	if err := json.Unmarshal(rec.Body.Bytes(), &mm); err != nil || mm.HavePack != taskpack.BuiltinName {
 		t.Errorf("409 body is not a PackMismatch: %v %s", err, rec.Body.String())
 	}
 
-	// Per-cell independence: an unknown task, an over-cap runs count, a
-	// cell-level pack mismatch and a zero runs count ride one batch and each
-	// get their own status — the batch itself is 200.
-	rec = post(serveproto.BatchRequest{Cells: []serveproto.SessionRequest{
-		{Task: "no-such-task", Setting: "GUI+DMI / GPT-5 / Medium", Runs: 1},
-		{Task: "word-replace", Setting: "D-M", Runs: serveproto.MaxRuns + 1},
-		{Task: "word-replace", Setting: "D-M", Runs: 1, Pack: "custom"},
-		{Task: "word-replace", Setting: "GUI+DMI / GPT-5 / Medium", Runs: 0},
-	}})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("mixed batch: status %d, want 200; %s", rec.Code, rec.Body.String())
-	}
-	var br serveproto.BatchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{http.StatusNotFound, http.StatusBadRequest, http.StatusConflict, http.StatusBadRequest}
-	if len(br.Results) != len(want) {
-		t.Fatalf("%d results for %d cells", len(br.Results), len(want))
-	}
-	for i, res := range br.Results {
-		if res.Status != want[i] {
-			t.Errorf("cell %d: status %d, want %d (%s)", i, res.Status, want[i], res.Error)
+	for _, c := range []struct {
+		cell serveproto.SessionRequest
+		want int
+	}{
+		{serveproto.SessionRequest{Task: "no-such-task", Setting: "GUI+DMI / GPT-5 / Medium", Runs: 1}, http.StatusNotFound},
+		{serveproto.SessionRequest{Task: "word-replace", Setting: "D-M", Runs: serveproto.MaxRuns + 1}, http.StatusBadRequest},
+		{serveproto.SessionRequest{Task: "word-replace", Setting: "GUI+DMI / GPT-5 / Medium", Runs: 0}, http.StatusBadRequest},
+	} {
+		body, err := json.Marshal(c.cell)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Error == "" {
-			t.Errorf("cell %d: rejection carries no error", i)
+		if rec := post(string(body)); rec.Code != c.want || strings.TrimSpace(rec.Body.String()) == "" {
+			t.Errorf("cell %+v: status %d, body %q — want %d with a reason", c.cell, rec.Code, rec.Body.String(), c.want)
 		}
-	}
-	if br.Pack != taskpack.BuiltinName {
-		t.Errorf("batch response pack %q, want %q", br.Pack, taskpack.BuiltinName)
 	}
 }
 
-// TestPackMismatchIs409 pins the pack handshake: an envelope naming a
-// different pack (or the right pack at a different hash) is refused with
-// 409 and a PackMismatch body carrying both identities, before any model
-// work. Envelopes that skip the handshake (empty pack fields) are
-// unaffected.
+// TestPackMismatchIs409 pins the pack handshake: a cell naming a different
+// pack (or the right pack at a different hash) is refused with 409 and a
+// PackMismatch body carrying both identities, before any model work. Cells
+// that skip the handshake (empty pack fields) are unaffected.
 func TestPackMismatchIs409(t *testing.T) {
 	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
 
 	post := func(pack, hash string) *httptest.ResponseRecorder {
-		body, err := json.Marshal(serveproto.BatchRequest{
-			Pack: pack, PackHash: hash,
-			Cells: []serveproto.SessionRequest{{Task: "word-replace", Setting: "D-M", Runs: 1}},
+		body, err := json.Marshal(serveproto.SessionRequest{
+			Task: "word-replace", Setting: "D-M", Runs: 1, Pack: pack, PackHash: hash,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -698,8 +539,8 @@ func TestPackMismatchIs409(t *testing.T) {
 	}
 
 	// A matching handshake must pass the gate (the unknown setting then
-	// fails the cell inside a 200 envelope — anything but 409 proves the
-	// gate let it through).
+	// fails the cell with a 404 — anything but 409 proves the gate let it
+	// through).
 	if rec := post(taskpack.BuiltinName, taskpack.Builtin().Hash()); rec.Code == http.StatusConflict {
 		t.Errorf("matching pack handshake was refused: %s", rec.Body.String())
 	}

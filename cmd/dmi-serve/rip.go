@@ -67,20 +67,18 @@ func (p *ripPool) put(app string, inst *appkit.App) {
 
 // handleRip is POST /v1/rip: expand up to MaxRipFrames frames of one
 // application context on this replica's own instances and return the
-// differential captures. The envelope follows the /v1/cells pattern — the
-// pack handshake and the app/context resolution are request-level (409/404
-// reject the whole envelope), everything past them is per-frame, each frame
-// carrying the status it would have gotten alone so one malformed frame
-// never poisons its envelope-mates.
+// differential captures. The pack handshake and the app/context resolution
+// are request-level (409/404 reject the whole envelope); everything past
+// them is per-frame, each frame carrying the status it would have gotten
+// alone so one malformed frame never poisons its envelope-mates.
 func (s *server) handleRip(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	// Body cap scaled by the declared frame count, exactly like the batch
-	// endpoint: the declaration sizes the MaxBytesReader before a byte is
-	// read, and the decoded envelope is re-checked against MaxRipFrames by
-	// ParseRipRequest.
+	// Body cap scaled by the declared frame count: the declaration sizes
+	// the MaxBytesReader before a byte is read, and the decoded envelope
+	// is re-checked against MaxRipFrames by ParseRipRequest.
 	declared, _ := strconv.Atoi(r.Header.Get(serveproto.RipBatchHeader))
 	limit := serveproto.RipRequestBytes(declared)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))

@@ -269,7 +269,7 @@ func NewSession(app *App, model *TopologyModel, opt ExecOptions) *Session {
 type Dispatcher = bench.Dispatcher
 
 // GridCell is one serializable (setting, task, runs) job unit of the
-// evaluation grid — one entry of a dmi-serve POST /v1/cells envelope.
+// evaluation grid — the body of one dmi-serve POST /v1/cells.
 type GridCell = bench.Cell
 
 // AgentOutcome is the result of one task run — what a Dispatcher returns

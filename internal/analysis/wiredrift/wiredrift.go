@@ -25,7 +25,7 @@
 // too: a serveproto struct named Raw<X> whose base <X> exists must mirror it
 // field for field — same field names in the same order, identical struct
 // tags — with json.RawMessage permitted wherever the view leaves a payload
-// undecoded. A field added to BatchResponse but not RawBatchResponse is then
+// undecoded. A field added to SessionResponse but not RawSessionResponse is then
 // a vet failure, not a silently-partial byte-equivalence test.
 package wiredrift
 

@@ -33,17 +33,13 @@ func (a fixedAnswer) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // echoesCell reports whether body, decoded the way the dispatcher decodes a
-// 200 envelope, is exactly one 200 result echoing cell with cell.Runs
-// outcomes.
+// 200 answer, is a SessionResponse echoing cell with cell.Runs outcomes.
 func echoesCell(cell Cell, body []byte) bool {
-	var br serveproto.BatchResponse
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&br); err != nil || len(br.Results) != 1 {
+	var sr serveproto.SessionResponse
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&sr); err != nil {
 		return false
 	}
-	res := br.Results[0]
-	return res.Status == http.StatusOK && res.Response != nil &&
-		res.Response.Task == cell.Task && res.Response.Setting == cell.Setting &&
-		len(res.Response.Outcomes) == cell.Runs
+	return sr.Task == cell.Task && sr.Setting == cell.Setting && len(sr.Outcomes) == cell.Runs
 }
 
 // FuzzCellAnswer drives one Dispatch through a one-replica dispatcher whose
@@ -51,7 +47,10 @@ func echoesCell(cell Cell, body []byte) bool {
 // dispatch must not panic and must end in exactly one verdict: the cell's
 // outcomes (only when the body echoes the cell), a final request error or
 // pack mismatch that leaves the replica up, or a replica fault that
-// down-marks it and counts one retry.
+// down-marks it and counts one retry. The corpus keeps the answers of the
+// retired multi-cell shape ({"results":[...]}: cell-404, valid-answer,
+// wrong-echo, wrong-result-count, truncated-json): a 200 in that shape does
+// not echo the cell, so it must read as a replica fault.
 func FuzzCellAnswer(f *testing.F) {
 	cell := Cell{Task: "task-0", Setting: "s", Runs: 2}
 	f.Fuzz(func(t *testing.T, status int, body []byte) {

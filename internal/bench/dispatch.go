@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -23,8 +22,8 @@ import (
 
 // Cell is one serializable job unit of the evaluation grid: a (setting,
 // task) pair with its repetition count. Everything in it is a string or an
-// int, so a cell crosses process boundaries as-is — it is one entry of the
-// daemon's POST /v1/cells envelope. A cell's outcomes are a pure function
+// int, so a cell crosses process boundaries as-is — it is the body of one
+// POST /v1/cells to the daemon. A cell's outcomes are a pure function
 // of the cell (the RNG streams derive from setting, task, and run index
 // alone, and the offline models are read-only), which makes dispatching
 // idempotent: re-running a cell anywhere produces the same bytes.
@@ -262,10 +261,11 @@ feed:
 //
 //   - Cells: cells this replica answered successfully.
 //   - Failures: attempts that reached this replica and failed — a whole
-//     envelope (transport error, 5xx, malformed response, malformed 409
-//     body) or one item within it (a per-item 5xx). Each one sends its
-//     items back through replica selection, so at quiescence the
-//     dispatcher's Retries() equals the sum of Failures over replicas.
+//     request (transport error, 5xx, malformed or non-echoing response,
+//     malformed 409 body) or one rip frame within an envelope (a per-frame
+//     5xx). Each one sends its items back through replica selection, so at
+//     quiescence the dispatcher's Retries() equals the sum of Failures over
+//     replicas.
 //   - Skips: dispatches that queued on this replica's in-flight slot but
 //     found it down-marked by the time the slot freed. No request was made,
 //     so a skip is neither a Cell nor a Failure — it only explains where a
@@ -298,17 +298,18 @@ type RemoteOptions struct {
 	// stall — sized to outlast the slowest legitimate cell (a max-runs
 	// request against a cold model). Supply your own client to tighten it.
 	Client *http.Client
-	// Pack and PackHash stamp every envelope with the task pack this run
+	// Pack and PackHash stamp every request with the task pack this run
 	// resolves cells against. A replica serving a different pack rejects the
-	// envelope with 409 instead of silently answering from different task
+	// request with 409 instead of silently answering from different task
 	// content — outcomes are pure functions of (pack, setting, task, run), so
 	// a pack mismatch would corrupt the whole report, not just one cell.
-	// Empty values skip the handshake.
+	// Empty values skip the handshake, on requests and on recovery probes
+	// alike.
 	Pack     string
 	PackHash string
 	// Batch is read by NewRemoteExpander only: it coalesces up to that many
 	// rip frames per POST /v1/rip envelope (see ripshard.go). A
-	// RemoteDispatcher sends every cell as its own one-cell envelope and
+	// RemoteDispatcher sends every cell as its own POST /v1/cells and
 	// NewRemoteDispatcher rejects Batch > 1.
 	Batch int
 	// ProbeInterval is the base delay between half-open /v1/healthz probes of
@@ -335,7 +336,7 @@ type RemoteOptions struct {
 // marking anything down, since every replica would reject it identically.
 // failover holds the whole verdict table.
 //
-// Every cell travels as a one-cell POST /v1/cells envelope (see batch.go).
+// Every cell travels as its own POST /v1/cells (see cell.go).
 //
 // A down-mark is detection, not a death sentence: a half-open prober polls
 // the replica's /v1/healthz on a jittered backoff and returns it to rotation
@@ -402,7 +403,7 @@ func NewRemoteDispatcher(baseURLs []string, opt RemoteOptions) (*RemoteDispatche
 		return nil, errors.New("bench: remote dispatcher needs at least one replica")
 	}
 	if opt.Batch > 1 {
-		return nil, fmt.Errorf("bench: RemoteOptions.Batch %d: a remote dispatcher sends one cell per envelope (Batch coalesces rip frames only)", opt.Batch)
+		return nil, fmt.Errorf("bench: RemoteOptions.Batch %d: a remote dispatcher sends one cell per request (Batch coalesces rip frames only)", opt.Batch)
 	}
 	inflight := opt.InFlight
 	if inflight <= 0 {
@@ -457,7 +458,7 @@ func (d *RemoteDispatcher) Close() {
 	d.closeOnce.Do(func() { close(d.done) })
 }
 
-// Dispatch ships the cell as a one-cell envelope to a live replica through
+// Dispatch ships the cell as one POST /v1/cells to a live replica through
 // failover on the caller's goroutine, re-dispatching on replica failure
 // until a replica answers or none are left.
 func (d *RemoteDispatcher) Dispatch(ctx context.Context, cell Cell) ([]agent.Outcome, error) {
@@ -468,7 +469,7 @@ func (d *RemoteDispatcher) Dispatch(ctx context.Context, cell Cell) ([]agent.Out
 	}
 	var outcomes []agent.Outcome
 	var err error
-	failover(ctx, d, []Cell{cell}, d.postBatch, func(_ Cell, o []agent.Outcome, e error) {
+	failover(ctx, d, []Cell{cell}, d.postCell, func(_ Cell, o []agent.Outcome, e error) {
 		outcomes, err = o, e
 	})
 	return outcomes, err
@@ -481,8 +482,8 @@ type answer[R any] struct {
 	err error
 }
 
-// failover is the one retry loop behind every remote envelope — a lone
-// cell, a batch of rip frames. It acquires a live replica, has post send the
+// failover is the one retry loop behind every remote envelope — a cell
+// (always alone), a batch of rip frames. It acquires a live replica, has post send the
 // items to it as one envelope, and applies one verdict table to the answer:
 //
 //   - An item answered without error is counted on the replica and
@@ -702,18 +703,19 @@ func (e *PackMismatchError) Error() string {
 }
 
 // postEnvelope runs one envelope round trip — a POST /v1/cells or a
-// POST /v1/rip: the JSON body goes to path with the item count declared in
-// sizeHeader, so the replica can bound its body reader before reading a
-// byte, and a 200 answer is decoded into out. The non-200 triage is shared
-// by every envelope. Only a well-formed PackMismatch with its replica-side
-// fields filled in is the replica's considered 409 verdict; anything else
-// arriving as a 409 — a proxy error page, a truncated body, a zero-valued
-// JSON object — reads as a replica failure (down-mark + re-dispatch), never
-// as a pack mismatch or a final request error, since both of those abort
-// the whole run on what is really one broken backend. Any other 4xx is the
-// request's fault (*requestError); transport errors, 5xx and undecodable
-// bodies are the replica's.
-func (d *RemoteDispatcher) postEnvelope(ctx context.Context, rep *replica, path, sizeHeader string, n int, body, out any) error {
+// POST /v1/rip: the JSON body goes to path with the extra header fields in
+// hdr (the rip post declares its frame count there, so the replica can
+// bound its body reader before reading a byte), and a 200 answer is decoded
+// into out. The non-200 triage is shared by every envelope. Only a
+// well-formed PackMismatch with its replica-side fields filled in is the
+// replica's considered 409 verdict; anything else arriving as a 409 — a
+// proxy error page, a truncated body, a zero-valued JSON object — reads as
+// a replica failure (down-mark + re-dispatch), never as a pack mismatch or
+// a final request error, since both of those abort the whole run on what
+// is really one broken backend. Any other 4xx is the request's fault
+// (*requestError); transport errors, 5xx and undecodable bodies are the
+// replica's.
+func (d *RemoteDispatcher) postEnvelope(ctx context.Context, rep *replica, path string, hdr http.Header, body, out any) error {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return err
@@ -723,7 +725,9 @@ func (d *RemoteDispatcher) postEnvelope(ctx context.Context, rep *replica, path,
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(sizeHeader, strconv.Itoa(n))
+	for k, v := range hdr {
+		req.Header[k] = v
+	}
 	resp, err := d.client.Do(req)
 	if err != nil {
 		return err

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,10 +233,10 @@ func TestRunDispatchedCapacity(t *testing.T) {
 type testReplica struct {
 	models *agent.Models
 	// failAfter starts failing once this many cells have been served
-	// (-1 = never fail): the whole envelope answers 500, or, with
-	// cellFailures, each cell does inside a 200 envelope.
-	failAfter    int64
-	cellFailures bool
+	// (-1 = never fail): each cell answers 500, or, with wrongEcho, a 200
+	// whose response does not echo the cell.
+	failAfter int64
+	wrongEcho bool
 	// hang blocks every request until release is closed instead of
 	// answering — the wedged-replica case the client timeout must catch.
 	// (The request context is not reliable here: with an unread body the
@@ -245,7 +244,7 @@ type testReplica struct {
 	// would wait on the wedged handlers forever.)
 	hang    bool
 	release chan struct{}
-	// conflictBody, when set, answers every envelope with 409 and this raw
+	// conflictBody, when set, answers every cell with 409 and this raw
 	// body — the misclassification cases (proxy page, zero-valued JSON).
 	conflictBody string
 	// probesToRecover lifts the failAfter injection once this many
@@ -259,9 +258,7 @@ type testReplica struct {
 	probes           atomic.Int64 // /v1/healthz requests received
 	recovered        atomic.Bool  // failure injection lifted by a probe
 	servedAtRecovery atomic.Int64 // cells served when recovery happened
-	batchCalls       atomic.Int64 // POST /v1/cells envelopes received
-	maxEnvelope      atomic.Int64 // most cells seen in one envelope
-	badHeaders       atomic.Int64 // envelopes whose size header disagreed with their cell count
+	cellCalls        atomic.Int64 // POST /v1/cells requests received
 }
 
 // failing reports whether the injected outage is active.
@@ -302,10 +299,9 @@ func (tr *testReplica) serveHealthz(w http.ResponseWriter) {
 	json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: 1, Instance: tr.instance})
 }
 
-// serveCells answers POST /v1/cells with the daemon's per-cell semantics:
-// the envelope-level failure injections apply to the whole call, and each
-// cell carries its own status so one bad cell cannot poison its
-// batch-mates.
+// serveCells answers POST /v1/cells the way the daemon does: the body is
+// decoded by the daemon's own strict decoder, and every failure is the HTTP
+// status itself.
 func (tr *testReplica) serveCells(w http.ResponseWriter, r *http.Request) {
 	if tr.conflictBody != "" {
 		w.Header().Set("Content-Type", "application/json")
@@ -313,51 +309,42 @@ func (tr *testReplica) serveCells(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, tr.conflictBody)
 		return
 	}
-	if tr.failing() && !tr.cellFailures {
-		tr.failed.Add(1)
-		http.Error(w, "injected replica failure", http.StatusInternalServerError)
-		return
-	}
-	var req serveproto.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := serveproto.DecodeSessionRequest(r.Body)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	tr.batchCalls.Add(1)
-	for n := int64(len(req.Cells)); ; {
-		cur := tr.maxEnvelope.Load()
-		if n <= cur || tr.maxEnvelope.CompareAndSwap(cur, n) {
-			break
+	tr.cellCalls.Add(1)
+	if tr.failing() {
+		tr.failed.Add(1)
+		if tr.wrongEcho {
+			writeJSON(w, serveproto.SessionResponse{Task: req.Task, Setting: req.Setting, Runs: req.Runs})
+			return
 		}
+		http.Error(w, "injected replica failure", http.StatusInternalServerError)
+		return
 	}
-	if r.Header.Get(serveproto.BatchSizeHeader) != strconv.Itoa(len(req.Cells)) {
-		tr.badHeaders.Add(1)
-	}
-	resp := serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, len(req.Cells))}
-	for i, cr := range req.Cells {
-		if tr.failing() {
-			tr.failed.Add(1)
-			resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusInternalServerError, Error: "injected cell failure"}
-			continue
+	cell := Cell{App: req.App, Task: req.Task, Setting: req.Setting, Runs: req.Runs}
+	set, task, err := ResolveCellIn(taskpack.Builtin(), cell)
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrUnknownCell) {
+			status = http.StatusNotFound
 		}
-		cell := Cell{App: cr.App, Task: cr.Task, Setting: cr.Setting, Runs: cr.Runs}
-		set, task, err := ResolveCellIn(taskpack.Builtin(), cell)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrUnknownCell) {
-				status = http.StatusNotFound
-			}
-			resp.Results[i] = serveproto.BatchCellResult{Status: status, Error: err.Error()}
-			continue
-		}
-		outcomes := RunCell(tr.models, set, task, cell.Runs, 1)
-		tr.served.Add(1)
-		resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusOK, Response: &serveproto.SessionResponse{
-			App: task.App, Task: task.ID, Setting: set.Label, Runs: cell.Runs, Outcomes: outcomes,
-		}}
+		http.Error(w, err.Error(), status)
+		return
 	}
+	outcomes := RunCell(tr.models, set, task, cell.Runs, 1)
+	tr.served.Add(1)
+	writeJSON(w, serveproto.SessionResponse{
+		App: task.App, Task: task.ID, Setting: set.Label, Runs: cell.Runs, Outcomes: outcomes,
+	})
+}
+
+// writeJSON answers 200 with v as JSON, as the daemon does.
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	json.NewEncoder(w).Encode(v)
 }
 
 // checkRetryLedger asserts the accounting rule every dispatch test holds:
@@ -513,9 +500,9 @@ func TestRemoteDispatcherEquivalence(t *testing.T) {
 }
 
 // TestRemoteDispatcherOneCellEnvelopes pins the single wire path: the
-// dispatcher sends every cell as exactly one POST /v1/cells
-// carrying that one cell and declaring it in the size header — through a
-// mid-grid replica failure too — and the retry ledger balances.
+// dispatcher sends every cell as exactly one POST /v1/cells whose body the
+// daemon's strict decoder accepts — through a mid-grid replica failure too —
+// and the retry ledger balances.
 func TestRemoteDispatcherOneCellEnvelopes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation over HTTP")
@@ -536,17 +523,10 @@ func TestRemoteDispatcherOneCellEnvelopes(t *testing.T) {
 		t.Fatal("one-cell envelope report differs from sequential in-process run")
 	}
 	cells := int64(len(GridCellsIn(taskpack.Builtin(), 3)))
-	envelopes := flaky.batchCalls.Load() + healthy.batchCalls.Load()
-	if envelopes != cells {
-		t.Errorf("%d cells travelled in %d envelopes, want one envelope per cell", cells, envelopes)
-	}
-	for i, tr := range []*testReplica{flaky, healthy} {
-		if n := tr.maxEnvelope.Load(); n != 1 {
-			t.Errorf("replica %d received an envelope of %d cells, want 1", i, n)
-		}
-		if n := tr.badHeaders.Load(); n != 0 {
-			t.Errorf("replica %d received %d envelopes without %s: 1", i, n, serveproto.BatchSizeHeader)
-		}
+	requests := flaky.cellCalls.Load() + healthy.cellCalls.Load()
+	if want := cells + flaky.failed.Load(); requests != want {
+		t.Errorf("%d cells (%d of them re-sent) travelled in %d requests, want one per attempt",
+			cells, flaky.failed.Load(), requests)
 	}
 	if rd.Retries() < 1 {
 		t.Error("the flaky replica's failure was never counted as a re-dispatch")
@@ -558,22 +538,21 @@ func TestRemoteDispatcherOneCellEnvelopes(t *testing.T) {
 // replica that errors mid-grid is detected, its cells are re-dispatched to
 // the surviving replica, and the final report still matches the sequential
 // one byte-for-byte (CI runs this under -race). The replica fails either
-// whole envelopes with a 5xx or each cell with a 5xx inside a 200
-// envelope.
+// with a 5xx or with a 200 that does not echo the cell.
 func TestRemoteDispatcherFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation over HTTP")
 	}
 	models, rep := sharedReport(t)
 	for _, tc := range []struct {
-		name         string
-		cellFailures bool
+		name      string
+		wrongEcho bool
 	}{
 		{"envelope 5xx", false},
-		{"cell 5xx", true},
+		{"non-echo 200", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			flaky := &testReplica{models: models, failAfter: 10, cellFailures: tc.cellFailures} // dies after 10 cells
+			flaky := &testReplica{models: models, failAfter: 10, wrongEcho: tc.wrongEcho} // dies after 10 cells
 			healthy := &testReplica{models: models, failAfter: -1}
 			rd, err := NewRemoteDispatcher(startReplicas(t, flaky, healthy), RemoteOptions{InFlight: 4})
 			if err != nil {
@@ -678,9 +657,9 @@ func TestRemoteDispatcherAllDown(t *testing.T) {
 }
 
 // TestRemoteDispatcherBadRequestIsFinal: a 4xx is the request's fault; it
-// must surface immediately without downing the replica — whether the cell
-// itself is rejected inside a 200 envelope or the replica refuses every
-// envelope (one without the /v1 surface answers 404).
+// must surface immediately without downing the replica — whether the
+// replica rejects the cell itself or refuses every request (one without the
+// /v1 surface answers 404).
 func TestRemoteDispatcherBadRequestIsFinal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts HTTP servers")

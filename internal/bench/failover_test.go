@@ -15,14 +15,16 @@ import (
 	"repro/internal/ung"
 )
 
-// verdictStub answers POST /v1/cells and POST /v1/rip envelopes by one row
-// of failover's verdict table, without models: a 200 item echoes its cell
-// with zeroed outcomes, or carries a skipped expansion for a frame.
+// verdictStub answers POST /v1/cells and POST /v1/rip by one row of
+// failover's verdict table, without models: a 200 cell echoes itself with
+// zeroed outcomes, a 200 frame carries a skipped expansion. A cell request
+// carries one item, so its HTTP status is that of the item it stands for.
 type verdictStub struct {
 	envStatus  int         // answer every envelope with this status and envBody (0 = answer per item)
 	envBody    string      //
 	maxItems   int         // answer 400 to envelopes carrying more items (0 = no limit)
 	itemStatus map[int]int // per-item status by position in the envelope (default 200)
+	cellItem   int         // the envelope position whose itemStatus a cell request gets
 	hangUp     bool        // drop the connection without answering: a transport error
 	hold       chan struct{}
 	entered    chan int // receives each envelope's item count once it is read
@@ -32,14 +34,16 @@ type verdictStub struct {
 }
 
 func (s *verdictStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	var cells serveproto.BatchRequest
+	var cell serveproto.SessionRequest
 	var rip serveproto.RipRequest
 	var err error
+	n := 1
 	switch r.URL.Path {
 	case serveproto.PathCells:
-		err = json.NewDecoder(r.Body).Decode(&cells)
+		cell, err = serveproto.DecodeSessionRequest(r.Body)
 	case serveproto.PathRip:
 		err = json.NewDecoder(r.Body).Decode(&rip)
+		n = len(rip.Frames)
 	default:
 		http.NotFound(w, r)
 		return
@@ -48,7 +52,6 @@ func (s *verdictStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	n := len(cells.Cells) + len(rip.Frames)
 	s.envelopes.Add(1)
 	if s.entered != nil {
 		s.entered <- n
@@ -84,15 +87,12 @@ func (s *verdictStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp any
 	if r.URL.Path == serveproto.PathCells {
-		br := serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, n)}
-		for i, c := range cells.Cells {
-			br.Results[i] = serveproto.BatchCellResult{Status: status(i), Error: "injected"}
-			if br.Results[i].Status == http.StatusOK {
-				br.Results[i] = serveproto.BatchCellResult{Status: http.StatusOK, Response: &serveproto.SessionResponse{
-					Task: c.Task, Setting: c.Setting, Runs: c.Runs, Outcomes: make([]agent.Outcome, c.Runs)}}
-			}
+		if st := status(s.cellItem); st != http.StatusOK {
+			http.Error(w, "injected", st)
+			return
 		}
-		resp = br
+		resp = serveproto.SessionResponse{Task: cell.Task, Setting: cell.Setting, Runs: cell.Runs,
+			Outcomes: make([]agent.Outcome, cell.Runs)}
 	} else {
 		rr := serveproto.RipResponse{Results: make([]serveproto.RipResult, n)}
 		for i := range rip.Frames {
@@ -110,29 +110,21 @@ func (s *verdictStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // envelopeKind runs n items of one envelope kind through failover against a
 // dispatcher and returns each item's delivered error (nil = delivered a
-// well-formed result).
-type envelopeKind func(ctx context.Context, d *RemoteDispatcher, n int) []error
+// well-formed result). A kind that is not multi carries exactly one item.
+type envelopeKind struct {
+	multi bool
+	run   func(ctx context.Context, d *RemoteDispatcher, n int) []error
+}
 
 var envelopeKinds = map[string]envelopeKind{
-	"cells": func(ctx context.Context, d *RemoteDispatcher, n int) []error {
-		cells := make([]Cell, n)
-		index := make(map[string]int, n)
-		for i := range cells {
-			cells[i] = Cell{Task: fmt.Sprintf("task-%d", i), Setting: "s", Runs: 2}
-			index[cells[i].Task] = i
+	"cells": {run: func(ctx context.Context, d *RemoteDispatcher, _ int) []error {
+		outcomes, err := d.Dispatch(ctx, Cell{Task: "task-0", Setting: "s", Runs: 2})
+		if err == nil && len(outcomes) != 2 {
+			err = fmt.Errorf("%d outcomes delivered, want 2", len(outcomes))
 		}
-		errs := make([]error, n)
-		// A refused multi-cell envelope is split and its cells delivered
-		// from concurrent goroutines, each to its own slot.
-		failover(ctx, d, cells, d.postBatch, func(c Cell, outcomes []agent.Outcome, err error) {
-			i := index[c.Task]
-			if errs[i] = err; err == nil && len(outcomes) != 2 {
-				errs[i] = fmt.Errorf("%d outcomes delivered, want 2", len(outcomes))
-			}
-		})
-		return errs
-	},
-	"rip frames": func(ctx context.Context, d *RemoteDispatcher, n int) []error {
+		return []error{err}
+	}},
+	"rip frames": {multi: true, run: func(ctx context.Context, d *RemoteDispatcher, n int) []error {
 		re := &RemoteExpander{d: d, app: "Demo"}
 		stack := ung.NewFrameStack()
 		results := make([]<-chan ung.ExpandResult, n)
@@ -148,33 +140,38 @@ var envelopeKinds = map[string]envelopeKind{
 			}
 		}
 		return errs
-	},
+	}},
 }
 
 // TestFailoverVerdictTable drives every row of failover's verdict table
-// through both envelope kinds. Replica A answers by the row; replica B is
-// healthy, and A is always picked first (an idle fleet's first pick is the
-// first replica). Each row pins what every item was delivered, which
-// replicas ended down, and the retry ledger.
+// through both envelope kinds: a cell, through Dispatch, hits each row as
+// the one item of its request, standing for the row's item cell, and rows
+// that need several items in one envelope run for rip frames only. Replica
+// A answers by the row; replica B is healthy, and A is always picked first
+// (an idle fleet's first pick is the first replica). Each row pins what
+// every item was delivered, which replicas ended down, and the retry
+// ledger.
 func TestFailoverVerdictTable(t *testing.T) {
 	mismatch, _ := json.Marshal(serveproto.PackMismatch{WantPack: "p", WantHash: "aa", HavePack: "other", HaveHash: "bb"})
 	rows := []struct {
 		name    string
 		a       *verdictStub
 		items   int
+		multi   bool           // the row needs several items in one envelope
+		cell    int            // the item a lone cell stands for
 		cancel  bool           // cancel the caller once A has the envelope
 		final   map[int]string // items that must fail, and a fragment of their error
 		aDown   bool
 		retries int
 	}{
 		{name: "item ok", a: &verdictStub{}, items: 2},
-		{name: "item 4xx", a: &verdictStub{itemStatus: map[int]int{1: http.StatusNotFound}}, items: 2,
+		{name: "item 4xx", a: &verdictStub{itemStatus: map[int]int{1: http.StatusNotFound}}, items: 2, cell: 1,
 			final: map[int]string{1: "status 404"}},
-		{name: "item 5xx", a: &verdictStub{itemStatus: map[int]int{1: http.StatusInternalServerError}}, items: 2,
+		{name: "item 5xx", a: &verdictStub{itemStatus: map[int]int{1: http.StatusInternalServerError}}, items: 2, cell: 1,
 			aDown: true, retries: 1},
 		{name: "envelope 4xx, one item", a: &verdictStub{envStatus: http.StatusBadRequest, envBody: "refused"}, items: 1,
 			final: map[int]string{0: "status 400"}},
-		{name: "envelope 4xx, several items", a: &verdictStub{maxItems: 1}, items: 3},
+		{name: "envelope 4xx, several items", a: &verdictStub{maxItems: 1}, items: 3, multi: true},
 		{name: "well-formed 409", a: &verdictStub{envStatus: http.StatusConflict, envBody: string(mismatch)}, items: 2,
 			final: map[int]string{0: "serves task pack other", 1: "serves task pack other"}},
 		{name: "malformed 409", a: &verdictStub{envStatus: http.StatusConflict, envBody: "<html>502</html>"}, items: 2,
@@ -183,11 +180,18 @@ func TestFailoverVerdictTable(t *testing.T) {
 		{name: "cancelled caller", a: &verdictStub{hold: make(chan struct{})}, items: 2, cancel: true,
 			final: map[int]string{0: "context canceled", 1: "context canceled"}},
 	}
-	for kind, run := range envelopeKinds {
+	for name, kind := range envelopeKinds {
 		for _, row := range rows {
-			t.Run(kind+"/"+row.name, func(t *testing.T) {
+			items := row.items
+			if !kind.multi {
+				if row.multi {
+					continue
+				}
+				items = 1
+			}
+			t.Run(name+"/"+row.name, func(t *testing.T) {
 				a := &verdictStub{envStatus: row.a.envStatus, envBody: row.a.envBody, maxItems: row.a.maxItems,
-					itemStatus: row.a.itemStatus, hangUp: row.a.hangUp, entered: make(chan int, 16)}
+					itemStatus: row.a.itemStatus, cellItem: row.cell, hangUp: row.a.hangUp, entered: make(chan int, 16)}
 				if row.a.hold != nil {
 					a.hold = make(chan struct{})
 					defer close(a.hold) // before the servers' Cleanup closes
@@ -206,8 +210,11 @@ func TestFailoverVerdictTable(t *testing.T) {
 						cancel()
 					}()
 				}
-				errs := run(ctx, d, row.items)
+				errs := kind.run(ctx, d, items)
 				for i, err := range errs {
+					if !kind.multi {
+						i = row.cell
+					}
 					want, fails := row.final[i]
 					switch {
 					case fails && (err == nil || !strings.Contains(err.Error(), want)):

@@ -58,16 +58,17 @@ func TestPackLoadedGridEquivalence(t *testing.T) {
 }
 
 // TestRemoteDispatcherSendsPackIdentity pins the handshake fields on the
-// wire: a dispatcher built with pack options stamps every envelope with
+// wire: a dispatcher built with pack options stamps every cell request with
 // them.
 func TestRemoteDispatcherSendsPackIdentity(t *testing.T) {
-	var got serveproto.BatchRequest
+	var got serveproto.SessionRequest
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
+		var err error
+		if got, err = serveproto.DecodeSessionRequest(r.Body); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		json.NewEncoder(w).Encode(serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, len(got.Cells))})
+		writeJSON(w, serveproto.SessionResponse{})
 	}))
 	t.Cleanup(srv.Close)
 
@@ -79,11 +80,11 @@ func TestRemoteDispatcherSendsPackIdentity(t *testing.T) {
 	}
 	defer rd.Close()
 	task := osworld.All()[0]
-	// The zero-valued cell results fail the cell contract downstream; the
-	// wire fields are what this test is about.
+	// The zero-valued response fails the echo check downstream; the wire
+	// fields are what this test is about.
 	rd.Dispatch(context.Background(), Cell{App: task.App, Task: task.ID, Setting: Matrix()[0].Label, Runs: 1})
 	if got.Pack != "custom" || got.PackHash != "abc123" {
-		t.Errorf("envelope carried pack=%q hash=%q, want custom/abc123", got.Pack, got.PackHash)
+		t.Errorf("request carried pack=%q hash=%q, want custom/abc123", got.Pack, got.PackHash)
 	}
 }
 

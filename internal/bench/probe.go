@@ -28,9 +28,10 @@ const probeBackoffCap = 30 * time.Second
 // traffic reaches the replica until a probe has vouched for it.
 //
 // Recovery re-checks pack identity — a replica that restarted with a
-// different task pack is alive but must not rejoin this run's rotation
-// (its outcomes would come from different task content), so the prober
-// keeps backing off until the packs agree. The health instance id
+// different task pack, or advertises none, is alive but must not rejoin
+// this run's rotation (its outcomes would come from different task
+// content), so the prober keeps backing off until it advertises exactly
+// the run's pack. A dispatcher built without a pack skips the check. The health instance id
 // distinguishes a replica that blipped from one that was killed and
 // restarted; both recover, but the log says which happened.
 func (d *RemoteDispatcher) probe(rep *replica) {
@@ -53,10 +54,10 @@ func (d *RemoteDispatcher) probe(rep *replica) {
 			return
 		}
 		hz, err := ProbeHealthz(context.Background(), d.probeClient, rep.base)
-		if err == nil && d.pack != "" && hz.Pack != "" && hz.Pack != d.pack {
+		if err == nil && d.pack != "" && hz.Pack != d.pack {
 			err = fmt.Errorf("pack %q, want %q", hz.Pack, d.pack)
 		}
-		if err == nil && d.packHash != "" && hz.PackHash != "" && hz.PackHash != d.packHash {
+		if err == nil && d.packHash != "" && hz.PackHash != d.packHash {
 			err = fmt.Errorf("pack hash %.12s, want %.12s", hz.PackHash, d.packHash)
 		}
 		if err != nil {

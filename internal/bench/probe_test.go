@@ -2,10 +2,10 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,34 +154,28 @@ func TestRemoteDispatcher409Misclassification(t *testing.T) {
 	})
 }
 
-// echoReplica is a minimal protocol stub: it answers every cell of a
-// /v1/cells envelope with the requested number of zero outcomes and
-// /v1/healthz with ready. No models, so tie-break and membership tests stay
-// cheap.
+// echoReplica is a minimal protocol stub: it answers every POST /v1/cells
+// with the requested number of zero outcomes and /v1/healthz with ready. No
+// models, so tie-break and membership tests stay cheap.
 type echoReplica struct {
 	served atomic.Int64
 }
 
 func (er *echoReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	if r.URL.Path == serveproto.PathHealthz {
-		json.NewEncoder(w).Encode(serveproto.Health{OK: true, Apps: 1})
+		writeJSON(w, serveproto.Health{OK: true, Apps: 1})
 		return
 	}
-	var req serveproto.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	c, err := serveproto.DecodeSessionRequest(r.Body)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp := serveproto.BatchResponse{Results: make([]serveproto.BatchCellResult, len(req.Cells))}
-	for i, c := range req.Cells {
-		er.served.Add(1)
-		resp.Results[i] = serveproto.BatchCellResult{Status: http.StatusOK, Response: &serveproto.SessionResponse{
-			App: c.App, Task: c.Task, Setting: c.Setting, Runs: c.Runs,
-			Outcomes: make([]agent.Outcome, c.Runs),
-		}}
-	}
-	json.NewEncoder(w).Encode(resp)
+	er.served.Add(1)
+	writeJSON(w, serveproto.SessionResponse{
+		App: c.App, Task: c.Task, Setting: c.Setting, Runs: c.Runs,
+		Outcomes: make([]agent.Outcome, c.Runs),
+	})
 }
 
 // TestPickTieBreakRoundRobin pins the tie-break fix: sequential dispatches
@@ -211,4 +205,77 @@ func TestPickTieBreakRoundRobin(t *testing.T) {
 			t.Errorf("replica %d served %d cells, want 3 (equal-load ties must rotate)", i, n)
 		}
 	}
+}
+
+// packHealth is a /v1/healthz stub that answers ready, advertising whatever
+// pack identity it currently holds.
+type packHealth struct {
+	mu         sync.Mutex
+	pack, hash string
+	probes     atomic.Int64
+}
+
+func (ph *packHealth) advertise(pack, hash string) {
+	ph.mu.Lock()
+	ph.pack, ph.hash = pack, hash
+	ph.mu.Unlock()
+}
+
+func (ph *packHealth) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	ph.probes.Add(1)
+	ph.mu.Lock()
+	hz := serveproto.Health{OK: true, Apps: 1, Pack: ph.pack, PackHash: ph.hash}
+	ph.mu.Unlock()
+	writeJSON(w, hz)
+}
+
+// TestProbeRequiresAdvertisedPack pins the prober's pack check: once the
+// run names a pack, a down-marked replica rejoins rotation only when its
+// health body advertises exactly that pack — advertising none, another
+// pack, or another hash keeps it down. A dispatcher built without a pack
+// skips the check.
+func TestProbeRequiresAdvertisedPack(t *testing.T) {
+	probed := func(t *testing.T, ph *packHealth, n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ph.probes.Load() < n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d probes arrived, want %d", ph.probes.Load(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, tc := range []struct{ name, pack, hash string }{
+		{"no pack advertised", "", ""},
+		{"pack without hash", "p", ""},
+		{"other pack", "other", "aa"},
+		{"other hash", "p", "bb"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ph := &packHealth{pack: tc.pack, hash: tc.hash}
+			rd, err := NewRemoteDispatcher(startRipReplicas(t, ph), RemoteOptions{
+				ProbeInterval: time.Millisecond, Pack: "p", PackHash: "aa",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rd.Close()
+			rd.markDown(rd.snapshot()[0], errors.New("injected"))
+			probed(t, ph, 3)
+			if st := rd.Stats()[0]; !st.Down || st.Recoveries != 0 {
+				t.Fatalf("replica advertising pack %q hash %q rejoined a run on p/aa: %+v", tc.pack, tc.hash, st)
+			}
+			ph.advertise("p", "aa")
+			waitForRecovery(t, rd, 0, 10*time.Second)
+		})
+	}
+	t.Run("dispatcher without a pack", func(t *testing.T) {
+		ph := &packHealth{}
+		rd, err := NewRemoteDispatcher(startRipReplicas(t, ph), RemoteOptions{ProbeInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		rd.markDown(rd.snapshot()[0], errors.New("injected"))
+		waitForRecovery(t, rd, 0, 10*time.Second)
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"repro/internal/serveproto"
@@ -150,7 +151,8 @@ func (re *RemoteExpander) postRip(ctx context.Context, rep *replica, items []*un
 		App: re.app, Context: items[0].Ctx, Frames: frames,
 	}
 	var rr serveproto.RipResponse
-	if err := re.d.postEnvelope(ctx, rep, serveproto.PathRip, serveproto.RipBatchHeader, len(frames), body, &rr); err != nil {
+	size := http.Header{serveproto.RipBatchHeader: {strconv.Itoa(len(frames))}}
+	if err := re.d.postEnvelope(ctx, rep, serveproto.PathRip, size, body, &rr); err != nil {
 		return nil, err
 	}
 	if len(rr.Results) != len(frames) {

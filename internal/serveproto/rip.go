@@ -9,10 +9,10 @@ import (
 	"repro/internal/ung"
 )
 
-// MaxRipFrames bounds one POST /v1/rip request. Like a cell batch, a rip
-// envelope is a transport optimization: the coordinator coalesces whatever
-// frames are stacked, and the cap keeps one envelope from pinning a replica
-// for an unbounded stretch.
+// MaxRipFrames bounds one POST /v1/rip request. A rip envelope is a
+// transport optimization: the coordinator coalesces whatever frames are
+// stacked, and the cap keeps one envelope from pinning a replica for an
+// unbounded stretch.
 const MaxRipFrames = 64
 
 // MaxRipPath bounds one frame's click path. Rip depth is capped at 10 by
@@ -21,8 +21,9 @@ const MaxRipFrames = 64
 const MaxRipPath = 64
 
 // RipBatchHeader declares a rip request's frame count ahead of the body, so
-// the daemon can size its MaxBytesReader before reading a byte (the /v1/cells
-// BatchSizeHeader pattern).
+// the daemon can size its MaxBytesReader before reading a byte. It is the
+// only size header on the wire: a POST /v1/cells carries one cell under the
+// flat MaxRequestBytes cap.
 const RipBatchHeader = "Dmi-Rip-Frames"
 
 // RipRequestBytes is the body cap for a POST /v1/rip declaring n frames:
@@ -49,7 +50,7 @@ type RipFrame struct {
 
 // RipRequest is POST /v1/rip: expand up to MaxRipFrames frames of one
 // application context on the replica's own instance pool. The pack handshake
-// is request-level like a cell batch (one Pack/PackHash pair per envelope)
+// is request-level like a cell's (one Pack/PackHash pair per envelope)
 // because a rip never mixes packs; a mismatch rejects the envelope with 409
 // and a PackMismatch body. Expansion is a pure function of
 // (app, context, frame) — replaying a request on any replica, or on the same

@@ -160,8 +160,8 @@ func TestValidateRipFrame(t *testing.T) {
 	}
 }
 
-// TestRipRequestBytes pins the scaled body cap, clamped like the cell batch
-// cap.
+// TestRipRequestBytes pins the scaled body cap: MaxRequestBytes per declared
+// frame, the count clamped to [1, MaxRipFrames].
 func TestRipRequestBytes(t *testing.T) {
 	cases := []struct {
 		n    int

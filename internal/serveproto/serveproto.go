@@ -7,11 +7,11 @@
 // structs and path constants, so a rename is a build break, not a silent
 // protocol skew.
 //
-// The protocol is deliberately tiny. Cells travel in one envelope, POST
-// /v1/cells, whether a client sends one or many: a single cell is a batch
-// of one. Each cell names one evaluation grid cell — the task (which
-// implies the app), the matrix setting by its Table 3 label, and the
-// repetition count — and its result carries the cell's outcomes. Sessions are stateless, pure functions of
+// The protocol is deliberately tiny. One POST /v1/cells carries one cell:
+// the task (which implies the app), the matrix setting by its Table 3
+// label, and the repetition count. A 200 carries the cell's outcomes; every
+// failure is the HTTP status itself (400, 404, 413, 5xx, or a 409 with a
+// PackMismatch body). Sessions are stateless, pure functions of
 // (model, task, setting, run): the RNG stream is derived from those
 // coordinates alone, so replaying a request on any replica yields the same
 // bytes. That idempotency is the entire failure-handling story — a
@@ -21,7 +21,6 @@ package serveproto
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -31,7 +30,7 @@ import (
 
 // Route paths of the v1 surface, the only one the daemon serves.
 const (
-	PathCells   = "/v1/cells"   // POST: BatchRequest → BatchResponse
+	PathCells   = "/v1/cells"   // POST: SessionRequest → SessionResponse
 	PathRip     = "/v1/rip"     // POST: RipRequest → RipResponse
 	PathStats   = "/v1/stats"   // GET: StatsResponse
 	PathHealthz = "/v1/healthz" // GET: Health
@@ -41,46 +40,17 @@ const (
 // pool on a single cell indefinitely.
 const MaxRuns = 100
 
-// MaxRequestBytes is the body cap of one cell's worth of request: a cell is
-// a few short strings, so daemons refuse to buffer more per declared cell
-// and answer 413 (see BatchRequestBytes).
+// MaxRequestBytes is the body cap of POST /v1/cells: a cell is a few short
+// strings, so daemons refuse to buffer more and answer 413.
 const MaxRequestBytes = 1 << 16
 
-// MaxBatchCells bounds one POST /v1/cells request. The in-repo coordinator
-// sends one cell per envelope; the cap keeps a multi-cell request from any
-// other client from pinning a replica's worker pool for an unbounded
-// stretch.
-const MaxBatchCells = 64
-
-// BatchRequestBytes is the body cap for a POST /v1/cells declaring n cells:
-// the per-cell cap scaled by the declared batch size (clamped to
-// [1, MaxBatchCells]). Scaling by the declared size instead of capping flat
-// is what lets a full batch of maximum-size cell requests through while
-// still bounding what a replica will buffer. Clients declare n in the
-// BatchSizeHeader; a missing or malformed declaration gets the single-cell
-// cap.
-func BatchRequestBytes(n int) int64 {
-	if n < 1 {
-		n = 1
-	}
-	if n > MaxBatchCells {
-		n = MaxBatchCells
-	}
-	return int64(n) * MaxRequestBytes
-}
-
-// BatchSizeHeader declares a batch request's cell count ahead of the body,
-// so the daemon can size its MaxBytesReader before reading a byte.
-const BatchSizeHeader = "Dmi-Batch-Cells"
-
-// SessionRequest selects one grid cell inside a BatchRequest. App is
+// SessionRequest is POST /v1/cells: one evaluation grid cell. App is
 // optional; when set it must match the task's application (a cheap
-// cross-check that the caller and the replica agree on the catalog). The
-// pack handshake is the envelope's (BatchRequest.Pack/PackHash), and the
-// in-repo dispatcher leaves the per-cell Pack and PackHash empty; they stay
-// because the envelope is outside input, and a hand-written cell naming a
-// different pack must get its own 409 rather than run against different
-// task content.
+// cross-check that the caller and the replica agree on the catalog). Pack
+// and PackHash optionally name the task pack the caller resolves cells
+// against (see internal/taskpack); a replica serving a different pack
+// refuses the request with 409 and a PackMismatch body instead of running
+// it against different task content. Empty values skip the handshake.
 type SessionRequest struct {
 	App      string `json:"app"`
 	Task     string `json:"task"`
@@ -90,10 +60,27 @@ type SessionRequest struct {
 	PackHash string `json:"pack_hash,omitempty"`
 }
 
-// SessionResponse echoes the resolved cell and carries its outcomes in run
-// order — exactly the slice the in-process bench.Run produces for the same
-// cell. Pack and PackHash identify the pack the replica served the cell
-// from.
+// DecodeSessionRequest reads a POST /v1/cells body — the first JSON value r
+// yields — into one SessionRequest. Unknown fields are refused, so a body of
+// another shape (a {"cells":[...]} envelope, a misspelt key) is a 400 that
+// names the field instead of an empty cell. The cell itself is not validated
+// here; the daemon resolves it when it runs. An error reading r, such as the
+// *http.MaxBytesError of a body over its cap, stays reachable through
+// errors.As.
+func DecodeSessionRequest(r io.Reader) (SessionRequest, error) {
+	var req SessionRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return SessionRequest{}, fmt.Errorf("bad request body: %w", err)
+	}
+	return req, nil
+}
+
+// SessionResponse is the 200 answer to POST /v1/cells: it echoes the
+// resolved cell and carries its outcomes in run order — exactly the slice
+// the in-process bench.Run produces for the same cell. Pack and PackHash
+// identify the pack the replica served the cell from.
 type SessionResponse struct {
 	App      string          `json:"app"`
 	Task     string          `json:"task"`
@@ -119,78 +106,7 @@ type RawSessionResponse struct {
 	Outcomes json.RawMessage `json:"outcomes"`
 }
 
-// BatchRequest is POST /v1/cells: 1..MaxBatchCells cells in one HTTP call
-// (the in-repo coordinator sends exactly one). Pack and PackHash optionally name
-// the task pack the caller resolves cells against (see internal/taskpack);
-// a replica serving a different pack rejects the whole envelope with 409
-// and a PackMismatch body instead of running cells against different task
-// content. The handshake is request-level because a coordinator never
-// mixes packs within a run; empty values skip it.
-type BatchRequest struct {
-	Pack     string           `json:"pack,omitempty"`
-	PackHash string           `json:"pack_hash,omitempty"`
-	Cells    []SessionRequest `json:"cells"`
-}
-
-// DecodeBatchRequest reads a POST /v1/cells body — the first JSON value r
-// yields — and checks the envelope: 1..MaxBatchCells cells. The cells
-// themselves are not validated here; each is checked on its own when it
-// runs. An error reading r, such as the *http.MaxBytesError of a body over
-// its cap, stays reachable through errors.As.
-func DecodeBatchRequest(r io.Reader) (BatchRequest, error) {
-	var req BatchRequest
-	if err := json.NewDecoder(r).Decode(&req); err != nil {
-		return BatchRequest{}, fmt.Errorf("bad request body: %w", err)
-	}
-	if len(req.Cells) == 0 {
-		return BatchRequest{}, errors.New("batch has no cells")
-	}
-	if len(req.Cells) > MaxBatchCells {
-		return BatchRequest{}, fmt.Errorf("batch of %d cells exceeds the %d cap", len(req.Cells), MaxBatchCells)
-	}
-	return req, nil
-}
-
-// BatchCellResult is one cell's outcome within a batch response. Cells fail
-// independently: Status carries the cell's own HTTP-style verdict (200,
-// 400, 404, 409, 500, ...), with Error naming the rejection, so one bad
-// cell does not poison its batch-mates.
-type BatchCellResult struct {
-	Status   int              `json:"status"`
-	Error    string           `json:"error,omitempty"`
-	Response *SessionResponse `json:"response,omitempty"`
-}
-
-// BatchResponse answers POST /v1/cells with one result per requested cell,
-// in request order. Pack and PackHash identify the pack the replica served
-// the batch from.
-type BatchResponse struct {
-	Pack     string            `json:"pack,omitempty"`
-	PackHash string            `json:"pack_hash,omitempty"`
-	Results  []BatchCellResult `json:"results"`
-}
-
-// RawBatchResponse is BatchResponse with the results left as raw bytes, for
-// byte-equivalence tests over the batch surface. It must mirror
-// BatchResponse field for field (asserted by TestRawBatchResponseMirror and
-// the wiredrift analyzer's raw-mirror check).
-type RawBatchResponse struct {
-	Pack     string          `json:"pack,omitempty"`
-	PackHash string          `json:"pack_hash,omitempty"`
-	Results  json.RawMessage `json:"results"`
-}
-
-// RawBatchCellResult is BatchCellResult with the response left as raw
-// bytes, the second hop of a batch byte-equivalence decode (RawBatchResponse
-// holds the result array, this holds one cell's response). Mirror-pinned to
-// BatchCellResult like the other raw views.
-type RawBatchCellResult struct {
-	Status   int             `json:"status"`
-	Error    string          `json:"error,omitempty"`
-	Response json.RawMessage `json:"response,omitempty"`
-}
-
-// PackMismatch is the body of a 409 envelope rejection: the replica is
+// PackMismatch is the body of a 409 request rejection: the replica is
 // healthy but serves a different task pack than the request names. Want is
 // the requester's pack, Have is the replica's.
 type PackMismatch struct {

@@ -1,6 +1,7 @@
 package serveproto
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -72,111 +73,54 @@ func TestRawSessionResponseMirror(t *testing.T) {
 	}
 }
 
-// TestRawBatchResponseMirror pins RawBatchResponse to BatchResponse the
-// same way the session raw view is pinned: same fields, same order, same
-// json tags, with only the Results payload type differing.
-func TestRawBatchResponseMirror(t *testing.T) {
-	full := reflect.TypeOf(BatchResponse{})
-	raw := reflect.TypeOf(RawBatchResponse{})
-	if full.NumField() != raw.NumField() {
-		t.Fatalf("BatchResponse has %d fields, RawBatchResponse %d", full.NumField(), raw.NumField())
-	}
-	for i := 0; i < full.NumField(); i++ {
-		f, r := full.Field(i), raw.Field(i)
-		if f.Name != r.Name || f.Tag.Get("json") != r.Tag.Get("json") {
-			t.Errorf("field %d diverges: %s `%s` vs %s `%s`", i, f.Name, f.Tag, r.Name, r.Tag)
-		}
-		if f.Name != "Results" && f.Type != r.Type {
-			t.Errorf("field %s type diverges: %s vs %s", f.Name, f.Type, r.Type)
-		}
-	}
-	if raw.Field(raw.NumField()-1).Type != reflect.TypeOf(json.RawMessage{}) {
-		t.Errorf("RawBatchResponse.Results must be json.RawMessage")
-	}
-}
-
-// TestRawBatchCellResultMirror pins the per-cell raw view the same way.
-func TestRawBatchCellResultMirror(t *testing.T) {
-	full := reflect.TypeOf(BatchCellResult{})
-	raw := reflect.TypeOf(RawBatchCellResult{})
-	if full.NumField() != raw.NumField() {
-		t.Fatalf("BatchCellResult has %d fields, RawBatchCellResult %d", full.NumField(), raw.NumField())
-	}
-	for i := 0; i < full.NumField(); i++ {
-		f, r := full.Field(i), raw.Field(i)
-		if f.Name != r.Name || f.Tag.Get("json") != r.Tag.Get("json") {
-			t.Errorf("field %d diverges: %s `%s` vs %s `%s`", i, f.Name, f.Tag, r.Name, r.Tag)
-		}
-		if f.Name != "Response" && f.Type != r.Type {
-			t.Errorf("field %s type diverges: %s vs %s", f.Name, f.Type, r.Type)
-		}
-	}
-	if raw.Field(raw.NumField()-1).Type != reflect.TypeOf(json.RawMessage{}) {
-		t.Errorf("RawBatchCellResult.Response must be json.RawMessage")
-	}
-}
-
+// TestBatchRoundTrip pins what the retired multi-cell envelope used to
+// carry: the pack stamp now rides on every SessionRequest and is echoed by
+// its SessionResponse, and the old {"pack":...,"cells":[...]} envelope no
+// longer decodes as a cell.
 func TestBatchRoundTrip(t *testing.T) {
-	req := BatchRequest{Pack: "osworld-w", PackHash: "abc", Cells: []SessionRequest{
-		{App: "Word", Task: "word-1", Setting: "GUI+DMI / GPT-5 / Medium", Runs: 2},
-		{Task: "files-3", Setting: "GUI / GPT-5 / Medium", Runs: 1},
-	}}
+	req := SessionRequest{Task: "files-3", Setting: "GUI / GPT-5 / Medium", Runs: 1,
+		Pack: "osworld-w", PackHash: "abc"}
 	data, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"cells"`, `"pack"`, `"pack_hash"`} {
+	for _, key := range []string{`"pack"`, `"pack_hash"`} {
 		if !strings.Contains(string(data), key) {
-			t.Errorf("batch request JSON %s lacks %s", data, key)
+			t.Errorf("cell request JSON %s lacks %s", data, key)
 		}
 	}
-	var back BatchRequest
-	if err := json.Unmarshal(data, &back); err != nil {
+	back, err := DecodeSessionRequest(bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Cells) != 2 || back.Cells[0] != req.Cells[0] || back.Cells[1] != req.Cells[1] {
-		t.Fatalf("cells did not survive the round trip: %+v", back)
+	if back != req {
+		t.Fatalf("round trip changed the pack stamp: %+v != %+v", back, req)
+	}
+	unstamped, err := json.Marshal(SessionRequest{Task: "files-3", Setting: req.Setting, Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(unstamped), `"pack`) {
+		t.Errorf("an unstamped cell must omit the pack keys: %s", unstamped)
 	}
 
-	resp := BatchResponse{Results: []BatchCellResult{
-		{Status: 200, Response: &SessionResponse{Task: "word-1", Runs: 1,
-			Outcomes: []agent.Outcome{{Task: "word-1", Success: true}}}},
-		{Status: 404, Error: "unknown cell"},
-	}}
+	resp := SessionResponse{Task: "files-3", Setting: req.Setting, Runs: 1, Pack: "osworld-w", PackHash: "abc",
+		Outcomes: []agent.Outcome{{Task: "files-3", Success: true}}}
 	data, err = json.Marshal(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var respBack BatchResponse
+	var respBack SessionResponse
 	if err := json.Unmarshal(data, &respBack); err != nil {
 		t.Fatal(err)
 	}
-	if len(respBack.Results) != 2 || respBack.Results[1].Status != 404 ||
-		respBack.Results[0].Response == nil || len(respBack.Results[0].Response.Outcomes) != 1 {
-		t.Fatalf("results did not survive the round trip: %+v", respBack)
+	if respBack.Pack != resp.Pack || respBack.PackHash != resp.PackHash || len(respBack.Outcomes) != 1 {
+		t.Fatalf("pack echo did not survive the round trip: %+v", respBack)
 	}
-}
 
-// TestBatchRequestBytes pins the scaled body cap: the declared batch size
-// multiplies the per-session cap, clamped to [1, MaxBatchCells] so neither
-// a zero declaration nor an absurd one escapes the bound.
-func TestBatchRequestBytes(t *testing.T) {
-	cases := []struct {
-		n    int
-		want int64
-	}{
-		{0, MaxRequestBytes},
-		{-5, MaxRequestBytes},
-		{1, MaxRequestBytes},
-		{16, 16 * MaxRequestBytes},
-		{MaxBatchCells, MaxBatchCells * MaxRequestBytes},
-		{MaxBatchCells + 1, MaxBatchCells * MaxRequestBytes},
-		{1 << 30, MaxBatchCells * MaxRequestBytes},
-	}
-	for _, c := range cases {
-		if got := BatchRequestBytes(c.n); got != c.want {
-			t.Errorf("BatchRequestBytes(%d) = %d, want %d", c.n, got, c.want)
-		}
+	envelope := `{"pack":"osworld-w","pack_hash":"abc","cells":[{"task":"files-3","setting":"GUI / GPT-5 / Medium","runs":1}]}`
+	if _, err := DecodeSessionRequest(strings.NewReader(envelope)); err == nil || !strings.Contains(err.Error(), "cells") {
+		t.Errorf("the multi-cell envelope must be refused naming cells, got %v", err)
 	}
 }
 
