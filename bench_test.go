@@ -86,8 +86,8 @@ func BenchmarkTable1_Task1_Declarative(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1_Task2_StateDeclaration: set_scrollbar_pos(80%) replaces
-// the drag loop.
+// BenchmarkTable1_Task2_StateDeclaration: one scrollbar declaration
+// (v = 80%) replaces the drag loop.
 func BenchmarkTable1_Task2_StateDeclaration(b *testing.B) {
 	m := sharedModels(b).ByApp["PowerPoint"]
 	for i := 0; i < b.N; i++ {
@@ -95,7 +95,8 @@ func BenchmarkTable1_Task2_StateDeclaration(b *testing.B) {
 		s := core.NewSession(app.App, m, core.Options{})
 		lm := s.CaptureLabels()
 		label := lm.Find("Slides Vertical Scroll Bar", uia.ScrollBarControl)
-		if _, serr := s.SetScrollbarPos(lm, label, uia.NoScroll, 80); serr != nil {
+		decl := core.Declaration{Op: core.OpScrollbar, Labels: []string{label}, H: uia.NoScroll, V: 80}
+		if serr := s.Declare(lm, decl); serr != nil {
 			b.Fatal(serr)
 		}
 	}

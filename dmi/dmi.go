@@ -7,7 +7,7 @@
 //	offline            online
 //	─────────────      ──────────────────────────────
 //	Rip(app)       →   NewSession(app, model)
-//	Transform(g)   →   session.Visit / SetScrollbarPos / GetTexts …
+//	Transform(g)   →   session.Visit / Declare / GetTexts …
 //	NewModel(f)
 //
 // A quick start against the bundled PowerPoint simulator:
@@ -252,8 +252,20 @@ type StepError = core.StepError
 // LabelMap labels the current screen for the interaction interfaces.
 type LabelMap = core.LabelMap
 
-// ScrollStatus reports a scrollbar position after a state declaration.
-type ScrollStatus = core.ScrollStatus
+// Declaration is one state declaration (Session.Declare): an op, its
+// target labels and the op's parameters.
+type Declaration = core.Declaration
+
+// The state ops a Declaration may name (paper Table 2).
+const (
+	OpScrollbar        = core.OpScrollbar
+	OpSelectLines      = core.OpSelectLines
+	OpSelectParagraphs = core.OpSelectParagraphs
+	OpSelectControls   = core.OpSelectControls
+	OpSetRangeValue    = core.OpSetRangeValue
+	OpSetToggleState   = core.OpSetToggleState
+	OpSetExpanded      = core.OpSetExpanded
+)
 
 // NewSession binds the DMI runtime to an application and its offline model.
 func NewSession(app *App, model *TopologyModel, opt ExecOptions) *Session {

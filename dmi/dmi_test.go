@@ -41,12 +41,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	// State declaration.
 	lm := s.CaptureLabels()
 	sb := lm.Find("Slides Vertical Scroll Bar", dmi.ScrollBarControl)
-	st, serr := s.SetScrollbarPos(lm, sb, dmi.NoScroll, 100)
+	serr := s.Declare(lm, dmi.Declaration{Op: dmi.OpScrollbar, Labels: []string{sb}, H: dmi.NoScroll, V: 100})
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	if st.V != 100 {
-		t.Fatalf("scroll status %v", st)
+	if top := app.ThumbTop(); top != 2 {
+		t.Fatalf("scrolled to the end, first visible thumb is %d, want 2", top)
 	}
 
 	// Observation declaration + topology text.

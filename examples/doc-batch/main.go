@@ -30,7 +30,8 @@ func main() {
 	// State declaration: select paragraphs 1–2 directly, no drag loop.
 	lm := s.CaptureLabels()
 	doc := lm.Find("Document", dmi.DocumentControl)
-	if serr := s.SelectParagraphs(lm, doc, 1, 2); serr != nil {
+	sel := dmi.Declaration{Op: dmi.OpSelectParagraphs, Labels: []string{doc}, Start: 1, End: 2}
+	if serr := s.Declare(lm, sel); serr != nil {
 		log.Fatal(serr)
 	}
 

@@ -1,6 +1,6 @@
 // Table 1, Task 2 — "show the area close to the end" — comparing the
-// imperative drag loop against the declarative state interface
-// set_scrollbar_pos(80%).
+// imperative drag loop against one declarative scrollbar state
+// declaration (v = 80%).
 //
 //	go run ./examples/scroll-reader
 package main
@@ -39,16 +39,17 @@ func main() {
 		fmt.Println("   the fragility Figure 2b illustrates)")
 	}
 
-	// Declarative: one state declaration; the interface reports the
-	// reached position as structured status.
+	// Declarative: one state declaration drives the scrollbar to the end
+	// state from wherever it is.
 	app2 := dmi.NewPowerPoint(12)
 	s := dmi.NewSession(app2.App, model, dmi.ExecOptions{})
 	lm := s.CaptureLabels()
 	label := lm.Find("Slides Vertical Scroll Bar", dmi.ScrollBarControl)
-	st, serr := s.SetScrollbarPos(lm, label, dmi.NoScroll, 80)
+	serr := s.Declare(lm, dmi.Declaration{Op: dmi.OpScrollbar, Labels: []string{label},
+		H: dmi.NoScroll, V: 80})
 	if serr != nil {
 		log.Fatal(serr)
 	}
-	fmt.Printf("declarative DMI: set_scrollbar_pos(80%%) → status v=%.0f%%; first visible slide %d\n",
-		st.V, app2.ThumbTop()+1)
+	fmt.Printf("declarative DMI: one %s declaration (v=80%%); first visible slide %d\n",
+		dmi.OpScrollbar, app2.ThumbTop()+1)
 }

@@ -262,12 +262,12 @@ func (d *driver) execStateDMI(step osworld.PlanStep) {
 	wrong := d.chance(d.p.Semantic * (0.5 + step.Ambiguity + d.task.Ambiguity))
 	if wrong {
 		switch so.Op {
-		case "scrollbar":
+		case core.OpScrollbar:
 			so.V += float64(d.rng.Intn(50) - 25)
-		case "select_lines", "select_paragraphs":
+		case core.OpSelectLines, core.OpSelectParagraphs:
 			so.Start += d.rng.Intn(3) - 1
 			so.End += d.rng.Intn(3) - 1
-		case "set_range_value":
+		case core.OpSetRangeValue:
 			so.Value *= 0.5 + d.rng.Float64()
 		}
 		d.fail(tag)
@@ -278,45 +278,20 @@ func (d *driver) execStateDMI(step osworld.PlanStep) {
 		d.fail(osworld.FailTopology)
 		return
 	}
-	var serr *core.StepError
-	switch so.Op {
-	case "scrollbar":
-		_, serr = d.sess.SetScrollbarPos(lm, label, so.H, clamp(so.V))
-	case "select_lines":
-		serr = d.sess.SelectLines(lm, label, so.Start, so.End)
-	case "select_paragraphs":
-		serr = d.sess.SelectParagraphs(lm, label, so.Start, so.End)
-	case "select_controls":
-		labels := make([]string, 0, len(so.Names))
+	labels := []string{label}
+	if so.Op == core.OpSelectControls {
+		labels = labels[:0]
 		for _, n := range so.Names {
 			if l := lm.Find(n, so.ControlType); l != "" {
 				labels = append(labels, l)
 			}
 		}
-		serr = d.sess.SelectControls(lm, labels)
-	case "set_range_value":
-		serr = d.setRangeValue(lm, label, so.Value)
 	}
-	if serr != nil && !wrong {
+	decl := core.Declaration{Op: so.Op, Labels: labels,
+		H: so.H, V: clamp(so.V), Start: so.Start, End: so.End, On: so.On, Value: so.Value}
+	if serr := d.sess.Declare(lm, decl); serr != nil && !wrong {
 		d.fail(osworld.FailExecution)
 	}
-}
-
-// setRangeValue drives a RangeValue control declaratively (Table 2's
-// interfaces are extensible; this one builds on RangeValuePattern).
-func (d *driver) setRangeValue(lm *core.LabelMap, label string, v float64) *core.StepError {
-	el := lm.Element(label)
-	if el == nil {
-		return &core.StepError{Code: core.ErrUnknownLabel, Control: label}
-	}
-	rv, ok := el.Pattern(uia.RangeValuePattern).(uia.RangeValuer)
-	if !ok {
-		return &core.StepError{Code: core.ErrNoPattern, Control: el.Name()}
-	}
-	if err := rv.SetRangeValue(el, v); err != nil {
-		return &core.StepError{Code: core.ErrBadRange, Control: el.Name(), Hint: err.Error()}
-	}
-	return nil
 }
 
 // observeDMI answers an observation step through get_texts: structured

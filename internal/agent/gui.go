@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"repro/internal/core"
 	"repro/internal/forest"
 	"repro/internal/osworld"
 	"repro/internal/strutil"
@@ -217,7 +218,7 @@ func (d *driver) applyComposite(so osworld.StateOp, miss bool) {
 	}
 	el := lm.Element(label)
 	switch so.Op {
-	case "scrollbar":
+	case core.OpScrollbar:
 		v := so.V
 		if miss {
 			v = clamp(v + float64(d.rng.Intn(56)-28))
@@ -225,7 +226,7 @@ func (d *driver) applyComposite(so osworld.StateOp, miss bool) {
 		if sc, ok := el.Pattern(uia.ScrollPattern).(uia.Scroller); ok {
 			_ = sc.SetScrollPercent(el, so.H, v)
 		}
-	case "select_lines", "select_paragraphs":
+	case core.OpSelectLines, core.OpSelectParagraphs:
 		start, end := so.Start, so.End
 		if miss {
 			start += d.rng.Intn(3) - 1
@@ -238,13 +239,13 @@ func (d *driver) applyComposite(so osworld.StateOp, miss bool) {
 			}
 		}
 		if tx, ok := el.Pattern(uia.TextPattern).(uia.Texter); ok {
-			if so.Op == "select_lines" {
+			if so.Op == core.OpSelectLines {
 				_ = tx.SelectLines(el, start, end)
 			} else {
 				_ = tx.SelectParagraphs(el, start, end)
 			}
 		}
-	case "select_controls":
+	case core.OpSelectControls:
 		for i, n := range so.Names {
 			l := lm.Find(n, so.ControlType)
 			if l == "" {
@@ -259,7 +260,7 @@ func (d *driver) applyComposite(so osworld.StateOp, miss bool) {
 				}
 			}
 		}
-	case "set_range_value":
+	case core.OpSetRangeValue:
 		v := so.Value
 		if miss {
 			v *= 0.6 + 0.8*d.rng.Float64()
@@ -273,6 +274,22 @@ func (d *driver) applyComposite(so osworld.StateOp, miss bool) {
 				v = max
 			}
 			_ = rv.SetRangeValue(el, v)
+		}
+	case core.OpSetToggleState:
+		want := uia.ToggleOff
+		if so.On != miss { // a miss lands in the other state
+			want = uia.ToggleOn
+		}
+		if tg, ok := el.Pattern(uia.TogglePattern).(uia.Toggler); ok {
+			_ = tg.SetToggleState(el, want)
+		}
+	case core.OpSetExpanded:
+		if xc, ok := el.Pattern(uia.ExpandCollapsePattern).(uia.ExpandCollapser); ok {
+			if so.On != miss { // a miss lands in the other state
+				_ = xc.Expand(el)
+			} else {
+				_ = xc.Collapse(el)
+			}
 		}
 	}
 }

@@ -2,8 +2,8 @@
 // sidebar, a scrollable multi-select file list with per-file context menus,
 // rename/delete/new-folder dialogs, and a text preview pane. It is the
 // list-and-selection-state member of the application catalog, stressing the
-// state declarations (set_scrollbar_pos over the list viewport, select_lines
-// over the preview, select_controls over file items) and the fuzzy control
+// state declarations (scrollbar over the list viewport, select_lines over
+// the preview, select_controls over file items) and the fuzzy control
 // matcher: file items are name-identified, so renaming a file drifts its
 // synthesized identifier away from the offline model exactly like the
 // paper's §6 "Find Next"→"Go To" example.

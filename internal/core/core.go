@@ -6,10 +6,11 @@
 //     commands that name target controls by topology id; the executor
 //     deterministically navigates from any current UI state to each target
 //     and performs the primitive interaction.
-//   - state declaration: interaction interfaces (§3.5) such as
-//     set_scrollbar_pos, select_lines, select_paragraphs, select_controls,
-//     set_toggle_state, set_expanded drive a control to a declared end
-//     state, hiding compound interactions.
+//   - state declaration: Session.Declare (§3.5, Table 2) drives controls to
+//     a declared end state, hiding compound interactions. A Declaration
+//     names one op of one table — scrollbar, select_lines,
+//     select_paragraphs, select_controls, set_range_value,
+//     set_toggle_state, set_expanded — each built on one UIA pattern.
 //   - observation declaration: get_texts (§3.5) retrieves structured
 //     content, passively before every LLM call and actively on demand.
 //

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/appkit"
 	"repro/internal/describe"
@@ -476,6 +477,109 @@ func TestParseCommands(t *testing.T) {
 
 // State and observation interfaces ------------------------------------------
 
+// withStateControls adds what the test app lacks for the rest of Table 2: a
+// single-select radio group, a combo box (ExpandCollapse) and a spinner
+// (RangeValue).
+func withStateControls(ta *testApp) *testApp {
+	p := ta.Window().Pane("pnlState", "State")
+	p.RadioGroup("rbSize", []string{"Small", "Large"}, nil)
+	p.ComboBox("cbMode", "Mode", []string{"Fast", "Slow"}, nil)
+	p.Spinner("spnLevel", "Level", 0, 10, 5, nil)
+	ta.Layout()
+	return ta
+}
+
+// TestDeclareRows runs one declaration per row of the op table and pins
+// each row's accounting: one UI action and one uiCost of simulated time per
+// target, except set_range_value, which is free.
+func TestDeclareRows(t *testing.T) {
+	ta := withStateControls(newTestApp())
+	s := NewSession(ta.App, nil, Options{})
+	lm := s.CaptureLabels()
+	find := func(name string, ct uia.ControlType) string {
+		t.Helper()
+		l := lm.Find(name, ct)
+		if l == "" {
+			t.Fatalf("%s not labeled", name)
+		}
+		return l
+	}
+	el := func(label string) *uia.Element { return lm.Element(label) }
+	sb := find("Vertical Scroll Bar", uia.ScrollBarControl)
+	doc := find("Document", uia.DocumentControl)
+	one := find("Item One", uia.ListItemControl)
+	two := find("Item Two", uia.ListItemControl)
+	bold := find("Bold", uia.ButtonControl)
+	mode := find("Mode", uia.ComboBoxControl)
+	level := find("Level", uia.SpinnerControl)
+
+	selected := func(label string) bool {
+		return el(label).Pattern(uia.SelectionItemPattern).(uia.SelectionItem).IsSelected(el(label))
+	}
+	cases := []struct {
+		d       Declaration
+		actions int
+		reached func() bool
+	}{
+		{Declaration{Op: OpScrollbar, Labels: []string{sb}, H: uia.NoScroll, V: 70}, 1,
+			func() bool { return ta.scroll == 70 }},
+		{Declaration{Op: OpSelectLines, Labels: []string{doc}, Start: 1, End: 1}, 1,
+			func() bool { return el(doc).Pattern(uia.TextPattern).(*uia.SimpleText).SelectedText() == "l1" }},
+		{Declaration{Op: OpSelectParagraphs, Labels: []string{doc}, Start: 2, End: 2}, 1,
+			func() bool {
+				return el(doc).Pattern(uia.TextPattern).(*uia.SimpleText).SelectedText() == "l2 first\nl2 second"
+			}},
+		{Declaration{Op: OpSelectControls, Labels: []string{one, two}}, 2,
+			func() bool { return selected(one) && selected(two) }},
+		{Declaration{Op: OpSetRangeValue, Labels: []string{level}, Value: 7}, 0,
+			func() bool {
+				return el(level).Pattern(uia.RangeValuePattern).(uia.RangeValuer).RangeValue(el(level)) == 7
+			}},
+		{Declaration{Op: OpSetToggleState, Labels: []string{bold}, On: true}, 1,
+			func() bool { return ta.bold }},
+		{Declaration{Op: OpSetExpanded, Labels: []string{mode}, On: true}, 1,
+			func() bool {
+				return el(mode).Pattern(uia.ExpandCollapsePattern).(uia.ExpandCollapser).ExpandState(el(mode)) == uia.Expanded
+			}},
+	}
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		covered[tc.d.Op] = true
+		actions, now := s.Actions, s.App.Desk.Clock().Now()
+		if serr := s.Declare(lm, tc.d); serr != nil {
+			t.Fatalf("%s: %v", tc.d.Op, serr)
+		}
+		if !tc.reached() {
+			t.Errorf("%s: declared state not reached", tc.d.Op)
+		}
+		if got := s.Actions - actions; got != tc.actions {
+			t.Errorf("%s: %d actions counted, want %d", tc.d.Op, got, tc.actions)
+		}
+		if got, want := s.App.Desk.Clock().Now()-now, time.Duration(tc.actions)*uiCost; got != want {
+			t.Errorf("%s: clock advanced %v, want %v", tc.d.Op, got, want)
+		}
+	}
+	if len(covered) != len(stateOps) {
+		t.Errorf("cases cover %d of the table's %d ops", len(covered), len(stateOps))
+	}
+
+	// Malformed declarations fail before any target is touched.
+	for _, d := range []Declaration{
+		{Op: "set_scrollbar_pos", Labels: []string{sb}},
+		{Op: OpScrollbar},
+		{Op: OpScrollbar, Labels: []string{sb, sb}},
+		{Op: OpSetToggleState, Labels: []string{bold, bold}},
+	} {
+		actions := s.Actions
+		if serr := s.Declare(lm, d); serr == nil || serr.Code != ErrInvalidCommand {
+			t.Errorf("%s on %d labels: got %v, want %s", d.Op, len(d.Labels), serr, ErrInvalidCommand)
+		}
+		if s.Actions != actions {
+			t.Errorf("%s on %d labels counted an action", d.Op, len(d.Labels))
+		}
+	}
+}
+
 func TestSetScrollbarPos(t *testing.T) {
 	ta := newTestApp()
 	s, _ := modelOf(t, ta.App, Options{})
@@ -484,15 +588,17 @@ func TestSetScrollbarPos(t *testing.T) {
 	if label == "" {
 		t.Fatal("scrollbar not labeled")
 	}
-	st, serr := s.SetScrollbarPos(lm, label, uia.NoScroll, 80)
-	if serr != nil {
+	scroll := func(label string, v float64) *StepError {
+		return s.Declare(lm, Declaration{Op: OpScrollbar, Labels: []string{label}, H: uia.NoScroll, V: v})
+	}
+	if serr := scroll(label, 80); serr != nil {
 		t.Fatal(serr)
 	}
-	if st.V != 80 || ta.scroll != 80 {
-		t.Fatalf("scroll = %v / %v", st.V, ta.scroll)
+	if ta.scroll != 80 {
+		t.Fatalf("scroll = %v", ta.scroll)
 	}
 	// Declarative: target state reached from any prior state.
-	if _, serr = s.SetScrollbarPos(lm, label, uia.NoScroll, 10); serr != nil {
+	if serr := scroll(label, 10); serr != nil {
 		t.Fatal(serr)
 	}
 	if ta.scroll != 10 {
@@ -500,7 +606,7 @@ func TestSetScrollbarPos(t *testing.T) {
 	}
 	// Pattern validation.
 	boldLabel := lm.Find("Bold", uia.ButtonControl)
-	if _, serr = s.SetScrollbarPos(lm, boldLabel, 0, 0); serr == nil || serr.Code != ErrNoPattern {
+	if serr := scroll(boldLabel, 0); serr == nil || serr.Code != ErrNoPattern {
 		t.Fatalf("expected pattern error, got %+v", serr)
 	}
 }
@@ -510,7 +616,10 @@ func TestSelectLinesAndParagraphs(t *testing.T) {
 	s, _ := modelOf(t, ta.App, Options{})
 	lm := s.CaptureLabels()
 	doc := lm.Find("Document", uia.DocumentControl)
-	if serr := s.SelectLines(lm, doc, 3, 4); serr != nil {
+	selectRange := func(op string, start, end int) *StepError {
+		return s.Declare(lm, Declaration{Op: op, Labels: []string{doc}, Start: start, End: end})
+	}
+	if serr := selectRange(OpSelectLines, 3, 4); serr != nil {
 		t.Fatal(serr)
 	}
 	el := lm.Element(doc)
@@ -518,13 +627,13 @@ func TestSelectLinesAndParagraphs(t *testing.T) {
 	if got := tx.SelectedText(); got != "l2 first\nl2 second" {
 		t.Fatalf("selected %q", got)
 	}
-	if serr := s.SelectParagraphs(lm, doc, 3, 3); serr != nil {
+	if serr := selectRange(OpSelectParagraphs, 3, 3); serr != nil {
 		t.Fatal(serr)
 	}
 	if got := tx.SelectedText(); got != "l3" {
 		t.Fatalf("selected %q", got)
 	}
-	serr := s.SelectLines(lm, doc, 90, 95)
+	serr := selectRange(OpSelectLines, 90, 95)
 	if serr == nil || serr.Code != ErrBadRange {
 		t.Fatalf("bad range accepted: %+v", serr)
 	}
@@ -534,58 +643,106 @@ func TestSelectLinesAndParagraphs(t *testing.T) {
 }
 
 func TestSelectControlsConservative(t *testing.T) {
-	ta := newTestApp()
+	ta := withStateControls(newTestApp())
 	s, _ := modelOf(t, ta.App, Options{})
 	lm := s.CaptureLabels()
 	one := lm.Find("Item One", uia.ListItemControl)
 	three := lm.Find("Item Three", uia.ListItemControl)
 	bold := lm.Find("Bold", uia.ButtonControl)
+	small := lm.Find("Small", uia.RadioButtonControl)
+	large := lm.Find("Large", uia.RadioButtonControl)
+	selectControls := func(labels ...string) *StepError {
+		return s.Declare(lm, Declaration{Op: OpSelectControls, Labels: labels})
+	}
 
-	if serr := s.SelectControls(lm, []string{one, three}); serr != nil {
+	if serr := selectControls(one, three); serr != nil {
 		t.Fatal(serr)
 	}
-	lst := ta.Win.FindByAutomationID("lstItems")
-	sel := lst.Pattern(uia.SelectionPattern).(uia.SelectionContainer)
-	if got := sel.SelectedItems(lst); len(got) != 2 {
-		t.Fatalf("selected %d items", len(got))
+	if serr := selectControls(large); serr != nil {
+		t.Fatal(serr)
+	}
+	selection := func() string {
+		var names []string
+		for _, id := range []string{"lstItems", "pnlState"} {
+			c := ta.Win.FindByAutomationID(id)
+			for _, e := range c.Pattern(uia.SelectionPattern).(uia.SelectionContainer).SelectedItems(c) {
+				names = append(names, e.Name())
+			}
+		}
+		return strings.Join(names, ",")
+	}
+	const want = "Item One,Item Three,Large"
+	if got := selection(); got != want {
+		t.Fatalf("selected %q, want %q", got, want)
 	}
 
-	// One invalid target: nothing may execute (conservative).
-	serr := s.SelectControls(lm, []string{one, bold})
-	if serr == nil || serr.Code != ErrNoPattern {
-		t.Fatalf("expected pattern error, got %+v", serr)
-	}
-	if got := sel.SelectedItems(lst); len(got) != 2 {
-		t.Fatal("failed select_controls partially executed")
-	}
-	if serr := s.SelectControls(lm, nil); serr == nil {
-		t.Fatal("empty selection accepted")
+	// A declaration that fails executes nothing (conservative): neither
+	// selection moves and no action is counted.
+	for _, tc := range []struct {
+		name   string
+		labels []string
+		code   ErrorCode
+	}{
+		{"one target lacks the pattern", []string{one, bold}, ErrNoPattern},
+		{"no targets", nil, ErrInvalidCommand},
+		{"two items of a single-select group", []string{small, large}, ErrBadRange},
+		{"items of two containers", []string{three, small}, ErrBadRange},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			actions := s.Actions
+			if serr := selectControls(tc.labels...); serr == nil || serr.Code != tc.code {
+				t.Fatalf("got %+v, want code %s", serr, tc.code)
+			}
+			if got := selection(); got != want {
+				t.Errorf("failed select_controls partially executed: selected %q, want %q", got, want)
+			}
+			if s.Actions != actions {
+				t.Errorf("failed select_controls counted %d actions", s.Actions-actions)
+			}
+		})
 	}
 }
 
 func TestToggleAndExpandedDeclarations(t *testing.T) {
-	ta := newTestApp()
+	ta := withStateControls(newTestApp())
 	s, _ := modelOf(t, ta.App, Options{})
 	lm := s.CaptureLabels()
-	bold := lm.Find("Bold", uia.ButtonControl)
-	if serr := s.SetToggleState(lm, bold, true); serr != nil {
-		t.Fatal(serr)
+	declare := func(op, label string, on bool) {
+		t.Helper()
+		if serr := s.Declare(lm, Declaration{Op: op, Labels: []string{label}, On: on}); serr != nil {
+			t.Fatal(serr)
+		}
 	}
+	bold := lm.Find("Bold", uia.ButtonControl)
+	declare(OpSetToggleState, bold, true)
 	if !ta.bold {
 		t.Fatal("toggle on failed")
 	}
 	// Idempotent: declaring "on" again must not flip it off.
-	if serr := s.SetToggleState(lm, bold, true); serr != nil {
-		t.Fatal(serr)
-	}
+	declare(OpSetToggleState, bold, true)
 	if !ta.bold {
 		t.Fatal("idempotent set broke")
 	}
-	if serr := s.SetToggleState(lm, bold, false); serr != nil {
-		t.Fatal(serr)
-	}
+	declare(OpSetToggleState, bold, false)
 	if ta.bold {
 		t.Fatal("toggle off failed")
+	}
+
+	mode := lm.Find("Mode", uia.ComboBoxControl)
+	cb := lm.Element(mode)
+	xc := cb.Pattern(uia.ExpandCollapsePattern).(uia.ExpandCollapser)
+	list := ta.Win.FindByAutomationID("cbModeList")
+	for _, expanded := range []bool{true, true, false, false} {
+		declare(OpSetExpanded, mode, expanded)
+		if got := xc.ExpandState(cb) == uia.Expanded; got != expanded {
+			t.Fatalf("declared expanded=%v, state %v", expanded, xc.ExpandState(cb))
+		}
+		if list.OnScreen() != expanded {
+			t.Fatalf("declared expanded=%v, option list on screen=%v", expanded, list.OnScreen())
+		}
+	}
+	if serr := s.Declare(lm, Declaration{Op: OpSetExpanded, Labels: []string{bold}}); serr == nil || serr.Code != ErrNoPattern {
+		t.Fatalf("expected pattern error, got %+v", serr)
 	}
 }
 

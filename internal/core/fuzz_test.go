@@ -1,15 +1,20 @@
 package core
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/describe"
 	"repro/internal/forest"
 	"repro/internal/office/slides"
+	"repro/internal/office/word"
+	"repro/internal/uia"
 	"repro/internal/ung"
 )
 
@@ -118,4 +123,115 @@ func FuzzVisitCommands(f *testing.F) {
 			t.Fatalf("further_query failed with %v, want %s", res.Err, ErrUnknownID)
 		}
 	})
+}
+
+// FuzzDeclare drives Session.Declare with random declarations against the
+// catalog's Word app, its Page Setup dialog open over the Home tab: one
+// screen with Text, Scroll, RangeValue, Toggle and ExpandCollapse controls
+// and a single-select radio group. op picks a row of the op table (one past
+// the last is an unknown op); each byte of targets picks a label by screen
+// index (one past the last control is a label not on the screen). Declare
+// must never panic, every StepError must carry a code declared in
+// errors.go, and a declaration that fails must leave the screen as it was
+// (no partial execution). The committed corpus under
+// testdata/fuzz/FuzzDeclare is replayed by plain `go test`.
+func FuzzDeclare(f *testing.F) {
+	codes := declaredCodes(f)
+	ops := make([]string, 0, len(stateOps)+1)
+	for op := range stateOps {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	ops = append(ops, "set_scrollbar_pos") // the paper's name, not a row
+
+	f.Fuzz(func(t *testing.T, op uint8, targets []byte, h, v float64, start, end int, on bool, value float64) {
+		s := declareSession(t)
+		lm := s.CaptureLabels()
+		if len(targets) > 4 {
+			targets = targets[:4]
+		}
+		d := Declaration{Op: ops[int(op)%len(ops)], Labels: []string{},
+			H: h, V: v, Start: start, End: end, On: on, Value: value}
+		for _, b := range targets {
+			d.Labels = append(d.Labels, alphaLabel(int(b)%(lm.Len()+1)))
+		}
+
+		before := screenState(s)
+		serr := s.Declare(lm, d)
+		if serr == nil {
+			return
+		}
+		if !codes[serr.Code] {
+			t.Errorf("undeclared error code %q: %v", serr.Code, serr)
+		}
+		if after := screenState(s); after != before {
+			t.Fatalf("failed declaration %+v (%v) changed the screen:\n%s", d, serr, lineDiff(before, after))
+		}
+	})
+}
+
+// declareSession opens the FuzzDeclare screen on a fresh Word instance.
+func declareSession(tb testing.TB) *Session {
+	tb.Helper()
+	w := word.New()
+	for _, id := range []string{"tabLayout", "btnPageSetupDialog", "tabHome"} {
+		if err := w.Desk.Click(w.Win.FindByAutomationID(id)); err != nil {
+			tb.Fatalf("click %s: %v", id, err)
+		}
+	}
+	return NewSession(w.App, nil, Options{})
+}
+
+// screenState renders what a failed declaration must leave unchanged: each
+// on-screen control's id, name and value, and its toggle, selection,
+// scroll, expand and range states.
+func screenState(s *Session) string {
+	var b strings.Builder
+	for _, e := range s.CaptureLabels().order {
+		fmt.Fprintf(&b, "%s %q", e.ControlID(), e.Name())
+		if text, ok := contentOf(e); ok {
+			fmt.Fprintf(&b, " value=%q", text)
+		}
+		if tg, ok := e.Pattern(uia.TogglePattern).(uia.Toggler); ok {
+			fmt.Fprintf(&b, " toggle=%d", tg.ToggleState(e))
+		}
+		if si, ok := e.Pattern(uia.SelectionItemPattern).(uia.SelectionItem); ok {
+			fmt.Fprintf(&b, " selected=%v", si.IsSelected(e))
+		}
+		if tx, ok := e.Pattern(uia.TextPattern).(uia.Texter); ok {
+			start, end, sel := tx.Selection(e)
+			fmt.Fprintf(&b, " text-selection=%d..%d/%v", start, end, sel)
+		}
+		if sc, ok := e.Pattern(uia.ScrollPattern).(uia.Scroller); ok {
+			h, v := sc.ScrollPercent(e)
+			fmt.Fprintf(&b, " scroll=%v,%v", h, v)
+		}
+		if xc, ok := e.Pattern(uia.ExpandCollapsePattern).(uia.ExpandCollapser); ok {
+			fmt.Fprintf(&b, " expand=%s", xc.ExpandState(e))
+		}
+		if rv, ok := e.Pattern(uia.RangeValuePattern).(uia.RangeValuer); ok {
+			fmt.Fprintf(&b, " range=%v", rv.RangeValue(e))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// lineDiff lists the lines of two renderings that differ.
+func lineDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	var out strings.Builder
+	for i := 0; i < len(al) || i < len(bl); i++ {
+		var x, y string
+		if i < len(al) {
+			x = al[i]
+		}
+		if i < len(bl) {
+			y = bl[i]
+		}
+		if x != y {
+			fmt.Fprintf(&out, "- %s\n+ %s\n", x, y)
+		}
+	}
+	return out.String()
 }

@@ -96,7 +96,8 @@ func TestWordFontColorPathSemanticsViaDMI(t *testing.T) {
 	// two accesses through different entry references.
 	lm := s.CaptureLabels()
 	doc := lm.Find("Document", uia.DocumentControl)
-	if serr := s.SelectParagraphs(lm, doc, 1, 2); serr != nil {
+	sel := Declaration{Op: OpSelectParagraphs, Labels: []string{doc}, Start: 1, End: 2}
+	if serr := s.Declare(lm, sel); serr != nil {
 		t.Fatal(serr)
 	}
 	res := s.Visit([]Command{AccessRef(m.ID(blue), viaFont)})
@@ -198,12 +199,12 @@ func TestSlidesTable1Task2ViaDMI(t *testing.T) {
 	if sb == "" {
 		t.Fatal("scrollbar not labeled")
 	}
-	st, serr := s.SetScrollbarPos(lm, sb, uia.NoScroll, 80)
-	if serr != nil {
+	if serr := s.Declare(lm, Declaration{Op: OpScrollbar, Labels: []string{sb}, H: uia.NoScroll, V: 80}); serr != nil {
 		t.Fatal(serr)
 	}
-	if st.V != 80 {
-		t.Fatalf("scroll status = %v", st)
+	sc := lm.Element(sb).Pattern(uia.ScrollPattern).(uia.Scroller)
+	if _, v := sc.ScrollPercent(lm.Element(sb)); v != 80 {
+		t.Fatalf("scroll position = %v", v)
 	}
 	if p.Thumb(10) == nil || !p.Thumb(10).OnScreen() {
 		t.Fatal("end-of-deck slides not revealed")

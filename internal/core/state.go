@@ -10,170 +10,171 @@ import (
 )
 
 // This file implements the state and observation declarations (paper §3.5,
-// Table 2). Each interface is built on a UIA control pattern, validates
-// conservatively (no partial execution), and returns a structured status.
+// Table 2). Declare runs a state declaration through one table, stateOps,
+// whose rows each build on one UIA control pattern.
 
-// ScrollStatus reports a scrollbar's position after a state declaration.
-type ScrollStatus struct {
-	H, V float64 // percentages; NoScroll (-1) for disabled axes
+// The state ops of Table 2, one per row of stateOps; plans and task packs
+// name them by these strings.
+const (
+	OpScrollbar        = "scrollbar"
+	OpSelectLines      = "select_lines"
+	OpSelectParagraphs = "select_paragraphs"
+	OpSelectControls   = "select_controls"
+	OpSetRangeValue    = "set_range_value"
+	OpSetToggleState   = "set_toggle_state"
+	OpSetExpanded      = "set_expanded"
+)
+
+// Declaration is one state declaration: the end state its labeled controls
+// must reach, regardless of their current state. Only the parameters of
+// its Op are read.
+type Declaration struct {
+	Op     string
+	Labels []string // screen labels of the targets: one, or several for select_controls
+
+	H, V       float64 // scrollbar: target percentages; uia.NoScroll leaves an axis unchanged
+	Start, End int     // select_lines, select_paragraphs: 1-based inclusive range
+	On         bool    // set_toggle_state: on or off; set_expanded: expanded or collapsed
+	Value      float64 // set_range_value
 }
 
-// SetScrollbarPos drives a Scroll-pattern control to the target percentages
-// regardless of its current position — the declarative replacement for the
-// iterative drag loop of Table 1, Task 2. Pass uia.NoScroll to leave an
-// axis unchanged.
-func (s *Session) SetScrollbarPos(lm *LabelMap, label string, h, v float64) (ScrollStatus, *StepError) {
-	el, serr := s.resolveLabel(lm, label)
-	if serr != nil {
-		return ScrollStatus{}, serr
+// stateOp is one row of the declaration table.
+type stateOp struct {
+	pattern uia.PatternID // every target must support it
+	many    bool          // takes one or more targets; otherwise exactly one
+	free    bool          // its action is not counted as a UI action
+	// bind returns the action that drives one target to the declared
+	// state, or nil when the target's provider for pattern lacks the
+	// behaviour.
+	bind func(provider any) action
+}
+
+// action drives el, the i-th target of d, to the declared state.
+type action func(el *uia.Element, d *Declaration, i int) error
+
+// on adapts an action over the pattern behaviour P into a row's bind.
+func on[P any](act func(p P, el *uia.Element, d *Declaration, i int) error) func(any) action {
+	return func(provider any) action {
+		p, ok := provider.(P)
+		if !ok {
+			return nil
+		}
+		return func(el *uia.Element, d *Declaration, i int) error { return act(p, el, d, i) }
 	}
-	sc, ok := el.Pattern(uia.ScrollPattern).(uia.Scroller)
+}
+
+var stateOps = map[string]stateOp{
+	OpScrollbar: {pattern: uia.ScrollPattern, bind: on(
+		func(sc uia.Scroller, el *uia.Element, d *Declaration, _ int) error {
+			return sc.SetScrollPercent(el, d.H, d.V)
+		})},
+	OpSelectLines: {pattern: uia.TextPattern, bind: on(
+		func(tx uia.Texter, el *uia.Element, d *Declaration, _ int) error {
+			if err := tx.SelectLines(el, d.Start, d.End); err != nil {
+				return fmt.Errorf("%v (control has %d lines)", err, tx.LineCount(el))
+			}
+			return nil
+		})},
+	OpSelectParagraphs: {pattern: uia.TextPattern, bind: on(
+		func(tx uia.Texter, el *uia.Element, d *Declaration, _ int) error {
+			if err := tx.SelectParagraphs(el, d.Start, d.End); err != nil {
+				return fmt.Errorf("%v (control has %d paragraphs)", err, tx.ParagraphCount(el))
+			}
+			return nil
+		})},
+	// The first target replaces the selection; the rest join it.
+	OpSelectControls: {pattern: uia.SelectionItemPattern, many: true, bind: on(
+		func(si uia.SelectionItem, el *uia.Element, _ *Declaration, i int) error {
+			if i == 0 {
+				return si.Select(el)
+			}
+			return si.AddToSelection(el)
+		})},
+	// Free: counting it would move the report's simulated time (TimeS).
+	OpSetRangeValue: {pattern: uia.RangeValuePattern, free: true, bind: on(
+		func(rv uia.RangeValuer, el *uia.Element, d *Declaration, _ int) error {
+			return rv.SetRangeValue(el, d.Value)
+		})},
+	// Idempotent: declaring "on" for an already-on control changes nothing.
+	OpSetToggleState: {pattern: uia.TogglePattern, bind: on(
+		func(tg uia.Toggler, el *uia.Element, d *Declaration, _ int) error {
+			if d.On {
+				return tg.SetToggleState(el, uia.ToggleOn)
+			}
+			return tg.SetToggleState(el, uia.ToggleOff)
+		})},
+	OpSetExpanded: {pattern: uia.ExpandCollapsePattern, bind: on(
+		func(xc uia.ExpandCollapser, el *uia.Element, d *Declaration, _ int) error {
+			if d.On {
+				return xc.Expand(el)
+			}
+			return xc.Collapse(el)
+		})},
+}
+
+// IsStateOp reports whether op names a state declaration Declare runs.
+func IsStateOp(op string) bool {
+	_, ok := stateOps[op]
+	return ok
+}
+
+// Declare drives the declaration's targets to its end state. Everything
+// that can be checked is checked before any target is touched: the op, the
+// number of targets, each label, each target's pattern, and that several
+// targets share one container able to hold them all selected. Only an
+// action the control itself refuses fails after that.
+func (s *Session) Declare(lm *LabelMap, d Declaration) *StepError {
+	op, ok := stateOps[d.Op]
 	if !ok {
-		return ScrollStatus{}, s.noPattern(lm, el, "Scroll")
+		return stepErr(ErrInvalidCommand, -1, "", "", fmt.Sprintf("unknown state op %q", d.Op))
 	}
-	s.act()
-	if err := sc.SetScrollPercent(el, h, v); err != nil {
-		return ScrollStatus{}, stepErr(ErrBadRange, -1, el.Name(), "", err.Error())
+	if len(d.Labels) == 0 || (!op.many && len(d.Labels) > 1) {
+		return stepErr(ErrInvalidCommand, -1, "", "",
+			fmt.Sprintf("%s declared on %d controls", d.Op, len(d.Labels)))
 	}
-	ch, cv := sc.ScrollPercent(el)
-	return ScrollStatus{H: ch, V: cv}, nil
-}
-
-// SelectLines selects one line or a contiguous line range (1-based,
-// inclusive) of a Text-pattern control.
-func (s *Session) SelectLines(lm *LabelMap, label string, start, end int) *StepError {
-	el, serr := s.resolveLabel(lm, label)
-	if serr != nil {
-		return serr
-	}
-	tx, ok := el.Pattern(uia.TextPattern).(uia.Texter)
-	if !ok {
-		return s.noPattern(lm, el, "Text")
-	}
-	s.act()
-	if err := tx.SelectLines(el, start, end); err != nil {
-		return stepErr(ErrBadRange, -1, el.Name(), "",
-			fmt.Sprintf("%v (control has %d lines)", err, tx.LineCount(el)))
-	}
-	return nil
-}
-
-// SelectParagraphs selects one paragraph or a contiguous paragraph range
-// (1-based, inclusive) of a Text-pattern control.
-func (s *Session) SelectParagraphs(lm *LabelMap, label string, start, end int) *StepError {
-	el, serr := s.resolveLabel(lm, label)
-	if serr != nil {
-		return serr
-	}
-	tx, ok := el.Pattern(uia.TextPattern).(uia.Texter)
-	if !ok {
-		return s.noPattern(lm, el, "Text")
-	}
-	s.act()
-	if err := tx.SelectParagraphs(el, start, end); err != nil {
-		return stepErr(ErrBadRange, -1, el.Name(), "",
-			fmt.Sprintf("%v (control has %d paragraphs)", err, tx.ParagraphCount(el)))
-	}
-	return nil
-}
-
-// SelectControls single- or multi-selects SelectionItem controls. All
-// targets are validated before anything executes: if any control lacks the
-// pattern, nothing is selected (§4.4, conservative execution).
-func (s *Session) SelectControls(lm *LabelMap, labels []string) *StepError {
-	if len(labels) == 0 {
-		return stepErr(ErrBadRange, -1, "", "", "select_controls needs at least one label")
-	}
-	els := make([]*uia.Element, 0, len(labels))
-	items := make([]uia.SelectionItem, 0, len(labels))
-	for _, l := range labels {
+	els := make([]*uia.Element, len(d.Labels))
+	acts := make([]action, len(d.Labels))
+	for i, l := range d.Labels {
 		el, serr := s.resolveLabel(lm, l)
 		if serr != nil {
 			return serr
 		}
-		si, ok := el.Pattern(uia.SelectionItemPattern).(uia.SelectionItem)
-		if !ok {
-			return s.noPattern(lm, el, "SelectionItem")
+		if acts[i] = op.bind(el.Pattern(op.pattern)); acts[i] == nil {
+			return s.noPattern(lm, el, op.pattern.String())
 		}
-		els = append(els, el)
-		items = append(items, si)
+		els[i] = el
 	}
-	s.act()
-	if err := items[0].Select(els[0]); err != nil {
-		return stepErr(ErrBadRange, -1, els[0].Name(), "", err.Error())
+	if len(els) > 1 && !multiSelectable(els) {
+		return stepErr(ErrBadRange, -1, els[1].Name(), "",
+			"targets do not share one multi-select container; declare one at a time")
 	}
-	for i := 1; i < len(els); i++ {
-		s.act()
-		if err := items[i].AddToSelection(els[i]); err != nil {
-			return stepErr(ErrBadRange, -1, els[i].Name(), "", err.Error())
+	for i, el := range els {
+		if !op.free {
+			s.act()
+		}
+		if err := acts[i](el, &d, i); err != nil {
+			return stepErr(ErrBadRange, -1, el.Name(), "", err.Error())
 		}
 	}
 	return nil
 }
 
-// SetToggleState drives a Toggle-pattern control to the desired state
-// idempotently: declaring "on" for an already-on control is a no-op rather
-// than a toggle.
-func (s *Session) SetToggleState(lm *LabelMap, label string, on bool) *StepError {
-	el, serr := s.resolveLabel(lm, label)
-	if serr != nil {
-		return serr
+// multiSelectable reports whether els all sit in one Selection container
+// that can hold them all selected at once.
+func multiSelectable(els []*uia.Element) bool {
+	var c *uia.Element
+	for _, el := range els {
+		p := el.Parent()
+		for p != nil && !p.HasPattern(uia.SelectionPattern) {
+			p = p.Parent()
+		}
+		if p == nil || (c != nil && p != c) {
+			return false
+		}
+		c = p
 	}
-	tg, ok := el.Pattern(uia.TogglePattern).(uia.Toggler)
-	if !ok {
-		return s.noPattern(lm, el, "Toggle")
-	}
-	want := uia.ToggleOff
-	if on {
-		want = uia.ToggleOn
-	}
-	s.act()
-	if err := tg.SetToggleState(el, want); err != nil {
-		return stepErr(ErrBadRange, -1, el.Name(), "", err.Error())
-	}
-	return nil
-}
-
-// SetExpanded drives an ExpandCollapse-pattern control to the declared
-// state.
-func (s *Session) SetExpanded(lm *LabelMap, label string, expanded bool) *StepError {
-	el, serr := s.resolveLabel(lm, label)
-	if serr != nil {
-		return serr
-	}
-	xc, ok := el.Pattern(uia.ExpandCollapsePattern).(uia.ExpandCollapser)
-	if !ok {
-		return s.noPattern(lm, el, "ExpandCollapse")
-	}
-	s.act()
-	var err error
-	if expanded {
-		err = xc.Expand(el)
-	} else {
-		err = xc.Collapse(el)
-	}
-	if err != nil {
-		return stepErr(ErrBadRange, -1, el.Name(), "", err.Error())
-	}
-	return nil
-}
-
-// SetTexts writes a Value-pattern control's content (builds on TextPattern
-// and ValuePattern per Table 2's extensibility note).
-func (s *Session) SetTexts(lm *LabelMap, label, text string) *StepError {
-	el, serr := s.resolveLabel(lm, label)
-	if serr != nil {
-		return serr
-	}
-	v, ok := el.Pattern(uia.ValuePattern).(uia.Valuer)
-	if !ok {
-		return s.noPattern(lm, el, "Value")
-	}
-	s.act()
-	if err := v.SetValue(el, text); err != nil {
-		return stepErr(ErrInputFailed, -1, el.Name(), "", err.Error())
-	}
-	return nil
+	sc, ok := c.Pattern(uia.SelectionPattern).(uia.SelectionContainer)
+	return ok && sc.CanSelectMultiple(c)
 }
 
 // GetTexts is the active observation mode: it retrieves the full textual

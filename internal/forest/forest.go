@@ -104,15 +104,6 @@ type Forest struct {
 	SharedOrder []string
 }
 
-// Tree returns the tree containing shared subtree id, or the main tree for
-// the empty string.
-func (f *Forest) Tree(id string) *Node {
-	if id == "" {
-		return f.Main
-	}
-	return f.Shared[id]
-}
-
 // Number returns the forest's nodes in forest order — the main tree in
 // preorder, then each shared subtree in SharedOrder — and records each
 // node's position in that order, which Pos reports. Transform builds its

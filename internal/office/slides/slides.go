@@ -660,9 +660,6 @@ func (p *App) Thumb(i int) *uia.Element {
 	return p.thumbs[i]
 }
 
-// ThumbList returns the thumbnail list element.
-func (p *App) ThumbList() *uia.Element { return p.thumbList }
-
 // TitleElement returns the title placeholder of the editing pane.
 func (p *App) TitleElement() *uia.Element { return p.titleEl }
 

@@ -200,6 +200,3 @@ func (d *Document) LastTable() (TableSpec, bool) {
 	}
 	return d.tables[len(d.tables)-1], true
 }
-
-// TableCount returns the number of inserted tables.
-func (d *Document) TableCount() int { return len(d.tables) }

@@ -42,12 +42,13 @@ type Target struct {
 
 // StateOp describes a state or observation declaration target.
 type StateOp struct {
-	Op          string // "scrollbar", "select_lines", "select_paragraphs", "select_controls", "set_range_value"
+	Op          string // a state op of core's declaration table (core.OpScrollbar, ...)
 	ControlName string
 	ControlType uia.ControlType
 	H, V        float64  // scrollbar percentages (uia.NoScroll to skip an axis)
 	Start, End  int      // selection ranges (1-based)
 	Names       []string // select_controls targets, by on-screen name
+	On          bool     // set_toggle_state: on; set_expanded: expanded
 	Value       float64  // set_range_value
 }
 

@@ -203,7 +203,7 @@ func fromState(st osworld.StateOp) (*PackState, error) {
 	return &PackState{
 		Op: st.Op, Control: st.ControlName, ControlType: name,
 		H: st.H, V: st.V, Start: st.Start, End: st.End,
-		Names: st.Names, Value: st.Value,
+		Names: st.Names, On: st.On, Value: st.Value,
 	}, nil
 }
 
@@ -215,6 +215,6 @@ func toState(ps PackState) (osworld.StateOp, error) {
 	return osworld.StateOp{
 		Op: ps.Op, ControlName: ps.Control, ControlType: ct,
 		H: ps.H, V: ps.V, Start: ps.Start, End: ps.End,
-		Names: ps.Names, Value: ps.Value,
+		Names: ps.Names, On: ps.On, Value: ps.Value,
 	}, nil
 }

@@ -96,6 +96,7 @@ type PackState struct {
 	Start       int      `json:"start,omitempty"`
 	End         int      `json:"end,omitempty"`
 	Names       []string `json:"names,omitempty"`
+	On          bool     `json:"on,omitempty"`
 	Value       float64  `json:"value,omitempty"`
 }
 

@@ -183,6 +183,11 @@ func TestValidateFindsSemanticIssues(t *testing.T) {
 		want string
 	}{
 		{"clean", mut(func(p *Pack) {}), ""},
+		{"every op of core's declaration table is known", mut(func(p *Pack) {
+			p.Tasks[0].Plan = append(p.Tasks[0].Plan,
+				PackStep{Kind: "state", State: &PackState{Op: "set_toggle_state", Control: "Bold", ControlType: "Button", On: true}},
+				PackStep{Kind: "state", State: &PackState{Op: "set_expanded", Control: "Font", ControlType: "ComboBox", On: true}})
+		}), ""},
 		{"duplicate id", mut(func(p *Pack) { p.Tasks[1].ID = p.Tasks[0].ID }), "duplicate task id"},
 		{"unknown app", mut(func(p *Pack) { p.Tasks[0].App = "Outlook" }), `unknown application "Outlook"`},
 		{"empty id", mut(func(p *Pack) { p.Tasks[0].ID = "" }), "has no id"},

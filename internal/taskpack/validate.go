@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/osworld"
 )
 
@@ -24,15 +25,6 @@ func (i Issue) String() string {
 		s += fmt.Sprintf("task %s: ", i.Task)
 	}
 	return s + i.Msg
-}
-
-// knownStateOps is the StateOp vocabulary the agent executes.
-var knownStateOps = map[string]bool{
-	"scrollbar":         true,
-	"select_lines":      true,
-	"select_paragraphs": true,
-	"select_controls":   true,
-	"set_range_value":   true,
 }
 
 // knownTrapKinds are the policy-level failure channels a plan step may tag;
@@ -146,7 +138,7 @@ func stepIssues(ps PackStep) []string {
 	case osworld.StepState:
 		if ps.State == nil {
 			msgs = append(msgs, "state step needs a state op")
-		} else if !knownStateOps[ps.State.Op] {
+		} else if !core.IsStateOp(ps.State.Op) {
 			msgs = append(msgs, fmt.Sprintf("unknown state op %q", ps.State.Op))
 		}
 	}

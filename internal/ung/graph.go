@@ -50,9 +50,6 @@ func NewGraph(app string) *Graph {
 	return g
 }
 
-// Root returns the virtual root node.
-func (g *Graph) Root() *Node { return g.Nodes[RootID] }
-
 // Ensure returns the node for id, creating it from the element on first use.
 func (g *Graph) Ensure(id string, e *uia.Element, context string) *Node {
 	if n, ok := g.Nodes[id]; ok {
