@@ -100,8 +100,9 @@ type Outcome struct {
 // dmi-serve) relies on: any number of sessions may plan over the same warm
 // describe.Model simultaneously, so neither the maps nor the models they
 // hold may be mutated. describe.Model exposes no mutating methods after
-// construction, and the bench equivalence test exercises concurrent runs
-// under the race detector.
+// construction; its name index is filled once, on first use, under a
+// sync.Once. The bench equivalence test exercises concurrent runs under
+// the race detector.
 type Models struct {
 	ByApp      map[string]*describe.Model
 	CoreTokens map[string]int

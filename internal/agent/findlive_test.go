@@ -63,3 +63,60 @@ func TestFindLiveReachesUnbuiltLists(t *testing.T) {
 		}
 	}
 }
+
+// TestDeepestVisibleLiveMatchesIDMap: the one-pass chain match must agree
+// with the id map it replaced, where the first on-screen element carrying
+// an id wins even when it is disabled and a later one is not. Chains mix
+// on-screen ids, duplicates and absent ids, and run past the stack
+// array's length.
+func TestDeepestVisibleLiveMatchesIDMap(t *testing.T) {
+	app := word.New()
+	first := uia.NewElement("btnDup", "Dup", uia.ButtonControl)
+	first.SetEnabled(false)
+	app.Win.AddChild(first)
+	app.Win.AddChild(uia.NewElement("btnDup", "Dup", uia.ButtonControl))
+	d := &driver{env: &osworld.Env{App: app.App}}
+
+	var ids []string
+	for _, e := range app.Desk.Snapshot(nil) {
+		if e.Parent() != nil {
+			ids = append(ids, e.ControlID())
+		}
+	}
+	ids = append(ids, "absent|Button|nowhere")
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		chain := make([]*forest.Node, 1+rng.Intn(24))
+		for i := range chain {
+			chain[i] = &forest.Node{GID: ids[rng.Intn(len(ids))]}
+		}
+		if trial%4 == 0 {
+			chain[len(chain)-1].GID = first.ControlID()
+		}
+		gotI, gotEl := d.deepestVisibleLive(chain)
+		wantI, wantEl := deepestVisibleLiveByMap(app.Desk.Snapshot(nil), chain)
+		if gotI != wantI || gotEl != wantEl {
+			t.Fatalf("trial %d: deepestVisibleLive = (%d, %v), id map gives (%d, %v)", trial, gotI, gotEl, wantI, wantEl)
+		}
+	}
+}
+
+// deepestVisibleLiveByMap is the reference: index the screen by control id,
+// first occurrence wins, then take the deepest enabled chain step.
+func deepestVisibleLiveByMap(screen []*uia.Element, chain []*forest.Node) (int, *uia.Element) {
+	byID := make(map[string]*uia.Element)
+	for _, e := range screen {
+		if e.Parent() == nil {
+			continue
+		}
+		if _, dup := byID[e.ControlID()]; !dup {
+			byID[e.ControlID()] = e
+		}
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		if el, ok := byID[chain[i].GID]; ok && el.Enabled() {
+			return i, el
+		}
+	}
+	return -1, nil
+}

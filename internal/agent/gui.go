@@ -83,8 +83,9 @@ func (d *driver) guiEnsureCall() {
 	}
 	d.call(d.guiPrompt(), true)
 	d.gui.open = true
-	d.gui.visible = make(map[string]bool)
-	for _, e := range d.env.App.Desk.Snapshot(nil) {
+	snap := d.env.App.Desk.Snapshot(nil)
+	d.gui.visible = make(map[string]bool, len(snap))
+	for _, e := range snap {
 		if e.Parent() != nil {
 			d.gui.visible[e.ControlID()] = true
 		}
@@ -338,20 +339,28 @@ func corruptDigits(s string, pick func(int) int) string {
 }
 
 // deepestVisibleLive finds the deepest chain element currently on screen by
-// exact synthesized-id match across the desktop.
+// exact synthesized-id match across the desktop. One pass over the screen
+// records, per chain step, the first on-screen element carrying its id; the
+// chain is a handful of steps, so a stack array stands in for an id map.
 func (d *driver) deepestVisibleLive(chain []*forest.Node) (int, *uia.Element) {
-	byID := make(map[string]*uia.Element)
+	var buf [16]*uia.Element
+	first := buf[:]
+	if len(chain) > len(buf) {
+		first = make([]*uia.Element, len(chain))
+	}
 	for _, e := range d.env.App.Desk.Snapshot(nil) {
 		if e.Parent() == nil {
 			continue
 		}
 		id := e.ControlID()
-		if _, dup := byID[id]; !dup {
-			byID[id] = e
+		for i, n := range chain {
+			if first[i] == nil && n.GID == id {
+				first[i] = e
+			}
 		}
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		if el, ok := byID[chain[i].GID]; ok && el.Enabled() {
+		if el := first[i]; el != nil && el.Enabled() {
 			return i, el
 		}
 	}

@@ -26,45 +26,31 @@ type resolved struct {
 // resolveTarget binds an interface-agnostic Target to the topology. When
 // the target sits in a shared subtree (or was cloned along several paths),
 // the Via opener picks the semantically correct instance — font color vs
-// underline color.
+// underline color. Candidates come from the model's name index in forest
+// order: main tree first, then the shared subtrees in externalization order.
 func resolveTarget(m *describe.Model, t osworld.Target) (resolved, error) {
 	var candidates []*forest.Node
 	var nonLeaf []*forest.Node
-	collect := func(tree *forest.Node) {
-		tree.Walk(func(n *forest.Node) bool {
-			if p, _, _ := uia.SplitControlID(n.GID); p != t.Primary && n.Name != t.Primary {
-				return true
-			}
-			if t.GIDContains != "" && !strings.Contains(n.GID, t.GIDContains) {
-				// The container constraint may also be satisfied by the
-				// node's ancestors within its tree.
-				ok := false
-				for _, anc := range n.PathFromRoot() {
-					if strings.Contains(anc.GID, t.GIDContains) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					return true
-				}
-			}
-			if n.IsLeaf() {
-				candidates = append(candidates, n)
-			} else if !n.IsRef() {
-				nonLeaf = append(nonLeaf, n)
-			}
-			return true
-		})
-	}
-	collect(m.Forest.Main)
-	for _, id := range m.Forest.SharedOrder {
-		collect(m.Forest.Shared[id])
+	for _, id := range m.IDsNamed(t.Primary) {
+		n := m.Node(int(id))
+		if t.GIDContains != "" && !withinGID(n, t.GIDContains) {
+			continue
+		}
+		if n.IsLeaf() {
+			candidates = append(candidates, n)
+		} else if !n.IsRef() {
+			nonLeaf = append(nonLeaf, n)
+		}
 	}
 	if len(candidates) == 0 && len(nonLeaf) == 0 {
 		return resolved{}, fmt.Errorf("agent: target %q not in topology", t.Primary)
 	}
+	return pickResolved(m, t, candidates, nonLeaf)
+}
 
+// pickResolved binds the first candidate whose path honours t.Via, leaves
+// before non-leaf functional controls.
+func pickResolved(m *describe.Model, t osworld.Target, candidates, nonLeaf []*forest.Node) (resolved, error) {
 	pick := func(list []*forest.Node, markNonLeaf bool) (resolved, bool) {
 		for _, n := range list {
 			tree := m.TreeOf(n)
@@ -125,6 +111,17 @@ func refChain(m *describe.Model, tree string, via string) ([]int, bool) {
 		}
 	}
 	return fallback, fallback != nil
+}
+
+// withinGID reports whether the GID of n or of one of its ancestors within
+// its tree contains sub: the container constraint of a Target.
+func withinGID(n *forest.Node, sub string) bool {
+	for ; n != nil; n = n.Parent {
+		if strings.Contains(n.GID, sub) {
+			return true
+		}
+	}
+	return false
 }
 
 func pathContainsPrimary(path []*forest.Node, primary string) bool {

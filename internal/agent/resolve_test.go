@@ -1,8 +1,11 @@
 package agent
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/describe"
@@ -206,4 +209,120 @@ func TestStepCapEnforced(t *testing.T) {
 	if out.Failure != osworld.FailStepCap && out.Failure != osworld.FailComposite {
 		t.Fatalf("failure = %q, want step-cap or composite", out.Failure)
 	}
+}
+
+// TestResolveIndexMatchesWalk: resolving through the model's name index
+// must give exactly what the whole-forest walk it replaced gives — same
+// node, entry refs, nonLeaf flag and error text — for every plan target
+// and trap alternative of every task, on every catalog model (targets of
+// other apps exercise the not-found path).
+func TestResolveIndexMatchesWalk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("office-scale")
+	}
+	var targets []osworld.Target
+	for _, task := range osworld.All() {
+		for _, step := range task.Plan {
+			targets = append(targets, step.Target)
+			if step.TrapAlt != nil {
+				targets = append(targets, *step.TrapAlt)
+			}
+		}
+	}
+	models := sharedModels(t)
+	found := 0
+	for _, app := range AppNames() {
+		m := models.ByApp[app]
+		for _, tgt := range targets {
+			got, gotErr := resolveTarget(m, tgt)
+			want, wantErr := resolveTargetWalk(m, tgt)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s %+v: error %v, walk gives %v", app, tgt, gotErr, wantErr)
+				continue
+			}
+			if got.node != want.node || got.nonLeaf != want.nonLeaf || !slices.Equal(got.refs, want.refs) {
+				t.Errorf("%s %+v: resolved %+v, walk gives %+v", app, tgt, got, want)
+			}
+			if gotErr == nil {
+				found++
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no target resolved: the comparison checked only errors")
+	}
+}
+
+// TestResolveIndexFirstUseConcurrent: sessions share a warm model, so the
+// name index may be built by several sessions' first resolutions at once.
+// Run under -race.
+func TestResolveIndexFirstUseConcurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("office-scale")
+	}
+	m := describe.NewModel(sharedModels(t).ByApp["Settings"].Forest)
+	var targets []osworld.Target
+	for _, task := range osworld.All() {
+		if task.App == "Settings" {
+			for _, step := range task.Plan {
+				targets = append(targets, step.Target)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, tgt := range targets {
+				got, gotErr := resolveTarget(m, tgt)
+				want, wantErr := resolveTargetWalk(m, tgt)
+				if got.node != want.node || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Errorf("%+v: resolved %v (%v), walk gives %v (%v)", tgt, got.node, gotErr, want.node, wantErr)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// resolveTargetWalk is the reference resolver: it collects candidates by
+// walking the whole forest — the main tree, then each shared subtree in
+// SharedOrder — and picks among them exactly as resolveTarget does.
+func resolveTargetWalk(m *describe.Model, t osworld.Target) (resolved, error) {
+	var candidates []*forest.Node
+	var nonLeaf []*forest.Node
+	collect := func(tree *forest.Node) {
+		tree.Walk(func(n *forest.Node) bool {
+			if p, _, _ := uia.SplitControlID(n.GID); p != t.Primary && n.Name != t.Primary {
+				return true
+			}
+			if t.GIDContains != "" && !strings.Contains(n.GID, t.GIDContains) {
+				ok := false
+				for _, anc := range n.PathFromRoot() {
+					if strings.Contains(anc.GID, t.GIDContains) {
+						ok = true
+						break
+					}
+				}
+				if !ok {
+					return true
+				}
+			}
+			if n.IsLeaf() {
+				candidates = append(candidates, n)
+			} else if !n.IsRef() {
+				nonLeaf = append(nonLeaf, n)
+			}
+			return true
+		})
+	}
+	collect(m.Forest.Main)
+	for _, id := range m.Forest.SharedOrder {
+		collect(m.Forest.Shared[id])
+	}
+	if len(candidates) == 0 && len(nonLeaf) == 0 {
+		return resolved{}, fmt.Errorf("agent: target %q not in topology", t.Primary)
+	}
+	return pickResolved(m, t, candidates, nonLeaf)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -786,7 +787,7 @@ func TestLabelMap(t *testing.T) {
 	if lm.Element("a") == nil {
 		t.Error("labels should be case-insensitive")
 	}
-	rendered := lm.Render(5)
+	rendered := renderLabels(lm, 5)
 	if !strings.Contains(rendered, "more controls") {
 		t.Error("render limit not applied")
 	}
@@ -796,7 +797,69 @@ func TestLabelMap(t *testing.T) {
 	if got := alphaLabel(27); got != "AB" {
 		t.Errorf("alphaLabel(27) = %q", got)
 	}
-	if !strings.Contains(lm.Render(0), "[disabled]") {
+	if !strings.Contains(renderLabels(lm, 0), "[disabled]") {
 		t.Error("disabled state not rendered")
+	}
+}
+
+// renderLabels produces the prompt text describing the labeled screen: one
+// control per line, "label name(type)[state]", at most limit lines (0 = no
+// limit).
+func renderLabels(m *LabelMap, limit int) string {
+	var b strings.Builder
+	for i, e := range m.order {
+		if limit > 0 && i >= limit {
+			fmt.Fprintf(&b, "… %d more controls\n", len(m.order)-i)
+			break
+		}
+		name := e.Name()
+		if name == "" {
+			name = "[Unnamed]"
+		}
+		fmt.Fprintf(&b, "%s %s(%s)", alphaLabel(i), name, e.Type())
+		if !e.Enabled() {
+			b.WriteString("[disabled]")
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestLabelIndexRoundTrip: labels are positions in bijective base 26, so
+// labelIndex must invert alphaLabel exactly, and Element must keep the
+// semantics of the label→element map it replaced: case and surrounding
+// space are ignored, and anything that is not the label of a captured
+// control resolves to nil.
+func TestLabelIndexRoundTrip(t *testing.T) {
+	for i := 0; i < 100_000; i++ {
+		if got := labelIndex(alphaLabel(i)); got != i {
+			t.Fatalf("labelIndex(alphaLabel(%d) = %q) = %d", i, alphaLabel(i), got)
+		}
+	}
+
+	s, _ := modelOf(t, newTestApp().App, Options{})
+	lm := s.CaptureLabels()
+	n := lm.Len()
+	if n < 2 {
+		t.Fatalf("fixture labels %d controls, want at least 2", n)
+	}
+	for i, e := range lm.order {
+		l := alphaLabel(i)
+		for _, variant := range []string{l, strings.ToLower(l), " " + l + "\t"} {
+			if got := lm.Element(variant); got != e {
+				t.Errorf("Element(%q) = %v, want %v", variant, got, e)
+			}
+		}
+		if got := lm.Label(e); got != l {
+			t.Errorf("Label(%v) = %q, want %q", e, got, l)
+		}
+	}
+	for _, bad := range []string{"", "  ", "A1", "1", "-", alphaLabel(n), alphaLabel(n + 1000), "AAAAAAA", strings.Repeat("Z", 40)} {
+		if got := lm.Element(bad); got != nil {
+			t.Errorf("Element(%q) = %v, want nil", bad, got)
+		}
+	}
+	if got := lm.Label(uia.NewElement("x", "Off screen", uia.ButtonControl)); got != "" {
+		t.Errorf("Label of an uncaptured element = %q, want \"\"", got)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/strutil"
@@ -12,53 +11,82 @@ import (
 // controls of the current screen's accessibility tree. State and
 // observation interfaces operate on these labels only — static topology ids
 // are explicitly prohibited there to keep visit and interaction interfaces
-// separated (paper §3.5).
+// separated (paper §3.5). A control's label is its position in order
+// written in bijective base 26, so the map keeps no per-label index:
+// labels are computed from positions and positions from labels.
 type LabelMap struct {
-	order   []*uia.Element
-	byLabel map[string]*uia.Element
-	labels  map[*uia.Element]string
+	order []*uia.Element
 }
 
 // CaptureLabels snapshots the desktop and labels every on-screen control in
 // stacking/document order — the same labeling the GUI baseline puts in its
 // prompt (§5.1: alphabetic labels, distinct from numeric topology ids).
 func (s *Session) CaptureLabels() *LabelMap {
-	lm := &LabelMap{
-		byLabel: make(map[string]*uia.Element),
-		labels:  make(map[*uia.Element]string),
-	}
-	for _, e := range s.App.Desk.Snapshot(nil) {
-		if e.Parent() == nil {
-			continue // window roots are not controls
+	// The snapshot is a fresh slice, so it is filtered in place.
+	order := s.App.Desk.Snapshot(nil)
+	n := 0
+	for _, e := range order {
+		if e.Parent() != nil { // window roots are not controls
+			order[n] = e
+			n++
 		}
-		l := alphaLabel(len(lm.order))
-		lm.order = append(lm.order, e)
-		lm.byLabel[l] = e
-		lm.labels[e] = l
 	}
-	return lm
+	return &LabelMap{order: order[:n]}
 }
+
+// maxLabelLen bounds the labels labelIndex decodes: six letters name over
+// 321 million controls, and the value cannot overflow a 32-bit int.
+const maxLabelLen = 6
 
 // alphaLabel converts an index to an alphabetic label: 0→A, 25→Z, 26→AA.
 func alphaLabel(i int) string {
-	label := ""
+	var buf [16]byte // 26^14 > 2^63: no int needs more letters
+	n := len(buf)
 	for {
-		label = string(rune('A'+i%26)) + label
+		n--
+		buf[n] = byte('A' + i%26)
 		i = i/26 - 1
 		if i < 0 {
-			break
+			return string(buf[n:])
 		}
 	}
-	return label
 }
 
-// Element resolves a label, or nil.
+// labelIndex inverts alphaLabel: the index whose label is label, or -1 if
+// label is empty, longer than maxLabelLen, or has a byte outside 'A'–'Z'.
+func labelIndex(label string) int {
+	if label == "" || len(label) > maxLabelLen {
+		return -1
+	}
+	n := 0
+	for i := 0; i < len(label); i++ {
+		c := label[i]
+		if c < 'A' || c > 'Z' {
+			return -1
+		}
+		n = n*26 + int(c-'A') + 1
+	}
+	return n - 1
+}
+
+// Element resolves a label, or nil. Case and surrounding space are ignored.
 func (m *LabelMap) Element(label string) *uia.Element {
-	return m.byLabel[strings.ToUpper(strings.TrimSpace(label))]
+	i := labelIndex(strings.ToUpper(strings.TrimSpace(label)))
+	if i < 0 || i >= len(m.order) {
+		return nil
+	}
+	return m.order[i]
 }
 
 // Label returns the label assigned to an element ("" if unlabeled).
-func (m *LabelMap) Label(e *uia.Element) string { return m.labels[e] }
+func (m *LabelMap) Label(e *uia.Element) string {
+	for i, x := range m.order {
+		if x == e {
+			return alphaLabel(i)
+		}
+	}
+	return ""
+}
 
 // Len returns the number of labeled controls.
 func (m *LabelMap) Len() int { return len(m.order) }
@@ -68,34 +96,10 @@ func (m *LabelMap) Len() int { return len(m.order) }
 // rendered screen text.
 func (m *LabelMap) Find(name string, t uia.ControlType) string {
 	want := strutil.Normalize(name)
-	for _, e := range m.order {
+	for i, e := range m.order {
 		if e.Type() == t && strutil.Normalize(e.Name()) == want {
-			return m.labels[e]
+			return alphaLabel(i)
 		}
 	}
 	return ""
-}
-
-// Render produces the prompt text describing the labeled screen: one
-// control per line, "label name(type)[state]". Long screens are the
-// baseline's whole context; DMI uses this only for interaction-related
-// interfaces.
-func (m *LabelMap) Render(limit int) string {
-	var b strings.Builder
-	for i, e := range m.order {
-		if limit > 0 && i >= limit {
-			fmt.Fprintf(&b, "… %d more controls\n", len(m.order)-i)
-			break
-		}
-		name := e.Name()
-		if name == "" {
-			name = "[Unnamed]"
-		}
-		fmt.Fprintf(&b, "%s %s(%s)", m.labels[e], name, e.Type())
-		if !e.Enabled() {
-			b.WriteString("[disabled]")
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -34,12 +34,12 @@ func TestPassiveTextsEmitsCaptureOrder(t *testing.T) {
 	lm := s.CaptureLabels()
 
 	var want []string
-	for _, e := range lm.order {
+	for i, e := range lm.order {
 		if e.Type() != uia.DataItemControl {
 			continue
 		}
 		v, _ := e.Pattern(uia.ValuePattern).(uia.Valuer)
-		want = append(want, fmt.Sprintf("%s %s=%s", lm.labels[e], e.Name(), v.Value(e)))
+		want = append(want, fmt.Sprintf("%s %s=%s", alphaLabel(i), e.Name(), v.Value(e)))
 	}
 	if len(want) != 30 {
 		t.Fatalf("expected 30 data items on screen, got %d", len(want))

@@ -213,7 +213,7 @@ func (s *Session) PassiveTexts(lm *LabelMap, truncAt int) string {
 	// keeps the rendered screen consistent with the labeling the LLM sees.
 	// Sorting lines lexicographically by label would not — "AA" sorts
 	// before "B" once a screen exceeds 26 controls.
-	for _, e := range lm.order {
+	for i, e := range lm.order {
 		if e.Type() != uia.DataItemControl {
 			continue
 		}
@@ -226,7 +226,7 @@ func (s *Session) PassiveTexts(lm *LabelMap, truncAt int) string {
 			continue
 		}
 		fmt.Fprintf(&b, "%s %s=%s\n",
-			lm.labels[e], e.Name(), strutil.TruncateChars(text, truncAt))
+			alphaLabel(i), e.Name(), strutil.TruncateChars(text, truncAt))
 	}
 	if empty > 0 {
 		fmt.Fprintf(&b, "(%d empty data items omitted)\n", empty)

@@ -17,9 +17,11 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/forest"
 	"repro/internal/strutil"
+	"repro/internal/uia"
 )
 
 // Model binds a forest to its integer node identifiers.
@@ -42,6 +44,16 @@ type Model struct {
 	// serialization walk from the per-session hot path.
 	coreText string
 	fullText string
+
+	// byName maps each primary id and each name to the ids of the nodes
+	// carrying it (see IDsNamed). It is built on first use, not in
+	// NewModel: a restart from snapshots builds every catalog model, and
+	// for the catalog the index makes about 24 times the allocations of
+	// the whole restart, for models no session may resolve against.
+	// nameOnce makes the first use safe from any number of sessions at
+	// once.
+	nameOnce sync.Once
+	byName   map[string][]int32
 }
 
 // NewModel assigns consecutive integer ids across the main tree (first) and
@@ -117,6 +129,25 @@ func (m *Model) TreeOf(n *forest.Node) string {
 
 // RefsTo returns the reference nodes pointing at a shared subtree root.
 func (m *Model) RefsTo(subtree string) []*forest.Node { return m.refsTo[subtree] }
+
+// IDsNamed returns, in id order, the ids of the nodes whose primary id (the
+// leading component of the UNG id) or whose name is key. The caller must
+// not modify the slice.
+func (m *Model) IDsNamed(key string) []int32 {
+	m.nameOnce.Do(m.indexNames)
+	return m.byName[key]
+}
+
+func (m *Model) indexNames() {
+	m.byName = make(map[string][]int32, len(m.byID))
+	for i, n := range m.byID {
+		p, _, _ := uia.SplitControlID(n.GID)
+		m.byName[p] = append(m.byName[p], int32(i))
+		if n.Name != p {
+			m.byName[n.Name] = append(m.byName[n.Name], int32(i))
+		}
+	}
+}
 
 // FindLeafByName returns the first leaf node whose name matches (after
 // normalization), preferring main-tree nodes. Tooling and tests use it;

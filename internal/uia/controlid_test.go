@@ -1,6 +1,8 @@
 package uia_test
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -51,10 +53,9 @@ func TestControlIDGrammar(t *testing.T) {
 				default:
 					rules["[Unnamed]"]++
 				}
-				anc := e.Ancestors()
-				names := make([]string, len(anc))
-				for i, p := range anc {
-					names[len(anc)-1-i] = p.PrimaryID()
+				var names []string
+				for p := e.Parent(); p != nil; p = p.Parent() {
+					names = append([]string{p.PrimaryID()}, names...)
 				}
 				p, ct, path := uia.SplitControlID(e.ControlID())
 				if want := strings.Join(names, "/"); p != e.PrimaryID() || ct != e.Type().String() || path != want {
@@ -70,4 +71,68 @@ func TestControlIDGrammar(t *testing.T) {
 			t.Errorf("no catalog element takes its primary id from the %s rule", rule)
 		}
 	}
+}
+
+// TestControlIDCachesFollowMutations: ControlID caches each element's id and
+// the ancestor path its children's ids extend. Over seeded random histories
+// on a catalog app — renames of elements whose primary id is their name,
+// re-parenting, removals, with ids read in between so that stale caches
+// exist — every element's id must equal one built from scratch by walking
+// its ancestors.
+func TestControlIDCachesFollowMutations(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := agent.Factories()["Settings"]()
+		var all, unnamedID []*uia.Element
+		for _, win := range append([]*uia.Element{a.Win}, a.AllPopupWindows()...) {
+			win.Walk(func(e *uia.Element) bool {
+				all = append(all, e)
+				if e.AutomationID() == "" {
+					unnamedID = append(unnamedID, e)
+				}
+				return true
+			})
+		}
+		pick := func(list []*uia.Element) *uia.Element { return list[rng.Intn(len(list))] }
+		for _, e := range all {
+			e.ControlID()
+		}
+		for step := 0; step < 60; step++ {
+			switch rng.Intn(3) {
+			case 0:
+				name := ""
+				if rng.Intn(4) > 0 {
+					name = fmt.Sprintf("n%d", rng.Intn(50))
+				}
+				pick(unnamedID).SetName(name)
+			case 1:
+				child, parent := pick(all), pick(all)
+				if !parent.IsDescendantOf(child) {
+					parent.AddChild(child)
+				}
+			case 2:
+				if child := pick(all); child.Parent() != nil {
+					child.Parent().RemoveChild(child)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				pick(all).ControlID()
+			}
+		}
+		for _, e := range all {
+			if got, want := e.ControlID(), referenceControlID(e); got != want {
+				t.Fatalf("seed %d: ControlID = %q, want %q", seed, got, want)
+			}
+		}
+	}
+}
+
+// referenceControlID builds the id from scratch: primary id, type name,
+// and the ancestors' primary ids from the root down, joined by "/".
+func referenceControlID(e *uia.Element) string {
+	var names []string
+	for p := e.Parent(); p != nil; p = p.Parent() {
+		names = append([]string{p.PrimaryID()}, names...)
+	}
+	return e.PrimaryID() + "|" + e.Type().String() + "|" + strings.Join(names, "/")
 }

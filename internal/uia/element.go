@@ -2,6 +2,7 @@ package uia
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -36,7 +37,12 @@ type Element struct {
 	enabled   bool
 	visible   bool
 	largeEnum bool // large enumeration (font list, symbol grid): pruned from core topologies
-	rect      Rect
+	// deferVisible implements lazy loading: while > 0, the element is
+	// excluded from snapshots and each snapshot observation decrements it.
+	// An int32 beside the flags fills their padding, which keeps an
+	// Element in the 208-byte allocation size class.
+	deferVisible int32
+	rect         Rect
 
 	parent   *Element
 	children []*Element
@@ -44,11 +50,11 @@ type Element struct {
 	patterns []patternEntry // nil until a pattern is set; at most a few entries
 	onClick  []func(e *Element)
 
-	// deferVisible implements lazy loading: while > 0, the element is
-	// excluded from snapshots and each snapshot observation decrements it.
-	deferVisible int
-
-	idCache string // synthesized control ID; invalidated on renames
+	// idCache is the synthesized control ID and pathCache the slash-joined
+	// primary ids from the root down to this element. Both are built on
+	// first use and cleared by invalidateIDs on renames and re-parenting.
+	idCache   string
+	pathCache string
 }
 
 // NewElement creates a visible, enabled element.
@@ -160,15 +166,6 @@ func (e *Element) Root() *Element {
 	return r
 }
 
-// Ancestors returns the chain from e's parent up to the root.
-func (e *Element) Ancestors() []*Element {
-	var out []*Element
-	for p := e.parent; p != nil; p = p.parent {
-		out = append(out, p)
-	}
-	return out
-}
-
 // IsDescendantOf reports whether e is anc or lies beneath it.
 func (e *Element) IsDescendantOf(anc *Element) bool {
 	for cur := e; cur != nil; cur = cur.parent {
@@ -197,7 +194,9 @@ func (e *Element) OnScreen() bool {
 // DeferVisibility hides the element from the next n snapshots, simulating a
 // control that the application populates asynchronously (paper §3.4,
 // "failure retry mechanism for GUI controls that may load slowly").
-func (e *Element) DeferVisibility(n int) { e.deferVisible = n }
+func (e *Element) DeferVisibility(n int) {
+	e.deferVisible = int32(max(0, min(n, math.MaxInt32)))
+}
 
 // SetPattern attaches a control-pattern provider. The provider must satisfy
 // the behaviour interface corresponding to the pattern (Toggler for
@@ -335,23 +334,28 @@ func (e *Element) PrimaryID() string {
 // ids from the root down. Index-based addressing is deliberately avoided:
 // dynamic menus shift indices unpredictably.
 func (e *Element) ControlID() string {
-	if e.idCache != "" {
-		return e.idCache
+	if e.idCache == "" {
+		var anc string
+		if e.parent != nil {
+			anc = e.parent.path()
+		}
+		e.idCache = e.PrimaryID() + "|" + e.ctype.String() + "|" + anc
 	}
-	anc := e.Ancestors()
-	var b strings.Builder
-	b.WriteString(e.PrimaryID())
-	b.WriteByte('|')
-	b.WriteString(e.ctype.String())
-	b.WriteByte('|')
-	for i := len(anc) - 1; i >= 0; i-- {
-		b.WriteString(anc[i].PrimaryID())
-		if i > 0 {
-			b.WriteByte('/')
+	return e.idCache
+}
+
+// path returns the slash-joined primary ids from the root down to e: the
+// ancestor_path of e's children's control ids. Each element computes it
+// once from its parent's, so naming a whole tree walks no chain twice.
+func (e *Element) path() string {
+	if e.pathCache == "" {
+		if e.parent == nil {
+			e.pathCache = e.PrimaryID()
+		} else {
+			e.pathCache = e.parent.path() + "/" + e.PrimaryID()
 		}
 	}
-	e.idCache = b.String()
-	return e.idCache
+	return e.pathCache
 }
 
 // SplitControlID splits an identifier written by ControlID into its primary
@@ -370,7 +374,7 @@ func SplitControlID(id string) (primary, ctype, ancPath string) {
 
 func (e *Element) invalidateIDs() {
 	e.Walk(func(n *Element) bool {
-		n.idCache = ""
+		n.idCache, n.pathCache = "", ""
 		return true
 	})
 }

