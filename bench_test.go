@@ -496,18 +496,15 @@ func BenchmarkOnline_VisitPathResolution(b *testing.B) {
 // naive clone doubles per level.
 func diamondChain(levels int) *ung.Graph {
 	g := ung.NewGraph("diamond")
-	prev := ung.RootID
-	add := func(id string) {
-		e := uia.NewElement(id, id, uia.ButtonControl)
-		g.Ensure(id, e, "")
+	add := func(id string) int32 {
+		i, _ := g.AddNode(ung.Reveal{ID: id, Name: id, Type: uia.ButtonControl}, "")
+		return i
 	}
+	var prev int32 // the root
 	for i := 0; i < levels; i++ {
-		l := fmt.Sprintf("l%d", i)
-		r := fmt.Sprintf("r%d", i)
-		mnode := fmt.Sprintf("m%d", i)
-		add(l)
-		add(r)
-		add(mnode)
+		l := add(fmt.Sprintf("l%d", i))
+		r := add(fmt.Sprintf("r%d", i))
+		mnode := add(fmt.Sprintf("m%d", i))
 		g.AddEdge(prev, l)
 		g.AddEdge(prev, r)
 		g.AddEdge(l, mnode)

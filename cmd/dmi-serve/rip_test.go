@@ -141,11 +141,11 @@ func TestRipMatchesLocalExpand(t *testing.T) {
 		t.Fatal(err)
 	}
 	var frames []serveproto.RipFrame
-	for _, id := range g.Order[1:] {
+	for _, n := range g.Nodes[1:] {
 		if len(frames) == serveproto.MaxRipFrames {
 			break
 		}
-		frames = append(frames, serveproto.RipFrame{ID: id})
+		frames = append(frames, serveproto.RipFrame{ID: n.ID})
 	}
 
 	local := factory() // mirrors the server's pooled instance across rounds

@@ -208,7 +208,7 @@ func TestRunTaskVerbose(t *testing.T) {
 	}
 	// The verbose outcome lines must agree with a direct agent.Run with the
 	// same seeds.
-	task, _ := osworld.ByID("files-delete")
+	task, _ := taskpack.Builtin().ByID("files-delete")
 	cfg := agent.Config{Interface: agent.GUIDMI, Profile: llm.GPT5Medium}
 	models, err := agent.ModelsFor(modelstore.New(), task.App, 0)
 	if err != nil {

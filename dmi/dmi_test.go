@@ -50,7 +50,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Observation declaration + topology text.
-	core := s.CoreTopology()
+	core := model.Core()
 	if !strings.HasPrefix(core, "main-tree:") {
 		t.Fatal("core topology malformed")
 	}

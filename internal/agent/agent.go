@@ -59,8 +59,6 @@ type Config struct {
 	Profile   llm.Profile
 	// StepCap bounds LLM calls per task (paper: 30).
 	StepCap int
-	// CoreOpt configures the DMI executor (robustness ablations).
-	CoreOpt core.Options
 	// TopologyMissRate injects offline-model staleness (paper §6,
 	// (In)accurate navigation topology). Zero means the default, 0.06; a
 	// negative rate disables injection.
@@ -208,7 +206,7 @@ func Run(models *Models, task osworld.Task, cfg Config, rng *rand.Rand) Outcome 
 		task:   task,
 		model:  model,
 		models: models,
-		sess:   core.NewSession(env.App, model, cfg.CoreOpt),
+		sess:   core.NewSession(env.App, model, core.Options{}),
 	}
 	return d.run()
 }

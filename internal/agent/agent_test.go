@@ -7,6 +7,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/modelstore"
 	"repro/internal/osworld"
+	"repro/internal/taskpack"
 )
 
 var (
@@ -145,7 +146,7 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	m := sharedModels(t)
 	cfg := Config{Interface: GUIDMI, Profile: llm.GPT5Medium}
-	task, _ := osworld.ByID("ppt-background")
+	task, _ := taskpack.Builtin().ByID("ppt-background")
 	a := Run(m, task, cfg, llm.Rand("det", task.ID, 1))
 	b := Run(m, task, cfg, llm.Rand("det", task.ID, 1))
 	if a != b {

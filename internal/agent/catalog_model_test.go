@@ -73,15 +73,16 @@ func digest(s string) string {
 // catalog restart from snapshots: read, decode, transform, describe and
 // token count for all five apps. Both figures are deterministic up to a
 // few allocations, so they gate the restart path's footprint where
-// wall-clock cannot. A restart makes about 505 allocations of 10.2 MB in
-// total (go1.24); before the decoder checked the graph on its own edge
-// indexes, describe rendered into one presized buffer and model ids came
-// from forest positions instead of a pointer-keyed map, it made 1.3k
-// allocations of 13.6 MB. Tighten the budgets when the path gets leaner;
-// never loosen them.
+// wall-clock cannot. A restart makes about 425 allocations of 8.3 MB in
+// total (go1.24); with an id-keyed graph that the decoder and the
+// transform each re-indexed it made about 505 of 10.2 MB, and before the
+// decoder checked the graph on edge indexes, describe rendered into one
+// presized buffer and model ids came from forest positions instead of a
+// pointer-keyed map, 1.3k of 13.6 MB. Tighten the budgets when the path
+// gets leaner; never loosen them.
 const (
-	snapshotRestartAllocBudget = 630
-	snapshotRestartByteBudget  = 11_500_000
+	snapshotRestartAllocBudget = 530
+	snapshotRestartByteBudget  = 9_500_000
 )
 
 // raceEnabled is set in race builds (race_test.go), where the budgets are

@@ -66,9 +66,9 @@ func TestFindLiveReachesUnbuiltLists(t *testing.T) {
 
 // TestDeepestVisibleLiveMatchesIDMap: the one-pass chain match must agree
 // with the id map it replaced, where the first on-screen element carrying
-// an id wins even when it is disabled and a later one is not. Chains mix
-// on-screen ids, duplicates and absent ids, and run past the stack
-// array's length.
+// an id wins even when it is disabled and a later one is not, and window
+// roots never match. Chains mix on-screen ids, window-root ids, duplicates
+// and absent ids, and run past the stack array's length.
 func TestDeepestVisibleLiveMatchesIDMap(t *testing.T) {
 	app := word.New()
 	first := uia.NewElement("btnDup", "Dup", uia.ButtonControl)
@@ -79,9 +79,7 @@ func TestDeepestVisibleLiveMatchesIDMap(t *testing.T) {
 
 	var ids []string
 	for _, e := range app.Desk.Snapshot(nil) {
-		if e.Parent() != nil {
-			ids = append(ids, e.ControlID())
-		}
+		ids = append(ids, e.ControlID())
 	}
 	ids = append(ids, "absent|Button|nowhere")
 	rng := rand.New(rand.NewSource(1))

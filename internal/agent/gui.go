@@ -338,27 +338,12 @@ func corruptDigits(s string, pick func(int) int) string {
 	return string(b)
 }
 
-// deepestVisibleLive finds the deepest chain element currently on screen by
-// exact synthesized-id match across the desktop. One pass over the screen
-// records, per chain step, the first on-screen element carrying its id; the
-// chain is a handful of steps, so a stack array stands in for an id map.
+// deepestVisibleLive finds the deepest enabled chain element currently on
+// screen by exact synthesized-id match across the desktop, first occurrence
+// per id (core.FirstOnScreen).
 func (d *driver) deepestVisibleLive(chain []*forest.Node) (int, *uia.Element) {
 	var buf [16]*uia.Element
-	first := buf[:]
-	if len(chain) > len(buf) {
-		first = make([]*uia.Element, len(chain))
-	}
-	for _, e := range d.env.App.Desk.Snapshot(nil) {
-		if e.Parent() == nil {
-			continue
-		}
-		id := e.ControlID()
-		for i, n := range chain {
-			if first[i] == nil && n.GID == id {
-				first[i] = e
-			}
-		}
-	}
+	first := core.FirstOnScreen(chain, d.env.App.Desk.Snapshot(nil), buf[:0])
 	for i := len(chain) - 1; i >= 0; i-- {
 		if el := first[i]; el != nil && el.Enabled() {
 			return i, el

@@ -11,6 +11,7 @@ import (
 	"repro/internal/describe"
 	"repro/internal/forest"
 	"repro/internal/osworld"
+	"repro/internal/taskpack"
 	"repro/internal/uia"
 )
 
@@ -171,7 +172,7 @@ func TestFailureChannelsReachVerifier(t *testing.T) {
 		t.Skip("office-scale")
 	}
 	m := sharedModels(t)
-	task, _ := osworld.ByID("excel-freeze") // ControlSem trap, weight 0.5
+	task, _ := taskpack.Builtin().ByID("excel-freeze") // ControlSem trap, weight 0.5
 	p := oracle()
 	p.ControlSem = 1 // the trap fires with its weight (0.5) per run
 	cfg := Config{Interface: GUIDMI, Profile: p, TopologyMissRate: -1}
@@ -194,7 +195,7 @@ func TestStepCapEnforced(t *testing.T) {
 		t.Skip("office-scale")
 	}
 	m := sharedModels(t)
-	task, _ := osworld.ByID("word-bold")
+	task, _ := taskpack.Builtin().ByID("word-bold")
 	p := oracle()
 	p.Composite = 1 // every composite round misses
 	p.Detect = 1    // always detected → endless retry rounds

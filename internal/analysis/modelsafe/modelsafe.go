@@ -11,7 +11,7 @@
 // assignments (including op-assigns, ++/--, and map element stores) whose
 // target chain passes through one of the protected types from outside the
 // type's own package, plus calls to the graph's construction-time mutators
-// (Graph.Ensure, Graph.AddEdge) from outside internal/ung.
+// (Graph.AddNode, Graph.AddEdge) from outside internal/ung.
 //
 // Sessions are single-goroutine. A core.Session mutates its own window and
 // observation state with no locking; its contract is that one goroutine
@@ -54,7 +54,7 @@ var protected = map[string][]string{
 // the receiver; calling them outside the defining package re-opens a frozen
 // value.
 var mutators = map[string]map[string]bool{
-	"repro/internal/ung": {"Ensure": true, "AddEdge": true},
+	"repro/internal/ung": {"AddNode": true, "AddEdge": true},
 }
 
 // sessionPkg/sessionType name the single-goroutine session executor.
@@ -109,7 +109,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 // checkWrite flags a store whose target chain passes through a protected
 // type defined in another package. The chain walk covers field stores
-// (m.Forest = x), element stores (g.Nodes[id] = n), and stores through
+// (m.Forest = x), element stores (g.Nodes[i].Name = s), and stores through
 // nested selections (model.Forest.Main.Children[0].Name = x).
 func checkWrite(pass *analysis.Pass, lhs ast.Expr) {
 	e := ast.Unparen(lhs)

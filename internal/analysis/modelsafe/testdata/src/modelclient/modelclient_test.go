@@ -9,8 +9,10 @@ import (
 // fixtures by construction)...
 func buildFixtureGraph() *ung.Graph {
 	g := &ung.Graph{}
-	g.AddEdge("a", "b")
-	g.Order = nil
+	a, _ := g.AddNode(ung.Reveal{ID: "a"}, "")
+	b, _ := g.AddNode(ung.Reveal{ID: "b"}, "")
+	g.AddEdge(a, b)
+	g.Nodes[b].Name = "renamed"
 	return g
 }
 

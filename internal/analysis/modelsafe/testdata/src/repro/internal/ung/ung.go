@@ -3,31 +3,40 @@
 // mutator calls in this file are inside the defining package and allowed.
 package ung
 
+type Reveal struct {
+	ID   string
+	Name string
+}
+
 type Node struct {
-	ID  string
-	Out []string
+	ID   string
+	Name string
+	Out  []int32
+	In   []int32
 }
 
 type Graph struct {
-	Nodes map[string]*Node
-	Order []string
+	Nodes []Node
+	index map[string]int32
 }
 
-func (g *Graph) Ensure(id string) *Node {
-	if n, ok := g.Nodes[id]; ok {
-		return n
+func (g *Graph) AddNode(r Reveal, context string) (int32, bool) {
+	if i, ok := g.index[r.ID]; ok {
+		return i, false
 	}
-	if g.Nodes == nil {
-		g.Nodes = make(map[string]*Node)
+	if g.index == nil {
+		g.index = make(map[string]int32)
 	}
-	n := &Node{ID: id}
-	g.Nodes[id] = n
-	g.Order = append(g.Order, id)
-	return n
+	i := int32(len(g.Nodes))
+	g.Nodes = append(g.Nodes, Node{ID: r.ID, Name: r.Name})
+	g.index[r.ID] = i
+	return i, true
 }
 
-func (g *Graph) AddEdge(from, to string) {
-	n := g.Ensure(from)
-	g.Ensure(to)
-	n.Out = append(n.Out, to)
+func (g *Graph) AddEdge(from, to int32) {
+	if from < 0 || to < 0 || int(from) >= len(g.Nodes) || int(to) >= len(g.Nodes) {
+		return
+	}
+	g.Nodes[from].Out = append(g.Nodes[from].Out, to)
+	g.Nodes[to].In = append(g.Nodes[to].In, from)
 }

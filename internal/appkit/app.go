@@ -159,16 +159,6 @@ func (a *App) ActiveTabInfo() (item, panel *uia.Element) {
 	return nil, nil
 }
 
-// ActiveTab returns the name of the currently active ribbon tab, or "".
-func (a *App) ActiveTab() string {
-	for _, t := range a.tabs {
-		if t.panel.Visible() {
-			return t.item.Name()
-		}
-	}
-	return ""
-}
-
 // ActivateTabByName switches the ribbon to the named tab; it is a no-op for
 // unknown names.
 func (a *App) ActivateTabByName(name string) {

@@ -445,3 +445,13 @@ func TestBlocklist(t *testing.T) {
 		t.Fatal("blocklist size wrong")
 	}
 }
+
+// ActiveTab returns the name of the currently active ribbon tab, or "".
+func (a *App) ActiveTab() string {
+	for _, t := range a.tabs {
+		if t.panel.Visible() {
+			return t.item.Name()
+		}
+	}
+	return ""
+}

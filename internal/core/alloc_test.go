@@ -59,7 +59,7 @@ func TestPromptStatsMatchesCapture(t *testing.T) {
 // variant rendering.
 func TestTopologySerializationsMemoized(t *testing.T) {
 	s, m := modelOf(t, newTestApp().App, Options{})
-	if s.CoreTopology() != m.Serialize(describe.CoreOptions()) {
+	if s.Model.Core() != m.Serialize(describe.CoreOptions()) {
 		t.Error("memoized core topology differs from a live Serialize")
 	}
 	if s.FullTopology() != m.Serialize(describe.FullOptions()) {
@@ -160,7 +160,7 @@ func TestVisitAllocsBounded(t *testing.T) {
 // per-call costing path must allocate less than the pre-audit half it
 // replaced. The screen half is the one-pass PromptStats against a label
 // capture plus its passive payload (measured 20 vs 64 objects per call);
-// the topology half is the memoized CoreTopology against a live Serialize
+// the topology half is the memoized Model.Core against a live Serialize
 // (0 vs 357). Per-half bounds imply the whole-call one (20 vs 421), and
 // unlike it they catch a screen half that falls back to the label capture,
 // which the topology half's margin would otherwise hide.
@@ -174,7 +174,7 @@ func TestPromptCostingAllocs(t *testing.T) {
 		audited, naive func()
 	}{
 		{"screen", func() { auditedScreen(t, s) }, func() { naiveScreen(t, s) }},
-		{"topology", func() { _ = s.CoreTopology() }, func() { _ = m.Serialize(describe.CoreOptions()) }},
+		{"topology", func() { _ = s.Model.Core() }, func() { _ = m.Serialize(describe.CoreOptions()) }},
 	}
 	for _, h := range halves {
 		audited, naive := testing.AllocsPerRun(50, h.audited), testing.AllocsPerRun(50, h.naive)
@@ -209,7 +209,7 @@ func BenchmarkSession_PromptCosting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		auditedScreen(b, s)
-		_ = s.CoreTopology()
+		_ = s.Model.Core()
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -275,4 +276,75 @@ func TestExcelNameBoxCommitViaDMI(t *testing.T) {
 	if x.Sheet.ActiveCell != "B25" {
 		t.Fatalf("active cell = %q", x.Sheet.ActiveCell)
 	}
+}
+
+// TestDeepestVisibleMatchesIDMap: the one-pass chain match must give the
+// answer of the per-round id map it replaced — first on-screen occurrence
+// of an id wins, window roots never match — with each step's fuzzy
+// fallback tried before the next shallower step, as before. Chains mix
+// on-screen ids, window-root ids, duplicates, renamed controls (fuzzy
+// matches) and absent ids, and run past the stack array's length.
+func TestDeepestVisibleMatchesIDMap(t *testing.T) {
+	app := word.New()
+	first := uia.NewElement("btnDup", "Dup", uia.ButtonControl)
+	first.SetEnabled(false)
+	app.Win.AddChild(first)
+	app.Win.AddChild(uia.NewElement("btnDup", "Dup", uia.ButtonControl))
+	snap := app.Desk.Snapshot(nil)
+
+	var pool []*forest.Node
+	for _, e := range snap {
+		pool = append(pool, &forest.Node{GID: e.ControlID(), Name: e.Name(), Type: e.Type()})
+		if e.Parent() != nil && e.Type() == uia.ButtonControl {
+			primary, _, anc := uia.SplitControlID(e.ControlID())
+			pool = append(pool, &forest.Node{GID: primary + "2|Button|" + anc, Name: e.Name() + " ", Type: e.Type()})
+		}
+	}
+	pool = append(pool, &forest.Node{GID: "absent|Button|nowhere", Name: "Absent", Type: uia.ButtonControl})
+	rng := rand.New(rand.NewSource(1))
+	for _, disableFuzzy := range []bool{false, true} {
+		s := NewSession(app.App, nil, Options{DisableFuzzy: disableFuzzy})
+		for trial := 0; trial < 200; trial++ {
+			chain := make([]*forest.Node, 1+rng.Intn(24))
+			for i := range chain {
+				chain[i] = pool[rng.Intn(len(pool))]
+			}
+			if trial%4 == 0 {
+				chain[len(chain)-1] = &forest.Node{GID: first.ControlID(), Name: "Dup", Type: uia.ButtonControl}
+			}
+			gotI, gotEl := s.deepestVisible(chain, snap)
+			wantI, wantEl := deepestVisibleByMap(s, chain, snap)
+			if gotI != wantI || gotEl != wantEl {
+				t.Fatalf("fuzzy off=%v, trial %d: deepestVisible = (%d, %v), id map gives (%d, %v)",
+					disableFuzzy, trial, gotI, gotEl, wantI, wantEl)
+			}
+		}
+	}
+}
+
+// deepestVisibleByMap is the reference: index the screen by control id,
+// window roots skipped and first occurrence winning, then take the deepest
+// step found by id or, failing that, by the fuzzy matcher.
+func deepestVisibleByMap(s *Session, chain []*forest.Node, snap []*uia.Element) (int, *uia.Element) {
+	byID := make(map[string]*uia.Element)
+	for _, e := range snap {
+		if e.Parent() == nil {
+			continue
+		}
+		if _, dup := byID[e.ControlID()]; !dup {
+			byID[e.ControlID()] = e
+		}
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		if el, ok := byID[chain[i].GID]; ok {
+			return i, el
+		}
+		if s.Opt.DisableFuzzy {
+			continue
+		}
+		if el := s.fuzzyFind(chain[i], snap); el != nil {
+			return i, el
+		}
+	}
+	return -1, nil
 }

@@ -95,16 +95,14 @@ func TestMatchScoreIgnoresEmptyNames(t *testing.T) {
 	// Identifier similarity for btnSave vs txtInput is low; with full
 	// ancestor overlap the score must stay under the default fuzzy
 	// threshold instead of being lifted to 0.7×1 + 0.3×1 = 1.
-	var def Options
-	def.fill()
-	if withNames >= def.FuzzyThreshold {
+	if withNames >= fuzzyThreshold {
 		t.Errorf("score %v for unrelated unnamed controls reaches the fuzzy threshold %v",
-			withNames, def.FuzzyThreshold)
+			withNames, fuzzyThreshold)
 	}
 	// A genuine name match must still win.
 	named := &forest.Node{GID: "btnSave|Button|Home/Font", Name: "Save As"}
-	if s := matchScore(named, "generated-id", "Save  as", []string{"Home", "Font"}); s < def.FuzzyThreshold {
-		t.Errorf("matching names scored %v, below threshold %v", s, def.FuzzyThreshold)
+	if s := matchScore(named, "generated-id", "Save  as", []string{"Home", "Font"}); s < fuzzyThreshold {
+		t.Errorf("matching names scored %v, below threshold %v", s, fuzzyThreshold)
 	}
 }
 

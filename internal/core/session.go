@@ -18,12 +18,6 @@ type Options struct {
 	// waiting for slowly-loading controls before reporting failure
 	// (default 3). Shortcut-key commands are never retried (§3.4).
 	Retries int
-	// FuzzyThreshold is the minimum similarity for the fuzzy control
-	// matcher (default 0.62).
-	FuzzyThreshold float64
-	// MaxWindowCloses bounds how many windows navigation may close while
-	// searching for the target's window (default 8).
-	MaxWindowCloses int
 
 	DisableLeafFilter bool // ablation: trust LLM navigation output verbatim
 	DisableFuzzy      bool // ablation: exact identifier matching only
@@ -34,13 +28,16 @@ func (o *Options) fill() {
 	if o.Retries == 0 {
 		o.Retries = 3
 	}
-	if o.FuzzyThreshold == 0 {
-		o.FuzzyThreshold = 0.62
-	}
-	if o.MaxWindowCloses == 0 {
-		o.MaxWindowCloses = 8
-	}
 }
+
+const (
+	// fuzzyThreshold is the minimum similarity for the fuzzy control
+	// matcher.
+	fuzzyThreshold = 0.62
+	// maxWindowCloses bounds how many windows navigation may close while
+	// searching for the target's window.
+	maxWindowCloses = 8
+)
 
 // Session binds the DMI runtime to one application and its offline model.
 //
@@ -58,24 +55,16 @@ type Session struct {
 	// session (clicks, keystrokes, pattern calls) for the evaluation.
 	Actions int
 
-	// Navigation scratch, reused across observation rounds. Safe as plain
-	// fields because a Session is single-goroutine (see above); only the
-	// Model is shared.
-	scratchByGID map[string]*uia.Element
-	scratchAnc   []string
+	// Navigation scratch, reused across observation rounds. Safe as a
+	// plain field because a Session is single-goroutine (see above); only
+	// the Model is shared.
+	scratchAnc []string
 }
 
 // NewSession creates a DMI session.
 func NewSession(app *appkit.App, model *describe.Model, opt Options) *Session {
 	opt.fill()
 	return &Session{App: app, Model: model, Opt: opt}
-}
-
-// CoreTopology returns the default context payload: the depth-limited,
-// large-enumeration-pruned core topology (paper §3.3). The rendering is
-// memoized on the shared model, so this is a field read, not a forest walk.
-func (s *Session) CoreTopology() string {
-	return s.Model.Core()
 }
 
 // FullTopology returns the complete forest rendering (memoized likewise).

@@ -234,7 +234,7 @@ func (s *Session) navigate(steps []*forest.Node, nodeID int) (*uia.Element, int,
 	}
 	lastProgress := -1
 
-	limit := len(steps) + s.Opt.MaxWindowCloses + retries + 8
+	limit := len(steps) + maxWindowCloses + retries + 8
 	for iter := 0; iter < limit; iter++ {
 		win := s.App.Desk.TopWindow()
 		if win == nil {
@@ -255,7 +255,7 @@ func (s *Session) navigate(steps []*forest.Node, nodeID int) (*uia.Element, int,
 				return nil, clicks, stepErr(ErrNotFound, nodeID, last.Name, "offscreen",
 					"no step of the navigation path is visible; the control may require an application context")
 			}
-			if closes >= s.Opt.MaxWindowCloses {
+			if closes >= maxWindowCloses {
 				return nil, clicks, stepErr(ErrNotFound, nodeID, win.Name(), "blocked",
 					"window close limit reached while searching for the target")
 			}
@@ -301,29 +301,14 @@ func (s *Session) navigate(steps []*forest.Node, nodeID int) (*uia.Element, int,
 		"navigation did not converge")
 }
 
-// deepestVisible returns the largest step index resolvable in the snapshot,
-// with exact identifier matching first and fuzzy matching as fallback. The
-// index map is session scratch: navigate calls this every observation round,
-// so the map is cleared and refilled rather than reallocated.
+// deepestVisible returns the largest step index resolvable in the snapshot:
+// per step, from the deepest, an exact identifier match first and a fuzzy
+// match as its fallback.
 func (s *Session) deepestVisible(steps []*forest.Node, snap []*uia.Element) (int, *uia.Element) {
-	byGID := s.scratchByGID
-	if byGID == nil {
-		byGID = make(map[string]*uia.Element, len(snap))
-		s.scratchByGID = byGID
-	} else {
-		clear(byGID)
-	}
-	for _, e := range snap {
-		if e.Parent() == nil {
-			continue
-		}
-		id := e.ControlID()
-		if _, dup := byGID[id]; !dup {
-			byGID[id] = e
-		}
-	}
+	var buf [16]*uia.Element
+	first := FirstOnScreen(steps, snap, buf[:0])
 	for i := len(steps) - 1; i >= 0; i-- {
-		if el, ok := byGID[steps[i].GID]; ok {
+		if el := first[i]; el != nil {
 			return i, el
 		}
 		if s.Opt.DisableFuzzy {
@@ -336,6 +321,32 @@ func (s *Session) deepestVisible(steps []*forest.Node, snap []*uia.Element) (int
 	return -1, nil
 }
 
+// FirstOnScreen returns, per chain step, the first element of screen
+// carrying the step's id, or nil: first occurrence wins, and window roots
+// (containers, not modeled controls) never match. The result is built in
+// buf's storage when it is long enough. One pass over the screen serves
+// the whole chain, which is a handful of steps, so no id map is needed.
+func FirstOnScreen(chain []*forest.Node, screen []*uia.Element, buf []*uia.Element) []*uia.Element {
+	first := buf[:0]
+	if cap(first) < len(chain) {
+		first = make([]*uia.Element, 0, len(chain))
+	}
+	first = first[:len(chain)]
+	clear(first)
+	for _, e := range screen {
+		if e.Parent() == nil {
+			continue
+		}
+		id := e.ControlID()
+		for i, n := range chain {
+			if first[i] == nil && n.GID == id {
+				first[i] = e
+			}
+		}
+	}
+	return first
+}
+
 // fuzzyFind locates the best fuzzy match for a step among on-screen
 // elements of the same control type (§3.4: control type + ancestor
 // hierarchy + name similarity). Container controls are exempt: sibling
@@ -346,7 +357,7 @@ func (s *Session) fuzzyFind(step *forest.Node, snap []*uia.Element) *uia.Element
 		return nil
 	}
 	var best *uia.Element
-	bestScore := s.Opt.FuzzyThreshold
+	bestScore := fuzzyThreshold
 	anc := s.scratchAnc
 	for _, e := range snap {
 		if e.Parent() == nil || e.Type() != step.Type {

@@ -171,20 +171,23 @@ type Stats struct {
 
 // Transform converts a UNG into a path-unambiguous forest.
 //
-// The passes below work on dense node indexes in discovery order (g.Order)
-// rather than on UNG ids: a synthesized id spells out its whole ancestor
-// path, so each id is hashed once, by index, and never again.
+// The passes below work on the graph's own form: nodes by their index in
+// discovery order, the root at 0, edges as indexes. A UNG id is read only
+// to label the node built from it.
 func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 	opt = opt.Normalized()
 	var st Stats
 	st.GraphNodes = g.NodeCount()
 	st.GraphEdges = g.EdgeCount()
 
-	nodes, out, root, err := index(g)
+	if len(g.Nodes) == 0 || g.Nodes[0].ID != ung.RootID {
+		return nil, st, fmt.Errorf("forest: graph does not start at the virtual root %q", ung.RootID)
+	}
+	const root = 0
+	dag, reached, removed, err := decycle(g.Nodes)
 	if err != nil {
 		return nil, st, err
 	}
-	dag, reached, removed := decycle(out, root)
 	st.BackEdgesRemoved = removed
 
 	indeg := make([]int32, len(dag))
@@ -247,7 +250,7 @@ func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 	st.MainTreeNodes = int(size[root])
 	st.ForestNodes = st.MainTreeNodes + int(sharedNodes)
 	b := builder{
-		ids: g.Order, nodes: nodes, dag: dag, external: external,
+		nodes: g.Nodes, dag: dag, external: external,
 		slab: make([]Node, st.ForestNodes),
 		kids: make([]*Node, st.ForestNodes-1-st.Externalized),
 	}
@@ -255,7 +258,7 @@ func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 	f.Main = b.materialize(root, nil)
 	for _, v := range order {
 		if external[v] {
-			id := g.Order[v]
+			id := g.Nodes[v].ID
 			f.Shared[id] = b.materialize(v, nil)
 			f.SharedOrder = append(f.SharedOrder, id)
 		}
@@ -265,59 +268,23 @@ func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 	return f, st, nil
 }
 
-// index numbers the graph's nodes in discovery order and translates every
-// Out list into those numbers; it also returns the root's number. An edge
-// to a node outside the discovery order, or a graph without its root, is
-// an error: the passes below would otherwise read a wrong node.
-func index(g *ung.Graph) (nodes []*ung.Node, out [][]int32, root int32, err error) {
-	pos := make(map[string]int32, len(g.Order))
-	nodes = make([]*ung.Node, len(g.Order))
-	edges := 0
-	for i, id := range g.Order {
-		n := g.Nodes[id]
-		if n == nil {
-			return nil, nil, 0, fmt.Errorf("forest: order references missing node %q", id)
-		}
-		pos[id] = int32(i)
-		nodes[i] = n
-		edges += len(n.Out)
-	}
-	root, ok := pos[ung.RootID]
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("forest: graph has no virtual root %q", ung.RootID)
-	}
-	// All Out lists share one backing array.
-	flat := make([]int32, 0, edges)
-	out = make([][]int32, len(nodes))
-	for i, n := range nodes {
-		start := len(flat)
-		for _, to := range n.Out {
-			j, ok := pos[to]
-			if !ok {
-				return nil, nil, 0, fmt.Errorf("forest: edge %q → missing node %q", g.Order[i], to)
-			}
-			flat = append(flat, j)
-		}
-		out[i] = flat[start:len(flat):len(flat)]
-	}
-	return nodes, out, root, nil
-}
-
-// decycle removes back edges found by iterative DFS from root, returning
-// the remaining adjacency, the number of nodes the DFS reached, and the
-// number of edges removed (paper §3.2, "decycle the graph to a DAG"). Nodes
-// the DFS never reaches keep no adjacency and no incoming edges.
-func decycle(out [][]int32, root int32) (adj [][]int32, reached, removed int) {
+// decycle removes back edges found by iterative DFS from the root (node 0),
+// returning the remaining adjacency, the number of nodes the DFS reached,
+// and the number of edges removed (paper §3.2, "decycle the graph to a
+// DAG"). Nodes the DFS never reaches keep no adjacency and no incoming
+// edges. An edge to an index outside the graph is an error: the passes
+// below would otherwise read a wrong node, or none.
+func decycle(nodes []ung.Node) (adj [][]int32, reached, removed int, err error) {
 	const (
 		unseen = iota
 		onStack
 		done
 	)
-	state := make([]uint8, len(out))
-	adj = make([][]int32, len(out))
+	state := make([]uint8, len(nodes))
+	adj = make([][]int32, len(nodes))
 	total := 0
-	for _, o := range out {
-		total += len(o)
+	for i := range nodes {
+		total += len(nodes[i].Out)
 	}
 	// A node keeps a subsequence of its Out list, so every adjacency fits
 	// in a slice of one shared buffer capped at its Out length.
@@ -331,20 +298,24 @@ func decycle(out [][]int32, root int32) (adj [][]int32, reached, removed int) {
 	push := func(v int32) {
 		stack = append(stack, frame{v: v})
 		state[v] = onStack
-		k := len(out[v])
+		k := len(nodes[v].Out)
 		adj[v], buf = buf[:0:k], buf[k:]
 		reached++
 	}
-	push(root)
+	push(0)
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
-		if top.i >= len(out[top.v]) {
+		out := nodes[top.v].Out
+		if top.i >= len(out) {
 			state[top.v] = done
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		next := out[top.v][top.i]
+		next := out[top.i]
 		top.i++
+		if next < 0 || int(next) >= len(nodes) {
+			return nil, 0, 0, fmt.Errorf("forest: edge %q → node index %d out of range (%d nodes)", nodes[top.v].ID, next, len(nodes))
+		}
 		if state[next] == onStack {
 			removed++ // back edge: drop it
 			continue
@@ -354,7 +325,7 @@ func decycle(out [][]int32, root int32) (adj [][]int32, reached, removed int) {
 			push(next)
 		}
 	}
-	return adj, reached, removed
+	return adj, reached, removed, nil
 }
 
 // topoOrder returns a topological order of the DAG's reached nodes, root
@@ -408,8 +379,7 @@ func satAdd(a, b int64) int64 {
 // builder materializes trees from the indexed DAG, taking nodes from slab
 // and child lists from kids; next is the position of the next node built.
 type builder struct {
-	ids      []string // UNG id per index: g.Order
-	nodes    []*ung.Node
+	nodes    []ung.Node // the graph's nodes; dag indexes them
 	dag      [][]int32
 	external []bool
 	slab     []Node
@@ -431,7 +401,7 @@ func (b *builder) materialize(v int32, parent *Node) *Node {
 	for i, c := range b.dag[v] {
 		if b.external[c] {
 			ref := b.newNode(c, n)
-			ref.RefTarget = b.ids[c]
+			ref.RefTarget = b.nodes[c].ID
 			n.Children[i] = ref
 			continue
 		}
@@ -441,7 +411,7 @@ func (b *builder) materialize(v int32, parent *Node) *Node {
 }
 
 func (b *builder) newNode(v int32, parent *Node) *Node {
-	gn := b.nodes[v]
+	gn := &b.nodes[v]
 	n := &b.slab[0]
 	b.slab = b.slab[1:]
 	*n = Node{

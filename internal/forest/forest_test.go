@@ -14,12 +14,6 @@ import (
 func buildGraph(t *testing.T, adj map[string][]string) *ung.Graph {
 	t.Helper()
 	g := ung.NewGraph("test")
-	ensure := func(id string) {
-		if _, ok := g.Nodes[id]; !ok {
-			e := uia.NewElement(id, id, uia.ButtonControl)
-			g.Ensure(id, e, "")
-		}
-	}
 	// Deterministic insertion: ROOT's own edges first, then by key of the
 	// discovery order implied by the map walk over a fixed key list.
 	var keys []string
@@ -38,8 +32,7 @@ func buildGraph(t *testing.T, adj map[string][]string) *ung.Graph {
 	walk(ung.RootID)
 	for _, from := range keys {
 		for _, to := range adj[from] {
-			ensure(to)
-			g.AddEdge(from, to)
+			g.AddEdge(node(g, from), node(g, to))
 		}
 	}
 	return g
@@ -263,21 +256,21 @@ func TestNestedReferences(t *testing.T) {
 	}
 }
 
-// TestTransformRejectsDanglingEdge: an Out id with no node behind it, or a
-// graph without its virtual root, is an error, not a panic and not a read of
-// some other node.
+// TestTransformRejectsDanglingEdge: an Out index with no node behind it, or
+// a graph that does not start at its virtual root, is an error, not a panic
+// and not a read of some other node.
 func TestTransformRejectsDanglingEdge(t *testing.T) {
 	dangling := buildGraph(t, map[string][]string{ung.RootID: {"a"}, "a": {"b"}})
-	dangling.Nodes["a"].Out = append(dangling.Nodes["a"].Out, "ghost")
+	a := &dangling.Nodes[node(dangling, "a")]
+	a.Out = append(a.Out, int32(len(dangling.Nodes)))
 
 	rootless := buildGraph(t, map[string][]string{ung.RootID: {"a"}})
-	delete(rootless.Nodes, ung.RootID)
+	rootless.Nodes[0].ID = "not-the-root"
 
-	unlisted := buildGraph(t, map[string][]string{ung.RootID: {"a"}})
-	unlisted.Order = unlisted.Order[1:]
-	delete(unlisted.Nodes, ung.RootID)
+	empty := buildGraph(t, map[string][]string{ung.RootID: {"a"}})
+	empty.Nodes = nil
 
-	for name, g := range map[string]*ung.Graph{"dangling out edge": dangling, "root missing from nodes": rootless, "no root at all": unlisted} {
+	for name, g := range map[string]*ung.Graph{"dangling out edge": dangling, "first node not the root": rootless, "no root at all": empty} {
 		if f, _, err := Transform(g, Options{}); err == nil {
 			t.Errorf("%s: Transform returned a forest of %d nodes, want an error", name, f.NodeCount())
 		}
@@ -342,9 +335,9 @@ func TestCoverageProperty(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatal(err) // so every node is reachable
 		}
-		for _, id := range g.Order {
-			if !present[id] {
-				t.Fatalf("trial %d: node %q missing from forest", trial, id)
+		for _, n := range g.Nodes {
+			if !present[n.ID] {
+				t.Fatalf("trial %d: node %q missing from forest", trial, n.ID)
 			}
 		}
 	}
@@ -368,8 +361,7 @@ func TestForestSizeBounds(t *testing.T) {
 		// nodes), so growth is linear in total merge in-degree — the
 		// paper's "linear node growth" guarantee.
 		bound := st.GraphNodes
-		for _, id := range g.Order {
-			n := g.Nodes[id]
+		for _, n := range g.Nodes {
 			if len(n.In) > 1 {
 				bound += len(n.In)
 			}
@@ -414,11 +406,9 @@ func TestQuickDecycleAlwaysDAG(t *testing.T) {
 // nodes) rooted at RootID.
 func randomGraph(rng *rand.Rand, nodes, extraEdges int) *ung.Graph {
 	g := ung.NewGraph("rand")
-	ids := []string{ung.RootID}
+	ids := []int32{0}
 	for i := 0; i < nodes; i++ {
-		id := fmtNode("n", i)
-		e := uia.NewElement(id, id, uia.ButtonControl)
-		g.Ensure(id, e, "")
+		id := node(g, fmtNode("n", i))
 		// attach to a random earlier node to keep everything reachable
 		g.AddEdge(ids[rng.Intn(len(ids))], id)
 		ids = append(ids, id)
@@ -432,6 +422,13 @@ func randomGraph(rng *rand.Rand, nodes, extraEdges int) *ung.Graph {
 		g.AddEdge(from, to)
 	}
 	return g
+}
+
+// node returns the index of the node with the given id, adding it as a
+// button on first use.
+func node(g *ung.Graph, id string) int32 {
+	i, _ := g.AddNode(ung.Reveal{ID: id, Name: id, Type: uia.ButtonControl}, "")
+	return i
 }
 
 func sharedTrees(f *Forest) []*Node {

@@ -14,13 +14,12 @@ import (
 func encodeGraph(f *testing.F, edges [][2]string) []byte {
 	f.Helper()
 	g := ung.NewGraph("fuzz")
+	node := func(id string) int32 {
+		i, _ := g.AddNode(ung.Reveal{ID: id, Name: id, Type: uia.ButtonControl}, "")
+		return i
+	}
 	for _, e := range edges {
-		for _, id := range e {
-			if _, ok := g.Nodes[id]; !ok {
-				g.Ensure(id, uia.NewElement(id, id, uia.ButtonControl), "")
-			}
-		}
-		g.AddEdge(e[0], e[1])
+		g.AddEdge(node(e[0]), node(e[1]))
 	}
 	data, err := ung.EncodeBinary(g)
 	if err != nil {
@@ -67,9 +66,9 @@ func FuzzTransformDecoded(f *testing.F) {
 				return true
 			})
 		}
-		for _, id := range g.Order {
-			if !present[id] {
-				t.Fatalf("node %q missing from the forest", id)
+		for _, n := range g.Nodes {
+			if !present[n.ID] {
+				t.Fatalf("node %q missing from the forest", n.ID)
 			}
 		}
 		if count != st.ForestNodes {

@@ -410,3 +410,16 @@ func TestDataItemAgreesWithCell(t *testing.T) {
 		}
 	}
 }
+
+// Column returns the values of a column's used rows, in order.
+func (s *Sheet) Column(col string) []string {
+	_, cIdx, ok := ParseRef(col + "1")
+	if !ok {
+		return nil
+	}
+	var out []string
+	for r := 1; r <= s.UsedRows(); r++ {
+		out = append(out, s.Value(Ref(r, cIdx)))
+	}
+	return out
+}

@@ -156,7 +156,7 @@ func TestSetupOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := env.Probe(path)
+		v, err := env.probe(path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,16 +21,6 @@ func All() []Task {
 	return ts
 }
 
-// ByID returns the task with the given id, or false.
-func ByID(id string) (Task, bool) {
-	for _, t := range All() {
-		if t.ID == id {
-			return t, true
-		}
-	}
-	return Task{}, false
-}
-
 func access(primary, contains string) PlanStep {
 	return PlanStep{Kind: StepAccess, Target: Target{Primary: primary, GIDContains: contains}}
 }

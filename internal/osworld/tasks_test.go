@@ -114,3 +114,13 @@ func TestObservationTaskAnswers(t *testing.T) {
 		t.Fatal("wrong answer accepted")
 	}
 }
+
+// ByID returns the task with the given id, or false.
+func ByID(id string) (Task, bool) {
+	for _, t := range All() {
+		if t.ID == id {
+			return t, true
+		}
+	}
+	return Task{}, false
+}

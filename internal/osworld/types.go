@@ -104,10 +104,6 @@ func (e *Env) Verify() bool {
 	return err == nil && ok
 }
 
-// Probe resolves one verify-condition path against the live application
-// state (exported for pack validators and focused tests).
-func (e *Env) Probe(path string) (any, error) { return e.probe(path) }
-
 // Task is one benchmark scenario — pure data. The environment it runs in is
 // derived by Build from the app's compiled-in factory, the declarative
 // Setup ops, and the Verify condition, which is what lets a task cross

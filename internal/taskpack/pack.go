@@ -19,6 +19,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 )
 
 // SchemaVersion is the pack format revision this build reads and writes.
@@ -157,22 +159,105 @@ func (p *Pack) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// decodeError attaches a line:column position to a decoder error when the
-// error exposes an offset; unknown-field errors (which do not) get the
-// decoder's current position, which lands on or just after the bad field.
+// decodeError attaches a line:column position to a decoder error. Syntax
+// and type errors carry their offset. An unknown-field error carries none,
+// and the decoder's own position is no help: it reads the whole document
+// before it unmarshals, so it stands at the document's end. That error is
+// placed at the offending key instead, found by walking the document
+// against the wire types.
 func decodeError(data []byte, dec *json.Decoder, err error) error {
+	offset := dec.InputOffset()
 	var syn *json.SyntaxError
-	if errors.As(err, &syn) {
-		line, col := lineCol(data, syn.Offset)
-		return fmt.Errorf("%d:%d: %v", line, col, err)
-	}
 	var typ *json.UnmarshalTypeError
-	if errors.As(err, &typ) {
-		line, col := lineCol(data, typ.Offset)
-		return fmt.Errorf("%d:%d: %v", line, col, err)
+	switch {
+	case errors.As(err, &syn):
+		offset = syn.Offset
+	case errors.As(err, &typ):
+		offset = typ.Offset
+	default:
+		if off, ok := unknownKeyOffset(data); ok {
+			offset = off
+		}
 	}
-	line, col := lineCol(data, dec.InputOffset())
+	line, col := lineCol(data, offset)
 	return fmt.Errorf("%d:%d: %v", line, col, err)
+}
+
+// unknownKeyOffset returns the offset of the first object key in data that
+// names no field of the wire struct its object decodes into — the key
+// DisallowUnknownFields rejects — or false when every key is known.
+func unknownKeyOffset(data []byte) (int64, bool) {
+	off, err := findUnknownKey(json.NewDecoder(bytes.NewReader(data)), data, reflect.TypeOf(Pack{}))
+	return off, err == nil && off >= 0
+}
+
+// findUnknownKey reads one JSON value that decodes into t and returns the
+// offset of its first unknown key, or -1. Keys inside a free-form value
+// (an interface-typed field) are never unknown.
+func findUnknownKey(dec *json.Decoder, data []byte, t reflect.Type) (int64, error) {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	tok, err := dec.Token()
+	if err != nil {
+		return -1, err
+	}
+	switch tok {
+	case json.Delim('['):
+		elem := t
+		if t.Kind() == reflect.Slice {
+			elem = t.Elem()
+		}
+		for dec.More() {
+			if off, err := findUnknownKey(dec, data, elem); off >= 0 || err != nil {
+				return off, err
+			}
+		}
+	case json.Delim('{'):
+		for dec.More() {
+			// The key starts past the separators that follow the
+			// previous token.
+			start := dec.InputOffset()
+			for start < int64(len(data)) && strings.IndexByte(" \t\r\n,", data[start]) >= 0 {
+				start++
+			}
+			key, err := dec.Token()
+			if err != nil {
+				return -1, err
+			}
+			ft := t
+			if name, _ := key.(string); t.Kind() == reflect.Struct {
+				f, ok := wireField(t, name)
+				if !ok {
+					return start, nil
+				}
+				ft = f.Type
+			}
+			if off, err := findUnknownKey(dec, data, ft); off >= 0 || err != nil {
+				return off, err
+			}
+		}
+	default:
+		return -1, nil // a scalar
+	}
+	_, err = dec.Token() // the closing delimiter
+	return -1, err
+}
+
+// wireField returns the field of struct t that key decodes into, matching
+// the json tag name as encoding/json does, case-insensitively.
+func wireField(t reflect.Type, key string) (reflect.StructField, bool) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" {
+			name = f.Name
+		}
+		if strings.EqualFold(name, key) {
+			return f, true
+		}
+	}
+	return reflect.StructField{}, false
 }
 
 // lineCol converts a byte offset into 1-based line and column numbers.

@@ -2,6 +2,7 @@ package taskpack
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,6 +156,19 @@ func TestDecodeErrorsCarryPosition(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "4:") {
 		t.Errorf("error not located to line 4: %v", err)
+	}
+
+	// An unknown field is located at its key, not at the end of the pack
+	// the decoder had read by the time it saw the key.
+	p, _ := BuiltinPack()
+	data, _ := p.Encode()
+	at := bytes.Index(data, []byte(`"ambiguity"`))
+	line := 1 + bytes.Count(data[:at], []byte("\n"))
+	col := at - bytes.LastIndexByte(data[:at], '\n')
+	bad := bytes.Replace(data, []byte(`"ambiguity"`), []byte(`"ambiguityy"`), 1)
+	_, err = Decode(bad)
+	if want := fmt.Sprintf("%d:%d: json: unknown field \"ambiguityy\"", line, col); err == nil || err.Error() != want {
+		t.Errorf("unknown field error %v, want %q", err, want)
 	}
 }
 

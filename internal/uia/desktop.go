@@ -235,18 +235,6 @@ func (d *Desktop) Click(e *Element) error {
 	return nil
 }
 
-// ClickAt dispatches a click at virtual screen coordinates: the deepest
-// on-screen, interactive element whose rectangle contains the point receives
-// it. This is the grounding-sensitive primitive the GUI-only baseline uses.
-func (d *Desktop) ClickAt(x, y int) error {
-	e := d.HitTest(x, y)
-	if e == nil {
-		d.clock.Advance(CostClick)
-		return fmt.Errorf("%w: (%d,%d)", ErrNoHit, x, y)
-	}
-	return d.Click(e)
-}
-
 // HitTest returns the deepest on-screen element containing (x, y), favouring
 // interactive controls and later (higher) windows.
 func (d *Desktop) HitTest(x, y int) *Element {

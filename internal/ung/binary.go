@@ -49,33 +49,24 @@ const largeEnumFlag = 0x01
 const minNodeBytes = 8
 
 // EncodeBinary serializes the graph to the snapshot form, nodes in
-// discovery order.
+// discovery order. Edges are written as the indexes they already are.
 func EncodeBinary(g *Graph) ([]byte, error) {
 	// Pre-size: magic+version+count headers plus per-node strings; the
 	// estimate only has to be in the right ballpark to avoid regrowth.
 	size := len(binaryMagic) + 2*binary.MaxVarintLen64 + len(g.App)
-	for _, id := range g.Order {
-		if n, ok := g.Nodes[id]; ok {
-			size += len(n.ID) + len(n.Name) + len(n.Desc) + len(n.Context) + 16
-		}
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		size += len(n.ID) + len(n.Name) + len(n.Desc) + len(n.Context) + 16
 	}
-	index := make(map[string]uint64, len(g.Order))
-	for i, id := range g.Order {
-		index[id] = uint64(i)
-	}
-	var err error
 	buf := make([]byte, 0, size)
 	buf = append(buf, binaryMagic...)
 	buf = binary.AppendUvarint(buf, BinaryVersion)
 	buf = appendString(buf, g.App)
-	buf = binary.AppendUvarint(buf, uint64(len(g.Order)))
-	for _, id := range g.Order {
-		n, ok := g.Nodes[id]
-		if !ok {
-			return nil, fmt.Errorf("ung: order references missing node %q", id)
-		}
+	buf = binary.AppendUvarint(buf, uint64(len(g.Nodes)))
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if n.Type < 0 {
-			return nil, fmt.Errorf("ung: node %q has negative control type %d", id, n.Type)
+			return nil, fmt.Errorf("ung: node %q has negative control type %d", n.ID, n.Type)
 		}
 		buf = appendString(buf, n.ID)
 		buf = appendString(buf, n.Name)
@@ -87,12 +78,8 @@ func EncodeBinary(g *Graph) ([]byte, error) {
 		}
 		buf = append(buf, flags)
 		buf = appendString(buf, n.Context)
-		if buf, err = appendEdges(buf, n.Out, index); err != nil {
-			return nil, fmt.Errorf("ung: node %q: %w", id, err)
-		}
-		if buf, err = appendEdges(buf, n.In, index); err != nil {
-			return nil, fmt.Errorf("ung: node %q: %w", id, err)
-		}
+		buf = appendEdges(buf, n.Out)
+		buf = appendEdges(buf, n.In)
 	}
 	return buf, nil
 }
@@ -102,16 +89,12 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func appendEdges(buf []byte, edges []string, index map[string]uint64) ([]byte, error) {
+func appendEdges(buf []byte, edges []int32) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(edges)))
 	for _, e := range edges {
-		i, ok := index[e]
-		if !ok {
-			return nil, fmt.Errorf("edge references unknown node %q", e)
-		}
-		buf = binary.AppendUvarint(buf, i)
+		buf = binary.AppendUvarint(buf, uint64(e))
 	}
-	return buf, nil
+	return buf
 }
 
 // DecodeBinary reconstructs a graph from its EncodeBinary form and
@@ -151,15 +134,13 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	if count > uint64(len(data)-r.off)/minNodeBytes || count > math.MaxInt32 {
 		return nil, fmt.Errorf("ung: decode binary: node count %d exceeds payload", count)
 	}
-	g := &Graph{App: app, Nodes: make(map[string]*Node, count), Order: make([]string, 0, count)}
-	nodes := make([]Node, count)
-	// Edge indexes may point forward to nodes not yet read, so they are
-	// collected raw, all in one buffer, checked in that dense form, and
-	// resolved to ids last. Every node but the root has an in edge, and
-	// every edge is listed twice (out and in), so 2*count is the floor.
-	adj := adjacency{edges: make([]int32, 0, 2*count), ends: make([]int, 2*count)}
-	for i := range nodes {
-		n := &nodes[i]
+	g := &Graph{App: app, Nodes: make([]Node, count), index: make(map[string]int32, count)}
+	// Every node but the root has an in edge, and every edge is listed
+	// twice (out and in), so the edge lists start in one buffer of 2*count
+	// indexes.
+	edges := make([]int32, 0, 2*count)
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if n.ID, err = r.str("node id"); err != nil {
 			return nil, err
 		}
@@ -188,22 +169,19 @@ func DecodeBinary(data []byte) (*Graph, error) {
 		if n.Context, err = r.str("node context"); err != nil {
 			return nil, err
 		}
-		if adj.edges, err = r.edgeIndexes(adj.edges, "out edges", count); err != nil {
+		if n.Out, err = r.edges(&edges, "out edges", count); err != nil {
 			return nil, err
 		}
-		adj.ends[2*i] = len(adj.edges)
-		if adj.edges, err = r.edgeIndexes(adj.edges, "in edges", count); err != nil {
+		if n.In, err = r.edges(&edges, "in edges", count); err != nil {
 			return nil, err
 		}
-		adj.ends[2*i+1] = len(adj.edges)
 		if i == 0 && n.ID != RootID {
 			return nil, fmt.Errorf("ung: decode binary: snapshot does not start at the virtual root")
 		}
-		if _, dup := g.Nodes[n.ID]; dup {
+		if _, dup := g.index[n.ID]; dup {
 			return nil, fmt.Errorf("ung: decode binary: duplicate node %q", n.ID)
 		}
-		g.Nodes[n.ID] = n
-		g.Order = append(g.Order, n.ID)
+		g.index[n.ID] = int32(i)
 	}
 	if count == 0 {
 		return nil, fmt.Errorf("ung: decode binary: snapshot does not start at the virtual root")
@@ -211,33 +189,10 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	if r.off != len(data) {
 		return nil, fmt.Errorf("ung: decode binary: %d trailing bytes after the last node", len(data)-r.off)
 	}
-	// The remaining Graph.Validate checks (reverse entries, reachability);
-	// the ones that need the node map hold by construction here.
-	if err := adj.check(g.Order, 0); err != nil {
+	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("ung: decode binary: %w", err)
 	}
-	// Every edge list is a capped window of one id buffer; empty lists stay
-	// nil, the canonical form.
-	ids := make([]string, len(adj.edges))
-	for k, idx := range adj.edges {
-		ids[k] = g.Order[idx]
-	}
-	start := 0
-	for i := range nodes {
-		nodes[i].Out = edgeWindow(ids, start, adj.ends[2*i])
-		nodes[i].In = edgeWindow(ids, adj.ends[2*i], adj.ends[2*i+1])
-		start = adj.ends[2*i+1]
-	}
 	return g, nil
-}
-
-// edgeWindow returns ids[from:to] with its capacity capped, or nil when
-// empty.
-func edgeWindow(ids []string, from, to int) []string {
-	if from == to {
-		return nil
-	}
-	return ids[from:to:to]
 }
 
 // binReader walks the binary layout with bounds checking; every read
@@ -284,8 +239,10 @@ func (r *binReader) str(field string) (string, error) {
 	return s, nil
 }
 
-// edgeIndexes reads one edge list and appends its indexes to idxs.
-func (r *binReader) edgeIndexes(idxs []int32, field string, nodeCount uint64) ([]int32, error) {
+// edges reads one edge list into the spare capacity of *buf, or of a
+// fresh buffer when the list does not fit, and returns it with its capacity
+// capped; an empty list is nil, the form AddEdge leaves.
+func (r *binReader) edges(buf *[]int32, field string, nodeCount uint64) ([]int32, error) {
 	n, err := r.uvarint(field)
 	if err != nil {
 		return nil, err
@@ -293,6 +250,13 @@ func (r *binReader) edgeIndexes(idxs []int32, field string, nodeCount uint64) ([
 	if n > uint64(len(r.data)-r.off) {
 		return nil, fmt.Errorf("ung: decode binary: truncated %s", field)
 	}
+	if n == 0 {
+		return nil, nil
+	}
+	if n > uint64(cap(*buf)-len(*buf)) {
+		*buf = make([]int32, 0, max(n, nodeCount))
+	}
+	start := len(*buf)
 	for i := uint64(0); i < n; i++ {
 		idx, err := r.uvarint(field)
 		if err != nil {
@@ -301,7 +265,7 @@ func (r *binReader) edgeIndexes(idxs []int32, field string, nodeCount uint64) ([
 		if idx >= nodeCount {
 			return nil, fmt.Errorf("ung: decode binary: %s index %d out of range (%d nodes)", field, idx, nodeCount)
 		}
-		idxs = append(idxs, int32(idx))
+		*buf = append(*buf, int32(idx))
 	}
-	return idxs, nil
+	return (*buf)[start:len(*buf):len(*buf)], nil
 }

@@ -72,14 +72,7 @@ func TestSnapshotGolden(t *testing.T) {
 // its edge lists), the compactness the modelstore's byte budget relies on.
 func TestBinarySmallerThanJSON(t *testing.T) {
 	g, _ := ripDemo(t)
-	nodes := make([]*Node, 0, len(g.Order))
-	for _, id := range g.Order {
-		nodes = append(nodes, g.Nodes[id])
-	}
-	jsonData, err := json.Marshal(struct {
-		App   string
-		Nodes []*Node
-	}{g.App, nodes})
+	jsonData, err := json.Marshal(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,22 +240,20 @@ func brokenGraphs() []struct {
 	name string
 	g    *Graph
 } {
+	node := func(g *Graph, id string) int32 {
+		i, _ := g.AddNode(Reveal{ID: id, Name: id, Type: uia.ButtonControl}, "")
+		return i
+	}
 	build := func(edges ...[2]string) *Graph {
 		g := NewGraph("Broken")
 		for _, e := range edges {
-			for _, id := range e {
-				if _, ok := g.Nodes[id]; !ok {
-					g.Nodes[id] = &Node{ID: id, Name: id, Type: uia.ButtonControl}
-					g.Order = append(g.Order, id)
-				}
-			}
-			g.AddEdge(e[0], e[1])
+			g.AddEdge(node(g, e[0]), node(g, e[1]))
 		}
 		return g
 	}
 	dropIn := func(g *Graph, to, from string) {
-		n := g.Nodes[to]
-		n.In = slices.DeleteFunc(n.In, func(id string) bool { return id == from })
+		n, f := &g.Nodes[g.lookup(to)], g.lookup(from)
+		n.In = slices.DeleteFunc(n.In, func(i int32) bool { return i == f })
 	}
 	missingReverse := build([2]string{RootID, "a"}, [2]string{"a", "b"}, [2]string{RootID, "c"}, [2]string{"a", "c"})
 	dropIn(missingReverse, "c", "a")

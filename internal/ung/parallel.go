@@ -24,7 +24,7 @@ import (
 //     function of (context, path, control), so any instance anywhere yields
 //     the same result the coordinator's own would — including after a
 //     retry, which is what makes remote re-dispatch safe.
-//   - Application (ensure nodes, add edges, push newly discovered frames)
+//   - Application (add nodes and edges, push newly discovered frames)
 //     touches the shared graph. The coordinator performs it alone, popping
 //     frames in exactly the DFS order, so the merged graph is deterministic
 //     regardless of expansion timing.
@@ -65,25 +65,22 @@ func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, e
 	}
 
 	// pending mirrors the DFS stack. With an expander, clickable frames
-	// carry its result channel; the rest resolve on the coordinator.
+	// carry its result channel; the rest resolve on the coordinator. A node
+	// is pushed at most once: only when AddNode first creates it.
 	type pending struct {
-		f   Frame
-		res <-chan ExpandResult
+		f    Frame
+		node int32
+		res  <-chan ExpandResult
 	}
 
-	queued := make(map[string]bool)
 	var stack []pending
 	ctx := ""
 
-	push := func(id string, path []string) {
-		if queued[id] {
-			return
-		}
-		queued[id] = true
-		p := pending{f: Frame{ID: id, Path: path}}
+	push := func(node int32, path []string) {
+		p := pending{f: Frame{ID: g.Nodes[node].ID, Path: path}, node: node}
 		// Non-clickable frames need no instance work; dispatching them
 		// would only burn expander capacity on a guaranteed skip.
-		if n := g.Nodes[id]; ex != nil && n != nil && clickable(n.Type) {
+		if ex != nil && clickable(g.Nodes[node].Type) {
 			p.res = ex.Expand(ctx, p.f)
 		}
 		stack = append(stack, p)
@@ -105,11 +102,7 @@ func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, e
 			p := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 
-			node := g.Nodes[p.f.ID]
-			if node == nil {
-				continue
-			}
-			if !clickable(node.Type) {
+			if !clickable(g.Nodes[p.node].Type) {
 				st.Skipped++
 				continue
 			}

@@ -16,14 +16,15 @@ func assertGraphsIdentical(t *testing.T, want, got *Graph) {
 	if want.App != got.App {
 		t.Fatalf("app %q vs %q", want.App, got.App)
 	}
-	if len(want.Order) != len(got.Order) {
-		t.Fatalf("node count %d vs %d", len(want.Order), len(got.Order))
+	if len(want.Nodes) != len(got.Nodes) {
+		t.Fatalf("node count %d vs %d", len(want.Nodes), len(got.Nodes))
 	}
-	for i, id := range want.Order {
-		if got.Order[i] != id {
-			t.Fatalf("discovery order diverges at %d: %q vs %q", i, id, got.Order[i])
+	for i := range want.Nodes {
+		a, b := &want.Nodes[i], &got.Nodes[i]
+		id := a.ID
+		if b.ID != id {
+			t.Fatalf("discovery order diverges at %d: %q vs %q", i, id, b.ID)
 		}
-		a, b := want.Nodes[id], got.Nodes[id]
 		if a.Name != b.Name || a.Type != b.Type || a.Desc != b.Desc ||
 			a.LargeEnum != b.LargeEnum || a.Context != b.Context {
 			t.Fatalf("node %q metadata differs: %+v vs %+v", id, a, b)

@@ -200,10 +200,9 @@ func (s *expandScratch) expand(app *appkit.App, ctx string, f Frame, st *Stats) 
 	return Expansion{Outcome: ExpandOK, Reveals: reveals}
 }
 
-// captureReveal snapshots the element fields a graph node is built from —
-// the same fields Graph.Ensure reads off a live element, including the
-// ancestor walk behind LargeEnum, so a node created from a reveal is
-// byte-identical to one created from the element itself.
+// captureReveal snapshots the element fields a graph node is built from,
+// including the ancestor walk behind LargeEnum, so a node created from the
+// reveal here or on another instance is the node the element itself makes.
 func captureReveal(e *uia.Element, parent string) Reveal {
 	r := Reveal{
 		ID:     e.ControlID(),
@@ -225,7 +224,7 @@ func captureReveal(e *uia.Element, parent string) Reveal {
 // work into st, pushing frames for controls seen for the first time. Every
 // expander — none, pooled, distributed — has its expansions applied in
 // exactly the same order, which is what keeps all of them byte-identical.
-func applyExpansion(g *Graph, cfg Config, ctx string, f Frame, exp Expansion, st *Stats, push func(id string, path []string)) {
+func applyExpansion(g *Graph, cfg Config, ctx string, f Frame, exp Expansion, st *Stats, push func(node int32, path []string)) {
 	st.Clicks += exp.Clicks
 	st.Snapshots += exp.Snapshots
 	switch exp.Outcome {
@@ -238,14 +237,13 @@ func applyExpansion(g *Graph, cfg Config, ctx string, f Frame, exp Expansion, st
 	}
 	st.Explored++
 	for _, r := range exp.Reveals {
-		_, existed := g.Nodes[r.ID]
-		g.ensureReveal(r, ctx)
-		g.AddEdge(r.Parent, r.ID)
-		if !existed && len(f.Path)+1 < cfg.MaxDepth {
+		i, added := g.AddNode(r, ctx)
+		g.AddEdge(g.lookup(r.Parent), i)
+		if added && len(f.Path)+1 < cfg.MaxDepth {
 			next := make([]string, len(f.Path)+1)
 			copy(next, f.Path)
 			next[len(f.Path)] = f.ID
-			push(r.ID, next)
+			push(i, next)
 		}
 	}
 }
@@ -254,8 +252,9 @@ func applyExpansion(g *Graph, cfg Config, ctx string, f Frame, exp Expansion, st
 // (paper §4.1): initial-screen controls attach beneath their visible UI
 // ancestors, anchored at the virtual root; the active tab's content panel is
 // re-anchored under the active TabItem so otherwise unscoped controls are
-// indexable beneath it.
-func seedContext(g *Graph, app *appkit.App, ctx string, st *Stats, push func(id string, path []string)) {
+// indexable beneath it. Each control becomes a node through captureReveal
+// and AddNode, exactly as an applied expansion's reveals do.
+func seedContext(g *Graph, app *appkit.App, ctx string, st *Stats, push func(node int32, path []string)) {
 	restore(app, ctx)
 	snap := capture(app, st, nil)
 	tabItem, tabPanel := app.ActiveTabInfo()
@@ -273,18 +272,17 @@ func seedContext(g *Graph, app *appkit.App, ctx string, st *Stats, push func(id 
 		}
 	}
 	for _, e := range order {
-		id := e.ControlID()
-		_, existed := g.Nodes[id]
-		g.Ensure(id, e, ctx)
 		parent := RootID
 		if e == tabPanel && tabItem != nil {
 			parent = tabItem.ControlID()
 		} else if anc := nearestIn(e, inSnap); anc != nil {
 			parent = anc.ControlID()
 		}
-		g.AddEdge(parent, id)
-		if !existed {
-			push(id, nil)
+		r := captureReveal(e, parent)
+		i, added := g.AddNode(r, ctx)
+		g.AddEdge(g.lookup(r.Parent), i)
+		if added {
+			push(i, nil)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ung
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,20 +58,15 @@ func TestRipDiscoversTabContent(t *testing.T) {
 	}
 	// Home content hangs beneath the active tab item (root init rule),
 	// through its UI containers: tabHome → panel → group → Bold.
-	var bold *Node
-	for _, n := range g.Nodes {
-		if strings.HasPrefix(n.ID, "btnBold|") {
-			bold = n
-		}
-	}
+	bold := findNode(g, "btnBold|")
 	if bold == nil {
 		t.Fatal("Bold not discovered")
 	}
 	cur := bold
 	foundTab := false
 	for i := 0; i < 10 && cur != nil && len(cur.In) > 0; i++ {
-		cur = g.Nodes[cur.In[0]]
-		if cur != nil && strings.HasPrefix(cur.ID, "tabHome|") {
+		cur = &g.Nodes[cur.In[0]]
+		if strings.HasPrefix(cur.ID, "tabHome|") {
 			foundTab = true
 			break
 		}
@@ -79,13 +75,7 @@ func TestRipDiscoversTabContent(t *testing.T) {
 		t.Errorf("Bold does not hang beneath the Home tab item")
 	}
 	// Insert content is revealed by clicking the Insert tab.
-	var spn *Node
-	for _, n := range g.Nodes {
-		if strings.HasPrefix(n.ID, "spnRows|") {
-			spn = n
-		}
-	}
-	if spn == nil {
+	if findNode(g, "spnRows|") == nil {
 		t.Fatal("dialog content not discovered (nested reveal)")
 	}
 }
@@ -95,12 +85,10 @@ func TestRipMergeNodes(t *testing.T) {
 	// The shared picker's body is revealed by both openers: it is the
 	// merge node, and its internal hierarchy (panes → cells) is preserved
 	// beneath it rather than flattened under each opener.
-	var body, blue *Node
-	for _, n := range g.Nodes {
-		if strings.HasPrefix(n.ID, "clrBody|") {
-			body = n
-		}
-		if n.Name == "Blue" && strings.Contains(n.ID, "clrStd") {
+	body := findNode(g, "clrBody|")
+	var blue *Node
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; n.Name == "Blue" && strings.Contains(n.ID, "clrStd") {
 			blue = n
 		}
 	}
@@ -110,7 +98,7 @@ func TestRipMergeNodes(t *testing.T) {
 	if len(body.In) < 2 {
 		t.Fatalf("picker body in-degree = %d, want ≥ 2 (merge node)", len(body.In))
 	}
-	if len(blue.In) != 1 || !strings.Contains(blue.In[0], "clrStd") {
+	if len(blue.In) != 1 || !strings.Contains(g.Nodes[blue.In[0]].ID, "clrStd") {
 		t.Fatalf("Blue should hang beneath the Standard Colors pane, in = %v", blue.In)
 	}
 	if len(g.MergeNodes()) == 0 {
@@ -121,19 +109,11 @@ func TestRipMergeNodes(t *testing.T) {
 func TestRipCycle(t *testing.T) {
 	g, _ := ripDemo(t)
 	// Collapse → Pin → Collapse is a 2-cycle.
-	var collapse, pin *Node
-	for _, n := range g.Nodes {
-		if strings.HasPrefix(n.ID, "ribbonCollapse|") {
-			collapse = n
-		}
-		if strings.HasPrefix(n.ID, "ribbonPin|") {
-			pin = n
-		}
-	}
+	collapse, pin := findNode(g, "ribbonCollapse|"), findNode(g, "ribbonPin|")
 	if collapse == nil || pin == nil {
 		t.Fatal("ribbon collapse pair not discovered")
 	}
-	if !hasEdge(collapse, pin.ID) || !hasEdge(pin, collapse.ID) {
+	if !hasEdge(g, collapse, pin) || !hasEdge(g, pin, collapse) {
 		t.Fatal("collapse/pin cycle not captured")
 	}
 }
@@ -143,8 +123,8 @@ func TestRipBlocklist(t *testing.T) {
 	if st.Blocked == 0 {
 		t.Error("blocklisted control was not skipped")
 	}
-	for _, n := range g.Nodes {
-		if strings.HasPrefix(n.ID, "btnAccount|") && len(n.Out) > 0 {
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; strings.HasPrefix(n.ID, "btnAccount|") && len(n.Out) > 0 {
 			t.Error("blocklisted control has out-edges (it was clicked)")
 		}
 	}
@@ -155,12 +135,7 @@ func TestRipContexts(t *testing.T) {
 	if st.Contexts != 2 {
 		t.Fatalf("contexts = %d, want 2", st.Contexts)
 	}
-	var thing *Node
-	for _, n := range g.Nodes {
-		if strings.HasPrefix(n.ID, "btnThingBorder|") {
-			thing = n
-		}
-	}
+	thing := findNode(g, "btnThingBorder|")
 	if thing == nil {
 		t.Fatal("context-tab content not discovered")
 	}
@@ -171,15 +146,12 @@ func TestRipContexts(t *testing.T) {
 
 func TestRipLeavesAndNavigation(t *testing.T) {
 	g, _ := ripDemo(t)
-	leaves := map[string]bool{}
-	for _, l := range g.Leaves() {
-		leaves[l] = true
-	}
-	for _, n := range g.Nodes {
-		if strings.HasPrefix(n.ID, "btnBold|") && !leaves[n.ID] {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		if strings.HasPrefix(n.ID, "btnBold|") && len(n.Out) != 0 {
 			t.Error("Bold (functional) should be a leaf")
 		}
-		if strings.HasPrefix(n.ID, "btnFontColor|") && leaves[n.ID] {
+		if strings.HasPrefix(n.ID, "btnFontColor|") && len(n.Out) == 0 {
 			t.Error("Font Color (navigation) should not be a leaf")
 		}
 	}
@@ -192,9 +164,9 @@ func TestRipDeterministic(t *testing.T) {
 		t.Fatalf("rip not deterministic: %d/%d vs %d/%d nodes/edges",
 			g1.NodeCount(), g1.EdgeCount(), g2.NodeCount(), g2.EdgeCount())
 	}
-	for i, id := range g1.Order {
-		if g2.Order[i] != id {
-			t.Fatalf("discovery order diverges at %d: %q vs %q", i, id, g2.Order[i])
+	for i := range g1.Nodes {
+		if a, b := g1.Nodes[i].ID, g2.Nodes[i].ID; a != b {
+			t.Fatalf("discovery order diverges at %d: %q vs %q", i, a, b)
 		}
 	}
 }
@@ -228,9 +200,8 @@ func TestRipWord(t *testing.T) {
 	if d := g.MaxDepth(); d < 8 {
 		t.Errorf("word UNG depth = %d, want ≥ 8 (paper: >10)", d)
 	}
-	t.Logf("word UNG: %d nodes, %d edges, depth %d, %d merge nodes, %d leaves, simulated %s",
-		g.NodeCount(), g.EdgeCount(), g.MaxDepth(), len(g.MergeNodes()),
-		len(g.Leaves()), st.SimulatedTime)
+	t.Logf("word UNG: %d nodes, %d edges, depth %d, %d merge nodes, simulated %s",
+		g.NodeCount(), g.EdgeCount(), g.MaxDepth(), len(g.MergeNodes()), st.SimulatedTime)
 }
 
 func TestRipExcel(t *testing.T) {
@@ -269,11 +240,18 @@ func TestRipSlides(t *testing.T) {
 		g.NodeCount(), g.EdgeCount(), g.MaxDepth(), len(g.MergeNodes()), st.SimulatedTime)
 }
 
-func hasEdge(n *Node, to string) bool {
-	for _, o := range n.Out {
-		if o == to {
-			return true
+// findNode returns the last node in discovery order whose id starts with
+// prefix, or nil.
+func findNode(g *Graph, prefix string) *Node {
+	var found *Node
+	for i := range g.Nodes {
+		if strings.HasPrefix(g.Nodes[i].ID, prefix) {
+			found = &g.Nodes[i]
 		}
 	}
-	return false
+	return found
+}
+
+func hasEdge(g *Graph, from, to *Node) bool {
+	return slices.Contains(from.Out, g.lookup(to.ID))
 }
