@@ -25,6 +25,7 @@ import (
 	"repro/internal/office/excel"
 	"repro/internal/office/slides"
 	"repro/internal/office/word"
+	"repro/internal/osworld"
 	"repro/internal/taskpack"
 	"repro/internal/uia"
 	"repro/internal/ung"
@@ -455,7 +456,9 @@ func BenchmarkAblation_Robustness(b *testing.B) {
 // models, at increasing cell concurrency. sessions/sec is wall-clock
 // throughput; the report stays byte-identical to the sequential run
 // (asserted separately under -race), so the only thing concurrency changes
-// is how fast the grid drains.
+// is how fast the grid drains — and how often a session finds its app's
+// pooled instance lent to another one: reused% is the share of sessions
+// that ran on the pooled instance rather than a fresh build.
 func BenchmarkOnline_ParallelSessions(b *testing.B) {
 	m := sharedModels(b)
 	reg := taskpack.Builtin()
@@ -463,6 +466,7 @@ func BenchmarkOnline_ParallelSessions(b *testing.B) {
 	for _, concurrency := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("concurrency=%d", concurrency), func(b *testing.B) {
 			sessions := 0
+			reused0, built0 := osworld.PoolStats()
 			for i := 0; i < b.N; i++ {
 				rep, err := bench.RunDispatchedIn(context.Background(), reg, d, 1, concurrency)
 				if err != nil {
@@ -473,6 +477,9 @@ func BenchmarkOnline_ParallelSessions(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(sessions)/b.Elapsed().Seconds(), "sessions/sec")
+			reused, built := osworld.PoolStats()
+			reused, built = reused-reused0, built-built0
+			b.ReportMetric(100*float64(reused)/float64(reused+built), "reused%")
 		})
 	}
 }

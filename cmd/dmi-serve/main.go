@@ -57,6 +57,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/bench"
 	"repro/internal/modelstore"
+	"repro/internal/osworld"
 	"repro/internal/serveproto"
 	"repro/internal/taskpack"
 )
@@ -363,11 +364,14 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	sessions, runs, inFlight, expansions := s.sessions, s.runs, s.inFlight, s.expansions
 	s.mu.Unlock()
+	reused, built := osworld.PoolStats()
 	writeJSON(w, serveproto.StatsResponse{
 		Sessions:     sessions,
 		Runs:         runs,
 		InFlight:     inFlight,
 		Expansions:   expansions,
+		EnvsReused:   reused,
+		EnvsBuilt:    built,
 		Store:        st,
 		WarmHitRatio: serveproto.HitRatio(st),
 		BudgetBytes:  s.store.Budget(),

@@ -243,6 +243,11 @@ func TestServeDaemon(t *testing.T) {
 		if st.BudgetBytes != budget {
 			t.Errorf("reported budget %d, want %d", st.BudgetBytes, budget)
 		}
+		// The pool counters cover every session of the process, the
+		// in-process reference runs included.
+		if st.EnvsReused+st.EnvsBuilt < int64(posted*runs) || st.EnvsReused == 0 {
+			t.Errorf("%d environments reused and %d built for %d served runs", st.EnvsReused, st.EnvsBuilt, posted*runs)
+		}
 		for _, app := range agent.AppNames() {
 			if st.CoreTokens[app] != models.CoreTokens[app] {
 				t.Errorf("%s: daemon core tokens %d != in-process %d", app, st.CoreTokens[app], models.CoreTokens[app])

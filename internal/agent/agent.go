@@ -65,6 +65,28 @@ type Config struct {
 	TopologyMissRate float64
 }
 
+// Setting is one evaluated cell of the evaluation grid: a labelled
+// interface and profile, a row of the paper's Table 3.
+type Setting struct {
+	Label     string
+	Interface Interface
+	Profile   llm.Profile
+}
+
+// Settings returns the Table 3 rows in paper order.
+func Settings() []Setting {
+	return []Setting{
+		{"GUI-only / GPT-5 / Medium", GUIOnly, llm.GPT5Medium},
+		{"GUI-only+forest / GPT-5 / Medium", GUIForest, llm.GPT5Medium},
+		{"GUI+DMI / GPT-5 / Medium", GUIDMI, llm.GPT5Medium},
+		{"GUI-only / GPT-5 / Minimal", GUIOnly, llm.GPT5Minimal},
+		{"GUI+DMI / GPT-5 / Minimal", GUIDMI, llm.GPT5Minimal},
+		{"GUI-only / 5-mini / Medium", GUIOnly, llm.GPT5Mini},
+		{"GUI-only+forest / 5-mini / Medium", GUIForest, llm.GPT5Mini},
+		{"GUI+DMI / 5-mini / Medium", GUIDMI, llm.GPT5Mini},
+	}
+}
+
 func (c *Config) fill() {
 	if c.StepCap == 0 {
 		c.StepCap = 30
@@ -189,14 +211,24 @@ func normalizeWorkers(workers int) int {
 
 // Run executes one task under one configuration with a deterministic RNG.
 //
-// Run is safe for concurrent use with distinct rng values: every call
-// builds its own environment (application instance, desktop, simulated
-// clock) from task.Build(), and the shared models are read-only (see
-// Models). Task plans and the offline forest are only ever read; the only
-// state a run mutates lives in its own env.
+// Run is safe for concurrent use with distinct rng values. Each call checks
+// its own environment (application instance, desktop, simulated clock) out
+// of the process's instance pool, which hands an instance to one session
+// at a time and resets it between sessions so that it runs exactly like a
+// fresh task.Build() (osworld.Task.Checkout); the shared models are
+// read-only (see Models). Task plans and the offline forest are only ever
+// read; the only state a run mutates lives in its own env.
 func Run(models *Models, task osworld.Task, cfg Config, rng *rand.Rand) Outcome {
+	env := task.Checkout()
+	out := runOn(env, models, task, cfg, rng)
+	// A session that panics never returns its instance to the pool.
+	env.Release()
+	return out
+}
+
+// runOn runs task on env, a live environment for it.
+func runOn(env *osworld.Env, models *Models, task osworld.Task, cfg Config, rng *rand.Rand) Outcome {
 	cfg.fill()
-	env := task.Build()
 	model := models.ByApp[task.App]
 	d := &driver{
 		cfg:    cfg,

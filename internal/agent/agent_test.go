@@ -16,7 +16,7 @@ var (
 	modelsErr  error
 )
 
-func sharedModels(t *testing.T) *Models {
+func sharedModels(t testing.TB) *Models {
 	t.Helper()
 	modelsOnce.Do(func() { models, modelsErr = BuildModelsIn(modelstore.New(), 0) })
 	if modelsErr != nil {

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/forest"
@@ -231,19 +232,50 @@ func (d *driver) renameLive(node *forest.Node) {
 	}
 }
 
-// findLive locates the live element whose synthesized id matches the node,
-// searching the main window and every popup template, opened or not, with
-// their deferred item lists built.
+// findLive locates the live element whose synthesized id matches the node:
+// the first in document order in the main window, else in the first popup
+// template, opened or not, that holds one. It descends only along the id's
+// ancestor path, building the deferred item lists on that path, so it
+// finds what a search of the fully built surface would.
 func (d *driver) findLive(node *forest.Node) *uia.Element {
-	d.env.App.MaterializeAll()
-	match := func(root *uia.Element) *uia.Element {
-		return root.Find(func(e *uia.Element) bool { return e.ControlID() == node.GID })
-	}
-	if el := match(d.env.App.Win); el != nil {
+	_, _, anc := uia.SplitControlID(node.GID)
+	if el := d.findUnder(d.env.App.Win, anc, node.GID); el != nil {
 		return el
 	}
 	for _, w := range d.env.App.AllPopupWindows() {
-		if el := match(w); el != nil {
+		if el := d.findUnder(w, anc, node.GID); el != nil {
+			return el
+		}
+	}
+	return nil
+}
+
+// findUnder returns the first element under e, e included, whose control
+// id is gid, given anc, the part of gid's ancestor path still to match
+// from e down. Primary ids may contain '/', so each step matches e's
+// primary id as a prefix of anc rather than splitting anc.
+func (d *driver) findUnder(e *uia.Element, anc, gid string) *uia.Element {
+	if anc == "" {
+		if e.ControlID() == gid {
+			return e
+		}
+		return nil
+	}
+	rest, ok := strings.CutPrefix(anc, e.PrimaryID())
+	if !ok || (rest != "" && rest[0] != '/') {
+		return nil
+	}
+	d.env.App.MaterializeList(e)
+	if rest == "" {
+		for _, c := range e.Children() {
+			if c.ControlID() == gid {
+				return c
+			}
+		}
+		return nil
+	}
+	for _, c := range e.Children() {
+		if el := d.findUnder(c, rest[1:], gid); el != nil {
 			return el
 		}
 	}

@@ -1,10 +1,13 @@
 package agent
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/appkit"
 	"repro/internal/forest"
 	"repro/internal/office/word"
 	"repro/internal/osworld"
@@ -62,6 +65,70 @@ func TestFindLiveReachesUnbuiltLists(t *testing.T) {
 			t.Errorf("%s: %d renamed siblings under %s, want 1", gid, renamed, path)
 		}
 	}
+}
+
+// TestFindLiveMatchesFullWalk: descending along a node's ancestor path
+// finds the element the full search found — the first preorder match in
+// the main window, then in AllPopupWindows order, over a fully built
+// surface — for every node of every catalog model, and builds no deferred
+// list off the path. Elements are compared by their position: root and
+// child indexes.
+func TestFindLiveMatchesFullWalk(t *testing.T) {
+	m := sharedModels(t)
+	for _, app := range AppNames() {
+		model := m.ByApp[app]
+		ref := Factories()[app]()
+		ref.MaterializeAll()
+		roots := append([]*uia.Element{ref.Win}, ref.AllPopupWindows()...)
+		live := Factories()[app]()
+		d := &driver{env: &osworld.Env{App: live}}
+		// A control outside every deferred list builds none of them.
+		fresh := countAll(live)
+		if d.findLive(model.Node(1)) == nil || countAll(live) != fresh {
+			t.Errorf("%s: finding %s built deferred lists (%d elements, %d fresh)", app, model.Node(1).GID, countAll(live), fresh)
+		}
+		for id := 0; id < model.NodeCount(); id++ {
+			node := model.Node(id)
+			if node.GID == "" {
+				continue
+			}
+			var want *uia.Element
+			for _, root := range roots {
+				if want = root.Find(func(e *uia.Element) bool { return e.ControlID() == node.GID }); want != nil {
+					break
+				}
+			}
+			got := d.findLive(node)
+			if (got == nil) != (want == nil) || got != nil && position(got, live) != position(want, ref) {
+				t.Fatalf("%s node %d %s: found %v at %q, full walk %v at %q",
+					app, id, node.GID, got, position(got, live), want, position(want, ref))
+			}
+		}
+	}
+}
+
+// position renders e's place in a's surface: the index of its root among
+// the main window and AllPopupWindows, then the child index at each level.
+func position(e *uia.Element, a *appkit.App) string {
+	if e == nil {
+		return ""
+	}
+	var idx []string
+	for ; e.Parent() != nil; e = e.Parent() {
+		idx = append(idx, fmt.Sprint(slices.Index(e.Parent().Children(), e)))
+	}
+	root := slices.Index(append([]*uia.Element{a.Win}, a.AllPopupWindows()...), e)
+	slices.Reverse(idx)
+	return fmt.Sprintf("%d:%s", root, strings.Join(idx, "/"))
+}
+
+// countAll counts the elements a's surface holds now.
+func countAll(a *appkit.App) int {
+	n := 0
+	for _, root := range append([]*uia.Element{a.Win}, a.AllPopupWindows()...) {
+		n += root.Count()
+	}
+	return n
 }
 
 // TestDeepestVisibleLiveMatchesIDMap: the one-pass chain match must agree

@@ -75,6 +75,10 @@ func (d *driver) runGUI() bool {
 type guiCall struct {
 	open    bool
 	visible map[string]bool // control ids visible at plan time
+
+	// snap is the driver's one snapshot buffer: no snapshot outlives the
+	// call that takes it, so each reuses the last one's storage.
+	snap []*uia.Element
 }
 
 func (d *driver) guiEnsureCall() {
@@ -83,9 +87,12 @@ func (d *driver) guiEnsureCall() {
 	}
 	d.call(d.guiPrompt(), true)
 	d.gui.open = true
-	snap := d.env.App.Desk.Snapshot(nil)
-	d.gui.visible = make(map[string]bool, len(snap))
-	for _, e := range snap {
+	d.gui.snap = d.env.App.Desk.Snapshot(d.gui.snap)
+	if d.gui.visible == nil {
+		d.gui.visible = make(map[string]bool, len(d.gui.snap))
+	}
+	clear(d.gui.visible)
+	for _, e := range d.gui.snap {
 		if e.Parent() != nil {
 			d.gui.visible[e.ControlID()] = true
 		}
@@ -343,7 +350,8 @@ func corruptDigits(s string, pick func(int) int) string {
 // per id (core.FirstOnScreen).
 func (d *driver) deepestVisibleLive(chain []*forest.Node) (int, *uia.Element) {
 	var buf [16]*uia.Element
-	first := core.FirstOnScreen(chain, d.env.App.Desk.Snapshot(nil), buf[:0])
+	d.gui.snap = d.env.App.Desk.Snapshot(d.gui.snap)
+	first := core.FirstOnScreen(chain, d.gui.snap, buf[:0])
 	for i := len(chain) - 1; i >= 0; i-- {
 		if el := first[i]; el != nil && el.Enabled() {
 			return i, el

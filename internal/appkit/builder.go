@@ -174,6 +174,32 @@ func (p Panel) ListItem(autoID, name string, onPick func(a *App)) *uia.Element {
 	return it
 }
 
+// Choice is the pending pick of a ChoiceList: a dialog's OK reads it with
+// Chosen. It is instance state outside the elements, so it goes through
+// the undo seam (uia.Store) and rewinds with them.
+type Choice struct {
+	owner  *uia.Element
+	chosen string
+}
+
+// ChoiceList adds a List of leaf items, one per option: activating one
+// makes it the pending choice (and auto-closes menu popups, as ListItem
+// does).
+func (p Panel) ChoiceList(autoID, name string, options []string) *Choice {
+	c := &Choice{owner: p.App.Win}
+	list := p.List(autoID, name)
+	for _, opt := range options {
+		list.ListItem("", opt, func(*App) { uia.Store(c.owner, &c.chosen, opt) })
+	}
+	return c
+}
+
+// Chosen returns the option picked last, or "" if none is.
+func (c *Choice) Chosen() string { return c.chosen }
+
+// Clear leaves no option picked.
+func (c *Choice) Clear() { uia.Store(c.owner, &c.chosen, "") }
+
 // RadioGroup adds a set of radio buttons with single selection. onPick runs
 // with the index of the chosen option.
 func (p Panel) RadioGroup(autoIDPrefix string, options []string, onPick func(a *App, i int)) []*uia.Element {
@@ -266,6 +292,25 @@ func (p Panel) ComboBox(autoID, name string, options []string, onPick func(a *Ap
 // LargeEnumThreshold is the option count beyond which an enumeration is
 // considered "large" and excluded from core topologies.
 const LargeEnumThreshold = 48
+
+// ValueOf returns the text of el's Value pattern, such as an Edit's or a
+// ComboBox's current value ("" without the pattern). Dialog handlers read
+// their controls when they run instead of mirroring them in variables.
+func ValueOf(el *uia.Element) string {
+	if v, ok := el.Pattern(uia.ValuePattern).(uia.Valuer); ok {
+		return v.Value(el)
+	}
+	return ""
+}
+
+// RangeValueOf returns the value of el's RangeValue pattern, such as a
+// Spinner's (0 without the pattern).
+func RangeValueOf(el *uia.Element) float64 {
+	if r, ok := el.Pattern(uia.RangeValuePattern).(uia.RangeValuer); ok {
+		return r.RangeValue(el)
+	}
+	return 0
+}
 
 // Spinner adds a numeric spinner backed by a RangeValue pattern.
 func (p Panel) Spinner(autoID, name string, min, max, initial float64, onChange func(a *App, v float64)) *uia.Element {

@@ -43,6 +43,11 @@ func (a *App) materialize(l *lazyItems) {
 	if l == nil || l.build == nil {
 		return
 	}
+	// A built list is indistinguishable from a deferred one, so building
+	// it is permanent growth: a pooled instance keeps the items instead of
+	// logging them for its next rewind.
+	log := a.Win.UndoLog()
+	defer log.SetRecording(log.SetRecording(false))
 	build := l.build
 	l.build = nil
 	delete(a.deferred, l.list)
@@ -69,6 +74,10 @@ func (a *App) MaterializeAll() {
 	}
 	a.pending = nil
 }
+
+// MaterializeList builds list's items if list is a gallery or combo-box
+// list whose items are still deferred; otherwise it does nothing.
+func (a *App) MaterializeList(list *uia.Element) { a.materialize(a.deferred[list]) }
 
 // EachItem calls fn on every item of a gallery or combo-box list: at once
 // for a built list, otherwise on each item as the list is built, after the

@@ -2,6 +2,7 @@ package appkit
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/uia"
 )
@@ -64,13 +65,12 @@ func (a *App) ColorPicker(autoID, name string, onPick func(a *App, color string)
 
 	more := a.NewDialog(autoID+"MoreDlg", "Colors")
 	mb := more.Panel()
-	var r, g, b float64
 	mb.Label("Custom color (RGB)")
-	mb.Spinner(autoID+"R", "Red", 0, 255, 0, func(_ *App, v float64) { r = v })
-	mb.Spinner(autoID+"G", "Green", 0, 255, 0, func(_ *App, v float64) { g = v })
-	mb.Spinner(autoID+"B", "Blue", 0, 255, 0, func(_ *App, v float64) { b = v })
+	r := mb.Spinner(autoID+"R", "Red", 0, 255, 0, nil)
+	g := mb.Spinner(autoID+"G", "Green", 0, 255, 0, nil)
+	b := mb.Spinner(autoID+"B", "Blue", 0, 255, 0, nil)
 	more.AddOKCancel(func(app *App) {
-		onPick(app, fmt.Sprintf("RGB(%d,%d,%d)", int(r), int(g), int(b)))
+		onPick(app, fmt.Sprintf("RGB(%d,%d,%d)", int(RangeValueOf(r)), int(RangeValueOf(g)), int(RangeValueOf(b))))
 	})
 	// Accepting a custom color dismisses the flyout beneath the dialog too.
 	more.OnClose = func(app *App, accepted bool) {
@@ -155,19 +155,19 @@ func (a *App) Wizard(autoID, name string, steps []WizardStep, onFinish func(a *A
 		panels = append(panels, pg.El)
 	}
 
-	cur := 0
+	// The current page is the one visible panel.
+	cur := func() int { return slices.IndexFunc(panels, (*uia.Element).Visible) }
 	show := func(n int) {
 		if n < 0 || n >= len(panels) {
 			return
 		}
-		cur = n
 		for i, pg := range panels {
-			pg.SetVisible(i == cur)
+			pg.SetVisible(i == n)
 		}
 	}
 	nav := body.Pane(autoID+"Nav", "Wizard Navigation")
-	nav.NavButton(autoID+"Back", "Back", func(*App) { show(cur - 1) })
-	nav.NavButton(autoID+"NextStep", "Next", func(*App) { show(cur + 1) })
+	nav.NavButton(autoID+"Back", "Back", func(*App) { show(cur() - 1) })
+	nav.NavButton(autoID+"NextStep", "Next", func(*App) { show(cur() + 1) })
 	nav.Button(autoID+"Finish", "Finish", func(app *App) {
 		if onFinish != nil {
 			onFinish(app)

@@ -90,3 +90,47 @@ func TestWizardFinishFromAnyStep(t *testing.T) {
 		t.Fatal("wizard did not reset to step 1 on reopen")
 	}
 }
+
+// TestChoiceList: activating an item makes it the pending choice the
+// dialog's OK reads, Clear drops it, and on a pooled instance the choice
+// rewinds with the undo log like the elements do.
+func TestChoiceList(t *testing.T) {
+	a := demoApp()
+	dlg := a.NewDialog("dlgChoice", "Choose")
+	c := dlg.Panel().ChoiceList("lstChoice", "Choices", []string{"One", "Two"})
+	applied := ""
+	ok, _ := dlg.AddOKCancel(func(*App) { applied = c.Chosen() })
+	a.Body().DialogButton("btnChoice", "Choose", dlg, nil)
+	list := dlg.Win.FindByAutomationID("lstChoice")
+	if list == nil || list.Type() != uia.ListControl || len(list.Children()) != 2 {
+		t.Fatalf("choice list %v", list)
+	}
+
+	log := uia.NewUndoLog()
+	log.Attach(a.Win)
+	log.Attach(a.AllPopupWindows()...)
+	log.SetRecording(true)
+	for _, el := range []*uia.Element{a.Win.FindByAutomationID("btnChoice"), list.Children()[1], ok} {
+		if err := a.Desk.Click(el); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if applied != "Two" || c.Chosen() != "Two" {
+		t.Fatalf("OK applied %q with %q pending, want Two", applied, c.Chosen())
+	}
+	log.Rewind()
+	if c.Chosen() != "" {
+		t.Fatalf("pending choice %q survived the rewind", c.Chosen())
+	}
+
+	if err := a.Desk.Click(list.Children()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if c.Chosen() != "One" {
+		t.Fatalf("pending choice %q, want One", c.Chosen())
+	}
+	c.Clear()
+	if c.Chosen() != "" {
+		t.Fatalf("Clear left %q", c.Chosen())
+	}
+}

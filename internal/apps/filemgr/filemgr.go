@@ -66,27 +66,56 @@ func New() *App {
 	// every piece of state that affects element visibility or future click
 	// effects: deletions are undone, clipboards emptied, the viewport and
 	// the folder selection return to their defaults.
-	f.OnSoftReset(func(*appkit.App) {
-		for _, folder := range f.FS.Folders {
-			for _, file := range folder.Files {
-				file.Deleted = false
-			}
-		}
-		f.FS.Trash = nil
-		f.FS.Clipboard = nil
-		f.FS.ClipCut = false
-		f.FS.TextClipboard = ""
-		f.selected = nil
-		f.Current = "Documents"
-		f.ShowHidden = false
-		f.ShowExtensions = false
-		f.SortBy, f.SortDesc = "Name", false
-		f.viewTop = 0
-		f.loadPreview(nil)
-		f.applyViewport()
-	})
+	f.OnSoftReset(func(*appkit.App) { f.softReset() })
 	f.Layout()
 	return f
+}
+
+// Reset puts the file system and the browser state where New would: a new
+// default file tree (renames, deletions, pastes and new folders gone), the
+// clipboard empty, Documents open with default view options. It expects the
+// file list to hold the rows New built, in order — a pooled instance's
+// rewound undo log restores them — and maps the new files onto them.
+func (f *App) Reset() {
+	f.FS = NewFS()
+	clear(f.rows)
+	clear(f.items)
+	clear(f.byItem)
+	clear(f.rowSeq)
+	rows := f.fileList.Children()
+	for _, folder := range f.FS.Folders {
+		for _, file := range folder.Files {
+			row := rows[0]
+			rows = rows[1:]
+			it := row.Children()[0]
+			f.rows[file], f.items[file], f.byItem[it] = row, it, file
+			f.rowSeq[folder.Name]++
+		}
+	}
+	f.pendingRename, f.pendingFolder = "", ""
+	f.softReset()
+}
+
+// softReset restores deletion marks, clipboards, the selection and the
+// browser view: what SoftReset leaves to the application.
+func (f *App) softReset() {
+	for _, folder := range f.FS.Folders {
+		for _, file := range folder.Files {
+			file.Deleted = false
+		}
+	}
+	f.FS.Trash = nil
+	f.FS.Clipboard = nil
+	f.FS.ClipCut = false
+	f.FS.TextClipboard = ""
+	f.selected = nil
+	f.Current = "Documents"
+	f.ShowHidden = false
+	f.ShowExtensions = false
+	f.SortBy, f.SortDesc = "Name", false
+	f.viewTop = 0
+	f.loadPreview(nil)
+	f.applyViewport()
 }
 
 // Targets returns the files an action applies to: the context-menu binding
@@ -394,8 +423,9 @@ func (f *App) addRow(folder *Folder, file *File) {
 
 	opts := uia.NewElement("", "More options", uia.SplitButtonControl)
 	opts.SetDescription("Actions for this file")
-	fi := file
-	opts.OnClick(func(*uia.Element) { f.ctxMenu.Open(fi) })
+	// The file is looked up when clicked, since Reset gives a row a new
+	// file.
+	opts.OnClick(func(*uia.Element) { f.ctxMenu.Open(f.byItem[it]) })
 	row.AddChild(opts)
 
 	f.rows[file] = row

@@ -129,6 +129,11 @@ func TimeZones() []string {
 	return out
 }
 
+// Reset puts the settings values where New would: every field at its
+// default. The UI is the caller's to restore (a pooled instance rewinds its
+// undo log and soft-resets).
+func (s *App) Reset() { s.State = NewState() }
+
 // New assembles the Settings simulator.
 func New() *App {
 	s := &App{App: appkit.New("Settings"), State: NewState()}

@@ -23,25 +23,10 @@ import (
 )
 
 // Setting is one evaluated cell of the matrix.
-type Setting struct {
-	Label     string
-	Interface agent.Interface
-	Profile   llm.Profile
-}
+type Setting = agent.Setting
 
-// Matrix returns the Table 3 rows in paper order.
-func Matrix() []Setting {
-	return []Setting{
-		{"GUI-only / GPT-5 / Medium", agent.GUIOnly, llm.GPT5Medium},
-		{"GUI-only+forest / GPT-5 / Medium", agent.GUIForest, llm.GPT5Medium},
-		{"GUI+DMI / GPT-5 / Medium", agent.GUIDMI, llm.GPT5Medium},
-		{"GUI-only / GPT-5 / Minimal", agent.GUIOnly, llm.GPT5Minimal},
-		{"GUI+DMI / GPT-5 / Minimal", agent.GUIDMI, llm.GPT5Minimal},
-		{"GUI-only / 5-mini / Medium", agent.GUIOnly, llm.GPT5Mini},
-		{"GUI-only+forest / 5-mini / Medium", agent.GUIForest, llm.GPT5Mini},
-		{"GUI+DMI / 5-mini / Medium", agent.GUIDMI, llm.GPT5Mini},
-	}
-}
+// Matrix returns the Table 3 rows in paper order (agent.Settings).
+func Matrix() []Setting { return agent.Settings() }
 
 // Row aggregates one setting.
 type Row struct {

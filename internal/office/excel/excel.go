@@ -38,22 +38,7 @@ type App struct {
 // New assembles the Excel simulator. seed rows are written into the sheet
 // before the UI is built (row-major, starting at A1).
 func New(rows ...[]string) *App {
-	x := &App{App: appkit.New("Excel"), Sheet: NewSheet(), viewTop: 1}
-	if len(rows) == 0 {
-		rows = [][]string{
-			{"Region", "Sales", "Cost"},
-			{"North", "120", "80"},
-			{"South", "95", "60"},
-			{"East", "143", "97"},
-			{"West", "88", "71"},
-			{"Central", "131", "90"},
-		}
-	}
-	for r, row := range rows {
-		for c, v := range row {
-			x.Sheet.SetValue(Ref(r+1, c+1), v)
-		}
-	}
+	x := &App{App: appkit.New("Excel"), Sheet: seededSheet(rows), viewTop: 1}
 
 	picker := x.ColorPicker("clrPicker", "Colors", x.applyColor)
 	x.buildHome(picker)
@@ -78,6 +63,40 @@ func New(rows ...[]string) *App {
 	})
 	x.Layout()
 	return x
+}
+
+// defaultRows seed the sheet New builds without rows.
+var defaultRows = [][]string{
+	{"Region", "Sales", "Cost"},
+	{"North", "120", "80"},
+	{"South", "95", "60"},
+	{"East", "143", "97"},
+	{"West", "88", "71"},
+	{"Central", "131", "90"},
+}
+
+// seededSheet returns a new sheet with rows written from A1, row-major
+// (defaultRows when there are none).
+func seededSheet(rows [][]string) *Sheet {
+	if len(rows) == 0 {
+		rows = defaultRows
+	}
+	s := NewSheet()
+	for r, row := range rows {
+		for c, v := range row {
+			s.SetValue(Ref(r+1, c+1), v)
+		}
+	}
+	return s
+}
+
+// Reset puts the sheet model where New(rows...) would, with the viewport
+// at the top. The UI is the caller's to restore (a pooled instance rewinds
+// its undo log and soft-resets).
+func (x *App) Reset(rows ...[]string) {
+	x.Sheet = seededSheet(rows)
+	x.viewTop = 1
+	x.applyViewport()
 }
 
 func (x *App) applyColor(a *appkit.App, color string) {
@@ -170,16 +189,14 @@ func (x *App) buildHome(picker *appkit.Popup) {
 	fmtMenu := x.NewMenu("mnuFormatCells", "Format")
 	fm := fmtMenu.Panel()
 	colWidthDlg := x.NewDialog("dlgColumnWidth", "Column Width")
-	var width float64 = 8.43
-	colWidthDlg.Panel().Spinner("spnColWidth", "Column width", 0, 255, 8.43,
-		func(_ *appkit.App, v float64) { width = v })
+	width := colWidthDlg.Panel().Spinner("spnColWidth", "Column width", 0, 255, 8.43, nil)
 	colWidthDlg.AddOKCancel(func(*appkit.App) {
 		_, c1, _, c2, ok := ParseRange(x.Sheet.SelectionRange())
 		if !ok {
 			return
 		}
 		for c := c1; c <= c2; c++ {
-			x.Sheet.ColWidth[ColName(c)] = width
+			x.Sheet.ColWidth[ColName(c)] = appkit.RangeValueOf(width)
 		}
 	})
 	fm.MenuItem("", "Row Height", nil)
@@ -250,16 +267,19 @@ func (x *App) buildCondFormattingMenu() *appkit.Popup {
 	hcr := body.Pane("pnlHighlightRules", "Highlight Cells Rules")
 	gtDlg := x.NewDialog("dlgGreaterThan", "Greater Than")
 	gp := gtDlg.Panel()
-	var threshold float64
 	thEd := gp.Edit("edGTValue", "Format cells that are GREATER THAN", "", nil)
 	fills := []string{"Light Red Fill with Dark Red Text", "Yellow Fill with Dark Yellow Text",
 		"Green Fill with Dark Green Text", "Light Red Fill", "Red Text", "Red Border"}
-	chosenFill := fills[0]
-	gp.ComboBox("cbGTFill", "with", fills, func(_ *appkit.App, v string) { chosenFill = v })
+	fill := gp.ComboBox("cbGTFill", "with", fills, nil)
 	gtDlg.AddOKCancel(func(*appkit.App) {
-		v := thEd.Pattern(uia.ValuePattern).(uia.Valuer).Value(thEd)
-		if f, ok := Numeric(v); ok {
-			threshold = f
+		// A value that is no number is a threshold of 0.
+		threshold, ok := Numeric(appkit.ValueOf(thEd))
+		if !ok {
+			threshold = 0
+		}
+		chosenFill := appkit.ValueOf(fill)
+		if chosenFill == "" {
+			chosenFill = fills[0]
 		}
 		x.Sheet.AddCondRule(CondRule{
 			Kind: "GreaterThan", Threshold: threshold,
@@ -324,12 +344,8 @@ func (x *App) buildSortFilterMenu() *appkit.Popup {
 	for i := range cols {
 		cols[i] = "Column " + ColName(i+1)
 	}
-	sortCol, sortOrder := "A", "Ascending"
-	sp.ComboBox("cbSortBy", "Sort by", cols, func(_ *appkit.App, v string) {
-		sortCol = strings.TrimPrefix(v, "Column ")
-	})
-	sp.ComboBox("cbSortOrder", "Order",
-		[]string{"Ascending", "Descending"}, func(_ *appkit.App, v string) { sortOrder = v })
+	sortBy := sp.ComboBox("cbSortBy", "Sort by", cols, nil)
+	sortOrder := sp.ComboBox("cbSortOrder", "Order", []string{"Ascending", "Descending"}, nil)
 	sp.CheckBox("chkHasHeaders", "My data has headers",
 		func(*appkit.App) bool { return true }, func(*appkit.App, bool) {})
 	sortOptions := sp.Pane("pnlSortOptions", "Sort Options")
@@ -338,7 +354,11 @@ func (x *App) buildSortFilterMenu() *appkit.Popup {
 	sortOptions.RadioGroup("rbSortOrient", []string{"Sort top to bottom", "Sort left to right"}, nil)
 	appkit.AddDetailToggle(sp, "btnSort", "Options", "Hide Options", sortOptions.El)
 	sortDlg.AddOKCancel(func(*appkit.App) {
-		x.Sheet.SortByColumn(sortCol, sortOrder == "Descending", true)
+		sortCol := strings.TrimPrefix(appkit.ValueOf(sortBy), "Column ")
+		if sortCol == "" {
+			sortCol = "A"
+		}
+		x.Sheet.SortByColumn(sortCol, appkit.ValueOf(sortOrder) == "Descending", true)
 	})
 	x.sortDlg = sortDlg
 	body.DialogButton("btnCustomSort", "Custom Sort", sortDlg, nil)
@@ -354,14 +374,9 @@ func (x *App) buildSortFilterMenu() *appkit.Popup {
 func (x *App) buildFormatCells(picker *appkit.Popup) *appkit.Popup {
 	dlg := x.NewDialog("dlgFormatCellsFull", "Format Cells")
 	p := dlg.Panel()
-	cats := p.List("lstNumberCategory", "Category")
-	chosen := ""
-	for _, c := range []string{"General", "Number", "Currency", "Accounting",
-		"Date", "Time", "Percentage", "Fraction", "Scientific", "Text",
-		"Special", "Custom"} {
-		c := c
-		cats.ListItem("", c, func(*appkit.App) { chosen = c })
-	}
+	category := p.ChoiceList("lstNumberCategory", "Category", []string{"General", "Number",
+		"Currency", "Accounting", "Date", "Time", "Percentage", "Fraction", "Scientific",
+		"Text", "Special", "Custom"})
 	codes := p.List("lstCustomFormats", "Type")
 	for _, code := range []string{"0", "0.00", "#,##0", "#,##0.00",
 		"#,##0_);(#,##0)", "#,##0_);[Red](#,##0)", "#,##0.00_);(#,##0.00)",
@@ -385,7 +400,7 @@ func (x *App) buildFormatCells(picker *appkit.Popup) *appkit.Popup {
 	p.MenuButton("btnCellFillColor", "Cell Fill Color", picker,
 		func(*appkit.App) any { return BindFillColor })
 	dlg.AddOKCancel(func(*appkit.App) {
-		if chosen != "" {
+		if chosen := category.Chosen(); chosen != "" {
 			x.Sheet.EachSelected(func(_ string, c *Cell) { c.Format = chosen })
 		}
 	})

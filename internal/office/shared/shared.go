@@ -44,20 +44,14 @@ func AddIllustrations(a *appkit.App, tab appkit.Panel, idPrefix string, onInsert
 
 	chart := a.NewDialog(idPrefix+"ChartDlg", "Insert Chart")
 	cp := chart.Panel()
-	list := cp.List(idPrefix+"ChartList", "All Charts")
-	chosen := ""
+	charts := cp.ChoiceList(idPrefix+"ChartList", "All Charts", catalog.ChartTypes)
 	// A fresh dialog starts with no chart type selected. Without this reset
-	// the selection would survive SoftReset inside the closure, and whether
-	// OK inserts a chart (revealing the contextual design tab) would depend
-	// on the instance's click history — breaking rip determinism across
-	// instances.
-	chart.OnOpen = func(*appkit.App, any) { chosen = "" }
-	for _, ct := range catalog.ChartTypes {
-		ct := ct
-		list.ListItem("", ct, func(*appkit.App) { chosen = ct })
-	}
+	// the selection would survive SoftReset, and whether OK inserts a chart
+	// (revealing the contextual design tab) would depend on the instance's
+	// click history — breaking rip determinism across instances.
+	chart.OnOpen = func(*appkit.App, any) { charts.Clear() }
 	chart.AddOKCancel(func(app *appkit.App) {
-		if chosen != "" {
+		if chosen := charts.Chosen(); chosen != "" {
 			onInsert(app, "chart:"+chosen)
 		}
 	})

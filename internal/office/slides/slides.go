@@ -2,6 +2,7 @@ package slides
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/appkit"
@@ -35,16 +36,15 @@ type App struct {
 
 	thumbList *uia.Element
 	thumbs    []*uia.Element
-	thumbTop  int // first visible thumbnail (0-based)
+	thumbTop  int          // first visible thumbnail (0-based)
+	showList  appkit.Panel // the Custom Slide Show dialog's one item per slide
 	titleEl   *uia.Element
 	bodyEl    *uia.Element
 }
 
 // New assembles the PowerPoint simulator with n slides (default 12).
 func New(n int) *App {
-	if n <= 0 {
-		n = 12
-	}
+	n = deckSize(n)
 	p := &App{App: appkit.New("PowerPoint"), Deck: NewDeck(n)}
 
 	picker := p.ColorPicker("clrPicker", "Colors", p.applyColor)
@@ -69,6 +69,38 @@ func New(n int) *App {
 	})
 	p.Layout()
 	return p
+}
+
+// deckSize applies New's default deck size to n.
+func deckSize(n int) int {
+	if n <= 0 {
+		return 12
+	}
+	return n
+}
+
+// Reset puts the deck where New(n) would: a fresh n-slide deck, no picture
+// border, the thumbnail panel scrolled to the top. When n differs from the
+// number of thumbnails, the thumbnails and the Custom Slide Show list are
+// rebuilt for n slides and the application is laid out again, as New(n)
+// lays it out; like every other UI change, that goes through the elements'
+// undo seam.
+func (p *App) Reset(n int) {
+	n = deckSize(n)
+	p.Deck = NewDeck(n)
+	p.PictureBorder = ""
+	// The thumbnail list's children are the thumbnails; a rewound instance
+	// may still hold those of a session's inserted slide.
+	p.thumbs = append(p.thumbs[:0], p.thumbList.Children()...)
+	if len(p.thumbs) != n {
+		p.refreshThumbs()
+		for _, it := range slices.Clone(p.showList.El.Children()) {
+			p.showList.El.RemoveChild(it)
+		}
+		p.addShowItems()
+		p.Layout()
+	}
+	p.ScrollThumbsTo(0)
 }
 
 func (p *App) applyColor(a *appkit.App, color string) {
@@ -443,10 +475,8 @@ func (p *App) buildSlideShow() {
 	start.Button("btnPresentOnline", "Present Online", nil)
 	customShow := p.NewDialog("dlgCustomShow", "Define Custom Show")
 	cp := customShow.Panel()
-	showList := cp.List("lstShowSlides", "Slides in presentation")
-	for i := range p.Deck.Slides {
-		showList.ListItem("", fmt.Sprintf("Slide %d", i+1), nil)
-	}
+	p.showList = cp.List("lstShowSlides", "Slides in presentation")
+	p.addShowItems()
 	cp.Edit("edShowName", "Slide show name", "Custom Show 1", nil)
 	customShow.AddOKCancel(nil)
 	start.DialogButton("btnCustomSlideShow", "Custom Slide Show", customShow, nil)
@@ -478,6 +508,14 @@ func (p *App) buildSlideShow() {
 		}
 	})
 	setup.Button("btnRehearseTimings", "Rehearse Timings", nil)
+}
+
+// addShowItems lists every slide of the deck in the Custom Slide Show
+// dialog.
+func (p *App) addShowItems() {
+	for i := range p.Deck.Slides {
+		p.showList.ListItem("", fmt.Sprintf("Slide %d", i+1), nil)
+	}
 }
 
 func (p *App) buildReviewView() {

@@ -64,13 +64,28 @@ type Document struct {
 // NewDocument creates a document from paragraph texts with default
 // formatting.
 func NewDocument(paras ...string) *Document {
-	d := &Document{
+	d := &Document{text: &uia.SimpleText{}}
+	d.text.OnSelect = func(_ *uia.Element, startLine, endLine int) {
+		// Paragraph i occupies line 2i-1 (paragraphs are separated by
+		// blank lines so that line- and paragraph-selection both work).
+		d.SelStart = (startLine + 1) / 2
+		d.SelEnd = (endLine + 1) / 2
+	}
+	d.reset(paras)
+	return d
+}
+
+// reset returns the document to NewDocument(paras...) in place, keeping
+// its Text pattern provider, which the UI holds.
+func (d *Document) reset(paras []string) {
+	*d = Document{
 		Orientation: "Portrait",
 		Theme:       "Office",
 		Margins:     "Normal",
 		PaperSize:   "Letter",
 		Columns:     1,
 		Language:    "English (United States)",
+		text:        d.text,
 	}
 	for _, t := range paras {
 		d.Paras = append(d.Paras, &Para{
@@ -79,15 +94,8 @@ func NewDocument(paras ...string) *Document {
 			FontColor: "Automatic", UnderlineColor: "Automatic",
 		})
 	}
-	d.text = &uia.SimpleText{}
+	d.text.ClearSelection()
 	d.rebuildText()
-	d.text.OnSelect = func(_ *uia.Element, startLine, endLine int) {
-		// Paragraph i occupies line 2i-1 (paragraphs are separated by
-		// blank lines so that line- and paragraph-selection both work).
-		d.SelStart = (startLine + 1) / 2
-		d.SelEnd = (endLine + 1) / 2
-	}
-	return d
 }
 
 // TextPattern exposes the document body as a uia Text pattern.

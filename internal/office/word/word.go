@@ -41,16 +41,19 @@ type App struct {
 // ContextImageSelected is the name of the image-selection context.
 const ContextImageSelected = "image-selected"
 
+// defaultParas is the document New builds without paragraphs.
+var defaultParas = []string{
+	"Annual report overview for the fiscal year.",
+	"Revenue grew moderately across all regions.",
+	"Costs were dominated by infrastructure investment.",
+	"Outlook remains cautiously optimistic.",
+	"Appendix: methodology and data sources.",
+}
+
 // New assembles the Word simulator around the given initial paragraphs.
 func New(paras ...string) *App {
 	if len(paras) == 0 {
-		paras = []string{
-			"Annual report overview for the fiscal year.",
-			"Revenue grew moderately across all regions.",
-			"Costs were dominated by infrastructure investment.",
-			"Outlook remains cautiously optimistic.",
-			"Appendix: methodology and data sources.",
-		}
+		paras = defaultParas
 	}
 	w := &App{App: appkit.New("Word"), Doc: NewDocument(paras...)}
 
@@ -80,6 +83,18 @@ func New(paras ...string) *App {
 	w.OnSoftReset(func(*appkit.App) { w.Doc.ClearSelection() })
 	w.Layout()
 	return w
+}
+
+// Reset puts the document model where New(paras...) would: the document
+// and the picture selection with its border. The UI is the caller's to
+// restore (a pooled instance rewinds its undo log and soft-resets).
+func (w *App) Reset(paras ...string) {
+	if len(paras) == 0 {
+		paras = defaultParas
+	}
+	w.Doc.reset(paras)
+	w.PictureSelected = false
+	w.PictureBorder = ""
 }
 
 // applyColor routes a color pick to the bound property.
@@ -259,9 +274,7 @@ func (w *App) buildHome(picker *appkit.Popup) {
 func (w *App) buildFindReplace() *appkit.Popup {
 	dlg := w.NewDialog("dlgFindReplace", "Find and Replace")
 	p := dlg.Panel()
-	var findWhat, replaceWith string
 	fw := p.Edit("edFindWhat", "Find what", "", func(_ *appkit.App, v string) {
-		findWhat = v
 		if strings.HasPrefix(v, "+") {
 			w.findBtn.SetName("Go To")
 		} else {
@@ -269,14 +282,13 @@ func (w *App) buildFindReplace() *appkit.Popup {
 		}
 	})
 	fw.SetDescription("Text to search for")
-	p.Edit("edReplaceWith", "Replace with", "", func(_ *appkit.App, v string) {
-		replaceWith = v
-	})
+	rw := p.Edit("edReplaceWith", "Replace with", "", nil)
 
 	p.Button("btnReplaceAll", "Replace All", func(*appkit.App) {
-		w.Doc.ReplaceAll(findWhat, replaceWith)
+		w.Doc.ReplaceAll(appkit.ValueOf(fw), appkit.ValueOf(rw))
 	})
 	p.Button("btnReplaceOne", "Replace", func(*appkit.App) {
+		findWhat, replaceWith := appkit.ValueOf(fw), appkit.ValueOf(rw)
 		for _, para := range w.Doc.Paras {
 			if strings.Contains(para.Text, findWhat) && findWhat != "" {
 				para.Text = strings.Replace(para.Text, findWhat, replaceWith, 1)
@@ -337,20 +349,19 @@ func (w *App) buildParagraphDialog() *appkit.Popup {
 	p.Spinner("dlgIndentRight", "Indentation Right", 0, 10, 0, nil)
 	p.Spinner("dlgSpaceBefore", "Spacing Before", 0, 100, 0, nil)
 	p.Spinner("dlgSpaceAfter", "Spacing After", 0, 100, 8, nil)
-	var lineVal float64 = 1.08
-	p.ComboBox("dlgLineSpacing", "Line spacing",
-		[]string{"Single", "1.5 lines", "Double", "At least", "Exactly", "Multiple"},
-		func(_ *appkit.App, v string) {
-			switch v {
-			case "Single":
-				lineVal = 1.0
-			case "1.5 lines":
-				lineVal = 1.5
-			case "Double":
-				lineVal = 2.0
-			}
-		})
+	spacing := p.ComboBox("dlgLineSpacing", "Line spacing",
+		[]string{"Single", "1.5 lines", "Double", "At least", "Exactly", "Multiple"}, nil)
 	dlg.AddOKCancel(func(*appkit.App) {
+		// The choices without a fixed multiple keep Word's default.
+		lineVal := 1.08
+		switch appkit.ValueOf(spacing) {
+		case "Single":
+			lineVal = 1.0
+		case "1.5 lines":
+			lineVal = 1.5
+		case "Double":
+			lineVal = 2.0
+		}
 		w.Doc.ApplyToSelection(func(pp *Para) { pp.LineSpacing = lineVal })
 	})
 	return dlg
@@ -383,10 +394,11 @@ func (w *App) buildInsert() {
 	}
 	insTblDlg := w.NewDialog("dlgInsertTable", "Insert Table")
 	ip := insTblDlg.Panel()
-	var rows, cols float64 = 2, 5
-	ip.Spinner("spnTableCols", "Number of columns", 1, 63, 5, func(_ *appkit.App, v float64) { cols = v })
-	ip.Spinner("spnTableRows", "Number of rows", 1, 200, 2, func(_ *appkit.App, v float64) { rows = v })
-	insTblDlg.AddOKCancel(func(*appkit.App) { w.Doc.InsertTable(int(rows), int(cols)) })
+	cols := ip.Spinner("spnTableCols", "Number of columns", 1, 63, 5, nil)
+	rows := ip.Spinner("spnTableRows", "Number of rows", 1, 200, 2, nil)
+	insTblDlg.AddOKCancel(func(*appkit.App) {
+		w.Doc.InsertTable(int(appkit.RangeValueOf(rows)), int(appkit.RangeValueOf(cols)))
+	})
 	tb.DialogButton("btnInsertTableDlg", "Insert Table", insTblDlg, nil)
 	tb.MenuItem("btnDrawTable", "Draw Table", nil)
 	tables.MenuButton("btnTable", "Table", tblMenu, nil)

@@ -57,10 +57,17 @@ func (t Task) BuildEnv() (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env.Kind = t.App
-	env.Expected = t.Expected
-	env.verify = t.Verify
+	env.bind(t)
 	return env, nil
+}
+
+// bind points env at t: its application kind, expected answer and verify
+// condition, with no answer recorded yet.
+func (e *Env) bind(t Task) {
+	e.Kind = t.App
+	e.Expected = t.Expected
+	e.verify = t.Verify
+	e.Answer = ""
 }
 
 // Check builds a fresh environment and evaluates the verify condition once,
@@ -89,7 +96,8 @@ func errSetup(app string, op SetupOp) error {
 
 // Word -------------------------------------------------------------------------
 
-func wordEnv(setup []SetupOp) (*Env, error) {
+// wordParagraphs interprets Word's setup: the paragraphs to seed.
+func wordParagraphs(setup []SetupOp) ([]string, error) {
 	var texts []string
 	for _, op := range setup {
 		if op.Op != SetupWordParagraphs {
@@ -97,7 +105,23 @@ func wordEnv(setup []SetupOp) (*Env, error) {
 		}
 		texts = op.Texts
 	}
+	return texts, nil
+}
+
+func wordEnv(setup []SetupOp) (*Env, error) {
+	texts, err := wordParagraphs(setup)
+	if err != nil {
+		return nil, err
+	}
 	w := word.New(texts...)
+	reset := func(setup []SetupOp) error {
+		texts, err := wordParagraphs(setup)
+		if err != nil {
+			return err
+		}
+		w.Reset(texts...)
+		return nil
+	}
 	probe := func(path string) (any, error) {
 		switch path {
 		case "orientation":
@@ -148,25 +172,37 @@ func wordEnv(setup []SetupOp) (*Env, error) {
 		}
 		return nil, errPath("Word", path)
 	}
-	return &Env{App: w.App, probe: probe}, nil
+	return &Env{App: w.App, probe: probe, reset: reset}, nil
 }
 
 // Excel ------------------------------------------------------------------------
 
-func excelEnv(setup []SetupOp) (*Env, error) {
-	x := excel.New()
+// setCells applies Excel's setup: cell values written into the sheet.
+func setCells(x *excel.App, setup []SetupOp) error {
 	for _, op := range setup {
 		if op.Op != SetupExcelSetCell {
-			return nil, errSetup("Excel", op)
+			return errSetup("Excel", op)
 		}
 		v, ok := op.Value.(string)
 		if !ok {
-			return nil, fmt.Errorf("setup op %q: cell value must be a string, got %T", op.Op, op.Value)
+			return fmt.Errorf("setup op %q: cell value must be a string, got %T", op.Op, op.Value)
 		}
 		if _, _, ok := excel.ParseRef(op.Ref); !ok {
-			return nil, fmt.Errorf("setup op %q: invalid cell ref %q", op.Op, op.Ref)
+			return fmt.Errorf("setup op %q: invalid cell ref %q", op.Op, op.Ref)
 		}
 		x.Sheet.SetValue(op.Ref, v)
+	}
+	return nil
+}
+
+func excelEnv(setup []SetupOp) (*Env, error) {
+	x := excel.New()
+	if err := setCells(x, setup); err != nil {
+		return nil, err
+	}
+	reset := func(setup []SetupOp) error {
+		x.Reset()
+		return setCells(x, setup)
 	}
 	probe := func(path string) (any, error) {
 		switch path {
@@ -218,7 +254,7 @@ func excelEnv(setup []SetupOp) (*Env, error) {
 		}
 		return nil, errPath("Excel", path)
 	}
-	return &Env{App: x.App, probe: probe}, nil
+	return &Env{App: x.App, probe: probe, reset: reset}, nil
 }
 
 // PowerPoint -------------------------------------------------------------------
@@ -227,20 +263,37 @@ func excelEnv(setup []SetupOp) (*Env, error) {
 // this only guards pack validation against allocation abuse).
 const maxDeckSlides = 500
 
-func slidesEnv(setup []SetupOp) (*Env, error) {
+// deckSize interprets PowerPoint's setup: the number of slides.
+func deckSize(setup []SetupOp) (int, error) {
 	count := 0 // slides.New treats <= 0 as the default deck
 	for _, op := range setup {
 		if op.Op != SetupSlidesDeck {
-			return nil, errSetup("PowerPoint", op)
+			return 0, errSetup("PowerPoint", op)
 		}
 		// Bound the deck so validating an untrusted pack cannot allocate an
 		// absurd number of slides.
 		if op.Count < 0 || op.Count > maxDeckSlides {
-			return nil, fmt.Errorf("setup op %q: deck size %d outside [0,%d]", op.Op, op.Count, maxDeckSlides)
+			return 0, fmt.Errorf("setup op %q: deck size %d outside [0,%d]", op.Op, op.Count, maxDeckSlides)
 		}
 		count = op.Count
 	}
+	return count, nil
+}
+
+func slidesEnv(setup []SetupOp) (*Env, error) {
+	count, err := deckSize(setup)
+	if err != nil {
+		return nil, err
+	}
 	p := slides.New(count)
+	reset := func(setup []SetupOp) error {
+		count, err := deckSize(setup)
+		if err != nil {
+			return err
+		}
+		p.Reset(count)
+		return nil
+	}
 	probe := func(path string) (any, error) {
 		switch path {
 		case "slide-count":
@@ -295,20 +348,32 @@ func slidesEnv(setup []SetupOp) (*Env, error) {
 		}
 		return nil, errPath("PowerPoint", path)
 	}
-	return &Env{App: p.App, probe: probe}, nil
+	return &Env{App: p.App, probe: probe, reset: reset}, nil
 }
 
 // Settings ---------------------------------------------------------------------
 
-func settingsEnv(setup []SetupOp) (*Env, error) {
-	s := settings.New()
+// setSettings applies Settings' setup: field values.
+func setSettings(s *settings.App, setup []SetupOp) error {
 	for _, op := range setup {
 		if op.Op != SetupSettingsSet {
-			return nil, errSetup("Settings", op)
+			return errSetup("Settings", op)
 		}
 		if err := setSettingsField(s.State, op); err != nil {
-			return nil, err
+			return err
 		}
+	}
+	return nil
+}
+
+func settingsEnv(setup []SetupOp) (*Env, error) {
+	s := settings.New()
+	if err := setSettings(s, setup); err != nil {
+		return nil, err
+	}
+	reset := func(setup []SetupOp) error {
+		s.Reset()
+		return setSettings(s, setup)
 	}
 	probe := func(path string) (any, error) {
 		st := s.State
@@ -342,7 +407,7 @@ func settingsEnv(setup []SetupOp) (*Env, error) {
 		}
 		return nil, errPath("Settings", path)
 	}
-	return &Env{App: s.App, probe: probe}, nil
+	return &Env{App: s.App, probe: probe, reset: reset}, nil
 }
 
 // setSettingsField applies one settings-set op; the field vocabulary covers
@@ -378,11 +443,23 @@ func setSettingsField(st *settings.State, op SetupOp) error {
 
 // Files ------------------------------------------------------------------------
 
-func filesEnv(setup []SetupOp) (*Env, error) {
+// noFilesSetup refuses any setup op: Files starts from its factory state.
+func noFilesSetup(setup []SetupOp) error {
 	if len(setup) > 0 {
-		return nil, errSetup("Files", setup[0])
+		return errSetup("Files", setup[0])
+	}
+	return nil
+}
+
+func filesEnv(setup []SetupOp) (*Env, error) {
+	if err := noFilesSetup(setup); err != nil {
+		return nil, err
 	}
 	f := filemgr.New()
+	reset := func(setup []SetupOp) error {
+		f.Reset()
+		return noFilesSetup(setup)
+	}
 	probe := func(path string) (any, error) {
 		switch path {
 		case "current":
@@ -411,5 +488,5 @@ func filesEnv(setup []SetupOp) (*Env, error) {
 		}
 		return nil, errPath("Files", path)
 	}
-	return &Env{App: f.App, probe: probe}, nil
+	return &Env{App: f.App, probe: probe, reset: reset}, nil
 }

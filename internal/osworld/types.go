@@ -3,7 +3,8 @@
 // OSWorld-W (Windows) subset the paper evaluates (§5.1) — plus the Settings
 // and Files applications of the extended catalog, which stress category
 // trees, confirm dialogs, list selection state, and scroll viewports. Every
-// task builds a fresh application instance, carries a ground-truth semantic
+// task runs on an application instance that is fresh or reset to be
+// indistinguishable from fresh (pool.go), carries a ground-truth semantic
 // plan annotated with difficulty and failure-trap metadata, and verifies
 // success against real application state after the agent runs.
 package osworld
@@ -75,9 +76,9 @@ type PlanStep struct {
 	TrapAlt    *Target
 }
 
-// Env is a live task environment: a fresh application, the probe that
-// resolves verify-condition paths against its state, and the bound verify
-// condition.
+// Env is a live task environment: an application instance (fresh from
+// Build, or pooled and reset by Checkout), the probe that resolves
+// verify-condition paths against its state, and the bound verify condition.
 type Env struct {
 	App  *appkit.App
 	Kind string // "Word", "Excel", "PowerPoint", "Settings", "Files"
@@ -94,6 +95,14 @@ type Env struct {
 
 	// verify is the task's declarative success condition.
 	verify Cond
+
+	// reset puts the application's document model where a fresh build
+	// with the given setup would (pool.go).
+	reset func(setup []SetupOp) error
+	// undo and desk are a pooled instance's undo log and the desktop state
+	// it returns to; undo is nil for an environment built outside the pool.
+	undo *uia.UndoLog
+	desk uia.DeskState
 }
 
 // Verify reports task success from application state (and the recorded
@@ -103,6 +112,9 @@ func (e *Env) Verify() bool {
 	ok, err := e.verify.Eval(e)
 	return err == nil && ok
 }
+
+// Probe reads the application state at a verify-condition path.
+func (e *Env) Probe(path string) (any, error) { return e.probe(path) }
 
 // Task is one benchmark scenario — pure data. The environment it runs in is
 // derived by Build from the app's compiled-in factory, the declarative

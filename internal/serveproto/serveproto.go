@@ -13,10 +13,13 @@
 // failure is the HTTP status itself (400, 404, 413, 5xx, or a 409 with a
 // PackMismatch body). Sessions are stateless, pure functions of
 // (model, task, setting, run): the RNG stream is derived from those
-// coordinates alone, so replaying a request on any replica yields the same
-// bytes. That idempotency is the entire failure-handling story — a
-// coordinator may re-dispatch a failed cell to another replica without
-// deduplication, fencing, or sequencing.
+// coordinates alone, and the application instance a session clicks is
+// either fresh or a pooled one reset so that nothing from its earlier
+// sessions can alter an outcome (osworld.Task.Checkout, DESIGN.md §3.1),
+// so replaying a request on any replica yields the same bytes. That
+// idempotency is the entire failure-handling story — a coordinator may
+// re-dispatch a failed cell to another replica without deduplication,
+// fencing, or sequencing.
 package serveproto
 
 import (
@@ -126,7 +129,12 @@ type StatsResponse struct {
 	// Expansions counts frames expanded for POST /v1/rip — the replica-side
 	// ledger of distributed-rip work (omitted when the replica has done
 	// none, which keeps pre-rip consumers byte-stable).
-	Expansions   int64            `json:"expansions,omitempty"`
+	Expansions int64 `json:"expansions,omitempty"`
+	// EnvsReused and EnvsBuilt count the sessions whose application
+	// instance came from the process's instance pool, reset for the task,
+	// and those that had to build one (osworld.PoolStats).
+	EnvsReused   int64            `json:"envs_reused"`
+	EnvsBuilt    int64            `json:"envs_built"`
 	Store        modelstore.Stats `json:"store"`
 	WarmHitRatio float64          `json:"warm_hit_ratio"`
 	BudgetBytes  int64            `json:"budget_bytes"`

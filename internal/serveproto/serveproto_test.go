@@ -132,3 +132,22 @@ func TestHitRatio(t *testing.T) {
 		t.Errorf("3 hits / 1 miss should be 0.75, got %v", r)
 	}
 }
+
+// TestStatsPoolCounters: the instance-pool counters are always on the
+// wire, zero included, so an operator reads "reused 0" rather than a
+// missing field from a replica that has built every environment.
+func TestStatsPoolCounters(t *testing.T) {
+	data, err := json.Marshal(StatsResponse{EnvsBuilt: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"envs_reused":0`, `"envs_built":3`} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("stats JSON %s lacks %s", data, key)
+		}
+	}
+	var back StatsResponse
+	if err := json.Unmarshal(data, &back); err != nil || back.EnvsBuilt != 3 || back.EnvsReused != 0 {
+		t.Errorf("round trip: %+v, %v", back, err)
+	}
+}

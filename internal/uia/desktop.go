@@ -174,7 +174,7 @@ func (d *Desktop) SnapshotWindow(w *Element) []*Element {
 // and the observation counts down its deferral.
 func observe(e *Element, out []*Element) []*Element {
 	if e.deferVisible > 0 {
-		e.deferVisible--
+		e.setDefer(e.deferVisible - 1)
 		return out
 	}
 	if !e.visible {
@@ -229,7 +229,7 @@ func (d *Desktop) Click(e *Element) error {
 	for _, fn := range e.onClick {
 		fn(e)
 	}
-	if e.ctype == EditControl || e.HasPattern(ValuePattern) || e.HasPattern(TextPattern) {
+	if e.Type() == EditControl || e.HasPattern(ValuePattern) || e.HasPattern(TextPattern) {
 		d.focus = e
 	}
 	return nil

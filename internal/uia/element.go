@@ -31,16 +31,17 @@ func (r Rect) Empty() bool { return r.W <= 0 || r.H <= 0 }
 type Element struct {
 	automationID string
 	name         string
-	ctype        ControlType
 	desc         string
 
+	// ctype is the ControlType in one byte (the 41 types fit), so that the
+	// flags and deferVisible share its word and the undo-log pointer below
+	// still leaves an Element in the 208-byte allocation size class.
+	ctype     uint8
 	enabled   bool
 	visible   bool
 	largeEnum bool // large enumeration (font list, symbol grid): pruned from core topologies
 	// deferVisible implements lazy loading: while > 0, the element is
 	// excluded from snapshots and each snapshot observation decrements it.
-	// An int32 beside the flags fills their padding, which keeps an
-	// Element in the 208-byte allocation size class.
 	deferVisible int32
 	rect         Rect
 
@@ -55,6 +56,10 @@ type Element struct {
 	// first use and cleared by invalidateIDs on renames and re-parenting.
 	idCache   string
 	pathCache string
+
+	// log is the undo log of the pooled instance the element belongs to,
+	// nil for elements of a fresh build or a rip instance (undo.go).
+	log *UndoLog
 }
 
 // NewElement creates a visible, enabled element.
@@ -62,7 +67,7 @@ func NewElement(automationID, name string, t ControlType) *Element {
 	return &Element{
 		automationID: automationID,
 		name:         name,
-		ctype:        t,
+		ctype:        uint8(t),
 		enabled:      true,
 		visible:      true,
 	}
@@ -89,31 +94,49 @@ func (e *Element) SetName(name string) {
 	if e.name == name {
 		return
 	}
+	if l := e.recorder(); l != nil {
+		l.push(undoEntry{op: undoName, el: e, str: e.name})
+	}
 	e.name = name
 	e.invalidateIDs()
 }
 
 // Type returns the control type.
-func (e *Element) Type() ControlType { return e.ctype }
+func (e *Element) Type() ControlType { return ControlType(e.ctype) }
 
 // Description returns the full_description accessibility property.
 func (e *Element) Description() string { return e.desc }
 
 // SetDescription sets the full_description accessibility property.
-func (e *Element) SetDescription(d string) { e.desc = d }
+func (e *Element) SetDescription(d string) {
+	if l := e.recorder(); l != nil && e.desc != d {
+		l.push(undoEntry{op: undoDesc, el: e, str: e.desc})
+	}
+	e.desc = d
+}
 
 // Enabled reports whether the control accepts interaction.
 func (e *Element) Enabled() bool { return e.enabled }
 
 // SetEnabled enables or disables the control.
-func (e *Element) SetEnabled(v bool) { e.enabled = v }
+func (e *Element) SetEnabled(v bool) {
+	if l := e.recorder(); l != nil && e.enabled != v {
+		l.push(undoEntry{op: undoEnabled, el: e, flag: e.enabled})
+	}
+	e.enabled = v
+}
 
 // Visible reports the element's own visibility flag. Use OnScreen to check
 // whether the element is actually exposed (all ancestors visible too).
 func (e *Element) Visible() bool { return e.visible }
 
 // SetVisible sets the element's own visibility flag.
-func (e *Element) SetVisible(v bool) { e.visible = v }
+func (e *Element) SetVisible(v bool) {
+	if l := e.recorder(); l != nil && e.visible != v {
+		l.push(undoEntry{op: undoVisible, el: e, flag: e.visible})
+	}
+	e.visible = v
+}
 
 // LargeEnum reports whether this element roots a large enumeration (such as
 // a font list) that core-topology extraction prunes (paper §3.3).
@@ -126,7 +149,12 @@ func (e *Element) MarkLargeEnum() { e.largeEnum = true }
 func (e *Element) Rect() Rect { return e.rect }
 
 // SetRect sets the element's bounding rectangle.
-func (e *Element) SetRect(r Rect) { e.rect = r }
+func (e *Element) SetRect(r Rect) {
+	if l := e.recorder(); l != nil && e.rect != r {
+		l.push(undoEntry{op: undoRect, el: e, rect: e.rect})
+	}
+	e.rect = r
+}
 
 // Parent returns the parent element, or nil at a tree root.
 func (e *Element) Parent() *Element { return e.parent }
@@ -134,10 +162,17 @@ func (e *Element) Parent() *Element { return e.parent }
 // Children returns the child slice. Callers must not mutate it.
 func (e *Element) Children() []*Element { return e.children }
 
-// AddChild appends child (and its subtree) under e.
+// AddChild appends child (and its subtree) under e. A subtree added under
+// an element of a pooled instance joins that instance's undo log.
 func (e *Element) AddChild(child *Element) {
 	if child.parent != nil {
 		child.parent.RemoveChild(child)
+	}
+	if e.log != nil && child.log != e.log {
+		child.Walk(func(n *Element) bool { n.log = e.log; return true })
+	}
+	if l := e.recorder(); l != nil {
+		l.push(undoEntry{op: undoAddChild, el: e, child: child})
 	}
 	child.parent = e
 	child.invalidateIDs()
@@ -149,6 +184,9 @@ func (e *Element) AddChild(child *Element) {
 func (e *Element) RemoveChild(child *Element) {
 	for i, c := range e.children {
 		if c == child {
+			if l := e.recorder(); l != nil {
+				l.push(undoEntry{op: undoRemoveChild, el: e, child: child, at: i})
+			}
 			e.children = append(e.children[:i], e.children[i+1:]...)
 			child.parent = nil
 			child.invalidateIDs()
@@ -195,7 +233,15 @@ func (e *Element) OnScreen() bool {
 // control that the application populates asynchronously (paper §3.4,
 // "failure retry mechanism for GUI controls that may load slowly").
 func (e *Element) DeferVisibility(n int) {
-	e.deferVisible = int32(max(0, min(n, math.MaxInt32)))
+	e.setDefer(int32(max(0, min(n, math.MaxInt32))))
+}
+
+// setDefer stores the lazy-loading countdown, logging the old one.
+func (e *Element) setDefer(n int32) {
+	if l := e.recorder(); l != nil && e.deferVisible != n {
+		l.push(undoEntry{op: undoDefer, el: e, n: e.deferVisible})
+	}
+	e.deferVisible = n
 }
 
 // SetPattern attaches a control-pattern provider. The provider must satisfy
@@ -204,11 +250,18 @@ func (e *Element) DeferVisibility(n int) {
 // it untyped so applications can attach marker-only patterns too.
 // Setting a pattern again replaces its provider.
 func (e *Element) SetPattern(id PatternID, provider any) {
+	l := e.recorder()
 	for i := range e.patterns {
 		if e.patterns[i].id == id {
+			if l != nil {
+				l.push(undoEntry{op: undoPattern, el: e, at: i, prov: e.patterns[i].provider})
+			}
 			e.patterns[i].provider = provider
 			return
 		}
+	}
+	if l != nil {
+		l.push(undoEntry{op: undoPatternAdd, el: e})
 	}
 	e.patterns = append(e.patterns, patternEntry{id, provider})
 }
@@ -339,7 +392,7 @@ func (e *Element) ControlID() string {
 		if e.parent != nil {
 			anc = e.parent.path()
 		}
-		e.idCache = e.PrimaryID() + "|" + e.ctype.String() + "|" + anc
+		e.idCache = e.PrimaryID() + "|" + e.Type().String() + "|" + anc
 	}
 	return e.idCache
 }
@@ -381,5 +434,5 @@ func (e *Element) invalidateIDs() {
 
 // String renders a short human-readable description for diagnostics.
 func (e *Element) String() string {
-	return fmt.Sprintf("%s(%s)", e.name, e.ctype)
+	return fmt.Sprintf("%s(%s)", e.name, e.Type())
 }

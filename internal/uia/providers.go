@@ -8,6 +8,9 @@ import (
 // This file provides reusable state-backed pattern providers so that
 // applications don't re-implement common control behaviour. Each provider
 // stores its state internally and can notify the application of changes.
+// Setters store through the undo seam (undo.go), keyed by the element they
+// are called with, so a pooled instance's provider state rewinds with its
+// elements.
 
 // ToggleState provider ------------------------------------------------------
 
@@ -30,7 +33,7 @@ func (t *SimpleToggle) SetToggleState(e *Element, s ToggleState) error {
 	if t.State == s {
 		return nil
 	}
-	t.State = s
+	Store(e, &t.State, s)
 	if t.OnChange != nil {
 		t.OnChange(e, s)
 	}
@@ -59,7 +62,7 @@ func (v *SimpleValue) SetValue(e *Element, s string) error {
 	if v.ReadOnly {
 		return fmt.Errorf("uia: value of %s is read-only", e)
 	}
-	v.Val = s
+	Store(e, &v.Val, s)
 	if v.OnChange != nil {
 		v.OnChange(e, s)
 	}
@@ -90,10 +93,10 @@ func (s *SimpleScroll) ScrollPercent(*Element) (float64, float64) { return s.H, 
 // preserved by passing NoScroll.
 func (s *SimpleScroll) SetScrollPercent(e *Element, h, v float64) error {
 	if s.H != NoScroll && h != NoScroll {
-		s.H = clampPercent(h)
+		Store(e, &s.H, clampPercent(h))
 	}
 	if s.V != NoScroll && v != NoScroll {
-		s.V = clampPercent(v)
+		Store(e, &s.V, clampPercent(v))
 	}
 	if s.OnChange != nil {
 		s.OnChange(e, s.H, s.V)
@@ -144,7 +147,7 @@ func (t *SimpleText) SelectLines(e *Element, start, end int) error {
 	if start < 1 || end < start || end > len(t.Lines) {
 		return fmt.Errorf("uia: line range [%d,%d] out of bounds (1..%d)", start, end, len(t.Lines))
 	}
-	t.selStart, t.selEnd = start, end
+	t.setSelection(e, start, end)
 	if t.OnSelect != nil {
 		t.OnSelect(e, start, end)
 	}
@@ -184,11 +187,17 @@ func (t *SimpleText) SelectParagraphs(e *Element, start, end int) error {
 	if start < 1 || end < start || end > len(ranges) {
 		return fmt.Errorf("uia: paragraph range [%d,%d] out of bounds (1..%d)", start, end, len(ranges))
 	}
-	t.selStart, t.selEnd = ranges[start-1][0], ranges[end-1][1]
+	t.setSelection(e, ranges[start-1][0], ranges[end-1][1])
 	if t.OnSelect != nil {
 		t.OnSelect(e, t.selStart, t.selEnd)
 	}
 	return nil
+}
+
+// setSelection stores the 1-based line selection through the undo seam.
+func (t *SimpleText) setSelection(e *Element, start, end int) {
+	Store(e, &t.selStart, start)
+	Store(e, &t.selEnd, end)
 }
 
 // Selection returns the current 1-based line selection.
@@ -248,6 +257,7 @@ type selectionListItem SimpleSelectionList
 func (li *selectionListItem) IsSelected(e *Element) bool { return li.selected[e] }
 
 func (li *selectionListItem) Select(e *Element) error {
+	storeSet(e, li.selected)
 	for k := range li.selected {
 		delete(li.selected, k)
 	}
@@ -260,12 +270,14 @@ func (li *selectionListItem) AddToSelection(e *Element) error {
 	if !li.Multi && len(li.selected) > 0 {
 		return fmt.Errorf("uia: %s does not support multi-select", e)
 	}
+	storeSet(e, li.selected)
 	li.selected[e] = true
 	li.fire(e)
 	return nil
 }
 
 func (li *selectionListItem) RemoveFromSelection(e *Element) error {
+	storeSet(e, li.selected)
 	delete(li.selected, e)
 	li.fire(e)
 	return nil
@@ -301,7 +313,7 @@ func (r *SimpleRange) SetRangeValue(e *Element, v float64) error {
 	if v < r.Min || v > r.Max {
 		return fmt.Errorf("uia: range value %v outside [%v,%v]", v, r.Min, r.Max)
 	}
-	r.Val = v
+	Store(e, &r.Val, v)
 	if r.OnChange != nil {
 		r.OnChange(e, v)
 	}
@@ -334,7 +346,7 @@ func (x *SimpleExpand) ExpandState(*Element) ExpandState { return x.state }
 
 // Expand shows the target.
 func (x *SimpleExpand) Expand(e *Element) error {
-	x.state = Expanded
+	Store(e, &x.state, Expanded)
 	if x.Target != nil {
 		x.Target.SetVisible(true)
 	}
@@ -346,7 +358,7 @@ func (x *SimpleExpand) Expand(e *Element) error {
 
 // Collapse hides the target.
 func (x *SimpleExpand) Collapse(e *Element) error {
-	x.state = Collapsed
+	Store(e, &x.state, Collapsed)
 	if x.Target != nil {
 		x.Target.SetVisible(false)
 	}
