@@ -265,6 +265,23 @@ func BenchmarkOffline_RipPowerPointParallel4(b *testing.B) {
 	benchRipParallel(b, 4, func() *dmi.App { return slides.New(12).App })
 }
 
+// BenchmarkOffline_CatalogCold is a cold build of the five-app catalog in a
+// fresh store — rip, forest transform, describe — at one worker (the
+// sequential rip) and at two: modeling wall-clock per catalog, the
+// end-to-end figure every rip optimisation answers to.
+func BenchmarkOffline_CatalogCold(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := agent.BuildModelsIn(modelstore.New(), workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkOffline_ModelStoreWarm measures the marginal modeling cost of a
 // session once the store is warm: near-zero, the scaling property the
 // modelstore subsystem exists for.

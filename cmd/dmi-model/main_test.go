@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/agent"
-	"repro/internal/appkit"
 	"repro/internal/serveproto"
 	"repro/internal/ung"
 )
@@ -110,10 +109,10 @@ func TestHelpFlagIsNotAnError(t *testing.T) {
 
 // ripServer is a minimal rip replica for the -replicas tests: /v1/healthz
 // reports ready and /v1/rip expands frames on real app
-// instances — the same ung.ExpandFrame path the dmi-serve daemon runs.
+// instances — the same ung.Cursor path the dmi-serve daemon runs.
 type ripServer struct {
-	mu    sync.Mutex
-	insts map[string]*appkit.App
+	mu   sync.Mutex
+	curs map[string]*ung.Cursor
 }
 
 func (rs *ripServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -134,22 +133,22 @@ func (rs *ripServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if rs.insts == nil {
-		rs.insts = make(map[string]*appkit.App)
+	if rs.curs == nil {
+		rs.curs = make(map[string]*ung.Cursor)
 	}
-	inst := rs.insts[req.App]
-	if inst == nil {
+	cur := rs.curs[req.App]
+	if cur == nil {
 		factory, ok := agent.Factories()[req.App]
 		if !ok {
 			http.Error(w, "unknown app", http.StatusNotFound)
 			return
 		}
-		inst = factory()
-		rs.insts[req.App] = inst
+		cur = ung.NewCursor(factory())
+		rs.curs[req.App] = cur
 	}
 	resp := serveproto.RipResponse{App: req.App, Context: req.Context}
 	for _, f := range req.Frames {
-		exp := serveproto.FromExpansion(ung.ExpandFrame(inst, req.Context, ung.Frame{ID: f.ID, Path: f.Path}))
+		exp := serveproto.FromExpansion(cur.Expand(req.Context, ung.Frame{ID: f.ID, Path: f.Path}))
 		resp.Results = append(resp.Results, serveproto.RipResult{Status: http.StatusOK, Expansion: &exp})
 	}
 	w.Header().Set("Content-Type", "application/json")

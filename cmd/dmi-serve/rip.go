@@ -22,45 +22,48 @@ import (
 const ripPoolCap = 8
 
 // ripPool caches warm application instances per app across /v1/rip
-// requests. Reuse is safe by construction: ung.ExpandFrame starts with a
-// soft reset and replays the frame's click path, so a frame's expansion is
-// a pure function of (app, context, frame) no matter what the instance did
-// before — the same idempotency argument that makes cross-replica
-// re-dispatch safe makes instance reuse safe.
+// requests, each with the ung.Cursor that drives it. Reuse is safe by
+// construction: a cursor rewinds its instance to a checkpoint on the
+// frame's own click path, or to the state it found the instance in, before
+// it expands a frame, so a frame's expansion is a pure function of (app,
+// context, frame) no matter what the instance did before — the same
+// argument that makes cross-replica re-dispatch safe makes instance reuse
+// safe. A cursor keeps its checkpoints between requests, so the envelopes
+// of one rip, which carry sibling frames, expand from them.
 type ripPool struct {
 	mu   sync.Mutex
-	free map[string]chan *appkit.App
+	free map[string]chan *ung.Cursor
 }
 
 func newRipPool() *ripPool {
-	return &ripPool{free: make(map[string]chan *appkit.App)}
+	return &ripPool{free: make(map[string]chan *ung.Cursor)}
 }
 
-func (p *ripPool) lane(app string) chan *appkit.App {
+func (p *ripPool) lane(app string) chan *ung.Cursor {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ch, ok := p.free[app]
 	if !ok {
-		ch = make(chan *appkit.App, ripPoolCap)
+		ch = make(chan *ung.Cursor, ripPoolCap)
 		p.free[app] = ch
 	}
 	return ch
 }
 
-// get returns a warm instance or builds a fresh one.
-func (p *ripPool) get(app string, factory func() *appkit.App) *appkit.App {
+// get returns a warm cursor or one on a fresh instance.
+func (p *ripPool) get(app string, factory func() *appkit.App) *ung.Cursor {
 	select {
-	case inst := <-p.lane(app):
-		return inst
+	case cur := <-p.lane(app):
+		return cur
 	default:
-		return factory()
+		return ung.NewCursor(factory())
 	}
 }
 
-// put returns an instance to the pool, dropping it when the pool is full.
-func (p *ripPool) put(app string, inst *appkit.App) {
+// put returns a cursor to the pool, dropping it when the pool is full.
+func (p *ripPool) put(app string, cur *ung.Cursor) {
 	select {
-	case p.lane(app) <- inst:
+	case p.lane(app) <- cur:
 	default:
 	}
 }
@@ -105,15 +108,15 @@ func (s *server) handleRip(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown app %q", req.App), http.StatusNotFound)
 		return
 	}
-	inst := s.rip.get(req.App, factory)
-	defer s.rip.put(req.App, inst)
-	// An unknown context would not fail loudly on the instance (the ripper's
-	// restore ignores EnterContext errors, by design for the "" base
-	// context), but expanding a frame in the wrong context would return
+	cur := s.rip.get(req.App, factory)
+	defer s.rip.put(req.App, cur)
+	// An unknown context would not fail loudly on the instance (the cursor
+	// ignores EnterContext errors, by design for the "" base context), but
+	// expanding a frame in the wrong context would return
 	// wrong-but-plausible reveals — a silent catalog skew between the
 	// coordinator's probe and this replica. Reject it before touching a
 	// frame.
-	if req.Context != "" && !knownContext(inst, req.Context) {
+	if req.Context != "" && !knownContext(cur.App(), req.Context) {
 		http.Error(w, fmt.Sprintf("unknown context %q for app %q", req.Context, req.App), http.StatusNotFound)
 		return
 	}
@@ -125,7 +128,7 @@ func (s *server) handleRip(w http.ResponseWriter, r *http.Request) {
 			results[i] = serveproto.RipResult{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
-		exp := ung.ExpandFrame(inst, req.Context, ung.Frame{ID: wf.ID, Path: wf.Path})
+		exp := cur.Expand(req.Context, ung.Frame{ID: wf.ID, Path: wf.Path})
 		we := serveproto.FromExpansion(exp)
 		results[i] = serveproto.RipResult{Status: http.StatusOK, Expansion: &we}
 		expanded++

@@ -120,15 +120,11 @@ func TestRipValidation(t *testing.T) {
 }
 
 // TestRipMatchesLocalExpand is the replica-side determinism check: an
-// expansion served over POST /v1/rip must equal ung.ExpandFrame on a local
-// instance driven through the same frame sequence — same outcome, same
-// reveals in the same order, same click and snapshot counts — including
-// across envelopes that reuse the warm pooled instance. (The comparison
-// instance mirrors the pooled one's history rather than starting fresh per
-// envelope: stateful controls like combo toggles survive a soft reset, so
-// an expansion is a deterministic function of the instance's expansion
-// history, not of the frame alone — the same contract the in-process worker
-// pool has always run under.)
+// expansion served over POST /v1/rip must equal the same frame expanded by
+// a fresh ung.Cursor on a fresh instance — same outcome, same reveals in
+// the same order, same click and snapshot counts — including across
+// envelopes that reuse the warm pooled instance and its cursor's
+// checkpoints.
 func TestRipMatchesLocalExpand(t *testing.T) {
 	const app = "Settings"
 	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
@@ -148,7 +144,6 @@ func TestRipMatchesLocalExpand(t *testing.T) {
 		frames = append(frames, serveproto.RipFrame{ID: n.ID})
 	}
 
-	local := factory() // mirrors the server's pooled instance across rounds
 	for round := 0; round < 2; round++ {
 		rec := postRip(t, s, serveproto.RipRequest{App: app, Frames: frames})
 		if rec.Code != http.StatusOK {
@@ -170,7 +165,7 @@ func TestRipMatchesLocalExpand(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d frame %q: %v", round, fr.ID, err)
 			}
-			want := ung.ExpandFrame(local, "", ung.Frame{ID: fr.ID, Path: fr.Path})
+			want := ung.NewCursor(factory()).Expand("", ung.Frame{ID: fr.ID, Path: fr.Path})
 			if !reflect.DeepEqual(remote, want) {
 				t.Errorf("round %d frame %q diverges from the local expansion:\n got %+v\nwant %+v",
 					round, fr.ID, remote, want)

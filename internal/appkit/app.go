@@ -13,6 +13,7 @@ package appkit
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/uia"
 )
@@ -47,7 +48,7 @@ type App struct {
 	binding any
 
 	contexts  []Context
-	active    map[string]bool // active context names
+	active    []string        // active context names, in activation order
 	blocklist map[string]bool // synthesized control IDs the ripper must not click
 
 	commits     []commitHandler
@@ -82,7 +83,6 @@ func New(name string) *App {
 		Name:      name,
 		Desk:      d,
 		Win:       win,
-		active:    make(map[string]bool),
 		blocklist: make(map[string]bool),
 	}
 
@@ -191,7 +191,9 @@ func (a *App) EnterContext(name string) error {
 		if c.Enter != nil {
 			c.Enter(a)
 		}
-		a.active[name] = true
+		if !slices.Contains(a.active, name) {
+			a.setActive(append(a.active, name))
+		}
 		for _, t := range a.tabs {
 			if t.contextual == name {
 				t.item.SetVisible(true)
@@ -211,7 +213,7 @@ func (a *App) ExitContext(name string) {
 		if c.Exit != nil {
 			c.Exit(a)
 		}
-		delete(a.active, name)
+		a.setActive(slices.DeleteFunc(slices.Clone(a.active), func(n string) bool { return n == name }))
 		for _, t := range a.tabs {
 			if t.contextual == name {
 				t.item.SetVisible(false)
@@ -224,7 +226,11 @@ func (a *App) ExitContext(name string) {
 }
 
 // ContextActive reports whether the named context is active.
-func (a *App) ContextActive(name string) bool { return a.active[name] }
+func (a *App) ContextActive(name string) bool { return slices.Contains(a.active, name) }
+
+// setActive makes names the active contexts through the undo seam, clipped
+// like the popup stack (setPopups) so the log's copy is never overwritten.
+func (a *App) setActive(names []string) { uia.Store(a.Win, &a.active, slices.Clip(names)) }
 
 // Blocklist ------------------------------------------------------------------
 
@@ -256,7 +262,7 @@ func (a *App) OnSoftReset(fn func(a *App)) { a.onSoftReset = append(a.onSoftRese
 // prohibitively expensive full restart (paper §4.1, access blocklist).
 func (a *App) SoftReset() {
 	a.CloseAllPopups()
-	for name := range a.active {
+	for _, name := range a.active {
 		a.ExitContext(name)
 	}
 	a.ActivateTabByName(a.defaultTab)

@@ -1,6 +1,10 @@
 package appkit
 
-import "repro/internal/uia"
+import (
+	"slices"
+
+	"repro/internal/uia"
+)
 
 // PopupKind distinguishes transient menus (auto-close when a leaf item is
 // activated) from modal dialogs (closed explicitly via OK/Cancel/Close).
@@ -90,11 +94,11 @@ func (p *Popup) AddOKCancel(apply func(a *App)) (ok, cancel *uia.Element) {
 // open is a no-op (re-binding still occurs).
 func (p *Popup) Open(binding any) {
 	a := p.App
-	a.binding = binding
+	uia.Store(a.Win, &a.binding, binding)
 	a.materialize(p.items)
 	if !a.Desk.IsOpen(p.Win) {
 		a.Desk.OpenWindow(p.Win)
-		a.popups = append(a.popups, p)
+		a.setPopups(append(a.popups, p))
 	}
 	if p.OnOpen != nil {
 		p.OnOpen(a, binding)
@@ -135,8 +139,8 @@ func (a *App) closePopup(p *Popup, accepted bool) {
 		// Close this popup and everything above it (inner chains die with
 		// their parent). The stack is popped before OnClose hooks fire so
 		// hooks observe a consistent stack and may close further popups.
-		closed := append([]*Popup(nil), a.popups[i:]...)
-		a.popups = a.popups[:i]
+		closed := a.popups[i:]
+		a.setPopups(a.popups[:i])
 		for j := len(closed) - 1; j >= 0; j-- {
 			inner := closed[j]
 			a.Desk.CloseWindow(inner.Win)
@@ -145,7 +149,7 @@ func (a *App) closePopup(p *Popup, accepted bool) {
 			}
 		}
 		if len(a.popups) == 0 {
-			a.binding = nil
+			uia.Store(a.Win, &a.binding, nil)
 		}
 		return
 	}
@@ -159,6 +163,11 @@ func (a *App) CloseMenuChain() {
 		a.CloseTopPopup(false)
 	}
 }
+
+// setPopups makes s the popup stack through the undo seam. s is clipped to
+// its length, so the next push copies it: a stack the log holds is never
+// written through again, and closed above keeps the popups it lists.
+func (a *App) setPopups(s []*Popup) { uia.Store(a.Win, &a.popups, slices.Clip(s)) }
 
 // leafActivated is called by item builders when a menu leaf is clicked; it
 // closes the menu chain, mirroring real menu behaviour.

@@ -134,3 +134,37 @@ func TestChoiceList(t *testing.T) {
 		t.Fatalf("Clear left %q", c.Chosen())
 	}
 }
+
+// TestStackRewinds: the popup stack, the binding and the active contexts
+// go through the undo seam, so rewinding to a mark taken with one popup
+// open and a context active restores exactly that, whatever was opened,
+// closed, entered or left since.
+func TestStackRewinds(t *testing.T) {
+	a := demoApp()
+	a.RegisterContext(Context{Name: "picked"})
+	outer, inner := a.NewMenu("mnuOuter", "Outer"), a.NewMenu("mnuInner", "Inner")
+	log := uia.NewUndoLog()
+	log.Attach(a.Win)
+	log.Attach(a.AllPopupWindows()...)
+	log.SetRecording(true)
+
+	outer.Open("outer binding")
+	if err := a.EnterContext("picked"); err != nil {
+		t.Fatal(err)
+	}
+	mark := log.Mark()
+	inner.Open("inner binding")
+	a.CloseAllPopups()
+	a.ExitContext("picked")
+	inner.Open("again")
+	log.RewindTo(mark)
+	if a.OpenPopups() != 1 || a.popups[0] != outer || a.Binding() != "outer binding" || !a.ContextActive("picked") {
+		t.Fatalf("after the rewind: %d popups, binding %v, context active %v; want outer open, its binding, active",
+			a.OpenPopups(), a.Binding(), a.ContextActive("picked"))
+	}
+	log.Rewind()
+	if a.OpenPopups() != 0 || a.Binding() != nil || a.ContextActive("picked") {
+		t.Fatalf("after the full rewind: %d popups, binding %v, context active %v; want none",
+			a.OpenPopups(), a.Binding(), a.ContextActive("picked"))
+	}
+}

@@ -2,6 +2,7 @@ package filemgr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/appkit"
@@ -97,25 +98,34 @@ func (f *App) Reset() {
 }
 
 // softReset restores deletion marks, clipboards, the selection and the
-// browser view: what SoftReset leaves to the application.
+// browser view: what SoftReset leaves to the application. Each of them is
+// written through the undo seam wherever it changes (DESIGN.md §14.4).
 func (f *App) softReset() {
 	for _, folder := range f.FS.Folders {
 		for _, file := range folder.Files {
-			file.Deleted = false
+			if file.Deleted {
+				uia.Store(f.Win, &file.Deleted, false)
+			}
 		}
 	}
-	f.FS.Trash = nil
-	f.FS.Clipboard = nil
-	f.FS.ClipCut = false
-	f.FS.TextClipboard = ""
-	f.selected = nil
-	f.Current = "Documents"
-	f.ShowHidden = false
-	f.ShowExtensions = false
-	f.SortBy, f.SortDesc = "Name", false
-	f.viewTop = 0
+	uia.Store(f.Win, &f.FS.Trash, nil)
+	f.setClipboard(nil, false)
+	uia.Store(f.Win, &f.FS.TextClipboard, "")
+	uia.Store(f.Win, &f.selected, nil)
+	uia.Store(f.Win, &f.Current, "Documents")
+	uia.Store(f.Win, &f.ShowHidden, false)
+	uia.Store(f.Win, &f.ShowExtensions, false)
+	uia.Store(f.Win, &f.SortBy, "Name")
+	uia.Store(f.Win, &f.SortDesc, false)
+	uia.Store(f.Win, &f.viewTop, 0)
 	f.loadPreview(nil)
 	f.applyViewport()
+}
+
+// setClipboard replaces the file clipboard through the undo seam.
+func (f *App) setClipboard(files []*File, cut bool) {
+	uia.Store(f.Win, &f.FS.Clipboard, files)
+	uia.Store(f.Win, &f.FS.ClipCut, cut)
 }
 
 // Targets returns the files an action applies to: the context-menu binding
@@ -295,11 +305,11 @@ func (f *App) buildView() {
 	show := view.Group("grpShow", "Show")
 	hid := show.CheckBox("chkHiddenF", "Hidden items",
 		func(*appkit.App) bool { return f.ShowHidden },
-		func(_ *appkit.App, on bool) { f.ShowHidden = on; f.applyViewport() })
+		func(_ *appkit.App, on bool) { uia.Store(f.Win, &f.ShowHidden, on); f.applyViewport() })
 	hid.SetDescription("Show files whose names start with a dot")
 	ext := show.CheckBox("chkExtensionsF", "File name extensions",
 		func(*appkit.App) bool { return f.ShowExtensions },
-		func(_ *appkit.App, on bool) { f.ShowExtensions = on })
+		func(_ *appkit.App, on bool) { uia.Store(f.Win, &f.ShowExtensions, on) })
 	ext.SetDescription("Show file name extensions in the list")
 
 	show.CheckBox("chkItemCheckboxes", "Item check boxes",
@@ -312,11 +322,11 @@ func (f *App) buildView() {
 	sp := sm.Panel()
 	for _, k := range []string{"Name", "Size", "Kind", "Date modified"} {
 		k := k
-		sp.MenuItem("", k, func(*appkit.App) { f.SortBy = k })
+		sp.MenuItem("", k, func(*appkit.App) { uia.Store(f.Win, &f.SortBy, k) })
 	}
 	sp.Separator()
-	sp.MenuItem("srtAsc", "Ascending", func(*appkit.App) { f.SortDesc = false })
-	sp.MenuItem("srtDesc", "Descending", func(*appkit.App) { f.SortDesc = true })
+	sp.MenuItem("srtAsc", "Ascending", func(*appkit.App) { uia.Store(f.Win, &f.SortDesc, false) })
+	sp.MenuItem("srtDesc", "Descending", func(*appkit.App) { uia.Store(f.Win, &f.SortDesc, true) })
 	sort.MenuButton("btnSortBy", "Sort by", sm, nil)
 	group := f.NewMenu("mnuGroupBy", "Group by")
 	for _, k := range []string{"(None)", "Name", "Size", "Kind", "Date modified"} {
@@ -362,12 +372,13 @@ func (f *App) buildBody() {
 	area.Custom(lst)
 	f.fileList = lst
 	f.sel = uia.NewSelectionList(true, func(items []*uia.Element) {
-		f.selected = f.selected[:0]
+		var selected []*File
 		for _, it := range items {
 			if file, ok := f.byItem[it]; ok {
-				f.selected = append(f.selected, file)
+				selected = append(selected, file)
 			}
 		}
+		uia.Store(f.Win, &f.selected, selected)
 		if len(f.selected) == 1 {
 			f.loadPreview(f.selected[0])
 		}
@@ -438,8 +449,8 @@ func (f *App) SetFolder(name string) {
 	if f.FS.Folder(name) == nil {
 		return
 	}
-	f.Current = name
-	f.viewTop = 0
+	uia.Store(f.Win, &f.Current, name)
+	uia.Store(f.Win, &f.viewTop, 0)
 	f.applyViewport()
 }
 
@@ -490,7 +501,7 @@ func (f *App) ScrollTo(v float64) {
 	if top > maxTop {
 		top = maxTop
 	}
-	f.viewTop = top
+	uia.Store(f.Win, &f.viewTop, top)
 	f.applyViewport()
 }
 
@@ -511,23 +522,23 @@ func (f *App) Item(file *File) *uia.Element { return f.items[file] }
 
 // loadPreview shows the file's text content in the preview pane.
 func (f *App) loadPreview(file *File) {
-	f.previewOf = file
-	f.previewText.ClearSelection()
-	if file == nil {
-		f.previewText.Lines = nil
-		return
+	uia.Store(f.Win, &f.previewOf, file)
+	f.previewText.ClearSelection(f.preview)
+	var lines []string
+	if file != nil {
+		lines = append(lines, file.PreviewText()...)
 	}
-	f.previewText.Lines = append([]string(nil), file.PreviewText()...)
+	uia.Store(f.Win, &f.previewText.Lines, lines)
 }
 
 // copyPreviewText copies the preview selection (or, with no selection, the
 // whole preview) into the text clipboard.
 func (f *App) copyPreviewText() {
-	if sel := f.previewText.SelectedText(); sel != "" {
-		f.FS.TextClipboard = sel
-		return
+	text := f.previewText.SelectedText()
+	if text == "" {
+		text = strings.Join(f.previewText.Lines, "\n")
 	}
-	f.FS.TextClipboard = strings.Join(f.previewText.Lines, "\n")
+	uia.Store(f.Win, &f.FS.TextClipboard, text)
 }
 
 // toClipboard loads the target files into the file clipboard.
@@ -536,8 +547,7 @@ func (f *App) toClipboard(cut bool) {
 	if len(targets) == 0 {
 		return
 	}
-	f.FS.Clipboard = append([]*File(nil), targets...)
-	f.FS.ClipCut = cut
+	f.setClipboard(append([]*File(nil), targets...), cut)
 }
 
 // folderOf returns the folder name containing the file ("" if unknown).
@@ -583,8 +593,7 @@ func (f *App) paste() {
 			f.addRow(dst, &dup)
 		}
 	}
-	f.FS.Clipboard = nil
-	f.FS.ClipCut = false
+	f.setClipboard(nil, false)
 	f.applyViewport()
 }
 
@@ -608,8 +617,10 @@ func (f *App) applyRename() {
 func (f *App) applyDelete() {
 	for _, file := range f.Targets() {
 		if !file.Deleted {
-			file.Deleted = true
-			f.FS.Trash = append(f.FS.Trash, file.Name)
+			uia.Store(f.Win, &file.Deleted, true)
+			// Clipped, the append copies: a trash the log holds keeps its
+			// contents.
+			uia.Store(f.Win, &f.FS.Trash, append(slices.Clip(f.FS.Trash), file.Name))
 		}
 	}
 	f.applyViewport()

@@ -131,7 +131,7 @@ func TimeZones() []string {
 
 // Reset puts the settings values where New would: every field at its
 // default. The UI is the caller's to restore (a pooled instance rewinds its
-// undo log and soft-resets).
+// undo log).
 func (s *App) Reset() { s.State = NewState() }
 
 // New assembles the Settings simulator.

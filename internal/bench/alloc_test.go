@@ -12,7 +12,7 @@ import (
 // (setting, task) cell once, models already built and their name indexes
 // already filled, each app's pooled instance already built. The figures
 // are deterministic up to a few allocations per session. A session makes
-// about 325 allocations of 35.7 KB (go1.24), budgeted at about 10% more.
+// about 322 allocations of 35.8 KB (go1.24), budgeted at about 10% more.
 // Before sessions checked their app out of the instance pool, staleness
 // injection descended along the target's path and the GUI agent reused its
 // snapshot buffer and visible-id set, it made 5,240 of 380 KB; before

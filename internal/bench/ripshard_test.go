@@ -21,7 +21,7 @@ import (
 )
 
 // ripReplica is an httptest-backed rip replica: it answers POST /v1/rip by
-// running real ung.ExpandFrame calls against its own app instance — exactly
+// running real ung.Cursor expansions on its own app instance — exactly
 // what the daemon's pooled instance does — with the same injectable failure
 // modes as testReplica. One instance per replica mirrors production: each
 // replica accumulates its own expansion history, and the merged graph must
@@ -29,7 +29,7 @@ import (
 type ripReplica struct {
 	app     string
 	mu      sync.Mutex
-	inst    *appkit.App
+	cur     *ung.Cursor
 	factory func() *appkit.App
 
 	// failAfter starts answering 500 (rip and health alike) once this many
@@ -50,7 +50,7 @@ type ripReplica struct {
 
 func newRipReplica(app string) *ripReplica {
 	factory := agent.Factories()[app]
-	return &ripReplica{app: app, factory: factory, inst: factory(), failAfter: -1}
+	return &ripReplica{app: app, factory: factory, cur: ung.NewCursor(factory()), failAfter: -1}
 }
 
 func (rr *ripReplica) failing() bool {
@@ -98,7 +98,7 @@ func (rr *ripReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				Status: http.StatusBadRequest, Error: "injected frame rejection"})
 			continue
 		}
-		exp := ung.ExpandFrame(rr.inst, req.Context, ung.Frame{ID: f.ID, Path: f.Path})
+		exp := rr.cur.Expand(req.Context, ung.Frame{ID: f.ID, Path: f.Path})
 		we := serveproto.FromExpansion(exp)
 		resp.Results = append(resp.Results, serveproto.RipResult{Status: http.StatusOK, Expansion: &we})
 		rr.frames.Add(1)

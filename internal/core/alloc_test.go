@@ -159,11 +159,12 @@ func TestVisitAllocsBounded(t *testing.T) {
 // TestPromptCostingAllocs gates the audit: each half of the audited
 // per-call costing path must allocate less than the pre-audit half it
 // replaced. The screen half is the one-pass PromptStats against a label
-// capture plus its passive payload (measured 20 vs 64 objects per call);
+// capture plus its passive payload (measured 11 vs 12 objects per call);
 // the topology half is the memoized Model.Core against a live Serialize
-// (0 vs 357). Per-half bounds imply the whole-call one (20 vs 421), and
+// (0 vs 13). Per-half bounds imply the whole-call one (11 vs 25), and
 // unlike it they catch a screen half that falls back to the label capture,
-// which the topology half's margin would otherwise hide.
+// which the topology half's margin would otherwise hide. Neither half goes
+// through a sync.Pool, so the counts are exact under the race detector too.
 func TestPromptCostingAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/strutil"
@@ -225,12 +226,9 @@ func (s *Session) PassiveTexts(lm *LabelMap, truncAt int) string {
 			empty++
 			continue
 		}
-		fmt.Fprintf(&b, "%s %s=%s\n",
-			alphaLabel(i), e.Name(), strutil.TruncateChars(text, truncAt))
+		writePassive(&b, i, e, text, truncAt)
 	}
-	if empty > 0 {
-		fmt.Fprintf(&b, "(%d empty data items omitted)\n", empty)
-	}
+	writeOmitted(&b, empty)
 	return b.String()
 }
 
@@ -264,13 +262,31 @@ func (s *Session) PromptStats(truncAt int) (controls int, passive string) {
 			empty++
 			continue
 		}
-		fmt.Fprintf(&b, "%s %s=%s\n",
-			alphaLabel(i), e.Name(), strutil.TruncateChars(text, truncAt))
+		writePassive(&b, i, e, text, truncAt)
 	}
-	if empty > 0 {
-		fmt.Fprintf(&b, "(%d empty data items omitted)\n", empty)
-	}
+	writeOmitted(&b, empty)
 	return controls, b.String()
+}
+
+// writePassive appends the passive line of the DataItem labeled by index
+// i. The passive payload is written straight into the builder rather than
+// through fmt, whose pooled printers allocate a varying number of objects
+// per call under the race detector (sync.Pool drops a random share of its
+// Puts there), so the prompt-costing allocation counts stay exact.
+func writePassive(b *strings.Builder, i int, e *uia.Element, text string, truncAt int) {
+	b.WriteString(alphaLabel(i))
+	b.WriteByte(' ')
+	b.WriteString(e.Name())
+	b.WriteByte('=')
+	b.WriteString(strutil.TruncateChars(text, truncAt))
+	b.WriteByte('\n')
+}
+
+// writeOmitted appends the count of empty DataItems the payload leaves out.
+func writeOmitted(b *strings.Builder, empty int) {
+	if empty > 0 {
+		b.WriteString("(" + strconv.Itoa(empty) + " empty data items omitted)\n")
+	}
 }
 
 // resolveLabel maps a screen label to its element with structured errors.

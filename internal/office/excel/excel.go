@@ -39,6 +39,7 @@ type App struct {
 // before the UI is built (row-major, starting at A1).
 func New(rows ...[]string) *App {
 	x := &App{App: appkit.New("Excel"), Sheet: seededSheet(rows), viewTop: 1}
+	x.Sheet.owner = x.Win
 
 	picker := x.ColorPicker("clrPicker", "Colors", x.applyColor)
 	x.buildHome(picker)
@@ -92,9 +93,10 @@ func seededSheet(rows [][]string) *Sheet {
 
 // Reset puts the sheet model where New(rows...) would, with the viewport
 // at the top. The UI is the caller's to restore (a pooled instance rewinds
-// its undo log and soft-resets).
+// its undo log).
 func (x *App) Reset(rows ...[]string) {
 	x.Sheet = seededSheet(rows)
+	x.Sheet.owner = x.Win
 	x.viewTop = 1
 	x.applyViewport()
 }
@@ -767,8 +769,7 @@ func (x *App) ScrollTo(v float64) {
 	if top > maxTop {
 		top = maxTop
 	}
-	x.viewTop = top
-	x.applyViewport()
+	x.setViewTop(top)
 }
 
 // ScrollToRow pans the viewport so the given row is visible.
@@ -784,7 +785,12 @@ func (x *App) ScrollToRow(row int) {
 	if top > maxTop {
 		top = maxTop
 	}
-	x.viewTop = top
+	x.setViewTop(top)
+}
+
+// setViewTop pans the viewport to start at row top, through the undo seam.
+func (x *App) setViewTop(top int) {
+	uia.Store(x.Win, &x.viewTop, top)
 	x.applyViewport()
 }
 

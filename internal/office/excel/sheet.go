@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/uia"
 )
 
 // GridRows and GridCols define the modeled sheet size. The UI exposes every
@@ -56,6 +58,10 @@ type Sheet struct {
 	Charts    []string
 	ColWidth  map[string]float64
 	Saved     string
+
+	// owner is an element of the application showing the sheet, whose undo
+	// log records the selection (uia.Store); nil for a sheet without UI.
+	owner *uia.Element
 }
 
 // NewSheet creates an empty sheet with A1 active.
@@ -168,8 +174,7 @@ func (s *Sheet) Select(from, to string) bool {
 	if !ok {
 		return false
 	}
-	s.SelFrom, s.SelTo = Ref(r1, c1), Ref(r2, c2)
-	s.ActiveCell = s.SelFrom
+	s.selectRefs(Ref(r1, c1), Ref(r2, c2))
 	return true
 }
 
@@ -179,9 +184,15 @@ func (s *Sheet) SelectRange(rng string) bool {
 	if !ok {
 		return false
 	}
-	s.SelFrom, s.SelTo = Ref(r1, c1), Ref(r2, c2)
-	s.ActiveCell = s.SelFrom
+	s.selectRefs(Ref(r1, c1), Ref(r2, c2))
 	return true
+}
+
+// selectRefs makes from:to the selection and from the active cell.
+func (s *Sheet) selectRefs(from, to string) {
+	uia.Store(s.owner, &s.SelFrom, from)
+	uia.Store(s.owner, &s.SelTo, to)
+	uia.Store(s.owner, &s.ActiveCell, from)
 }
 
 // SelectionRange returns the selection as "A1:C10" (or a single ref).

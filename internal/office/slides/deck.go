@@ -4,7 +4,11 @@
 // the slide-thumbnail scrollbar of Task 2.
 package slides
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/uia"
+)
 
 // Shape is an object on a slide.
 type Shape struct {
@@ -50,6 +54,11 @@ type Deck struct {
 	// before it is applied (to the current slide immediately, to every
 	// slide via Apply to All).
 	PendingBackground string
+
+	// owner is an element of the application showing the deck, whose undo
+	// log records the current slide and the thumbnail selection
+	// (uia.Store); nil for a deck without UI.
+	owner *uia.Element
 }
 
 // NewDeck creates a deck with n content slides.
@@ -96,7 +105,7 @@ func (d *Deck) InsertSlide(layout string) *Slide {
 	}
 	at := d.Current + 1
 	d.Slides = append(d.Slides[:at], append([]*Slide{s}, d.Slides[at:]...)...)
-	d.Current = at
+	uia.Store(d.owner, &d.Current, at)
 	return s
 }
 
@@ -140,6 +149,14 @@ func (d *Deck) SelectOnly(i int) {
 	if i < 0 || i >= len(d.Slides) {
 		return
 	}
-	d.Selected = map[int]bool{i: true}
-	d.Current = i
+	d.Select(map[int]bool{i: true}, i)
+}
+
+// Select makes sel the selected thumbnails and slide current the one open
+// in the editing pane. sel is the deck's from then on: callers build a new
+// map rather than change the one Selected holds, which the undo log may
+// hold too.
+func (d *Deck) Select(sel map[int]bool, current int) {
+	uia.Store(d.owner, &d.Selected, sel)
+	uia.Store(d.owner, &d.Current, current)
 }

@@ -46,6 +46,7 @@ type App struct {
 func New(n int) *App {
 	n = deckSize(n)
 	p := &App{App: appkit.New("PowerPoint"), Deck: NewDeck(n)}
+	p.Deck.owner = p.Win
 
 	picker := p.ColorPicker("clrPicker", "Colors", p.applyColor)
 	p.buildHome(picker)
@@ -88,10 +89,8 @@ func deckSize(n int) int {
 func (p *App) Reset(n int) {
 	n = deckSize(n)
 	p.Deck = NewDeck(n)
+	p.Deck.owner = p.Win
 	p.PictureBorder = ""
-	// The thumbnail list's children are the thumbnails; a rewound instance
-	// may still hold those of a session's inserted slide.
-	p.thumbs = append(p.thumbs[:0], p.thumbList.Children()...)
 	if len(p.thumbs) != n {
 		p.refreshThumbs()
 		for _, it := range slices.Clone(p.showList.El.Children()) {
@@ -569,15 +568,16 @@ func (p *App) buildBody() {
 	panel.Custom(lst)
 	p.thumbList = lst
 	sel := uia.NewSelectionList(true, func(items []*uia.Element) {
-		p.Deck.Selected = map[int]bool{}
+		selected, current := map[int]bool{}, p.Deck.Current
 		for _, it := range items {
 			for i, th := range p.thumbs {
 				if th == it {
-					p.Deck.Selected[i] = true
-					p.Deck.Current = i
+					selected[i] = true
+					current = i
 				}
 			}
 		}
+		p.Deck.Select(selected, current)
 	})
 	lst.SetPattern(uia.SelectionPattern, sel)
 	for i := range p.Deck.Slides {
@@ -657,7 +657,7 @@ func (p *App) ScrollThumbsTo(v float64) {
 	if top > maxTop {
 		top = maxTop
 	}
-	p.thumbTop = top
+	uia.Store(p.Win, &p.thumbTop, top)
 	p.applyThumbViewport()
 }
 
@@ -676,8 +676,8 @@ func (p *App) refreshThumbs() {
 	for _, th := range p.thumbs {
 		p.thumbList.RemoveChild(th)
 	}
-	p.thumbs = nil
 	list, _ := sel.(*uia.SimpleSelectionList)
+	thumbs := make([]*uia.Element, 0, len(p.Deck.Slides))
 	for i := range p.Deck.Slides {
 		th := uia.NewElement(fmt.Sprintf("thumbSlide%d", i+1),
 			fmt.Sprintf("Slide %d", i+1), uia.ListItemControl)
@@ -685,8 +685,10 @@ func (p *App) refreshThumbs() {
 			th.SetPattern(uia.SelectionItemPattern, list.Item())
 		}
 		p.thumbList.AddChild(th)
-		p.thumbs = append(p.thumbs, th)
+		thumbs = append(thumbs, th)
 	}
+	// The thumbnails mirror the list's children, so they rewind with them.
+	uia.Store(p.Win, &p.thumbs, thumbs)
 	p.applyThumbViewport()
 }
 

@@ -59,6 +59,9 @@ type Document struct {
 	tables   []TableSpec
 
 	text *uia.SimpleText // UI view; kept in sync by rebuildText
+	// owner is the document's UI element, whose undo log records the
+	// selection (uia.Store); nil until the application binds it.
+	owner *uia.Element
 }
 
 // NewDocument creates a document from paragraph texts with default
@@ -68,8 +71,7 @@ func NewDocument(paras ...string) *Document {
 	d.text.OnSelect = func(_ *uia.Element, startLine, endLine int) {
 		// Paragraph i occupies line 2i-1 (paragraphs are separated by
 		// blank lines so that line- and paragraph-selection both work).
-		d.SelStart = (startLine + 1) / 2
-		d.SelEnd = (endLine + 1) / 2
+		d.SelectParas((startLine+1)/2, (endLine+1)/2)
 	}
 	d.reset(paras)
 	return d
@@ -86,6 +88,7 @@ func (d *Document) reset(paras []string) {
 		Columns:     1,
 		Language:    "English (United States)",
 		text:        d.text,
+		owner:       d.owner,
 	}
 	for _, t := range paras {
 		d.Paras = append(d.Paras, &Para{
@@ -94,7 +97,7 @@ func (d *Document) reset(paras []string) {
 			FontColor: "Automatic", UnderlineColor: "Automatic",
 		})
 	}
-	d.text.ClearSelection()
+	d.text.ClearSelection(d.owner)
 	d.rebuildText()
 }
 
@@ -125,13 +128,14 @@ func (d *Document) Body() string {
 // SelectParas sets the selected paragraph range directly (used by tests and
 // by the document's Text pattern hook).
 func (d *Document) SelectParas(start, end int) {
-	d.SelStart, d.SelEnd = start, end
+	uia.Store(d.owner, &d.SelStart, start)
+	uia.Store(d.owner, &d.SelEnd, end)
 }
 
 // ClearSelection drops the paragraph selection.
 func (d *Document) ClearSelection() {
-	d.SelStart, d.SelEnd = 0, 0
-	d.text.ClearSelection()
+	d.SelectParas(0, 0)
+	d.text.ClearSelection(d.owner)
 }
 
 // Selected returns the selected paragraphs (empty if none).

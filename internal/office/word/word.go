@@ -77,8 +77,8 @@ func New(paras ...string) *App {
 
 	w.RegisterContext(appkit.Context{
 		Name:  ContextImageSelected,
-		Enter: func(*appkit.App) { w.PictureSelected = true },
-		Exit:  func(*appkit.App) { w.PictureSelected = false },
+		Enter: func(*appkit.App) { uia.Store(w.Win, &w.PictureSelected, true) },
+		Exit:  func(*appkit.App) { uia.Store(w.Win, &w.PictureSelected, false) },
 	})
 	w.OnSoftReset(func(*appkit.App) { w.Doc.ClearSelection() })
 	w.Layout()
@@ -87,7 +87,7 @@ func New(paras ...string) *App {
 
 // Reset puts the document model where New(paras...) would: the document
 // and the picture selection with its border. The UI is the caller's to
-// restore (a pooled instance rewinds its undo log and soft-resets).
+// restore (a pooled instance rewinds its undo log).
 func (w *App) Reset(paras ...string) {
 	if len(paras) == 0 {
 		paras = defaultParas
@@ -776,6 +776,7 @@ func (w *App) buildBody() {
 	doc := body.Document("docBody", "Document", w.Doc.TextPattern())
 	doc.SetDescription("The document body text")
 	w.docEl = doc
+	w.Doc.owner = doc
 	body.VScrollBar("sbDoc", "Vertical Scroll Bar", nil)
 	status := w.Window().Pane("pnlStatusBar", "Status Bar")
 	status.Label("Page 1 of 1")

@@ -17,11 +17,12 @@ import (
 // miss), and Release returns it to the state it was checked out in:
 //
 //   - While checked out, the instance's undo log records every element and
-//     provider mutation (uia's undo seam) and the pending picks of appkit's
-//     choice lists; application handlers keep no other state.
-//   - Release soft-resets the application, rewinds the log — which also
-//     undoes the soft reset's own element changes — and restores the
-//     desktop's clock, snapshot count, focus and window stack.
+//     provider mutation (uia's undo seam), the pending picks of appkit's
+//     choice lists and the application state SoftReset normalizes;
+//     application handlers keep no other state.
+//   - Release rewinds the log and restores the desktop's clock, snapshot
+//     count, focus and window stack. It needs no soft reset first: all a
+//     soft reset would put back is in the log.
 //   - The next Checkout runs the app's reset hook with recording on: it puts
 //     the document model where a fresh build with the next task's setup
 //     would put it, and any UI change it makes rewinds like a session's.
@@ -87,7 +88,6 @@ func (e *Env) Release() {
 	if e.undo == nil || idle(e.Kind) {
 		return
 	}
-	e.App.SoftReset()
 	e.undo.Rewind()
 	e.App.Desk.RestoreState(e.desk)
 

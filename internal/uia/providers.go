@@ -213,8 +213,8 @@ func (t *SimpleText) SelectedText() string {
 	return strings.Join(t.Lines[t.selStart-1:t.selEnd], "\n")
 }
 
-// ClearSelection drops the selection.
-func (t *SimpleText) ClearSelection() { t.selStart, t.selEnd = 0, 0 }
+// ClearSelection drops the selection (e owns the provider, see Store).
+func (t *SimpleText) ClearSelection(e *Element) { t.setSelection(e, 0, 0) }
 
 // Selection list provider -----------------------------------------------------
 

@@ -66,7 +66,7 @@ func TestSimpleTextLinesAndParagraphs(t *testing.T) {
 	if err := tx.SelectParagraphs(e, 3, 4); err == nil {
 		t.Error("paragraph range past end should be rejected")
 	}
-	tx.ClearSelection()
+	tx.ClearSelection(e)
 	if _, _, ok := tx.Selection(e); ok {
 		t.Error("selection should be cleared")
 	}

@@ -10,13 +10,15 @@ import (
 //
 // A pooled application instance serves one session after another, so
 // between sessions it must return to exactly the state it was handed out
-// in. Every element mutator (SetName, SetDescription, SetEnabled,
-// SetVisible, SetRect, AddChild, RemoveChild, DeferVisibility, SetPattern,
-// and the snapshot's lazy-loading countdown) and every setter of the
-// state-backed providers in providers.go is a seam: while the instance's
-// log is recording, it first appends the old value, and Rewind replays the
-// log backwards. Elements of a fresh build or a rip instance have no log and
-// pay one nil check per mutation.
+// in; a rip instance backtracks along click paths, so it must return to
+// exactly the state of an earlier step. Every element mutator (SetName,
+// SetDescription, SetEnabled, SetVisible, SetRect, AddChild, RemoveChild,
+// DeferVisibility, SetPattern, and the snapshot's lazy-loading countdown)
+// and every setter of the state-backed providers in providers.go is a
+// seam: while the instance's log is recording, it first appends the old
+// value, and Rewind replays the log backwards — RewindTo only as far back
+// as a Mark. Elements of a fresh build have no log and pay one nil check
+// per mutation.
 
 // UndoLog records the old values of the mutations made to one application
 // instance's elements and provider state while recording is on. It belongs
@@ -83,7 +85,18 @@ func (l *UndoLog) SetRecording(on bool) (was bool) {
 // storage for the next session.
 func (l *UndoLog) Rewind() {
 	l.on = false
-	for i := len(l.entries) - 1; i >= 0; i-- {
+	l.RewindTo(0)
+}
+
+// Mark returns the log's current position, for RewindTo. Marks nest: a
+// rewind to one mark discards every mark taken after it.
+func (l *UndoLog) Mark() int { return len(l.entries) }
+
+// RewindTo undoes the mutations logged since mark, newest first, so the
+// elements and provider state return to what they were when Mark returned
+// it. Recording stays as it is.
+func (l *UndoLog) RewindTo(mark int) {
+	for i := len(l.entries) - 1; i >= mark; i-- {
 		u := &l.entries[i]
 		e := u.el
 		switch u.op {
@@ -118,7 +131,7 @@ func (l *UndoLog) Rewind() {
 		}
 		*u = undoEntry{}
 	}
-	l.entries = l.entries[:0]
+	l.entries = l.entries[:mark]
 }
 
 func (l *UndoLog) push(u undoEntry) { l.entries = append(l.entries, u) }

@@ -181,6 +181,44 @@ func TestUndoLogRewind(t *testing.T) {
 	}
 }
 
+// TestUndoLogRewindTo: marks nest. Rewinding to a mark restores the state
+// when it was taken, keeps recording, and leaves earlier marks valid, so
+// the state can be rewound again to an earlier one, over seeded random
+// histories.
+func TestUndoLogRewindTo(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		win, other, loose, all := undoFixture()
+		d := NewDesktop()
+		d.OpenWindow(win)
+		d.OpenWindow(other)
+		log := NewUndoLog()
+		log.Attach(win, other, loose)
+		log.SetRecording(true)
+		var marks []int
+		var states []string
+		for depth := 0; depth < 4; depth++ {
+			for i := 0; i < rng.Intn(10); i++ {
+				mutate(rng, all, d)
+			}
+			marks = append(marks, log.Mark())
+			states = append(states, dumpState(win, other))
+		}
+		for i := len(marks) - 1; i >= 0; i -= 1 + rng.Intn(2) {
+			for j := 0; j < 1+rng.Intn(10); j++ {
+				mutate(rng, all, d)
+			}
+			log.RewindTo(marks[i])
+			if got := dumpState(win, other); got != states[i] {
+				t.Fatalf("seed %d: rewind to mark %d left\n%s\nwant\n%s", seed, i, got, states[i])
+			}
+			if !log.SetRecording(true) {
+				t.Fatalf("seed %d: RewindTo stopped recording", seed)
+			}
+		}
+	}
+}
+
 // TestUndoLogOffByDefault: elements without a log, and a log that is not
 // recording, record nothing.
 func TestUndoLogOffByDefault(t *testing.T) {

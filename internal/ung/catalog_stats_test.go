@@ -129,18 +129,21 @@ func wordDepth2Frame(t testing.TB) (*appkit.App, Frame) {
 	return a, f
 }
 
-// expandFrameAllocBudget bounds ExpandFrame's allocations on the fixed
-// depth-2 Word frame. Allocation counts are deterministic, so this gates
-// the capture path's footprint where wall-clock cannot.
-const expandFrameAllocBudget = 16
+// siblingExpandAllocBudget bounds the allocations of a sibling expansion
+// from a checkpoint: the fixed depth-2 Word frame expanded again through
+// the cursor that expanded it, which rewinds to the checkpoint after its
+// click path, clicks, captures once and differences. Allocation counts are
+// deterministic, so this gates the expansion's footprint where wall-clock
+// cannot.
+const siblingExpandAllocBudget = 9
 
-// raceEnabled is set in race builds (race_test.go), where the budget is not
-// checked.
+// raceEnabled is set in race builds (race_test.go).
 var raceEnabled bool
 
-func TestExpandFrameAllocs(t *testing.T) {
+func TestSiblingExpandAllocs(t *testing.T) {
 	a, f := wordDepth2Frame(t)
-	first := ExpandFrame(a, "", f)
+	cur := NewCursor(a)
+	first := cur.Expand("", f)
 	if first.Outcome != ExpandOK || len(first.Reveals) == 0 {
 		t.Fatalf("frame outcome %v with %d reveals, want OK with reveals", first.Outcome, len(first.Reveals))
 	}
@@ -148,13 +151,14 @@ func TestExpandFrameAllocs(t *testing.T) {
 		t.Errorf("clicks/snapshots = %d/%d, want 3/4 (depth k costs k+1 clicks, k+2 snapshots)",
 			first.Clicks, first.Snapshots)
 	}
-	allocs := testing.AllocsPerRun(20, func() { ExpandFrame(a, "", f) })
-	t.Logf("ExpandFrame: %.0f allocs/op, %d reveals", allocs, len(first.Reveals))
-	if allocs > expandFrameAllocBudget && !raceEnabled {
-		t.Errorf("ExpandFrame allocates %.0f/op, budget %d", allocs, expandFrameAllocBudget)
+	var again Expansion
+	allocs := testing.AllocsPerRun(20, func() { again = cur.Expand("", f) })
+	t.Logf("sibling expansion: %.0f allocs/op, %d reveals", allocs, len(first.Reveals))
+	if allocs > siblingExpandAllocBudget && !raceEnabled {
+		t.Errorf("a sibling expansion allocates %.0f/op, budget %d", allocs, siblingExpandAllocBudget)
 	}
-	// Pooled scratch carries nothing from one expansion to the next.
-	if again := ExpandFrame(a, "", f); !reflect.DeepEqual(again, first) {
-		t.Errorf("repeated expansion differs:\n%+v\nvs\n%+v", again, first)
+	// From a checkpoint, the expansion still reports the from-scratch cost.
+	if !reflect.DeepEqual(again, first) {
+		t.Errorf("expansion from the checkpoint differs from the first:\n%+v\nvs\n%+v", again, first)
 	}
 }

@@ -2,141 +2,125 @@ package ung
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/appkit"
-	"repro/internal/office/excel"
 	"repro/internal/office/word"
-	"repro/internal/uia"
 )
 
-// TestExpandIndexReuse checks that whether an expansion reuses the
-// scratch's id index or rebuilds it never shows in a result.
+// TestExpandIndexReuse checks that whether an expansion starts from a
+// checkpoint the cursor already holds, with its capture and id index, or
+// replays and captures afresh never shows in a result.
 func TestExpandIndexReuse(t *testing.T) {
 	t.Run("sequence", testExpandIndexSequence)
 	t.Run("rename", testExpandIndexRename)
 }
 
-// testExpandIndexSequence expands a sequence of frames on one scratch —
+// testExpandIndexSequence expands a sequence of frames through one cursor —
 // sibling frames sharing a click path, depth-0 frames, a frame in another
-// context, frames of another application, then the first application
-// again — and checks every expansion against the same frame expanded on a
-// fresh instance with a cold scratch.
+// context, a depth-2 frame, then a sibling again — and checks every
+// expansion against the same frame expanded by a fresh cursor on a fresh
+// instance.
 func testExpandIndexSequence(t *testing.T) {
 	wordApp, depth2 := wordDepth2Frame(t)
-	excelApp := excel.New().App
 	newWord := func() *appkit.App { return word.New().App }
-	newExcel := func() *appkit.App { return excel.New().App }
 
 	type step struct {
-		what  string
-		app   *appkit.App
-		build func() *appkit.App
-		ctx   string
-		f     Frame
+		what string
+		ctx  string
+		f    Frame
 	}
 	// Text Outline's reveals are siblings: the ripper explores each of them
-	// by replaying the click path Text Effects → Text Outline.
+	// from the checkpoint after Text Effects → Text Outline.
 	outline := Frame{ID: depth2.Path[1], Path: depth2.Path[:1]}
-	steps := []step{{"Text Outline", wordApp, newWord, "", outline}}
-	var siblings []Frame
-	for _, r := range ExpandFrame(newWord(), "", outline).Reveals {
+	steps := []step{{"Text Outline", "", outline}}
+	var siblings []step
+	for _, r := range NewCursor(newWord()).Expand("", outline).Reveals {
 		if clickable(r.Type) && len(siblings) < 4 {
-			siblings = append(siblings, Frame{ID: r.ID, Path: depth2.Path})
+			siblings = append(siblings, step{"sibling " + r.ID, "", Frame{ID: r.ID, Path: depth2.Path}})
 		}
 	}
 	if len(siblings) < 2 {
 		t.Fatalf("Text Outline reveals %d clickable controls, want ≥ 2", len(siblings))
 	}
-	for _, f := range siblings {
-		steps = append(steps, step{"sibling " + f.ID, wordApp, newWord, "", f})
-	}
 	textEffects := Frame{ID: depth2.Path[0]}
+	steps = append(steps, siblings...)
 	steps = append(steps,
-		step{"depth-0 Text Effects", wordApp, newWord, "", textEffects},
-		step{"depth-0 Text Effects again", wordApp, newWord, "", textEffects},
-		step{"Text Effects in " + word.ContextImageSelected, wordApp, newWord, word.ContextImageSelected, textEffects},
-		step{"depth-2 frame", wordApp, newWord, "", depth2},
+		step{"depth-0 Text Effects", "", textEffects},
+		step{"depth-0 Text Effects again", "", textEffects},
+		step{"Text Effects in " + word.ContextImageSelected, word.ContextImageSelected, textEffects},
+		step{"depth-2 frame", "", depth2},
 	)
-	for _, autoID := range []string{"btnSortFilter", "btnCondFormatting"} {
-		el := onScreen(excelApp, autoID)
-		if el == nil {
-			t.Fatalf("Excel %s not on screen", autoID)
-		}
-		steps = append(steps, step{"Excel " + autoID, excelApp, newExcel, "", Frame{ID: el.ControlID()}})
-	}
-	steps = append(steps, step{"Word after Excel", wordApp, newWord, "", depth2})
+	steps = append(steps, siblings[0])
 
-	s := newExpandScratch()
-	reused, revealing := 0, 0
+	cur := NewCursor(wordApp)
+	fromCheckpoint, revealing := 0, 0
 	for _, c := range steps {
-		var indexed *string // the id list's storage, which a rebuild swaps out
-		if len(s.ids) > 0 {
-			indexed = &s.ids[0]
+		// The frame starts from a checkpoint the cursor holds when its
+		// whole path is a prefix of the cursor's, in the same context.
+		if cur.entered && c.ctx == cur.ctx && len(c.f.Path) <= len(cur.path) &&
+			slices.Equal(cur.path[:len(c.f.Path)], c.f.Path) {
+			fromCheckpoint++
 		}
-		got := s.expandFrame(c.app, c.ctx, c.f)
-		want := newExpandScratch().expandFrame(c.build(), c.ctx, c.f)
+		got := cur.Expand(c.ctx, c.f)
+		want := NewCursor(newWord()).Expand(c.ctx, c.f)
 		if len(got.Reveals) > 0 {
 			revealing++
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: expansion on a shared scratch differs from a cold one:\n%+v\nvs\n%+v", c.what, got, want)
+			t.Errorf("%s: expansion through a long-lived cursor differs from a fresh one:\n%+v\nvs\n%+v", c.what, got, want)
 		}
-		if len(s.added) != 0 || len(s.fresh) != 0 || len(s.snap) != 0 {
-			t.Errorf("%s: scratch keeps per-expansion state after the expansion", c.what)
-		}
-		checkIndex(t, c.what, s)
-		if indexed != nil && len(s.ids) > 0 && &s.ids[0] == indexed {
-			reused++
+		if len(cur.added) != 0 || len(cur.fresh) != 0 {
+			t.Errorf("%s: cursor keeps per-expansion state after the expansion", c.what)
 		}
 	}
-	t.Logf("%d of %d expansions reused the id index, %d revealed controls", reused, len(steps), revealing)
-	if reused == 0 || reused == len(steps) {
-		t.Errorf("%d of %d expansions reused the id index; want some reuses and some rebuilds", reused, len(steps))
+	t.Logf("%d of %d expansions started from a held checkpoint, %d revealed controls", fromCheckpoint, len(steps), revealing)
+	if fromCheckpoint == 0 || fromCheckpoint == len(steps) {
+		t.Errorf("%d of %d expansions started from a held checkpoint; want some that do and some that replay", fromCheckpoint, len(steps))
 	}
 	if revealing < len(steps)/2 {
 		t.Errorf("only %d of %d expansions revealed controls", revealing, len(steps))
 	}
 }
 
-// testExpandIndexRename covers an id list that keeps its length while one id
-// changes, as when a control is renamed: the index must be rebuilt.
+// testExpandIndexRename covers a click that renames a control of the
+// checkpoint's capture without changing its length: the renamed control
+// counts as revealed, and the rewind to the checkpoint restores the name
+// its cached id was indexed under.
 func testExpandIndexRename(t *testing.T) {
-	win := uia.NewElement("win", "Window", uia.WindowControl)
-	a := uia.NewElement("", "Alpha", uia.ButtonControl)
-	b := uia.NewElement("", "Beta", uia.ButtonControl)
-	win.AddChild(a)
-	win.AddChild(b)
+	build := func() *appkit.App {
+		a := appkit.New("Demo")
+		g := a.Tab("tabHome", "Home").Group("grpRename", "Rename")
+		beta := g.Button("", "Beta", nil)
+		g.Button("btnRename", "Rename", func(*appkit.App) { beta.SetName("Beth") })
+		a.Layout()
+		return a
+	}
+	probe := build()
+	rename, beta := onScreen(probe, "btnRename").ControlID(), ""
+	for _, e := range probe.Desk.Snapshot(nil) {
+		if e.Name() == "Beta" {
+			beta = e.ControlID()
+		}
+	}
+	if beta == "" {
+		t.Fatal("Beta not on screen")
+	}
 
-	s := newExpandScratch()
-	s.snap = []*uia.Element{win, a, b}
-	s.index()
-	checkIndex(t, "before rename", s)
-	old := b.ControlID()
-
-	b.SetName("Beth") // same length, so the id list keeps its length too
-	if b.ControlID() == old || len(b.ControlID()) != len(old) {
-		t.Fatalf("rename gave id %q from %q, want a different id of the same length", b.ControlID(), old)
+	cur := NewCursor(build())
+	got := cur.Expand("", Frame{ID: rename})
+	if got.Outcome != ExpandOK || len(got.Reveals) != 1 || got.Reveals[0].Name != "Beth" || got.Reveals[0].ID == beta {
+		t.Fatalf("Rename reveals %+v, want the renamed control under a new id", got.Reveals)
 	}
-	s.index()
-	checkIndex(t, "after rename", s)
-	if _, stale := s.seen[old]; stale {
-		t.Errorf("index still holds the old id %q after the rename", old)
-	}
-	if _, ok := s.seen[b.ControlID()]; !ok {
-		t.Errorf("index lacks the new id %q after the rename", b.ControlID())
-	}
-}
-
-// checkIndex asserts that the scratch's id set is exactly the set of its id
-// list: the invariant that makes reusing the index history-free.
-func checkIndex(t *testing.T, what string, s *expandScratch) {
-	t.Helper()
-	want := make(map[string]struct{}, len(s.ids))
-	for _, id := range s.ids {
-		want[id] = struct{}{}
-	}
-	if !reflect.DeepEqual(s.seen, want) {
-		t.Errorf("%s: id set (%d ids) is not the set of the id list (%d ids)", what, len(s.seen), len(want))
+	// The sibling frame looks Beta up by its old id in checkpoint 0.
+	for _, f := range []Frame{{ID: beta}, {ID: rename}} {
+		got := cur.Expand("", f)
+		if want := NewCursor(build()).Expand("", f); !reflect.DeepEqual(got, want) {
+			t.Errorf("frame %q after the rename: %+v, want %+v", f.ID, got, want)
+		}
+		if got.Outcome != ExpandOK {
+			t.Errorf("frame %q after the rename: outcome %v, want OK", f.ID, got.Outcome)
+		}
 	}
 }

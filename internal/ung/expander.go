@@ -44,7 +44,7 @@ type Expander interface {
 
 // localExpander is the in-process expander behind RipParallel: a pool of
 // worker goroutines, each driving its own throwaway application instance
-// built by factory.
+// built by factory, through the instance's Cursor.
 type localExpander struct {
 	stack   *FrameStack
 	wg      sync.WaitGroup
@@ -61,14 +61,14 @@ func newLocalExpander(factory func() *appkit.App, workers int) *localExpander {
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer le.wg.Done()
-			app := factory()
+			cur := NewCursor(factory())
 			for {
 				batch := le.stack.PopBatch(1)
 				if batch == nil {
 					return
 				}
 				j := batch[0]
-				j.Deliver(ExpandResult{Expansion: ExpandFrame(app, j.Ctx, j.Frame)})
+				j.Deliver(ExpandResult{Expansion: cur.Expand(j.Ctx, j.Frame)})
 			}
 		}()
 	}

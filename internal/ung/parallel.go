@@ -19,11 +19,12 @@ import (
 //
 // The design separates the two halves of the DFS:
 //
-//   - Expansion (restore, replay the click path, click, differential
-//     capture) touches only an application instance. It is a deterministic
-//     function of (context, path, control), so any instance anywhere yields
-//     the same result the coordinator's own would — including after a
-//     retry, which is what makes remote re-dispatch safe.
+//   - Expansion (reach the click path, click, differential capture)
+//     touches only an application instance, through its Cursor. It is a
+//     deterministic function of (context, path, control), so any instance
+//     anywhere yields the same result the coordinator's own would —
+//     including after a retry, which is what makes remote re-dispatch
+//     safe.
 //   - Application (add nodes and edges, push newly discovered frames)
 //     touches the shared graph. The coordinator performs it alone, popping
 //     frames in exactly the DFS order, so the merged graph is deterministic
@@ -43,18 +44,21 @@ import (
 // error path the Stats describe the graph returned: in-flight expansions
 // still run to completion, but they are not counted.
 //
-// The probe instance serves the coordinator: application metadata, the
-// per-context initial-screen captures and, with a nil expander, every
-// expansion. RipDispatched always closes the expander before returning.
+// The probe instance serves the coordinator, through a cursor of its own:
+// application metadata, the per-context initial-screen captures and, with a
+// nil expander, every expansion. RipDispatched always closes the expander
+// before returning, and returns the probe's UI to the state it found it in
+// (the document model keeps what the clicks did to it).
 func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, error) {
 	cfg.fill()
 	g := NewGraph(probe.Name)
 	st := Stats{Workers: 1}
-	clock := probe.Desk.Clock()
+	cur := NewCursor(probe)
 	var seedTime time.Duration
 	var costs []time.Duration // applied expansions' Elapsed, in application order
 
 	finish := func(err error) (*Graph, Stats, error) {
+		cur.Close()
 		if ex != nil {
 			st.Workers = ex.Close().Workers
 		}
@@ -91,9 +95,7 @@ func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, e
 
 	for _, c := range contexts {
 		ctx = c
-		t0 := clock.Now()
-		seedContext(g, probe, ctx, &st, push)
-		seedTime += clock.Now() - t0
+		seedTime += seedContext(g, cur, ctx, &st, push)
 
 		for len(stack) > 0 {
 			if g.NodeCount() > cfg.MaxNodes {
@@ -108,7 +110,7 @@ func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, e
 			}
 			var exp Expansion
 			if ex == nil {
-				exp = ExpandFrame(probe, ctx, p.f)
+				exp = cur.Expand(ctx, p.f)
 			} else if r := <-p.res; r.Err != nil {
 				return finish(fmt.Errorf("ung: expand %q: %w", p.f.ID, r.Err))
 			} else {
@@ -119,7 +121,6 @@ func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, e
 		}
 	}
 
-	restore(probe, "")
 	return finish(nil)
 }
 

@@ -1,8 +1,6 @@
 package ung
 
 import (
-	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/appkit"
@@ -104,102 +102,6 @@ type Expansion struct {
 	Elapsed   time.Duration
 }
 
-// ExpandFrame re-establishes the frame's discovery state on the given
-// application instance (soft reset + click-path replay), activates the
-// control, and differences the before/after snapshots. It touches only the
-// instance, never a shared graph, and its result is a pure function of
-// (application, context, frame) — the property that makes expansions safe to
-// run on a pool of throwaway instances, ship to a serving replica, or
-// re-dispatch after a replica dies mid-rip. Exported for the dmi-serve
-// daemon's POST /v1/rip executor.
-func ExpandFrame(app *appkit.App, ctx string, f Frame) Expansion {
-	s := scratchPool.Get().(*expandScratch)
-	defer scratchPool.Put(s)
-	return s.expandFrame(app, ctx, f)
-}
-
-// expandFrame is ExpandFrame on the given scratch.
-func (s *expandScratch) expandFrame(app *appkit.App, ctx string, f Frame) Expansion {
-	var st Stats
-	t0 := app.Desk.Clock().Now()
-	exp := s.expand(app, ctx, f, &st)
-	exp.Clicks = st.Clicks
-	exp.Snapshots = st.Snapshots
-	exp.Elapsed = app.Desk.Clock().Now() - t0
-	return exp
-}
-
-// expand runs one expansion on the scratch.
-//
-// A depth-k frame costs one SoftReset, k+1 clicks and k+2 full snapshots:
-// one per replay step, one before and one after the activation. The
-// snapshot buffer and the sets are reused across expansions; none of them
-// escapes, because each reveal copies the element fields it needs
-// (DESIGN.md §3.1).
-func (s *expandScratch) expand(app *appkit.App, ctx string, f Frame, st *Stats) Expansion {
-	defer s.reset()
-
-	restore(app, ctx)
-	if !replay(app, f.Path, st, s) {
-		return Expansion{Outcome: ExpandSkipped}
-	}
-	s.snap = capture(app, st, s.snap)
-	el := firstWithID(s.snap, f.ID)
-	if el == nil || !el.OnScreen() || !el.Enabled() {
-		return Expansion{Outcome: ExpandSkipped}
-	}
-	if app.Blocked(el) {
-		return Expansion{Outcome: ExpandBlocked}
-	}
-	// Index the before-snapshot's ids now: the click may rename or move
-	// controls, and a control whose id changes counts as revealed.
-	s.index()
-	if err := app.Desk.Click(el); err != nil {
-		return Expansion{Outcome: ExpandSkipped}
-	}
-	st.Clicks++
-	s.snap = capture(app, st, s.snap)
-
-	// A control is fresh when the before-snapshot lacked its id; the clicked
-	// control never is. Recording each fresh id in added keeps only the
-	// first occurrence of a duplicate. Most of the after-snapshot repeats
-	// the before-snapshot in order, so each id is first compared with the
-	// next unmatched before id, and looked up in seen only when that fails.
-	//
-	// Newly revealed controls attach beneath their nearest newly-revealed
-	// UI ancestor; top-level reveals attach to the clicked control. This
-	// preserves structure inside popups (a shared flyout stays one subtree)
-	// while edges still denote click-induced reachability. A snapshot lists
-	// ancestors before descendants, so e's fresh ancestors are marked by the
-	// time e is reached.
-	var reveals []Reveal
-	matched := 0 // before ids matched in lockstep so far
-	for _, e := range s.snap {
-		if e.Parent() == nil {
-			continue
-		}
-		id := e.ControlID()
-		if matched < len(s.ids) && id == s.ids[matched] {
-			matched++
-			continue
-		}
-		if _, present := s.seen[id]; present {
-			continue
-		}
-		if _, dup := s.added[id]; dup {
-			continue
-		}
-		s.added[id] = struct{}{}
-		s.fresh[e] = true
-		parent := f.ID
-		if anc := nearestIn(e, s.fresh); anc != nil {
-			parent = anc.ControlID()
-		}
-		reveals = append(reveals, captureReveal(e, parent))
-	}
-	return Expansion{Outcome: ExpandOK, Reveals: reveals}
-}
-
 // captureReveal snapshots the element fields a graph node is built from,
 // including the ancestor walk behind LargeEnum, so a node created from the
 // reveal here or on another instance is the node the element itself makes.
@@ -253,19 +155,19 @@ func applyExpansion(g *Graph, cfg Config, ctx string, f Frame, exp Expansion, st
 // ancestors, anchored at the virtual root; the active tab's content panel is
 // re-anchored under the active TabItem so otherwise unscoped controls are
 // indexable beneath it. Each control becomes a node through captureReveal
-// and AddNode, exactly as an applied expansion's reveals do.
-func seedContext(g *Graph, app *appkit.App, ctx string, st *Stats, push func(node int32, path []string)) {
-	restore(app, ctx)
-	snap := capture(app, st, nil)
-	tabItem, tabPanel := app.ActiveTabInfo()
+// and AddNode, exactly as an applied expansion's reveals do. The capture is
+// the cursor's checkpoint 0 for ctx, which the context's depth-0 frames
+// expand from when the cursor expands them too.
+func seedContext(g *Graph, cur *Cursor, ctx string, st *Stats, push func(node int32, path []string)) time.Duration {
+	cur.enter(ctx)
+	cp := &cur.cps[0]
+	st.Snapshots++
+	tabItem, tabPanel := cur.app.ActiveTabInfo()
 	var order []*uia.Element
 	seen := make(map[string]bool)
 	inSnap := make(map[*uia.Element]bool)
-	for _, e := range snap {
-		if e.Parent() == nil {
-			continue // window roots are containers, not modeled controls
-		}
-		if id := e.ControlID(); !seen[id] { // first occurrence wins
+	for i, e := range cp.els {
+		if id := cp.ids[i]; !seen[id] { // first occurrence wins
 			seen[id] = true
 			inSnap[e] = true
 			order = append(order, e)
@@ -285,6 +187,7 @@ func seedContext(g *Graph, app *appkit.App, ctx string, st *Stats, push func(nod
 			push(i, nil)
 		}
 	}
+	return cp.since
 }
 
 // ripContexts returns the exploration order: the base context first, then
@@ -323,110 +226,6 @@ func nearestIn(e *uia.Element, set map[*uia.Element]bool) *uia.Element {
 		}
 	}
 	return nil
-}
-
-// capture takes one full desktop snapshot into buf's storage, counting it.
-// Every capture walks the whole desktop, even when the caller needs a
-// single control: the walk advances the simulated clock and the
-// lazy-loading counters, which the ripper's results depend on.
-func capture(app *appkit.App, st *Stats, buf []*uia.Element) []*uia.Element {
-	st.Snapshots++
-	return app.Desk.Snapshot(buf)
-}
-
-// firstWithID returns the first control in snap with the given id, or nil.
-// The desktop's window roots are containers, not modeled controls, and
-// never match. On duplicate synthesized ids the first occurrence wins.
-func firstWithID(snap []*uia.Element, id string) *uia.Element {
-	for _, e := range snap {
-		if e.Parent() != nil && e.ControlID() == id {
-			return e
-		}
-	}
-	return nil
-}
-
-// expandScratch is one expansion's working set. It is pooled so
-// consecutive expansions reuse the snapshot buffer and the sets' storage.
-//
-// seen is the set of the ids in ids, the before-snapshot id list it was
-// last built from. Both outlive an expansion: the next expansion whose
-// before-snapshot lists the same ids in the same order reuses the set as
-// is, and any other rebuilds it. Siblings
-// share a click path and depth-0 frames share the base screen, so most
-// expansions reuse it. The set is a function of the id list alone, compared
-// in full, so reuse never depends on which expansions ran before.
-type expandScratch struct {
-	snap  []*uia.Element
-	ids   []string              // before-snapshot ids that seen indexes
-	next  []string              // this expansion's before-snapshot ids
-	seen  map[string]struct{}   // the ids in ids
-	added map[string]struct{}   // fresh ids recorded so far
-	fresh map[*uia.Element]bool // controls revealed by the activation
-}
-
-func newExpandScratch() *expandScratch {
-	return &expandScratch{
-		seen:  make(map[string]struct{}),
-		added: make(map[string]struct{}),
-		fresh: make(map[*uia.Element]bool),
-	}
-}
-
-var scratchPool = sync.Pool{New: func() any { return newExpandScratch() }}
-
-// index makes seen the id set of the before-snapshot in snap, window roots
-// excluded, rebuilding it only when the id list differs from the one it was
-// last built from.
-func (s *expandScratch) index() {
-	s.next = s.next[:0]
-	for _, e := range s.snap {
-		if e.Parent() != nil {
-			s.next = append(s.next, e.ControlID())
-		}
-	}
-	if slices.Equal(s.next, s.ids) {
-		return
-	}
-	s.ids, s.next = s.next, s.ids
-	clear(s.seen)
-	for _, id := range s.ids {
-		s.seen[id] = struct{}{}
-	}
-}
-
-// reset empties one expansion's state, dropping its element references so a
-// pooled scratch never keeps an application instance alive. The id index
-// holds strings only and is kept for reuse.
-func (s *expandScratch) reset() {
-	clear(s.snap[:cap(s.snap)])
-	s.snap = s.snap[:0]
-	clear(s.added)
-	clear(s.fresh)
-}
-
-func restore(app *appkit.App, ctx string) {
-	app.SoftReset()
-	if ctx != "" {
-		_ = app.EnterContext(ctx)
-	}
-}
-
-// replay re-executes the click path; it reports false if any step's control
-// cannot be resolved in the current state.
-func replay(app *appkit.App, path []string, st *Stats, s *expandScratch) bool {
-	for _, id := range path {
-		s.snap = capture(app, st, s.snap)
-		el := firstWithID(s.snap, id)
-		if el == nil || !el.OnScreen() || !el.Enabled() {
-			return false
-		}
-		if err := app.Desk.Click(el); err != nil {
-			return false
-		}
-		st.Clicks++
-	}
-	return true
 }
 
 // clickable reports whether the ripper should attempt to activate controls
