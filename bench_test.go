@@ -234,51 +234,15 @@ func BenchmarkOffline_RipPowerPoint(b *testing.B) {
 	benchRip(b, func() *dmi.App { return slides.New(12).App })
 }
 
-// benchRipParallel is benchRip over the worker-pool ripper: byte-identical
-// graph, wall-clock divided across the pool (compare the ns/op of the
-// matching sequential benchmark above).
-func benchRipParallel(b *testing.B, workers int, build func() *dmi.App) {
-	var g *ung.Graph
-	var st ung.Stats
-	var err error
+// BenchmarkOffline_CatalogCold is a cold build of the five-app catalog in a
+// fresh store — rip, forest transform, describe: modeling wall-clock per
+// catalog, the end-to-end figure every rip optimisation answers to.
+func BenchmarkOffline_CatalogCold(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, st, err = ung.RipParallel(build, ung.Config{}, workers)
-		if err != nil {
+		if _, err := agent.BuildModelsIn(modelstore.New(), 1); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.ReportMetric(float64(g.NodeCount()), "nodes")
-	b.ReportMetric(float64(g.EdgeCount()), "edges")
-	b.ReportMetric(float64(st.Workers), "workers")
-	b.ReportMetric(st.SimulatedTime.Hours(), "simulated-hours")
-}
-
-func BenchmarkOffline_RipWordParallel4(b *testing.B) {
-	benchRipParallel(b, 4, func() *dmi.App { return word.New().App })
-}
-
-func BenchmarkOffline_RipExcelParallel4(b *testing.B) {
-	benchRipParallel(b, 4, func() *dmi.App { return excel.New().App })
-}
-
-func BenchmarkOffline_RipPowerPointParallel4(b *testing.B) {
-	benchRipParallel(b, 4, func() *dmi.App { return slides.New(12).App })
-}
-
-// BenchmarkOffline_CatalogCold is a cold build of the five-app catalog in a
-// fresh store — rip, forest transform, describe — at one worker (the
-// sequential rip) and at two: modeling wall-clock per catalog, the
-// end-to-end figure every rip optimisation answers to.
-func BenchmarkOffline_CatalogCold(b *testing.B) {
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := agent.BuildModelsIn(modelstore.New(), workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fig6 := fs.Bool("fig6", false, "print Figure 6")
 	oneshot := fs.Bool("oneshot", false, "print the §5.3 one-shot statistic")
 	tokens := fs.Bool("tokens", false, "print §5.4 token accounting")
-	workers := fs.Int("workers", 0, "rip worker-pool size for the offline phase (0 = auto)")
 	parallel := fs.Int("parallel", 1, "online-phase worker-pool size (1 = sequential, 0 = GOMAXPROCS)")
 	cpuprofile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile of the whole run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after a final GC) to this file")
@@ -94,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintf(stderr, "offline phase: modeling the %d-app catalog…\n", len(agent.Factories()))
-	models, err := agent.BuildModelsIn(modelstore.New(), *workers)
+	models, err := agent.BuildModelsIn(modelstore.New(), 1)
 	if err != nil {
 		return fmt.Errorf("modeling failed: %w", err)
 	}

@@ -3,17 +3,19 @@
 // the graph into a path-unambiguous forest, and reports modeling cost,
 // topology statistics, and the Figure 4 graph→tree→forest comparison.
 //
-// Modeling goes through the model store: -workers distributes the rip over
-// a pool of throwaway instances (byte-identical result), and -snapshot
-// persists the ripped graphs (compact binary .ungb files) so later runs
-// rebuild the models with zero rip clicks.
+// Modeling goes through the model store, which rips each app sequentially
+// on one instance: -workers sets the width of the virtual schedule the
+// model-time column is computed on (paper §5.2's modeling clock with that
+// many machines expanding frames; the graph is the same at any width), and
+// -snapshot persists the ripped graphs (compact binary .ungb files) so
+// later runs rebuild the models with zero rip clicks.
 //
-// -replicas shards the rip across a fleet of dmi-serve replicas instead of
-// the in-process pool: each frame expansion ships over POST /v1/rip and the
-// coordinator merges the results into the same byte-identical graph (see
-// ung.RipDispatched and bench.RemoteExpander). A replica that dies mid-rip
-// is down-marked and its frames re-dispatched, so the run survives failures
-// without changing a byte of the output.
+// -replicas shards the rip across a fleet of dmi-serve replicas instead:
+// each frame expansion ships over POST /v1/rip and the coordinator merges
+// the results into the same byte-identical graph (see ung.RipDispatched
+// and bench.RemoteExpander). A replica that dies mid-rip is down-marked
+// and its frames re-dispatched, so the run survives failures without
+// changing a byte of the output.
 //
 // -cpuprofile/-memprofile write runtime/pprof profiles of the whole run
 // (the heap profile is taken after a final GC, so it shows retained memory,
@@ -82,9 +84,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	app := fs.String("app", "all", "application to model (Word, Excel, PowerPoint, Settings, Files, all)")
 	threshold := fs.Int("threshold", 64, "clone-cost threshold for selective externalization")
 	sweep := fs.Bool("sweep", false, "sweep externalization thresholds (design-choice ablation)")
-	workers := fs.Int("workers", 4, "rip worker-pool size (1 = sequential)")
+	workers := fs.Int("workers", 4, "width of the virtual modeling schedule behind model-time (the rip itself is sequential)")
 	snapshot := fs.String("snapshot", "", "directory for graph snapshots (reused across runs)")
-	replicas := fs.String("replicas", "", "comma-separated dmi-serve base URLs to shard the rip across (empty = in-process pool)")
+	replicas := fs.String("replicas", "", "comma-separated dmi-serve base URLs to shard the rip across (empty = rip in process)")
 	cpuprofile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile of the whole run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after a final GC) to this file")
 	if err := fs.Parse(args); err != nil {

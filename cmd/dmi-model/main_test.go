@@ -51,7 +51,7 @@ func TestModelSingleAppTable(t *testing.T) {
 	}
 }
 
-// TestDefaultReportStable: the default report (all apps, a 4-worker pool) is
+// TestDefaultReportStable: the default report (all apps, 4 virtual workers) is
 // a function of the apps alone. Its model-time column is the virtual
 // schedule's makespan, so two runs on fresh stores print the same bytes.
 func TestDefaultReportStable(t *testing.T) {

@@ -11,8 +11,9 @@
 // Usage:
 //
 //	dmi-serve [-addr host:port] [-budget BYTES] [-snapshot DIR]
-//	          [-workers N] [-parallel N] [-taskpack FILE] [-pprof host:port]
+//	          [-parallel N] [-taskpack FILE] [-pprof host:port]
 //
+// -workers is accepted and ignored: offline builds rip sequentially.
 // -taskpack serves a task-pack file (see internal/taskpack) instead of the
 // compiled-in grid. Requests that name a different pack are answered 409.
 // -pprof serves net/http/pprof profiles on a second listener (never on the
@@ -106,7 +107,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	addr := fs.String("addr", "127.0.0.1:8480", "listen address")
 	budget := fs.Int64("budget", 0, "resident-model budget in encoded-snapshot bytes (0 = unlimited)")
 	snapshot := fs.String("snapshot", "", "graph-snapshot directory (evicted models reload from here with zero rip clicks)")
-	workers := fs.Int("workers", 0, "rip worker-pool size for offline builds (0 = auto)")
+	fs.Int("workers", 0, "ignored: offline builds rip sequentially (accepted until perfbench's rip-fleet workload is retired)")
 	// Request concurrency already comes from the HTTP server (one
 	// goroutine per in-flight request); a per-request pool bigger than 1
 	// multiplies that, so it is opt-in for large multi-run requests.
@@ -140,7 +141,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		fmt.Fprintf(stderr, "dmi-serve: pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 
-	srv, err := newServer(reg, *budget, *snapshot, *workers, *parallel, stderr)
+	srv, err := newServer(reg, *budget, *snapshot, *parallel, stderr)
 	if err != nil {
 		return err
 	}
@@ -196,7 +197,6 @@ type server struct {
 	store      *modelstore.Store
 	reg        *taskpack.Registry
 	mux        *http.ServeMux
-	ripWorkers int
 	parallel   int
 	instance   string         // random per-process id, reported on /v1/healthz
 	coreTokens map[string]int // catalog token accounting, for /v1/stats
@@ -214,10 +214,10 @@ type server struct {
 // itself evicts (AppNames order, LRU), which is intended: it populates the
 // snapshot directory so later reloads are rip-free, and it leaves the most
 // recently warmed models resident.
-func newServer(reg *taskpack.Registry, budget int64, snapshotDir string, ripWorkers, parallel int, progress io.Writer) (*server, error) {
-	s := newBareServer(modelstore.NewBudgeted(snapshotDir, budget), reg, ripWorkers, parallel)
+func newServer(reg *taskpack.Registry, budget int64, snapshotDir string, parallel int, progress io.Writer) (*server, error) {
+	s := newBareServer(modelstore.NewBudgeted(snapshotDir, budget), reg, parallel)
 	for _, app := range agent.AppNames() {
-		m, err := agent.ModelsFor(s.store, app, ripWorkers)
+		m, err := agent.ModelsFor(s.store, app, 1)
 		if err != nil {
 			return nil, fmt.Errorf("dmi-serve: prewarm %s: %w", app, err)
 		}
@@ -233,11 +233,10 @@ func newServer(reg *taskpack.Registry, budget int64, snapshotDir string, ripWork
 // newBareServer wires the handler state without prewarming; request
 // validation paths are testable through it without paying for a catalog
 // build.
-func newBareServer(store *modelstore.Store, reg *taskpack.Registry, ripWorkers, parallel int) *server {
+func newBareServer(store *modelstore.Store, reg *taskpack.Registry, parallel int) *server {
 	s := &server{
 		store:      store,
 		reg:        reg,
-		ripWorkers: ripWorkers,
 		parallel:   parallel,
 		instance:   newInstanceID(),
 		coreTokens: make(map[string]int),
@@ -333,7 +332,7 @@ func (s *server) runCellRequest(req serveproto.SessionRequest) (*serveproto.Sess
 	// dictates. The fetched view carries the same token accounting as the
 	// full catalog build, so the cell outcomes are byte-identical to
 	// bench.Run's.
-	models, err := agent.ModelsFor(s.store, task.App, s.ripWorkers)
+	models, err := agent.ModelsFor(s.store, task.App, 1)
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Sprintf("model build failed: %v", err)
 	}

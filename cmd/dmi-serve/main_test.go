@@ -386,7 +386,7 @@ func cellBodyOfSize(t *testing.T, size int) string {
 // body stays a 400. Driven against a bare (unprewarmed) server — every path
 // rejects before any model is touched.
 func TestOversizeBodyIs413(t *testing.T) {
-	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
+	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1)
 	post := func(body string) int {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, serveproto.PathCells, strings.NewReader(body)))
@@ -409,7 +409,7 @@ func TestOversizeBodyIs413(t *testing.T) {
 // for a session), and the retired single-cell route and unversioned
 // aliases are gone — a 404, like any unknown path.
 func TestRouteSets(t *testing.T) {
-	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
+	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1)
 	probe := func(method, path string) int {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
@@ -459,7 +459,7 @@ func TestRouteSets(t *testing.T) {
 // naming the field, a pack mismatch is a 409 PackMismatch body, an unknown
 // task a 404, and a runs count outside [1, MaxRuns] a 400.
 func TestCellValidation(t *testing.T) {
-	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
+	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1)
 	post := func(body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, serveproto.PathCells, strings.NewReader(body)))
@@ -508,7 +508,7 @@ func TestCellValidation(t *testing.T) {
 // PackMismatch body carrying both identities, before any model work. Cells
 // that skip the handshake (empty pack fields) are unaffected.
 func TestPackMismatchIs409(t *testing.T) {
-	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1, 1)
+	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1)
 
 	post := func(pack, hash string) *httptest.ResponseRecorder {
 		body, err := json.Marshal(serveproto.SessionRequest{

@@ -174,7 +174,7 @@ func NewBudgetedModelStore(dir string, budget int64) *ModelStore {
 	return modelstore.NewBudgeted(dir, budget)
 }
 
-// defaultStore backs Model and ModelParallel: one offline build per distinct
+// defaultStore backs Model: one offline build per distinct
 // application structure per process, shared by every session.
 var defaultStore = modelstore.New()
 
@@ -216,16 +216,6 @@ func structuralKey(app *App) string {
 // touching the instance at all.
 func Model(app *App) (*TopologyModel, error) {
 	b, err := defaultStore.Build(structuralKey(app), func() *appkit.App { return app }, modelstore.Options{})
-	return b.Model, err
-}
-
-// ModelParallel is Model with the offline build distributed over a pool of
-// worker goroutines, each driving its own throwaway instance from factory.
-// The result is byte-identical to the sequential build and lands in the same
-// process-wide cache.
-func ModelParallel(factory func() *App, workers int) (*TopologyModel, error) {
-	probe := factory()
-	b, err := defaultStore.Build(structuralKey(probe), factory, modelstore.Options{Workers: workers})
 	return b.Model, err
 }
 

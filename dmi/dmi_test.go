@@ -151,25 +151,6 @@ func TestModelKeyIgnoresOpenedLists(t *testing.T) {
 	}
 }
 
-// TestModelParallelMatchesSequential: the public parallel entry point lands
-// in the same cache and yields the identical model.
-func TestModelParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("office-scale")
-	}
-	seq, err := dmi.Model(dmi.NewPowerPoint(5).App)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := dmi.ModelParallel(func() *dmi.App { return dmi.NewPowerPoint(5).App }, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par != seq {
-		t.Fatal("ModelParallel did not share the sequential build's cache slot")
-	}
-}
-
 // TestOfflineArtifactsComposable: Rip → Transform → NewModel equals Model.
 func TestOfflineArtifactsComposable(t *testing.T) {
 	if testing.Short() {

@@ -13,7 +13,6 @@ package agent
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"repro/internal/appkit"
@@ -152,9 +151,10 @@ func AppNames() []string {
 }
 
 // BuildModelsIn runs the offline phase for the application catalog through
-// store, ripping each app with a worker pool of `workers` goroutines
-// (0 = min(4, GOMAXPROCS)); the parallel rip is byte-identical to the
-// sequential one, so the evaluation is unaffected. The caller's store
+// store. Each app is ripped sequentially on one instance; workers is only
+// the width of the virtual schedule its simulated modeling clock is
+// computed on (≤ 0 means 1, see ung.RipParallel), which no report prints,
+// so the evaluation is unaffected. The caller's store
 // decides what is reused: a budgeted store's eviction policy governs which
 // catalog models stay resident, a persistent one restarts from snapshots.
 // Apps are built in AppNames order, which makes prewarm eviction order
@@ -186,7 +186,7 @@ func ModelsFor(store *modelstore.Store, app string, workers int) (*Models, error
 	if !ok {
 		return nil, fmt.Errorf("agent: unknown application %q", app)
 	}
-	b, err := store.Build(app, factory, modelstore.Options{Workers: normalizeWorkers(workers)})
+	b, err := store.Build(app, factory, modelstore.Options{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
@@ -196,17 +196,6 @@ func ModelsFor(store *modelstore.Store, app string, workers int) (*Models, error
 		ByApp:      map[string]*describe.Model{app: b.Model},
 		CoreTokens: map[string]int{app: b.CoreTokens},
 	}, nil
-}
-
-// normalizeWorkers applies the default rip pool size: min(4, GOMAXPROCS).
-func normalizeWorkers(workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 4 {
-			workers = 4
-		}
-	}
-	return workers
 }
 
 // Run executes one task under one configuration with a deterministic RNG.

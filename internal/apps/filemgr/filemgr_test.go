@@ -228,35 +228,6 @@ func TestPreviewSelectLinesAndCopyText(t *testing.T) {
 	}
 }
 
-// TestRipParallelByteIdentical: the catalog-growth contract for the second
-// new app (run under -race in CI).
-func TestRipParallelByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("app-scale rip")
-	}
-	seq, _, err := ung.Rip(New().App, ung.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqBytes, err := ung.EncodeBinary(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4} {
-		par, _, err := ung.RipParallel(factory, ung.Config{}, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		parBytes, err := ung.EncodeBinary(par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seqBytes, parBytes) {
-			t.Fatalf("workers=%d: parallel rip not byte-identical to sequential", workers)
-		}
-	}
-}
-
 func TestModelstoreSnapshotRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("app-scale rip")

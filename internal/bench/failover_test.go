@@ -126,12 +126,12 @@ var envelopeKinds = map[string]envelopeKind{
 	}},
 	"rip frames": {multi: true, run: func(ctx context.Context, d *RemoteDispatcher, n int) []error {
 		re := &RemoteExpander{d: d, app: "Demo"}
-		stack := ung.NewFrameStack()
+		stack := newFrameStack()
 		results := make([]<-chan ung.ExpandResult, n)
 		for i := n - 1; i >= 0; i-- { // LIFO: frame-0 pops first, so envelope order is index order
-			results[i] = stack.Push("", ung.Frame{ID: fmt.Sprintf("frame-%d", i)})
+			results[i] = stack.push("", ung.Frame{ID: fmt.Sprintf("frame-%d", i)})
 		}
-		failover(ctx, d, stack.PopBatch(n), re.postRip, deliverFrame)
+		failover(ctx, d, stack.popBatch(n), re.postRip, deliverFrame)
 		errs := make([]error, n)
 		for i, ch := range results {
 			r := <-ch

@@ -44,7 +44,7 @@ type RemoteExpander struct {
 	app   string
 	batch int
 
-	stack   *ung.FrameStack
+	stack   *frameStack
 	wg      sync.WaitGroup
 	senders int
 }
@@ -73,7 +73,7 @@ func NewRemoteExpander(baseURLs []string, app string, opt RemoteOptions) (*Remot
 		d:     d,
 		app:   app,
 		batch: batch,
-		stack: ung.NewFrameStack(),
+		stack: newFrameStack(),
 	}
 	re.senders = min(len(baseURLs)*d.inflight, maxRipSenders)
 	re.wg.Add(re.senders)
@@ -87,7 +87,7 @@ func NewRemoteExpander(baseURLs []string, app string, opt RemoteOptions) (*Remot
 // After Close the result is an immediate error (the coordinator only does
 // this on an abort path it is already failing out of).
 func (re *RemoteExpander) Expand(ctx string, f ung.Frame) <-chan ung.ExpandResult {
-	return re.stack.Push(ctx, f)
+	return re.stack.push(ctx, f)
 }
 
 // Close drains the expander: undispatched frames are dropped (their
@@ -95,7 +95,7 @@ func (re *RemoteExpander) Expand(ctx string, f ung.Frame) <-chan ung.ExpandResul
 // leaks on an aborted rip), in-flight envelopes run to completion, and the
 // fleet's probers stop. It reports the sender pool's width. Idempotent.
 func (re *RemoteExpander) Close() ung.ExpanderStats {
-	re.stack.Close()
+	re.stack.close()
 	re.wg.Wait()
 	re.d.Close()
 	return ung.ExpanderStats{Workers: re.senders}
@@ -121,7 +121,7 @@ func (re *RemoteExpander) RemoveReplica(baseURL string) error { return re.d.Remo
 func (re *RemoteExpander) sender() {
 	defer re.wg.Done()
 	for {
-		items := re.stack.PopBatch(re.batch)
+		items := re.stack.popBatch(re.batch)
 		if items == nil {
 			return
 		}
@@ -131,8 +131,8 @@ func (re *RemoteExpander) sender() {
 	}
 }
 
-func deliverFrame(it *ung.StackedFrame, exp ung.Expansion, err error) {
-	it.Deliver(ung.ExpandResult{Expansion: exp, Err: err})
+func deliverFrame(it *stackedFrame, exp ung.Expansion, err error) {
+	it.deliver(ung.ExpandResult{Expansion: exp, Err: err})
 }
 
 // postRip is the rip envelope for failover: one POST /v1/rip round trip
@@ -141,14 +141,14 @@ func deliverFrame(it *ung.StackedFrame, exp ung.Expansion, err error) {
 // frame's own final rejection (*requestError); anything else — a per-frame
 // 5xx, or an expansion this client cannot decode (protocol skew) — is the
 // replica's fault for that frame alone.
-func (re *RemoteExpander) postRip(ctx context.Context, rep *replica, items []*ung.StackedFrame) ([]answer[ung.Expansion], error) {
+func (re *RemoteExpander) postRip(ctx context.Context, rep *replica, items []*stackedFrame) ([]answer[ung.Expansion], error) {
 	frames := make([]serveproto.RipFrame, len(items))
 	for i, it := range items {
-		frames[i] = serveproto.RipFrame{ID: it.Frame.ID, Path: it.Frame.Path}
+		frames[i] = serveproto.RipFrame{ID: it.frame.ID, Path: it.frame.Path}
 	}
 	body := serveproto.RipRequest{
 		Pack: re.d.pack, PackHash: re.d.packHash,
-		App: re.app, Context: items[0].Ctx, Frames: frames,
+		App: re.app, Context: items[0].ctx, Frames: frames,
 	}
 	var rr serveproto.RipResponse
 	size := http.Header{serveproto.RipBatchHeader: {strconv.Itoa(len(frames))}}
@@ -170,4 +170,82 @@ func (re *RemoteExpander) postRip(ctx context.Context, rep *replica, items []*un
 		}
 	}
 	return out, nil
+}
+
+// stackedFrame is one frame expansion parked on a frameStack.
+type stackedFrame struct {
+	ctx   string
+	frame ung.Frame
+	done  chan ung.ExpandResult // buffered: senders never block on the coordinator
+}
+
+// deliver answers the Expand call that stacked the frame. Call it exactly
+// once per popped frame.
+func (s *stackedFrame) deliver(r ung.ExpandResult) { s.done <- r }
+
+// frameStack is the LIFO work queue the expander's senders pop from. LIFO
+// matters: the coordinator consumes results in stack order, so the most
+// recently pushed frames are the ones it will wait on soonest, and those are
+// what senders should ship first.
+type frameStack struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	frames []*stackedFrame
+	closed bool
+}
+
+func newFrameStack() *frameStack {
+	s := &frameStack{}
+	s.cond = sync.NewCond(&s.mu)
+	return s
+}
+
+// push parks the frame and returns the channel its result will arrive on.
+// On a closed stack nothing is parked and the channel already holds a
+// "closed" error.
+func (s *frameStack) push(ctx string, f ung.Frame) <-chan ung.ExpandResult {
+	sf := &stackedFrame{ctx: ctx, frame: f, done: make(chan ung.ExpandResult, 1)}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		sf.deliver(ung.ExpandResult{Err: errors.New("bench: expander closed")})
+		return sf.done
+	}
+	s.frames = append(s.frames, sf)
+	s.mu.Unlock()
+	s.cond.Signal()
+	return sf.done
+}
+
+// popBatch blocks until work is available, then returns up to max frames
+// from the top of the stack that share one context (an envelope addresses
+// exactly one app context). It returns nil once the stack is closed.
+func (s *frameStack) popBatch(max int) []*stackedFrame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.frames) == 0 && !s.closed {
+		s.cond.Wait()
+	}
+	if len(s.frames) == 0 {
+		return nil
+	}
+	top := s.frames[len(s.frames)-1]
+	batch := []*stackedFrame{top}
+	s.frames = s.frames[:len(s.frames)-1]
+	for len(batch) < max && len(s.frames) > 0 && s.frames[len(s.frames)-1].ctx == top.ctx {
+		batch = append(batch, s.frames[len(s.frames)-1])
+		s.frames = s.frames[:len(s.frames)-1]
+	}
+	return batch
+}
+
+// close wakes every sender and drops undispatched frames (relevant only
+// when the coordinator aborts); their buffered result channels are garbage
+// collected. Idempotent.
+func (s *frameStack) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.frames = nil
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }

@@ -14,8 +14,8 @@
 //     use the compact binary codec (ung.EncodeBinary, .ungb files); any
 //     other file in the directory is ignored, so a stray one is a cache
 //     miss that gets rebuilt.
-//   - Deterministic results: the build uses the parallel ripper, which is
-//     byte-identical to the sequential one, so cached, snapshotted, and
+//   - Deterministic results: a rip is deterministic, and a distributed one
+//     is byte-identical to the sequential one, so cached, snapshotted, and
 //     fresh builds all yield the same identifier assignment.
 //   - Bounded residency: a serving-tier store can cap the warm working set
 //     with a byte budget (per-model cost = encoded snapshot size); the
@@ -41,20 +41,21 @@ import (
 // semantics change; stale snapshots are ignored and rebuilt.
 const SnapshotVersion = 1
 
-// Options configures one offline build. Workers selects the rip worker pool
-// size and never affects the result, so it is excluded from the fingerprint.
+// Options configures one offline build. Workers is the width of the
+// virtual schedule a rip's simulated clock is computed on (ung.RipParallel);
+// it never affects the graph, so it is excluded from the fingerprint.
 type Options struct {
 	Rip       ung.Config
 	Transform forest.Options
 	Workers   int
 	// NewExpander, when set, supplies the expansion engine for a rip — e.g.
 	// a bench.RemoteExpander sharding frame expansions across serving
-	// replicas — and the build runs ung.RipDispatched with it instead of the
-	// in-process pool (Workers is then ignored). The expander seam is
-	// byte-identical to the sequential rip by contract, so, like Workers,
-	// the hook never affects the result and is excluded from the
-	// fingerprint. Called once per cache miss; the store closes the expander
-	// via RipDispatched.
+	// replicas — and the build runs ung.RipDispatched with it (Workers is
+	// then ignored: the expander reports its own width). The expander seam
+	// is byte-identical to the sequential rip by contract, so, like
+	// Workers, the hook never affects the result and is excluded from the
+	// fingerprint. Called once per cache miss; the store closes the
+	// expander via RipDispatched.
 	NewExpander func(app string) (ung.Expander, error)
 }
 
@@ -279,7 +280,7 @@ func (s *Store) evictLocked() {
 }
 
 // build runs the pipeline: snapshot load if available, else rip (dispatched
-// to opt.NewExpander's engine when set, else parallel when opt.Workers > 1),
+// to opt.NewExpander's engine when set, else sequential on one instance),
 // then transform + identify, then snapshot save.
 func (s *Store) build(app string, factory func() *appkit.App, opt Options) (Build, error) {
 	var b Build
@@ -292,18 +293,16 @@ func (s *Store) build(app string, factory func() *appkit.App, opt Options) (Buil
 		s.mu.Lock()
 		s.stats.SnapshotLoads++
 		s.mu.Unlock()
-	} else if opt.NewExpander != nil {
-		ex, err := opt.NewExpander(app)
-		if err != nil {
-			return Build{}, fmt.Errorf("modelstore: rip %s: %w", app, err)
-		}
-		b.Graph, b.RipStats, err = ung.RipDispatched(factory(), opt.Rip, ex)
-		if err != nil {
-			return Build{}, fmt.Errorf("modelstore: rip %s: %w", app, err)
-		}
 	} else {
 		var err error
-		b.Graph, b.RipStats, err = ung.RipParallel(factory, opt.Rip, opt.Workers)
+		if opt.NewExpander == nil {
+			b.Graph, b.RipStats, err = ung.RipParallel(factory, opt.Rip, opt.Workers)
+		} else {
+			var ex ung.Expander
+			if ex, err = opt.NewExpander(app); err == nil {
+				b.Graph, b.RipStats, err = ung.RipDispatched(factory(), opt.Rip, ex)
+			}
+		}
 		if err != nil {
 			return Build{}, fmt.Errorf("modelstore: rip %s: %w", app, err)
 		}

@@ -130,11 +130,10 @@ func TestSingleflight(t *testing.T) {
 	}
 	wg.Wait()
 
-	// One build = probe + per-worker instances; a second build would at
-	// least double the count. With Workers=2 a single build makes exactly
-	// 3 factory calls (probe + 2 workers).
-	if got := builds.Load(); got != 3 {
-		t.Fatalf("factory called %d times, want 3 (one singleflighted parallel build)", got)
+	// A rip builds one instance at any width, so one singleflighted build
+	// makes exactly one factory call.
+	if got := builds.Load(); got != 1 {
+		t.Fatalf("factory called %d times, want 1 (one singleflighted build)", got)
 	}
 	for i := 1; i < n; i++ {
 		if results[i] != results[0] {

@@ -133,7 +133,11 @@ func (p *App) layoutGallery() *appkit.Popup {
 		return g
 	}
 	return p.Gallery("galLayouts", "Slide Layouts", catalog.SlideLayouts, 11,
-		func(_ *appkit.App, layout string) { p.Deck.InsertSlide(layout); p.refreshThumbs() })
+		func(_ *appkit.App, layout string) {
+			p.Deck.InsertSlide(layout)
+			p.refreshThumbs()
+			p.Layout() // as Reset does: the new thumbnails have no rectangles yet
+		})
 }
 
 func (p *App) popupByWindowID(autoID string) *appkit.Popup {

@@ -107,6 +107,25 @@ func TestNewSlideWithLayout(t *testing.T) {
 	}
 }
 
+// TestNewSlideThumbsHitTest: after a New Slide pick every thumbnail,
+// recreated for the grown deck, is laid out, so a drag can start from any
+// of them.
+func TestNewSlideThumbsHitTest(t *testing.T) {
+	p := New(5)
+	click(t, p, findIn(t, p.Win, "btnNewSlide"))
+	click(t, p, p.Desk.TopWindow().FindByName("Title Only"))
+	for i := range p.Deck.Slides {
+		th := p.Thumb(i)
+		r := th.Rect()
+		if r.Empty() {
+			t.Fatalf("thumbnail %d has an empty rectangle %+v", i, r)
+		}
+		if got := p.Desk.HitTest(r.X+r.W/2, r.Y+r.H/2); got != th {
+			t.Errorf("hit test at thumbnail %d's centre found %v", i, got)
+		}
+	}
+}
+
 func TestLayoutButtonSharesGallery(t *testing.T) {
 	p := New(3)
 	ns := findIn(t, p.Win, "btnNewSlide")

@@ -154,12 +154,13 @@ func mutate(rng *rand.Rand, all []*Element, d *Desktop) {
 func TestUndoLogRewind(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		win, other, _, all := undoFixture()
+		win, other, loose, all := undoFixture()
 		d := NewDesktop()
 		d.OpenWindow(win)
 		d.OpenWindow(other)
 		log := NewUndoLog()
-		log.Attach(win, other)
+		// loose too: a mutation can move a logged window under it.
+		log.Attach(win, other, loose)
 		// A first, unrecorded history: the state to return to need not be
 		// the built one.
 		for i := 0; i < 20; i++ {

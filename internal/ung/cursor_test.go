@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/appkit"
 )
@@ -19,16 +20,19 @@ type ctxFrame struct {
 }
 
 // recordingExpander expands frames synchronously on one cursor and records
-// them in dispatch order.
+// them, and their expansions' costs, in dispatch order.
 type recordingExpander struct {
-	cur    *Cursor
-	frames []ctxFrame
+	cur     *Cursor
+	frames  []ctxFrame
+	elapsed []time.Duration
 }
 
 func (r *recordingExpander) Expand(ctx string, f Frame) <-chan ExpandResult {
+	exp := r.cur.Expand(ctx, f)
 	r.frames = append(r.frames, ctxFrame{ctx: ctx, f: f})
+	r.elapsed = append(r.elapsed, exp.Elapsed)
 	ch := make(chan ExpandResult, 1)
-	ch <- ExpandResult{Expansion: r.cur.Expand(ctx, f)}
+	ch <- ExpandResult{Expansion: exp}
 	return ch
 }
 

@@ -9,13 +9,12 @@ import (
 )
 
 // RipDispatched builds the UNG by DFS differential capture (paper §4.1),
-// with expansions delegated to an Expander — an in-process pool
-// (RipParallel), a fleet of serving replicas (bench.RemoteExpander), or
-// anything else satisfying the seam. A nil expander expands each frame on
-// the probe itself when the frame is popped: that is the sequential Rip.
-// Every expander yields the same graph — same nodes, same discovery order,
-// same edge insertion order — regardless of where or in what order
-// expansions actually execute.
+// with expansions delegated to an Expander — a fleet of serving replicas
+// (bench.RemoteExpander), or anything else satisfying the seam. A nil
+// expander expands each frame on the probe itself when the frame is popped:
+// that is the sequential Rip. Every expander yields the same graph — same
+// nodes, same discovery order, same edge insertion order — regardless of
+// where or in what order expansions actually execute.
 //
 // The design separates the two halves of the DFS:
 //
@@ -50,9 +49,26 @@ import (
 // before returning, and returns the probe's UI to the state it found it in
 // (the document model keeps what the clicks did to it).
 func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, error) {
+	return rip(probe, cfg, ex, 1)
+}
+
+// RipParallel is the sequential rip on one instance built by factory,
+// with its simulated clock scheduled onto workers virtual workers: Workers
+// is max(workers, 1) and SimulatedTime the probe's seeding time plus the
+// makespan of the expansions' costs on that many workers — the modeling
+// clock of workers machines each expanding frames (paper §5.2). Everything
+// else, graph included, is Rip's.
+func RipParallel(factory func() *appkit.App, cfg Config, workers int) (*Graph, Stats, error) {
+	return rip(factory(), cfg, nil, workers)
+}
+
+// rip is the one DFS loop behind Rip, RipDispatched and RipParallel. width
+// is the virtual schedule's width when ex is nil; an expander reports its
+// own on Close.
+func rip(probe *appkit.App, cfg Config, ex Expander, width int) (*Graph, Stats, error) {
 	cfg.fill()
 	g := NewGraph(probe.Name)
-	st := Stats{Workers: 1}
+	st := Stats{Workers: max(width, 1)}
 	cur := NewCursor(probe)
 	var seedTime time.Duration
 	var costs []time.Duration // applied expansions' Elapsed, in application order
@@ -140,17 +156,4 @@ func makespan(costs []time.Duration, k int) time.Duration {
 		load[least] += c
 	}
 	return slices.Max(load)
-}
-
-// RipParallel builds the UNG with a pool of worker goroutines, each driving
-// its own throwaway application instance built by factory. It produces a
-// graph byte-identical to Rip(factory(), cfg) at a fraction of the
-// simulated cost; see RipDispatched for the coordinator/worker contract.
-//
-// workers <= 1 degrades to the sequential Rip on a single fresh instance.
-func RipParallel(factory func() *appkit.App, cfg Config, workers int) (*Graph, Stats, error) {
-	if workers <= 1 {
-		return Rip(factory(), cfg)
-	}
-	return RipDispatched(factory(), cfg, newLocalExpander(factory, workers))
 }

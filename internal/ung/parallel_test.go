@@ -1,7 +1,9 @@
 package ung
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -38,83 +40,99 @@ func assertGraphsIdentical(t *testing.T, want, got *Graph) {
 	}
 }
 
-// TestRipParallelMatchesSequential is the core merge-determinism contract:
-// run under -race, N workers must produce a graph byte-identical to the
-// sequential rip, including both edge lists' insertion order.
+// TestRipParallelMatchesSequential: RipParallel at any width is Rip on one
+// instance, graph and Stats alike, except that Workers is the width and
+// SimulatedTime is the seeding time plus the makespan, on that many
+// workers, of the expansions' costs in the order the rip applied them.
 func TestRipParallelMatchesSequential(t *testing.T) {
-	seq, seqStats, err := Rip(demoApp(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, parStats, err := RipParallel(demoApp, Config{}, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if err := par.Validate(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		assertGraphsIdentical(t, seq, par)
-		// Every dispatched frame is consumed exactly once, so the parallel
-		// rip performs the same exploration — not just reaches the same
-		// result by different work.
-		if parStats.Explored != seqStats.Explored || parStats.Clicks != seqStats.Clicks ||
-			parStats.Snapshots != seqStats.Snapshots {
-			t.Errorf("workers=%d: explored/clicks/snapshots %d/%d/%d, want %d/%d/%d",
-				workers, parStats.Explored, parStats.Clicks, parStats.Snapshots,
-				seqStats.Explored, seqStats.Clicks, seqStats.Snapshots)
-		}
-		if parStats.Workers != workers {
-			t.Errorf("workers stat = %d, want %d", parStats.Workers, workers)
-		}
-	}
-}
-
-// TestRipParallelDeterministic: repeated parallel rips are identical to each
-// other (the property TestRipDeterministic asserts for the sequential path).
-func TestRipParallelDeterministic(t *testing.T) {
-	g1, _, err := RipParallel(demoApp, Config{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, _, err := RipParallel(demoApp, Config{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsIdentical(t, g1, g2)
-}
-
-func TestRipParallelSingleWorkerDegradesToSequential(t *testing.T) {
-	seq, _, err := Rip(demoApp(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, st, err := RipParallel(demoApp, Config{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsIdentical(t, seq, par)
-	if st.Workers != 1 {
-		t.Errorf("workers stat = %d, want 1", st.Workers)
+	apps := []struct {
+		name string
+		new  func() *appkit.App
+	}{{"Demo", demoApp}, {"Word", func() *appkit.App { return word.New().App }}}
+	for _, app := range apps {
+		t.Run(app.name, func(t *testing.T) {
+			if app.name != "Demo" && testing.Short() {
+				t.Skip("office-scale rip")
+			}
+			seq, seqStats, err := Rip(app.new(), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &recordingExpander{cur: NewCursor(app.new())}
+			if _, _, err := RipDispatched(app.new(), Config{}, rec); err != nil {
+				t.Fatal(err)
+			}
+			costs := appliedCosts(rec)
+			if len(costs) != len(rec.frames) {
+				t.Fatalf("%d of %d dispatched frames applied", len(costs), len(rec.frames))
+			}
+			seed := seqStats.SimulatedTime
+			for _, c := range costs {
+				seed -= c
+			}
+			for _, workers := range []int{0, 1, 2, 4, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					g, st, err := RipParallel(app.new, Config{}, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertGraphsIdentical(t, seq, g)
+					want := seqStats
+					want.Workers = max(workers, 1)
+					want.SimulatedTime = seed + makespan(costs, workers)
+					if st != want {
+						t.Errorf("stats\n  %+v\nwant\n  %+v", st, want)
+					}
+				})
+			}
+		})
 	}
 }
 
-// TestRipDispatchedOneWorkerIsRip: a 1-worker pool schedules every applied
-// expansion onto one virtual worker, so its Stats — simulated clock and
-// snapshots included — are the sequential rip's, though the expansions ran
-// on another instance.
+// appliedCosts replays the coordinator's LIFO stack over the frames a rip
+// dispatched to rec and returns their expansions' costs in the order the
+// rip applied them. A context's seeded frames, with no click path, are
+// dispatched together; the frames an applied expansion reveals are
+// dispatched next, each with the expanded frame's path plus its id.
+func appliedCosts(rec *recordingExpander) []time.Duration {
+	var costs []time.Duration
+	var stack []int
+	next := 0
+	take := func(ctx string, path []string) {
+		for next < len(rec.frames) && rec.frames[next].ctx == ctx && slices.Equal(rec.frames[next].f.Path, path) {
+			stack = append(stack, next)
+			next++
+		}
+	}
+	for next < len(rec.frames) {
+		ctx := rec.frames[next].ctx
+		take(ctx, nil)
+		for len(stack) > 0 {
+			i := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			costs = append(costs, rec.elapsed[i])
+			take(ctx, append(slices.Clone(rec.frames[i].f.Path), rec.frames[i].f.ID))
+		}
+	}
+	return costs
+}
+
+// TestRipDispatchedOneWorkerIsRip: an expander of width 1 schedules every
+// applied expansion onto one virtual worker, so its Stats — simulated clock
+// and snapshots included — are the sequential rip's, though the expansions
+// ran on another instance.
 func TestRipDispatchedOneWorkerIsRip(t *testing.T) {
 	seq, seqStats, err := Rip(demoApp(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parStats, err := RipDispatched(demoApp(), Config{}, newLocalExpander(demoApp, 1))
+	g, st, err := RipDispatched(demoApp(), Config{}, &recordingExpander{cur: NewCursor(demoApp())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertGraphsIdentical(t, seq, par)
-	if parStats != seqStats {
-		t.Errorf("1-worker stats differ from sequential:\n  %+v\nvs\n  %+v", parStats, seqStats)
+	assertGraphsIdentical(t, seq, g)
+	if st != seqStats {
+		t.Errorf("1-worker stats differ from sequential:\n  %+v\nvs\n  %+v", st, seqStats)
 	}
 }
 
@@ -135,30 +153,4 @@ func TestMakespan(t *testing.T) {
 	if got := makespan(nil, 4); got != 0 {
 		t.Errorf("makespan of nothing = %d", got)
 	}
-}
-
-func TestRipParallelNodeLimit(t *testing.T) {
-	_, _, err := RipParallel(demoApp, Config{MaxNodes: 10}, 4)
-	if err == nil {
-		t.Fatal("node limit not enforced")
-	}
-}
-
-// TestRipParallelWord compares the full Word rip across the sequential and
-// parallel paths; skipped in -short mode.
-func TestRipParallelWord(t *testing.T) {
-	if testing.Short() {
-		t.Skip("office-scale rip")
-	}
-	seq, _, err := Rip(word.New().App, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, st, err := RipParallel(func() *appkit.App { return word.New().App }, Config{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsIdentical(t, seq, par)
-	t.Logf("word parallel rip: %d nodes, %d clicks, %d workers, makespan %s",
-		st.Nodes, st.Clicks, st.Workers, st.SimulatedTime)
 }

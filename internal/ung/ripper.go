@@ -43,8 +43,9 @@ type Stats struct {
 	Clicks    int
 	Snapshots int
 	Contexts  int
-	// Workers is the expander's width (1 for the sequential ripper): the
-	// number of virtual workers SimulatedTime schedules expansions onto.
+	// Workers is the number of virtual workers SimulatedTime schedules
+	// expansions onto: an expander's width, RipParallel's workers, 1 for
+	// Rip. No real worker is behind it.
 	Workers int
 	// SimulatedTime is the wall-clock cost on the simulated desktop; the
 	// paper reports < 3 hours of automated modeling per application. It is
@@ -124,7 +125,7 @@ func captureReveal(e *uia.Element, parent string) Reveal {
 
 // applyExpansion folds one expansion into the shared graph and its instance
 // work into st, pushing frames for controls seen for the first time. Every
-// expander — none, pooled, distributed — has its expansions applied in
+// expander — none or distributed — has its expansions applied in
 // exactly the same order, which is what keeps all of them byte-identical.
 func applyExpansion(g *Graph, cfg Config, ctx string, f Frame, exp Expansion, st *Stats, push func(node int32, path []string)) {
 	st.Clicks += exp.Clicks
@@ -207,9 +208,7 @@ func ripContexts(app *appkit.App) []string {
 // honored, and every registered application context is explored and merged
 // into one topology.
 //
-// Rip is RipDispatched with every expansion run on app itself; RipParallel
-// distributes the same exploration over a pool of worker instances and
-// produces a byte-identical graph.
+// Rip is RipDispatched with every expansion run on app itself.
 func Rip(app *appkit.App, cfg Config) (*Graph, Stats, error) {
 	return RipDispatched(app, cfg, nil)
 }
