@@ -102,8 +102,9 @@ type RipConfig = ung.Config
 // RipStats reports offline modeling cost.
 type RipStats = ung.Stats
 
-// Rip builds the UNG of an application by DFS differential capture.
-// Ripping clicks every control: use a throwaway application instance.
+// Rip builds the UNG of an application by DFS differential capture. It
+// models app in the state it is passed, so pass a fresh instance, and hands
+// its UI back in that state.
 func Rip(app *App, cfg RipConfig) (*Graph, RipStats, error) { return ung.Rip(app, cfg) }
 
 // Forest is the path-unambiguous topology (main tree + shared subtrees).
@@ -209,11 +210,12 @@ func structuralKey(app *App) string {
 }
 
 // Model runs the complete offline phase for an application instance: rip,
-// transform, identify. Results are memoized in a process-wide store keyed by
-// the instance's structural fingerprint: the first call per application
-// builds (consuming the instance — ripping mutates state); later calls for a
-// structurally identical application return the cached model without
-// touching the instance at all.
+// transform, identify. Like Rip, it models app in the state it is passed,
+// so pass a fresh instance. Results are memoized in a process-wide store
+// keyed by the instance's structural fingerprint: the first call per
+// application rips the instance and hands its UI back in that state; later
+// calls for a structurally identical application return the cached model
+// without touching the instance at all.
 func Model(app *App) (*TopologyModel, error) {
 	b, err := defaultStore.Build(structuralKey(app), func() *appkit.App { return app }, modelstore.Options{})
 	return b.Model, err

@@ -24,7 +24,6 @@ import (
 type Context struct {
 	Name  string
 	Enter func(a *App)
-	Exit  func(a *App)
 }
 
 // App is a simulated ribbon application: one main window on a desktop, a tab
@@ -51,13 +50,7 @@ type App struct {
 	active    []string        // active context names, in activation order
 	blocklist map[string]bool // synthesized control IDs the ripper must not click
 
-	commits     []commitHandler
-	onSoftReset []func(a *App)
-
-	// expandables lists every ExpandCollapse control, registered as
-	// Panel.ComboBox creates it, so SoftReset collapses them without
-	// walking the windows.
-	expandables []*uia.Element
+	commits []commitHandler
 
 	// deferred maps a gallery or combo-box list to its still unbuilt items;
 	// pending lists every deferred enumeration in creation order (lazy.go).
@@ -204,27 +197,6 @@ func (a *App) EnterContext(name string) error {
 	return fmt.Errorf("appkit: unknown context %q", name)
 }
 
-// ExitContext deactivates the named context and hides its contextual tabs.
-func (a *App) ExitContext(name string) {
-	for _, c := range a.contexts {
-		if c.Name != name {
-			continue
-		}
-		if c.Exit != nil {
-			c.Exit(a)
-		}
-		a.setActive(slices.DeleteFunc(slices.Clone(a.active), func(n string) bool { return n == name }))
-		for _, t := range a.tabs {
-			if t.contextual == name {
-				t.item.SetVisible(false)
-				if t.panel.Visible() {
-					a.ActivateTabByName(a.defaultTab)
-				}
-			}
-		}
-	}
-}
-
 // ContextActive reports whether the named context is active.
 func (a *App) ContextActive(name string) bool { return slices.Contains(a.active, name) }
 
@@ -249,44 +221,6 @@ func (a *App) Blocked(e *uia.Element) bool { return a.blocklist[e.ControlID()] }
 // BlocklistSize returns the number of blocklisted controls, a measure of the
 // manual effort in the offline phase.
 func (a *App) BlocklistSize() int { return len(a.blocklist) }
-
-// Reset ----------------------------------------------------------------------
-
-// OnSoftReset registers an application hook run by SoftReset (e.g. clearing
-// a transient document selection).
-func (a *App) OnSoftReset(fn func(a *App)) { a.onSoftReset = append(a.onSoftReset, fn) }
-
-// SoftReset returns the UI to its base state without restarting the
-// application: all popups close, every context exits, and the default tab
-// activates. The ripper uses this between explorations instead of the
-// prohibitively expensive full restart (paper §4.1, access blocklist).
-func (a *App) SoftReset() {
-	a.CloseAllPopups()
-	for _, name := range a.active {
-		a.ExitContext(name)
-	}
-	a.ActivateTabByName(a.defaultTab)
-	a.collapseExpandables()
-	for _, fn := range a.onSoftReset {
-		fn(a)
-	}
-}
-
-// collapseExpandables returns every ExpandCollapse control (combo dropdowns
-// and kin) to the collapsed state. Dropdown panes are not popups, so
-// CloseAllPopups leaves their toggles alone; if that state survived
-// SoftReset, an expansion's differential capture would depend on the
-// instance's click-parity history, breaking the Expander contract that any
-// instance anywhere yields the same result for (context, path, control) —
-// and with it, distributed rip byte-identity and safe re-dispatch.
-func (a *App) collapseExpandables() {
-	for _, e := range a.expandables {
-		x := e.Pattern(uia.ExpandCollapsePattern).(uia.ExpandCollapser)
-		if x.ExpandState(e) == uia.Expanded {
-			_ = x.Collapse(e)
-		}
-	}
-}
 
 // Edit commit ----------------------------------------------------------------
 

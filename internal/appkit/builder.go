@@ -256,7 +256,6 @@ func (p Panel) ComboBox(autoID, name string, options []string, onPick func(a *Ap
 	x := uia.NewExpand(listEl)
 	cb.SetPattern(uia.ExpandCollapsePattern, x)
 	cb.SetPattern(uia.ValuePattern, uia.NewValue("", nil))
-	p.App.expandables = append(p.App.expandables, cb)
 	cb.OnClick(func(e *uia.Element) {
 		if x.ExpandState(e) == uia.Expanded {
 			_ = x.Collapse(e)

@@ -63,7 +63,7 @@ func TestDeferredListsBuildOnce(t *testing.T) {
 		if len(first) != 2 || !first[0].OnScreen() {
 			t.Fatalf("%s: expansion built %d items", c.cb.AutomationID(), len(first))
 		}
-		a.SoftReset()
+		_ = c.cb.Pattern(uia.ExpandCollapsePattern).(uia.ExpandCollapser).Collapse(c.cb)
 		c.expand()
 		if got := list.Children(); len(got) != 2 || got[0] != first[0] {
 			t.Fatalf("%s: second expansion rebuilt the list", c.cb.AutomationID())

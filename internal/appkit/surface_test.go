@@ -9,8 +9,26 @@ import (
 	"testing"
 
 	"repro/internal/appkit"
+	"repro/internal/apps/filemgr"
+	"repro/internal/apps/settings"
+	"repro/internal/office/excel"
+	"repro/internal/office/slides"
+	"repro/internal/office/word"
 	"repro/internal/uia"
+	"repro/internal/ung"
 )
+
+// catalogApps builds the five evaluated applications, in catalog order.
+var catalogApps = []struct {
+	name  string
+	build func() *appkit.App
+}{
+	{"Word", func() *appkit.App { return word.New().App }},
+	{"Excel", func() *appkit.App { return excel.New().App }},
+	{"PowerPoint", func() *appkit.App { return slides.New(12).App }},
+	{"Settings", func() *appkit.App { return settings.New().App }},
+	{"Files", func() *appkit.App { return filemgr.New().App }},
+}
 
 // surfaceGolden pins, per catalog app, the element count and a digest of
 // the complete UI surface — the main window plus every popup template —
@@ -30,16 +48,26 @@ var surfaceGolden = map[string]struct {
 // TestFullSurfaceGolden: deferring enumerations changes nothing once they
 // are built — every element's ControlID, name, description, rectangle,
 // visibility, enabled and large-enumeration flags, patterns and child count
-// match the eager tree, in the same order.
+// match the eager tree, in the same order. A full rip hands its instance
+// back in the state it was passed: its cursor's rewind puts back every
+// click, so the ripped instance, materialized, matches the eager tree too.
 func TestFullSurfaceGolden(t *testing.T) {
 	for _, app := range catalogApps {
 		t.Run(app.name, func(t *testing.T) {
-			a := app.build()
-			a.MaterializeAll()
-			n, sum := surfaceDigest(a)
 			want := surfaceGolden[app.name]
-			if n != want.elements || sum != want.sha256 {
-				t.Errorf("surface = %d elements, digest %s; want %d, %s", n, sum, want.elements, want.sha256)
+			fresh := app.build()
+			ripped := app.build()
+			if _, _, err := ung.Rip(ripped, ung.Config{}); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				pass string
+				a    *appkit.App
+			}{{"fresh", fresh}, {"after a rip", ripped}} {
+				c.a.MaterializeAll()
+				if n, sum := surfaceDigest(c.a); n != want.elements || sum != want.sha256 {
+					t.Errorf("%s: surface = %d elements, digest %s; want %d, %s", c.pass, n, sum, want.elements, want.sha256)
+				}
 			}
 		})
 	}

@@ -200,13 +200,6 @@ func AddDetailToggle(p Panel, idPrefix, moreName, lessName string, pane *uia.Ele
 		less.SetVisible(false)
 		more.SetVisible(true)
 	})
-	// Dialog-internal state persists across opens; restore the collapsed
-	// default on soft reset so the ripper's DFS replay assumptions hold.
-	p.App.OnSoftReset(func(*App) {
-		pane.SetVisible(false)
-		less.SetVisible(false)
-		more.SetVisible(true)
-	})
 	return more, less
 }
 
@@ -227,11 +220,6 @@ func (a *App) AddRibbonCollapse() (collapse, pin *uia.Element) {
 		pin.SetVisible(true)
 	})
 	pin.OnClick(func(*uia.Element) {
-		a.body.SetVisible(true)
-		pin.SetVisible(false)
-		collapse.SetVisible(true)
-	})
-	a.OnSoftReset(func(*App) {
 		a.body.SetVisible(true)
 		pin.SetVisible(false)
 		collapse.SetVisible(true)

@@ -62,12 +62,6 @@ func New() *App {
 	f.buildHome()
 	f.buildView()
 	f.buildBody()
-
-	// The ripper's expansion determinism requires soft reset to restore
-	// every piece of state that affects element visibility or future click
-	// effects: deletions are undone, clipboards emptied, the viewport and
-	// the folder selection return to their defaults.
-	f.OnSoftReset(func(*appkit.App) { f.softReset() })
 	f.Layout()
 	return f
 }
@@ -94,23 +88,9 @@ func (f *App) Reset() {
 		}
 	}
 	f.pendingRename, f.pendingFolder = "", ""
-	f.softReset()
-}
-
-// softReset restores deletion marks, clipboards, the selection and the
-// browser view: what SoftReset leaves to the application. Each of them is
-// written through the undo seam wherever it changes (DESIGN.md §14.4).
-func (f *App) softReset() {
-	for _, folder := range f.FS.Folders {
-		for _, file := range folder.Files {
-			if file.Deleted {
-				uia.Store(f.Win, &file.Deleted, false)
-			}
-		}
-	}
-	uia.Store(f.Win, &f.FS.Trash, nil)
-	f.setClipboard(nil, false)
-	uia.Store(f.Win, &f.FS.TextClipboard, "")
+	// The browser returns to New's: nothing selected, Documents open with
+	// default view options, no preview. Each is written through the undo
+	// seam wherever it changes (DESIGN.md §14.4).
 	uia.Store(f.Win, &f.selected, nil)
 	uia.Store(f.Win, &f.Current, "Documents")
 	uia.Store(f.Win, &f.ShowHidden, false)
@@ -514,12 +494,6 @@ func (f *App) Selected() []*File { return append([]*File(nil), f.selected...) }
 // PreviewOf returns the file shown in the preview pane, or nil.
 func (f *App) PreviewOf() *File { return f.previewOf }
 
-// PreviewPattern exposes the preview pane's text pattern (for tests).
-func (f *App) PreviewPattern() *uia.SimpleText { return f.previewText }
-
-// Item returns the live list item element for a file (for tests).
-func (f *App) Item(file *File) *uia.Element { return f.items[file] }
-
 // loadPreview shows the file's text content in the preview pane.
 func (f *App) loadPreview(file *File) {
 	uia.Store(f.Win, &f.previewOf, file)
@@ -612,8 +586,9 @@ func (f *App) applyRename() {
 	}
 }
 
-// applyDelete marks the target files deleted (restorable by soft reset, so
-// the ripper's exploration stays a pure function of the click path).
+// applyDelete marks the target files deleted, through the undo seam, so a
+// rewind restores them and the ripper's exploration stays a pure function
+// of the click path.
 func (f *App) applyDelete() {
 	for _, file := range f.Targets() {
 		if !file.Deleted {

@@ -32,23 +32,23 @@ func TestFolderSwitchAndViewport(t *testing.T) {
 		t.Fatalf("current = %q", f.Current)
 	}
 	notes := f.FS.File("Documents", "notes.txt")
-	if notes == nil || !f.Item(notes).OnScreen() {
+	if notes == nil || !f.items[notes].OnScreen() {
 		t.Fatal("documents rows not visible")
 	}
 	f.SetFolder("Projects")
-	if f.Item(notes).OnScreen() {
+	if f.items[notes].OnScreen() {
 		t.Fatal("documents row still visible after folder switch")
 	}
 	alpha := f.FS.File("Projects", "proj_alpha.go")
 	last := f.FS.File("Projects", "todo_projects.txt")
-	if !f.Item(alpha).OnScreen() {
+	if !f.items[alpha].OnScreen() {
 		t.Fatal("first projects row not visible")
 	}
-	if f.Item(last).OnScreen() {
+	if f.items[last].OnScreen() {
 		t.Fatal("row beyond the viewport visible without scrolling")
 	}
 	f.ScrollTo(100)
-	if f.ViewTop() == 0 || !f.Item(last).OnScreen() {
+	if f.ViewTop() == 0 || !f.items[last].OnScreen() {
 		t.Fatalf("scroll did not reveal the tail (top=%d)", f.ViewTop())
 	}
 }
@@ -56,12 +56,12 @@ func TestFolderSwitchAndViewport(t *testing.T) {
 func TestHiddenFilter(t *testing.T) {
 	f := New()
 	hidden := f.FS.File("Documents", ".drafts.tmp")
-	if f.Item(hidden).OnScreen() {
+	if f.items[hidden].OnScreen() {
 		t.Fatal("hidden file visible by default")
 	}
 	f.ActivateTabByName("View")
 	f.mustClick(t, f.Win.FindByAutomationID("chkHiddenF"))
-	if !f.ShowHidden || !f.Item(hidden).OnScreen() {
+	if !f.ShowHidden || !f.items[hidden].OnScreen() {
 		t.Fatal("hidden items checkbox did not reveal dotfiles")
 	}
 }
@@ -71,12 +71,12 @@ func TestSelectionCutPasteMovesFiles(t *testing.T) {
 	f.SetFolder("Pictures")
 	p2 := f.FS.File("Pictures", "photo2.jpg")
 	p4 := f.FS.File("Pictures", "photo4.jpg")
-	si2 := f.Item(p2).Pattern(uia.SelectionItemPattern).(uia.SelectionItem)
-	si4 := f.Item(p4).Pattern(uia.SelectionItemPattern).(uia.SelectionItem)
-	if err := si2.Select(f.Item(p2)); err != nil {
+	si2 := f.items[p2].Pattern(uia.SelectionItemPattern).(uia.SelectionItem)
+	si4 := f.items[p4].Pattern(uia.SelectionItemPattern).(uia.SelectionItem)
+	if err := si2.Select(f.items[p2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := si4.AddToSelection(f.Item(p4)); err != nil {
+	if err := si4.AddToSelection(f.items[p4]); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Selected()) != 2 {
@@ -91,13 +91,21 @@ func TestSelectionCutPasteMovesFiles(t *testing.T) {
 	if !f.FS.Has("Downloads", "photo2.jpg") || !f.FS.Has("Downloads", "photo4.jpg") {
 		t.Fatal("cut files not in the destination folder")
 	}
-	if !f.Item(f.FS.File("Downloads", "photo2.jpg")).OnScreen() {
+	if !f.items[f.FS.File("Downloads", "photo2.jpg")].OnScreen() {
 		t.Fatal("moved file has no visible row")
 	}
 }
 
-func TestDeleteViaContextMenuAndSoftResetRestore(t *testing.T) {
+// TestDeleteViaContextMenuAndRewindRestore: a delete through a file's
+// context menu trashes the file the menu is bound to, and rewinding the
+// instance's undo log restores it with its row on screen, as a rip cursor
+// or a pooled session rewinds.
+func TestDeleteViaContextMenuAndRewindRestore(t *testing.T) {
 	f := New()
+	log := uia.NewUndoLog()
+	log.Attach(f.Win)
+	log.Attach(f.AllPopupWindows()...)
+	log.SetRecording(true)
 	old := f.FS.File("Documents", "old_notes.txt")
 	row := f.rows[old]
 	var opts *uia.Element
@@ -124,15 +132,14 @@ func TestDeleteViaContextMenuAndSoftResetRestore(t *testing.T) {
 	if f.FS.Has("Documents", "old_notes.txt") || !f.FS.Trashed("old_notes.txt") {
 		t.Fatal("context-menu delete did not trash the bound file")
 	}
-	if f.Item(old).OnScreen() {
+	if f.items[old].OnScreen() {
 		t.Fatal("deleted row still visible")
 	}
-	// Soft reset restores the deletion — the ripper's replay contract.
-	f.SoftReset()
+	log.Rewind()
 	if !f.FS.Has("Documents", "old_notes.txt") || f.FS.Trashed("old_notes.txt") {
-		t.Fatal("soft reset did not restore the deletion")
+		t.Fatal("the rewind did not restore the deletion")
 	}
-	if !f.Item(old).OnScreen() {
+	if !f.items[old].OnScreen() {
 		t.Fatal("restored row not visible")
 	}
 }
@@ -140,7 +147,7 @@ func TestDeleteViaContextMenuAndSoftResetRestore(t *testing.T) {
 func TestRenameDriftsLiveIdentifier(t *testing.T) {
 	f := New()
 	draft := f.FS.File("Documents", "report_draft.txt")
-	it := f.Item(draft)
+	it := f.items[draft]
 	oldGID := it.ControlID()
 	si := it.Pattern(uia.SelectionItemPattern).(uia.SelectionItem)
 	if err := si.Select(it); err != nil {
@@ -174,8 +181,8 @@ func TestRenameDriftsLiveIdentifier(t *testing.T) {
 func TestCancelledRenameDoesNotLeak(t *testing.T) {
 	f := New()
 	draft := f.FS.File("Documents", "report_draft.txt")
-	si := f.Item(draft).Pattern(uia.SelectionItemPattern).(uia.SelectionItem)
-	if err := si.Select(f.Item(draft)); err != nil {
+	si := f.items[draft].Pattern(uia.SelectionItemPattern).(uia.SelectionItem)
+	if err := si.Select(f.items[draft]); err != nil {
 		t.Fatal(err)
 	}
 	find := func(autoID string) *uia.Element {
@@ -199,8 +206,8 @@ func TestCancelledRenameDoesNotLeak(t *testing.T) {
 	}
 	// Session 2: select another file and confirm without typing.
 	notes := f.FS.File("Documents", "notes.txt")
-	si2 := f.Item(notes).Pattern(uia.SelectionItemPattern).(uia.SelectionItem)
-	if err := si2.Select(f.Item(notes)); err != nil {
+	si2 := f.items[notes].Pattern(uia.SelectionItemPattern).(uia.SelectionItem)
+	if err := si2.Select(f.items[notes]); err != nil {
 		t.Fatal(err)
 	}
 	f.mustClick(t, f.Win.FindByAutomationID("btnRenameF"))
@@ -213,11 +220,11 @@ func TestCancelledRenameDoesNotLeak(t *testing.T) {
 func TestPreviewSelectLinesAndCopyText(t *testing.T) {
 	f := New()
 	notes := f.FS.File("Documents", "notes.txt")
-	f.mustClick(t, f.Item(notes))
+	f.mustClick(t, f.items[notes])
 	if f.PreviewOf() != notes {
 		t.Fatal("click did not open the preview")
 	}
-	tx := f.PreviewPattern()
+	tx := f.previewText
 	if err := tx.SelectLines(f.preview, 2, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +284,7 @@ func TestFuzzyMatchSurvivesRename(t *testing.T) {
 	f := New()
 	s := core.NewSession(f.App, m, core.Options{})
 	draft := f.FS.File("Documents", "report_draft.txt")
-	f.Item(draft).SetName("report_final.txt")
+	f.items[draft].SetName("report_final.txt")
 	draft.Name = "report_final.txt"
 
 	res := s.Visit([]core.Command{core.Access(m.ID(node))})
@@ -292,7 +299,7 @@ func TestFuzzyMatchSurvivesRename(t *testing.T) {
 	f2 := New()
 	s2 := core.NewSession(f2.App, m, core.Options{DisableFuzzy: true, Retries: 1})
 	d2 := f2.FS.File("Documents", "report_draft.txt")
-	f2.Item(d2).SetName("report_final.txt")
+	f2.items[d2].SetName("report_final.txt")
 	res2 := s2.Visit([]core.Command{core.Access(m.ID(node))})
 	if res2.OK() {
 		t.Fatal("exact-match ablation unexpectedly found the renamed control")

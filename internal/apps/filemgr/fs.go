@@ -19,9 +19,9 @@ type File struct {
 	Hidden  bool
 	Content []string // preview lines for text files
 
-	// Deleted marks a trashed file. Deletion is a mark rather than removal
-	// so the application's soft reset can restore it — the property the GUI
-	// ripper's replay determinism depends on (see ung.Rip).
+	// Deleted marks a trashed file. Deletion is a mark rather than removal,
+	// written through the undo seam, so a rewind restores it — the property
+	// the GUI ripper's cursor depends on (see ung.Cursor).
 	Deleted bool
 }
 

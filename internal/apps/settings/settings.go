@@ -291,9 +291,6 @@ func (s *App) buildNetwork() {
 	wifi.NavButton("btnShowNetworks", "Show available networks", func(*appkit.App) {
 		known.El.SetVisible(true)
 	})
-	// Inline reveals persist until reset; restore the collapsed default so
-	// the ripper's replay assumptions hold (see appkit.AddDetailToggle).
-	s.OnSoftReset(func(*appkit.App) { known.El.SetVisible(false) })
 
 	air := net.Group("grpAirplane", "Airplane mode")
 	air.ToggleButton("tglAirplane", "Airplane mode",

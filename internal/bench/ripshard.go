@@ -29,11 +29,11 @@ const maxRipSenders = 32
 // faulted frames when the replica failed individual frames (failover holds
 // the verdict table cells and frames share). Re-dispatch is safe because
 // an expansion is idempotent by construction: it is a function of (app,
-// context, click path) on a soft-reset instance, so a frame that died with
-// its replica mid-expansion produces the same differential capture
-// anywhere else. A 4xx or a pack mismatch is the request's fault, not the
-// replica's: it is delivered as a final per-frame error without marking
-// anything down.
+// context, click path) on a cursor over a fresh instance, so a frame that
+// died with its replica mid-expansion produces the same differential
+// capture anywhere else. A 4xx or a pack mismatch is the request's fault,
+// not the replica's: it is delivered as a final per-frame error without
+// marking anything down.
 //
 // The expander pops stacked frames most-recent-first and coalesces up to
 // the configured batch of same-context frames per envelope — the LIFO

@@ -57,11 +57,6 @@ func New(rows ...[]string) *App {
 
 	x.RegisterContext(appkit.Context{Name: ContextChartSelected})
 	x.buildChartDesign()
-
-	x.OnSoftReset(func(*appkit.App) {
-		x.Sheet.SelectRange("A1")
-		x.ScrollTo(0)
-	})
 	x.Layout()
 	return x
 }
@@ -809,12 +804,6 @@ func (x *App) applyViewport() {
 }
 
 func (x *App) refreshCell(string) { /* values are read through the pattern; nothing cached */ }
-
-// GridElement returns the worksheet DataGrid control.
-func (x *App) GridElement() *uia.Element { return x.gridEl }
-
-// NameBox returns the Name Box edit control.
-func (x *App) NameBox() *uia.Element { return x.nameBox }
 
 // DataItem returns the DataItem element for a cell reference, or nil when
 // the reference is malformed or outside the grid. It accepts exactly the

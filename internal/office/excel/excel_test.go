@@ -85,7 +85,7 @@ func TestScale(t *testing.T) {
 
 func TestNameBoxCommitSelectsAndScrolls(t *testing.T) {
 	x := New()
-	click(t, x, x.NameBox())
+	click(t, x, x.nameBox)
 	if err := x.Desk.TypeText("B25"); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestViewportRows(t *testing.T) {
 			t.Fatalf("%s: ViewTop %d leaves the grid", what, top)
 		}
 		n := 0
-		for _, item := range x.GridElement().Children() {
+		for _, item := range x.gridEl.Children() {
 			if item.Type() != uia.DataItemControl {
 				continue
 			}

@@ -45,10 +45,9 @@ func AddIllustrations(a *appkit.App, tab appkit.Panel, idPrefix string, onInsert
 	chart := a.NewDialog(idPrefix+"ChartDlg", "Insert Chart")
 	cp := chart.Panel()
 	charts := cp.ChoiceList(idPrefix+"ChartList", "All Charts", catalog.ChartTypes)
-	// A fresh dialog starts with no chart type selected. Without this reset
-	// the selection would survive SoftReset, and whether OK inserts a chart
-	// (revealing the contextual design tab) would depend on the instance's
-	// click history — breaking rip determinism across instances.
+	// A fresh dialog starts with no chart type selected: a pick does not
+	// outlive the dialog, so whether OK inserts a chart (revealing the
+	// contextual design tab) depends only on the picks made since it opened.
 	chart.OnOpen = func(*appkit.App, any) { charts.Clear() }
 	chart.AddOKCancel(func(app *appkit.App) {
 		if chosen := charts.Chosen(); chosen != "" {

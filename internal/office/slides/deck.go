@@ -143,15 +143,6 @@ func (d *Deck) AllTransitions(tr string) bool {
 	return len(d.Slides) > 0
 }
 
-// SelectOnly selects exactly the given 0-based slide index and makes it
-// current.
-func (d *Deck) SelectOnly(i int) {
-	if i < 0 || i >= len(d.Slides) {
-		return
-	}
-	d.Select(map[int]bool{i: true}, i)
-}
-
 // Select makes sel the selected thumbnails and slide current the one open
 // in the editing pane. sel is the deck's from then on: callers build a new
 // map rather than change the one Selected holds, which the undo log may

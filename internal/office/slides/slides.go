@@ -64,10 +64,6 @@ func New(n int) *App {
 	p.buildBody()
 
 	p.RegisterContext(appkit.Context{Name: ContextImageSelected})
-	p.OnSoftReset(func(*appkit.App) {
-		p.Deck.SelectOnly(0)
-		p.ScrollThumbsTo(0)
-	})
 	p.Layout()
 	return p
 }
@@ -703,9 +699,6 @@ func (p *App) Thumb(i int) *uia.Element {
 	}
 	return p.thumbs[i]
 }
-
-// TitleElement returns the title placeholder of the editing pane.
-func (p *App) TitleElement() *uia.Element { return p.titleEl }
 
 func (p *App) selectedTitle() *Shape {
 	if s := p.Deck.CurrentSlide(); s != nil {

@@ -181,7 +181,7 @@ func TestThumbnailSelectionSyncs(t *testing.T) {
 func TestTitleEditThroughValuePattern(t *testing.T) {
 	p := New(4)
 	p.Deck.SelectOnly(1)
-	title := p.TitleElement()
+	title := p.titleEl
 	v := title.Pattern(uia.ValuePattern).(uia.Valuer)
 	if err := v.SetValue(title, "Quarterly Review"); err != nil {
 		t.Fatal(err)

@@ -132,12 +132,6 @@ func (d *Document) SelectParas(start, end int) {
 	uia.Store(d.owner, &d.SelEnd, end)
 }
 
-// ClearSelection drops the paragraph selection.
-func (d *Document) ClearSelection() {
-	d.SelectParas(0, 0)
-	d.text.ClearSelection(d.owner)
-}
-
 // Selected returns the selected paragraphs (empty if none).
 func (d *Document) Selected() []*Para {
 	if d.SelStart < 1 || d.SelEnd > len(d.Paras) || d.SelStart > d.SelEnd {

@@ -78,9 +78,7 @@ func New(paras ...string) *App {
 	w.RegisterContext(appkit.Context{
 		Name:  ContextImageSelected,
 		Enter: func(*appkit.App) { uia.Store(w.Win, &w.PictureSelected, true) },
-		Exit:  func(*appkit.App) { uia.Store(w.Win, &w.PictureSelected, false) },
 	})
-	w.OnSoftReset(func(*appkit.App) { w.Doc.ClearSelection() })
 	w.Layout()
 	return w
 }
@@ -782,12 +780,6 @@ func (w *App) buildBody() {
 	status.Label("Page 1 of 1")
 	status.Label("Words: 120")
 }
-
-// DocElement returns the Document control exposing the body text pattern.
-func (w *App) DocElement() *uia.Element { return w.docEl }
-
-// FindNextButton returns the dynamically renamed Find Next / Go To button.
-func (w *App) FindNextButton() *uia.Element { return w.findBtn }
 
 func wireComboToSelection(w *App, autoID string, apply func(p *Para, v string)) {
 	cb := w.Win.FindByAutomationID(autoID)

@@ -123,22 +123,22 @@ func TestReplaceAllAndDynamicRename(t *testing.T) {
 	}
 
 	// Typing "+1" into Find what renames Find Next to Go To (paper §6).
-	if w.FindNextButton().Name() != "Find Next" {
-		t.Fatalf("initial name = %q", w.FindNextButton().Name())
+	if w.findBtn.Name() != "Find Next" {
+		t.Fatalf("initial name = %q", w.findBtn.Name())
 	}
 	click(t, w, fw)
 	if err := w.Desk.TypeText("+1"); err != nil {
 		t.Fatal(err)
 	}
-	if w.FindNextButton().Name() != "Go To" {
-		t.Errorf("dynamic rename missing: %q", w.FindNextButton().Name())
+	if w.findBtn.Name() != "Go To" {
+		t.Errorf("dynamic rename missing: %q", w.findBtn.Name())
 	}
 	click(t, w, fw)
 	if err := w.Desk.TypeText("plain"); err != nil {
 		t.Fatal(err)
 	}
-	if w.FindNextButton().Name() != "Find Next" {
-		t.Errorf("rename did not revert: %q", w.FindNextButton().Name())
+	if w.findBtn.Name() != "Find Next" {
+		t.Errorf("rename did not revert: %q", w.findBtn.Name())
 	}
 }
 
@@ -198,7 +198,7 @@ func TestSelectionViaTextPattern(t *testing.T) {
 	w := New("one", "two", "three")
 	tp := w.Doc.TextPattern()
 	// Paragraph 2 occupies line 3 (blank separators between paragraphs).
-	if err := tp.SelectParagraphs(w.DocElement(), 2, 3); err != nil {
+	if err := tp.SelectParagraphs(w.docEl, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	if w.Doc.SelStart != 2 || w.Doc.SelEnd != 3 {

@@ -18,11 +18,11 @@ import (
 //
 //   - While checked out, the instance's undo log records every element and
 //     provider mutation (uia's undo seam), the pending picks of appkit's
-//     choice lists and the application state SoftReset normalizes;
-//     application handlers keep no other state.
+//     choice lists and every Go-side field a handler writes outside the
+//     document model; application handlers keep no other state.
 //   - Release rewinds the log and restores the desktop's clock, snapshot
-//     count, focus and window stack. It needs no soft reset first: all a
-//     soft reset would put back is in the log.
+//     count, focus and window stack. That is the only way back; no app
+//     hook runs first.
 //   - The next Checkout runs the app's reset hook with recording on: it puts
 //     the document model where a fresh build with the next task's setup
 //     would put it, and any UI change it makes rewinds like a session's.

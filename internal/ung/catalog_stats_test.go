@@ -104,9 +104,10 @@ func onScreen(a *appkit.App, autoID string) *uia.Element {
 	return nil
 }
 
-// wordDepth2Frame builds Word and the frame Text Effects → Text Outline →
-// More Colors…: a click path of two steps whose activation reveals the
-// color picker's dialog.
+// wordDepth2Frame returns a fresh Word and the frame Text Effects → Text
+// Outline → More Colors…: a click path of two steps whose activation
+// reveals the color picker's dialog. The path is read off an instance it
+// clicks through; control ids are the same on every instance.
 func wordDepth2Frame(t testing.TB) (*appkit.App, Frame) {
 	t.Helper()
 	a := word.New().App
@@ -125,8 +126,7 @@ func wordDepth2Frame(t testing.TB) (*appkit.App, Frame) {
 			t.Fatal(err)
 		}
 	}
-	a.SoftReset()
-	return a, f
+	return word.New().App, f
 }
 
 // siblingExpandAllocBudget bounds the allocations of a sibling expansion

@@ -15,16 +15,18 @@ import (
 //
 // A rewind puts back everything a from-scratch expansion would have
 // re-established — the instance's undo log restores every element and
-// provider mutation and every piece of application state SoftReset
-// normalizes, and the desktop's clock, snapshot count, focus and window
-// stack come back from the checkpoint's DeskState — so an expansion is the
-// same pure function of (application, context, frame) that a soft reset
-// plus a full replay computed, whatever the cursor expanded before
-// (DESIGN.md §3.1). Its Clicks, Snapshots and Elapsed are still the
-// from-scratch costs: a real GUI cannot be rewound.
+// provider mutation and every Go-side field a handler writes, and the
+// desktop's clock, snapshot count, focus and window stack come back from
+// the checkpoint's DeskState — so an expansion is the same pure function
+// of (application, context, frame) that a restore plus a full replay
+// computes, whatever the cursor expanded before (DESIGN.md §3.1). Its
+// Clicks, Snapshots and Elapsed are still the from-scratch costs: a real
+// GUI cannot be rewound.
 //
 // A cursor owns its instance: it attaches an undo log to it and records
-// from then on. Like the instance, it belongs to one goroutine at a time.
+// from then on. Its base state is the instance as it found it, which every
+// context starts from, so a cursor is made on a fresh instance. Like the
+// instance, it belongs to one goroutine at a time.
 type Cursor struct {
 	app  *appkit.App
 	log  *uia.UndoLog
@@ -86,13 +88,11 @@ func (c *Cursor) Close() {
 }
 
 // enter makes checkpoint 0 the base screen of ctx: the instance returns to
-// the state the cursor found it in, soft-resets, enters ctx and is
-// captured.
+// the state the cursor found it in, enters ctx and is captured.
 func (c *Cursor) enter(ctx string) {
 	c.log.RewindTo(0)
 	c.app.Desk.RestoreState(c.base)
 	t0 := c.app.Desk.Clock().Now()
-	c.app.SoftReset()
 	if ctx != "" {
 		_ = c.app.EnterContext(ctx)
 	}
@@ -176,8 +176,8 @@ func activatable(el *uia.Element) bool {
 // Expand activates the frame's control in context ctx and differences the
 // captures before and after the click (paper §4.1).
 //
-// A depth-k frame is charged what a from-scratch expansion costs — one
-// SoftReset, k+1 clicks and k+2 full snapshots, with Elapsed the simulated
+// A depth-k frame is charged what a from-scratch expansion costs — a
+// restore, k+1 clicks and k+2 full snapshots, with Elapsed the simulated
 // time they take — though the cursor clicks and captures only past the
 // deepest checkpoint the frame's path shares with the cursor's. The
 // capture after the activation becomes the checkpoint for the frame's

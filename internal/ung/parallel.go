@@ -45,9 +45,11 @@ import (
 //
 // The probe instance serves the coordinator, through a cursor of its own:
 // application metadata, the per-context initial-screen captures and, with a
-// nil expander, every expansion. RipDispatched always closes the expander
-// before returning, and returns the probe's UI to the state it found it in
-// (the document model keeps what the clicks did to it).
+// nil expander, every expansion. The rip models the probe in the state it
+// is passed, so pass a fresh instance; every context starts from that
+// state. RipDispatched always closes the expander before returning, and
+// hands the probe's UI back in that state (the document model keeps what
+// the clicks did to it).
 func RipDispatched(probe *appkit.App, cfg Config, ex Expander) (*Graph, Stats, error) {
 	return rip(probe, cfg, ex, 1)
 }

@@ -208,7 +208,9 @@ func ripContexts(app *appkit.App) []string {
 // honored, and every registered application context is explored and merged
 // into one topology.
 //
-// Rip is RipDispatched with every expansion run on app itself.
+// The rip models app in the state it is passed, so pass a fresh instance,
+// and hands its UI back in that state. Rip is RipDispatched with every
+// expansion run on app itself.
 func Rip(app *appkit.App, cfg Config) (*Graph, Stats, error) {
 	return RipDispatched(app, cfg, nil)
 }
