@@ -71,7 +71,7 @@ func (t Task) Checkout() *Env {
 		env.undo = uia.NewUndoLog()
 		env.undo.Attach(env.App.Win)
 		env.undo.Attach(env.App.AllPopupWindows()...)
-		env.desk = env.App.Desk.SaveState()
+		env.App.Desk.SaveState(&env.desk)
 		env.undo.SetRecording(true)
 		poolBuilt.Add(1)
 	}

@@ -148,15 +148,97 @@ func (d *Desktop) RegisterKey(combo string, fn func(*Desktop) error) {
 // returns the result, so a caller that passes its previous result back in
 // reuses the storage; pass nil for a fresh slice.
 func (d *Desktop) Snapshot(buf []*Element) []*Element {
+	return d.snapshot(buf[:0], nil, nil)
+}
+
+// Capture is a snapshot that also holds its elements' control ids and
+// where each visible window's elements sit in it, so that a later capture
+// can copy the stretch of a window that has not changed instead of walking
+// it again.
+type Capture struct {
+	Els   []*Element // on-screen elements, window roots included, in snapshot order
+	IDs   []string   // Els' control ids
+	Spans []Span     // one per visible window, in stacking order
+}
+
+// Span is the stretch Els[Start:End] of a Capture that one window's
+// elements fill.
+type Span struct {
+	Start, End int
+	// Prev is where the stretch starts in the previous capture it was
+	// copied from, or -1 if the window was walked.
+	Prev int
+
+	// win is the window root, nil if a later capture may not copy the
+	// stretch, and gen its structural generation.
+	win *Element
+	gen windowGen
+}
+
+// Capture takes a snapshot into c, reusing its storage, as Snapshot does:
+// it is counted, advances the clock, and lists exactly the elements
+// Snapshot would, in the same order. A window whose span in prev carries
+// the window's current structural generation is not walked: its elements
+// and ids are copied from prev. That copy is what a walk would list, and a
+// walk would count down no deferral: a walk that counts one down changes
+// the generation, and its span is never copied. Only windows of a tree
+// with an undo log have a generation; the rest are always walked. prev may
+// be nil, or a capture of this desktop taken earlier.
+func (d *Desktop) Capture(c, prev *Capture) {
+	c.IDs, c.Spans = c.IDs[:0], c.Spans[:0]
+	c.Els = d.snapshot(c.Els[:0], c, prev)
+}
+
+// snapshot is the one desktop walk behind Snapshot and Capture: it counts
+// a snapshot, advances the clock and appends every visible window's
+// on-screen elements to out. With a capture c, it also fills c's ids and
+// spans, copying each window it can from prev.
+func (d *Desktop) snapshot(out []*Element, c, prev *Capture) []*Element {
 	d.clock.Advance(CostSnapshot)
 	d.snapshots++
-	out := buf[:0]
 	for _, w := range d.windows {
-		if w.Visible() {
-			out = observe(w, out)
+		if !w.Visible() {
+			continue
 		}
+		if c == nil {
+			out = observe(w, out)
+			continue
+		}
+		s := Span{Start: len(out), Prev: -1}
+		g, tracked := w.generation()
+		if p := prev.span(w); tracked && p != nil && p.gen == g {
+			out = append(out, prev.Els[p.Start:p.End]...)
+			c.IDs = append(c.IDs, prev.IDs[p.Start:p.End]...)
+			s.Prev = p.Start
+		} else {
+			out = observe(w, out)
+			for _, e := range out[s.Start:] {
+				c.IDs = append(c.IDs, e.ControlID())
+			}
+			after, _ := w.generation()
+			tracked = tracked && after == g // else the walk counted a deferral down
+		}
+		if tracked {
+			s.win, s.gen = w, g
+		}
+		s.End = len(out)
+		c.Spans = append(c.Spans, s)
 	}
 	return out
+}
+
+// span returns the span a later capture may copy for window root w, or
+// nil if c is nil or has none.
+func (c *Capture) span(w *Element) *Span {
+	if c == nil {
+		return nil
+	}
+	for i := range c.Spans {
+		if c.Spans[i].win == w {
+			return &c.Spans[i]
+		}
+	}
+	return nil
 }
 
 // SnapshotWindow captures the on-screen elements of a single window.

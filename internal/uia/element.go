@@ -94,8 +94,8 @@ func (e *Element) SetName(name string) {
 	if e.name == name {
 		return
 	}
-	if l := e.recorder(); l != nil {
-		l.push(undoEntry{op: undoName, el: e, str: e.name})
+	if e.log != nil {
+		e.log.structural(e, undoEntry{op: undoName, el: e, str: e.name})
 	}
 	e.name = name
 	e.invalidateIDs()
@@ -132,8 +132,8 @@ func (e *Element) Visible() bool { return e.visible }
 
 // SetVisible sets the element's own visibility flag.
 func (e *Element) SetVisible(v bool) {
-	if l := e.recorder(); l != nil && e.visible != v {
-		l.push(undoEntry{op: undoVisible, el: e, flag: e.visible})
+	if e.log != nil && e.visible != v {
+		e.log.structural(e, undoEntry{op: undoVisible, el: e, flag: e.visible})
 	}
 	e.visible = v
 }
@@ -171,8 +171,8 @@ func (e *Element) AddChild(child *Element) {
 	if e.log != nil && child.log != e.log {
 		child.Walk(func(n *Element) bool { n.log = e.log; return true })
 	}
-	if l := e.recorder(); l != nil {
-		l.push(undoEntry{op: undoAddChild, el: e, child: child})
+	if e.log != nil {
+		e.log.structural(e, undoEntry{op: undoAddChild, el: e, child: child})
 	}
 	child.parent = e
 	child.invalidateIDs()
@@ -184,8 +184,8 @@ func (e *Element) AddChild(child *Element) {
 func (e *Element) RemoveChild(child *Element) {
 	for i, c := range e.children {
 		if c == child {
-			if l := e.recorder(); l != nil {
-				l.push(undoEntry{op: undoRemoveChild, el: e, child: child, at: i})
+			if e.log != nil {
+				e.log.structural(e, undoEntry{op: undoRemoveChild, el: e, child: child, at: i})
 			}
 			e.children = append(e.children[:i], e.children[i+1:]...)
 			child.parent = nil
@@ -238,8 +238,8 @@ func (e *Element) DeferVisibility(n int) {
 
 // setDefer stores the lazy-loading countdown, logging the old one.
 func (e *Element) setDefer(n int32) {
-	if l := e.recorder(); l != nil && e.deferVisible != n {
-		l.push(undoEntry{op: undoDefer, el: e, n: e.deferVisible})
+	if e.log != nil && e.deferVisible != n {
+		e.log.structural(e, undoEntry{op: undoDefer, el: e, n: e.deferVisible})
 	}
 	e.deferVisible = n
 }

@@ -19,6 +19,11 @@ import (
 // value, and Rewind replays the log backwards — RewindTo only as far back
 // as a Mark. Elements of a fresh build have no log and pay one nil check
 // per mutation.
+//
+// The same seam keeps each window root's structural generation, which
+// changes on every mutation a capture can see (see structural), so a
+// capture can copy an unchanged window's stretch of an earlier capture
+// instead of walking it (Desktop.Capture).
 
 // UndoLog records the old values of the mutations made to one application
 // instance's elements and provider state while recording is on. It belongs
@@ -26,6 +31,22 @@ import (
 type UndoLog struct {
 	on      bool
 	entries []undoEntry
+
+	// gens holds the structural generation of every window root a
+	// structural mutation reached, and next the last generation number
+	// handed out.
+	gens map[*Element]windowGen
+	next uint64
+}
+
+// windowGen is a window root's structural generation. While it is equal,
+// a walk of the window lists the same elements with the same ids: n
+// identifies the newest logged structural mutation under the root that has
+// not been rewound (numbers are never reused, so after a rewind past that
+// mutation no later one brings its number back), and epoch counts the
+// unlogged ones, which no rewind undoes and so none restores.
+type windowGen struct {
+	n, epoch uint64
 }
 
 type undoOp uint8
@@ -45,6 +66,8 @@ const (
 )
 
 // undoEntry is one logged mutation; only the fields its op names are set.
+// A structural mutation also keeps its window root and the root's
+// generation number before it.
 type undoEntry struct {
 	op    undoOp
 	flag  bool
@@ -56,10 +79,12 @@ type undoEntry struct {
 	rect  Rect
 	prov  any
 	fn    func()
+	root  *Element
+	gen   uint64
 }
 
 // NewUndoLog returns an empty log that is not recording.
-func NewUndoLog() *UndoLog { return &UndoLog{} }
+func NewUndoLog() *UndoLog { return &UndoLog{gens: make(map[*Element]windowGen)} }
 
 // Attach makes l the undo log of every element in the trees rooted at
 // roots. Elements added under them later join it through AddChild.
@@ -93,8 +118,8 @@ func (l *UndoLog) Rewind() {
 func (l *UndoLog) Mark() int { return len(l.entries) }
 
 // RewindTo undoes the mutations logged since mark, newest first, so the
-// elements and provider state return to what they were when Mark returned
-// it. Recording stays as it is.
+// elements and provider state, and the window generation numbers, return
+// to what they were when Mark returned it. Recording stays as it is.
 func (l *UndoLog) RewindTo(mark int) {
 	for i := len(l.entries) - 1; i >= mark; i-- {
 		u := &l.entries[i]
@@ -129,12 +154,51 @@ func (l *UndoLog) RewindTo(mark int) {
 		case undoFunc:
 			u.fn()
 		}
+		if u.root != nil {
+			g := l.gens[u.root]
+			g.n = u.gen
+			l.gens[u.root] = g
+		}
 		*u = undoEntry{}
 	}
 	l.entries = l.entries[:mark]
 }
 
 func (l *UndoLog) push(u undoEntry) { l.entries = append(l.entries, u) }
+
+// structural records u, a mutation of e that a capture can see: SetName
+// (ids), SetVisible, AddChild, RemoveChild and the deferral countdown.
+// Every other mutation leaves what a capture lists as it is. It gives e's
+// window root a new generation: while the log records, it appends u with
+// the root's old generation number, which RewindTo puts back; otherwise it
+// bumps the root's epoch. An unlogged structural mutation under a logged
+// tree, such as a deferred list's build (appkit), stays when the log
+// rewinds; the epoch keeps a capture from ever reusing a stretch taken
+// before it.
+//
+// A tree's elements share their root's log: Attach and AddChild keep it so.
+func (l *UndoLog) structural(e *Element, u undoEntry) {
+	r := e.Root()
+	g := l.gens[r]
+	if l.on {
+		u.root, u.gen = r, g.n
+		l.push(u)
+		l.next++
+		g.n = l.next
+	} else {
+		g.epoch++
+	}
+	l.gens[r] = g
+}
+
+// generation returns the structural generation of e's window, e being its
+// root, and false when no log tracks it.
+func (e *Element) generation() (windowGen, bool) {
+	if e.log == nil {
+		return windowGen{}, false
+	}
+	return e.log.gens[e], true
+}
 
 // UndoLog returns the undo log of the pooled instance e belongs to, or nil.
 func (e *Element) UndoLog() *UndoLog { return e.log }
@@ -181,10 +245,12 @@ type DeskState struct {
 	windows   []*Element
 }
 
-// SaveState captures the desktop's clock, snapshot count, focus and window
-// stack.
-func (d *Desktop) SaveState() DeskState {
-	return DeskState{now: d.clock.now, snapshots: d.snapshots, focus: d.focus, windows: slices.Clone(d.windows)}
+// SaveState stores the desktop's clock, snapshot count, focus and window
+// stack in s. The stack is copied into s's own storage, so a state saved
+// again and again allocates only when the stack outgrows it.
+func (d *Desktop) SaveState(s *DeskState) {
+	s.now, s.snapshots, s.focus = d.clock.now, d.snapshots, d.focus
+	s.windows = append(s.windows[:0], d.windows...)
 }
 
 // RestoreState puts back what SaveState captured. Window listeners do not

@@ -245,7 +245,8 @@ func TestDeskStateRestore(t *testing.T) {
 	ed := NewElement("ed", "Edit", EditControl)
 	w.AddChild(ed)
 	d.OpenWindow(w)
-	s := d.SaveState()
+	var s DeskState
+	d.SaveState(&s)
 	d.Snapshot(nil)
 	d.OpenWindow(NewElement("p", "P", PaneControl))
 	d.SetFocus(ed)

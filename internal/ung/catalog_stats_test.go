@@ -135,7 +135,7 @@ func wordDepth2Frame(t testing.TB) (*appkit.App, Frame) {
 // click path, clicks, captures once and differences. Allocation counts are
 // deterministic, so this gates the expansion's footprint where wall-clock
 // cannot.
-const siblingExpandAllocBudget = 9
+const siblingExpandAllocBudget = 8
 
 // raceEnabled is set in race builds (race_test.go).
 var raceEnabled bool
@@ -160,5 +160,28 @@ func TestSiblingExpandAllocs(t *testing.T) {
 	// From a checkpoint, the expansion still reports the from-scratch cost.
 	if !reflect.DeepEqual(again, first) {
 		t.Errorf("expansion from the checkpoint differs from the first:\n%+v\nvs\n%+v", again, first)
+	}
+}
+
+// coldRipAllocBudget bounds the allocations of a cold rip of Word, the
+// instance built beforehand: every capture, difference, graph node and
+// pushed frame of a whole catalog rip. A Word rip allocated 36,260 times
+// before captures copied unchanged windows, pushed frames shared one path
+// per expansion and checkpoints kept their window-stack storage, and
+// 29,003 times after. Tighten it when the rip gets leaner; never loosen it.
+const coldRipAllocBudget = 30000
+
+func TestColdRipAllocs(t *testing.T) {
+	apps := []*appkit.App{word.New().App, word.New().App}
+	allocs := testing.AllocsPerRun(1, func() {
+		a := apps[0]
+		apps = apps[1:]
+		if _, _, err := Rip(a, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("cold Word rip: %.0f allocs", allocs)
+	if allocs > coldRipAllocBudget && !raceEnabled {
+		t.Errorf("a cold Word rip allocates %.0f times, budget %d", allocs, coldRipAllocBudget)
 	}
 }

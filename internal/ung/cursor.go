@@ -48,16 +48,17 @@ type Cursor struct {
 // steps and taking the capture that follows them.
 type checkpoint struct {
 	mark  int           // the undo log's position
-	desk  uia.DeskState // clock, snapshot count, focus, window stack
+	desk  uia.DeskState // clock, snapshot count, focus, window stack (own storage)
 	now   time.Duration // the clock, as desk holds it
 	since time.Duration // simulated time since the context's restore began
 
-	// els is the capture's controls in snapshot order, window roots
-	// excluded, and ids their ids. index maps each id to its first
-	// position; it is built on first use, since most captures are never
-	// looked up by id past the lockstep difference.
-	els     []*uia.Element
-	ids     []string
+	// snap is the capture: its elements in snapshot order, their ids and
+	// each window's span. Window roots are in it but are containers, not
+	// controls; no frame names one, and the differencing skips them. index
+	// maps each id to its first position; it is built on first use, since
+	// most captures are never looked up by id past the lockstep
+	// difference.
+	snap    uia.Capture
 	index   map[string]int32
 	indexed bool
 }
@@ -68,13 +69,14 @@ func NewCursor(app *appkit.App) *Cursor {
 	log.Attach(app.Win)
 	log.Attach(app.AllPopupWindows()...)
 	log.SetRecording(true)
-	return &Cursor{
+	c := &Cursor{
 		app:   app,
 		log:   log,
-		base:  app.Desk.SaveState(),
 		added: make(map[string]struct{}),
 		fresh: make(map[*uia.Element]bool),
 	}
+	app.Desk.SaveState(&c.base)
+	return c
 }
 
 // App returns the instance the cursor drives.
@@ -101,31 +103,46 @@ func (c *Cursor) enter(ctx string) {
 	c.capture(0, t0)
 }
 
-// capture takes one full desktop snapshot into checkpoint i's storage and
-// makes it the instance's current state; t0 is when the context's restore
-// began. Every capture walks the whole desktop, even when the caller needs a
-// single control: the walk advances the simulated clock and the
-// lazy-loading counters, which the ripper's results depend on.
+// capture takes one desktop capture into checkpoint i's storage and makes
+// it the instance's current state; t0 is when the context's restore began.
+// Every capture is a full snapshot of the desktop, even when the caller
+// needs a single control: it is counted, advances the simulated clock,
+// counts down every deferral a walk of the whole desktop would, and lists
+// exactly the controls that walk would, which the ripper's results depend
+// on. Capture i > 0 follows checkpoint i-1 and one click, so it treats
+// checkpoint i-1 as its previous capture and walks only the windows whose
+// structural generation changed since (uia.Desktop.Capture). The
+// generations live in the instance's undo log, keyed by window root, and
+// a rewind restores them with the mutations they count.
 func (c *Cursor) capture(i int, t0 time.Duration) *checkpoint {
 	for len(c.cps) <= i {
 		c.cps = append(c.cps, checkpoint{})
 	}
-	cp := &c.cps[i]
-	snap := c.app.Desk.Snapshot(cp.els)
-	cp.els, cp.ids, cp.indexed = snap[:0], cp.ids[:0], false
-	for _, e := range snap {
-		if e.Parent() != nil { // window roots are containers, not controls
-			cp.els = append(cp.els, e)
-			cp.ids = append(cp.ids, e.ControlID())
-		}
+	var prev *uia.Capture
+	if i > 0 {
+		prev = &c.cps[i-1].snap
 	}
-	clear(snap[len(cp.els):])
+	var check func(*uia.Capture)
+	if captureCheck != nil {
+		check = captureCheck(c.app.Desk)
+	}
+	cp := &c.cps[i]
+	c.app.Desk.Capture(&cp.snap, prev)
+	if check != nil {
+		check(&cp.snap)
+	}
+	cp.indexed = false
 	cp.mark = c.log.Mark()
-	cp.desk = c.app.Desk.SaveState()
+	c.app.Desk.SaveState(&cp.desk)
 	cp.now = c.app.Desk.Clock().Now()
 	cp.since = cp.now - t0
 	return cp
 }
+
+// captureCheck, when a test sets it, is called with the desktop before
+// every capture a cursor takes, and the function it returns with the
+// capture once it is taken.
+var captureCheck func(d *uia.Desktop) func(snap *uia.Capture)
 
 // rewind returns the instance to checkpoint i and drops the later ones.
 func (c *Cursor) rewind(i int) *checkpoint {
@@ -140,13 +157,13 @@ func (c *Cursor) rewind(i int) *checkpoint {
 func (cp *checkpoint) find(id string) *uia.Element {
 	if cp.indexed {
 		if i, ok := cp.index[id]; ok {
-			return cp.els[i]
+			return cp.snap.Els[i]
 		}
 		return nil
 	}
-	for i, x := range cp.ids {
+	for i, x := range cp.snap.IDs {
 		if x == id {
-			return cp.els[i]
+			return cp.snap.Els[i]
 		}
 	}
 	return nil
@@ -155,12 +172,13 @@ func (cp *checkpoint) find(id string) *uia.Element {
 // has reports whether the capture lists id, building the index on first use.
 func (cp *checkpoint) has(id string) bool {
 	if !cp.indexed {
+		ids := cp.snap.IDs
 		if cp.index == nil {
-			cp.index = make(map[string]int32, len(cp.ids))
+			cp.index = make(map[string]int32, len(ids))
 		}
 		clear(cp.index)
-		for i := len(cp.ids) - 1; i >= 0; i-- { // the first occurrence wins
-			cp.index[cp.ids[i]] = int32(i)
+		for i := len(ids) - 1; i >= 0; i-- { // the first occurrence wins
+			cp.index[ids[i]] = int32(i)
 		}
 		cp.indexed = true
 	}
@@ -234,9 +252,12 @@ func (c *Cursor) Expand(ctx string, f Frame) Expansion {
 //
 // A control is fresh when the before-capture lacked its id; the clicked
 // control never is. Recording each fresh id in added keeps only the first
-// occurrence of a duplicate. Most of the after-capture repeats the
-// before-capture in order, so each id is first compared with the next
-// unmatched before id, and looked up in the index only when that fails.
+// occurrence of a duplicate. The after-capture was taken with the
+// before-capture as its previous one, so the stretch of every window it
+// copied from there holds only ids the before-capture has, and is skipped
+// whole. Most of the rest repeats the before-capture in order too, so each
+// id is first compared with the next unmatched before id, and looked up in
+// the index only when that fails.
 //
 // Newly revealed controls attach beneath their nearest newly-revealed UI
 // ancestor; top-level reveals attach to the clicked control. This
@@ -250,26 +271,34 @@ func (c *Cursor) diff(before, after *checkpoint, clicked string) []Reveal {
 		clear(c.fresh)
 	}()
 	var reveals []Reveal
+	bids := before.snap.IDs
 	matched := 0 // before ids matched in lockstep so far
-	for i, e := range after.els {
-		id := after.ids[i]
-		if matched < len(before.ids) && id == before.ids[matched] {
-			matched++
+	for _, s := range after.snap.Spans {
+		if s.Prev >= 0 {
+			matched = s.Prev + s.End - s.Start
 			continue
 		}
-		if before.has(id) {
-			continue
+		for i := s.Start; i < s.End; i++ {
+			id := after.snap.IDs[i]
+			if matched < len(bids) && id == bids[matched] {
+				matched++
+				continue
+			}
+			e := after.snap.Els[i]
+			if e.Parent() == nil || before.has(id) { // a window root, or not fresh
+				continue
+			}
+			if _, dup := c.added[id]; dup {
+				continue
+			}
+			c.added[id] = struct{}{}
+			c.fresh[e] = true
+			parent := clicked
+			if anc := nearestIn(e, c.fresh); anc != nil {
+				parent = anc.ControlID()
+			}
+			reveals = append(reveals, captureReveal(e, parent))
 		}
-		if _, dup := c.added[id]; dup {
-			continue
-		}
-		c.added[id] = struct{}{}
-		c.fresh[e] = true
-		parent := clicked
-		if anc := nearestIn(e, c.fresh); anc != nil {
-			parent = anc.ControlID()
-		}
-		reveals = append(reveals, captureReveal(e, parent))
 	}
 	return reveals
 }

@@ -84,19 +84,23 @@ func testExpandIndexSequence(t *testing.T) {
 	}
 }
 
+// renameDemo builds an application whose Rename button renames the
+// control beside it, Beta, to Beth.
+func renameDemo() *appkit.App {
+	a := appkit.New("Demo")
+	g := a.Tab("tabHome", "Home").Group("grpRename", "Rename")
+	beta := g.Button("", "Beta", nil)
+	g.Button("btnRename", "Rename", func(*appkit.App) { beta.SetName("Beth") })
+	a.Layout()
+	return a
+}
+
 // testExpandIndexRename covers a click that renames a control of the
 // checkpoint's capture without changing its length: the renamed control
 // counts as revealed, and the rewind to the checkpoint restores the name
 // its cached id was indexed under.
 func testExpandIndexRename(t *testing.T) {
-	build := func() *appkit.App {
-		a := appkit.New("Demo")
-		g := a.Tab("tabHome", "Home").Group("grpRename", "Rename")
-		beta := g.Button("", "Beta", nil)
-		g.Button("btnRename", "Rename", func(*appkit.App) { beta.SetName("Beth") })
-		a.Layout()
-		return a
-	}
+	build := renameDemo
 	probe := build()
 	rename, beta := onScreen(probe, "btnRename").ControlID(), ""
 	for _, e := range probe.Desk.Snapshot(nil) {

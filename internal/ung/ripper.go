@@ -60,7 +60,8 @@ type Stats struct {
 // Frame is one pending exploration: activate the control after replaying the
 // click path that made it visible. Everything in it is a string, so a frame
 // crosses process boundaries as-is — it is the job unit the Expander seam
-// dispatches, and the body of the serving daemon's POST /v1/rip.
+// dispatches, and the body of the serving daemon's POST /v1/rip. Frames
+// pushed by one expansion share their Path, so no reader may write to it.
 type Frame struct {
 	ID   string
 	Path []string
@@ -139,13 +140,18 @@ func applyExpansion(g *Graph, cfg Config, ctx string, f Frame, exp Expansion, st
 		return
 	}
 	st.Explored++
+	var next []string // the click path to the revealed controls
 	for _, r := range exp.Reveals {
 		i, added := g.AddNode(r, ctx)
 		g.AddEdge(g.lookup(r.Parent), i)
 		if added && len(f.Path)+1 < cfg.MaxDepth {
-			next := make([]string, len(f.Path)+1)
-			copy(next, f.Path)
-			next[len(f.Path)] = f.ID
+			// Every frame this expansion pushes shares one path, which
+			// no reader of Frame.Path writes to.
+			if next == nil {
+				next = make([]string, len(f.Path)+1)
+				copy(next, f.Path)
+				next[len(f.Path)] = f.ID
+			}
 			push(i, next)
 		}
 	}
@@ -167,8 +173,11 @@ func seedContext(g *Graph, cur *Cursor, ctx string, st *Stats, push func(node in
 	var order []*uia.Element
 	seen := make(map[string]bool)
 	inSnap := make(map[*uia.Element]bool)
-	for i, e := range cp.els {
-		if id := cp.ids[i]; !seen[id] { // first occurrence wins
+	for i, e := range cp.snap.Els {
+		if e.Parent() == nil { // window roots are containers, not controls
+			continue
+		}
+		if id := cp.snap.IDs[i]; !seen[id] { // first occurrence wins
 			seen[id] = true
 			inSnap[e] = true
 			order = append(order, e)
