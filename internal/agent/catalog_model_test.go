@@ -123,3 +123,42 @@ func TestSnapshotRestartAllocs(t *testing.T) {
 		t.Errorf("catalog restart allocates %d bytes, budget %d", bytes, snapshotRestartByteBudget)
 	}
 }
+
+// catalogColdAllocBudget and catalogColdByteBudget bound one cold catalog
+// build in a fresh store: rip, forest transform, describe and token count
+// for all five apps. A cold build allocates about 114.6k times and 20.3 MB
+// in total (go1.24); while each rip checkpoint copied the windows a click
+// left unchanged and the graph grew its nodes by append, it allocated
+// 115.6k times and 24.0 MB. Tighten the budgets when the path gets leaner;
+// never loosen them.
+const (
+	catalogColdAllocBudget = 115_000
+	catalogColdByteBudget  = 20_700_000
+)
+
+func TestCatalogColdAllocs(t *testing.T) {
+	build := func() {
+		if _, err := BuildModelsIn(modelstore.New(), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(2, build)
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("cold catalog build: %.0f allocs, %d bytes", allocs, bytes)
+	if raceEnabled {
+		return
+	}
+	if allocs > catalogColdAllocBudget {
+		t.Errorf("cold catalog build allocates %.0f times, budget %d", allocs, catalogColdAllocBudget)
+	}
+	if bytes > catalogColdByteBudget {
+		t.Errorf("cold catalog build allocates %d bytes, budget %d", bytes, catalogColdByteBudget)
+	}
+}

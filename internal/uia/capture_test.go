@@ -31,26 +31,37 @@ func genFixture() (d *Desktop, log *UndoLog, win, btn, menu, loose *Element) {
 // capture takes a capture of d with prev as its previous one.
 func capture(d *Desktop, prev *Capture) *Capture {
 	c := new(Capture)
-	d.Capture(c, prev)
+	d.Capture(c, prev, nil)
 	return c
 }
 
+// walked reports whether c's one window was walked, that is, whether its
+// observation is not the one prev holds.
+func walked(c, prev *Capture) bool {
+	return prev == nil || c.Windows[0] != prev.Window(c.Windows[0].Root)
+}
+
 // checkWalked requires c to list what a snapshot of d lists and its one
-// window to have been walked (walked) or copied from the previous capture.
-func checkWalked(t *testing.T, what string, d *Desktop, c *Capture, walked bool) {
+// window to have been walked (walked) or shared with prev.
+func checkWalked(t *testing.T, what string, d *Desktop, c, prev *Capture, want bool) {
 	t.Helper()
-	if len(c.Spans) != 1 || (c.Spans[0].Prev < 0) != walked {
-		t.Errorf("%s: spans %+v, want one window walked=%v", what, c.Spans, walked)
+	if len(c.Windows) != 1 || walked(c, prev) != want {
+		t.Errorf("%s: %d windows, want one window walked=%v", what, len(c.Windows), want)
 	}
 	// Snapshot counts deferrals down too, so compare on a desktop where
 	// none is pending.
-	want := d.Snapshot(nil)
-	var ids []string
-	for _, e := range want {
-		ids = append(ids, e.ControlID())
+	snap := d.Snapshot(nil)
+	var els []*Element
+	var ids, snapIDs []string
+	for _, o := range c.Windows {
+		els = append(els, o.Els...)
+		ids = append(ids, o.IDs...)
 	}
-	if !slices.Equal(c.Els, want) || !slices.Equal(c.IDs, ids) {
-		t.Errorf("%s: capture lists %v, a snapshot %v", what, c.IDs, ids)
+	for _, e := range snap {
+		snapIDs = append(snapIDs, e.ControlID())
+	}
+	if !slices.Equal(els, snap) || !slices.Equal(ids, snapIDs) {
+		t.Errorf("%s: capture lists %v, a snapshot %v", what, ids, snapIDs)
 	}
 }
 
@@ -104,18 +115,18 @@ func TestStructuralGeneration(t *testing.T) {
 func TestGenerationRewind(t *testing.T) {
 	d, log, win, btn, menu, _ := genFixture()
 	c0 := capture(d, nil)
-	checkWalked(t, "first capture", d, c0, true)
+	checkWalked(t, "first capture", d, c0, nil, true)
 	mark := log.Mark()
 	g0, _ := win.generation()
 	menu.SetVisible(true)
 	btn.SetName("Renamed")
 	win.AddChild(NewElement("new", "New", ButtonControl))
-	checkWalked(t, "capture after the mutations", d, capture(d, c0), true)
+	checkWalked(t, "capture after the mutations", d, capture(d, c0), c0, true)
 	log.RewindTo(mark)
 	if g, _ := win.generation(); g != g0 {
 		t.Fatalf("generation after RewindTo = %+v, want %+v", g, g0)
 	}
-	checkWalked(t, "capture after the rewind", d, capture(d, c0), false)
+	checkWalked(t, "capture after the rewind", d, capture(d, c0), c0, false)
 
 	// The same mutations again give generations no earlier capture holds.
 	menu.SetVisible(true)
@@ -139,11 +150,11 @@ func TestUnloggedGrowthNotMasked(t *testing.T) {
 	log.SetRecording(false)
 	list.AddChild(NewElement("built", "Built", ListItemControl))
 	log.SetRecording(true)
-	checkWalked(t, "capture after the build", d, capture(d, c0), true)
+	checkWalked(t, "capture after the build", d, capture(d, c0), c0, true)
 	log.RewindTo(mark)
 	c := capture(d, c0)
-	checkWalked(t, "capture after the rewind", d, c, true)
-	if !slices.ContainsFunc(c.Els, func(e *Element) bool { return e.AutomationID() == "built" }) {
+	checkWalked(t, "capture after the rewind", d, c, c0, true)
+	if !slices.ContainsFunc(c.Windows[0].Els, func(e *Element) bool { return e.AutomationID() == "built" }) {
 		t.Error("the built item is missing from the capture after the rewind")
 	}
 }
@@ -158,24 +169,25 @@ func TestDeferralWalkedAgain(t *testing.T) {
 	mark := log.Mark()
 	c0 := capture(d, nil) // counts 2 → 1
 	log.RewindTo(mark)    // back to 2, and to the generation c0 started from
-	c0 = capture(d, c0)   // counts 2 → 1 again
-	if len(c0.Spans) != 1 || c0.Spans[0].Prev >= 0 || btn.deferVisible != 1 {
-		t.Fatalf("capture after a rewind to before a countdown: spans %+v, deferral %d, want walked and 1", c0.Spans, btn.deferVisible)
+	c := capture(d, c0)   // counts 2 → 1 again
+	if len(c.Windows) != 1 || !walked(c, c0) || btn.deferVisible != 1 {
+		t.Fatalf("capture after a rewind to before a countdown: walked %v, deferral %d, want walked and 1", walked(c, c0), btn.deferVisible)
 	}
+	c0 = c
 	c1 := capture(d, c0) // counts 1 → 0
-	if len(c1.Spans) != 1 || c1.Spans[0].Prev >= 0 {
-		t.Fatalf("capture after a countdown copied the window: %+v", c1.Spans)
+	if len(c1.Windows) != 1 || !walked(c1, c0) {
+		t.Fatal("capture after a countdown shared the window's observation")
 	}
 	c2 := capture(d, c1) // walks: the last walk counted down
-	if len(c2.Spans) != 1 || c2.Spans[0].Prev >= 0 || !slices.Contains(c2.Els, btn) {
-		t.Fatalf("capture after the deferral ran out: spans %+v, button listed %v", c2.Spans, slices.Contains(c2.Els, btn))
+	if len(c2.Windows) != 1 || !walked(c2, c1) || !slices.Contains(c2.Windows[0].Els, btn) {
+		t.Fatalf("capture after the deferral ran out: walked %v, button listed %v", walked(c2, c1), slices.Contains(c2.Windows[0].Els, btn))
 	}
-	checkWalked(t, "capture after a walk with no countdown", d, capture(d, c2), false)
+	checkWalked(t, "capture after a walk with no countdown", d, capture(d, c2), c2, false)
 
 	plain := NewDesktop()
 	w := NewElement("w", "W", WindowControl)
 	w.AddChild(NewElement("a", "A", ButtonControl))
 	plain.OpenWindow(w)
 	p0 := capture(plain, nil)
-	checkWalked(t, "untracked window", plain, capture(plain, p0), true)
+	checkWalked(t, "untracked window", plain, capture(plain, p0), p0, true)
 }

@@ -3,6 +3,7 @@ package uia
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -148,97 +149,146 @@ func (d *Desktop) RegisterKey(combo string, fn func(*Desktop) error) {
 // returns the result, so a caller that passes its previous result back in
 // reuses the storage; pass nil for a fresh slice.
 func (d *Desktop) Snapshot(buf []*Element) []*Element {
-	return d.snapshot(buf[:0], nil, nil)
+	d.clock.Advance(CostSnapshot)
+	d.snapshots++
+	out := buf[:0]
+	for _, w := range d.windows {
+		if w.Visible() {
+			out = observe(w, out)
+		}
+	}
+	return out
 }
 
-// Capture is a snapshot that also holds its elements' control ids and
-// where each visible window's elements sit in it, so that a later capture
-// can copy the stretch of a window that has not changed instead of walking
-// it again.
+// Capture is a snapshot held as the observations of its visible windows,
+// in stacking order, so that a later capture can share the observation of
+// a window that has not changed instead of walking it again. Listed window
+// after window, the observations' elements are what Snapshot lists.
 type Capture struct {
-	Els   []*Element // on-screen elements, window roots included, in snapshot order
-	IDs   []string   // Els' control ids
-	Spans []Span     // one per visible window, in stacking order
+	Windows []*Observation
 }
 
-// Span is the stretch Els[Start:End] of a Capture that one window's
-// elements fill.
-type Span struct {
-	Start, End int
-	// Prev is where the stretch starts in the previous capture it was
-	// copied from, or -1 if the window was walked.
-	Prev int
+// Observation is what one capture saw of one visible window: the root and
+// its on-screen descendants in document order, with their control ids. It
+// is immutable once taken, so any number of captures may hold it; only the
+// id index behind Index is built later, on the first lookup.
+type Observation struct {
+	Root *Element
+	Els  []*Element // on-screen elements, Root included unless it is still loading
+	IDs  []string   // Els' control ids
 
-	// win is the window root, nil if a later capture may not copy the
-	// stretch, and gen its structural generation.
-	win *Element
-	gen windowGen
+	// gen is Root's structural generation before the walk, and shareable
+	// whether a later capture may share the observation: Root has a
+	// generation and the walk counted no deferral down.
+	gen       windowGen
+	shareable bool
+	holders   int // captures holding the observation
+
+	index map[string]int32 // empty until the first lookup
 }
 
-// Capture takes a snapshot into c, reusing its storage, as Snapshot does:
-// it is counted, advances the clock, and lists exactly the elements
-// Snapshot would, in the same order. A window whose span in prev carries
-// the window's current structural generation is not walked: its elements
-// and ids are copied from prev. That copy is what a walk would list, and a
-// walk would count down no deferral: a walk that counts one down changes
-// the generation, and its span is never copied. Only windows of a tree
-// with an undo log have a generation; the rest are always walked. prev may
-// be nil, or a capture of this desktop taken earlier.
-func (d *Desktop) Capture(c, prev *Capture) {
-	c.IDs, c.Spans = c.IDs[:0], c.Spans[:0]
-	c.Els = d.snapshot(c.Els[:0], c, prev)
+// Index returns the position in Els of the first element with the given
+// id, or -1. The index behind it is built on the first call and lives as
+// long as the observation.
+func (o *Observation) Index(id string) int {
+	if len(o.index) == 0 && len(o.IDs) > 0 {
+		if o.index == nil {
+			o.index = make(map[string]int32, len(o.IDs))
+		}
+		for i := len(o.IDs) - 1; i >= 0; i-- { // the first occurrence wins
+			o.index[o.IDs[i]] = int32(i)
+		}
+	}
+	if i, ok := o.index[id]; ok {
+		return int(i)
+	}
+	return -1
 }
 
-// snapshot is the one desktop walk behind Snapshot and Capture: it counts
-// a snapshot, advances the clock and appends every visible window's
-// on-screen elements to out. With a capture c, it also fills c's ids and
-// spans, copying each window it can from prev.
-func (d *Desktop) snapshot(out []*Element, c, prev *Capture) []*Element {
+// Window returns c's observation of the window with root w, or nil if c
+// is nil or has none.
+func (c *Capture) Window(w *Element) *Observation {
+	if c == nil {
+		return nil
+	}
+	for _, o := range c.Windows {
+		if o.Root == w {
+			return o
+		}
+	}
+	return nil
+}
+
+// ObservationPool keeps the storage of observations that no capture holds
+// any more, for the walks of later captures. Its zero value is ready to
+// use; a nil pool keeps nothing. Like the captures that draw on it, it
+// belongs to one goroutine at a time.
+type ObservationPool struct {
+	free []*Observation
+}
+
+// release drops c's hold on each of its observations and hands the ones
+// no capture holds any more to p.
+func (p *ObservationPool) release(c *Capture) {
+	for _, o := range c.Windows {
+		if o.holders--; o.holders == 0 && p != nil {
+			p.free = append(p.free, o)
+		}
+	}
+	clear(c.Windows)
+	c.Windows = c.Windows[:0]
+}
+
+// get returns an empty observation, recycled from p if it has one.
+func (p *ObservationPool) get() *Observation {
+	if p == nil || len(p.free) == 0 {
+		return new(Observation)
+	}
+	o := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	o.Els, o.IDs = o.Els[:0], o.IDs[:0]
+	clear(o.index)
+	return o
+}
+
+// Capture takes a snapshot into c, as Snapshot does: it is counted,
+// advances the clock, and observes exactly the elements Snapshot would, in
+// the same order. It first drops c's hold on the observations it held
+// before, and the storage of those no other capture holds goes to pool,
+// which the capture's own walks draw on.
+//
+// A window whose observation in prev carries the window's current
+// structural generation is not walked: c shares prev's observation. That
+// observation is what a walk would list, and a walk would count down no
+// deferral: a walk that counts one down changes the generation, and its
+// observation is never shared. Only windows of a tree with an undo log
+// have a generation; the rest are always walked. prev may be nil, or
+// another capture of this desktop drawing on the same pool.
+func (d *Desktop) Capture(c, prev *Capture, pool *ObservationPool) {
+	pool.release(c)
 	d.clock.Advance(CostSnapshot)
 	d.snapshots++
 	for _, w := range d.windows {
 		if !w.Visible() {
 			continue
 		}
-		if c == nil {
-			out = observe(w, out)
+		g, tracked := w.generation()
+		if o := prev.Window(w); tracked && o != nil && o.shareable && o.gen == g {
+			o.holders++
+			c.Windows = append(c.Windows, o)
 			continue
 		}
-		s := Span{Start: len(out), Prev: -1}
-		g, tracked := w.generation()
-		if p := prev.span(w); tracked && p != nil && p.gen == g {
-			out = append(out, prev.Els[p.Start:p.End]...)
-			c.IDs = append(c.IDs, prev.IDs[p.Start:p.End]...)
-			s.Prev = p.Start
-		} else {
-			out = observe(w, out)
-			for _, e := range out[s.Start:] {
-				c.IDs = append(c.IDs, e.ControlID())
-			}
-			after, _ := w.generation()
-			tracked = tracked && after == g // else the walk counted a deferral down
+		o := pool.get()
+		o.Root, o.gen, o.holders = w, g, 1
+		o.Els = observe(w, o.Els)
+		o.IDs = slices.Grow(o.IDs, len(o.Els))
+		for _, e := range o.Els {
+			o.IDs = append(o.IDs, e.ControlID())
 		}
-		if tracked {
-			s.win, s.gen = w, g
-		}
-		s.End = len(out)
-		c.Spans = append(c.Spans, s)
+		after, _ := w.generation()
+		o.shareable = tracked && after == g
+		c.Windows = append(c.Windows, o)
 	}
-	return out
-}
-
-// span returns the span a later capture may copy for window root w, or
-// nil if c is nil or has none.
-func (c *Capture) span(w *Element) *Span {
-	if c == nil {
-		return nil
-	}
-	for i := range c.Spans {
-		if c.Spans[i].win == w {
-			return &c.Spans[i]
-		}
-	}
-	return nil
 }
 
 // SnapshotWindow captures the on-screen elements of a single window.

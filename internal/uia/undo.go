@@ -22,8 +22,8 @@ import (
 //
 // The same seam keeps each window root's structural generation, which
 // changes on every mutation a capture can see (see structural), so a
-// capture can copy an unchanged window's stretch of an earlier capture
-// instead of walking it (Desktop.Capture).
+// capture can share an earlier capture's observation of an unchanged
+// window instead of walking it (Desktop.Capture).
 
 // UndoLog records the old values of the mutations made to one application
 // instance's elements and provider state while recording is on. It belongs

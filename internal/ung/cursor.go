@@ -40,8 +40,13 @@ type Cursor struct {
 	cps     []checkpoint
 	entered bool
 
-	added map[string]struct{}   // fresh ids recorded so far
-	fresh map[*uia.Element]bool // controls revealed by the activation
+	// free holds the storage of window observations no checkpoint holds
+	// any more, for the next captures' walks.
+	free uia.ObservationPool
+
+	added   map[string]struct{}   // fresh ids recorded so far
+	fresh   map[*uia.Element]bool // controls revealed by the activation
+	reveals []Reveal              // the differencing's buffer
 }
 
 // checkpoint is the instance's state after replaying a click path's first
@@ -52,15 +57,12 @@ type checkpoint struct {
 	now   time.Duration // the clock, as desk holds it
 	since time.Duration // simulated time since the context's restore began
 
-	// snap is the capture: its elements in snapshot order, their ids and
-	// each window's span. Window roots are in it but are containers, not
-	// controls; no frame names one, and the differencing skips them. index
-	// maps each id to its first position; it is built on first use, since
-	// most captures are never looked up by id past the lockstep
-	// difference.
-	snap    uia.Capture
-	index   map[string]int32
-	indexed bool
+	// snap is the capture: one observation per visible window, each
+	// shared with every other checkpoint whose capture saw the window
+	// unchanged, and indexed by id once however many share it. Window
+	// roots are in it but are containers, not controls; no frame names
+	// one, and the differencing skips them.
+	snap uia.Capture
 }
 
 // NewCursor returns a cursor on app, which it attaches an undo log to.
@@ -113,7 +115,9 @@ func (c *Cursor) enter(ctx string) {
 // checkpoint i-1 as its previous capture and walks only the windows whose
 // structural generation changed since (uia.Desktop.Capture). The
 // generations live in the instance's undo log, keyed by window root, and
-// a rewind restores them with the mutations they count.
+// a rewind restores them with the mutations they count. The checkpoint's
+// previous capture lets go of its observations; those no other checkpoint
+// holds go to the cursor's free list for later walks.
 func (c *Cursor) capture(i int, t0 time.Duration) *checkpoint {
 	for len(c.cps) <= i {
 		c.cps = append(c.cps, checkpoint{})
@@ -122,16 +126,15 @@ func (c *Cursor) capture(i int, t0 time.Duration) *checkpoint {
 	if i > 0 {
 		prev = &c.cps[i-1].snap
 	}
-	var check func(*uia.Capture)
+	var check func()
 	if captureCheck != nil {
-		check = captureCheck(c.app.Desk)
+		check = captureCheck(c, i)
 	}
 	cp := &c.cps[i]
-	c.app.Desk.Capture(&cp.snap, prev)
+	c.app.Desk.Capture(&cp.snap, prev, &c.free)
 	if check != nil {
-		check(&cp.snap)
+		check()
 	}
-	cp.indexed = false
 	cp.mark = c.log.Mark()
 	c.app.Desk.SaveState(&cp.desk)
 	cp.now = c.app.Desk.Clock().Now()
@@ -139,10 +142,10 @@ func (c *Cursor) capture(i int, t0 time.Duration) *checkpoint {
 	return cp
 }
 
-// captureCheck, when a test sets it, is called with the desktop before
-// every capture a cursor takes, and the function it returns with the
-// capture once it is taken.
-var captureCheck func(d *uia.Desktop) func(snap *uia.Capture)
+// captureCheck, when a test sets it, is called with the cursor and the
+// checkpoint before every capture the cursor takes, and the function it
+// returns once the capture is taken.
+var captureCheck func(c *Cursor, i int) func()
 
 // rewind returns the instance to checkpoint i and drops the later ones.
 func (c *Cursor) rewind(i int) *checkpoint {
@@ -153,37 +156,16 @@ func (c *Cursor) rewind(i int) *checkpoint {
 	return cp
 }
 
-// find returns the first control in the capture with the given id, or nil.
+// find returns the first control in the capture with the given id, or
+// nil: windows in stacking order, each looked up in its observation's
+// index.
 func (cp *checkpoint) find(id string) *uia.Element {
-	if cp.indexed {
-		if i, ok := cp.index[id]; ok {
-			return cp.snap.Els[i]
-		}
-		return nil
-	}
-	for i, x := range cp.snap.IDs {
-		if x == id {
-			return cp.snap.Els[i]
+	for _, o := range cp.snap.Windows {
+		if i := o.Index(id); i >= 0 {
+			return o.Els[i]
 		}
 	}
 	return nil
-}
-
-// has reports whether the capture lists id, building the index on first use.
-func (cp *checkpoint) has(id string) bool {
-	if !cp.indexed {
-		ids := cp.snap.IDs
-		if cp.index == nil {
-			cp.index = make(map[string]int32, len(ids))
-		}
-		clear(cp.index)
-		for i := len(ids) - 1; i >= 0; i-- { // the first occurrence wins
-			cp.index[ids[i]] = int32(i)
-		}
-		cp.indexed = true
-	}
-	_, ok := cp.index[id]
-	return ok
 }
 
 // activatable reports whether a looked-up control can be clicked.
@@ -253,39 +235,50 @@ func (c *Cursor) Expand(ctx string, f Frame) Expansion {
 // A control is fresh when the before-capture lacked its id; the clicked
 // control never is. Recording each fresh id in added keeps only the first
 // occurrence of a duplicate. The after-capture was taken with the
-// before-capture as its previous one, so the stretch of every window it
-// copied from there holds only ids the before-capture has, and is skipped
-// whole. Most of the rest repeats the before-capture in order too, so each
-// id is first compared with the next unmatched before id, and looked up in
-// the index only when that fails.
+// before-capture as its previous one, so a window whose observation the
+// two share holds only ids the before-capture has, and is skipped whole.
+// A walked window mostly repeats the before-capture's observation of the
+// same root in order, so each id is first compared with the next
+// unmatched id there, then looked up in that observation's index (a hit
+// resumes the lockstep past it), and in the whole before-capture only
+// when both fail.
 //
 // Newly revealed controls attach beneath their nearest newly-revealed UI
 // ancestor; top-level reveals attach to the clicked control. This
 // preserves structure inside popups (a shared flyout stays one subtree)
 // while edges still denote click-induced reachability. A snapshot lists
 // ancestors before descendants, so e's fresh ancestors are marked by the
-// time e is reached.
+// time e is reached. The reveals collect in the cursor's buffer, and the
+// caller gets a copy of its own.
 func (c *Cursor) diff(before, after *checkpoint, clicked string) []Reveal {
 	defer func() {
 		clear(c.added)
 		clear(c.fresh)
 	}()
-	var reveals []Reveal
-	bids := before.snap.IDs
-	matched := 0 // before ids matched in lockstep so far
-	for _, s := range after.snap.Spans {
-		if s.Prev >= 0 {
-			matched = s.Prev + s.End - s.Start
+	c.reveals = c.reveals[:0]
+	for _, o := range after.snap.Windows {
+		b := before.snap.Window(o.Root)
+		if b == o {
 			continue
 		}
-		for i := s.Start; i < s.End; i++ {
-			id := after.snap.IDs[i]
+		var bids []string
+		if b != nil {
+			bids = b.IDs
+		}
+		matched := 0 // b's ids matched in lockstep so far
+		for i, id := range o.IDs {
 			if matched < len(bids) && id == bids[matched] {
 				matched++
 				continue
 			}
-			e := after.snap.Els[i]
-			if e.Parent() == nil || before.has(id) { // a window root, or not fresh
+			if b != nil {
+				if j := b.Index(id); j >= 0 { // not fresh: resume the lockstep past it
+					matched = max(matched, j+1)
+					continue
+				}
+			}
+			e := o.Els[i]
+			if e.Parent() == nil || before.find(id) != nil { // a window root, or not fresh
 				continue
 			}
 			if _, dup := c.added[id]; dup {
@@ -297,8 +290,13 @@ func (c *Cursor) diff(before, after *checkpoint, clicked string) []Reveal {
 			if anc := nearestIn(e, c.fresh); anc != nil {
 				parent = anc.ControlID()
 			}
-			reveals = append(reveals, captureReveal(e, parent))
+			c.reveals = append(c.reveals, captureReveal(e, parent))
 		}
 	}
-	return reveals
+	if len(c.reveals) == 0 {
+		return nil
+	}
+	out := make([]Reveal, len(c.reveals))
+	copy(out, c.reveals)
+	return out
 }

@@ -64,6 +64,13 @@ func (g *Graph) AddNode(r Reveal, context string) (i int32, added bool) {
 		return i, false
 	}
 	i = int32(len(g.Nodes))
+	if len(g.Nodes) == cap(g.Nodes) {
+		// Double: append grows a long slice by a quarter at a time, which
+		// would copy every node several times over a rip.
+		nodes := make([]Node, len(g.Nodes), max(2*len(g.Nodes), 64))
+		copy(nodes, g.Nodes)
+		g.Nodes = nodes
+	}
 	g.Nodes = append(g.Nodes, Node{
 		ID:        r.ID,
 		Name:      r.Name,
@@ -85,17 +92,19 @@ func (g *Graph) lookup(id string) int32 {
 }
 
 // AddEdge inserts the edge from → to once; duplicates, and an endpoint that
-// is no node, are ignored.
+// is no node, are ignored. An edge is in from's Out exactly when it is in
+// to's In, so the duplicate check scans the shorter of the two.
 func (g *Graph) AddEdge(from, to int32) {
 	if from < 0 || to < 0 || int(from) >= len(g.Nodes) || int(to) >= len(g.Nodes) {
 		return
 	}
-	f := &g.Nodes[from]
-	if slices.Contains(f.Out, to) {
+	f, t := &g.Nodes[from], &g.Nodes[to]
+	if len(f.Out) <= len(t.In) && slices.Contains(f.Out, to) ||
+		len(f.Out) > len(t.In) && slices.Contains(t.In, from) {
 		return
 	}
 	f.Out = append(f.Out, to)
-	g.Nodes[to].In = append(g.Nodes[to].In, from)
+	t.In = append(t.In, from)
 }
 
 // NodeCount returns the number of nodes including the virtual root.

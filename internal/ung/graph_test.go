@@ -1,0 +1,59 @@
+package ung
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/uia"
+)
+
+// TestAddEdgeDuplicates: a node with a high out-degree and one with a high
+// in-degree both ignore duplicate edges, whichever endpoint's list is the
+// shorter, and both keep their lists in insertion order.
+func TestAddEdgeDuplicates(t *testing.T) {
+	g := NewGraph("Demo")
+	add := func(id string) int32 {
+		i, _ := g.AddNode(Reveal{ID: id, Name: id, Type: uia.ButtonControl}, "")
+		return i
+	}
+	hub, sink := add("hub"), add("sink")
+	g.AddEdge(0, hub)
+	var mids []int32
+	for k := range 40 {
+		mids = append(mids, add(fmt.Sprint("mid", k)))
+	}
+	// Interleave the two fans so that neither list is built in one run.
+	for _, m := range mids {
+		g.AddEdge(hub, m)
+		g.AddEdge(m, sink)
+	}
+	g.AddEdge(hub, sink)
+	g.AddEdge(sink, sink)
+	edges := g.EdgeCount()
+
+	// Every edge again, in reverse: hub → mid scans the mid's one-entry In,
+	// mid → sink the mid's one-entry Out, hub → sink either long list.
+	for i := len(mids) - 1; i >= 0; i-- {
+		g.AddEdge(mids[i], sink)
+		g.AddEdge(hub, mids[i])
+	}
+	g.AddEdge(hub, sink)
+	g.AddEdge(sink, sink)
+	g.AddEdge(0, hub)
+
+	if n := g.EdgeCount(); n != edges {
+		t.Errorf("EdgeCount = %d after re-adding every edge, want %d", n, edges)
+	}
+	wantOut := append(slices.Clone(mids), sink)
+	if got := g.Nodes[hub].Out; !slices.Equal(got, wantOut) {
+		t.Errorf("hub's Out = %v, want %v", got, wantOut)
+	}
+	wantIn := append(slices.Clone(mids), hub, sink)
+	if got := g.Nodes[sink].In; !slices.Equal(got, wantIn) {
+		t.Errorf("sink's In = %v, want %v", got, wantIn)
+	}
+	if err := g.Validate(); err != nil {
+		t.Error(err)
+	}
+}

@@ -173,14 +173,16 @@ func seedContext(g *Graph, cur *Cursor, ctx string, st *Stats, push func(node in
 	var order []*uia.Element
 	seen := make(map[string]bool)
 	inSnap := make(map[*uia.Element]bool)
-	for i, e := range cp.snap.Els {
-		if e.Parent() == nil { // window roots are containers, not controls
-			continue
-		}
-		if id := cp.snap.IDs[i]; !seen[id] { // first occurrence wins
-			seen[id] = true
-			inSnap[e] = true
-			order = append(order, e)
+	for _, o := range cp.snap.Windows {
+		for i, e := range o.Els {
+			if e.Parent() == nil { // window roots are containers, not controls
+				continue
+			}
+			if id := o.IDs[i]; !seen[id] { // first occurrence wins
+				seen[id] = true
+				inSnap[e] = true
+				order = append(order, e)
+			}
 		}
 	}
 	for _, e := range order {
