@@ -3,7 +3,7 @@
 // catalog through a budgeted model store (per-model cost = encoded snapshot
 // bytes, LRU eviction beyond the budget, snapshot files surviving eviction
 // so reloads spend zero rip clicks), then serves agent sessions over
-// HTTP/JSON from the same worker-pool seam the in-process benchmark uses —
+// HTTP/JSON through the same bench.RunCell the in-process benchmark uses —
 // responses are byte-identical to bench.Run for the same grid cell, which
 // is what lets a dmi-coord coordinator shard the evaluation grid across N
 // replicas and still aggregate a byte-identical report.
@@ -11,9 +11,13 @@
 // Usage:
 //
 //	dmi-serve [-addr host:port] [-budget BYTES] [-snapshot DIR]
-//	          [-parallel N] [-taskpack FILE] [-pprof host:port]
+//	          [-taskpack FILE] [-pprof host:port]
 //
 // -workers is accepted and ignored: offline builds rip sequentially.
+// perfbench's daemon launcher passes it for both workloads that start a
+// daemon (serve and rip-fleet), so it stays until perfbench stops passing
+// it. A cell's runs are served sequentially; request concurrency comes
+// from the HTTP server.
 // -taskpack serves a task-pack file (see internal/taskpack) instead of the
 // compiled-in grid. Requests that name a different pack are answered 409.
 // -pprof serves net/http/pprof profiles on a second listener (never on the
@@ -107,11 +111,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	addr := fs.String("addr", "127.0.0.1:8480", "listen address")
 	budget := fs.Int64("budget", 0, "resident-model budget in encoded-snapshot bytes (0 = unlimited)")
 	snapshot := fs.String("snapshot", "", "graph-snapshot directory (evicted models reload from here with zero rip clicks)")
-	fs.Int("workers", 0, "ignored: offline builds rip sequentially (accepted until perfbench's rip-fleet workload is retired)")
-	// Request concurrency already comes from the HTTP server (one
-	// goroutine per in-flight request); a per-request pool bigger than 1
-	// multiplies that, so it is opt-in for large multi-run requests.
-	parallel := fs.Int("parallel", 1, "per-request session worker-pool size for multi-run cells (1 = sequential, 0 = GOMAXPROCS)")
+	fs.Int("workers", 0, "ignored: offline builds rip sequentially (accepted while perfbench's daemon launcher passes it)")
 	packFile := fs.String("taskpack", "", "task-pack file to serve instead of the compiled-in grid")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
@@ -141,7 +141,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		fmt.Fprintf(stderr, "dmi-serve: pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 
-	srv, err := newServer(reg, *budget, *snapshot, *parallel, stderr)
+	srv, err := newServer(reg, *budget, *snapshot, stderr)
 	if err != nil {
 		return err
 	}
@@ -191,13 +191,12 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 }
 
 // server is the daemon state: the budgeted store every session start goes
-// through, the task registry cells resolve against, the session worker-pool
-// size, and the serving counters.
+// through, the task registry cells resolve against, and the serving
+// counters.
 type server struct {
 	store      *modelstore.Store
 	reg        *taskpack.Registry
 	mux        *http.ServeMux
-	parallel   int
 	instance   string         // random per-process id, reported on /v1/healthz
 	coreTokens map[string]int // catalog token accounting, for /v1/stats
 	rip        *ripPool       // warm instances for POST /v1/rip
@@ -214,8 +213,8 @@ type server struct {
 // itself evicts (AppNames order, LRU), which is intended: it populates the
 // snapshot directory so later reloads are rip-free, and it leaves the most
 // recently warmed models resident.
-func newServer(reg *taskpack.Registry, budget int64, snapshotDir string, parallel int, progress io.Writer) (*server, error) {
-	s := newBareServer(modelstore.NewBudgeted(snapshotDir, budget), reg, parallel)
+func newServer(reg *taskpack.Registry, budget int64, snapshotDir string, progress io.Writer) (*server, error) {
+	s := newBareServer(modelstore.NewBudgeted(snapshotDir, budget), reg)
 	for _, app := range agent.AppNames() {
 		m, err := agent.ModelsFor(s.store, app, 1)
 		if err != nil {
@@ -233,11 +232,10 @@ func newServer(reg *taskpack.Registry, budget int64, snapshotDir string, paralle
 // newBareServer wires the handler state without prewarming; request
 // validation paths are testable through it without paying for a catalog
 // build.
-func newBareServer(store *modelstore.Store, reg *taskpack.Registry, parallel int) *server {
+func newBareServer(store *modelstore.Store, reg *taskpack.Registry) *server {
 	s := &server{
 		store:      store,
 		reg:        reg,
-		parallel:   parallel,
 		instance:   newInstanceID(),
 		coreTokens: make(map[string]int),
 		rip:        newRipPool(),
@@ -336,7 +334,7 @@ func (s *server) runCellRequest(req serveproto.SessionRequest) (*serveproto.Sess
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Sprintf("model build failed: %v", err)
 	}
-	outcomes := bench.RunCell(models, set, task, runs, s.parallel)
+	outcomes := bench.RunCell(models, set, task, runs, 1)
 
 	s.mu.Lock()
 	s.sessions++

@@ -38,7 +38,7 @@ func postRip(t *testing.T, s *server, req serveproto.RipRequest) *httptest.Respo
 // pattern with request-level rejections (405/413/400/409/404) and per-frame
 // status independence past them.
 func TestRipValidation(t *testing.T) {
-	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1)
+	s := newBareServer(modelstore.New(), taskpack.Builtin())
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, serveproto.PathRip, nil))
@@ -127,7 +127,7 @@ func TestRipValidation(t *testing.T) {
 // checkpoints.
 func TestRipMatchesLocalExpand(t *testing.T) {
 	const app = "Settings"
-	s := newBareServer(modelstore.New(), taskpack.Builtin(), 1)
+	s := newBareServer(modelstore.New(), taskpack.Builtin())
 	factory := agent.Factories()[app]
 
 	// Harvest real frames: rip the app locally and take the first
@@ -223,12 +223,12 @@ func TestRipShardedEndToEnd(t *testing.T) {
 	}
 
 	dying := &failingProxy{
-		inner:     newBareServer(modelstore.New(), taskpack.Builtin(), 1),
+		inner:     newBareServer(modelstore.New(), taskpack.Builtin()),
 		failAfter: 2,
 	}
 	srvDying := httptest.NewServer(dying)
 	defer srvDying.Close()
-	srvHealthy := httptest.NewServer(newBareServer(modelstore.New(), taskpack.Builtin(), 1))
+	srvHealthy := httptest.NewServer(newBareServer(modelstore.New(), taskpack.Builtin()))
 	defer srvHealthy.Close()
 
 	re, err := bench.NewRemoteExpander(

@@ -19,6 +19,8 @@
 // resolve first against the fixture tree (so stubs can stand in for real
 // repo packages under their real import paths) and then via the go/types
 // source importer.
+//
+//dmi:testonly test support: the analyzers' fixture tests are its only callers
 package atest
 
 import (

@@ -56,12 +56,10 @@ func IsTestFile(pass *analysis.Pass, pos token.Pos) bool {
 // space or colon (the justification the annotation grammar asks for).
 func DirectiveLines(pass *analysis.Pass, name string) map[string]map[int]bool {
 	out := make(map[string]map[int]bool)
-	marker := "dmi:" + name
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				if text == marker || strings.HasPrefix(text, marker+" ") || strings.HasPrefix(text, marker+":") {
+				if _, ok := Directive(c, name); ok {
 					p := pass.Fset.Position(c.Pos())
 					if out[p.Filename] == nil {
 						out[p.Filename] = make(map[int]bool)
@@ -72,6 +70,17 @@ func DirectiveLines(pass *analysis.Pass, name string) map[string]map[int]bool {
 		}
 	}
 	return out
+}
+
+// Directive reports whether c is a //dmi:<name> directive comment and
+// returns the free text after the marker (empty for a bare marker).
+func Directive(c *ast.Comment, name string) (text string, ok bool) {
+	marker := "dmi:" + name
+	text, ok = strings.CutPrefix(c.Text, "//"+marker)
+	if !ok || (text != "" && text[0] != ' ' && text[0] != ':') {
+		return "", false
+	}
+	return strings.TrimSpace(strings.TrimPrefix(text, ":")), true
 }
 
 // Marked reports whether the node's line, or the line directly above it, is

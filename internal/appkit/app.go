@@ -95,6 +95,8 @@ func New(name string) *App {
 }
 
 // Body returns the main window's content container as a buildable panel.
+//
+//dmi:testonly tests in appkit and the office apps build fixture controls into the body
 func (a *App) Body() Panel { return Panel{App: a, El: a.body} }
 
 // Window returns the main window as a buildable panel (for status bars,
@@ -154,6 +156,8 @@ func (a *App) ActiveTabInfo() (item, panel *uia.Element) {
 
 // ActivateTabByName switches the ribbon to the named tab; it is a no-op for
 // unknown names.
+//
+//dmi:testonly app tests across the catalog switch tabs by name
 func (a *App) ActivateTabByName(name string) {
 	for _, t := range a.tabs {
 		if t.item.Name() == name {

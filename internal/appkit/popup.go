@@ -106,6 +106,8 @@ func (p *Popup) Open(binding any) {
 }
 
 // IsOpen reports whether the popup is currently on the desktop.
+//
+//dmi:testonly appkit tests assert a popup's open state
 func (p *Popup) IsOpen() bool { return p.App.Desk.IsOpen(p.Win) }
 
 // CloseTopPopup closes the innermost popup. accepted marks an accepting
@@ -118,6 +120,8 @@ func (a *App) CloseTopPopup(accepted bool) {
 }
 
 // CloseAllPopups dismisses the entire popup chain, innermost first.
+//
+//dmi:testonly dmi, appkit and slides tests reset the popup chain
 func (a *App) CloseAllPopups() {
 	for len(a.popups) > 0 {
 		a.CloseTopPopup(false)
@@ -125,6 +129,8 @@ func (a *App) CloseAllPopups() {
 }
 
 // OpenPopups returns the number of popups currently open.
+//
+//dmi:testonly appkit and core tests count open popups
 func (a *App) OpenPopups() int { return len(a.popups) }
 
 // PopupTemplates returns every popup the application has created, open or

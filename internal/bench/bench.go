@@ -11,10 +11,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/agent"
 	"repro/internal/llm"
@@ -56,6 +54,8 @@ type Report struct {
 // sequential in-process reference every other way of serving the grid is
 // held byte-identical to: RunDispatchedIn over a LocalDispatcher, one cell
 // at a time.
+//
+//dmi:testonly the sequential reference the serving tests diff against
 func Run(models *agent.Models, runs int) *Report {
 	reg := taskpack.Builtin()
 	rep, err := RunDispatchedIn(context.Background(), reg, NewLocalDispatcherIn(reg, models, 1), runs, 1)
@@ -98,26 +98,21 @@ func SettingByLabel(label string) (Setting, bool) {
 }
 
 // RunCell evaluates one (setting, task) grid cell: `runs` seeded
-// repetitions served from a pool of `workers` goroutines (<= 0 uses
-// GOMAXPROCS). The returned outcomes are exactly the slice Run produces
-// for the same cell — same RNG streams, same run order — which is the
-// contract that lets a serving daemon answer per-cell requests
+// repetitions, in order. The returned outcomes are exactly the slice Run
+// produces for the same cell — same RNG streams, same run order — which is
+// the contract that lets a serving daemon answer per-cell requests
 // byte-identically to the in-process evaluation (asserted by
-// TestRunCellMatchesRun and the dmi-serve integration test).
-func RunCell(models *agent.Models, set Setting, task osworld.Task, runs, workers int) []agent.Outcome {
-	return executeGrid(models, set, []osworld.Task{task}, runs, workers)
+// TestRunCellMatchesRun and the dmi-serve integration test). The last
+// argument is accepted and ignored until perfbench stops passing it;
+// concurrency comes from running cells side by side (RunDispatchedIn).
+func RunCell(models *agent.Models, set Setting, task osworld.Task, runs, _ int) []agent.Outcome {
+	return executeGrid(models, set, []osworld.Task{task}, runs)
 }
 
 // RunSetting evaluates a single matrix cell (exported for focused benches).
 func RunSetting(models *agent.Models, set Setting, runs int) Row {
 	tasks := osworld.All()
-	return aggregate(set, tasks, runs, executeGrid(models, set, tasks, runs, 1))
-}
-
-// gridJob is one (task, run) cell of a setting's grid.
-type gridJob struct {
-	task osworld.Task
-	run  int
+	return aggregate(set, tasks, runs, executeGrid(models, set, tasks, runs))
 }
 
 // seedLabel derives the RNG experiment label. Common random numbers:
@@ -128,48 +123,17 @@ func seedLabel(set Setting) string {
 	return set.Profile.Name + "/" + set.Profile.Reasoning
 }
 
-// executeGrid runs one setting over tasks and returns the outcomes in grid
-// order (tasks, then runs) regardless of worker count. Each worker writes
-// only its own slice elements, so collection needs no locks and preserves
-// the deterministic order the aggregation depends on.
-func executeGrid(models *agent.Models, set Setting, tasks []osworld.Task, runs, workers int) []agent.Outcome {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	jobs := make([]gridJob, 0, len(tasks)*runs)
+// executeGrid runs one setting over tasks, one session at a time, and
+// returns the outcomes in grid order (tasks, then runs), the order the
+// aggregation depends on.
+func executeGrid(models *agent.Models, set Setting, tasks []osworld.Task, runs int) []agent.Outcome {
+	cfg := agent.Config{Interface: set.Interface, Profile: set.Profile}
+	out := make([]agent.Outcome, 0, len(tasks)*runs)
 	for _, task := range tasks {
 		for r := 0; r < runs; r++ {
-			jobs = append(jobs, gridJob{task: task, run: r})
+			out = append(out, agent.Run(models, task, cfg, llm.Rand(seedLabel(set), task.ID, r)))
 		}
 	}
-	cfg := agent.Config{Interface: set.Interface, Profile: set.Profile}
-	out := make([]agent.Outcome, len(jobs))
-	runJob := func(i int) {
-		j := jobs[i]
-		out[i] = agent.Run(models, j.task, cfg, llm.Rand(seedLabel(set), j.task.ID, j.run))
-	}
-	if workers <= 1 || len(jobs) <= 1 {
-		for i := range jobs {
-			runJob(i)
-		}
-		return out
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runJob(i)
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	return out
 }
 

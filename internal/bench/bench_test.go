@@ -372,33 +372,34 @@ func TestParallelReportEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunSettingParallelEquivalence covers the single-setting entry point
-// the focused benchmarks use: RunSetting's row equals the same setting's
-// grid served from a pool of eight workers.
-func TestRunSettingParallelEquivalence(t *testing.T) {
+// TestRunSettingMatchesRun covers the single-setting entry point the
+// focused benchmarks use: RunSetting's row equals the same setting's row of
+// the full-matrix Run.
+func TestRunSettingMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("single-cell evaluation")
 	}
-	models, _ := sharedReport(t)
+	models, rep := sharedReport(t)
 	set := Setting{Label: "GUI+DMI / GPT-5 / Medium", Interface: agent.GUIDMI, Profile: llm.GPT5Medium}
-	tasks := osworld.All()
-	seq := RunSetting(models, set, 3)
-	par := aggregate(set, tasks, 3, executeGrid(models, set, tasks, 3, 8))
-	if seq.SR != par.SR || seq.Steps != par.Steps || seq.Tokens != par.Tokens ||
-		seq.TimeS != par.TimeS || seq.OneShot != par.OneShot {
-		t.Fatalf("parallel single-setting row differs: %+v != %+v", par, seq)
+	got := RunSetting(models, set, rep.Runs)
+	want, ok := rep.RowFor(agent.GUIDMI, "GPT-5", "Medium")
+	if !ok {
+		t.Fatal("report lacks the GUI+DMI / GPT-5 / Medium row")
 	}
-	for j := range seq.Outcomes {
-		if seq.Outcomes[j] != par.Outcomes[j] {
-			t.Fatalf("outcome %d differs: %+v != %+v", j, par.Outcomes[j], seq.Outcomes[j])
+	if got.SR != want.SR || got.Steps != want.Steps || got.Tokens != want.Tokens ||
+		got.TimeS != want.TimeS || got.OneShot != want.OneShot || len(got.Outcomes) != len(want.Outcomes) {
+		t.Fatalf("single-setting row differs: %+v != %+v", got, want)
+	}
+	for j := range got.Outcomes {
+		if got.Outcomes[j] != want.Outcomes[j] {
+			t.Fatalf("outcome %d differs: %+v != %+v", j, got.Outcomes[j], want.Outcomes[j])
 		}
 	}
 }
 
 // TestRunCellMatchesRun pins the serving-daemon contract: for every
 // (setting, task) cell, RunCell returns exactly the slice of outcomes the
-// full-matrix Run produced for that cell — same RNG streams, same order —
-// at any worker count.
+// full-matrix Run produced for that cell — same RNG streams, same order.
 func TestRunCellMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix evaluation")
@@ -430,16 +431,13 @@ func TestRunCellMatchesRun(t *testing.T) {
 		}
 		for app, ti := range picked {
 			want := row.Outcomes[ti*rep.Runs : (ti+1)*rep.Runs]
-			for _, workers := range []int{1, 4} {
-				got := RunCell(models, set, tasks[ti], rep.Runs, workers)
-				if len(got) != len(want) {
-					t.Fatalf("%s/%s workers=%d: %d outcomes, want %d", label, app, workers, len(got), len(want))
-				}
-				for r := range got {
-					if got[r] != want[r] {
-						t.Fatalf("%s/%s workers=%d run %d: cell outcome %+v != Run's %+v",
-							label, app, workers, r, got[r], want[r])
-					}
+			got := RunCell(models, set, tasks[ti], rep.Runs, 1)
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: %d outcomes, want %d", label, app, len(got), len(want))
+			}
+			for r := range got {
+				if got[r] != want[r] {
+					t.Fatalf("%s/%s run %d: cell outcome %+v != Run's %+v", label, app, r, got[r], want[r])
 				}
 			}
 		}

@@ -87,19 +87,18 @@ func ResolveCellIn(reg *taskpack.Registry, cell Cell) (Setting, osworld.Task, er
 }
 
 // LocalDispatcher executes cells in-process over the shared warm models
-// through RunCell. workers sizes the per-cell session pool (1 = each cell's
-// runs are sequential; cross-cell concurrency comes from RunDispatchedIn).
+// through RunCell. A cell's runs are sequential; cross-cell concurrency
+// comes from RunDispatchedIn.
 type LocalDispatcher struct {
-	reg     *taskpack.Registry
-	models  *agent.Models
-	workers int
+	reg    *taskpack.Registry
+	models *agent.Models
 }
 
 // NewLocalDispatcherIn wraps warm models as a dispatcher resolving cells
-// against a task registry. workers <= 1 runs a cell's repetitions
-// sequentially.
-func NewLocalDispatcherIn(reg *taskpack.Registry, models *agent.Models, workers int) *LocalDispatcher {
-	return &LocalDispatcher{reg: reg, models: models, workers: workers}
+// against a task registry. The last argument is accepted and ignored until
+// perfbench stops passing it.
+func NewLocalDispatcherIn(reg *taskpack.Registry, models *agent.Models, _ int) *LocalDispatcher {
+	return &LocalDispatcher{reg: reg, models: models}
 }
 
 // Dispatch runs the cell through RunCell: same RNG streams, same run order,
@@ -112,7 +111,7 @@ func (d *LocalDispatcher) Dispatch(ctx context.Context, cell Cell) ([]agent.Outc
 	if err != nil {
 		return nil, err
 	}
-	return RunCell(d.models, set, task, cell.Runs, d.workers), nil
+	return RunCell(d.models, set, task, cell.Runs, 1), nil
 }
 
 // aggregateGrid flattens grid-order outcome slots and aggregates them

@@ -103,17 +103,13 @@ func (re *RemoteExpander) Close() ung.ExpanderStats {
 
 // Stats snapshots every replica's share of the sharded rip (the Cells
 // counter counts expanded frames here).
+//
+//dmi:testonly dmi-serve's rip tests check each replica's frame accounting
 func (re *RemoteExpander) Stats() []ReplicaStats { return re.d.Stats() }
 
 // Retries reports how many attempts failed at a replica and sent their
 // frames back through replica selection.
 func (re *RemoteExpander) Retries() int { return re.d.Retries() }
-
-// AddReplica joins a replica to the fleet mid-rip; see membership.go.
-func (re *RemoteExpander) AddReplica(baseURL string) error { return re.d.AddReplica(baseURL) }
-
-// RemoveReplica retires a replica mid-rip; see membership.go.
-func (re *RemoteExpander) RemoveReplica(baseURL string) error { return re.d.RemoveReplica(baseURL) }
 
 // sender is one dispatch worker: pop the most recent same-context frames
 // and ship them as one envelope through failover. Exits when the stack is

@@ -78,16 +78,6 @@ func (m *LabelMap) Element(label string) *uia.Element {
 	return m.order[i]
 }
 
-// Label returns the label assigned to an element ("" if unlabeled).
-func (m *LabelMap) Label(e *uia.Element) string {
-	for i, x := range m.order {
-		if x == e {
-			return alphaLabel(i)
-		}
-	}
-	return ""
-}
-
 // Len returns the number of labeled controls.
 func (m *LabelMap) Len() int { return len(m.order) }
 

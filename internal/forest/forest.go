@@ -67,17 +67,6 @@ func (n *Node) Count() int {
 	return c
 }
 
-// Depth returns the height of the subtree (leaf = 1).
-func (n *Node) Depth() int {
-	max := 0
-	for _, c := range n.Children {
-		if d := c.Depth(); d > max {
-			max = d
-		}
-	}
-	return max + 1
-}
-
 // PathFromRoot returns the chain of nodes from the tree root down to n,
 // inclusive. Within a tree this path is unique — the path-unambiguity
 // property the transformation exists to establish.

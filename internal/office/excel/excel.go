@@ -789,9 +789,6 @@ func (x *App) setViewTop(top int) {
 	x.applyViewport()
 }
 
-// ViewTop returns the first visible data row.
-func (x *App) ViewTop() int { return x.viewTop }
-
 // applyViewport shows the VisibleRows rows from viewTop, plus row 1 while
 // the top row is frozen, and hides every other row.
 func (x *App) applyViewport() {
@@ -804,17 +801,6 @@ func (x *App) applyViewport() {
 }
 
 func (x *App) refreshCell(string) { /* values are read through the pattern; nothing cached */ }
-
-// DataItem returns the DataItem element for a cell reference, or nil when
-// the reference is malformed or outside the grid. It accepts exactly the
-// references Sheet.Cell accepts.
-func (x *App) DataItem(ref string) *uia.Element {
-	r, c, ok := ParseRef(ref)
-	if !ok {
-		return nil
-	}
-	return x.cells[r][c]
-}
 
 func colOfSelection(s *Sheet) string {
 	_, c, ok := ParseRef(s.ActiveCell)

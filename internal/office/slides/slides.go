@@ -693,6 +693,8 @@ func (p *App) refreshThumbs() {
 }
 
 // Thumb returns the thumbnail element for a 0-based slide index.
+//
+//dmi:testonly slides and core tests click thumbnails by index
 func (p *App) Thumb(i int) *uia.Element {
 	if i < 0 || i >= len(p.thumbs) {
 		return nil

@@ -116,15 +116,6 @@ func (d *Document) rebuildText() {
 	d.text.Lines = lines
 }
 
-// Body returns the paragraph texts joined with blank lines.
-func (d *Document) Body() string {
-	var parts []string
-	for _, p := range d.Paras {
-		parts = append(parts, p.Text)
-	}
-	return strings.Join(parts, "\n\n")
-}
-
 // SelectParas sets the selected paragraph range directly (used by tests and
 // by the document's Text pattern hook).
 func (d *Document) SelectParas(start, end int) {

@@ -107,6 +107,8 @@ func (c Cond) Eval(e *Env) (bool, error) {
 }
 
 // Walk visits the condition tree depth-first, the node before its subs.
+//
+//dmi:testonly agent's reset property collects every verify path with it
 func (c Cond) Walk(fn func(Cond)) {
 	fn(c)
 	for _, s := range c.Subs {
@@ -150,17 +152,11 @@ func asNumber(v any) (float64, bool) {
 // AllOf requires every sub-condition.
 func AllOf(subs ...Cond) Cond { return Cond{Op: CondAll, Subs: subs} }
 
-// AnyOf requires at least one sub-condition.
-func AnyOf(subs ...Cond) Cond { return Cond{Op: CondAny, Subs: subs} }
-
 // Not inverts a condition.
 func Not(sub Cond) Cond { return Cond{Op: CondNot, Subs: []Cond{sub}} }
 
 // Eq requires state at path to equal v (string, bool, or float64).
 func Eq(path string, v any) Cond { return Cond{Op: CondEquals, Path: path, Value: v} }
-
-// ContainsStr requires string state at path to contain sub.
-func ContainsStr(path, sub string) Cond { return Cond{Op: CondContains, Path: path, Value: sub} }
 
 // AtLeast requires numeric state at path to be >= n.
 func AtLeast(path string, n float64) Cond { return Cond{Op: CondAtLeast, Path: path, Value: n} }

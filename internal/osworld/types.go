@@ -114,6 +114,8 @@ func (e *Env) Verify() bool {
 }
 
 // Probe reads the application state at a verify-condition path.
+//
+//dmi:testonly agent's reset property reads every verify path through it
 func (e *Env) Probe(path string) (any, error) { return e.probe(path) }
 
 // Task is one benchmark scenario — pure data. The environment it runs in is

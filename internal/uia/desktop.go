@@ -18,12 +18,6 @@ var (
 	ErrWindowClosed = errors.New("uia: window is no longer open")
 )
 
-// WindowEvent describes a change in the top-level window set.
-type WindowEvent struct {
-	Opened bool // true = window opened, false = closed
-	Window *Element
-}
-
 // Clock is the simulated wall clock shared by the desktop, the agents, and
 // the benchmark harness. UI actions advance it by realistic small amounts;
 // the LLM-latency model advances it by tens of seconds per call.
@@ -51,13 +45,11 @@ const (
 )
 
 // Desktop owns the top-level window stack of one simulated machine, the
-// keyboard focus, the simulated clock, and window event listeners — the
-// surface the GUI ripper's "process_id and window listeners" hook into.
+// keyboard focus and the simulated clock.
 type Desktop struct {
-	clock     Clock
-	windows   []*Element // bottom ... top (top = active)
-	focus     *Element
-	listeners []func(WindowEvent)
+	clock   Clock
+	windows []*Element // bottom ... top (top = active)
+	focus   *Element
 
 	// KeyHandlers maps key combinations ("ENTER", "ESC", "CTRL+S", ...)
 	// to application-level behaviour. Applications register these.
@@ -88,15 +80,12 @@ func (d *Desktop) TopWindow() *Element {
 	return nil
 }
 
-// OpenWindow pushes w onto the window stack and notifies listeners. The
-// element should have WindowControl type (or PaneControl for popups).
-func (d *Desktop) OpenWindow(w *Element) {
-	d.windows = append(d.windows, w)
-	d.notify(WindowEvent{Opened: true, Window: w})
-}
+// OpenWindow pushes w onto the window stack. The element should have
+// WindowControl type (or PaneControl for popups).
+func (d *Desktop) OpenWindow(w *Element) { d.windows = append(d.windows, w) }
 
-// CloseWindow removes w from the stack and notifies listeners. Keyboard
-// focus is dropped if it lived inside w.
+// CloseWindow removes w from the stack. Keyboard focus is dropped if it
+// lived inside w.
 func (d *Desktop) CloseWindow(w *Element) {
 	for i, win := range d.windows {
 		if win == w {
@@ -104,7 +93,6 @@ func (d *Desktop) CloseWindow(w *Element) {
 			if d.focus != nil && d.focus.IsDescendantOf(w) {
 				d.focus = nil
 			}
-			d.notify(WindowEvent{Opened: false, Window: w})
 			return
 		}
 	}
@@ -118,16 +106,6 @@ func (d *Desktop) IsOpen(w *Element) bool {
 		}
 	}
 	return false
-}
-
-// Listen registers a window-event listener. Listeners fire synchronously on
-// open and close.
-func (d *Desktop) Listen(fn func(WindowEvent)) { d.listeners = append(d.listeners, fn) }
-
-func (d *Desktop) notify(ev WindowEvent) {
-	for _, fn := range d.listeners {
-		fn(ev)
-	}
 }
 
 // Focus returns the element with keyboard focus, or nil.
@@ -321,6 +299,8 @@ func observe(e *Element, out []*Element) []*Element {
 
 // SnapshotCount reports how many snapshots have been taken, a proxy for the
 // accessibility-API load of an exploration or an agent run.
+//
+//dmi:testonly uia tests and agent's reset property read the snapshot count
 func (d *Desktop) SnapshotCount() int { return d.snapshots }
 
 // Click dispatches a primitive click on e: default pattern behaviour first

@@ -9,9 +9,6 @@ import (
 
 func TestWindowStack(t *testing.T) {
 	d := NewDesktop()
-	var events []WindowEvent
-	d.Listen(func(ev WindowEvent) { events = append(events, ev) })
-
 	w1 := NewElement("w1", "Main", WindowControl)
 	w2 := NewElement("w2", "Dialog", WindowControl)
 	d.OpenWindow(w1)
@@ -22,9 +19,6 @@ func TestWindowStack(t *testing.T) {
 	d.CloseWindow(w2)
 	if d.TopWindow() != w1 {
 		t.Fatal("TopWindow should fall back to main")
-	}
-	if len(events) != 3 || !events[0].Opened || !events[1].Opened || events[2].Opened {
-		t.Errorf("events = %+v", events)
 	}
 	if d.IsOpen(w2) {
 		t.Error("closed window still reported open")

@@ -17,6 +17,8 @@ func (r Rect) Contains(x, y int) bool {
 }
 
 // Center returns the midpoint of the rectangle.
+//
+//dmi:testonly appkit and uia tests aim clicks at a control's centre
 func (r Rect) Center() (x, y int) { return r.X + r.W/2, r.Y + r.H/2 }
 
 // Empty reports whether the rectangle has zero area.
@@ -119,6 +121,8 @@ func (e *Element) SetDescription(d string) {
 func (e *Element) Enabled() bool { return e.enabled }
 
 // SetEnabled enables or disables the control.
+//
+//dmi:testonly substrate API; uia, core and agent tests disable controls with it
 func (e *Element) SetEnabled(v bool) {
 	if l := e.recorder(); l != nil && e.enabled != v {
 		l.push(undoEntry{op: undoEnabled, el: e, flag: e.enabled})
@@ -232,6 +236,8 @@ func (e *Element) OnScreen() bool {
 // DeferVisibility hides the element from the next n snapshots, simulating a
 // control that the application populates asynchronously (paper §3.4,
 // "failure retry mechanism for GUI controls that may load slowly").
+//
+//dmi:testonly substrate API for slow-loading controls; uia, core and root tests use it
 func (e *Element) DeferVisibility(n int) {
 	e.setDefer(int32(max(0, min(n, math.MaxInt32))))
 }
@@ -346,22 +352,12 @@ func (e *Element) FindByAutomationID(id string) *Element {
 }
 
 // Count returns the number of elements in the subtree rooted at e.
+//
+//dmi:testonly app, agent and uia tests size subtrees with it
 func (e *Element) Count() int {
 	n := 0
 	e.Walk(func(*Element) bool { n++; return true })
 	return n
-}
-
-// Depth returns the maximum depth of the subtree rooted at e (a leaf has
-// depth 1).
-func (e *Element) Depth() int {
-	max := 0
-	for _, c := range e.children {
-		if d := c.Depth(); d > max {
-			max = d
-		}
-	}
-	return max + 1
 }
 
 // PrimaryID returns the leading component of the synthesized control ID:

@@ -21,6 +21,8 @@ type SimpleToggle struct {
 }
 
 // NewToggle creates a toggle provider starting at ToggleOff.
+//
+//dmi:testonly provider API next to NewText; uia tests build toggles with it
 func NewToggle(onChange func(e *Element, s ToggleState)) *SimpleToggle {
 	return &SimpleToggle{OnChange: onChange}
 }
@@ -129,6 +131,8 @@ type SimpleText struct {
 }
 
 // NewText creates a text provider from a body split on newlines.
+//
+//dmi:testonly provider API; uia and core tests build text controls with it
 func NewText(body string) *SimpleText {
 	if body == "" {
 		return &SimpleText{}

@@ -253,8 +253,7 @@ func (d *Desktop) SaveState(s *DeskState) {
 	s.windows = append(s.windows[:0], d.windows...)
 }
 
-// RestoreState puts back what SaveState captured. Window listeners do not
-// fire.
+// RestoreState puts back what SaveState captured.
 func (d *Desktop) RestoreState(s DeskState) {
 	d.clock.now = s.now
 	d.snapshots = s.snapshots

@@ -1,6 +1,7 @@
 package ung
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -58,8 +59,15 @@ type heldObs struct {
 // recycled only once no checkpoint holds it. It also requires each catalog
 // app's share of captured elements that were shared, not walked, to stay
 // at its floor, and logs the shares.
+//
+// Every control a catalog capture observes must also be on the surface: its
+// rectangle is not empty, and Desktop.HitTest at its centre finds an
+// element. Race and -short builds check the surface at every tenth
+// capture.
 func TestCaptureMatchesFullWalk(t *testing.T) {
-	var captures, shared, total, bad, overwritten int
+	var captures, shared, total, bad, overwritten, surfaced int
+	var offSurface string
+	surface := false
 	var held [][]heldObs // per checkpoint, what its capture holds
 	copies := make(map[*uia.Observation][]string)
 	captureCheck = func(cur *Cursor, i int) func() {
@@ -91,6 +99,22 @@ func TestCaptureMatchesFullWalk(t *testing.T) {
 			if bad == 0 && (!slices.Equal(gotEls, els) || !slices.Equal(gotIDs, ids)) {
 				bad = captures
 			}
+			if surface && offSurface == "" && (captures%10 == 0 || !(testing.Short() || raceEnabled)) {
+				for _, e := range gotEls {
+					if e.Parent() == nil { // window roots are containers, not controls
+						continue
+					}
+					surfaced++
+					if e.Rect().Empty() {
+						offSurface = fmt.Sprintf("capture %d: %s has an empty rectangle", captures, e.ControlID())
+					} else if cur.app.Desk.HitTest(e.Rect().Center()) == nil {
+						offSurface = fmt.Sprintf("capture %d: no element at the centre of %s", captures, e.ControlID())
+					}
+					if offSurface != "" {
+						break
+					}
+				}
+			}
 			for j := range min(len(held), len(cur.cps)) {
 				for _, h := range held[j] {
 					if overwritten == 0 && !slices.Equal(h.o.IDs, h.ids) {
@@ -102,7 +126,7 @@ func TestCaptureMatchesFullWalk(t *testing.T) {
 	}
 	defer func() { captureCheck = nil }()
 	rip := func(name string, app *appkit.App) {
-		captures, shared, total, bad, overwritten = 0, 0, 0, 0, 0
+		captures, shared, total, bad, overwritten, surfaced, offSurface = 0, 0, 0, 0, 0, 0, ""
 		held = held[:0]
 		clear(copies)
 		if _, _, err := Rip(app, Config{}); err != nil {
@@ -114,15 +138,20 @@ func TestCaptureMatchesFullWalk(t *testing.T) {
 		if overwritten > 0 {
 			t.Errorf("%s: capture %d overwrote an observation a checkpoint still holds", name, overwritten)
 		}
+		if offSurface != "" {
+			t.Errorf("%s: %s", name, offSurface)
+		}
 		pct := 100 * float64(shared) / float64(total)
-		t.Logf("%s: %d captures, %d of %d captured elements (%.1f%%) shared with the previous capture",
-			name, captures, shared, total, pct)
+		t.Logf("%s: %d captures, %d of %d captured elements (%.1f%%) shared with the previous capture, %d checked on the surface",
+			name, captures, shared, total, pct, surfaced)
 		if floor, ok := minSharedPct[name]; ok && pct < floor {
 			t.Errorf("%s: %.1f%% of captured elements shared, want at least %.0f%%", name, pct, floor)
 		}
 	}
+	surface = true
 	for _, app := range catalogFactories {
 		rip(app.name, app.new())
 	}
+	surface = false
 	rip("Rename demo", renameDemo())
 }

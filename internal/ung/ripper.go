@@ -214,10 +214,11 @@ func ripContexts(app *appkit.App) []string {
 
 // Rip builds the UNG of an application by DFS differential capture (paper
 // §4.1): capture the accessibility tree, activate a candidate control,
-// capture again; newly revealed controls define navigation edges. New
-// windows are detected by desktop window listeners, the access blocklist is
-// honored, and every registered application context is explored and merged
-// into one topology.
+// capture again; newly revealed controls define navigation edges. A capture
+// observes every visible window on the desktop's stack, so a new window
+// shows up in the capture after the click that opened it. The access
+// blocklist is honored, and every registered application context is
+// explored and merged into one topology.
 //
 // The rip models app in the state it is passed, so pass a fresh instance,
 // and hands its UI back in that state. Rip is RipDispatched with every
