@@ -68,7 +68,7 @@ func BenchmarkTable1_Task1_Declarative(b *testing.B) {
 	var refID int
 	for _, r := range refs {
 		for _, anc := range r.PathFromRoot() {
-			if strings.HasPrefix(anc.GID, "btnFillColor|") {
+			if strings.HasPrefix(anc.ID, "btnFillColor|") {
 				refID = m.ID(r)
 			}
 		}

@@ -110,7 +110,9 @@ func Rip(app *App, cfg RipConfig) (*Graph, RipStats, error) { return ung.Rip(app
 // Forest is the path-unambiguous topology (main tree + shared subtrees).
 type Forest = forest.Forest
 
-// ForestNode is one position in the forest.
+// ForestNode is one position in the forest. It points at the graph node it
+// was built from and reads ID, Name, Type and Desc through it, so the graph
+// a forest was transformed from must not grow afterwards.
 type ForestNode = forest.Node
 
 // TransformOptions tunes the graph→forest transformation.

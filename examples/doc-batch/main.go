@@ -73,7 +73,7 @@ func stdCell(m *dmi.TopologyModel, name string) *dmi.ForestNode {
 	scan := func(tree *dmi.ForestNode) {
 		tree.Walk(func(n *dmi.ForestNode) bool {
 			if hit == nil && n.IsLeaf() && n.Name == name &&
-				strings.Contains(n.GID, "clrPickerStd") {
+				strings.Contains(n.ID, "clrPickerStd") {
 				hit = n
 			}
 			return true
@@ -93,7 +93,7 @@ func via(m *dmi.TopologyModel, n *dmi.ForestNode, opener string) []int {
 	tree := m.TreeOf(n)
 	for _, r := range m.RefsTo(tree) {
 		for _, anc := range r.PathFromRoot() {
-			if strings.HasPrefix(anc.GID, opener+"|") {
+			if strings.HasPrefix(anc.ID, opener+"|") {
 				return []int{m.ID(r)}
 			}
 		}
@@ -105,7 +105,7 @@ func via(m *dmi.TopologyModel, n *dmi.ForestNode, opener string) []int {
 func gid(m *dmi.TopologyModel, prefix string) int {
 	var hit *dmi.ForestNode
 	m.Forest.Main.Walk(func(n *dmi.ForestNode) bool {
-		if hit == nil && strings.HasPrefix(n.GID, prefix) {
+		if hit == nil && strings.HasPrefix(n.ID, prefix) {
 			hit = n
 		}
 		return true

@@ -81,7 +81,7 @@ func findByGID(m *dmi.TopologyModel, prefix string) *dmi.ForestNode {
 	var hit *dmi.ForestNode
 	scan := func(tree *dmi.ForestNode) {
 		tree.Walk(func(n *dmi.ForestNode) bool {
-			if hit == nil && len(n.GID) >= len(prefix) && n.GID[:len(prefix)] == prefix {
+			if hit == nil && len(n.ID) >= len(prefix) && n.ID[:len(prefix)] == prefix {
 				hit = n
 			}
 			return true

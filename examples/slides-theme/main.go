@@ -74,7 +74,7 @@ func pickerCell(m *dmi.TopologyModel, name string) *dmi.ForestNode {
 	scan := func(tree *dmi.ForestNode) {
 		tree.Walk(func(n *dmi.ForestNode) bool {
 			if hit == nil && n.IsLeaf() && n.Name == name &&
-				strings.Contains(n.GID, "clrPickerStd") {
+				strings.Contains(n.ID, "clrPickerStd") {
 				hit = n
 			}
 			return true
@@ -99,7 +99,7 @@ func entryVia(m *dmi.TopologyModel, n *dmi.ForestNode, opener string) []int {
 	}
 	for _, r := range m.RefsTo(tree) {
 		for _, anc := range r.PathFromRoot() {
-			if strings.HasPrefix(anc.GID, opener+"|") {
+			if strings.HasPrefix(anc.ID, opener+"|") {
 				return []int{m.ID(r)}
 			}
 		}

@@ -238,12 +238,12 @@ func (d *driver) renameLive(node *forest.Node) {
 // ancestor path, building the deferred item lists on that path, so it
 // finds what a search of the fully built surface would.
 func (d *driver) findLive(node *forest.Node) *uia.Element {
-	_, _, anc := uia.SplitControlID(node.GID)
-	if el := d.findUnder(d.env.App.Win, anc, node.GID); el != nil {
+	_, _, anc := uia.SplitControlID(node.ID)
+	if el := d.findUnder(d.env.App.Win, anc, node.ID); el != nil {
 		return el
 	}
 	for _, w := range d.env.App.AllPopupWindows() {
-		if el := d.findUnder(w, anc, node.GID); el != nil {
+		if el := d.findUnder(w, anc, node.ID); el != nil {
 			return el
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/office/word"
 	"repro/internal/osworld"
 	"repro/internal/uia"
+	"repro/internal/ung"
 )
 
 // TestFindLiveReachesUnbuiltLists: staleness injection renames controls by
@@ -47,8 +48,8 @@ func TestFindLiveReachesUnbuiltLists(t *testing.T) {
 	} {
 		app := word.New()
 		d := &driver{env: &osworld.Env{App: app.App}, rng: rand.New(rand.NewSource(1))}
-		d.renameLive(&forest.Node{GID: gid})
-		if el := d.findLive(&forest.Node{GID: gid}); el != nil {
+		d.renameLive(&forest.Node{Node: &ung.Node{ID: gid}})
+		if el := d.findLive(&forest.Node{Node: &ung.Node{ID: gid}}); el != nil {
 			t.Errorf("%s still present after rename", gid)
 		}
 		path := gid[strings.LastIndexByte(gid, '|')+1:]
@@ -85,23 +86,23 @@ func TestFindLiveMatchesFullWalk(t *testing.T) {
 		// A control outside every deferred list builds none of them.
 		fresh := countAll(live)
 		if d.findLive(model.Node(1)) == nil || countAll(live) != fresh {
-			t.Errorf("%s: finding %s built deferred lists (%d elements, %d fresh)", app, model.Node(1).GID, countAll(live), fresh)
+			t.Errorf("%s: finding %s built deferred lists (%d elements, %d fresh)", app, model.Node(1).ID, countAll(live), fresh)
 		}
 		for id := 0; id < model.NodeCount(); id++ {
 			node := model.Node(id)
-			if node.GID == "" {
+			if node.ID == "" {
 				continue
 			}
 			var want *uia.Element
 			for _, root := range roots {
-				if want = root.Find(func(e *uia.Element) bool { return e.ControlID() == node.GID }); want != nil {
+				if want = root.Find(func(e *uia.Element) bool { return e.ControlID() == node.ID }); want != nil {
 					break
 				}
 			}
 			got := d.findLive(node)
 			if (got == nil) != (want == nil) || got != nil && position(got, live) != position(want, ref) {
 				t.Fatalf("%s node %d %s: found %v at %q, full walk %v at %q",
-					app, id, node.GID, got, position(got, live), want, position(want, ref))
+					app, id, node.ID, got, position(got, live), want, position(want, ref))
 			}
 		}
 	}
@@ -153,10 +154,10 @@ func TestDeepestVisibleLiveMatchesIDMap(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		chain := make([]*forest.Node, 1+rng.Intn(24))
 		for i := range chain {
-			chain[i] = &forest.Node{GID: ids[rng.Intn(len(ids))]}
+			chain[i] = &forest.Node{Node: &ung.Node{ID: ids[rng.Intn(len(ids))]}}
 		}
 		if trial%4 == 0 {
-			chain[len(chain)-1].GID = first.ControlID()
+			chain[len(chain)-1].ID = first.ControlID()
 		}
 		gotI, gotEl := d.deepestVisibleLive(chain)
 		wantI, wantEl := deepestVisibleLiveByMap(app.Desk.Snapshot(nil), chain)
@@ -179,7 +180,7 @@ func deepestVisibleLiveByMap(screen []*uia.Element, chain []*forest.Node) (int, 
 		}
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		if el, ok := byID[chain[i].GID]; ok && el.Enabled() {
+		if el, ok := byID[chain[i].ID]; ok && el.Enabled() {
 			return i, el
 		}
 	}

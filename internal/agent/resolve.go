@@ -113,11 +113,11 @@ func refChain(m *describe.Model, tree string, via string) ([]int, bool) {
 	return fallback, fallback != nil
 }
 
-// withinGID reports whether the GID of n or of one of its ancestors within
-// its tree contains sub: the container constraint of a Target.
+// withinGID reports whether the UNG id of n or of one of its ancestors
+// within its tree contains sub: the container constraint of a Target.
 func withinGID(n *forest.Node, sub string) bool {
 	for ; n != nil; n = n.Parent {
-		if strings.Contains(n.GID, sub) {
+		if strings.Contains(n.ID, sub) {
 			return true
 		}
 	}
@@ -126,7 +126,7 @@ func withinGID(n *forest.Node, sub string) bool {
 
 func pathContainsPrimary(path []*forest.Node, primary string) bool {
 	for _, n := range path {
-		if p, _, _ := uia.SplitControlID(n.GID); p == primary {
+		if p, _, _ := uia.SplitControlID(n.ID); p == primary {
 			return true
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/osworld"
 	"repro/internal/taskpack"
 	"repro/internal/uia"
+	"repro/internal/ung"
 )
 
 func wordModel(t *testing.T) *describe.Model {
@@ -96,9 +97,9 @@ func TestResolveNonLeafFallback(t *testing.T) {
 }
 
 func TestSiblingDistractor(t *testing.T) {
-	parent := &forest.Node{Name: "menu"}
+	parent := &forest.Node{Node: &ung.Node{Name: "menu"}}
 	mk := func(n string) *forest.Node {
-		c := &forest.Node{Name: n, Parent: parent}
+		c := &forest.Node{Node: &ung.Node{Name: n}, Parent: parent}
 		parent.Children = append(parent.Children, c)
 		return c
 	}
@@ -112,7 +113,7 @@ func TestSiblingDistractor(t *testing.T) {
 			t.Fatal("distractor must be a different sibling")
 		}
 	}
-	lonely := &forest.Node{Name: "only"}
+	lonely := &forest.Node{Node: &ung.Node{Name: "only"}}
 	root := &forest.Node{Children: []*forest.Node{lonely}}
 	lonely.Parent = root
 	if siblingDistractor(lonely, rng.Intn) != nil {
@@ -137,7 +138,7 @@ func TestInCoreTopology(t *testing.T) {
 	var fontItem *forest.Node
 	m.Forest.Main.Walk(func(n *forest.Node) bool {
 		if fontItem == nil && n.IsLeaf() && n.LargeEnum &&
-			strings.Contains(n.GID, "wFontName") {
+			strings.Contains(n.ID, "wFontName") {
 			fontItem = n
 		}
 		return true
@@ -295,13 +296,13 @@ func resolveTargetWalk(m *describe.Model, t osworld.Target) (resolved, error) {
 	var nonLeaf []*forest.Node
 	collect := func(tree *forest.Node) {
 		tree.Walk(func(n *forest.Node) bool {
-			if p, _, _ := uia.SplitControlID(n.GID); p != t.Primary && n.Name != t.Primary {
+			if p, _, _ := uia.SplitControlID(n.ID); p != t.Primary && n.Name != t.Primary {
 				return true
 			}
-			if t.GIDContains != "" && !strings.Contains(n.GID, t.GIDContains) {
+			if t.GIDContains != "" && !strings.Contains(n.ID, t.GIDContains) {
 				ok := false
 				for _, anc := range n.PathFromRoot() {
-					if strings.Contains(anc.GID, t.GIDContains) {
+					if strings.Contains(anc.ID, t.GIDContains) {
 						ok = true
 						break
 					}

@@ -160,7 +160,7 @@ func TestVisitNavigatesAcrossTabs(t *testing.T) {
 	okID := -1
 	var find func(n *forest.Node)
 	find = func(n *forest.Node) {
-		if strings.HasPrefix(n.GID, "dlgTableOK|") {
+		if strings.HasPrefix(n.ID, "dlgTableOK|") {
 			okID = m.ID(n)
 		}
 		for _, c := range n.Children {
@@ -235,7 +235,7 @@ func TestNonLeafFiltering(t *testing.T) {
 	// Find the Font Color opener (navigation node) in the main tree.
 	var opener *forest.Node
 	m.Forest.Main.Walk(func(n *forest.Node) bool {
-		if strings.HasPrefix(n.GID, "btnFontColor|") {
+		if strings.HasPrefix(n.ID, "btnFontColor|") {
 			opener = n
 		}
 		return true
@@ -265,7 +265,7 @@ func TestNonLeafFiltering(t *testing.T) {
 	s2, m2 := modelOf(t, ta2.App, Options{DisableLeafFilter: true})
 	var opener2 *forest.Node
 	m2.Forest.Main.Walk(func(n *forest.Node) bool {
-		if strings.HasPrefix(n.GID, "btnFontColor|") {
+		if strings.HasPrefix(n.ID, "btnFontColor|") {
 			opener2 = n
 		}
 		return true

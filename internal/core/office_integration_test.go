@@ -64,7 +64,7 @@ func TestWordFontColorPathSemanticsViaDMI(t *testing.T) {
 	for _, id := range m.Forest.SharedOrder {
 		m.Forest.Shared[id].Walk(func(n *forest.Node) bool {
 			if blue == nil && n.IsLeaf() && n.Name == "Blue" &&
-				strings.Contains(n.GID, "clrPickerStd") {
+				strings.Contains(n.ID, "clrPickerStd") {
 				blue = n
 			}
 			return true
@@ -81,10 +81,10 @@ func TestWordFontColorPathSemanticsViaDMI(t *testing.T) {
 	var viaFont, viaUnderline int
 	for _, r := range m.RefsTo(tree) {
 		for _, anc := range r.PathFromRoot() {
-			if strings.HasPrefix(anc.GID, "btnFontColor|") {
+			if strings.HasPrefix(anc.ID, "btnFontColor|") {
 				viaFont = m.ID(r)
 			}
-			if strings.HasPrefix(anc.GID, "btnUnderlineColor|") {
+			if strings.HasPrefix(anc.ID, "btnUnderlineColor|") {
 				viaUnderline = m.ID(r)
 			}
 		}
@@ -144,7 +144,7 @@ func TestSlidesTable1Task1ViaDMI(t *testing.T) {
 	lookFor := func(tree *forest.Node) {
 		tree.Walk(func(n *forest.Node) bool {
 			if blue == nil && n.IsLeaf() && n.Name == "Blue" &&
-				strings.Contains(n.GID, "clrPickerStd") {
+				strings.Contains(n.ID, "clrPickerStd") {
 				blue = n
 			}
 			return true
@@ -163,7 +163,7 @@ func TestSlidesTable1Task1ViaDMI(t *testing.T) {
 		// Route through the Format Background pane's Fill Color opener.
 		for _, r := range m.RefsTo(tree) {
 			for _, anc := range r.PathFromRoot() {
-				if strings.HasPrefix(anc.GID, "btnFillColor|") {
+				if strings.HasPrefix(anc.ID, "btnFillColor|") {
 					cmds[0] = AccessRef(m.ID(blue), m.ID(r))
 				}
 			}
@@ -294,13 +294,13 @@ func TestDeepestVisibleMatchesIDMap(t *testing.T) {
 
 	var pool []*forest.Node
 	for _, e := range snap {
-		pool = append(pool, &forest.Node{GID: e.ControlID(), Name: e.Name(), Type: e.Type()})
+		pool = append(pool, &forest.Node{Node: &ung.Node{ID: e.ControlID(), Name: e.Name(), Type: e.Type()}})
 		if e.Parent() != nil && e.Type() == uia.ButtonControl {
 			primary, _, anc := uia.SplitControlID(e.ControlID())
-			pool = append(pool, &forest.Node{GID: primary + "2|Button|" + anc, Name: e.Name() + " ", Type: e.Type()})
+			pool = append(pool, &forest.Node{Node: &ung.Node{ID: primary + "2|Button|" + anc, Name: e.Name() + " ", Type: e.Type()}})
 		}
 	}
-	pool = append(pool, &forest.Node{GID: "absent|Button|nowhere", Name: "Absent", Type: uia.ButtonControl})
+	pool = append(pool, &forest.Node{Node: &ung.Node{ID: "absent|Button|nowhere", Name: "Absent", Type: uia.ButtonControl}})
 	rng := rand.New(rand.NewSource(1))
 	for _, disableFuzzy := range []bool{false, true} {
 		s := NewSession(app.App, nil, Options{DisableFuzzy: disableFuzzy})
@@ -310,7 +310,7 @@ func TestDeepestVisibleMatchesIDMap(t *testing.T) {
 				chain[i] = pool[rng.Intn(len(pool))]
 			}
 			if trial%4 == 0 {
-				chain[len(chain)-1] = &forest.Node{GID: first.ControlID(), Name: "Dup", Type: uia.ButtonControl}
+				chain[len(chain)-1] = &forest.Node{Node: &ung.Node{ID: first.ControlID(), Name: "Dup", Type: uia.ButtonControl}}
 			}
 			gotI, gotEl := s.deepestVisible(chain, snap)
 			wantI, wantEl := deepestVisibleByMap(s, chain, snap)
@@ -336,7 +336,7 @@ func deepestVisibleByMap(s *Session, chain []*forest.Node, snap []*uia.Element) 
 		}
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		if el, ok := byID[chain[i].GID]; ok {
+		if el, ok := byID[chain[i].ID]; ok {
 			return i, el
 		}
 		if s.Opt.DisableFuzzy {

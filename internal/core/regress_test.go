@@ -13,6 +13,7 @@ import (
 	"repro/internal/appkit"
 	"repro/internal/forest"
 	"repro/internal/uia"
+	"repro/internal/ung"
 )
 
 // TestPassiveTextsEmitsCaptureOrder: the passive payload must list data
@@ -90,7 +91,7 @@ func TestGetTextsKeyedByCallerLabel(t *testing.T) {
 // similarity and perfectly name-match any unnamed control to any unnamed
 // step.
 func TestMatchScoreIgnoresEmptyNames(t *testing.T) {
-	step := &forest.Node{GID: "btnSave|Button|Home/Font", Name: ""}
+	step := &forest.Node{Node: &ung.Node{ID: "btnSave|Button|Home/Font", Name: ""}}
 	withNames := matchScore(step, "txtInput", "", []string{"Home", "Font"})
 	// Identifier similarity for btnSave vs txtInput is low; with full
 	// ancestor overlap the score must stay under the default fuzzy
@@ -100,7 +101,7 @@ func TestMatchScoreIgnoresEmptyNames(t *testing.T) {
 			withNames, fuzzyThreshold)
 	}
 	// A genuine name match must still win.
-	named := &forest.Node{GID: "btnSave|Button|Home/Font", Name: "Save As"}
+	named := &forest.Node{Node: &ung.Node{ID: "btnSave|Button|Home/Font", Name: "Save As"}}
 	if s := matchScore(named, "generated-id", "Save  as", []string{"Home", "Font"}); s < fuzzyThreshold {
 		t.Errorf("matching names scored %v, below threshold %v", s, fuzzyThreshold)
 	}

@@ -76,7 +76,7 @@ func (s *Session) FullTopology() string {
 // combining control type, name similarity, and ancestor overlap — the fuzzy
 // matcher of §3.4.
 func matchScore(step *forest.Node, elPrimary, elName string, elAncestors []string) float64 {
-	primary, _, ancPath := uia.SplitControlID(step.GID)
+	primary, _, ancPath := uia.SplitControlID(step.ID)
 	nameSim := strutil.Similarity(primary, elPrimary)
 	// The name channel only speaks when both sides have a name: two
 	// unnamed controls are not thereby similar, and letting

@@ -339,7 +339,7 @@ func FirstOnScreen(chain []*forest.Node, screen []*uia.Element, buf []*uia.Eleme
 		}
 		id := e.ControlID()
 		for i, n := range chain {
-			if first[i] == nil && n.GID == id {
+			if first[i] == nil && n.ID == id {
 				first[i] = e
 			}
 		}

@@ -141,7 +141,7 @@ func (m *Model) IDsNamed(key string) []int32 {
 func (m *Model) indexNames() {
 	m.byName = make(map[string][]int32, len(m.byID))
 	for i, n := range m.byID {
-		p, _, _ := uia.SplitControlID(n.GID)
+		p, _, _ := uia.SplitControlID(n.ID)
 		m.byName[p] = append(m.byName[p], int32(i))
 		if n.Name != p {
 			m.byName[n.Name] = append(m.byName[n.Name], int32(i))
@@ -305,7 +305,7 @@ func (m *Model) appendNode(b []byte, n *forest.Node, depth int, opt Options) []b
 // hidden reports whether child c of a node at depth is elided rather than
 // rendered.
 func hidden(c *forest.Node, depth int, opt Options) bool {
-	return opt.Exclude != nil && opt.Exclude[c.GID] ||
+	return opt.Exclude != nil && opt.Exclude[c.ID] ||
 		!opt.IncludeLargeEnums && c.LargeEnum ||
 		opt.MaxDepth > 0 && depth+1 >= opt.MaxDepth
 }

@@ -16,7 +16,7 @@ import (
 //	shared: picker ── Blue, Red
 func fixtureForest() *forest.Forest {
 	mk := func(gid, name string, t uia.ControlType, parent *forest.Node) *forest.Node {
-		n := &forest.Node{GID: gid, Name: name, Type: t, Parent: parent}
+		n := &forest.Node{Node: &ung.Node{ID: gid, Name: name, Type: t}, Parent: parent}
 		if parent != nil {
 			parent.Children = append(parent.Children, n)
 		}
@@ -140,10 +140,10 @@ func TestCoreTopologyPrunesLargeEnums(t *testing.T) {
 
 func TestDepthLimit(t *testing.T) {
 	// Chain deeper than the limit.
-	root := &forest.Node{GID: ung.RootID, Name: "App", Type: uia.WindowControl}
+	root := &forest.Node{Node: &ung.Node{ID: ung.RootID, Name: "App", Type: uia.WindowControl}}
 	cur := root
 	for i := 0; i < 10; i++ {
-		n := &forest.Node{GID: "", Name: "Level", Type: uia.ButtonControl, Parent: cur}
+		n := &forest.Node{Node: &ung.Node{ID: "", Name: "Level", Type: uia.ButtonControl}, Parent: cur}
 		cur.Children = append(cur.Children, n)
 		cur = n
 	}
@@ -191,8 +191,8 @@ func TestManualExclusion(t *testing.T) {
 }
 
 func TestEscapeStructuralCharacters(t *testing.T) {
-	root := &forest.Node{GID: ung.RootID, Name: "App", Type: uia.WindowControl}
-	odd := &forest.Node{GID: "x", Name: "Ion (Dark), v_2 [beta]", Type: uia.ButtonControl, Parent: root}
+	root := &forest.Node{Node: &ung.Node{ID: ung.RootID, Name: "App", Type: uia.WindowControl}}
+	odd := &forest.Node{Node: &ung.Node{ID: "x", Name: "Ion (Dark), v_2 [beta]", Type: uia.ButtonControl}, Parent: root}
 	root.Children = append(root.Children, odd)
 	f := &forest.Forest{App: "App", Main: root, Shared: map[string]*forest.Node{}}
 	m := NewModel(f)
@@ -263,7 +263,7 @@ func TestIDsFollowForestOrder(t *testing.T) {
 
 	other := fixtureForest()
 	NewModel(other)
-	foreign := []*forest.Node{nil, {Name: "never numbered"}}
+	foreign := []*forest.Node{nil, {Node: &ung.Node{Name: "never numbered"}}}
 	other.Main.Walk(func(n *forest.Node) bool { foreign = append(foreign, n); return true })
 	foreign = append(foreign, other.Shared["picker"], other.Shared["picker"].Children[1])
 	for _, n := range foreign {

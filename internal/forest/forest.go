@@ -13,23 +13,19 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/uia"
 	"repro/internal/ung"
 )
 
-// Node is one position in a tree of the forest. A node with a non-empty
+// Node is one position in a tree of the forest. It points at the UNG node
+// it was built from, whose fields (ID, Name, Type, Desc, LargeEnum) it
+// reads through; clones of a merge node share one. A node with a non-empty
 // RefTarget is a reference node: it stands for an externalized shared
 // subtree and has no children of its own.
 type Node struct {
-	GID  string // originating UNG node id ("" only for synthetic roots)
-	Name string
-	Type uia.ControlType
-	Desc string
+	*ung.Node
 
-	LargeEnum bool
 	// pos is the node's position in forest order (Forest.Number).
-	pos     int32
-	Context string
+	pos int32
 
 	RefTarget string // UNG id of the shared subtree this reference points to
 
@@ -163,6 +159,9 @@ type Stats struct {
 // The passes below work on the graph's own form: nodes by their index in
 // discovery order, the root at 0, edges as indexes. A UNG id is read only
 // to label the node built from it.
+//
+// Every forest node points into g.Nodes, so g must not grow afterwards: a
+// model's graph is frozen once built, and this is one reason why.
 func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 	opt = opt.Normalized()
 	var st Stats
@@ -400,19 +399,9 @@ func (b *builder) materialize(v int32, parent *Node) *Node {
 }
 
 func (b *builder) newNode(v int32, parent *Node) *Node {
-	gn := &b.nodes[v]
 	n := &b.slab[0]
 	b.slab = b.slab[1:]
-	*n = Node{
-		GID:       gn.ID,
-		Name:      gn.Name,
-		Type:      gn.Type,
-		Desc:      gn.Desc,
-		LargeEnum: gn.LargeEnum,
-		pos:       b.next,
-		Context:   gn.Context,
-		Parent:    parent,
-	}
+	*n = Node{Node: &b.nodes[v], pos: b.next, Parent: parent}
 	b.next++
 	return n
 }

@@ -3,8 +3,10 @@ package forest
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/uia"
 	"repro/internal/ung"
@@ -74,7 +76,7 @@ func TestTransformRemovesCycle(t *testing.T) {
 	}
 	// All nodes still present exactly once.
 	names := map[string]int{}
-	f.Main.Walk(func(n *Node) bool { names[n.GID]++; return true })
+	f.Main.Walk(func(n *Node) bool { names[n.ID]++; return true })
 	for _, id := range []string{"collapse", "pin", "x"} {
 		if names[id] != 1 {
 			t.Errorf("node %q appears %d times", id, names[id])
@@ -100,9 +102,9 @@ func TestSmallMergeNodeCloned(t *testing.T) {
 	}
 	count := 0
 	f.Main.Walk(func(n *Node) bool {
-		if n.GID == "c" {
+		if n.ID == "c" {
 			count++
-			if len(n.Children) != 1 || n.Children[0].GID != "leaf" {
+			if len(n.Children) != 1 || n.Children[0].ID != "leaf" {
 				t.Error("cloned c lost its substructure")
 			}
 		}
@@ -325,7 +327,7 @@ func TestCoverageProperty(t *testing.T) {
 		present := map[string]bool{}
 		for _, tree := range append([]*Node{f.Main}, sharedTrees(f)...) {
 			tree.Walk(func(n *Node) bool {
-				present[n.GID] = true
+				present[n.ID] = true
 				if n.IsRef() && f.Shared[n.RefTarget] == nil {
 					t.Fatalf("dangling reference to %q", n.RefTarget)
 				}
@@ -464,7 +466,7 @@ func TestTransformRecordsForestOrder(t *testing.T) {
 	}
 	for i, n := range walked {
 		if n.Pos() != i {
-			t.Fatalf("node %d of forest order (%q) has position %d after Transform", i, n.GID, n.Pos())
+			t.Fatalf("node %d of forest order (%q) has position %d after Transform", i, n.ID, n.Pos())
 		}
 	}
 	numbered := f.Number()
@@ -477,17 +479,53 @@ func TestTransformRecordsForestOrder(t *testing.T) {
 		}
 	}
 
-	root := &Node{GID: ung.RootID}
-	a := &Node{GID: "a", Parent: root}
-	ref := &Node{GID: "s", RefTarget: "s", Parent: root}
+	root := &Node{Node: &ung.Node{ID: ung.RootID}}
+	a := &Node{Node: &ung.Node{ID: "a"}, Parent: root}
+	ref := &Node{Node: &ung.Node{ID: "s"}, RefTarget: "s", Parent: root}
 	root.Children = []*Node{a, ref}
-	s := &Node{GID: "s"}
-	b := &Node{GID: "b", Parent: s}
+	s := &Node{Node: &ung.Node{ID: "s"}}
+	b := &Node{Node: &ung.Node{ID: "b"}, Parent: s}
 	s.Children = []*Node{b}
 	hand := &Forest{Main: root, Shared: map[string]*Node{"s": s}, SharedOrder: []string{"s"}}
 	for i, n := range hand.Number() {
 		if want := []*Node{root, a, ref, s, b}[i]; n != want || n.Pos() != i {
-			t.Errorf("hand-built forest: position %d holds %q (Pos %d), want %q", i, n.GID, n.Pos(), want.GID)
+			t.Errorf("hand-built forest: position %d holds %q (Pos %d), want %q", i, n.ID, n.Pos(), want.ID)
 		}
+	}
+}
+
+// TestNodeSize: a transform allocates one node per forest position and
+// every collection marks them all, so a node points at its UNG node rather
+// than copying its fields, and stays at 64 bytes.
+func TestNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(Node{}); n > 64 {
+		t.Errorf("Node is %d bytes, want at most 64", n)
+	}
+}
+
+// TestNodesPointIntoTheGraph: a transformed forest's nodes point at the
+// graph's own nodes, every clone of a node at the same one.
+func TestNodesPointIntoTheGraph(t *testing.T) {
+	g := buildGraph(t, map[string][]string{
+		ung.RootID: {"a", "b"},
+		"a":        {"m"},
+		"b":        {"m"},
+	})
+	f, _, err := Transform(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clones := 0
+	for _, n := range f.Number() {
+		i := slices.IndexFunc(g.Nodes, func(gn ung.Node) bool { return gn.ID == n.ID })
+		if i < 0 || n.Node != &g.Nodes[i] {
+			t.Fatalf("forest node %q does not point at its graph node", n.ID)
+		}
+		if n.ID == "m" {
+			clones++
+		}
+	}
+	if clones != 2 {
+		t.Errorf("merge node m has %d clones, want 2 (one per parent)", clones)
 	}
 }

@@ -58,7 +58,7 @@ func FuzzTransformDecoded(f *testing.F) {
 		count := 0
 		for _, tree := range trees {
 			tree.Walk(func(n *forest.Node) bool {
-				present[n.GID] = true
+				present[n.ID] = true
 				count++
 				if n.IsRef() && fr.Shared[n.RefTarget] == nil {
 					t.Fatalf("dangling reference to %q", n.RefTarget)

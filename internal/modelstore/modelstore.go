@@ -27,8 +27,10 @@ package modelstore
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"repro/internal/appkit"
@@ -360,15 +362,36 @@ func (s *Store) loadSnapshot(key string) (*ung.Graph, int64, bool) {
 	if s.dir == "" {
 		return nil, 0, false
 	}
-	data, err := os.ReadFile(s.snapshotPath(key))
+	data, err := readString(s.snapshotPath(key))
 	if err != nil {
 		return nil, 0, false
 	}
-	g, err := ung.DecodeBinary(data)
+	g, err := ung.DecodeBinaryString(data)
 	if err != nil {
 		return nil, 0, false
 	}
 	return g, int64(len(data)), true
+}
+
+// readString reads the file at path straight into a string grown to the
+// file's size. The decoded graph's strings are substrings of it, so a
+// restart holds each payload once, with no byte slice beside it.
+func readString(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	b.Grow(int(fi.Size()))
+	if _, err := io.Copy(&b, f); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
 // writeSnapshot publishes a snapshot crash-safely: the payload goes to a

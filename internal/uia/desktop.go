@@ -347,16 +347,18 @@ func (d *Desktop) Click(e *Element) error {
 	return nil
 }
 
-// HitTest returns the deepest on-screen element containing (x, y), favouring
-// interactive controls and later (higher) windows.
+// HitTest returns the on-screen element containing (x, y) in the highest
+// window on the stack that has one: a later window covers every earlier
+// one, however deep the earlier one's hit. Within that window it is the
+// deepest such element, favouring interactive controls.
 func (d *Desktop) HitTest(x, y int) *Element {
-	var best *Element
-	bestDepth := -1
-	for _, w := range d.windows {
+	for i := len(d.windows) - 1; i >= 0; i-- {
+		w := d.windows[i]
 		if !w.Visible() {
 			continue
 		}
-		depth := 0
+		var best *Element
+		bestDepth := -1
 		var walk func(e *Element, depth int)
 		walk = func(e *Element, depth int) {
 			if !e.Visible() || e.deferVisible > 0 {
@@ -372,9 +374,12 @@ func (d *Desktop) HitTest(x, y int) *Element {
 				walk(c, depth+1)
 			}
 		}
-		walk(w, depth)
+		walk(w, 0)
+		if best != nil {
+			return best
+		}
 	}
-	return best
+	return nil
 }
 
 // TypeText sends text to the focused element through its Value pattern.

@@ -146,6 +146,42 @@ func TestHitTestPicksDeepestInteractive(t *testing.T) {
 	}
 }
 
+// TestHitTestHonoursZOrder: a hit in a later (higher) window wins over a
+// deeper one in a window below it; where the higher window has no hit, the
+// lower one's still counts.
+func TestHitTestHonoursZOrder(t *testing.T) {
+	d := NewDesktop()
+	main := NewElement("w", "Main", WindowControl)
+	main.SetRect(Rect{0, 0, 100, 100})
+	deep := main
+	for _, id := range []string{"p1", "p2", "p3"} {
+		c := NewElement(id, id, PaneControl)
+		c.SetRect(Rect{0, 0, 100, 100})
+		deep.AddChild(c)
+		deep = c
+	}
+	under := NewElement("combo", "Font", ComboBoxControl)
+	under.SetRect(Rect{40, 40, 20, 20})
+	deep.AddChild(under)
+	dlg := NewElement("dlg", "Dialog", WindowControl)
+	dlg.SetRect(Rect{30, 30, 40, 40})
+	ok := NewElement("ok", "OK", ButtonControl)
+	ok.SetRect(Rect{45, 45, 10, 10})
+	dlg.AddChild(ok)
+	d.OpenWindow(main)
+	d.OpenWindow(dlg)
+
+	if got := d.HitTest(50, 50); got != ok {
+		t.Errorf("HitTest under the dialog's button = %v, want the button", got)
+	}
+	if got := d.HitTest(35, 35); got != dlg {
+		t.Errorf("HitTest on the dialog's bare surface = %v, want the dialog", got)
+	}
+	if got := d.HitTest(10, 10); got != deep {
+		t.Errorf("HitTest beside the dialog = %v, want the main window's deepest pane", got)
+	}
+}
+
 func TestDragMovesScrollbar(t *testing.T) {
 	d := NewDesktop()
 	w := NewElement("w", "Main", WindowControl)

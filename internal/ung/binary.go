@@ -3,6 +3,7 @@ package ung
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 
 	"repro/internal/uia"
@@ -103,15 +104,21 @@ func appendEdges(buf []byte, edges []int32) []byte {
 // unknown flags, and trailing garbage each fail with a named error rather
 // than a best-effort graph.
 //
-// The payload is copied into one string up front and every decoded string
-// is a substring of it, so a decode costs one copy rather than four per
-// node, and the graph never aliases data.
+// The payload is copied into one string up front and decoded by
+// DecodeBinaryString, so a decode costs one copy rather than four per node,
+// and the graph never aliases data.
 func DecodeBinary(data []byte) (*Graph, error) {
-	r := newBinReader(data)
-	if len(data) < len(binaryMagic) || string(data[:len(binaryMagic)]) != binaryMagic {
+	return DecodeBinaryString(string(data))
+}
+
+// DecodeBinaryString is DecodeBinary over a payload already held as a
+// string: every decoded string is a substring of s, so a caller that reads
+// a snapshot straight into a string decodes it without a copy.
+func DecodeBinaryString(s string) (*Graph, error) {
+	if len(s) < len(binaryMagic) || s[:len(binaryMagic)] != binaryMagic {
 		return nil, fmt.Errorf("ung: decode binary: missing %q magic", binaryMagic)
 	}
-	r.off = len(binaryMagic)
+	r := binReader{s: s, off: len(binaryMagic)}
 	version, err := r.uvarint("version")
 	if err != nil {
 		return nil, err
@@ -131,10 +138,11 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	// than the remaining bytes can hold is corruption, refused before the
 	// per-node arrays are allocated. Node indexes are int32s, which no
 	// payload short of 16 GiB can overflow.
-	if count > uint64(len(data)-r.off)/minNodeBytes || count > math.MaxInt32 {
+	if count > uint64(len(s)-r.off)/minNodeBytes || count > math.MaxInt32 {
 		return nil, fmt.Errorf("ung: decode binary: node count %d exceeds payload", count)
 	}
-	g := &Graph{App: app, Nodes: make([]Node, count), index: make(map[string]int32, count)}
+	g := &Graph{App: app, Nodes: make([]Node, count)}
+	ids := newIDSet(int(count))
 	// Every node but the root has an in edge, and every edge is listed
 	// twice (out and in), so the edge lists start in one buffer of 2*count
 	// indexes.
@@ -178,16 +186,15 @@ func DecodeBinary(data []byte) (*Graph, error) {
 		if i == 0 && n.ID != RootID {
 			return nil, fmt.Errorf("ung: decode binary: snapshot does not start at the virtual root")
 		}
-		if _, dup := g.index[n.ID]; dup {
+		if !ids.add(g.Nodes, int32(i)) {
 			return nil, fmt.Errorf("ung: decode binary: duplicate node %q", n.ID)
 		}
-		g.index[n.ID] = int32(i)
 	}
 	if count == 0 {
 		return nil, fmt.Errorf("ung: decode binary: snapshot does not start at the virtual root")
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("ung: decode binary: %d trailing bytes after the last node", len(data)-r.off)
+	if r.off != len(s) {
+		return nil, fmt.Errorf("ung: decode binary: %d trailing bytes after the last node", len(s)-r.off)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("ung: decode binary: %w", err)
@@ -195,33 +202,72 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	return g, nil
 }
 
-// binReader walks the binary layout with bounds checking; every read
-// failure names the field that was being read when the payload ran out.
-// s holds the same bytes as data, copied once, and every string the reader
-// returns is a substring of it.
-type binReader struct {
-	data []byte
-	s    string
-	off  int
+// idSeed hashes node ids for the decoder's duplicate check.
+var idSeed = maphash.MakeSeed()
+
+// idSet is the decoder's duplicate-id check: an open-addressing table of
+// node indexes plus one (0 is an empty slot), at most half full, hashed by
+// id. It holds no pointers, so the collector never scans it, and it is
+// dropped with the decode; a decoded graph keeps no id index.
+type idSet []int32
+
+func newIDSet(n int) idSet {
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	return make(idSet, size)
 }
 
-// newBinReader is the one way to build a binReader: it makes the one copy.
-func newBinReader(data []byte) binReader { return binReader{data: data, s: string(data)} }
-
-func (r *binReader) uvarint(field string) (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("ung: decode binary: truncated %s", field)
+// add records node i of nodes and reports whether no earlier node shares
+// its id.
+func (t idSet) add(nodes []Node, i int32) bool {
+	id := nodes[i].ID
+	mask := uint64(len(t) - 1)
+	for h := maphash.String(idSeed, id) & mask; ; h = (h + 1) & mask {
+		switch j := t[h]; {
+		case j == 0:
+			t[h] = i + 1
+			return true
+		case nodes[j-1].ID == id:
+			return false
+		}
 	}
-	r.off += n
-	return v, nil
+}
+
+// binReader walks the binary layout with bounds checking; every read
+// failure names the field that was being read when the payload ran out.
+// Every string the reader returns is a substring of s.
+type binReader struct {
+	s   string
+	off int
+}
+
+// uvarint reads one unsigned varint as binary.Uvarint does; a varint that
+// runs past the payload or past 64 bits is truncation.
+func (r *binReader) uvarint(field string) (uint64, error) {
+	var v uint64
+	var shift uint
+	for i := 0; i < binary.MaxVarintLen64 && r.off+i < len(r.s); i++ {
+		b := r.s[r.off+i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break // overflow
+			}
+			r.off += i + 1
+			return v | uint64(b)<<shift, nil
+		}
+		v |= uint64(b&0x7f) << shift
+		shift += 7
+	}
+	return 0, fmt.Errorf("ung: decode binary: truncated %s", field)
 }
 
 func (r *binReader) byte(field string) (byte, error) {
-	if r.off >= len(r.data) {
+	if r.off >= len(r.s) {
 		return 0, fmt.Errorf("ung: decode binary: truncated %s", field)
 	}
-	b := r.data[r.off]
+	b := r.s[r.off]
 	r.off++
 	return b, nil
 }
@@ -231,7 +277,7 @@ func (r *binReader) str(field string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(len(r.data)-r.off) {
+	if n > uint64(len(r.s)-r.off) {
 		return "", fmt.Errorf("ung: decode binary: truncated %s", field)
 	}
 	s := r.s[r.off : r.off+int(n)]
@@ -247,7 +293,7 @@ func (r *binReader) edges(buf *[]int32, field string, nodeCount uint64) ([]int32
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(r.data)-r.off) {
+	if n > uint64(len(r.s)-r.off) {
 		return nil, fmt.Errorf("ung: decode binary: truncated %s", field)
 	}
 	if n == 0 {

@@ -159,7 +159,7 @@ func TestBinaryDecodeFailureModes(t *testing.T) {
 		// Flip an unknown flag bit in the root node's flags byte. The root
 		// is the first node: magic, version, app, count, id, name, type,
 		// desc, then flags.
-		r := newBinReader(valid)
+		r := binReader{s: string(valid)}
 		r.off = len(binaryMagic)
 		for _, field := range []string{"version", "app", "count", "id", "name", "type", "desc"} {
 			switch field {
@@ -184,6 +184,58 @@ func TestBinaryDecodeFailureModes(t *testing.T) {
 			t.Error("empty payload accepted")
 		}
 	})
+	t.Run("duplicate node", func(t *testing.T) {
+		// Two ids repeat; the error names the first repeat in node order,
+		// as an id map filled in node order would.
+		data := duplicateNodeSnapshot(t)
+		_, err := DecodeBinary(data)
+		if want := `ung: decode binary: duplicate node "a"`; err == nil || err.Error() != want {
+			t.Errorf("DecodeBinary error %v, want %q", err, want)
+		}
+		if committedSeed(t, "seed_duplicate_node") != string(data) {
+			t.Error("committed seed does not hold the duplicate-node snapshot")
+		}
+	})
+}
+
+// duplicateNodeSnapshot encodes a graph whose nodes 3 and 4 repeat the ids
+// of nodes 1 and 2. AddNode never makes such a graph, so the ids are set by
+// hand; EncodeBinary does not check them. It is committed as the
+// FuzzSnapshotBinaryDecode seed seed_duplicate_node.
+func duplicateNodeSnapshot(t *testing.T) []byte {
+	t.Helper()
+	g := NewGraph("Dup")
+	for _, e := range [][2]string{{RootID, "a"}, {RootID, "b"}, {"a", "c"}, {"b", "d"}} {
+		from := g.lookup(e[0])
+		to, _ := g.AddNode(Reveal{ID: e[1], Name: e[1], Type: uia.ButtonControl}, "")
+		g.AddEdge(from, to)
+	}
+	g.Nodes[3].ID, g.Nodes[4].ID = "a", "b"
+	data, err := EncodeBinary(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// committedSeed returns the one []byte value of the committed
+// FuzzSnapshotBinaryDecode seed file name.
+func committedSeed(t *testing.T, name string) string {
+	t.Helper()
+	seed, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzSnapshotBinaryDecode", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(string(seed), "go test fuzz v1\n[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")\n")
+	if !ok || !ok2 {
+		t.Fatalf("seed file is not one []byte value: %q", seed)
+	}
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("seed file %s: %v", name, err)
+	}
+	return s
 }
 
 // FuzzSnapshotBinaryDecode hardens the snapshot codec against corrupt
@@ -289,18 +341,39 @@ func TestDecodeChecksMatchValidate(t *testing.T) {
 			if want := "ung: decode binary: " + verr.Error(); derr == nil || derr.Error() != want {
 				t.Errorf("DecodeBinary error %v, want %q", derr, want)
 			}
-			seed, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzSnapshotBinaryDecode", c.name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lit, ok := strings.CutPrefix(string(seed), "go test fuzz v1\n[]byte(")
-			lit, ok2 := strings.CutSuffix(lit, ")\n")
-			if !ok || !ok2 {
-				t.Fatalf("seed file is not one []byte value: %q", seed)
-			}
-			if s, err := strconv.Unquote(lit); err != nil || s != string(data) {
-				t.Errorf("committed seed does not hold this graph's snapshot (unquote err %v)", err)
+			if committedSeed(t, c.name) != string(data) {
+				t.Error("committed seed does not hold this graph's snapshot")
 			}
 		})
+	}
+}
+
+// TestUvarintMatchesBinary: the string reader's varint loop accepts
+// exactly what binary.Uvarint accepts, with the same value and length, and
+// fails on truncation and on overflow past 64 bits alike.
+func TestUvarintMatchesBinary(t *testing.T) {
+	cases := [][]byte{
+		nil,
+		{0x00},
+		{0x7f},
+		{0x80},
+		{0x80, 0x01},
+		{0xff, 0xff, 0xff},
+		binary.AppendUvarint(nil, 1<<63),
+		binary.AppendUvarint(nil, ^uint64(0)),
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, // past 64 bits
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x80, 0x01},
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+	}
+	for _, c := range cases {
+		want, n := binary.Uvarint(c)
+		r := binReader{s: string(c)}
+		got, err := r.uvarint("field")
+		switch {
+		case n <= 0 && (err == nil || err.Error() != "ung: decode binary: truncated field"):
+			t.Errorf("% x: uvarint = %d, %v; want the truncation error", c, got, err)
+		case n > 0 && (err != nil || got != want || r.off != n):
+			t.Errorf("% x: uvarint = %d, %v at %d; want %d at %d", c, got, err, r.off, want, n)
+		}
 	}
 }

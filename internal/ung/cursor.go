@@ -46,7 +46,14 @@ type Cursor struct {
 
 	added   map[string]struct{}   // fresh ids recorded so far
 	fresh   map[*uia.Element]bool // controls revealed by the activation
-	reveals []Reveal              // the differencing's buffer
+	reveals []revealed            // the differencing's buffer
+}
+
+// revealed is one control the differencing found, beside the reveal it
+// makes.
+type revealed struct {
+	Reveal
+	el *uia.Element
 }
 
 // checkpoint is the instance's state after replaying a click path's first
@@ -250,10 +257,16 @@ func (c *Cursor) Expand(ctx string, f Frame) Expansion {
 // ancestors before descendants, so e's fresh ancestors are marked by the
 // time e is reached. The reveals collect in the cursor's buffer, and the
 // caller gets a copy of its own.
+//
+// added and fresh hold exactly the ids and controls of the reveals, so they
+// are emptied key by key: clear would cost their whole capacity, which the
+// largest reveal so far has set.
 func (c *Cursor) diff(before, after *checkpoint, clicked string) []Reveal {
 	defer func() {
-		clear(c.added)
-		clear(c.fresh)
+		for _, r := range c.reveals {
+			delete(c.added, r.ID)
+			delete(c.fresh, r.el)
+		}
 	}()
 	c.reveals = c.reveals[:0]
 	for _, o := range after.snap.Windows {
@@ -290,13 +303,15 @@ func (c *Cursor) diff(before, after *checkpoint, clicked string) []Reveal {
 			if anc := nearestIn(e, c.fresh); anc != nil {
 				parent = anc.ControlID()
 			}
-			c.reveals = append(c.reveals, captureReveal(e, parent))
+			c.reveals = append(c.reveals, revealed{captureReveal(e, parent), e})
 		}
 	}
 	if len(c.reveals) == 0 {
 		return nil
 	}
 	out := make([]Reveal, len(c.reveals))
-	copy(out, c.reveals)
+	for i, r := range c.reveals {
+		out[i] = r.Reveal
+	}
 	return out
 }

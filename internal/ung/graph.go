@@ -43,24 +43,37 @@ type Node struct {
 type Graph struct {
 	App   string
 	Nodes []Node
-	// index maps a node id to its position in Nodes. AddNode keeps it and
-	// DecodeBinary fills it; ids are unique because nothing else adds a
-	// node.
+	// index maps a node id to its position in Nodes. ids builds it the
+	// first time AddNode or lookup needs it, AddNode keeps it, and a rip
+	// drops it when it finishes, so a model's graph (ripped or decoded)
+	// carries none. Ids are unique because nothing else adds a node.
 	index map[string]int32
 }
 
 // NewGraph creates a graph containing only the virtual root.
 func NewGraph(app string) *Graph {
-	g := &Graph{App: app, index: make(map[string]int32)}
+	g := &Graph{App: app}
 	g.AddNode(Reveal{ID: RootID, Name: app, Type: uia.WindowControl}, "")
 	return g
+}
+
+// ids returns the id index, building it from Nodes if the graph has none.
+func (g *Graph) ids() map[string]int32 {
+	if g.index == nil {
+		g.index = make(map[string]int32, len(g.Nodes))
+		for i := range g.Nodes {
+			g.index[g.Nodes[i].ID] = int32(i)
+		}
+	}
+	return g.index
 }
 
 // AddNode returns the index of the node with r's id, creating it from the
 // reveal under context on first use; added reports whether it did. r's
 // Parent is not read: the edge from the parent is AddEdge's.
 func (g *Graph) AddNode(r Reveal, context string) (i int32, added bool) {
-	if i, ok := g.index[r.ID]; ok {
+	index := g.ids()
+	if i, ok := index[r.ID]; ok {
 		return i, false
 	}
 	i = int32(len(g.Nodes))
@@ -79,13 +92,13 @@ func (g *Graph) AddNode(r Reveal, context string) (i int32, added bool) {
 		LargeEnum: r.LargeEnum,
 		Context:   context,
 	})
-	g.index[r.ID] = i
+	index[r.ID] = i
 	return i, true
 }
 
 // lookup returns the index of the node with the given id, or -1.
 func (g *Graph) lookup(id string) int32 {
-	if i, ok := g.index[id]; ok {
+	if i, ok := g.ids()[id]; ok {
 		return i
 	}
 	return -1

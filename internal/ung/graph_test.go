@@ -57,3 +57,52 @@ func TestAddEdgeDuplicates(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAddNodeOnDecodedGraph: a decoded graph carries no id index, and
+// AddNode builds one on first use, so every existing id still returns its
+// own index with added false, and a new id is appended.
+func TestAddNodeOnDecodedGraph(t *testing.T) {
+	g, _ := ripDemo(t)
+	data, err := EncodeBinary(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeBinary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.index != nil {
+		t.Fatal("a decoded graph carries an id index")
+	}
+	checkAddNodeDedupes(t, back)
+}
+
+// TestAddNodeAfterRip: a rip drops its id index when it finishes, and
+// AddNode on the ripped graph still dedupes through a rebuilt one.
+func TestAddNodeAfterRip(t *testing.T) {
+	g, _ := ripDemo(t)
+	if g.index != nil {
+		t.Fatal("a ripped graph keeps the rip's id index")
+	}
+	checkAddNodeDedupes(t, g)
+}
+
+func checkAddNodeDedupes(t *testing.T, g *Graph) {
+	t.Helper()
+	n := g.NodeCount()
+	for i := range n {
+		id := g.Nodes[i].ID
+		if got, added := g.AddNode(Reveal{ID: id, Name: "other"}, "ctx"); got != int32(i) || added {
+			t.Fatalf("AddNode(%q) = %d, %v; want %d, false", id, got, added, i)
+		}
+	}
+	if g.NodeCount() != n {
+		t.Fatalf("re-adding every id grew the graph from %d to %d nodes", n, g.NodeCount())
+	}
+	if got, added := g.AddNode(Reveal{ID: "new"}, ""); got != int32(n) || !added {
+		t.Errorf("AddNode(new id) = %d, %v; want %d, true", got, added, n)
+	}
+	if got, added := g.AddNode(Reveal{ID: "new"}, ""); got != int32(n) || added {
+		t.Errorf("AddNode(new id) again = %d, %v; want %d, false", got, added, n)
+	}
+}

@@ -83,6 +83,7 @@ func rip(probe *appkit.App, cfg Config, ex Expander, width int) (*Graph, Stats, 
 		st.SimulatedTime = seedTime + makespan(costs, st.Workers)
 		st.Nodes = g.NodeCount()
 		st.Edges = g.EdgeCount()
+		g.index = nil // the rip's alone: a model never looks an id up
 		return g, st, err
 	}
 
