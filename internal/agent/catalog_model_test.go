@@ -73,18 +73,21 @@ func digest(s string) string {
 // catalog restart from snapshots: read, decode, transform, describe and
 // token count for all five apps. Both figures are deterministic up to a
 // few allocations, so they gate the restart path's footprint where
-// wall-clock cannot. A restart makes about 400 allocations of 6.0 MB in
-// total (go1.24); while it read each snapshot into a byte slice that the
-// decoder copied again, the decoded graph kept an id map and each forest
-// node copied its graph node's fields, it made about 420 of 8.27 MB; with
-// an id-keyed graph that the decoder and the transform each re-indexed,
-// about 505 of 10.2 MB; and before the decoder checked the graph on edge
-// indexes, describe rendered into one presized buffer and model ids came
-// from forest positions instead of a pointer-keyed map, 1.3k of 13.6 MB.
-// Tighten the budgets when the path gets leaner; never loosen them.
+// wall-clock cannot. A restart makes about 350 allocations of 5.1 MB in
+// total (go1.24); while every model rendered its full topology at
+// construction and each snapshot read went through io.Copy's 32 KB
+// buffer, it made about 397 of 6.0 MB; while it read each snapshot into a
+// byte slice that the decoder copied again, the decoded graph kept an id
+// map and each forest node copied its graph node's fields, about 420 of
+// 8.27 MB; with an id-keyed graph that the decoder and the transform each
+// re-indexed, about 505 of 10.2 MB; and before the decoder checked the
+// graph on edge indexes, describe rendered into one presized buffer and
+// model ids came from forest positions instead of a pointer-keyed map,
+// 1.3k of 13.6 MB. Tighten the budgets when the path gets leaner; never
+// loosen them.
 const (
-	snapshotRestartAllocBudget = 410
-	snapshotRestartByteBudget  = 6_200_000
+	snapshotRestartAllocBudget = 365
+	snapshotRestartByteBudget  = 5_400_000
 )
 
 // raceEnabled is set in race builds (race_test.go), where the budgets are
@@ -128,15 +131,16 @@ func TestSnapshotRestartAllocs(t *testing.T) {
 
 // catalogColdAllocBudget and catalogColdByteBudget bound one cold catalog
 // build in a fresh store: rip, forest transform, describe and token count
-// for all five apps. A cold build allocates about 114.6k times and 19.5 MB
-// in total (go1.24); while each forest node copied its graph node's fields
-// and the ripped graph kept its id map, it allocated 20.3 MB, and while
-// each rip checkpoint copied the windows a click left unchanged and the
-// graph grew its nodes by append, 115.6k times and 24.0 MB. Tighten the
-// budgets when the path gets leaner; never loosen them.
+// for all five apps. A cold build allocates about 114.6k times and 18.9 MB
+// in total (go1.24); while every model rendered its full topology at
+// construction, 19.5 MB; while each forest node copied its graph node's
+// fields and the ripped graph kept its id map, 20.3 MB; and while each rip
+// checkpoint copied the windows a click left unchanged and the graph grew
+// its nodes by append, 115.6k times and 24.0 MB. Tighten the budgets when
+// the path gets leaner; never loosen them.
 const (
 	catalogColdAllocBudget = 115_000
-	catalogColdByteBudget  = 19_900_000
+	catalogColdByteBudget  = 19_200_000
 )
 
 func TestCatalogColdAllocs(t *testing.T) {

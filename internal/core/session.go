@@ -67,7 +67,8 @@ func NewSession(app *appkit.App, model *describe.Model, opt Options) *Session {
 	return &Session{App: app, Model: model, Opt: opt}
 }
 
-// FullTopology returns the complete forest rendering (memoized likewise).
+// FullTopology returns the complete forest rendering, which the model
+// renders on its first request and memoizes.
 func (s *Session) FullTopology() string {
 	return s.Model.Full()
 }

@@ -37,12 +37,17 @@ type Model struct {
 	// refsTo lists reference nodes pointing at each shared subtree.
 	refsTo map[string][]*forest.Node
 
-	// coreText and fullText are the two standard renderings, memoized at
-	// construction: the model is frozen once built (concurrent sessions
-	// share it read-only), and the executor re-reads both on every prompt
-	// and further_query, so rendering them once here removes the whole
-	// serialization walk from the per-session hot path.
+	// coreText is the core-topology rendering, memoized at construction:
+	// the model is frozen once built (concurrent sessions share it
+	// read-only), every session's first prompt carries it, and the store
+	// counts its tokens.
 	coreText string
+
+	// fullText is the complete rendering, rendered by the first Full call:
+	// only further_query(-1) reads it, so a model no session asks for the
+	// whole topology never pays for it. fullOnce makes the first call safe
+	// from any number of sessions at once.
+	fullOnce sync.Once
 	fullText string
 
 	// byName maps each primary id and each name to the ids of the nodes
@@ -77,13 +82,10 @@ func NewModel(f *forest.Forest) *Model {
 			m.refsTo[n.RefTarget] = append(m.refsTo[n.RefTarget], n)
 		}
 	}
-	// Both renderings share one scratch buffer and keep exact-size copies.
-	// The full rendering runs 32–37 bytes a node on the catalog apps, so
-	// with this capacity the buffer seldom grows.
-	buf := m.appendForest(make([]byte, 0, 40*len(m.byID)), CoreOptions())
-	m.coreText = string(buf)
-	buf = m.appendForest(buf[:0], FullOptions())
-	m.fullText = string(buf)
+	// The core renders 8–10 bytes a node on the Office apps, whose large
+	// enumerations it drops, and 26–33 on the small apps; this capacity
+	// fits all five catalog apps without growing.
+	m.coreText = string(m.appendForest(make([]byte, 0, max(12*len(m.byID), 16<<10)), CoreOptions()))
 	return m
 }
 
@@ -91,9 +93,19 @@ func NewModel(f *forest.Forest) *Model {
 // Serialize(CoreOptions()) but free after construction.
 func (m *Model) Core() string { return m.coreText }
 
-// Full returns the memoized complete rendering — identical to
-// Serialize(FullOptions()) but free after construction.
-func (m *Model) Full() string { return m.fullText }
+// Full returns the complete rendering — identical to
+// Serialize(FullOptions()). The first call renders it; later calls are
+// free.
+func (m *Model) Full() string {
+	m.fullOnce.Do(m.renderFull)
+	return m.fullText
+}
+
+func (m *Model) renderFull() {
+	// The full rendering runs 32–37 bytes a node on the catalog apps, so
+	// with this capacity the buffer seldom grows.
+	m.fullText = string(m.appendForest(make([]byte, 0, 40*len(m.byID)), FullOptions()))
+}
 
 // Node returns the forest node for an integer id, or nil.
 func (m *Model) Node(id int) *forest.Node {
@@ -334,22 +346,33 @@ func (m *Model) descFor(n *forest.Node, opt Options) string {
 }
 
 // structural lists the characters of the compact format; escapes maps each
-// to the stand-in that keeps it unambiguous inside names and descriptions.
+// to the stand-in that keeps it unambiguous inside names and descriptions,
+// and isStructural marks them by byte value.
 const structural = "()[],_"
 
-var escapes = [...]string{'(': "⟨", ')': "⟩", '[': "⟦", ']': "⟧", ',': ";", '_': "-"}
-
-// appendEscaped appends s with every structural character replaced.
-func appendEscaped(b []byte, s string) []byte {
-	for {
-		i := strings.IndexAny(s, structural)
-		if i < 0 {
-			return append(b, s...)
+var (
+	escapes      = [...]string{'(': "⟨", ')': "⟩", '[': "⟦", ']': "⟧", ',': ";", '_': "-"}
+	isStructural = func() (t [256]bool) {
+		for i := range len(structural) {
+			t[structural[i]] = true
 		}
-		b = append(b, s[:i]...)
-		b = append(b, escapes[s[i]]...)
-		s = s[i+1:]
+		return t
+	}()
+)
+
+// appendEscaped appends s with every structural character replaced. The
+// structural characters are ASCII, so no byte of a multi-byte UTF-8
+// sequence matches and the scan can go byte by byte.
+func appendEscaped(b []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if isStructural[s[i]] {
+			b = append(b, s[start:i]...)
+			b = append(b, escapes[s[i]]...)
+			start = i + 1
+		}
 	}
+	return append(b, s[start:]...)
 }
 
 // Tokens estimates the LLM token cost of a serialized topology (§5.4

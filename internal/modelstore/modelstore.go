@@ -373,9 +373,11 @@ func (s *Store) loadSnapshot(key string) (*ung.Graph, int64, bool) {
 	return g, int64(len(data)), true
 }
 
-// readString reads the file at path straight into a string grown to the
-// file's size. The decoded graph's strings are substrings of it, so a
-// restart holds each payload once, with no byte slice beside it.
+// readString reads the file at path into a string grown to the file's
+// size. The decoded graph's strings are substrings of it, so a restart
+// holds each payload once, with no byte slice beside it. The chunks pass
+// through an array on the stack: io.Copy would allocate a fresh 32 KB
+// buffer for every file.
 func readString(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -388,10 +390,17 @@ func readString(path string) (string, error) {
 	}
 	var b strings.Builder
 	b.Grow(int(fi.Size()))
-	if _, err := io.Copy(&b, f); err != nil {
-		return "", err
+	var chunk [32 << 10]byte
+	for {
+		n, err := f.Read(chunk[:])
+		b.Write(chunk[:n])
+		if err == io.EOF {
+			return b.String(), nil
+		}
+		if err != nil {
+			return "", err
+		}
 	}
-	return b.String(), nil
 }
 
 // writeSnapshot publishes a snapshot crash-safely: the payload goes to a

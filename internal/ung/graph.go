@@ -120,6 +120,27 @@ func (g *Graph) AddEdge(from, to int32) {
 	t.In = append(t.In, from)
 }
 
+// packEdges moves every node's Out and In into one buffer, each list a
+// window capped at its length, the shape DecodeBinaryString gives them:
+// a finished rip's graph then holds one edge array instead of one or two
+// append-grown slices per node. An AddEdge after it reallocates only the
+// lists it grows.
+func (g *Graph) packEdges() {
+	buf := make([]int32, 0, 2*g.EdgeCount())
+	carve := func(l []int32) []int32 {
+		if len(l) == 0 {
+			return nil
+		}
+		start := len(buf)
+		buf = append(buf, l...)
+		return buf[start:len(buf):len(buf)]
+	}
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		n.Out, n.In = carve(n.Out), carve(n.In)
+	}
+}
+
 // NodeCount returns the number of nodes including the virtual root.
 func (g *Graph) NodeCount() int { return len(g.Nodes) }
 

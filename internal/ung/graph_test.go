@@ -1,7 +1,10 @@
 package ung
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -104,5 +107,69 @@ func checkAddNodeDedupes(t *testing.T, g *Graph) {
 	}
 	if got, added := g.AddNode(Reveal{ID: "new"}, ""); got != int32(n) || added {
 		t.Errorf("AddNode(new id) again = %d, %v; want %d, false", got, added, n)
+	}
+}
+
+// TestRippedEdgesPacked: a finished rip carves every edge list out of one
+// buffer, node by node, Out before In, each capped at its length. The
+// graph still validates and encodes to the same bytes, and an AddEdge
+// after the rip leaves every other node's lists as they were.
+func TestRippedEdgesPacked(t *testing.T) {
+	for _, app := range catalogFactories {
+		t.Run(app.name, func(t *testing.T) {
+			g, _, err := Rip(app.new(), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var next uintptr // where the next list must start, once one was seen
+			for i := range g.Nodes {
+				for _, l := range [][]int32{g.Nodes[i].Out, g.Nodes[i].In} {
+					if len(l) == 0 {
+						continue
+					}
+					if cap(l) != len(l) {
+						t.Fatalf("node %d (%q): edge list has len %d, cap %d", i, g.Nodes[i].ID, len(l), cap(l))
+					}
+					p := reflect.ValueOf(l).Pointer()
+					if next != 0 && p != next {
+						t.Fatalf("node %d (%q): edge list does not follow the previous one in one buffer", i, g.Nodes[i].ID)
+					}
+					next = p + uintptr(len(l))*reflect.TypeOf(l[0]).Size()
+				}
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			bin, err := EncodeBinary(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(bin); hex.EncodeToString(sum[:]) != catalogGolden[app.name].sha256 {
+				t.Errorf("graph digest = %x, want %s", sum, catalogGolden[app.name].sha256)
+			}
+
+			// Grow a list in the middle of the buffer: node from gets an
+			// edge to the root, which it cannot have had (nothing reveals
+			// the root).
+			from := int32(len(g.Nodes) / 2)
+			for len(g.Nodes[from].Out) == 0 {
+				from++
+			}
+			outs := make([][]int32, len(g.Nodes))
+			ins := make([][]int32, len(g.Nodes))
+			for i := range g.Nodes {
+				outs[i] = slices.Clone(g.Nodes[i].Out)
+				ins[i] = slices.Clone(g.Nodes[i].In)
+			}
+			g.AddEdge(from, 0)
+			outs[from] = append(outs[from], 0)
+			ins[0] = append(ins[0], from)
+			for i := range g.Nodes {
+				if !slices.Equal(g.Nodes[i].Out, outs[i]) || !slices.Equal(g.Nodes[i].In, ins[i]) {
+					t.Fatalf("after AddEdge(%d, 0): node %d has out %v in %v, want out %v in %v",
+						from, i, g.Nodes[i].Out, g.Nodes[i].In, outs[i], ins[i])
+				}
+			}
+		})
 	}
 }

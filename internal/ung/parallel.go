@@ -84,6 +84,7 @@ func rip(probe *appkit.App, cfg Config, ex Expander, width int) (*Graph, Stats, 
 		st.Nodes = g.NodeCount()
 		st.Edges = g.EdgeCount()
 		g.index = nil // the rip's alone: a model never looks an id up
+		g.packEdges()
 		return g, st, err
 	}
 
