@@ -264,8 +264,9 @@ func BenchmarkOffline_ModelStoreWarm(b *testing.B) {
 }
 
 // BenchmarkOffline_SnapshotRestart measures a five-app catalog restart from
-// a snapshot directory: read, decode, forest transform, describe and token
-// count per app, zero rip clicks.
+// a snapshot directory: per app, read the file, decode the graph, and
+// decode the model (the forest from its recorded shape, the recorded core
+// rendering, stats and token count), zero rip clicks and no transform.
 func BenchmarkOffline_SnapshotRestart(b *testing.B) {
 	dir := b.TempDir()
 	if _, err := agent.BuildModelsIn(modelstore.NewPersistent(dir), 0); err != nil {

@@ -7,8 +7,10 @@
 // on one instance: -workers sets the width of the virtual schedule the
 // model-time column is computed on (paper §5.2's modeling clock with that
 // many machines expanding frames; the graph is the same at any width), and
-// -snapshot persists the ripped graphs (compact binary .ungb files) so
-// later runs rebuild the models with zero rip clicks.
+// -snapshot persists the ripped graphs and their models (compact binary
+// .ungb files) so later runs read the models back with zero rip clicks and
+// no transform; a run with another -threshold reads the graphs alone and
+// transforms them, leaving the files as they are.
 //
 // -replicas shards the rip across a fleet of dmi-serve replicas instead:
 // each frame expansion ships over POST /v1/rip and the coordinator merges
@@ -200,7 +202,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tw.Flush()
 
 	if *snapshot != "" {
-		fmt.Fprintf(stdout, "\nsnapshots in %s: later runs rebuild these models with zero rip clicks.\n", *snapshot)
+		fmt.Fprintf(stdout, "\nsnapshots in %s: later runs reload these models with zero rip clicks.\n", *snapshot)
 	}
 	fmt.Fprintln(stdout, "\nFigure 4: the naive full-clone tree explodes with merge-heavy graphs while")
 	fmt.Fprintln(stdout, "the forest stays linear; see the naive-tree vs forest columns above and the")

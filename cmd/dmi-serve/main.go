@@ -21,8 +21,9 @@
 // -taskpack serves a task-pack file (see internal/taskpack) instead of the
 // compiled-in grid. Requests that name a different pack are answered 409.
 // -pprof serves net/http/pprof profiles on a second listener (never on the
-// serving address). -snapshot persists the compact binary graph snapshots
-// (.ungb) evicted models reload from.
+// serving address). -snapshot persists the compact binary snapshots
+// (.ungb) of each graph and its model, which a restart or an evicted
+// model reloads from without ripping or transforming again.
 //
 // Endpoints (wire types and paths in internal/serveproto, protocol v1):
 //

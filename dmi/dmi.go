@@ -147,7 +147,8 @@ func NewModel(f *Forest) *TopologyModel { return describe.NewModel(f) }
 
 // ModelStore is the concurrency-safe cache of offline builds: it memoizes
 // the rip→transform→identify pipeline with singleflight semantics and, when
-// persistent, binary graph snapshots (.ungb files) reused across runs.
+// persistent, binary snapshots (.ungb files) of each graph and its model,
+// which later runs read back instead of ripping and transforming again.
 type ModelStore = modelstore.Store
 
 // ModelOptions configures one offline build in a store.
@@ -165,14 +166,14 @@ type ModelStoreStats = modelstore.Stats
 func NewModelStore() *ModelStore { return modelstore.New() }
 
 // NewPersistentModelStore creates a model store that saves and reuses binary
-// graph snapshots (.ungb files) under dir.
+// snapshots (.ungb files) of each graph and its model under dir.
 func NewPersistentModelStore(dir string) *ModelStore { return modelstore.NewPersistent(dir) }
 
 // NewBudgetedModelStore creates a serving-grade model store that holds at
 // most budget bytes of encoded graph snapshots warm (0 = unlimited),
 // evicting the least-recently-used models beyond that. With a non-empty
 // dir, snapshot files survive eviction, so re-accessing an evicted model
-// rebuilds it from disk with zero rip clicks.
+// reads it back from disk with zero rip clicks.
 func NewBudgetedModelStore(dir string, budget int64) *ModelStore {
 	return modelstore.NewBudgeted(dir, budget)
 }

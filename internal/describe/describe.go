@@ -37,10 +37,10 @@ type Model struct {
 	// refsTo lists reference nodes pointing at each shared subtree.
 	refsTo map[string][]*forest.Node
 
-	// coreText is the core-topology rendering, memoized at construction:
-	// the model is frozen once built (concurrent sessions share it
-	// read-only), every session's first prompt carries it, and the store
-	// counts its tokens.
+	// coreText is the core-topology rendering, memoized at construction
+	// (or read back from a snapshot, see Restore): the model is frozen once
+	// built (concurrent sessions share it read-only), every session's first
+	// prompt carries it, and the store counts its tokens.
 	coreText string
 
 	// fullText is the complete rendering, rendered by the first Full call:
@@ -68,6 +68,26 @@ type Model struct {
 // (Forest.Number), so build that before sharing the forest across
 // goroutines.
 func NewModel(f *forest.Forest) *Model {
+	m := identify(f)
+	// The core renders 8–10 bytes a node on the Office apps, whose large
+	// enumerations it drops, and 26–33 on the small apps; this capacity
+	// fits all five catalog apps without growing.
+	m.coreText = string(m.appendForest(make([]byte, 0, max(12*len(m.byID), 16<<10)), CoreOptions()))
+	return m
+}
+
+// Restore is NewModel with the core rendering supplied instead of
+// rendered: core must be what NewModel rendered for an equal forest, as a
+// snapshot records it (internal/modelstore), and Core returns it as given.
+func Restore(f *forest.Forest, core string) *Model {
+	m := identify(f)
+	m.coreText = core
+	return m
+}
+
+// identify builds a model's id tables, the setup NewModel and Restore
+// share.
+func identify(f *forest.Forest) *Model {
 	m := &Model{
 		Forest:    f,
 		byID:      f.Number(),
@@ -82,10 +102,6 @@ func NewModel(f *forest.Forest) *Model {
 			m.refsTo[n.RefTarget] = append(m.refsTo[n.RefTarget], n)
 		}
 	}
-	// The core renders 8–10 bytes a node on the Office apps, whose large
-	// enumerations it drops, and 26–33 on the small apps; this capacity
-	// fits all five catalog apps without growing.
-	m.coreText = string(m.appendForest(make([]byte, 0, max(12*len(m.byID), 16<<10)), CoreOptions()))
 	return m
 }
 

@@ -26,6 +26,10 @@ type Node struct {
 
 	// pos is the node's position in forest order (Forest.Number).
 	pos int32
+	// index is the position in the graph's Nodes of the node embedded
+	// above, which AppendShape records; it fits beside pos, so a node stays
+	// 64 bytes.
+	index int32
 
 	RefTarget string // UNG id of the shared subtree this reference points to
 
@@ -399,9 +403,10 @@ func (b *builder) materialize(v int32, parent *Node) *Node {
 }
 
 func (b *builder) newNode(v int32, parent *Node) *Node {
+	// Field by field, as DecodeShape fills its slab (see there).
 	n := &b.slab[0]
 	b.slab = b.slab[1:]
-	*n = Node{Node: &b.nodes[v], pos: b.next, Parent: parent}
+	n.Node, n.pos, n.index, n.Parent = &b.nodes[v], b.next, v, parent
 	b.next++
 	return n
 }

@@ -8,12 +8,19 @@
 //
 //   - Concurrency-safe singleflight: N concurrent Build calls for the same
 //     key trigger exactly one offline build; the rest block and share it.
-//   - Versioned snapshots: a persistent store writes the ripped graph to
-//     disk and later runs rebuild the model from the snapshot with zero
-//     rip clicks (transform + identify are cheap; ripping is not). Snapshots
-//     use the compact binary codec (ung.EncodeBinary, .ungb files); any
-//     other file in the directory is ignored, so a stray one is a cache
-//     miss that gets rebuilt.
+//   - Versioned snapshots: a persistent store writes the ripped graph and
+//     the model made of it to disk, and later runs read the model back
+//     with zero rip clicks and without running the transform, describe or
+//     the token count again. A snapshot is one .ungb file per rip
+//     fingerprint: the graph's ung.EncodeBinary payload, prefixed by its
+//     length as a uvarint, then a model section (appendModel) holding the
+//     transform options it was made under, forest.Stats, CoreTokens, the
+//     core rendering and the forest's shape (forest.AppendShape). A
+//     restart under other transform options (a threshold sweep) reads the
+//     graph alone and transforms it, leaving the file as it is. Any other
+//     file in the directory is ignored, and a file that does not decode,
+//     graph or model section, is a cache miss that gets rebuilt and
+//     rewritten.
 //   - Deterministic results: a rip is deterministic, and a distributed one
 //     is byte-identical to the sequential one, so cached, snapshotted, and
 //     fresh builds all yield the same identifier assignment.
@@ -26,8 +33,11 @@
 package modelstore
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,8 +50,12 @@ import (
 )
 
 // SnapshotVersion is bumped whenever the snapshot encoding or the pipeline
-// semantics change; stale snapshots are ignored and rebuilt.
-const SnapshotVersion = 1
+// semantics change; stale snapshots are ignored and rebuilt. A restart
+// takes the forest, its stats, the core rendering and its token count from
+// the file, so a change to what the transform, describe or the token
+// estimate make of a graph needs a bump too. Version 2 added the model
+// section; version 1 files held the graph alone.
+const SnapshotVersion = 2
 
 // Options configures one offline build. Workers is the width of the
 // virtual schedule a rip's simulated clock is computed on (ung.RipParallel);
@@ -88,8 +102,11 @@ type Build struct {
 	// CacheHit: served from the in-memory cache (or joined an in-flight
 	// build); no pipeline work was performed by this call.
 	CacheHit bool
-	// FromSnapshot: the graph was loaded from a disk snapshot; transform
-	// and identify ran, but zero rip clicks were spent.
+	// FromSnapshot: the build was loaded from a disk snapshot, with zero
+	// rip clicks spent. When the snapshot's model section was written
+	// under this build's transform options, the forest, TransformStats,
+	// the core rendering and CoreTokens were read from it too; otherwise
+	// transform and identify ran on the loaded graph.
 	FromSnapshot bool
 	// SnapshotErr records a failed snapshot save. The build itself
 	// succeeded and is cached and returned — discarding a completed rip
@@ -97,11 +114,12 @@ type Build struct {
 	// that asked for persistence should surface this.
 	SnapshotErr error
 	// SnapshotBytes is the encoded size of the ripped graph — the build's
-	// budget cost, computed when the graph is encoded at build time or
-	// from the snapshot payload at load time. It is computed for
-	// in-memory stores too, so Stats can always report resident bytes. -1
-	// means the encoding failed and the cost is unknown; a budgeted store
-	// serves such a build without caching it.
+	// budget cost: the length of the graph's encoding at build time
+	// (ung.EncodedSize in a store that writes no file), or of the
+	// snapshot's graph payload at load time; the model section does not
+	// count. It is computed for in-memory stores too, so Stats can always
+	// report resident bytes. -1 means the encoding failed and the cost is
+	// unknown; a budgeted store serves such a build without caching it.
 	SnapshotBytes int64
 	// CoreTokens is the LLM token cost of the model's core serialization —
 	// an offline artifact like the model itself, computed once per build
@@ -161,7 +179,7 @@ type entry struct {
 func New() *Store { return &Store{entries: make(map[string]*entry)} }
 
 // NewPersistent creates a store that additionally saves and reuses binary
-// graph snapshots under dir (created on first save).
+// snapshots of each graph and its model under dir (created on first save).
 func NewPersistent(dir string) *Store {
 	s := New()
 	s.dir = dir
@@ -283,18 +301,19 @@ func (s *Store) evictLocked() {
 
 // build runs the pipeline: snapshot load if available, else rip (dispatched
 // to opt.NewExpander's engine when set, else sequential on one instance),
-// then transform + identify, then snapshot save.
+// then transform + identify, then snapshot save. A snapshot whose model
+// section was written under opt.Transform yields the whole build, and
+// nothing after the load runs.
 func (s *Store) build(app string, factory func() *appkit.App, opt Options) (Build, error) {
-	var b Build
-
 	ripKey := RipFingerprint(app, opt.Rip)
-	if g, n, ok := s.loadSnapshot(ripKey); ok {
-		b.Graph = g
-		b.FromSnapshot = true
-		b.SnapshotBytes = n
+	b, ok := s.loadSnapshot(ripKey, opt.Transform)
+	if ok {
 		s.mu.Lock()
 		s.stats.SnapshotLoads++
 		s.mu.Unlock()
+		if b.Model != nil {
+			return b, nil
+		}
 	} else {
 		var err error
 		if opt.NewExpander == nil {
@@ -318,24 +337,30 @@ func (s *Store) build(app string, factory func() *appkit.App, opt Options) (Buil
 	b.Model = describe.NewModel(f)
 	b.CoreTokens = describe.Tokens(b.Model.Core())
 
-	if !b.FromSnapshot {
-		// Encode once: the encoding is the entry's budget cost, the
-		// resident-bytes accounting, and, for persistent stores, the
-		// snapshot payload.
-		data, err := ung.EncodeBinary(b.Graph)
-		switch {
-		case err != nil:
+	switch {
+	case b.FromSnapshot:
+		// The file's model section holds other transform options, which
+		// are as valid as these: the file stays as it is.
+	case s.dir == "":
+		// Nothing is written, so only the size is needed.
+		n, err := ung.EncodedSize(b.Graph)
+		b.SnapshotBytes = int64(n)
+		if err != nil {
 			b.SnapshotBytes = -1 // cost unknown; a budget refuses to cache this
-			if s.dir != "" {
-				b.SnapshotErr = fmt.Errorf("modelstore: snapshot %s: %w", app, err)
-			}
-		default:
-			b.SnapshotBytes = int64(len(data))
-			if s.dir != "" {
-				if err := s.writeSnapshot(ripKey, data); err != nil {
-					b.SnapshotErr = fmt.Errorf("modelstore: snapshot %s: %w", app, err)
-				}
-			}
+		}
+	default:
+		// Encode once: the encoding is the entry's budget cost, the
+		// resident-bytes accounting, and the snapshot's graph payload.
+		data, err := ung.EncodeBinary(b.Graph)
+		if err != nil {
+			b.SnapshotBytes = -1
+			b.SnapshotErr = fmt.Errorf("modelstore: snapshot %s: %w", app, err)
+			break
+		}
+		b.SnapshotBytes = int64(len(data))
+		prefix := binary.AppendUvarint(nil, uint64(len(data)))
+		if err := s.writeSnapshot(ripKey, prefix, data, appendModel(nil, opt.Transform, &b)); err != nil {
+			b.SnapshotErr = fmt.Errorf("modelstore: snapshot %s: %w", app, err)
 		}
 	}
 	return b, nil
@@ -356,21 +381,138 @@ func (s *Store) snapshotPath(key string) string {
 	return filepath.Join(s.dir, string(safe)+".ungb")
 }
 
-// loadSnapshot reads and decodes the snapshot for key. A missing, corrupt
-// or stale file is a miss: the caller rebuilds and rewrites it.
-func (s *Store) loadSnapshot(key string) (*ung.Graph, int64, bool) {
+// loadSnapshot reads the snapshot for key and decodes its graph, and, when
+// its model section was written under opt, the model: then the returned
+// build's Model is set. A missing, corrupt or stale file, or a malformed
+// model section, is a miss: the caller rebuilds and rewrites it.
+func (s *Store) loadSnapshot(key string, opt forest.Options) (Build, bool) {
 	if s.dir == "" {
-		return nil, 0, false
+		return Build{}, false
 	}
 	data, err := readString(s.snapshotPath(key))
 	if err != nil {
-		return nil, 0, false
+		return Build{}, false
 	}
-	g, err := ung.DecodeBinaryString(data)
+	r := sectionReader{s: data}
+	n := r.uvarint(uint64(len(data)))
+	if r.bad || n > uint64(len(data)-r.off) {
+		return Build{}, false
+	}
+	end := r.off + int(n)
+	g, err := ung.DecodeBinaryString(data[r.off:end])
 	if err != nil {
-		return nil, 0, false
+		return Build{}, false
 	}
-	return g, int64(len(data)), true
+	b := Build{Graph: g, FromSnapshot: true, SnapshotBytes: int64(n)}
+	if err := readModel(&b, data[end:], opt); err != nil {
+		return Build{}, false
+	}
+	return b, true
+}
+
+// appendModel appends the model section of b, built under opt, to buf:
+//
+//	cloneThreshold | stats | coreTokens | core | forest shape
+//
+// cloneThreshold is opt's after Normalized; stats are b.TransformStats'
+// ten fields in declaration order; core is length-prefixed; the shape is
+// forest.AppendShape's and runs to the end of the file. All integers are
+// unsigned varints.
+func appendModel(buf []byte, opt forest.Options, b *Build) []byte {
+	buf = binary.AppendUvarint(buf, uint64(opt.Normalized().CloneThreshold))
+	ts := b.TransformStats
+	for _, p := range statFields(&ts) {
+		buf = binary.AppendUvarint(buf, uint64(*p))
+	}
+	buf = binary.AppendUvarint(buf, uint64(ts.NaiveTreeNodes))
+	buf = binary.AppendUvarint(buf, uint64(b.CoreTokens))
+	core := b.Model.Core()
+	buf = binary.AppendUvarint(buf, uint64(len(core)))
+	buf = append(buf, core...)
+	return forest.AppendShape(buf, b.Model.Forest)
+}
+
+// statFields lists the int fields of st in declaration order; the int64
+// NaiveTreeNodes follows them in a model section.
+func statFields(st *forest.Stats) [9]*int {
+	return [...]*int{&st.GraphNodes, &st.GraphEdges, &st.BackEdgesRemoved, &st.MergeNodes,
+		&st.Externalized, &st.Cloned, &st.ForestNodes, &st.SharedSubtrees, &st.MainTreeNodes}
+}
+
+// readModel decodes the model section of b's snapshot file. A section
+// written under other options than opt leaves b's model unset. A section
+// is trusted to hold what the transform, describe and the token count made
+// of the graph, as the graph is trusted to be the rip, and checked as
+// strictly: forest.DecodeShape checks the shape, and the stats must agree
+// with the graph and the forest wherever they can be checked without
+// running the transform.
+func readModel(b *Build, section string, opt forest.Options) error {
+	r := sectionReader{s: section}
+	th := r.uvarint(math.MaxInt64)
+	if r.bad {
+		return errMalformed
+	}
+	if th != uint64(opt.Normalized().CloneThreshold) {
+		return nil
+	}
+	var ts forest.Stats
+	for _, p := range statFields(&ts) {
+		*p = int(r.uvarint(math.MaxInt32))
+	}
+	ts.NaiveTreeNodes = int64(r.uvarint(math.MaxInt64))
+	tokens := int(r.uvarint(math.MaxInt32))
+	n := r.uvarint(uint64(len(section)))
+	if r.bad || n > uint64(len(section)-r.off) {
+		return errMalformed
+	}
+	core := section[r.off : r.off+int(n)]
+	f, err := forest.DecodeShape(b.Graph, section[r.off+int(n):])
+	if err != nil {
+		return err
+	}
+	m := describe.Restore(f, core)
+	main := m.NodeCount()
+	if len(f.SharedOrder) > 0 {
+		main = f.Shared[f.SharedOrder[0]].Pos()
+	}
+	if ts.GraphNodes != len(b.Graph.Nodes) || ts.GraphEdges != b.Graph.EdgeCount() ||
+		ts.ForestNodes != m.NodeCount() || ts.MainTreeNodes != main ||
+		ts.SharedSubtrees != len(f.SharedOrder) || ts.Externalized != ts.SharedSubtrees ||
+		ts.MergeNodes != ts.Externalized+ts.Cloned {
+		return fmt.Errorf("modelstore: model section: stats %+v disagree with the graph or forest", ts)
+	}
+	b.Model, b.TransformStats, b.CoreTokens = m, ts, tokens
+	return nil
+}
+
+var errMalformed = errors.New("modelstore: model section: malformed")
+
+// sectionReader reads unsigned varints from a snapshot file; the first
+// malformed one, or one above its limit, sets bad for good.
+type sectionReader struct {
+	s   string
+	off int
+	bad bool
+}
+
+func (r *sectionReader) uvarint(limit uint64) uint64 {
+	var v uint64
+	for shift := uint(0); r.off < len(r.s) && shift < 64; shift += 7 {
+		c := r.s[r.off]
+		r.off++
+		if shift == 63 && c > 1 {
+			break // overflow
+		}
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			if v > limit {
+				break
+			}
+			return v
+		}
+	}
+	r.bad = true
+	return 0
 }
 
 // readString reads the file at path into a string grown to the file's
@@ -403,13 +545,13 @@ func readString(path string) (string, error) {
 	}
 }
 
-// writeSnapshot publishes a snapshot crash-safely: the payload goes to a
-// uniquely named temp file in the snapshot directory, which is synced,
+// writeSnapshot publishes a snapshot crash-safely: the parts, in order, go
+// to a uniquely named temp file in the snapshot directory, which is synced,
 // closed and then renamed over the final name. Writers sharing a directory
 // (two daemons building the same app) never share a temp file, and a crash
 // mid-write leaves at worst a stray temp file, never a torn snapshot. The
 // temp file is removed on any error.
-func (s *Store) writeSnapshot(key string, data []byte) (err error) {
+func (s *Store) writeSnapshot(key string, parts ...[]byte) (err error) {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
@@ -427,8 +569,10 @@ func (s *Store) writeSnapshot(key string, data []byte) (err error) {
 	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	if _, err = f.Write(data); err != nil {
-		return err
+	for _, p := range parts {
+		if _, err = f.Write(p); err != nil {
+			return err
+		}
 	}
 	if err = f.Sync(); err != nil {
 		return err

@@ -2,6 +2,7 @@ package modelstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -346,8 +347,9 @@ func TestSnapshotWriteFailureLeavesNoTemp(t *testing.T) {
 }
 
 // TestSnapshotBinaryDefault: a persistent store writes binary snapshots
-// (.ungb) holding exactly the graph's EncodeBinary bytes, and the build's
-// budget cost is that payload's size.
+// (.ungb) that open with the graph's EncodeBinary bytes, length-prefixed,
+// before the model section, and the build's budget cost is that payload's
+// size.
 func TestSnapshotBinaryDefault(t *testing.T) {
 	dir := t.TempDir()
 	s := NewPersistent(dir)
@@ -370,11 +372,12 @@ func TestSnapshotBinaryDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, want) {
-		t.Errorf("snapshot file (%d B) is not the graph's EncodeBinary bytes (%d B)", len(data), len(want))
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n != uint64(len(want)) || !bytes.HasPrefix(data[k:], want) {
+		t.Errorf("snapshot file (%d B) does not open with the graph's %d EncodeBinary bytes, length-prefixed", len(data), len(want))
 	}
-	if int64(len(data)) != b.SnapshotBytes {
-		t.Errorf("budget cost %d does not match the snapshot payload %d", b.SnapshotBytes, len(data))
+	if int64(len(want)) != b.SnapshotBytes {
+		t.Errorf("budget cost %d does not match the graph payload %d", b.SnapshotBytes, len(want))
 	}
 }
 
@@ -619,5 +622,161 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.ResidentModels != 1 || st.ResidentBytes <= 0 {
 		t.Fatalf("resident accounting wrong: %+v", st)
+	}
+}
+
+// onlySnapshot returns the path and contents of the one file in dir.
+func onlySnapshot(t *testing.T, dir string) (string, []byte) {
+	t.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want one snapshot file in %s: %v (%d files)", dir, err, len(files))
+	}
+	path := filepath.Join(dir, files[0].Name())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// TestSnapshotModelSection: a restart under the options a snapshot's
+// model section was written with takes the model from the section (here
+// the recorded core rendering is altered on disk, and the restart serves
+// it as recorded); under other options it takes the graph alone and runs
+// the transform, and the file is left as it is either way.
+func TestSnapshotModelSection(t *testing.T) {
+	dir := t.TempDir()
+	cold, err := NewPersistent(dir).Build("StoreDemo", storeApp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, data := onlySnapshot(t, dir)
+	core := cold.Model.Core()
+	at := bytes.Index(data, []byte(core))
+	if at < 0 || !strings.HasPrefix(core, "main-tree:") {
+		t.Fatal("snapshot does not hold the core rendering")
+	}
+	data[at] = 'M'
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := NewPersistent(dir).Build("StoreDemo", storeApp, Options{})
+	if err != nil || !warm.FromSnapshot {
+		t.Fatalf("restart did not load the snapshot: %v", err)
+	}
+	if got := warm.Model.Core(); got != "M"+core[1:] {
+		t.Errorf("restart's core rendering is not the recorded one: %.20q", got)
+	}
+	if warm.TransformStats != cold.TransformStats || warm.CoreTokens != cold.CoreTokens {
+		t.Errorf("restart's stats or tokens differ: %+v/%d vs %+v/%d", warm.TransformStats, warm.CoreTokens, cold.TransformStats, cold.CoreTokens)
+	}
+	if warm.Model.Full() != cold.Model.Full() {
+		t.Error("restart's forest renders differently from the cold build's")
+	}
+
+	other := forest.Options{CloneThreshold: 1}
+	b, err := NewPersistent(dir).Build("StoreDemo", storeApp, Options{Transform: other})
+	if err != nil || !b.FromSnapshot {
+		t.Fatalf("restart under other options did not load the snapshot's graph: %v", err)
+	}
+	f, ts, err := forest.Transform(b.Graph, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := describe.NewModel(f)
+	if b.TransformStats != ts || b.Model.Core() != want.Core() || b.Model.Full() != want.Full() ||
+		b.CoreTokens != describe.Tokens(want.Core()) {
+		t.Errorf("restart under other options is not the transform's model: stats %+v, want %+v", b.TransformStats, ts)
+	}
+	if ts == cold.TransformStats {
+		t.Fatal("the other options made the same forest; the test shows nothing")
+	}
+	if _, after := onlySnapshot(t, dir); !bytes.Equal(after, data) {
+		t.Error("a restart rewrote the snapshot")
+	}
+}
+
+// TestMalformedModelSectionRebuilds: a model section that is cut short,
+// runs on, disagrees with its forest or holds a broken shape makes the
+// whole file a miss: the store re-rips, rewrites the file in full, and the
+// next store reloads it.
+func TestMalformedModelSectionRebuilds(t *testing.T) {
+	dir := t.TempDir()
+	cold, err := NewPersistent(dir).Build("StoreDemo", storeApp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, whole := onlySnapshot(t, dir)
+	shape := forest.AppendShape(nil, cold.Model.Forest)
+	if !bytes.HasSuffix(whole, shape) || shape[2] != 0 {
+		t.Fatal("snapshot does not end with the forest's shape, main root first")
+	}
+	head := whole[:len(whole)-len(shape)]
+	lying := cold
+	lying.TransformStats.ForestNodes++
+	graph := whole[:len(whole)-len(appendModel(nil, forest.Options{}, &cold))]
+
+	for name, data := range map[string][]byte{
+		"truncated":      whole[:len(whole)-1],
+		"trailing byte":  append(append([]byte{}, whole...), 0),
+		"stats disagree": append(append([]byte{}, graph...), appendModel(nil, forest.Options{}, &lying)...),
+		"main root moved": append(append(append([]byte{}, head...), shape[:2]...),
+			append([]byte{2}, shape[3:]...)...),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewPersistent(dir).Build("StoreDemo", storeApp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.FromSnapshot || b.RipStats.Clicks == 0 {
+			t.Errorf("%s: the malformed snapshot was trusted", name)
+		}
+		if _, got := onlySnapshot(t, dir); !bytes.Equal(got, whole) {
+			t.Errorf("%s: the snapshot was not rewritten in full", name)
+		}
+		if b, err := NewPersistent(dir).Build("StoreDemo", storeApp, Options{}); err != nil || !b.FromSnapshot {
+			t.Errorf("%s: the rewritten snapshot did not reload: %v", name, err)
+		}
+	}
+}
+
+// TestVersion1SnapshotIgnored: a file named for SnapshotVersion 1, which
+// held the graph alone, is not read; the store rips and writes its own
+// file beside it.
+func TestVersion1SnapshotIgnored(t *testing.T) {
+	dir := t.TempDir()
+	s := NewPersistent(dir)
+	b, err := New().Build("StoreDemo", storeApp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := ung.EncodeBinary(b.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.snapshotPath(RipFingerprint("StoreDemo", ung.Config{}))
+	old := strings.Replace(path, "-v2-", "-v1-", 1)
+	if old == path {
+		t.Fatalf("snapshot name %s carries no version 2", path)
+	}
+	if err := os.WriteFile(old, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err = s.Build("StoreDemo", storeApp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.FromSnapshot || b.RipStats.Clicks == 0 {
+		t.Fatal("the version 1 file was read")
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("the rebuild wrote no snapshot: %v", err)
+	}
+	if got, err := os.ReadFile(old); err != nil || !bytes.Equal(got, v1) {
+		t.Errorf("the version 1 file was changed: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
 
 	"repro/internal/uia"
 )
@@ -67,7 +68,7 @@ func EncodeBinary(g *Graph) ([]byte, error) {
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		if n.Type < 0 {
-			return nil, fmt.Errorf("ung: node %q has negative control type %d", n.ID, n.Type)
+			return nil, negativeType(n)
 		}
 		buf = appendString(buf, n.ID)
 		buf = appendString(buf, n.Name)
@@ -83,6 +84,42 @@ func EncodeBinary(g *Graph) ([]byte, error) {
 		buf = appendEdges(buf, n.In)
 	}
 	return buf, nil
+}
+
+// EncodedSize returns len(EncodeBinary(g)), and the same error for a
+// negative control type, without building the payload: a store that keeps
+// its models in memory only needs the size, as their budget cost.
+func EncodedSize(g *Graph) (int, error) {
+	size := len(binaryMagic) + uvarintLen(BinaryVersion) + stringLen(g.App) + uvarintLen(uint64(len(g.Nodes)))
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		if n.Type < 0 {
+			return 0, negativeType(n)
+		}
+		const flags = 1 // the flags byte
+		size += stringLen(n.ID) + stringLen(n.Name) + uvarintLen(uint64(n.Type)) + stringLen(n.Desc) +
+			flags + stringLen(n.Context) + edgesLen(n.Out) + edgesLen(n.In)
+	}
+	return size, nil
+}
+
+// negativeType is the error EncodeBinary and EncodedSize return for a node
+// whose control type has no encoding.
+func negativeType(n *Node) error {
+	return fmt.Errorf("ung: node %q has negative control type %d", n.ID, n.Type)
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+func edgesLen(edges []int32) int {
+	n := uvarintLen(uint64(len(edges)))
+	for _, e := range edges {
+		n += uvarintLen(uint64(e))
+	}
+	return n
 }
 
 func appendString(buf []byte, s string) []byte {

@@ -241,7 +241,8 @@ func committedSeed(t *testing.T, name string) string {
 // FuzzSnapshotBinaryDecode hardens the snapshot codec against corrupt
 // on-disk snapshots (the modelstore path that falls back to a fresh rip):
 // DecodeBinary must never panic on corrupt input, and anything it accepts
-// must be structurally valid and survive a round trip unchanged. The
+// must be structurally valid, survive a round trip unchanged, and have the
+// EncodedSize of its encoding. The
 // committed corpus under testdata/fuzz/FuzzSnapshotBinaryDecode is replayed
 // by plain `go test`.
 func FuzzSnapshotBinaryDecode(f *testing.F) {
@@ -273,6 +274,9 @@ func FuzzSnapshotBinaryDecode(f *testing.F) {
 		again, err := EncodeBinary(decoded)
 		if err != nil {
 			t.Fatalf("re-encode of accepted graph failed: %v", err)
+		}
+		if n, err := EncodedSize(decoded); err != nil || n != len(again) {
+			t.Fatalf("EncodedSize = %d, %v; EncodeBinary wrote %d bytes", n, err, len(again))
 		}
 		back, err := DecodeBinary(again)
 		if err != nil {
@@ -375,5 +379,31 @@ func TestUvarintMatchesBinary(t *testing.T) {
 		case n > 0 && (err != nil || got != want || r.off != n):
 			t.Errorf("% x: uvarint = %d, %v at %d; want %d at %d", c, got, err, r.off, want, n)
 		}
+	}
+}
+
+// TestEncodedSizeMatchesEncodeBinary: EncodedSize is the length of
+// EncodeBinary's payload on every catalog graph, and fails as it does on a
+// negative control type.
+func TestEncodedSizeMatchesEncodeBinary(t *testing.T) {
+	for _, app := range catalogFactories {
+		g, _, err := Rip(app.new(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := EncodeBinary(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := EncodedSize(g); err != nil || n != len(data) {
+			t.Errorf("%s: EncodedSize = %d, %v; EncodeBinary wrote %d bytes", app.name, n, err, len(data))
+		}
+	}
+	g := NewGraph("Neg")
+	g.Nodes[0].Type = -1
+	_, encErr := EncodeBinary(g)
+	_, sizeErr := EncodedSize(g)
+	if encErr == nil || sizeErr == nil || encErr.Error() != sizeErr.Error() {
+		t.Errorf("negative type: EncodedSize error %v, EncodeBinary error %v", sizeErr, encErr)
 	}
 }
