@@ -84,7 +84,7 @@ const (
 )
 
 func main() {
-	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	switch err := run(os.Args[1:], os.Stderr); {
 	case err == nil:
 	case errors.Is(err, errUsage):
 		os.Exit(2)
@@ -94,19 +94,20 @@ func main() {
 	}
 }
 
-// run executes the CLI against the given argument list and streams; main is
-// a thin exit-code shim around it so tests can drive the binary in-process.
+// run executes the CLI against the given argument list and error stream
+// (the daemon writes nothing to stdout); main is a thin exit-code shim
+// around it so tests can drive the binary in-process.
 // Shutdown signals (SIGINT/SIGTERM) cancel the serve context.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stderr io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	return runCtx(ctx, args, stdout, stderr)
+	return runCtx(ctx, args, stderr)
 }
 
 // runCtx is run with an explicit lifetime: when ctx is cancelled the daemon
 // stops listening, drains in-flight sessions, and returns nil. Tests drive
 // graceful shutdown through this seam.
-func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func runCtx(ctx context.Context, args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dmi-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8480", "listen address")

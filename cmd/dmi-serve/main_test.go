@@ -22,18 +22,18 @@ import (
 )
 
 func TestBadFlagIsAnError(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run([]string{"-budget", "lots"}, &out, &errb); err == nil {
+	var errb bytes.Buffer
+	if err := run([]string{"-budget", "lots"}, &errb); err == nil {
 		t.Fatal("expected a flag-parse error")
 	}
-	if err := run([]string{"stray"}, &out, &errb); err == nil {
+	if err := run([]string{"stray"}, &errb); err == nil {
 		t.Fatal("expected an error for a stray positional argument")
 	}
 }
 
 func TestHelpFlagIsNotAnError(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run([]string{"-h"}, &out, &errb); err != nil {
+	var errb bytes.Buffer
+	if err := run([]string{"-h"}, &errb); err != nil {
 		t.Fatalf("-h should print usage and succeed, got %v", err)
 	}
 	if !strings.Contains(errb.String(), "Usage") {
@@ -112,7 +112,7 @@ func TestServeDaemon(t *testing.T) {
 			"-budget", fmt.Sprint(budget),
 			"-snapshot", t.TempDir(),
 			"-workers", "2",
-		}, io.Discard, stderr)
+		}, stderr)
 	}()
 	// The daemon goroutine serves until the shutdown subtest cancels ctx;
 	// runCtx returning early means startup failed.

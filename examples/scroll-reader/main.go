@@ -3,6 +3,10 @@
 // declaration (v = 80%).
 //
 //	go run ./examples/scroll-reader
+//
+// The drag loop reads the scrollbar's on-screen band and moves its thumb
+// a quarter of the track per round, so it needs several drag-observe
+// rounds (three on a 12-slide deck) where the declaration needs one.
 package main
 
 import (
@@ -18,8 +22,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Imperative: iterative drag-observe rounds on the scrollbar thumb,
-	// each requiring coordinate reasoning and a visual check.
+	// Imperative: iterative drag-observe rounds along the scrollbar,
+	// each requiring coordinate reasoning and a visual check, until slide
+	// 5 or later is the first one visible.
 	app := dmi.NewPowerPoint(12)
 	sb := app.Win.FindByAutomationID("sbSlides")
 	r := sb.Rect()

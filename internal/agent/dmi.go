@@ -105,7 +105,7 @@ func (d *driver) runDMI() bool {
 			if pl.it.tag != "" {
 				d.fail(pl.it.tag)
 			}
-			if !r.nonLeaf && !inCoreTopology(d.model, pl.node) {
+			if !r.nonLeaf && !inCoreTopology(pl.node) {
 				missing = append(missing, d.model.ID(pl.node))
 			}
 		}

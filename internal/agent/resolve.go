@@ -154,7 +154,7 @@ func siblingDistractor(n *forest.Node, pick func(n int) int) *forest.Node {
 // inCoreTopology reports whether the node appears in the default core
 // topology payload (depth-limited, large enumerations pruned); targets
 // outside it require a further_query round first (§3.3).
-func inCoreTopology(m *describe.Model, n *forest.Node) bool {
+func inCoreTopology(n *forest.Node) bool {
 	if n.LargeEnum {
 		return false
 	}

@@ -132,7 +132,7 @@ func TestInCoreTopology(t *testing.T) {
 	// A ribbon-level control is in the core; a font-list item (large
 	// enumeration) is not.
 	landscape, _ := resolveTarget(m, osworld.Target{Primary: "Landscape", GIDContains: "mnuOrientation"})
-	if !inCoreTopology(m, landscape.node) {
+	if !inCoreTopology(landscape.node) {
 		t.Error("ribbon control should be inside the core topology")
 	}
 	var fontItem *forest.Node
@@ -146,7 +146,7 @@ func TestInCoreTopology(t *testing.T) {
 	if fontItem == nil {
 		t.Fatal("no font list item found")
 	}
-	if inCoreTopology(m, fontItem) {
+	if inCoreTopology(fontItem) {
 		t.Error("large-enumeration item should be outside the core topology")
 	}
 }

@@ -39,7 +39,7 @@ type App struct {
 	defaultTab string
 
 	popups         []*Popup // currently open, outermost first
-	popupTemplates []*Popup // every popup ever created (for layout and tooling)
+	popupTemplates []*Popup // every popup ever created (for tooling)
 
 	// binding carries the semantic target of the currently open shared
 	// popup chain (e.g. which property a color picker modifies). This is

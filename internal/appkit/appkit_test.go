@@ -385,26 +385,6 @@ func TestRadioGroup(t *testing.T) {
 	}
 }
 
-func TestLayoutAssignsRects(t *testing.T) {
-	a := demoApp()
-	menu := a.NewMenu("m", "M")
-	menu.Panel().MenuItem("mi", "Item", nil)
-	a.Layout()
-	bold := a.Win.FindByAutomationID("btnBold")
-	if bold.Rect().Empty() {
-		t.Fatal("leaf control has empty rect after layout")
-	}
-	// The control must be clickable at its center when visible.
-	cx, cy := bold.Rect().Center()
-	if got := a.Desk.HitTest(cx, cy); got != bold {
-		t.Fatalf("HitTest at bold center = %v", got)
-	}
-	item := menu.Win.FindByAutomationID("mi")
-	if item.Rect().Empty() {
-		t.Fatal("popup item has empty rect after layout")
-	}
-}
-
 func TestBlocklist(t *testing.T) {
 	a := demoApp()
 	acct := a.Body().Button("btnAccount", "Account", nil)

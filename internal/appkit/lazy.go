@@ -6,19 +6,14 @@ import "repro/internal/uia"
 //
 // Gallery and combo-box items are most of an application's elements, yet a
 // session sees only the few lists it opens. The list containers are built
-// with the rest of the tree, so sibling order and layout are fixed at
-// construction; the items are built the first time they can be observed,
-// and a built list is identical to the eager one (DESIGN.md §3.2).
+// with the rest of the tree, so sibling order is fixed at construction; the
+// items are built the first time they can be observed, and a built list is
+// identical to the eager one (DESIGN.md §3.2).
 
 // lazyItems is the unbuilt item list of one gallery or combo box.
 type lazyItems struct {
-	list  *uia.Element
-	n     int    // number of items the build will add
-	build func() // adds the items under list; nil once built
-
-	// region is where Layout flows the items, empty until Layout visits the
-	// list (the regions Layout hands out never are).
-	region   uia.Rect
+	list     *uia.Element
+	build    func()                    // adds the items under list; nil once built
 	eachItem []func(item *uia.Element) // EachItem hooks, run per built item
 }
 
@@ -28,7 +23,7 @@ func (a *App) deferItems(list *uia.Element, n int, build func()) *lazyItems {
 	if n == 0 {
 		return nil
 	}
-	l := &lazyItems{list: list, n: n, build: build}
+	l := &lazyItems{list: list, build: build}
 	if a.deferred == nil {
 		a.deferred = make(map[*uia.Element]*lazyItems)
 	}
@@ -37,8 +32,8 @@ func (a *App) deferItems(list *uia.Element, n int, build func()) *lazyItems {
 	return l
 }
 
-// materialize builds l's items if they are not built yet, lays them out where
-// Layout would have put them, and runs the EachItem hooks on them.
+// materialize builds l's items if they are not built yet and runs the
+// EachItem hooks on them.
 func (a *App) materialize(l *lazyItems) {
 	if l == nil || l.build == nil {
 		return
@@ -52,9 +47,6 @@ func (a *App) materialize(l *lazyItems) {
 	l.build = nil
 	delete(a.deferred, l.list)
 	build()
-	if !l.region.Empty() {
-		a.layoutChildren(l.list, l.region)
-	}
 	for _, fn := range l.eachItem {
 		for _, it := range l.list.Children() {
 			fn(it)

@@ -17,7 +17,6 @@ func TestDeferredListsBuildOnce(t *testing.T) {
 	a.Body().MenuButton("btnGal", "Styles", g, nil)
 	clickCB := a.Body().ComboBox("cbClick", "Size", []string{"8", "9"}, nil)
 	patternCB := a.Body().ComboBox("cbPattern", "Font", []string{"Arial", "Calibri"}, nil)
-	a.Layout()
 
 	galList := g.Win.FindByAutomationID("galItems")
 	otherList := other.Win.FindByAutomationID("galOtherItems")
@@ -76,25 +75,6 @@ func TestDeferredListsBuildOnce(t *testing.T) {
 	}
 	if len(otherList.Children()) != len(items) {
 		t.Fatal("MaterializeAll left a gallery unbuilt")
-	}
-}
-
-// TestDeferredItemsLaidOutOnBuild: items built after Layout get the cells
-// Layout reserved for them, inside their list's band.
-func TestDeferredItemsLaidOutOnBuild(t *testing.T) {
-	a := demoApp()
-	g := a.Gallery("gal", "Styles", []string{"A", "B", "C"}, 10, nil)
-	a.Layout()
-	list := g.Win.FindByAutomationID("galItems")
-	if list.Rect().Empty() {
-		t.Fatal("deferred list got no band")
-	}
-	g.Open(nil)
-	for _, it := range list.Children() {
-		r := it.Rect()
-		if r.Empty() || !list.Rect().Contains(r.X, r.Y) {
-			t.Errorf("item %s rect %+v outside list band %+v", it.Name(), r, list.Rect())
-		}
 	}
 }
 

@@ -137,6 +137,39 @@ func (a *App) OpenPopups() int { return len(a.popups) }
 // not, in creation order.
 func (a *App) PopupTemplates() []*Popup { return a.popupTemplates }
 
+// AllPopupWindows returns the root window element of every popup template
+// the application has created, whether or not it is currently open. Tooling
+// (control counting, offline modeling statistics) uses this to enumerate the
+// complete UI surface.
+func (a *App) AllPopupWindows() []*uia.Element {
+	ps := a.allPopups()
+	out := make([]*uia.Element, 0, len(ps))
+	for _, p := range ps {
+		out = append(out, p.Win)
+	}
+	return out
+}
+
+func (a *App) allPopups() []*Popup {
+	seen := make(map[*Popup]bool)
+	var out []*Popup
+	var add func(p *Popup)
+	add = func(p *Popup) {
+		if p == nil || seen[p] {
+			return
+		}
+		seen[p] = true
+		out = append(out, p)
+	}
+	for _, p := range a.popups {
+		add(p)
+	}
+	for _, p := range a.popupTemplates {
+		add(p)
+	}
+	return out
+}
+
 func (a *App) closePopup(p *Popup, accepted bool) {
 	for i := len(a.popups) - 1; i >= 0; i-- {
 		if a.popups[i] != p {

@@ -62,7 +62,6 @@ func New() *App {
 	f.buildHome()
 	f.buildView()
 	f.buildBody()
-	f.Layout()
 	return f
 }
 

@@ -148,7 +148,6 @@ func New() *App {
 	s.buildTimeLanguage()
 	s.buildAccounts()
 	s.buildBody()
-	s.Layout()
 	return s
 }
 

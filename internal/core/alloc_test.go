@@ -32,7 +32,6 @@ func TestPromptStatsMatchesCapture(t *testing.T) {
 			it.SetPattern(uia.ValuePattern, uia.NewValue(fmt.Sprintf("v%d", i), nil))
 			grid.AddChild(it)
 		}
-		a.Layout()
 		return NewSession(a, nil, Options{})
 	}
 	for name, app := range map[string]func() *Session{

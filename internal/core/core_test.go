@@ -79,7 +79,6 @@ func newTestApp() *testApp {
 		lst.El.AddChild(it)
 	}
 
-	a.Layout()
 	return ta
 }
 
@@ -486,7 +485,6 @@ func withStateControls(ta *testApp) *testApp {
 	p.RadioGroup("rbSize", []string{"Small", "Large"}, nil)
 	p.ComboBox("cbMode", "Mode", []string{"Fast", "Slow"}, nil)
 	p.Spinner("spnLevel", "Level", 0, 10, 5, nil)
-	ta.Layout()
 	return ta
 }
 

@@ -29,7 +29,6 @@ func TestPassiveTextsEmitsCaptureOrder(t *testing.T) {
 		it.SetPattern(uia.ValuePattern, uia.NewValue(fmt.Sprintf("v%d", i), nil))
 		grid.AddChild(it)
 	}
-	a.Layout()
 
 	s := NewSession(a, nil, Options{})
 	lm := s.CaptureLabels()
@@ -119,7 +118,6 @@ func stubbornApp() *appkit.App {
 	dlg.Panel().Button("dlgStubOK", "OK", nil) // does not close the dialog
 	ins := a.Tab("tabIns", "Insert")
 	ins.Group("grpDlg", "Dialogs").DialogButton("btnStub", "Stub", dlg, nil)
-	a.Layout()
 	return a
 }
 

@@ -31,7 +31,6 @@ func storeApp() *appkit.App {
 	dlg.AddOKCancel(nil)
 	ins.Group("grpTables", "Tables").DialogButton("btnTable", "Table", dlg, nil)
 	a.AddRibbonCollapse()
-	a.Layout()
 	return a
 }
 

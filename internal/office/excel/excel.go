@@ -57,7 +57,6 @@ func New(rows ...[]string) *App {
 
 	x.RegisterContext(appkit.Context{Name: ContextChartSelected})
 	x.buildChartDesign()
-	x.Layout()
 	return x
 }
 

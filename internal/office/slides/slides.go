@@ -64,7 +64,6 @@ func New(n int) *App {
 	p.buildBody()
 
 	p.RegisterContext(appkit.Context{Name: ContextImageSelected})
-	p.Layout()
 	return p
 }
 
@@ -79,9 +78,8 @@ func deckSize(n int) int {
 // Reset puts the deck where New(n) would: a fresh n-slide deck, no picture
 // border, the thumbnail panel scrolled to the top. When n differs from the
 // number of thumbnails, the thumbnails and the Custom Slide Show list are
-// rebuilt for n slides and the application is laid out again, as New(n)
-// lays it out; like every other UI change, that goes through the elements'
-// undo seam.
+// rebuilt for n slides; like every other UI change, that goes through the
+// elements' undo seam.
 func (p *App) Reset(n int) {
 	n = deckSize(n)
 	p.Deck = NewDeck(n)
@@ -93,7 +91,6 @@ func (p *App) Reset(n int) {
 			p.showList.El.RemoveChild(it)
 		}
 		p.addShowItems()
-		p.Layout()
 	}
 	p.ScrollThumbsTo(0)
 }
@@ -132,7 +129,6 @@ func (p *App) layoutGallery() *appkit.Popup {
 		func(_ *appkit.App, layout string) {
 			p.Deck.InsertSlide(layout)
 			p.refreshThumbs()
-			p.Layout() // as Reset does: the new thumbnails have no rectangles yet
 		})
 }
 
@@ -588,9 +584,13 @@ func (p *App) buildBody() {
 		p.thumbs = append(p.thumbs, th)
 	}
 	p.applyThumbViewport()
-	panel.VScrollBar("sbSlides", "Slides Vertical Scroll Bar", func(_ *appkit.App, v float64) {
+	sb := panel.VScrollBar("sbSlides", "Slides Vertical Scroll Bar", func(_ *appkit.App, v float64) {
 		p.ScrollThumbsTo(v)
 	})
+	// The scrollbar is the one control placed on screen: a vertical band
+	// inside the 1600×900 window, so a Desktop.Drag along it (the
+	// imperative half of Table 1's Task 2) moves the thumbnail viewport.
+	sb.SetRect(uia.Rect{X: 224, Y: 160, W: 16, H: 680})
 
 	edit := p.Window().Pane("pnlSlideEdit", "Slide Editing Pane")
 	title := uia.NewElement("shpTitle", "Title Placeholder", uia.EditControl)

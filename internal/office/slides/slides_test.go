@@ -107,22 +107,30 @@ func TestNewSlideWithLayout(t *testing.T) {
 	}
 }
 
-// TestNewSlideThumbsHitTest: after a New Slide pick every thumbnail,
-// recreated for the grown deck, is laid out, so a drag can start from any
-// of them.
-func TestNewSlideThumbsHitTest(t *testing.T) {
-	p := New(5)
-	click(t, p, findIn(t, p.Win, "btnNewSlide"))
-	click(t, p, p.Desk.TopWindow().FindByName("Title Only"))
-	for i := range p.Deck.Slides {
-		th := p.Thumb(i)
-		r := th.Rect()
-		if r.Empty() {
-			t.Fatalf("thumbnail %d has an empty rectangle %+v", i, r)
-		}
-		if got := p.Desk.HitTest(r.X+r.W/2, r.Y+r.H/2); got != th {
-			t.Errorf("hit test at thumbnail %d's centre found %v", i, got)
-		}
+// TestScrollBarDrag: the thumbnail scrollbar is a vertical band inside the
+// main window, so one drag from its top down by a quarter of its height
+// raises its scroll percent and pans thumbnail 1 out of view.
+func TestScrollBarDrag(t *testing.T) {
+	p := New(12)
+	sb := findIn(t, p.Win, "sbSlides")
+	r, win := sb.Rect(), p.Win.Rect()
+	if r.H <= r.W {
+		t.Fatalf("scrollbar %+v is not vertical", r)
+	}
+	if r.X < win.X || r.Y < win.Y || r.X+r.W > win.X+win.W || r.Y+r.H > win.Y+win.H {
+		t.Fatalf("scrollbar %+v lies outside the window %+v", r, win)
+	}
+	sc := sb.Pattern(uia.ScrollPattern).(uia.Scroller)
+	_, before := sc.ScrollPercent(sb)
+	x := r.X + r.W/2
+	if err := p.Desk.Drag(x, r.Y, x, r.Y+r.H/4); err != nil {
+		t.Fatal(err)
+	}
+	if _, after := sc.ScrollPercent(sb); after <= before {
+		t.Fatalf("scroll percent %v after the drag, was %v", after, before)
+	}
+	if p.Thumb(0).OnScreen() {
+		t.Fatal("slide 1 still visible after the drag")
 	}
 }
 

@@ -79,7 +79,6 @@ func New(paras ...string) *App {
 		Name:  ContextImageSelected,
 		Enter: func(*appkit.App) { uia.Store(w.Win, &w.PictureSelected, true) },
 	})
-	w.Layout()
 	return w
 }
 

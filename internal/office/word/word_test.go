@@ -232,19 +232,3 @@ func TestBlocklistContainsAccount(t *testing.T) {
 		t.Fatal("word should blocklist at least the Account control")
 	}
 }
-
-// TestHitTestPrefersTheDialog: a hit in a higher window wins over any hit
-// in a lower one, however deep: the centre of the Find and Replace
-// dialog's OK button is that button, not the main window's font-name box
-// behind the dialog.
-func TestHitTestPrefersTheDialog(t *testing.T) {
-	w := New()
-	click(t, w, findIn(t, w.Win, "btnReplace"))
-	ok := findIn(t, w.Desk.TopWindow(), "dlgFindReplaceOK")
-	if behind := w.Win.FindByAutomationID("wFontName"); behind == nil || !behind.Rect().Contains(ok.Rect().Center()) {
-		t.Fatalf("wFontName does not lie behind the OK button's centre: %v", behind)
-	}
-	if got := w.Desk.HitTest(ok.Rect().Center()); got != ok {
-		t.Errorf("HitTest at the centre of %s = %v, want the button", ok.ControlID(), got)
-	}
-}

@@ -411,10 +411,10 @@ func (d *Desktop) PressKey(combo string) error {
 }
 
 // Drag simulates a press-move-release gesture from (x0,y0) to (x1,y1). If
-// the press lands on a scrollbar thumb, the owning scrollbar's position is
-// adjusted proportionally; otherwise the drag is a no-op that still costs
-// time — exactly the fragile composite interaction the paper's Task 2
-// illustrates.
+// the press lands on a scrollbar or an element inside one, the scrollbar's
+// position moves by the drag's share of its length along its longer side;
+// otherwise the drag is a no-op that still costs time — exactly the fragile
+// composite interaction the paper's Task 2 illustrates.
 func (d *Desktop) Drag(x0, y0, x1, y1 int) error {
 	d.clock.Advance(CostDragStep)
 	src := d.HitTest(x0, y0)

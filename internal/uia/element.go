@@ -16,14 +16,6 @@ func (r Rect) Contains(x, y int) bool {
 	return x >= r.X && x < r.X+r.W && y >= r.Y && y < r.Y+r.H
 }
 
-// Center returns the midpoint of the rectangle.
-//
-//dmi:testonly appkit and uia tests aim clicks at a control's centre
-func (r Rect) Center() (x, y int) { return r.X + r.W/2, r.Y + r.H/2 }
-
-// Empty reports whether the rectangle has zero area.
-func (r Rect) Empty() bool { return r.W <= 0 || r.H <= 0 }
-
 // Element is a node in an accessibility tree: one UI control. Elements are
 // mutable; applications wire behaviour in with pattern providers and click
 // handlers, and mutate the tree as interaction proceeds (menus opening, tabs

@@ -11,3 +11,9 @@ func (e *Element) Depth() int {
 	}
 	return max + 1
 }
+
+// Center returns the midpoint of the rectangle.
+func (r Rect) Center() (x, y int) { return r.X + r.W/2, r.Y + r.H/2 }
+
+// Empty reports whether the rectangle has zero area.
+func (r Rect) Empty() bool { return r.W <= 0 || r.H <= 0 }

@@ -91,7 +91,6 @@ func renameDemo() *appkit.App {
 	g := a.Tab("tabHome", "Home").Group("grpRename", "Rename")
 	beta := g.Button("", "Beta", nil)
 	g.Button("btnRename", "Rename", func(*appkit.App) { beta.SetName("Beth") })
-	a.Layout()
 	return a
 }
 

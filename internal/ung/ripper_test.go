@@ -38,7 +38,6 @@ func demoApp() *appkit.App {
 	ct.Group("grpThing", "Thing").Button("btnThingBorder", "Thing Border", nil)
 
 	a.AddRibbonCollapse()
-	a.Layout()
 	return a
 }
 
