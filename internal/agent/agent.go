@@ -127,27 +127,52 @@ type Models struct {
 	CoreTokens map[string]int
 }
 
-// Factories returns the throwaway-instance builders for the evaluated
-// application catalog: the paper's three Office case studies plus the
-// Settings and Files applications of the extended catalog. Adding an app
-// here is all the online stack needs — the store, the benchmark grid, and
-// the CLIs enumerate this map.
-func Factories() map[string]func() *appkit.App {
-	return map[string]func() *appkit.App{
-		"Word":       func() *appkit.App { return word.New().App },
-		"Excel":      func() *appkit.App { return excel.New().App },
-		"PowerPoint": func() *appkit.App { return slides.New(12).App },
-		"Settings":   func() *appkit.App { return settings.New().App },
-		"Files":      func() *appkit.App { return filemgr.New().App },
-	}
+// catalog lists the evaluated applications in AppNames order with their
+// throwaway-instance builders: the paper's three Office case studies plus
+// the Settings and Files applications of the extended catalog. Adding an
+// app here is all the online stack needs — the store, the benchmark grid,
+// and the CLIs enumerate it.
+var catalog = [...]struct {
+	name string
+	new  func() *appkit.App
+}{
+	{"Word", func() *appkit.App { return word.New().App }},
+	{"Excel", func() *appkit.App { return excel.New().App }},
+	{"PowerPoint", func() *appkit.App { return slides.New(12).App }},
+	{"Settings", func() *appkit.App { return settings.New().App }},
+	{"Files", func() *appkit.App { return filemgr.New().App }},
 }
 
-// AppNames returns the catalog's application names in stable order. It must
-// list exactly the keys of Factories (asserted by TestAppNamesMatchFactories)
-// — every catalog consumer that needs deterministic ordering (CLIs, report
-// tables) iterates this slice instead of the map.
+// Factories returns the catalog's throwaway-instance builders by
+// application name.
+func Factories() map[string]func() *appkit.App {
+	m := make(map[string]func() *appkit.App, len(catalog))
+	for _, c := range catalog {
+		m[c.name] = c.new
+	}
+	return m
+}
+
+// factory returns one application's builder without building the
+// Factories map, which ModelsFor would otherwise do per session.
+func factory(app string) (func() *appkit.App, bool) {
+	for _, c := range catalog {
+		if c.name == app {
+			return c.new, true
+		}
+	}
+	return nil, false
+}
+
+// AppNames returns the catalog's application names in stable order — every
+// catalog consumer that needs deterministic ordering (CLIs, report tables)
+// iterates this slice instead of the Factories map.
 func AppNames() []string {
-	return []string{"Word", "Excel", "PowerPoint", "Settings", "Files"}
+	names := make([]string, len(catalog))
+	for i, c := range catalog {
+		names[i] = c.name
+	}
+	return names
 }
 
 // BuildModelsIn runs the offline phase for the application catalog through
@@ -182,11 +207,11 @@ func BuildModelsIn(store *modelstore.Store, workers int) (*Models, error) {
 // lets the store's budget and LRU state decide whether the session start is
 // a warm hit, a zero-rip snapshot reload, or a fresh build.
 func ModelsFor(store *modelstore.Store, app string, workers int) (*Models, error) {
-	factory, ok := Factories()[app]
+	build, ok := factory(app)
 	if !ok {
 		return nil, fmt.Errorf("agent: unknown application %q", app)
 	}
-	b, err := store.Build(app, factory, modelstore.Options{Workers: workers})
+	b, err := store.Build(app, build, modelstore.Options{Workers: workers})
 	if err != nil {
 		return nil, err
 	}

@@ -78,22 +78,24 @@ func digest(s string) string {
 // model (the forest from its shape, the stored core rendering and token
 // count) for all five apps. Both figures are deterministic up to a few
 // allocations, so they gate the restart path's footprint where wall-clock
-// cannot. A restart makes about 275 allocations of 4.2 MB in total
-// (go1.24); while it ran the transform, rendered the core and counted its
-// tokens again, about 351 of 5.1 MB; while every model rendered its full
-// topology at construction and each snapshot read went through io.Copy's
-// 32 KB buffer, about 397 of 6.0 MB; while it read each snapshot into a
-// byte slice that the decoder copied again, the decoded graph kept an id
-// map and each forest node copied its graph node's fields, about 420 of
-// 8.27 MB; with an id-keyed graph that the decoder and the transform each
-// re-indexed, about 505 of 10.2 MB; and before the decoder checked the
-// graph on edge indexes, describe rendered into one presized buffer and
-// model ids came from forest positions instead of a pointer-keyed map,
-// 1.3k of 13.6 MB. Tighten the budgets when the path gets leaner; never
-// loosen them.
+// cannot. A restart makes about 233 allocations of 3.71 MB in total
+// (go1.24); while each graph node carried two edge-list headers (128
+// bytes a node, 80 now) and the store's fingerprints came from
+// fmt.Sprintf, about 277 of 4.2 MB; while it ran the transform, rendered
+// the core and counted its tokens again, about 351 of 5.1 MB; while every
+// model rendered its full topology at construction and each snapshot read
+// went through io.Copy's 32 KB buffer, about 397 of 6.0 MB; while it read
+// each snapshot into a byte slice that the decoder copied again, the
+// decoded graph kept an id map and each forest node copied its graph
+// node's fields, about 420 of 8.27 MB; with an id-keyed graph that the
+// decoder and the transform each re-indexed, about 505 of 10.2 MB; and
+// before the decoder checked the graph on edge indexes, describe rendered
+// into one presized buffer and model ids came from forest positions
+// instead of a pointer-keyed map, 1.3k of 13.6 MB. Tighten the budgets
+// when the path gets leaner; never loosen them.
 const (
-	snapshotRestartAllocBudget = 290
-	snapshotRestartByteBudget  = 4_400_000
+	snapshotRestartAllocBudget = 245
+	snapshotRestartByteBudget  = 3_900_000
 )
 
 // raceEnabled is set in race builds (race_test.go), where the budgets are
@@ -137,17 +139,19 @@ func TestSnapshotRestartAllocs(t *testing.T) {
 
 // catalogColdAllocBudget and catalogColdByteBudget bound one cold catalog
 // build in a fresh store: rip, forest transform, describe and token count
-// for all five apps. A cold build allocates about 114.6k times and 17.7 MB
-// in total (go1.24); while an in-memory store encoded every graph only to
-// learn its size, 18.9 MB; while every model rendered its full topology at
-// construction, 19.5 MB; while each forest node copied its graph node's
-// fields and the ripped graph kept its id map, 20.3 MB; and while each rip
-// checkpoint copied the windows a click left unchanged and the graph grew
-// its nodes by append, 115.6k times and 24.0 MB. Tighten the budgets when
-// the path gets leaner; never loosen them.
+// for all five apps. A cold build allocates about 100.5k times and 16.8 MB
+// in total (go1.24); while the rip grew two edge lists per node and kept
+// its id index in a map, 114.4k times and 17.6 MB; while an in-memory
+// store encoded every graph only to learn its size, 18.9 MB; while every
+// model rendered its full topology at construction, 19.5 MB; while each
+// forest node copied its graph node's fields and the ripped graph kept its
+// id map, 20.3 MB; and while each rip checkpoint copied the windows a
+// click left unchanged and the graph grew its nodes by append, 115.6k
+// times and 24.0 MB. Tighten the budgets when the path gets leaner; never
+// loosen them.
 const (
-	catalogColdAllocBudget = 115_000
-	catalogColdByteBudget  = 18_100_000
+	catalogColdAllocBudget = 102_000
+	catalogColdByteBudget  = 17_100_000
 )
 
 func TestCatalogColdAllocs(t *testing.T) {
@@ -174,5 +178,64 @@ func TestCatalogColdAllocs(t *testing.T) {
 	}
 	if bytes > catalogColdByteBudget {
 		t.Errorf("cold catalog build allocates %d bytes, budget %d", bytes, catalogColdByteBudget)
+	}
+}
+
+// modelsForWarmAllocBudget bounds a warm ModelsFor, the serving daemon's
+// per-session model fetch: the store's fingerprint, and the one-app view
+// with its two maps, 6 allocations (go1.24). It made 12 while it built the
+// five-entry Factories map to read one builder and the fingerprint came
+// from two fmt.Sprintf calls. Tighten it when the fetch gets leaner; never
+// loosen it.
+const modelsForWarmAllocBudget = 6
+
+func TestModelsForWarmAllocs(t *testing.T) {
+	store := modelstore.New()
+	if _, err := ModelsFor(store, "Files", 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ModelsFor(store, "Files", 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm ModelsFor: %.0f allocs", allocs)
+	if allocs > modelsForWarmAllocBudget && !raceEnabled {
+		t.Errorf("a warm ModelsFor allocates %.0f times, budget %d", allocs, modelsForWarmAllocBudget)
+	}
+}
+
+// catalogResidentByteBudget bounds the live heap a serving replica keeps
+// for the catalog: the five models a fresh in-memory store builds, with
+// the store that holds them and the name index every session resolves
+// through. The catalog holds about 3.5 MB (go1.24); 5.2 MB while each
+// graph node carried two edge-list headers and the name index was a map
+// from key to id slice. Tighten it when models get smaller; never loosen
+// it.
+const catalogResidentByteBudget = 3_700_000
+
+func TestCatalogResidentBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap figures differ under the race detector")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	store := modelstore.New()
+	models, err := BuildModelsIn(store, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range AppNames() {
+		models.ByApp[app].IDsNamed("")
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(store)
+	runtime.KeepAlive(models)
+	bytes := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("catalog resident: %d bytes", bytes)
+	if bytes > catalogResidentByteBudget {
+		t.Errorf("the catalog keeps %d bytes resident, budget %d", bytes, catalogResidentByteBudget)
 	}
 }

@@ -10,7 +10,9 @@
 // not -race happens to catch it on a given run. The analyzer flags
 // assignments (including op-assigns, ++/--, and map element stores) whose
 // target chain passes through one of the protected types from outside the
-// type's own package, plus calls to the graph's construction-time mutators
+// type's own package, element stores into the edge lists the graph hands
+// out (g.Out(i)[k] = x: Graph.Out and Graph.In return windows of its one
+// edge buffer), plus calls to the graph's construction-time mutators
 // (Graph.AddNode, Graph.AddEdge) from outside internal/ung.
 //
 // Sessions are single-goroutine. A core.Session mutates its own window and
@@ -32,6 +34,7 @@ package modelsafe
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
@@ -55,6 +58,12 @@ var protected = map[string][]string{
 // value.
 var mutators = map[string]map[string]bool{
 	"repro/internal/ung": {"AddNode": true, "AddEdge": true},
+}
+
+// views lists methods of protected types whose result aliases the
+// receiver's storage, so a store into the result writes the frozen value.
+var views = map[string]map[string]bool{
+	"repro/internal/ung": {"Out": true, "In": true},
 }
 
 // sessionPkg/sessionType name the single-goroutine session executor.
@@ -109,8 +118,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 // checkWrite flags a store whose target chain passes through a protected
 // type defined in another package. The chain walk covers field stores
-// (m.Forest = x), element stores (g.Nodes[i].Name = s), and stores through
-// nested selections (model.Forest.Main.Children[0].Name = x).
+// (m.Forest = x), element stores (g.Nodes[i].Name = s), stores through
+// nested selections (model.Forest.Main.Children[0].Name = x), and element
+// stores into a view method's result (g.Out(i)[k] = x).
 func checkWrite(pass *analysis.Pass, lhs ast.Expr) {
 	e := ast.Unparen(lhs)
 	for {
@@ -126,6 +136,13 @@ func checkWrite(pass *analysis.Pass, lhs ast.Expr) {
 			return
 		}
 		inner = ast.Unparen(inner)
+		if call, ok := inner.(*ast.CallExpr); ok {
+			if pkg, typ, method, ok := viewCall(pass, call); ok {
+				pass.Reportf(lhs.Pos(), "write to %s.%s(...)%s outside %s: models are read-only once built (concurrent sessions share them)",
+					typ, method, strings.TrimPrefix(exprSel(e), "?"), pkg)
+			}
+			return
+		}
 		if pkg, name, ok := protectedVia(pass, inner); ok {
 			pass.Reportf(lhs.Pos(), "write to %s.%s outside %s: models are read-only once built (concurrent sessions share them)", name, exprSel(e), pkg)
 			return
@@ -171,6 +188,28 @@ func exprSel(e ast.Expr) string {
 		return exprSel(ast.Unparen(x.X))
 	}
 	return "?"
+}
+
+// viewCall reports whether call invokes a view method of a protected type
+// defined outside the current package, returning the defining package,
+// the type and the method.
+func viewCall(pass *analysis.Pass, call *ast.CallExpr) (pkg, typ, method string, ok bool) {
+	fn, isFn := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
+	if !isFn || fn.Pkg() == nil {
+		return "", "", "", false
+	}
+	sig, isSig := fn.Type().(*types.Signature)
+	if !isSig || sig.Recv() == nil {
+		return "", "", "", false
+	}
+	for p, names := range views {
+		if names[fn.Name()] && vetkit.SamePackage(fn.Pkg(), p) && !vetkit.SamePackage(pass.Pkg, p) {
+			if named := vetkit.NamedType(sig.Recv().Type()); named != nil {
+				return fn.Pkg().Path(), named.Obj().Name(), fn.Name(), true
+			}
+		}
+	}
+	return "", "", "", false
 }
 
 // checkMutatorCall flags construction-time mutator methods invoked on

@@ -26,15 +26,16 @@ func mutateDeepChain(m *describe.Model) {
 func mutateGraph(g *ung.Graph) {
 	g.Nodes = nil                      // want `write to Graph.Nodes outside repro/internal/ung`
 	g.Nodes[0].Name = "renamed"        // want `write to Node.Name outside repro/internal/ung`
-	g.Nodes[0].Out[0] = 1              // want `write to Node.Out outside repro/internal/ung`
+	g.Out(0)[0] = 1                    // want `write to Graph.Out\(...\)\[...\] outside repro/internal/ung`
+	g.In(1)[0]++                       // want `write to Graph.In\(...\)\[...\] outside repro/internal/ung`
 	g.AddNode(ung.Reveal{ID: "y"}, "") // want `AddNode mutates a frozen graph outside repro/internal/ung`
 	g.AddEdge(0, 1)                    // want `AddEdge mutates a frozen graph outside repro/internal/ung`
 }
 
 func readGraph(g *ung.Graph) int {
 	n := 0
-	for i := range g.Nodes {
-		n += len(g.Nodes[i].Out)
+	for i := range int32(len(g.Nodes)) {
+		n += len(g.Out(i)) + int(g.In(i)[0])
 	}
 	return n
 }

@@ -11,14 +11,18 @@ type Reveal struct {
 type Node struct {
 	ID   string
 	Name string
-	Out  []int32
-	In   []int32
 }
 
 type Graph struct {
 	Nodes []Node
+	edges []int32
+	off   []int32
 	index map[string]int32
 }
+
+func (g *Graph) Out(i int32) []int32 { return g.edges[g.off[2*i]:g.off[2*i+1]:g.off[2*i+1]] }
+
+func (g *Graph) In(i int32) []int32 { return g.edges[g.off[2*i+1]:g.off[2*i+2]:g.off[2*i+2]] }
 
 func (g *Graph) AddNode(r Reveal, context string) (int32, bool) {
 	if i, ok := g.index[r.ID]; ok {
@@ -37,6 +41,9 @@ func (g *Graph) AddEdge(from, to int32) {
 	if from < 0 || to < 0 || int(from) >= len(g.Nodes) || int(to) >= len(g.Nodes) {
 		return
 	}
-	g.Nodes[from].Out = append(g.Nodes[from].Out, to)
-	g.Nodes[to].In = append(g.Nodes[to].In, from)
+	g.edges = append(g.edges, to, from)
+}
+
+func (g *Graph) retarget(from, to int32) {
+	g.Out(from)[0] = to
 }

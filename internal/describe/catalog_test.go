@@ -1,8 +1,10 @@
 package describe
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/office/excel"
 	"repro/internal/office/slides"
 	"repro/internal/office/word"
+	"repro/internal/uia"
 	"repro/internal/ung"
 )
 
@@ -142,3 +145,76 @@ func TestAppendEscapedMatchesReplacer(t *testing.T) {
 
 // raceEnabled is set in race builds (race_test.go).
 var raceEnabled bool
+
+// TestIDsNamedMatchesMap: on every catalog model the name index returns,
+// for every primary id and every name, exactly the ids a map from key to
+// id list gives, in id order and capped at their length, and nothing for
+// keys no node carries.
+func TestIDsNamedMatchesMap(t *testing.T) {
+	for _, app := range catalogApps {
+		m := NewModel(ripForest(t, app.new()))
+		want := make(map[string][]int32)
+		for i, n := range m.byID {
+			p, _, _ := uia.SplitControlID(n.ID)
+			want[p] = append(want[p], int32(i))
+			if n.Name != p {
+				want[n.Name] = append(want[n.Name], int32(i))
+			}
+		}
+		for key, ids := range want {
+			got := m.IDsNamed(key)
+			if !slices.Equal(got, ids) {
+				t.Fatalf("%s: IDsNamed(%q) = %v, want %v", app.name, key, got, ids)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("%s: IDsNamed(%q) has len %d, cap %d", app.name, key, len(got), cap(got))
+			}
+		}
+		for _, miss := range []string{"no such control", "btnBold|ButtonControl", m.byID[0].ID + "x", "\x00"} {
+			if _, ok := want[miss]; ok {
+				continue
+			}
+			if got := m.IDsNamed(miss); got != nil {
+				t.Errorf("%s: IDsNamed(%q) = %v, want none", app.name, miss, got)
+			}
+		}
+	}
+}
+
+// TestIDsNamedConcurrentFirstUse: the first IDsNamed calls may come from
+// many sessions at once; each gets the one index. Run under -race it also
+// checks the index is published safely.
+func TestIDsNamedConcurrentFirstUse(t *testing.T) {
+	f := ripForest(t, filemgr.New().App)
+	ref := NewModel(f)
+	keys := make([]string, 0, ref.NodeCount())
+	for _, n := range ref.byID {
+		keys = append(keys, n.Name)
+	}
+	want := make([][]int32, len(keys))
+	for i, k := range keys {
+		want[i] = ref.IDsNamed(k)
+	}
+	m := NewModel(f)
+	var wg sync.WaitGroup
+	errs := make([]string, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range keys {
+				k := (i + g*len(keys)/len(errs)) % len(keys)
+				if got := m.IDsNamed(keys[k]); !slices.Equal(got, want[k]) {
+					errs[g] = fmt.Sprintf("goroutine %d: IDsNamed(%q) = %v, want %v", g, keys[k], got, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != "" {
+			t.Error(e)
+		}
+	}
+}

@@ -176,7 +176,7 @@ func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 		return nil, st, fmt.Errorf("forest: graph does not start at the virtual root %q", ung.RootID)
 	}
 	const root = 0
-	dag, reached, removed, err := decycle(g.Nodes)
+	dag, reached, removed, err := decycle(g)
 	if err != nil {
 		return nil, st, err
 	}
@@ -266,21 +266,18 @@ func Transform(g *ung.Graph, opt Options) (*Forest, Stats, error) {
 // DAG"). Nodes the DFS never reaches keep no adjacency and no incoming
 // edges. An edge to an index outside the graph is an error: the passes
 // below would otherwise read a wrong node, or none.
-func decycle(nodes []ung.Node) (adj [][]int32, reached, removed int, err error) {
+func decycle(g *ung.Graph) (adj [][]int32, reached, removed int, err error) {
 	const (
 		unseen = iota
 		onStack
 		done
 	)
+	nodes := g.Nodes
 	state := make([]uint8, len(nodes))
 	adj = make([][]int32, len(nodes))
-	total := 0
-	for i := range nodes {
-		total += len(nodes[i].Out)
-	}
-	// A node keeps a subsequence of its Out list, so every adjacency fits
-	// in a slice of one shared buffer capped at its Out length.
-	buf := make([]int32, total)
+	// A node keeps a subsequence of its out list, so every adjacency fits
+	// in a slice of one shared buffer capped at its out list's length.
+	buf := make([]int32, g.EdgeCount())
 
 	type frame struct {
 		v int32
@@ -290,14 +287,14 @@ func decycle(nodes []ung.Node) (adj [][]int32, reached, removed int, err error) 
 	push := func(v int32) {
 		stack = append(stack, frame{v: v})
 		state[v] = onStack
-		k := len(nodes[v].Out)
+		k := len(g.Out(v))
 		adj[v], buf = buf[:0:k], buf[k:]
 		reached++
 	}
 	push(0)
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
-		out := nodes[top.v].Out
+		out := g.Out(top.v)
 		if top.i >= len(out) {
 			state[top.v] = done
 			stack = stack[:len(stack)-1]

@@ -258,13 +258,12 @@ func TestNestedReferences(t *testing.T) {
 	}
 }
 
-// TestTransformRejectsDanglingEdge: an Out index with no node behind it, or
-// a graph that does not start at its virtual root, is an error, not a panic
-// and not a read of some other node.
+// TestTransformRejectsDanglingEdge: an out-list index with no node behind
+// it, or a graph that does not start at its virtual root, is an error, not
+// a panic and not a read of some other node.
 func TestTransformRejectsDanglingEdge(t *testing.T) {
 	dangling := buildGraph(t, map[string][]string{ung.RootID: {"a"}, "a": {"b"}})
-	a := &dangling.Nodes[node(dangling, "a")]
-	a.Out = append(a.Out, int32(len(dangling.Nodes)))
+	dangling.Out(node(dangling, "a"))[0] = int32(len(dangling.Nodes))
 
 	rootless := buildGraph(t, map[string][]string{ung.RootID: {"a"}})
 	rootless.Nodes[0].ID = "not-the-root"
@@ -363,9 +362,9 @@ func TestForestSizeBounds(t *testing.T) {
 		// nodes), so growth is linear in total merge in-degree — the
 		// paper's "linear node growth" guarantee.
 		bound := st.GraphNodes
-		for _, n := range g.Nodes {
-			if len(n.In) > 1 {
-				bound += len(n.In)
+		for i := range int32(len(g.Nodes)) {
+			if in := g.In(i); len(in) > 1 {
+				bound += len(in)
 			}
 		}
 		if f.NodeCount() > bound {

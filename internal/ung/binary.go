@@ -65,7 +65,7 @@ func EncodeBinary(g *Graph) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, BinaryVersion)
 	buf = appendString(buf, g.App)
 	buf = binary.AppendUvarint(buf, uint64(len(g.Nodes)))
-	for i := range g.Nodes {
+	for i := range int32(len(g.Nodes)) {
 		n := &g.Nodes[i]
 		if n.Type < 0 {
 			return nil, negativeType(n)
@@ -80,8 +80,8 @@ func EncodeBinary(g *Graph) ([]byte, error) {
 		}
 		buf = append(buf, flags)
 		buf = appendString(buf, n.Context)
-		buf = appendEdges(buf, n.Out)
-		buf = appendEdges(buf, n.In)
+		buf = appendEdges(buf, g.Out(i))
+		buf = appendEdges(buf, g.In(i))
 	}
 	return buf, nil
 }
@@ -91,14 +91,14 @@ func EncodeBinary(g *Graph) ([]byte, error) {
 // its models in memory only needs the size, as their budget cost.
 func EncodedSize(g *Graph) (int, error) {
 	size := len(binaryMagic) + uvarintLen(BinaryVersion) + stringLen(g.App) + uvarintLen(uint64(len(g.Nodes)))
-	for i := range g.Nodes {
+	for i := range int32(len(g.Nodes)) {
 		n := &g.Nodes[i]
 		if n.Type < 0 {
 			return 0, negativeType(n)
 		}
 		const flags = 1 // the flags byte
 		size += stringLen(n.ID) + stringLen(n.Name) + uvarintLen(uint64(n.Type)) + stringLen(n.Desc) +
-			flags + stringLen(n.Context) + edgesLen(n.Out) + edgesLen(n.In)
+			flags + stringLen(n.Context) + edgesLen(g.Out(i)) + edgesLen(g.In(i))
 	}
 	return size, nil
 }
@@ -173,17 +173,21 @@ func DecodeBinaryString(s string) (*Graph, error) {
 	}
 	// Every node carries at least minNodeBytes; a count claiming more nodes
 	// than the remaining bytes can hold is corruption, refused before the
-	// per-node arrays are allocated. Node indexes are int32s, which no
-	// payload short of 16 GiB can overflow.
-	if count > uint64(len(s)-r.off)/minNodeBytes || count > math.MaxInt32 {
+	// per-node arrays are allocated.
+	if count > uint64(len(s)-r.off)/minNodeBytes {
 		return nil, fmt.Errorf("ung: decode binary: node count %d exceeds payload", count)
 	}
-	g := &Graph{App: app, Nodes: make([]Node, count)}
+	// Node indexes and edge offsets are int32s; every edge takes at least a
+	// byte, so a payload under 2 GiB overflows neither.
+	if len(s) > math.MaxInt32 {
+		return nil, fmt.Errorf("ung: decode binary: payload of %d bytes exceeds 2 GiB", len(s))
+	}
+	g := &Graph{App: app, Nodes: make([]Node, count), off: make([]int32, 1, 2*count+1)}
 	ids := newIDSet(int(count))
 	// Every node but the root has an in edge, and every edge is listed
-	// twice (out and in), so the edge lists start in one buffer of 2*count
-	// indexes.
-	edges := make([]int32, 0, 2*count)
+	// twice (out and in); a ripped graph has a few more edges than nodes,
+	// so the buffer starts with room for a quarter more.
+	g.edges = make([]int32, 0, 2*count+count/4)
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		if n.ID, err = r.str("node id"); err != nil {
@@ -214,12 +218,14 @@ func DecodeBinaryString(s string) (*Graph, error) {
 		if n.Context, err = r.str("node context"); err != nil {
 			return nil, err
 		}
-		if n.Out, err = r.edges(&edges, "out edges", count); err != nil {
+		if g.edges, err = r.edges(g.edges, "out edges", count); err != nil {
 			return nil, err
 		}
-		if n.In, err = r.edges(&edges, "in edges", count); err != nil {
+		g.off = append(g.off, int32(len(g.edges)))
+		if g.edges, err = r.edges(g.edges, "in edges", count); err != nil {
 			return nil, err
 		}
+		g.off = append(g.off, int32(len(g.edges)))
 		if i == 0 && n.ID != RootID {
 			return nil, fmt.Errorf("ung: decode binary: snapshot does not start at the virtual root")
 		}
@@ -239,13 +245,14 @@ func DecodeBinaryString(s string) (*Graph, error) {
 	return g, nil
 }
 
-// idSeed hashes node ids for the decoder's duplicate check.
+// idSeed hashes node ids for idSet.
 var idSeed = maphash.MakeSeed()
 
-// idSet is the decoder's duplicate-id check: an open-addressing table of
-// node indexes plus one (0 is an empty slot), at most half full, hashed by
-// id. It holds no pointers, so the collector never scans it, and it is
-// dropped with the decode; a decoded graph keeps no id index.
+// idSet finds nodes by id: an open-addressing table of node indexes plus
+// one (0 is an empty slot), at most half full, hashed by id. It holds no
+// pointers, so the collector never scans it. It is a graph's id index
+// while the graph is built, and the decoder's duplicate-id check, dropped
+// with the decode: a decoded graph keeps no id index.
 type idSet []int32
 
 func newIDSet(n int) idSet {
@@ -256,20 +263,26 @@ func newIDSet(n int) idSet {
 	return make(idSet, size)
 }
 
+// slot returns the slot of id: the one holding its node, or the empty
+// one where it goes.
+func (t idSet) slot(nodes []Node, id string) uint64 {
+	mask := uint64(len(t) - 1)
+	for h := maphash.String(idSeed, id) & mask; ; h = (h + 1) & mask {
+		if j := t[h]; j == 0 || nodes[j-1].ID == id {
+			return h
+		}
+	}
+}
+
 // add records node i of nodes and reports whether no earlier node shares
 // its id.
 func (t idSet) add(nodes []Node, i int32) bool {
-	id := nodes[i].ID
-	mask := uint64(len(t) - 1)
-	for h := maphash.String(idSeed, id) & mask; ; h = (h + 1) & mask {
-		switch j := t[h]; {
-		case j == 0:
-			t[h] = i + 1
-			return true
-		case nodes[j-1].ID == id:
-			return false
-		}
+	h := t.slot(nodes, nodes[i].ID)
+	if t[h] != 0 {
+		return false
 	}
+	t[h] = i + 1
+	return true
 }
 
 // binReader walks the binary layout with bounds checking; every read
@@ -322,10 +335,8 @@ func (r *binReader) str(field string) (string, error) {
 	return s, nil
 }
 
-// edges reads one edge list into the spare capacity of *buf, or of a
-// fresh buffer when the list does not fit, and returns it with its capacity
-// capped; an empty list is nil, the form AddEdge leaves.
-func (r *binReader) edges(buf *[]int32, field string, nodeCount uint64) ([]int32, error) {
+// edges reads one edge list and appends it to buf.
+func (r *binReader) edges(buf []int32, field string, nodeCount uint64) ([]int32, error) {
 	n, err := r.uvarint(field)
 	if err != nil {
 		return nil, err
@@ -333,13 +344,6 @@ func (r *binReader) edges(buf *[]int32, field string, nodeCount uint64) ([]int32
 	if n > uint64(len(r.s)-r.off) {
 		return nil, fmt.Errorf("ung: decode binary: truncated %s", field)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(cap(*buf)-len(*buf)) {
-		*buf = make([]int32, 0, max(n, nodeCount))
-	}
-	start := len(*buf)
 	for i := uint64(0); i < n; i++ {
 		idx, err := r.uvarint(field)
 		if err != nil {
@@ -348,7 +352,7 @@ func (r *binReader) edges(buf *[]int32, field string, nodeCount uint64) ([]int32
 		if idx >= nodeCount {
 			return nil, fmt.Errorf("ung: decode binary: %s index %d out of range (%d nodes)", field, idx, nodeCount)
 		}
-		*buf = append(*buf, int32(idx))
+		buf = append(buf, int32(idx))
 	}
-	return (*buf)[start:len(*buf):len(*buf)], nil
+	return buf, nil
 }

@@ -308,8 +308,12 @@ func brokenGraphs() []struct {
 		return g
 	}
 	dropIn := func(g *Graph, to, from string) {
-		n, f := &g.Nodes[g.lookup(to)], g.lookup(from)
-		n.In = slices.DeleteFunc(n.In, func(i int32) bool { return i == f })
+		list := 2*g.lookup(to) + 1
+		at := int(g.off[list]) + slices.Index(g.row(list), g.lookup(from))
+		g.edges = slices.Delete(g.edges, at, at+1)
+		for k := list + 1; k < int32(len(g.off)); k++ {
+			g.off[k]--
+		}
 	}
 	missingReverse := build([2]string{RootID, "a"}, [2]string{"a", "b"}, [2]string{RootID, "c"}, [2]string{"a", "c"})
 	dropIn(missingReverse, "c", "a")

@@ -13,9 +13,14 @@ import (
 
 // TestAddEdgeDuplicates: a node with a high out-degree and one with a high
 // in-degree both ignore duplicate edges, whichever endpoint's list is the
-// shorter, and both keep their lists in insertion order.
+// shorter, and both keep their lists in insertion order, whether the graph
+// inserts its edges in place or logs them as a rip's graph does.
 func TestAddEdgeDuplicates(t *testing.T) {
-	g := NewGraph("Demo")
+	t.Run("in place", func(t *testing.T) { testAddEdgeDuplicates(t, NewGraph("Demo")) })
+	t.Run("logged", func(t *testing.T) { testAddEdgeDuplicates(t, newRipGraph("Demo")) })
+}
+
+func testAddEdgeDuplicates(t *testing.T, g *Graph) {
 	add := func(id string) int32 {
 		i, _ := g.AddNode(Reveal{ID: id, Name: id, Type: uia.ButtonControl}, "")
 		return i
@@ -33,7 +38,7 @@ func TestAddEdgeDuplicates(t *testing.T) {
 	}
 	g.AddEdge(hub, sink)
 	g.AddEdge(sink, sink)
-	edges := g.EdgeCount()
+	const edges = 2*40 + 3
 
 	// Every edge again, in reverse: hub → mid scans the mid's one-entry In,
 	// mid → sink the mid's one-entry Out, hub → sink either long list.
@@ -45,15 +50,18 @@ func TestAddEdgeDuplicates(t *testing.T) {
 	g.AddEdge(sink, sink)
 	g.AddEdge(0, hub)
 
+	if g.lastIn != nil {
+		g.seal()
+	}
 	if n := g.EdgeCount(); n != edges {
 		t.Errorf("EdgeCount = %d after re-adding every edge, want %d", n, edges)
 	}
 	wantOut := append(slices.Clone(mids), sink)
-	if got := g.Nodes[hub].Out; !slices.Equal(got, wantOut) {
+	if got := g.Out(hub); !slices.Equal(got, wantOut) {
 		t.Errorf("hub's Out = %v, want %v", got, wantOut)
 	}
 	wantIn := append(slices.Clone(mids), hub, sink)
-	if got := g.Nodes[sink].In; !slices.Equal(got, wantIn) {
+	if got := g.In(sink); !slices.Equal(got, wantIn) {
 		t.Errorf("sink's In = %v, want %v", got, wantIn)
 	}
 	if err := g.Validate(); err != nil {
@@ -110,10 +118,24 @@ func checkAddNodeDedupes(t *testing.T, g *Graph) {
 	}
 }
 
-// TestRippedEdgesPacked: a finished rip carves every edge list out of one
-// buffer, node by node, Out before In, each capped at its length. The
-// graph still validates and encodes to the same bytes, and an AddEdge
-// after the rip leaves every other node's lists as they were.
+// nodeSizeLimit bounds a graph node: a model's graph holds one per
+// control, 3,800 of them for Word. A node was 128 bytes while it carried
+// its out and in lists as two slice headers; with every edge in the
+// graph's one buffer it is 80.
+const nodeSizeLimit = 80
+
+func TestNodeSize(t *testing.T) {
+	if size := reflect.TypeOf(Node{}).Size(); size > nodeSizeLimit {
+		t.Errorf("a graph node is %d bytes, limit %d", size, nodeSizeLimit)
+	}
+}
+
+// TestRippedEdgesPacked: a finished rip holds every edge list in one
+// buffer, node by node, out before in, behind monotone offsets, with no
+// edge log, no id index and no spare room in the node slab.
+// Its lists are the ones the rip built, which the golden digest pins in
+// order, and the ones its snapshot decodes to; an AddEdge after the rip
+// changes only the two lists it grows.
 func TestRippedEdgesPacked(t *testing.T) {
 	for _, app := range catalogFactories {
 		t.Run(app.name, func(t *testing.T) {
@@ -121,20 +143,21 @@ func TestRippedEdgesPacked(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var next uintptr // where the next list must start, once one was seen
-			for i := range g.Nodes {
-				for _, l := range [][]int32{g.Nodes[i].Out, g.Nodes[i].In} {
-					if len(l) == 0 {
-						continue
-					}
-					if cap(l) != len(l) {
-						t.Fatalf("node %d (%q): edge list has len %d, cap %d", i, g.Nodes[i].ID, len(l), cap(l))
-					}
-					p := reflect.ValueOf(l).Pointer()
-					if next != 0 && p != next {
-						t.Fatalf("node %d (%q): edge list does not follow the previous one in one buffer", i, g.Nodes[i].ID)
-					}
-					next = p + uintptr(len(l))*reflect.TypeOf(l[0]).Size()
+			n := len(g.Nodes)
+			if g.lastIn != nil || g.index != nil {
+				t.Fatalf("a ripped graph keeps an edge log (%d edges) or an id index (%d slots)",
+					len(g.added), len(g.index))
+			}
+			if cap(g.Nodes) != n {
+				t.Errorf("node slab has len %d, cap %d", n, cap(g.Nodes))
+			}
+			if len(g.off) != 2*n+1 || g.off[0] != 0 || int(g.off[2*n]) != len(g.edges) {
+				t.Fatalf("%d offsets from %d to %d over %d edge entries, want %d from 0 to %d",
+					len(g.off), g.off[0], g.off[len(g.off)-1], len(g.edges), 2*n+1, len(g.edges))
+			}
+			for k := 1; k < len(g.off); k++ {
+				if g.off[k] < g.off[k-1] {
+					t.Fatalf("offset %d is %d, below offset %d's %d", k, g.off[k], k-1, g.off[k-1])
 				}
 			}
 			if err := g.Validate(); err != nil {
@@ -147,27 +170,37 @@ func TestRippedEdgesPacked(t *testing.T) {
 			if sum := sha256.Sum256(bin); hex.EncodeToString(sum[:]) != catalogGolden[app.name].sha256 {
 				t.Errorf("graph digest = %x, want %s", sum, catalogGolden[app.name].sha256)
 			}
+			back, err := DecodeBinary(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertGraphsIdentical(t, g, back)
 
+			outs := make([][]int32, n)
+			ins := make([][]int32, n)
+			for i := range int32(n) {
+				outs[i], ins[i] = g.Out(i), g.In(i)
+				for _, l := range [][]int32{outs[i], ins[i]} {
+					if cap(l) != len(l) {
+						t.Fatalf("node %d (%q): edge list has len %d, cap %d", i, g.Nodes[i].ID, len(l), cap(l))
+					}
+				}
+				outs[i], ins[i] = slices.Clone(outs[i]), slices.Clone(ins[i])
+			}
 			// Grow a list in the middle of the buffer: node from gets an
 			// edge to the root, which it cannot have had (nothing reveals
 			// the root).
-			from := int32(len(g.Nodes) / 2)
-			for len(g.Nodes[from].Out) == 0 {
+			from := int32(n / 2)
+			for len(g.Out(from)) == 0 {
 				from++
-			}
-			outs := make([][]int32, len(g.Nodes))
-			ins := make([][]int32, len(g.Nodes))
-			for i := range g.Nodes {
-				outs[i] = slices.Clone(g.Nodes[i].Out)
-				ins[i] = slices.Clone(g.Nodes[i].In)
 			}
 			g.AddEdge(from, 0)
 			outs[from] = append(outs[from], 0)
 			ins[0] = append(ins[0], from)
-			for i := range g.Nodes {
-				if !slices.Equal(g.Nodes[i].Out, outs[i]) || !slices.Equal(g.Nodes[i].In, ins[i]) {
+			for i := range int32(n) {
+				if !slices.Equal(g.Out(i), outs[i]) || !slices.Equal(g.In(i), ins[i]) {
 					t.Fatalf("after AddEdge(%d, 0): node %d has out %v in %v, want out %v in %v",
-						from, i, g.Nodes[i].Out, g.Nodes[i].In, outs[i], ins[i])
+						from, i, g.Out(i), g.In(i), outs[i], ins[i])
 				}
 			}
 		})

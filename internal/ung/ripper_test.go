@@ -61,11 +61,11 @@ func TestRipDiscoversTabContent(t *testing.T) {
 	if bold == nil {
 		t.Fatal("Bold not discovered")
 	}
-	cur := bold
+	cur := g.lookup(bold.ID)
 	foundTab := false
-	for i := 0; i < 10 && cur != nil && len(cur.In) > 0; i++ {
-		cur = &g.Nodes[cur.In[0]]
-		if strings.HasPrefix(cur.ID, "tabHome|") {
+	for i := 0; i < 10 && len(g.In(cur)) > 0; i++ {
+		cur = g.In(cur)[0]
+		if strings.HasPrefix(g.Nodes[cur].ID, "tabHome|") {
 			foundTab = true
 			break
 		}
@@ -94,11 +94,12 @@ func TestRipMergeNodes(t *testing.T) {
 	if body == nil || blue == nil {
 		t.Fatal("picker body or Blue cell not discovered")
 	}
-	if len(body.In) < 2 {
-		t.Fatalf("picker body in-degree = %d, want ≥ 2 (merge node)", len(body.In))
+	bodyIn, blueIn := g.In(g.lookup(body.ID)), g.In(g.lookup(blue.ID))
+	if len(bodyIn) < 2 {
+		t.Fatalf("picker body in-degree = %d, want ≥ 2 (merge node)", len(bodyIn))
 	}
-	if len(blue.In) != 1 || !strings.Contains(g.Nodes[blue.In[0]].ID, "clrStd") {
-		t.Fatalf("Blue should hang beneath the Standard Colors pane, in = %v", blue.In)
+	if len(blueIn) != 1 || !strings.Contains(g.Nodes[blueIn[0]].ID, "clrStd") {
+		t.Fatalf("Blue should hang beneath the Standard Colors pane, in = %v", blueIn)
 	}
 	if len(g.MergeNodes()) == 0 {
 		t.Fatal("no merge nodes found")
@@ -122,8 +123,8 @@ func TestRipBlocklist(t *testing.T) {
 	if st.Blocked == 0 {
 		t.Error("blocklisted control was not skipped")
 	}
-	for i := range g.Nodes {
-		if n := &g.Nodes[i]; strings.HasPrefix(n.ID, "btnAccount|") && len(n.Out) > 0 {
+	for i := range int32(len(g.Nodes)) {
+		if strings.HasPrefix(g.Nodes[i].ID, "btnAccount|") && len(g.Out(i)) > 0 {
 			t.Error("blocklisted control has out-edges (it was clicked)")
 		}
 	}
@@ -145,12 +146,12 @@ func TestRipContexts(t *testing.T) {
 
 func TestRipLeavesAndNavigation(t *testing.T) {
 	g, _ := ripDemo(t)
-	for i := range g.Nodes {
+	for i := range int32(len(g.Nodes)) {
 		n := &g.Nodes[i]
-		if strings.HasPrefix(n.ID, "btnBold|") && len(n.Out) != 0 {
+		if strings.HasPrefix(n.ID, "btnBold|") && len(g.Out(i)) != 0 {
 			t.Error("Bold (functional) should be a leaf")
 		}
-		if strings.HasPrefix(n.ID, "btnFontColor|") && len(n.Out) == 0 {
+		if strings.HasPrefix(n.ID, "btnFontColor|") && len(g.Out(i)) == 0 {
 			t.Error("Font Color (navigation) should not be a leaf")
 		}
 	}
@@ -252,5 +253,5 @@ func findNode(g *Graph, prefix string) *Node {
 }
 
 func hasEdge(g *Graph, from, to *Node) bool {
-	return slices.Contains(from.Out, g.lookup(to.ID))
+	return slices.Contains(g.Out(g.lookup(from.ID)), g.lookup(to.ID))
 }
