@@ -500,5 +500,6 @@ func diamondChain(levels int) *ung.Graph {
 		g.AddEdge(r, mnode)
 		prev = mnode
 	}
+	g.Seal()
 	return g
 }

@@ -119,7 +119,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // checkWrite flags a store whose target chain passes through a protected
 // type defined in another package. The chain walk covers field stores
 // (m.Forest = x), element stores (g.Nodes[i].Name = s), stores through
-// nested selections (model.Forest.Main.Children[0].Name = x), and element
+// nested selections (model.Forest.Main.Children[0].Name = x), stores
+// through a call's protected result (m.Node(i).Name = x), and element
 // stores into a view method's result (g.Out(i)[k] = x).
 func checkWrite(pass *analysis.Pass, lhs ast.Expr) {
 	e := ast.Unparen(lhs)
@@ -140,8 +141,8 @@ func checkWrite(pass *analysis.Pass, lhs ast.Expr) {
 			if pkg, typ, method, ok := viewCall(pass, call); ok {
 				pass.Reportf(lhs.Pos(), "write to %s.%s(...)%s outside %s: models are read-only once built (concurrent sessions share them)",
 					typ, method, strings.TrimPrefix(exprSel(e), "?"), pkg)
+				return
 			}
-			return
 		}
 		if pkg, name, ok := protectedVia(pass, inner); ok {
 			pass.Reportf(lhs.Pos(), "write to %s.%s outside %s: models are read-only once built (concurrent sessions share them)", name, exprSel(e), pkg)

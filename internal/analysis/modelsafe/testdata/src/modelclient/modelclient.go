@@ -20,7 +20,8 @@ func mutateForestNode(n *forest.Node) {
 }
 
 func mutateDeepChain(m *describe.Model) {
-	m.Forest.Main = nil // want `write to Forest.Main outside repro/internal/forest`
+	m.Forest.Main = nil  // want `write to Forest.Main outside repro/internal/forest`
+	m.Node(0).Name = "x" // want `write to Node.Name outside repro/internal/forest`
 }
 
 func mutateGraph(g *ung.Graph) {

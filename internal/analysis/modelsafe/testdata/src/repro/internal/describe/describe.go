@@ -9,6 +9,10 @@ type Model struct {
 	Forest *forest.Forest
 }
 
+// Node returns a node of the model's forest; stores through its result are
+// stores into the model.
+func (m *Model) Node(i int) *forest.Node { return m.Forest.Main }
+
 func New(app string, f *forest.Forest) *Model {
 	m := &Model{App: app}
 	m.Forest = f

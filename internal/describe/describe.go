@@ -64,22 +64,21 @@ type Model struct {
 // grouped by key in one array, each group in id order, and an
 // open-addressing table from a key's hash to its group. It holds no
 // pointers and no strings, since a group's key is read off its first
-// node, so for the catalog it takes about 0.2 MB where a map from key to
+// node, so for the catalog it takes about 0.27 MB where a map from key to
 // id slice took 1.2 MB.
 type nameIndex struct {
 	ids   []int32 // node ids, grouped by key
 	start []int32 // group k is ids[start[k]:start[k+1]]
+	// key[k] says where group k's key is read: node<<1 | 1 for its first
+	// node's name, node<<1 for that node's primary id.
+	key []int32
 	// slots is the table, at most three quarters full: 0 is an empty
-	// slot, else 1 + (k<<1 | 1 if group k's key is its first node's name,
-	// 0 if that node's primary id).
+	// slot, else 1 + a group.
 	slots []int32
 }
 
 // nameSeed hashes the name index's keys.
 var nameSeed = maphash.MakeSeed()
-
-// groupFirst returns the first node of group k.
-func (x *nameIndex) groupFirst(k int32) int32 { return x.ids[x.start[k]] }
 
 // NewModel assigns consecutive integer ids across the main tree (first) and
 // every shared subtree (in externalization order): the forest's own order,
@@ -184,32 +183,30 @@ func (m *Model) RefsTo(subtree string) []*forest.Node { return m.refsTo[subtree]
 func (m *Model) IDsNamed(key string) []int32 {
 	m.nameOnce.Do(m.indexNames)
 	x := &m.names
-	v := x.slots[m.nameSlot(key, x.groupFirst)] - 1
-	if v < 0 {
+	k := x.slots[m.nameSlot(key)] - 1
+	if k < 0 {
 		return nil
 	}
-	k := v >> 1
 	return x.ids[x.start[k]:x.start[k+1]:x.start[k+1]]
 }
 
 // nameSlot returns the table slot of key: the one holding its group, or
-// the empty one its group would take. first gives a group's first node,
-// whose name or primary id is the group's key.
-func (m *Model) nameSlot(key string, first func(k int32) int32) int {
-	slots := m.names.slots
-	mask := uint64(len(slots) - 1)
+// the empty one its group would take.
+func (m *Model) nameSlot(key string) int {
+	x := &m.names
+	mask := uint64(len(x.slots) - 1)
 	for h := maphash.String(nameSeed, key) & mask; ; h = (h + 1) & mask {
-		v := slots[h] - 1
-		if v < 0 || m.nameKey(first(v>>1), v&1 == 1) == key {
+		k := x.slots[h] - 1
+		if k < 0 || m.groupKey(x.key[k]) == key {
 			return int(h)
 		}
 	}
 }
 
-// nameKey returns node id's name, or its primary id.
-func (m *Model) nameKey(id int32, byName bool) string {
-	n := m.byID[id]
-	if byName {
+// groupKey returns the key a nameIndex.key entry names.
+func (m *Model) groupKey(v int32) string {
+	n := m.byID[v>>1]
+	if v&1 == 1 {
 		return n.Name
 	}
 	p, _, _ := uia.SplitControlID(n.ID)
@@ -218,8 +215,9 @@ func (m *Model) nameKey(id int32, byName bool) string {
 
 // indexNames builds the name index. A node is listed under its primary id,
 // and under its name too when that differs. The entries are counted
-// first, so the table is sized once; then each entry finds or opens its
-// group, and the groups are laid out side by side, their ids placed in
+// first, so the table and a buffer of group keys are sized once; then
+// each entry finds or opens its group, the keys are copied out at their
+// length, and the groups are laid out side by side, their ids placed in
 // entry order, which is id order.
 func (m *Model) indexNames() {
 	entries := len(m.byID)
@@ -234,39 +232,38 @@ func (m *Model) indexNames() {
 	}
 	x := &m.names
 	x.slots = make([]int32, size)
-	first := make([]int32, 0, entries) // each group's first node, until the ids are placed
+	x.key = make([]int32, 0, entries)
 	type entry struct{ node, group int32 }
 	list := make([]entry, 0, entries)
-	add := func(node int32, key string, byName bool) {
-		h := m.nameSlot(key, func(k int32) int32 { return first[k] })
-		v := x.slots[h] - 1
-		if v < 0 {
-			v = int32(len(first)) << 1
-			if byName {
-				v |= 1
-			}
-			x.slots[h] = v + 1
-			first = append(first, node)
+	add := func(node int32, key string, byName int32) {
+		h := m.nameSlot(key)
+		k := x.slots[h] - 1
+		if k < 0 {
+			k = int32(len(x.key))
+			x.slots[h] = k + 1
+			x.key = append(x.key, node<<1|byName)
 		}
-		list = append(list, entry{node, v >> 1})
+		list = append(list, entry{node, k})
 	}
 	for i, n := range m.byID {
 		p, _, _ := uia.SplitControlID(n.ID)
-		add(int32(i), p, false)
+		add(int32(i), p, 0)
 		if n.Name != p {
-			add(int32(i), n.Name, true)
+			add(int32(i), n.Name, 1)
 		}
 	}
+	keys := x.key
+	x.key = slices.Clone(keys) // the index stays resident: no spare capacity
 	// start[k+1] counts group k, and the running sum makes start[k] the
 	// place of its first id.
-	x.start = make([]int32, len(first)+1)
+	x.start = make([]int32, len(x.key)+1)
 	for _, e := range list {
 		x.start[e.group+1]++
 	}
-	for k := range len(first) {
+	for k := range len(x.key) {
 		x.start[k+1] += x.start[k]
 	}
-	next := first // group k's next free place
+	next := keys // group k's next free place
 	copy(next, x.start)
 	x.ids = make([]int32, len(list))
 	for _, e := range list {

@@ -37,6 +37,7 @@ func buildGraph(t *testing.T, adj map[string][]string) *ung.Graph {
 			g.AddEdge(node(g, from), node(g, to))
 		}
 	}
+	g.Seal()
 	return g
 }
 
@@ -422,6 +423,7 @@ func randomGraph(rng *rand.Rand, nodes, extraEdges int) *ung.Graph {
 		}
 		g.AddEdge(from, to)
 	}
+	g.Seal()
 	return g
 }
 

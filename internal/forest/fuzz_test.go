@@ -21,6 +21,7 @@ func encodeGraph(f *testing.F, edges [][2]string) []byte {
 	for _, e := range edges {
 		g.AddEdge(node(e[0]), node(e[1]))
 	}
+	g.Seal()
 	data, err := ung.EncodeBinary(g)
 	if err != nil {
 		f.Fatal(err)

@@ -126,6 +126,7 @@ func shapeGraph() *ung.Graph {
 	for _, e := range [][2]string{{ung.RootID, "a"}, {ung.RootID, "b"}, {"a", "m"}, {"a", "n"}, {"b", "m"}, {"b", "n"}, {"m", "x"}, {"m", "y"}} {
 		g.AddEdge(node(g, e[0]), node(g, e[1]))
 	}
+	g.Seal()
 	return g
 }
 

@@ -40,7 +40,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -80,28 +79,18 @@ type Options struct {
 // application. Two builds with equal fingerprints yield identical models.
 // Zero-valued knobs are normalized to the pipeline defaults first, so an
 // explicit default and a zero value share one cache slot.
-// Every session start computes one, so it is built in one buffer.
 func Fingerprint(app string, opt Options) string {
-	b := appendRipFingerprint(make([]byte, 0, 64), app, opt.Rip)
-	b = append(b, "|clone="...)
-	return string(strconv.AppendInt(b, int64(opt.Transform.Normalized().CloneThreshold), 10))
+	tf := opt.Transform.Normalized()
+	return fmt.Sprintf("%s|clone=%d", RipFingerprint(app, opt.Rip), tf.CloneThreshold)
 }
 
 // RipFingerprint identifies the ripped graph alone — the graph depends only
 // on the rip configuration, so disk snapshots are keyed by it and survive
 // transform-threshold changes (a threshold sweep re-rips nothing).
 func RipFingerprint(app string, cfg ung.Config) string {
-	return string(appendRipFingerprint(make([]byte, 0, 64), app, cfg))
-}
-
-// appendRipFingerprint appends RipFingerprint(app, cfg) to b:
-// app|v<SnapshotVersion>|depth=<MaxDepth>|nodes=<MaxNodes>.
-func appendRipFingerprint(b []byte, app string, cfg ung.Config) []byte {
 	rip := cfg.Normalized()
-	b = append(append(b, app...), "|v"...)
-	b = strconv.AppendInt(b, SnapshotVersion, 10)
-	b = strconv.AppendInt(append(b, "|depth="...), int64(rip.MaxDepth), 10)
-	return strconv.AppendInt(append(b, "|nodes="...), int64(rip.MaxNodes), 10)
+	return fmt.Sprintf("%s|v%d|depth=%d|nodes=%d",
+		app, SnapshotVersion, rip.MaxDepth, rip.MaxNodes)
 }
 
 // Build is the complete outcome of one store lookup.

@@ -211,6 +211,7 @@ func duplicateNodeSnapshot(t *testing.T) []byte {
 		g.AddEdge(from, to)
 	}
 	g.Nodes[3].ID, g.Nodes[4].ID = "a", "b"
+	g.Seal()
 	data, err := EncodeBinary(g)
 	if err != nil {
 		t.Fatal(err)
@@ -305,6 +306,7 @@ func brokenGraphs() []struct {
 		for _, e := range edges {
 			g.AddEdge(node(g, e[0]), node(g, e[1]))
 		}
+		g.Seal()
 		return g
 	}
 	dropIn := func(g *Graph, to, from string) {
@@ -404,6 +406,7 @@ func TestEncodedSizeMatchesEncodeBinary(t *testing.T) {
 		}
 	}
 	g := NewGraph("Neg")
+	g.Seal()
 	g.Nodes[0].Type = -1
 	_, encErr := EncodeBinary(g)
 	_, sizeErr := EncodedSize(g)

@@ -36,8 +36,9 @@ type Node struct {
 // order, the virtual root at index 0, and every edge an index into Nodes.
 // A synthesized id spells out its whole ancestor path, so an edge names
 // its node by position and no consumer hashes an id to follow it. A node's
-// edges are read with Out and In. A graph comes from NewGraph or
-// DecodeBinary, or from a rip.
+// edges are read with Out and In, once the graph is sealed. NewGraph starts
+// a graph that AddNode and AddEdge build and Seal packs; DecodeBinary and a
+// rip return sealed graphs.
 type Graph struct {
 	App   string
 	Nodes []Node
@@ -45,16 +46,17 @@ type Graph struct {
 	// edges holds every edge list in one buffer, the rows of a sparse
 	// matrix in the order EncodeBinary writes them: node i's out list is
 	// edges[off[2i]:off[2i+1]] and its in list edges[off[2i+1]:off[2i+2]],
-	// so off has 2N+1 entries. AddEdge inserts into it in place.
+	// so off has 2N+1 entries. AddEdge on a sealed graph inserts into it
+	// in place.
 	edges []int32
 	off   []int32
-	// A graph a rip is building logs its edges instead, in insertion
-	// order, with no buffer to shift and no per-node list to grow; the rip
-	// packs the log into the buffer when it finishes, so no list is read
-	// while there is one. lastIn chains the log by target for AddEdge's
-	// duplicate check: 1 + the log position of the last edge into each
-	// node (0 for none), each logged edge naming the one before it. A
-	// graph logs exactly when lastIn is not nil.
+	// A graph being built logs its edges instead, in insertion order, with
+	// no buffer to shift and no per-node list to grow; Seal packs the log
+	// into the buffer, and no list is read while there is one. lastIn
+	// chains the log by target for AddEdge's duplicate check: 1 + the log
+	// position of the last edge into each node (0 for none), each logged
+	// edge naming the one before it. A graph logs exactly when lastIn is
+	// not nil.
 	added  []loggedEdge
 	lastIn []int32
 
@@ -79,12 +81,16 @@ func (g *Graph) In(i int32) []int32 { return g.row(2*i + 1) }
 
 // row returns edge list k of the buffer, capped at its length.
 func (g *Graph) row(k int32) []int32 {
+	if g.lastIn != nil {
+		panic("ung: edges read from a graph that is not sealed")
+	}
 	return g.edges[g.off[k]:g.off[k+1]:g.off[k+1]]
 }
 
-// NewGraph creates a graph containing only the virtual root.
+// NewGraph starts a graph containing only the virtual root. It logs the
+// edges AddEdge adds until Seal packs them.
 func NewGraph(app string) *Graph {
-	g := &Graph{App: app, off: []int32{0}}
+	g := &Graph{App: app, lastIn: []int32{}} // not nil: the graph logs
 	g.AddNode(Reveal{ID: RootID, Name: app, Type: uia.WindowControl}, "")
 	return g
 }
@@ -186,19 +192,14 @@ func (g *Graph) insert(k, e int32) {
 	}
 }
 
-// newRipGraph is NewGraph for a rip: a graph that logs its edges until
-// seal packs them.
-func newRipGraph(app string) *Graph {
-	g := NewGraph(app)
-	g.off = nil
-	g.lastIn = make([]int32, len(g.Nodes), cap(g.Nodes))
-	return g
-}
-
-// seal leaves a rip's graph as a model keeps it: the log packed into the
-// buffer, each list in log order, no id index, and the node slab trimmed
-// to its length.
-func (g *Graph) seal() {
+// Seal leaves a graph as a model keeps it: the edge log packed into the
+// buffer, each list in insertion order, no id index, and the node slab
+// trimmed to its length. A sealed graph stays sealed: Seal does nothing on
+// it, and AddEdge on it inserts in place.
+func (g *Graph) Seal() {
+	if g.lastIn == nil {
+		return
+	}
 	// Count each list's edges at the offset after it; the running sum
 	// makes off[k] where list k starts.
 	off := make([]int32, 2*len(g.Nodes)+1)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/uia"
@@ -14,10 +15,15 @@ import (
 // TestAddEdgeDuplicates: a node with a high out-degree and one with a high
 // in-degree both ignore duplicate edges, whichever endpoint's list is the
 // shorter, and both keep their lists in insertion order, whether the graph
-// inserts its edges in place or logs them as a rip's graph does.
+// inserts its edges in place, as a sealed graph does, or logs them until
+// it is sealed.
 func TestAddEdgeDuplicates(t *testing.T) {
-	t.Run("in place", func(t *testing.T) { testAddEdgeDuplicates(t, NewGraph("Demo")) })
-	t.Run("logged", func(t *testing.T) { testAddEdgeDuplicates(t, newRipGraph("Demo")) })
+	t.Run("in place", func(t *testing.T) {
+		g := NewGraph("Demo")
+		g.Seal()
+		testAddEdgeDuplicates(t, g)
+	})
+	t.Run("logged", func(t *testing.T) { testAddEdgeDuplicates(t, NewGraph("Demo")) })
 }
 
 func testAddEdgeDuplicates(t *testing.T, g *Graph) {
@@ -50,9 +56,7 @@ func testAddEdgeDuplicates(t *testing.T, g *Graph) {
 	g.AddEdge(sink, sink)
 	g.AddEdge(0, hub)
 
-	if g.lastIn != nil {
-		g.seal()
-	}
+	g.Seal()
 	if n := g.EdgeCount(); n != edges {
 		t.Errorf("EdgeCount = %d after re-adding every edge, want %d", n, edges)
 	}
@@ -67,6 +71,18 @@ func testAddEdgeDuplicates(t *testing.T, g *Graph) {
 	if err := g.Validate(); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestReadBeforeSeal: a graph that still logs its edges has no lists to
+// read, and reading one fails with a message that says so.
+func TestReadBeforeSeal(t *testing.T) {
+	g := NewGraph("Demo")
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "not sealed") {
+			t.Errorf("Out on a graph being built: recovered %q, want a not-sealed panic", msg)
+		}
+	}()
+	g.Out(0)
 }
 
 // TestAddNodeOnDecodedGraph: a decoded graph carries no id index, and

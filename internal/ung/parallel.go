@@ -69,7 +69,7 @@ func RipParallel(factory func() *appkit.App, cfg Config, workers int) (*Graph, S
 // own on Close.
 func rip(probe *appkit.App, cfg Config, ex Expander, width int) (*Graph, Stats, error) {
 	cfg.fill()
-	g := newRipGraph(probe.Name)
+	g := NewGraph(probe.Name)
 	st := Stats{Workers: max(width, 1)}
 	cur := NewCursor(probe)
 	var seedTime time.Duration
@@ -81,7 +81,7 @@ func rip(probe *appkit.App, cfg Config, ex Expander, width int) (*Graph, Stats, 
 			st.Workers = ex.Close().Workers
 		}
 		st.SimulatedTime = seedTime + makespan(costs, st.Workers)
-		g.seal() // the id index is the rip's alone: a model never looks an id up
+		g.Seal() // the id index is the rip's alone: a model never looks an id up
 		st.Nodes = g.NodeCount()
 		st.Edges = g.EdgeCount()
 		return g, st, err
